@@ -26,7 +26,6 @@ from .codes import (
     component_code_new,
     count_skew_cyclic_codes,
     HypothesisViolated,
-    TableTooLarge,
 )
 from .finite_field import EnumerationTooLarge, Field, FieldError, field_from_string
 from .ring_r import gray_map, lee_weight, ring_vector_from_string, ring_vector_to_string
@@ -276,22 +275,34 @@ def cmd_census(args) -> int:
     fld = _parse_field(args)
     if args.n is None:
         raise CliConfigError("--n is required")
-    all_codes = census(args.n, fld, args.aut)
+    all_codes = census(args.n, fld, args.aut, bound=args.bound)
     count = len(all_codes)
     t_i = fld.check_aut_exponent(args.aut)
     formula = None
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
-    if count > args.bound:
-        print(f"census size {count} exceeds table bound {args.bound}")
-        raise TableTooLarge(f"{count} rows > bound {args.bound}")
+    # distance law: d_L(C) is the least Hamming distance of the nonzero
+    # components, so each distinct component is enumerated once
+    comp_dist: dict = {}
     rows = []
     for code in all_codes:
-        try:
-            dist = code.min_lee_distance(args.distance_bound)
-            dist_val, degenerate = dist.value, dist.degenerate
-        except EnumerationTooLarge:
+        dists = []
+        for comp in code.components:
+            if comp.is_zero_code():
+                continue
+            if comp not in comp_dist:
+                try:
+                    d = comp.min_hamming_distance(args.distance_bound).value
+                except EnumerationTooLarge:
+                    d = None
+                comp_dist[comp] = d
+            dists.append(comp_dist[comp])
+        if not dists:
+            dist_val, degenerate = 0, True
+        elif None in dists:
             dist_val, degenerate = None, False
+        else:
+            dist_val, degenerate = min(dists), False
         rows.append(
             {
                 "g1": poly_to_string(code.c1.g),
@@ -345,10 +356,7 @@ def cmd_verify(args) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"bad matrix file {args.matrix!r}: {exc}") from exc
     else:
-        entries = [
-            oracle_mod.TestMatrixEntry(p=3, m=2, i=1, n=n, seed=args.seed)
-            for n in (1, 3, 5)
-        ]
+        entries = oracle_mod.default_matrix(args.seed)
     reports = oracle_mod.verify_all(entries, inject_broken=args.inject_broken)
     for rep in reports:
         print(rep.to_json())

@@ -451,10 +451,17 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
 
 
 def census(
-    n: int, field: Field, i: int, search_bound: int = 10**7
+    n: int, field: Field, i: int, search_bound: int = 10**7, bound: int | None = None
 ) -> list[SkewCyclicCode]:
-    """Every skew cyclic code of length n over R, in deterministic order."""
+    """Every skew cyclic code of length n over R, in deterministic order.
+
+    There are (number of divisors)^3 codes; past ``bound`` this raises
+    before any code is built.
+    """
     divisors = monic_right_divisors(n, field, i, search_bound)
+    count = len(divisors) ** 3
+    if bound is not None and count > bound:
+        raise TableTooLarge(f"census size {count} exceeds table bound {bound}")
     comps = [component_code_new(n, g) for g in divisors]
     return [
         code_from_components(a, b, c) for a in comps for b in comps for c in comps

@@ -15,7 +15,7 @@ import numpy as np
 
 from .finite_field import EnumerationTooLarge, Field, FieldElem
 
-_CHUNK = 1 << 19  # rows per numpy block in span enumeration
+_BLOCK_BYTES = 1 << 22  # bytes of words per numpy block in span enumeration
 
 
 def to_index_rows(rows: Sequence[Sequence[FieldElem]], field: Field) -> list[list[int]]:
@@ -164,20 +164,25 @@ def span_min_weight(
         raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
     p, m = field.p, field.m
     ncoords = len(basis[0])
-    zrows = _digit_rows(basis, field)
+    width = ncoords * m
+    dtype = _digit_dtype(p)
+    zrows = _digit_rows(basis, field).astype(dtype)
     k = len(zrows)
-    # split scalar choices: outer rows iterated in python, inner block in numpy
-    inner_k = k
-    while p**inner_k > _CHUNK:
-        inner_k -= 1
-    inner = np.zeros((1, ncoords * m), dtype=np.int64)
+    # split scalar choices: the last inner_k rows are enumerated as one numpy
+    # block of at most _BLOCK_BYTES (digits plus the per-word weight), the
+    # others in python
+    row_bytes = width * np.dtype(dtype).itemsize + 8
+    inner_k = 0
+    while inner_k < k and p ** (inner_k + 1) * row_bytes <= _BLOCK_BYTES:
+        inner_k += 1
+    digits = np.arange(p, dtype=dtype)[None, :, None]
+    inner = np.zeros((1, width), dtype=dtype)
     for row in zrows[k - inner_k :]:
-        inner = (inner[:, None, :] + np.arange(p)[None, :, None] * row) % p
-        inner = inner.reshape(-1, ncoords * m)
+        inner = ((inner[:, None, :] + digits * row) % p).reshape(-1, width)
     best = None
     outer_rows = zrows[: k - inner_k]
     for combo in itertools.product(range(p), repeat=k - inner_k):
-        offset = np.zeros(ncoords * m, dtype=np.int64)
+        offset = np.zeros(width, dtype=dtype)
         for c, row in zip(combo, outer_rows):
             if c:
                 offset = (offset + c * row) % p
@@ -189,3 +194,11 @@ def span_min_weight(
             if best is None or w < best:
                 best = w
     return best
+
+
+def _digit_dtype(p: int):
+    """The narrowest unsigned dtype that holds c*d + e exactly for digits < p."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if p * (p - 1) <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64

@@ -47,11 +47,12 @@ from .ring_r import (
 )
 from .skew_poly import (
     Factorization,
+    SearchSpaceTooLarge,
     SkewPoly,
+    brute_right_divisors,
     factor_xn_minus_1,
     is_right_divisor_of_xn_minus_1,
     mod_xn_minus_1,
-    monic_right_divisors,
     poly_to_string,
     right_divide,
     ring_skew_poly_combine,
@@ -385,7 +386,12 @@ def verify_census(
             True,
             {"reason": f"gcd(n, t_i) = {math.gcd(entry.n, t_i)} != 1"},
         )
-    brute = len(monic_right_divisors(entry.n, fld, entry.i, entry.bounds.search))
+    try:
+        brute = len(brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search))
+    except SearchSpaceTooLarge as exc:
+        return VerdictReport(
+            "census-count", entry.config(), "skipped", True, {"reason": str(exc)}
+        )
     fac = factorization or factor_xn_minus_1(entry.n, fld, entry.i)
     formula_fq, formula_r = fac.census_counts()
     ok = brute == formula_fq and brute**3 == formula_r
@@ -412,7 +418,17 @@ def verify_fixed_subfield_divisors(entry: TestMatrixEntry) -> VerdictReport:
             True,
             {"reason": f"gcd(n, t_i) = {math.gcd(entry.n, t_i)} != 1"},
         )
-    for g in monic_right_divisors(entry.n, fld, entry.i, entry.bounds.search):
+    try:
+        divisors = brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search)
+    except SearchSpaceTooLarge as exc:
+        return VerdictReport(
+            "fixed-subfield-divisors",
+            entry.config(),
+            "skipped",
+            True,
+            {"reason": str(exc)},
+        )
+    for g in divisors:
         for c in g.coeffs:
             if fld.frob_pow(c, entry.i) != c:
                 return VerdictReport(
@@ -878,8 +894,8 @@ CLAIMS = (
 )
 
 
-def default_matrix() -> list[TestMatrixEntry]:
-    return [TestMatrixEntry(p=3, m=2, i=1, n=n) for n in (1, 3, 5)]
+def default_matrix(seed: int = 0) -> list[TestMatrixEntry]:
+    return [TestMatrixEntry(p=3, m=2, i=1, n=n, seed=seed) for n in (1, 3, 5)]
 
 
 def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> VerdictReport:

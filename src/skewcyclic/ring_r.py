@@ -240,10 +240,6 @@ def lee_distance(x, y) -> int:
     return sum(lee_weight(a - b) for a, b in zip(x, y, strict=True))
 
 
-def hamming_weight(vec: Sequence[FieldElem]) -> int:
-    return sum(1 for x in vec if not x.is_zero())
-
-
 def hamming_distance(x: Sequence[FieldElem], y: Sequence[FieldElem]) -> int:
     return sum(1 for a, b in zip(x, y, strict=True) if a != b)
 
@@ -324,10 +320,6 @@ def ring_from_index(field: Field, idx: int) -> RingElem:
 
 # ---------------------------------------------------------------------------
 # text formats: `a|b|c` with bracket lists, vectors semicolon-separated
-
-
-def ring_elem_to_string(r: RingElem) -> str:
-    return str(r)
 
 
 def ring_elem_from_string(field: Field, s: str) -> RingElem:

@@ -318,34 +318,47 @@ def _brute_divisor_tails(n: int, field: Field, i: int, d: int) -> list[tuple[int
     return found
 
 
+def brute_right_divisors(
+    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT
+) -> list[SkewPoly]:
+    """All monic right divisors of x^n - 1 in F_q[x, theta_i], by exhaustion.
+
+    Tests every monic polynomial of degree < n (the only degree-n divisor
+    is x^n - 1 itself). Ordered by degree, then lexicographically on the
+    coefficient vector. Raises when the search space exceeds the bound.
+    """
+    field.check_aut_exponent(i)
+    space = sum(field.q**d for d in range(n))
+    if space > search_bound:
+        raise SearchSpaceTooLarge(
+            f"search space {space} exceeds bound {search_bound}"
+        )
+    divisors = [SkewPoly.one(field, i)]
+    for d in range(1, n):
+        for tail in _brute_divisor_tails(n, field, i, d):
+            coeffs = [field.from_index(c) for c in tail] + [field.one]
+            divisors.append(SkewPoly(field, coeffs, i))
+    divisors.append(xn_minus_1(field, i, n))
+    return divisors
+
+
 def monic_right_divisors(
     n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT
 ) -> list[SkewPoly]:
     """All monic right divisors of x^n - 1 in F_q[x, theta_i].
 
-    Exhaustive search over every monic polynomial of degree < n (the only
-    degree-n divisor is x^n - 1 itself). Ordered by degree, then
-    lexicographically on the coefficient vector. When the search space
-    exceeds the bound and the automorphism order is coprime to n, the
-    divisors are rebuilt from the fixed-subfield factorization instead;
-    every returned polynomial is re-verified by division either way.
+    Ordered by degree, then lexicographically on the coefficient vector.
+    When gcd(n, t_i) = 1 every divisor lies in F_{p^i}[x], so the divisors
+    are the products of the fixed-subfield factorization and
+    ``search_bound`` does not apply. Otherwise they come from
+    ``brute_right_divisors`` within the bound. Every returned polynomial is
+    re-verified by division either way.
     """
     t_i = field.check_aut_exponent(i)
-    space = sum(field.q**d for d in range(n))
-    if space > search_bound:
-        if math.gcd(n, t_i) != 1:
-            raise SearchSpaceTooLarge(
-                f"search space {space} exceeds bound {search_bound} "
-                f"and gcd(n, t_i) = {math.gcd(n, t_i)} != 1"
-            )
+    if math.gcd(n, t_i) == 1:
         divisors = divisors_from_factorization(factor_xn_minus_1(n, field, i))
     else:
-        divisors = [SkewPoly.one(field, i)]
-        for d in range(1, n):
-            for tail in _brute_divisor_tails(n, field, i, d):
-                coeffs = [field.from_index(c) for c in tail] + [field.one]
-                divisors.append(SkewPoly(field, coeffs, i))
-        divisors.append(xn_minus_1(field, i, n))
+        divisors = brute_right_divisors(n, field, i, search_bound)
     for g in divisors:
         if not is_right_divisor_of_xn_minus_1(g, n):
             raise AssertionError(f"search produced a non-divisor: {g}")
@@ -354,10 +367,138 @@ def monic_right_divisors(
 
 # ---------------------------------------------------------------------------
 # the commutative lane: F_{p^i}[x] inside F_q[x, theta_i]
+#
+# The helpers below take plain coefficient lists over the theta-fixed
+# subfield (ascending, no trailing zeros). theta_i fixes every coefficient,
+# so the skew product is the ordinary one and no twist is computed.
+
+
+def _trim(f: list) -> list:
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
+
+
+def _monic(f: list) -> list:
+    c = f[-1].inv()
+    return [c * a for a in f]
+
+
+def _sub(f: list, g: list) -> list:
+    zero = (f or g)[0].field.zero
+    n = max(len(f), len(g))
+    f, g = f + [zero] * (n - len(f)), g + [zero] * (n - len(g))
+    return _trim([a - b for a, b in zip(f, g)])
+
+
+def _rem(f: list, g: list) -> list:
+    """The remainder of f on division by the monic g."""
+    r = list(f)
+    d = len(g) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c.is_zero():
+            continue
+        k = len(r) - d
+        for j in range(d):
+            r[k + j] = r[k + j] - c * g[j]
+    return _trim(r)
+
+
+def _mulmod(a: list, b: list, g: list) -> list:
+    if not a or not b:
+        return []
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _rem(out, g)
+
+
+def _powmod(a: list, e: int, g: list) -> list:
+    out = [a[0].field.one]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, g)
+        a = _mulmod(a, a, g)
+        e >>= 1
+    return out
+
+
+def _gcd(f: list, g: list) -> list:
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        g = _monic(g)
+        f, g = g, _rem(f, g)
+    return _monic(f)
+
+
+def _prime_divisors(d: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= d:
+        if d % r == 0:
+            out.append(r)
+            while d % r == 0:
+                d //= r
+        r += 1
+    return out + ([d] if d > 1 else [])
+
+
+def _is_irreducible_rabin(f: list, q: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic f over F_q.
+
+    f of degree d is irreducible iff x^{q^d} = x mod f and
+    gcd(f, x^{q^{d/r}} - x) = 1 for every prime r dividing d. The
+    coefficients lie in F_q, so v -> v^q mod f is F_q-linear; it is applied
+    as the matrix whose row j is x^{qj} mod f.
+    """
+    d = len(f) - 1
+    if d <= 1:
+        return d == 1
+    zero, one = f[0].field.zero, f[0].field.one
+    x = [zero, one]
+    rows = [[one]]
+    xq = _powmod(x, q, f)
+    for _ in range(1, d):
+        rows.append(_mulmod(rows[-1], xq, f))
+    powers = [x]  # powers[k] = x^{q^k} mod f
+    for _ in range(d):
+        out = [zero] * d
+        for c, row in zip(powers[-1], rows):
+            if not c.is_zero():
+                for j, a in enumerate(row):
+                    out[j] = out[j] + c * a
+        powers.append(_trim(out))
+    if powers[d] != x:
+        return False
+    return all(
+        len(_gcd(f, _sub(powers[d // r], x))) == 1 for r in _prime_divisors(d)
+    )
+
+
+def _cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
+    """The q-cyclotomic cosets mod n, for gcd(q, n) = 1, by least element."""
+    seen: set[int] = set()
+    cosets = []
+    for j in range(n):
+        coset = []
+        k = j
+        while k not in seen:
+            seen.add(k)
+            coset.append(k)
+            k = k * q % n
+        if coset:
+            cosets.append(tuple(coset))
+    return cosets
 
 
 def subfield_irreducibles(field: Field, i: int, max_degree: int) -> list[SkewPoly]:
-    """Monic irreducibles over F_{p^i} up to max_degree, by incremental sieve."""
+    """Monic irreducibles over F_{p^i} up to max_degree, by incremental sieve.
+
+    Exponential in max_degree; kept as an independent reference for tests.
+    """
     sub = field.fixed_subfield(i)
     irr: list[SkewPoly] = []
     for d in range(1, max_degree + 1):
@@ -383,23 +524,31 @@ class Factorization:
     factors: tuple[tuple[SkewPoly, int], ...]
 
     def verify(self) -> None:
-        """Recompute the product and re-test irreducibility of every factor."""
+        """Re-check the product, the subfield and irreducibility of every factor.
+
+        The factors must be monic and pairwise distinct with positive
+        multiplicities, so that ``census_counts`` counts distinct
+        irreducibles; irreducibility is Rabin's test over F_{p^i}.
+        """
+        polys = [g for g, _ in self.factors]
+        if len(set(polys)) != len(polys):
+            raise AssertionError("an irreducible factor is listed more than once")
         prod = SkewPoly.one(self.field, self.aut)
         for g, s in self.factors:
+            if s < 1 or not g.is_monic():
+                raise AssertionError(f"factor ({g})^{s} is not a monic power")
             for _ in range(s):
                 prod = skew_mul(prod, g)
         if prod != xn_minus_1(self.field, self.aut, self.n):
             raise AssertionError("factor product does not reproduce x^n - 1")
-        sub = self.field.fixed_subfield(self.aut)
-        for g, _ in self.factors:
+        sub = set(self.field.fixed_subfield(self.aut))
+        q = self.field.p**self.aut
+        for g in polys:
             for coeff in g.coeffs:
                 if coeff not in sub:
                     raise AssertionError(f"factor {g} leaves the fixed subfield")
-            for d in range(1, g.degree // 2 + 1):
-                for tail in itertools.product(sub, repeat=d):
-                    h = SkewPoly(self.field, list(tail) + [self.field.one], self.aut)
-                    if right_divide(g, h).remainder.is_zero():
-                        raise AssertionError(f"factor {g} is divisible by {h}")
+            if not _is_irreducible_rabin(list(g.coeffs), q):
+                raise AssertionError(f"factor {g} is reducible over F_{q}")
 
     def census_counts(self) -> tuple[int, int]:
         """(number of skew cyclic codes over F_q, number over R)."""
@@ -412,28 +561,50 @@ class Factorization:
 def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
     """Complete factorization of x^n - 1 into monic irreducibles over F_{p^i}.
 
-    Trial division against the sieve of irreducibles of degree <= n/2; any
-    leftover of positive degree is itself irreducible (it has no factor of
-    degree at most half its own).
+    With n = p^e * n' and p not dividing n', x^n - 1 = (x^{n'} - 1)^{p^e}
+    and x^{n'} - 1 is square-free. Over F_Q[x]/(x^{n'} - 1), Q = p^i, the
+    map v -> v^Q sends x^j to x^{Qj mod n'}, so Berlekamp's subalgebra
+    {v : v^Q = v} is spanned by the coset sums e_C = sum_{j in C} x^j over
+    the Q-cyclotomic cosets C mod n'. Splitting by gcd(f, e_C - s), s in
+    F_Q, therefore ends with one irreducible per coset (Berlekamp, Bell
+    Syst. Tech. J. 46, 1967). Factors are sorted by degree, then by
+    coefficient indices.
     """
     field.check_aut_exponent(i)
-    rem = xn_minus_1(field, i, n)
-    factors: list[tuple[SkewPoly, int]] = []
-    for g in subfield_irreducibles(field, i, n // 2):
-        mult = 0
-        while True:
-            quo, r = right_divide(rem, g)
-            if not r.is_zero():
-                break
-            rem = quo
-            mult += 1
-        if mult:
-            factors.append((g, mult))
-        if rem.degree == 0:
+    p = field.p
+    n1 = n
+    while n1 % p == 0:
+        n1 //= p
+    sub = field.fixed_subfield(i)
+    zero, one = field.zero, field.one
+    cosets = _cyclotomic_cosets(p**i, n1)
+    factors = [[-one] + [zero] * (n1 - 1) + [one]]
+    for coset in cosets:
+        if len(factors) == len(cosets):
             break
-    if rem.degree >= 1:
-        factors.append((rem, 1))
-    fac = Factorization(n, field, i, tuple(factors))
+        e_c = [zero] * n1
+        for j in coset:
+            e_c[j] = one
+        e_c = _trim(e_c)
+        split = []
+        for f in factors:
+            r = _rem(e_c, f)
+            if len(r) <= 1:
+                split.append(f)
+                continue
+            left = len(f) - 1
+            for s in sub:
+                h = _gcd(f, [r[0] - s] + r[1:])
+                if len(h) > 1:
+                    split.append(h)
+                    left -= len(h) - 1
+                    if not left:
+                        break
+        factors = split
+    factors.sort(key=lambda f: (len(f), tuple(field.index(c) for c in f)))
+    fac = Factorization(
+        n, field, i, tuple((SkewPoly(field, f, i), n // n1) for f in factors)
+    )
     fac.verify()
     return fac
 
@@ -600,10 +771,6 @@ def poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:
     deg = max(coeffs)
     out = [coeffs.get(k, field.zero) for k in range(deg + 1)]
     return SkewPoly(field, out, aut)
-
-
-def ring_poly_to_string(f: SkewPoly) -> str:
-    return poly_to_string(f)
 
 
 def ring_poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
 from skewcyclic.cli import main
+from skewcyclic.codes import census
+from skewcyclic.finite_field import EnumerationTooLarge, field_from_string
 
 FIELD = "p=3,m=2,mod=1,0,1"
 
@@ -224,11 +227,48 @@ class TestCensusCommand:
         assert zero["degenerate"] and zero["min_lee_distance"] == 0
 
     def test_table_bound_exceeded(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "census", "--field", FIELD, "--n", "2", "--bound", "10"
         )
         assert code == 1
-        assert "216" in out  # the count is still printed
+        assert out == ""
+        assert "216" in err  # the count is reported on stderr
+
+    def test_refusal_is_fast(self, capsys):
+        # the F_25 census at n = 4 is refused before any code is built
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "census", "--field", "p=5,m=2,mod=2,0,1", "--n", "4",
+            "--bound", "10",
+        )
+        assert code == 1 and out == "" and "TableTooLarge" in err
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize(
+        "n,distance_bound", [(5, 10**6), (5, 100), (7, 1000)]
+    )
+    def test_distances_follow_the_distance_law(self, capsys, n, distance_bound):
+        code, out, _ = run(
+            capsys, "census", "--field", FIELD, "--n", str(n), "--format", "json",
+            "--distance-bound", str(distance_bound),
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        codes = census(n, field_from_string(FIELD), 1)
+        assert len(rows) == len(codes) == 64
+        seen_none = False
+        for row, c in zip(rows, codes):
+            assert (row["g1"], row["g2"], row["g3"]) == tuple(
+                str(comp.g) for comp in c.components
+            )
+            try:
+                dist = c.min_lee_distance(distance_bound)
+                expected = (dist.value, dist.degenerate)
+            except EnumerationTooLarge:
+                expected = (None, False)
+                seen_none = True
+            assert (row["min_lee_distance"], row["degenerate"]) == expected
+        assert seen_none == (distance_bound < 9**5)
 
     def test_count_formula_column(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from skewcyclic import linalg
-from skewcyclic.finite_field import EnumerationTooLarge
+from skewcyclic.finite_field import EnumerationTooLarge, Field
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -98,3 +98,23 @@ class TestSpan:
         rows = _random_matrix(f3, 15, 20, rng)
         w = linalg.span_min_weight(rows, f3, bound=2**31)
         assert 1 <= w <= 20
+
+    @pytest.mark.parametrize(
+        "p,m,mod", [(3, 2, [1, 0, 1]), (5, 2, [2, 0, 1]), (13, 1, [0, 1]), (17, 1, [0, 1])]
+    )
+    def test_min_weight_independent_of_block_size(self, monkeypatch, p, m, mod):
+        # a 64-byte block leaves almost every row to the python loop; p = 17
+        # needs digits wider than uint8 to stay exact
+        fld = Field(p, m, mod)
+        rng = random.Random(p)
+        for _ in range(5):
+            rows = _random_matrix(fld, 3, 5, rng)
+            span = linalg.span_vectors(rows, fld, bound=10**5)
+            expected = min(
+                (sum(1 for x in v if x != 0) for v in span if any(v)),
+                default=None,
+            )
+            assert linalg.span_min_weight(rows, fld, 10**5) == expected
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_BLOCK_BYTES", 64)
+                assert linalg.span_min_weight(rows, fld, 10**5) == expected

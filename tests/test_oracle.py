@@ -176,6 +176,14 @@ class TestCensusOracle:
         v = verify_fixed_subfield_divisors(TestMatrixEntry(p=3, m=2, i=1, n=2))
         assert v.mode == "skipped"
 
+    def test_skipped_past_search_bound(self):
+        # the oracle never falls back to the factorization it checks
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=5, bounds=Bounds(search=10))
+        for verify in (verify_census, verify_fixed_subfield_divisors):
+            v = verify(entry)
+            assert v.mode == "skipped" and v.passed
+            assert "exceeds bound" in v.counterexample["reason"]
+
 
 class TestClosureOracle:
     def test_passes_on_valid_code(self, mixed_code):
@@ -309,6 +317,7 @@ class TestHarness:
     def test_default_matrix_shape(self):
         entries = default_matrix()
         assert [e.n for e in entries] == [1, 3, 5]
+        assert {e.seed for e in default_matrix(7)} == {7}
 
     def test_verify_entry_n1_all_pass(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 
 import pytest
 
+from skewcyclic.finite_field import Field
 from skewcyclic.ring_r import RingDomain, RingElem, ring_elem
 from skewcyclic.skew_poly import (
     AutMismatch,
@@ -13,6 +15,7 @@ from skewcyclic.skew_poly import (
     SearchSpaceTooLarge,
     SkewPoly,
     ZeroDivisor,
+    brute_right_divisors,
     extended_gcd_commutative,
     factor_xn_minus_1,
     is_right_divisor_of_xn_minus_1,
@@ -210,11 +213,23 @@ class TestDivisorCensus:
         assert keys == sorted(keys)
 
     def test_factorization_fallback_agrees(self, f9):
-        # force the search past its bound; gcd(5, 2) = 1 allows the
-        # factorization route, which must produce the same divisors
-        assert monic_right_divisors(5, f9, 1, search_bound=10) == monic_right_divisors(
+        # gcd(5, 2) = 1 routes through the factorization, which ignores the
+        # search bound and must agree with the exhaustive search
+        assert monic_right_divisors(5, f9, 1, search_bound=10) == brute_right_divisors(
             5, f9, 1
         )
+
+    @pytest.mark.parametrize(
+        "fixture,n", [("f9", n) for n in (1, 3, 5, 7)] + [("f25", n) for n in (1, 3, 5)]
+    )
+    def test_routed_equals_brute(self, request, fixture, n):
+        field = request.getfixturevalue(fixture)
+        assert math.gcd(n, field.m) == 1
+        assert monic_right_divisors(n, field, 1) == brute_right_divisors(n, field, 1)
+
+    def test_brute_search_refuses_past_bound(self, f9):
+        with pytest.raises(SearchSpaceTooLarge):
+            brute_right_divisors(5, f9, 1, search_bound=10)
 
     def test_search_too_large_when_no_fallback(self, f9):
         # gcd(2, 2) = 2: no factorization route, small bound must fail
@@ -265,6 +280,52 @@ class TestFactorization:
         )
         with pytest.raises(AssertionError):
             bad.verify()
+
+    def test_verify_rejects_one_irreducible_split_across_entries(self, f9):
+        # (x - 1)^3 listed as three entries would count 8 codes, not 4
+        g = poly_from_string("x-1", f9, 1)
+        bad = Factorization(3, f9, 1, ((g, 1),) * 3)
+        with pytest.raises(AssertionError, match="more than once"):
+            bad.verify()
+        assert factor_xn_minus_1(3, f9, 1).census_counts() == (4, 64)
+
+    def test_verify_rabin_rejects_reducible_factor(self, f9):
+        bad = Factorization(5, f9, 1, ((xn_minus_1(f9, 1, 5), 1),))
+        with pytest.raises(AssertionError, match="reducible"):
+            bad.verify()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        fp = Field(p, 1, [0, 1])
+        x = sympy.Symbol("x")
+        for n in range(1, 41):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, expected = sympy.factor_list(x**n - 1, modulus=p)
+            want = sorted(
+                ([int(c) % p for c in reversed(sympy.Poly(f, x).all_coeffs())], int(s))
+                for f, s in expected
+            )
+            fac = factor_xn_minus_1(n, fp, 1)
+            got = sorted(([c.coeffs[0] for c in g.coeffs], s) for g, s in fac.factors)
+            assert got == want, f"p = {p}, n = {n}"
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_matches_trial_division_over_f9_in_f81(self, n):
+        f81 = Field(3, 4, [1, 0, 1, 1, 1])
+        rem = xn_minus_1(f81, 2, n)
+        expected = []
+        for g in subfield_irreducibles(f81, 2, n // 2):
+            mult = 0
+            while right_divide(rem, g).remainder.is_zero():
+                rem = right_divide(rem, g).quotient
+                mult += 1
+            if mult:
+                expected.append((g, mult))
+        if rem.degree >= 1:
+            expected.append((rem, 1))
+        assert factor_xn_minus_1(n, f81, 2).factors == tuple(expected)
 
     def test_subfield_irreducibles_have_no_small_factors(self, f9):
         irr = subfield_irreducibles(f9, 1, 3)
