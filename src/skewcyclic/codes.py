@@ -35,9 +35,9 @@ from .ring_r import (
 from .skew_poly import (
     AutMismatch,
     SkewPoly,
+    _cyclotomic_cosets,
     _twist,
     extended_gcd_commutative,
-    factor_xn_minus_1,
     mod_xn_minus_1,
     monic_right_divisors,
     poly_from_string,
@@ -101,11 +101,24 @@ def skew_shift(word: Sequence, i: int):
 
 
 class ComponentCode:
-    """A skew cyclic code over F_q: the left module <g> with g | x^n - 1."""
+    """A skew cyclic code over F_q: the left module <g> with g | x^n - 1.
+
+    Construction computes the cofactor h as the right quotient of x^n - 1
+    by g and raises ``NotRightDivisor`` on a nonzero remainder, so every
+    instance satisfies h*g = x^n - 1.
+    """
 
     __slots__ = ("n", "g", "h", "field", "aut")
 
-    def __init__(self, n: int, g: SkewPoly, h: SkewPoly):
+    def __init__(self, n: int, g: SkewPoly):
+        h, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
+        if not rem.is_zero():
+            raise NotRightDivisor(
+                f"{poly_to_string(g)} does not right-divide x^{n} - 1"
+            )
+        self._set(n, g, h)
+
+    def _set(self, n: int, g: SkewPoly, h: SkewPoly) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
@@ -245,18 +258,18 @@ def component_code_new(n: int, g: SkewPoly) -> ComponentCode:
         raise LengthMismatch("length must be positive")
     if g.is_zero() or not g.is_monic():
         raise NotMonic(f"generator must be monic, got {poly_to_string(g)}")
-    quo, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
-    if not rem.is_zero():
-        raise NotRightDivisor(
-            f"{poly_to_string(g)} does not right-divide x^{n} - 1"
-        )
-    return ComponentCode(n, g, quo)
+    return ComponentCode(n, g)
 
 
 def _unchecked_component_code(n: int, g: SkewPoly) -> ComponentCode:
-    """Bypass divisor validation (negative controls in the verification suite)."""
+    """Bypass divisor validation (negative controls in the verification suite).
+
+    The only way to build a ``ComponentCode`` whose h*g is not x^n - 1.
+    """
     quo, _ = right_divide(xn_minus_1(g.domain, g.aut, n), g)
-    return ComponentCode(n, g, quo)
+    code = object.__new__(ComponentCode)
+    code._set(n, g, quo)
+    return code
 
 
 class SkewCyclicCode:
@@ -308,7 +321,19 @@ class SkewCyclicCode:
         return GeneratorMatrix(tuple(self.generator_rows()), "ring")
 
     def gray_generator_rows(self) -> list[tuple[FieldElem, ...]]:
-        return [gray_map(row) for row in self.generator_rows()]
+        """The Gray images of ``generator_rows()``, in the same order.
+
+        The Gray image of eta_j * c is c on coordinates 3i + j and zero
+        elsewhere, so no R element is built.
+        """
+        zero = self.field.zero
+        rows = []
+        for j, comp in enumerate(self.components):
+            for crow in comp.generator_rows():
+                row = [zero] * (3 * self.n)
+                row[j::3] = crow
+                rows.append(tuple(row))
+        return rows
 
     def component_words(self, word: Sequence[RingElem]):
         """Split a word over R into its three coordinatewise field words."""
@@ -400,7 +425,12 @@ class SkewCyclicCode:
 def code_from_components(
     c1: ComponentCode, c2: ComponentCode, c3: ComponentCode
 ) -> SkewCyclicCode:
-    """The code eta1*C1 + eta2*C2 + eta3*C3 with its combined generator."""
+    """The code eta1*C1 + eta2*C2 + eta3*C3 with its combined generator.
+
+    Each component satisfies h_j*g_j = x^n - 1, and the splitting
+    R[x, theta_i] = F_q[x, theta_i]^3 carries that to the combined h and g,
+    so nothing is re-multiplied over R (the oracle re-checks it).
+    """
     if not (c1.n == c2.n == c3.n):
         raise LengthMismatch("component lengths differ")
     if not (c1.aut == c2.aut == c3.aut):
@@ -408,10 +438,6 @@ def code_from_components(
     if not (c1.field == c2.field == c3.field):
         raise LengthMismatch("component fields differ")
     g = ring_skew_poly_combine(c1.g, c2.g, c3.g)
-    h = ring_skew_poly_combine(c1.h, c2.h, c3.h)
-    n = c1.n
-    if skew_mul(h, g) != xn_minus_1(g.domain, g.aut, n):
-        raise NotRightDivisor("combined generator does not right-divide x^n - 1")
     return SkewCyclicCode(c1, c2, c3, g)
 
 
@@ -438,16 +464,25 @@ def decompose(
 
 
 def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
-    """(count over F_q, count over R) from the fixed-subfield factorization.
+    """(count over F_q, count over R) from number theory alone.
 
-    Only valid when n is coprime to the automorphism order t_i.
+    With n = p^e * n' and p not dividing n', x^n - 1 has one irreducible
+    factor over F_{p^i} per p^i-cyclotomic coset mod n', each of
+    multiplicity p^e, so there are (p^e + 1)^{#cosets} monic divisors.
+    No polynomial is factored. Only valid when n is coprime to the
+    automorphism order t_i.
     """
     t_i = field.check_aut_exponent(i)
     if math.gcd(n, t_i) != 1:
         raise HypothesisViolated(
             f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i})"
         )
-    return factor_xn_minus_1(n, field, i).census_counts()
+    p = field.p
+    n1 = n
+    while n1 % p == 0:
+        n1 //= p
+    over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(p**i, n1))
+    return over_field, over_field**3
 
 
 def census(

@@ -4,9 +4,10 @@ The field is represented as Z_p[w]/(f(w)) with f monic irreducible of
 degree m; elements are coefficient vectors in the basis 1, w, ..., w^{m-1}.
 Everything is integer arithmetic mod p, so all results are exact.
 
-A ``Field`` is immutable after construction and safe to share between
-threads; ``FieldElem`` values are plain immutable data and all operations
-are pure functions.
+A ``Field``'s defining data (p, m, modulus) never changes after
+construction; its caches are filled lazily, without locks, and
+idempotently (see ``Field``). ``FieldElem`` values are plain immutable
+data and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -274,6 +275,11 @@ class Field:
 
     For m = 1 the canonical modulus [0, 1] is recorded and the
     irreducibility check is skipped; elements are single residues.
+
+    The caches ``_tables``, ``_half`` and ``_frob_rows`` (and the Frobenius
+    index tables inside ``FieldTables``) are filled lazily, without locks,
+    and idempotently: each entry is a deterministic function of the field,
+    so a concurrent or repeated fill writes an equal value.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -317,6 +323,7 @@ class Field:
         self.one = FieldElem(self, [1] + [0] * (m - 1))
         self._tables: FieldTables | None = None
         self._half: FieldElem | None = None
+        self._frob_rows: dict[int, list[list[int]]] = {}
 
     @property
     def half(self) -> FieldElem:
@@ -403,16 +410,29 @@ class Field:
         return self.m // i
 
     def frob_pow(self, x: FieldElem, e: int) -> FieldElem:
-        """x^{p^e} for any e >= 0 (e is reduced mod m)."""
-        if x.field != self:
+        """x^{p^e} for any e >= 0 (e is reduced mod m).
+
+        The map is F_p-linear, so x = sum x_j w^j goes to sum x_j (w^j)^{p^e}:
+        an m x m matrix mod p whose rows are memoized per e.
+        """
+        if x.field is not self and x.field != self:
             raise FieldMismatch("element belongs to a different field")
         e %= self.m
         if e == 0 or self.m == 1:
             return x
-        out = x
-        for _ in range(e):
-            out = self._pow(out, self.p)
-        return out
+        p, m = self.p, self.m
+        rows = self._frob_rows.get(e)
+        if rows is None:
+            basis = [[int(j == k) for k in range(m)] for j in range(m)]
+            rows = self._frob_rows[e] = [
+                list(self._pow(FieldElem(self, b), p**e).coeffs) for b in basis
+            ]
+        out = [0] * m
+        for xj, row in zip(x.coeffs, rows):
+            if xj:
+                for t, r in enumerate(row):
+                    out[t] += xj * r
+        return _raw_elem(self, tuple(c % p for c in out))
 
     def _pow(self, x: FieldElem, e: int) -> FieldElem:
         out = self.one

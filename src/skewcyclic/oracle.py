@@ -511,9 +511,18 @@ def verify_shift_closure(code, bound: int = 10**4, rng=None, config=None) -> Ver
     return VerdictReport(claim, cfg, "exhaustive", ok, witness)
 
 
+def _gray_rows(code: SkewCyclicCode) -> list[tuple]:
+    """Gray images of the R-level generator rows, through ``gray_map``.
+
+    Production places ``gray_generator_rows`` straight from the component
+    rows; the claims below keep checking the Gray map on R words instead.
+    """
+    return [gray_map(row) for row in code.generator_rows()]
+
+
 def verify_cardinality(code: SkewCyclicCode, rows_override=None) -> VerdictReport:
     """Rank of the Gray generator matrix equals 3n - sum(deg g_i)."""
-    rows = rows_override if rows_override is not None else code.gray_generator_rows()
+    rows = rows_override if rows_override is not None else _gray_rows(code)
     idx = linalg.to_index_rows(rows, code.field)
     r = linalg.rank(idx, code.field)
     expected = 3 * code.n - sum(c.g.degree for c in code.components)
@@ -570,10 +579,10 @@ def verify_dual_gray_commutation(code: SkewCyclicCode) -> VerdictReport:
     image of the dual coincide."""
     fld = code.field
     ncols = 3 * code.n
-    gray_rows = linalg.to_index_rows(code.gray_generator_rows(), fld)
+    gray_rows = linalg.to_index_rows(_gray_rows(code), fld)
     kernel = linalg.nullspace(gray_rows, fld, ncols)
     lhs = tuple(tuple(r) for r in kernel)
-    dual_rows = linalg.to_index_rows(code.dual().gray_generator_rows(), fld)
+    dual_rows = linalg.to_index_rows(_gray_rows(code.dual()), fld)
     rhs = linalg.canonical_subspace(dual_rows, fld)
     ok = lhs == rhs
     witness = None
@@ -614,7 +623,7 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, bound: int = 10**4) -> Verdic
     """
     fld = code.field
     cfg = _code_config(code)
-    rows = linalg.to_index_rows(code.gray_generator_rows(), fld)
+    rows = linalg.to_index_rows(_gray_rows(code), fld)
     if not rows:
         return VerdictReport(
             "quasi-cyclic-gray",

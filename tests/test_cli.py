@@ -277,6 +277,31 @@ class TestCensusCommand:
         payload = json.loads(out)
         assert payload["count"] == payload["count_formula"] == 64
 
+    def test_census_factors_once(self, capsys, monkeypatch):
+        import sys
+
+        from skewcyclic import skew_poly
+
+        original = skew_poly.factor_xn_minus_1
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # rebind every package module that imported the function by name
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("skewcyclic") and getattr(
+                mod, "factor_xn_minus_1", None
+            ) is original:
+                monkeypatch.setattr(mod, "factor_xn_minus_1", counting)
+        code, out, _ = run(
+            capsys, "census", "--field", FIELD, "--n", "5", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["count_formula"] == 64
+        assert len(calls) == 1
+
 
 class TestVerifyCommand:
     def test_matrix_file(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from skewcyclic.codes import (
+    ComponentCode,
     HypothesisViolated,
     LengthMismatch,
     MinDistance,
@@ -23,8 +24,11 @@ from skewcyclic.ring_r import RingElem, gray_map, ring_elem
 from skewcyclic.skew_poly import (
     AutMismatch,
     SkewPoly,
+    brute_right_divisors,
     mod_xn_minus_1,
+    monic_right_divisors,
     poly_from_string,
+    ring_skew_poly_combine,
     skew_mul,
     xn_minus_1,
 )
@@ -59,6 +63,52 @@ class TestComponentConstruction:
     def test_not_divisor_rejected(self, f9):
         with pytest.raises(NotRightDivisor):
             component_code_new(3, poly_from_string("x-[0,1]", f9, 1))
+
+    def test_constructor_rejects_non_divisor(self, f9):
+        with pytest.raises(NotRightDivisor):
+            ComponentCode(3, poly_from_string("x-[0,1]", f9, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cofactor_invariant(self, f9, n):
+        for g in monic_right_divisors(n, f9, 1):
+            c = ComponentCode(n, g)
+            assert skew_mul(c.h, c.g) == xn_minus_1(f9, 1, n)
+
+
+def _gray_mapped_rows(code):
+    return [gray_map(row) for row in code.generator_rows()]
+
+
+class TestSplitNativeConstruction:
+    """Gray rows placed from component rows equal gray_map of the R rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_gray_rows_f9_census(self, f9, n):
+        for code in census(n, f9, 1):
+            rows = code.gray_generator_rows()
+            assert all(type(r) is tuple for r in rows)
+            assert rows == _gray_mapped_rows(code)
+
+    def test_gray_rows_f9_n4_sample(self, f9):
+        comps = [component_code_new(4, g) for g in monic_right_divisors(4, f9, 1)]
+        rng = random.Random(4)
+        for _ in range(2000):
+            code = code_from_components(*(rng.choice(comps) for _ in range(3)))
+            assert code.gray_generator_rows() == _gray_mapped_rows(code)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_gray_rows_f25_census(self, f25, n, i):
+        for code in census(n, f25, i):
+            assert code.gray_generator_rows() == _gray_mapped_rows(code)
+
+    def test_combined_cofactor_over_r(self, f9):
+        codes = census(5, f9, 1)
+        assert len(codes) == 64
+        for code in codes:
+            h = ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h)
+            g = code.g_combined
+            assert skew_mul(h, g) == xn_minus_1(g.domain, 1, 5)
 
 
 class TestGeneratorRows:
@@ -309,6 +359,17 @@ class TestCensus:
     )
     def test_count_formula(self, f9, n, expected):
         assert count_skew_cyclic_codes(n, f9, 1) == expected
+
+    @pytest.mark.parametrize(
+        "fld,i,n",
+        [("f9", 1, n) for n in (1, 3, 5, 7)]
+        + [("f9", 2, n) for n in (2, 3, 4, 6)]
+        + [("f3", 1, n) for n in (3, 6, 9)],
+    )
+    def test_count_formula_matches_brute_divisors(self, request, fld, i, n):
+        fld = request.getfixturevalue(fld)
+        brute = len(brute_right_divisors(n, fld, i))
+        assert count_skew_cyclic_codes(n, fld, i) == (brute, brute**3)
 
     def test_count_hypothesis_gate(self, f9):
         with pytest.raises(HypothesisViolated):

@@ -148,6 +148,18 @@ class TestFrobenius:
             assert frobenius(x + y, 1) == frobenius(x, 1) + frobenius(y, 1)
             assert frobenius(x * y, 1) == frobenius(x, 1) * frobenius(y, 1)
 
+    @pytest.mark.parametrize(
+        "spec", [(3, 2, [1, 0, 1]), (5, 2, [2, 0, 1]), (3, 3, [1, 2, 0, 1]),
+                 (3, 4, [2, 0, 0, 1, 1])],
+    )
+    def test_frob_pow_linear_map_matches_repeated_pow(self, spec):
+        fld = Field(*spec)
+        for x in fld.elements():
+            ref = x
+            for e in range(2 * fld.m):
+                assert fld.frob_pow(x, e) == ref
+                ref = fld._pow(ref, fld.p)
+
     def test_invalid_exponent(self, f9):
         with pytest.raises(InvalidExponent):
             frobenius(f9.one, 3)

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from skewcyclic.codes import (
+    ComponentCode,
+    NotRightDivisor,
+    SkewCyclicCode,
     census,
     code_from_components,
     component_code_new,
@@ -36,7 +39,13 @@ from skewcyclic.oracle import (
     verify_quasi_cyclic_gray,
     verify_shift_closure,
 )
-from skewcyclic.skew_poly import Factorization, SkewPoly, poly_from_string, xn_minus_1
+from skewcyclic.skew_poly import (
+    Factorization,
+    SkewPoly,
+    poly_from_string,
+    skew_mul,
+    xn_minus_1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +205,15 @@ class TestClosureOracle:
         assert not v.passed
         assert v.counterexample["span_shift_closed"] is False
 
+    def test_broken_controls_build_outside_the_invariant(self, f9):
+        bad = broken_component_code(f9, 1, 3)
+        assert skew_mul(bad.h, bad.g) != xn_minus_1(f9, 1, 3)
+        with pytest.raises(NotRightDivisor):
+            ComponentCode(3, bad.g)
+        code = broken_code(f9, 1, 3)
+        assert code.c1.g == bad.g
+        assert skew_mul(code.c1.h, code.c1.g) != xn_minus_1(f9, 1, 3)
+
     def test_ring_negative_control(self, f9):
         v = verify_shift_closure(broken_code(f9, 1, 3))
         assert not v.passed
@@ -211,6 +229,17 @@ class TestClosureOracle:
 class TestMatrixAndDualityOracles:
     def test_cardinality(self, mixed_code):
         assert verify_cardinality(mixed_code).passed
+
+    def test_gray_claims_use_gray_map_not_production_rows(
+        self, mixed_code, monkeypatch
+    ):
+        def refuse(code):
+            raise AssertionError("oracle read the production Gray rows")
+
+        monkeypatch.setattr(SkewCyclicCode, "gray_generator_rows", refuse)
+        assert verify_cardinality(mixed_code).passed
+        assert verify_dual_gray_commutation(mixed_code).passed
+        assert verify_quasi_cyclic_gray(mixed_code).passed
 
     def test_cardinality_negative_control(self, mixed_code):
         rows = mixed_code.gray_generator_rows()
