@@ -4,16 +4,26 @@ The field is represented as Z_p[w]/(f(w)) with f monic irreducible of
 degree m; elements are coefficient vectors in the basis 1, w, ..., w^{m-1}.
 Everything is integer arithmetic mod p, so all results are exact.
 
+Every ``FieldElem`` also carries its canonical index (``Field.index``).
+Coefficient arithmetic mod p defines the operations. For q <= TABLE_LIMIT,
+``Field.tables()`` builds from it, lazily and once per field, dense index
+tables and one interned element per index; from then on every operation
+(+ - * neg inv frob) is a list lookup that returns an interned element,
+and ``Field.from_index`` returns the interned element too. Interned
+elements are shared by every holder and immutable. Fields past
+TABLE_LIMIT never build tables and keep the coefficient arithmetic.
+
 A ``Field``'s defining data (p, m, modulus) never changes after
 construction; its caches are filled lazily, without locks, and
 idempotently (see ``Field``). ``FieldElem`` values are plain immutable
-data and all operations are pure functions.
+data and all operations are pure functions. The modulus is checked by
+Rabin's irreducibility test over Z_p.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ENUMERATION_LIMIT = 2**16
 TABLE_LIMIT = 4096  # largest q for which dense int op tables are built
@@ -108,68 +118,174 @@ def _poly_divmod_modp(f: Sequence[int], g: Sequence[int], p: int):
     return q, f
 
 
-def _poly_has_root_modp(f: Sequence[int], p: int) -> bool:
-    for a in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return True
-    return False
+# ---------------------------------------------------------------------------
+# polynomials over F_q as FieldElem lists (ascending, no trailing zeros)
 
 
-def _monic_polys_modp(degree: int, p: int) -> Iterable[list[int]]:
-    for tail in itertools.product(range(p), repeat=degree):
-        yield list(tail) + [1]
+def _trim(f: list) -> list:
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
+
+
+def _monic(f: list) -> list:
+    c = f[-1].inv()
+    return [c * a for a in f]
+
+
+def _sub(f: list, g: list) -> list:
+    zero = (f or g)[0].field.zero
+    n = max(len(f), len(g))
+    f, g = f + [zero] * (n - len(f)), g + [zero] * (n - len(g))
+    return _trim([a - b for a, b in zip(f, g)])
+
+
+def _rem(f: list, g: list) -> list:
+    """The remainder of f on division by the monic g."""
+    r = list(f)
+    d = len(g) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c.is_zero():
+            continue
+        k = len(r) - d
+        for j in range(d):
+            r[k + j] = r[k + j] - c * g[j]
+    return _trim(r)
+
+
+def _mulmod(a: list, b: list, g: list) -> list:
+    if not a or not b:
+        return []
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _rem(out, g)
+
+
+def _powmod(a: list, e: int, g: list) -> list:
+    out = [a[0].field.one]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, g)
+        a = _mulmod(a, a, g)
+        e >>= 1
+    return out
+
+
+def _gcd(f: list, g: list) -> list:
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        g = _monic(g)
+        f, g = g, _rem(f, g)
+    return _monic(f)
+
+
+def _prime_divisors(d: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= d:
+        if d % r == 0:
+            out.append(r)
+            while d % r == 0:
+                d //= r
+        r += 1
+    return out + ([d] if d > 1 else [])
+
+
+def _is_irreducible_rabin(f: list, q: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic f over F_q.
+
+    f of degree d is irreducible iff x^{q^d} = x mod f and
+    gcd(f, x^{q^{d/r}} - x) = 1 for every prime r dividing d. The
+    coefficients lie in F_q, so v -> v^q mod f is F_q-linear; it is applied
+    as the matrix whose row j is x^{qj} mod f.
+    """
+    d = len(f) - 1
+    if d <= 1:
+        return d == 1
+    zero, one = f[0].field.zero, f[0].field.one
+    x = [zero, one]
+    rows = [[one]]
+    xq = _powmod(x, q, f)
+    for _ in range(1, d):
+        rows.append(_mulmod(rows[-1], xq, f))
+    powers = [x]  # powers[k] = x^{q^k} mod f
+    for _ in range(d):
+        out = [zero] * d
+        for c, row in zip(powers[-1], rows):
+            if not c.is_zero():
+                for j, a in enumerate(row):
+                    out[j] = out[j] + c * a
+        powers.append(_trim(out))
+    if powers[d] != x:
+        return False
+    return all(
+        len(_gcd(f, _sub(powers[d // r], x))) == 1 for r in _prime_divisors(d)
+    )
 
 
 def _is_irreducible_modp(f: Sequence[int], p: int) -> bool:
-    """Exact irreducibility test over Z_p at desk scale.
+    """Rabin's test over Z_p for the monic f (ascending degree)."""
+    prime = Field(p, 1, (0, 1))
+    return _is_irreducible_rabin([prime.elem(c) for c in f], p)
 
-    Degree <= 3 reduces to a root search; beyond that we trial-divide by
-    every monic polynomial of degree at most deg(f)/2.
-    """
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if _poly_has_root_modp(f, p):
-        return False
-    if deg <= 3:
-        return True
-    for d in range(2, deg // 2 + 1):
-        for g in _monic_polys_modp(d, p):
-            _, rem = _poly_divmod_modp(f, g, p)
-            if not rem:
-                return False
-    return True
+
+def _index_of(coeffs: Sequence[int], p: int) -> int:
+    """The canonical index of reduced coefficients: base-p digits, c_0 first."""
+    idx = 0
+    for c in coeffs:
+        idx = idx * p + c
+    return idx
 
 
 class FieldElem:
-    """An element of F_{p^m}, stored as m residues mod p (ascending degree)."""
+    """An element of F_{p^m}: m residues mod p (ascending degree) and its
+    canonical index ``idx`` (see ``Field.index``).
 
-    __slots__ = ("field", "coeffs")
+    Once the field's tables exist, every operation is a lookup that returns
+    the field's interned element for the result; until then, and always
+    for q > TABLE_LIMIT, it is coefficient arithmetic mod p. The binary
+    operations look up directly when both operands hold the same field
+    object and otherwise let ``_check`` validate the operand first.
+    """
+
+    __slots__ = ("field", "coeffs", "idx")
 
     def __init__(self, field: Field, coeffs: Sequence[int]):
         if len(coeffs) != field.m:
             raise DegreeMismatch(
                 f"expected {field.m} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(c % field.p for c in coeffs))
+        p = field.p
+        reduced = tuple(c % p for c in coeffs)
+        _set_field(self, field)
+        _set_coeffs(self, reduced)
+        _set_idx(self, _index_of(reduced, p))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
-    def _check(self, other: FieldElem) -> None:
+    def __delattr__(self, name):
+        raise AttributeError("FieldElem is immutable")
+
+    def _check(self, other: FieldElem) -> FieldTables | None:
+        """Validate the operand; return the field's op tables (None until built)."""
         if not isinstance(other, FieldElem):
             raise FieldMismatch("operand is not a field element")
-        if self.field is not other.field and self.field != other.field:
+        field = self.field
+        if field is not other.field and field != other.field:
             raise FieldMismatch("operands belong to different fields")
+        return field._tables
 
     def __add__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
+        t = self.field._tables
+        if t is None or other.__class__ is not FieldElem or other.field is not self.field:
+            t = self._check(other)
+        if t is not None:
+            return t.elems[t.add[self.idx][other.idx]]
         p = self.field.p
         return _raw_elem(
             self.field,
@@ -177,7 +293,11 @@ class FieldElem:
         )
 
     def __sub__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
+        t = self.field._tables
+        if t is None or other.__class__ is not FieldElem or other.field is not self.field:
+            t = self._check(other)
+        if t is not None:
+            return t.elems[t.sub[self.idx][other.idx]]
         p = self.field.p
         return _raw_elem(
             self.field,
@@ -185,37 +305,49 @@ class FieldElem:
         )
 
     def __neg__(self) -> FieldElem:
+        t = self.field._tables
+        if t is not None:
+            return t.elems[t.neg[self.idx]]
         p = self.field.p
         return _raw_elem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
+        t = self.field._tables
+        if t is None or other.__class__ is not FieldElem or other.field is not self.field:
+            t = self._check(other)
+        if t is not None:
+            return t.elems[t.mul[self.idx][other.idx]]
         return _raw_elem(
             self.field, tuple(self.field._mul_coeffs(self.coeffs, other.coeffs))
         )
 
     def inv(self) -> FieldElem:
-        """Multiplicative inverse via extended Euclid on coefficient polynomials."""
-        if self.is_zero():
+        """Multiplicative inverse: a lookup, or extended Euclid on the coefficients."""
+        if self.idx == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return FieldElem(self.field, self.field._inv_coeffs(self.coeffs))
+        t = self.field._tables
+        if t is not None:
+            return t.elems[t.inv[self.idx]]
+        return _raw_elem(self.field, tuple(self.field._inv_coeffs(self.coeffs)))
 
     def frob(self, i: int) -> FieldElem:
         """One application of the automorphism a -> a^{p^i} (i need not divide m)."""
         return self.field.frob_pow(self, i)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.idx == 0
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, FieldElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.idx == other.idx
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.idx)
 
     def __repr__(self):
         return f"FieldElem({list(self.coeffs)})"
@@ -224,50 +356,64 @@ class FieldElem:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-def _raw_elem(field, coeffs: tuple) -> FieldElem:
-    """Fast constructor for already-reduced coefficient tuples."""
+_set_field = FieldElem.field.__set__
+_set_coeffs = FieldElem.coeffs.__set__
+_set_idx = FieldElem.idx.__set__
+
+
+def _raw_elem(field, coeffs: tuple, idx: int | None = None) -> FieldElem:
+    """Fast constructor for already-reduced coefficient tuples.
+
+    The slot setters bypass the immutability guard; ``_index_of`` is
+    inlined because this is the hot path of fields without tables.
+    """
     e = object.__new__(FieldElem)
-    object.__setattr__(e, "field", field)
-    object.__setattr__(e, "coeffs", coeffs)
+    _set_field(e, field)
+    _set_coeffs(e, coeffs)
+    if idx is None:
+        p, idx = field.p, 0
+        for c in coeffs:
+            idx = idx * p + c
+    _set_idx(e, idx)
     return e
 
 
 class FieldTables:
-    """Dense integer operation tables for a small field.
+    """Dense integer operation tables and interned elements for a small field.
 
     Elements are indexed by their position in the canonical enumeration
     (lexicographic on ascending-degree coefficient vectors), so index 0 is
-    always the zero element. ``inv[0]`` is 0 as a sentinel; callers must
+    always the zero element. ``elems[i]`` is the one shared ``FieldElem``
+    with index i (``field.zero`` and ``field.one`` at their indices), which
+    every table-driven operation returns. The tables are built from the
+    coefficient arithmetic. ``inv[0]`` is 0 as a sentinel; callers must
     not invert zero.
     """
 
-    __slots__ = ("q", "zero", "one", "add", "sub", "mul", "neg", "inv", "_frob")
+    __slots__ = (
+        "q", "zero", "one", "elems", "add", "sub", "mul", "neg", "inv", "_frob",
+    )
 
     def __init__(self, field: Field):
-        q = field.q
-        elems = field.elements()
+        q, p = field.q, field.p
+        coeffs = list(itertools.product(range(p), repeat=field.m))
         self.q = q
         self.zero = 0
-        self.one = field.index(field.one)
-        self.add = [[0] * q for _ in range(q)]
-        self.sub = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        self.neg = [0] * q
-        self.inv = [0] * q
-        for a in range(q):
-            ea = elems[a]
-            self.neg[a] = field.index(-ea)
-            if a != 0:
-                self.inv[a] = field.index(ea.inv())
-            for b in range(q):
-                eb = elems[b]
-                self.add[a][b] = field.index(ea + eb)
-                self.sub[a][b] = field.index(ea - eb)
-                self.mul[a][b] = field.index(ea * eb)
+        self.one = field.one.idx
+        self.elems = [_raw_elem(field, c, i) for i, c in enumerate(coeffs)]
+        self.elems[0] = field.zero
+        self.elems[self.one] = field.one
+        self.neg = [_index_of([(-a) % p for a in c], p) for c in coeffs]
+        self.inv = [0] + [_index_of(field._inv_coeffs(c), p) for c in coeffs[1:]]
+        self.add = [
+            [_index_of([(a + b) % p for a, b in zip(x, y)], p) for y in coeffs]
+            for x in coeffs
+        ]
+        self.sub = [[row[b] for b in self.neg] for row in self.add]
+        self.mul = [
+            [_index_of(field._mul_coeffs(x, y), p) for y in coeffs] for x in coeffs
+        ]
         self._frob: dict[int, list[int]] = {}
-
-    def frob(self, i: int) -> list[int]:
-        return self._frob[i]
 
 
 class Field:
@@ -337,7 +483,7 @@ class Field:
     def elem(self, coeffs) -> FieldElem:
         """Build an element from a coefficient sequence or a plain integer."""
         if isinstance(coeffs, FieldElem):
-            if coeffs.field != self:
+            if coeffs.field is not self and coeffs.field != self:
                 raise FieldMismatch("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
@@ -412,14 +558,28 @@ class Field:
     def frob_pow(self, x: FieldElem, e: int) -> FieldElem:
         """x^{p^e} for any e >= 0 (e is reduced mod m).
 
-        The map is F_p-linear, so x = sum x_j w^j goes to sum x_j (w^j)^{p^e}:
-        an m x m matrix mod p whose rows are memoized per e.
+        Once the tables exist this is a lookup in ``frob_table(e)``;
+        otherwise ``_frob_coeffs`` applies the map to the coefficients.
         """
         if x.field is not self and x.field != self:
             raise FieldMismatch("element belongs to a different field")
         e %= self.m
-        if e == 0 or self.m == 1:
+        if e == 0:
             return x
+        t = self._tables
+        if t is not None:
+            table = t._frob.get(e)
+            if table is None:
+                table = self.frob_table(e)
+            return t.elems[table[x.idx]]
+        return _raw_elem(self, self._frob_coeffs(x.coeffs, e))
+
+    def _frob_coeffs(self, coeffs: tuple, e: int) -> tuple:
+        """The coefficients of x^{p^e} for 0 < e < m.
+
+        The map is F_p-linear, so x = sum x_j w^j goes to sum x_j (w^j)^{p^e}:
+        an m x m matrix mod p whose rows are memoized per e.
+        """
         p, m = self.p, self.m
         rows = self._frob_rows.get(e)
         if rows is None:
@@ -428,11 +588,11 @@ class Field:
                 list(self._pow(FieldElem(self, b), p**e).coeffs) for b in basis
             ]
         out = [0] * m
-        for xj, row in zip(x.coeffs, rows):
+        for xj, row in zip(coeffs, rows):
             if xj:
                 for t, r in enumerate(row):
                     out[t] += xj * r
-        return _raw_elem(self, tuple(c % p for c in out))
+        return tuple(c % p for c in out)
 
     def _pow(self, x: FieldElem, e: int) -> FieldElem:
         out = self.one
@@ -457,19 +617,23 @@ class Field:
 
     def index(self, x: FieldElem) -> int:
         """Position of x in the canonical enumeration (0 is the zero element)."""
-        idx = 0
-        for c in x.coeffs:
-            idx = idx * self.p + c
-        return idx
+        return x.idx
 
     def from_index(self, idx: int) -> FieldElem:
+        """The element at position idx: the interned one for q <= TABLE_LIMIT."""
+        t = self._tables
+        if t is None and self.q <= TABLE_LIMIT:
+            t = self.tables()
+        if t is not None:
+            return t.elems[idx]
         coeffs = [0] * self.m
         for j in range(self.m - 1, -1, -1):
             idx, coeffs[j] = divmod(idx, self.p)
         return FieldElem(self, coeffs)
 
     def tables(self) -> FieldTables:
-        """Dense int operation tables (memoized; rebuilding is idempotent)."""
+        """Dense int operation tables and interned elements (memoized;
+        rebuilding is idempotent)."""
         if self._tables is None:
             if self.q > TABLE_LIMIT:
                 raise EnumerationTooLarge(
@@ -482,9 +646,10 @@ class Field:
         """Index table of one application of theta_i."""
         t = self.tables()
         if i not in t._frob:
+            e = i % self.m
             t._frob[i] = [
-                self.index(self.frob_pow(self.from_index(a), i))
-                for a in range(self.q)
+                _index_of(self._frob_coeffs(x.coeffs, e), self.p) if e else x.idx
+                for x in t.elems
             ]
         return t._frob[i]
 

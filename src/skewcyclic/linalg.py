@@ -22,10 +22,6 @@ def to_index_rows(rows: Sequence[Sequence[FieldElem]], field: Field) -> list[lis
     return [[field.index(x) for x in row] for row in rows]
 
 
-def from_index_row(row: Sequence[int], field: Field) -> tuple[FieldElem, ...]:
-    return tuple(field.from_index(i) for i in row)
-
-
 def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
     """Reduced row echelon form; returns the nonzero rows (canonical basis)."""
     t = field.tables()
@@ -155,6 +151,10 @@ def span_min_weight(
     Weight counts nonzero F_q coordinates. Returns None when the span is
     the zero space. Exhaustive and exact; raises when the span is larger
     than ``bound``.
+
+    Scaling a word does not change its weight, so only the words whose
+    first nonzero coefficient on the RREF basis is 1 are enumerated:
+    (q^k - 1)/(q - 1) of the q^k words.
     """
     basis = rref(rows, field)
     if not basis:
@@ -168,9 +168,9 @@ def span_min_weight(
     dtype = _digit_dtype(p)
     zrows = _digit_rows(basis, field).astype(dtype)
     k = len(zrows)
-    # split scalar choices: the last inner_k rows are enumerated as one numpy
-    # block of at most _BLOCK_BYTES (digits plus the per-word weight), the
-    # others in python
+    # the last inner_k digit rows are enumerated once as one numpy block of
+    # at most _BLOCK_BYTES (digits plus the per-word weight); its first p^f
+    # words span the last f rows alone
     row_bytes = width * np.dtype(dtype).itemsize + 8
     inner_k = 0
     while inner_k < k and p ** (inner_k + 1) * row_bytes <= _BLOCK_BYTES:
@@ -180,16 +180,19 @@ def span_min_weight(
     for row in zrows[k - inner_k :]:
         inner = ((inner[:, None, :] + digits * row) % p).reshape(-1, width)
     best = None
-    outer_rows = zrows[: k - inner_k]
-    for combo in itertools.product(range(p), repeat=k - inner_k):
-        offset = np.zeros(width, dtype=dtype)
-        for c, row in zip(combo, outer_rows):
-            if c:
-                offset = (offset + c * row) % p
-        words = (inner + offset) % p
-        nz = words.reshape(len(words), ncoords, m).any(axis=2).sum(axis=1)
-        nz = nz[nz > 0]
-        if len(nz):
+    for lead in range(0, k, m):
+        # coefficient 1 on basis row lead // m, 0 before it, anything after
+        free = k - lead - m
+        n_inner = min(free, inner_k)
+        block = inner[: p**n_inner]
+        outer_rows = zrows[lead + m : k - n_inner]
+        for combo in itertools.product(range(p), repeat=len(outer_rows)):
+            offset = zrows[lead]
+            for c, row in zip(combo, outer_rows):
+                if c:
+                    offset = (offset + c * row) % p
+            words = (block + offset) % p
+            nz = words.reshape(len(words), ncoords, m).any(axis=2).sum(axis=1)
             w = int(nz.min())
             if best is None or w < best:
                 best = w

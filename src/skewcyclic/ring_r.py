@@ -33,7 +33,10 @@ class RingElem:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: FieldElem, b: FieldElem, c: FieldElem):
-        if a.field != b.field or a.field != c.field:
+        field = a.field
+        if (b.field is not field and b.field != field) or (
+            c.field is not field and c.field != field
+        ):
             raise FieldMismatch("components belong to different fields")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

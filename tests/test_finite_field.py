@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic.finite_field import (
+    TABLE_LIMIT,
     DegreeMismatch,
     EnumerationTooLarge,
     EvenCharacteristic,
@@ -13,6 +16,8 @@ from skewcyclic.finite_field import (
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
+    _is_irreducible_modp,
+    _poly_divmod_modp,
     elem_from_string,
     field_from_string,
     field_new,
@@ -234,3 +239,161 @@ class TestTextFormats:
             field_from_string("m=2,mod=1,0,1")
         with pytest.raises(ValueError):
             field_from_string("p=3,m=2,bogus=1")
+
+
+def _coeff_pow(fld, coeffs, n):
+    """coeffs^n by square-and-multiply on the coefficient helper alone."""
+    out, base = (1,) + (0,) * (fld.m - 1), tuple(coeffs)
+    while n:
+        if n & 1:
+            out = tuple(fld._mul_coeffs(out, base))
+        base = tuple(fld._mul_coeffs(base, base))
+        n >>= 1
+    return out
+
+
+KERNEL_SPECS = [
+    (3, 1, [0, 1]),
+    (3, 2, [1, 0, 1]),
+    (5, 2, [2, 0, 1]),
+    (3, 3, [1, 2, 0, 1]),
+    (3, 4, [2, 0, 0, 1, 1]),
+]
+
+
+class TestInternedKernel:
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_lookups_agree_with_coefficient_helpers(self, spec):
+        fld = Field(*spec)
+        p = fld.p
+        elems = [fld.from_index(i) for i in range(fld.q)]
+        assert fld._tables is not None
+        for x in elems:
+            assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
+            if not x.is_zero():
+                assert x.inv().coeffs == tuple(fld._inv_coeffs(x.coeffs))
+            ref = x.coeffs
+            for e in range(2 * fld.m):
+                assert fld.frob_pow(x, e).coeffs == ref
+                assert x.frob(e).coeffs == ref
+                ref = _coeff_pow(fld, ref, p)
+            for y in elems:
+                add = tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+                sub = tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+                assert (x + y).coeffs == add
+                assert (x - y).coeffs == sub
+                assert (x * y).coeffs == tuple(fld._mul_coeffs(x.coeffs, y.coeffs))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_results_are_the_interned_elements(self, spec):
+        fld = Field(*spec)
+        t = fld.tables()
+        assert fld.from_index(0) is fld.zero and fld.from_index(t.one) is fld.one
+        rng = random.Random(fld.q)
+        for _ in range(200):
+            i, j = rng.randrange(fld.q), rng.randrange(fld.q)
+            x, y = fld.from_index(i), fld.from_index(j)
+            assert x is fld.from_index(i) and fld.index(x) == i
+            for r in (x + y, x - y, x * y, -x, x.frob(1)):
+                assert r is t.elems[r.idx]
+            if j:
+                assert y.inv() is t.elems[t.inv[j]]
+
+    def test_equal_distinct_fields_mix(self):
+        tabled, plain = Field(3, 2, [1, 0, 1]), Field(3, 2, [1, 0, 1])
+        assert tabled is not plain and tabled == plain
+        tabled.tables()
+        for x in tabled.elements():
+            for y in plain.elements():
+                for a, b in ((x, y), (y, x)):
+                    twin_a, twin_b = tabled.from_index(a.idx), tabled.from_index(b.idx)
+                    assert a + b == twin_a + twin_b
+                    assert a - b == twin_a - twin_b
+                    assert a * b == twin_a * twin_b
+                assert x == plain.elem(list(x.coeffs))
+                assert hash(x) == hash(plain.elem(list(x.coeffs)))
+        assert plain._tables is None
+
+    def test_large_field_never_builds_tables(self):
+        fld = Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1])  # q = 6561 > TABLE_LIMIT
+        assert fld.q > TABLE_LIMIT
+        rng = random.Random(8)
+        x = fld.from_index(rng.randrange(1, fld.q))
+        y = fld.elem([rng.randrange(3) for _ in range(8)])
+        z = (x + y) * (x - y) - (-x) * fld.half
+        assert x * x.inv() == fld.one
+        assert x.frob(8) == x and fld.frob_pow(z, 3) == fld._pow(z, 27)
+        assert fld.from_index(fld.index(z)) == z
+        assert fld._tables is None
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[1:])
+    def test_interned_elements_are_immutable(self, spec):
+        fld = Field(*spec)
+        x = fld.from_index(fld.q - 1)
+        before = (x.coeffs, x.idx, x.field)
+        for attr in ("coeffs", "idx", "field", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 0)
+        for attr in ("coeffs", "idx"):
+            with pytest.raises(AttributeError):
+                delattr(x, attr)
+        _ = (x + x, x * x, -x, x.inv(), x.frob(1))
+        assert (x.coeffs, x.idx, x.field) == before
+        assert fld.from_index(fld.q - 1) is x
+
+
+class TestRabinModulus:
+    @staticmethod
+    def _trial_division(f, p):
+        deg = len(f) - 1
+        for d in range(1, deg // 2 + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                if not _poly_divmod_modp(f, list(tail) + [1], p)[1]:
+                    return False
+        return deg >= 1
+
+    @pytest.mark.parametrize("p,max_degree", [(3, 6), (5, 4)])
+    def test_matches_trial_division(self, p, max_degree):
+        irreducible = 0
+        for d in range(1, max_degree + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                f = list(tail) + [1]
+                expected = self._trial_division(f, p)
+                assert _is_irreducible_modp(f, p) == expected, f
+                irreducible += expected
+        # Gauss's count of monic irreducibles: 3+3+8+18+48+116 over Z_3
+        assert irreducible == {3: 196, 5: 5 + 10 + 40 + 150}[p]
+
+
+LAW_FIELDS = {9: Field(3, 2, [1, 0, 1]), 81: Field(3, 4, [2, 0, 0, 1, 1])}
+LAW_TWINS = {q: Field(f.p, f.m, f.modulus) for q, f in LAW_FIELDS.items()}
+
+
+def _triples(q):
+    idx = st.integers(0, q - 1)
+    return st.tuples(st.just(q), idx, idx, idx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LAW_FIELDS)).flatmap(_triples))
+def test_field_laws_on_interned_elements(args):
+    q, i, j, k = args
+    fld = LAW_FIELDS[q]
+    x, y, z = (fld.from_index(a) for a in (i, j, k))
+    assert (x + y) + z is x + (y + z)
+    assert (x * y) * z is x * (y * z)
+    assert x + y is y + x and x * y is y * x
+    assert x * (y + z) is x * y + x * z
+    assert x + fld.zero is x and x * fld.one is x and x - x is fld.zero
+    assert (x - y) + y is x and -(-x) is x
+    if not x.is_zero():
+        assert x * x.inv() is fld.one
+    assert (x + y).frob(1) is x.frob(1) + y.frob(1)
+    assert (x * y).frob(1) is x.frob(1) * y.frob(1)
+    # the table-less twin computes the same values by coefficient arithmetic
+    twin = LAW_TWINS[q]
+    tx, ty = twin.elem(list(x.coeffs)), twin.elem(list(y.coeffs))
+    assert (tx * ty, tx + ty, tx - ty, -tx, tx.frob(1)) == (
+        x * y, x + y, x - y, -x, x.frob(1)
+    )
+    assert twin._tables is None

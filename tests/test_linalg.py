@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from skewcyclic import linalg
@@ -118,3 +119,40 @@ class TestSpan:
             with monkeypatch.context() as mp:
                 mp.setattr(linalg, "_BLOCK_BYTES", 64)
                 assert linalg.span_min_weight(rows, fld, 10**5) == expected
+
+
+def _explicit_min_weight(rows, fld):
+    """Minimum weight over all q^k combinations of the raw rows (no RREF)."""
+    t = fld.tables()
+    add, mul = np.array(t.add), np.array(t.mul)
+    coeffs = np.array(list(itertools.product(range(fld.q), repeat=len(rows))))
+    words = np.zeros((len(coeffs), len(rows[0])), dtype=np.int64)
+    for r, row in enumerate(rows):
+        words = add[words, mul[coeffs[:, r : r + 1], np.array(row)]]
+    weights = (words != 0).sum(axis=1)
+    weights = weights[weights > 0]
+    return int(weights.min()) if len(weights) else None
+
+
+@pytest.mark.parametrize("fixture", ["f9", "f25", "f27"])
+def test_projective_min_weight_matches_explicit_enumeration(fixture, request, monkeypatch):
+    # only words with leading coefficient 1 are enumerated; the minimum
+    # must equal that over every combination, whatever the block size
+    fld = request.getfixturevalue(fixture)
+    rng = random.Random(fld.q)
+    for k in range(1, 5):
+        for _ in range(2):
+            rows = _random_matrix(fld, k, k + 2, rng)
+            expected = _explicit_min_weight(rows, fld)
+            assert linalg.span_min_weight(rows, fld) == expected
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_BLOCK_BYTES", 64)
+                assert linalg.span_min_weight(rows, fld) == expected
+
+
+def test_min_weight_bound_unchanged(f9):
+    # the bound still applies to all q^k words, not the projective count
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.span_min_weight(rows, f9, bound=729) == 1
+    with pytest.raises(EnumerationTooLarge):
+        linalg.span_min_weight(rows, f9, bound=728)

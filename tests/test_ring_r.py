@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skewcyclic.finite_field import FieldMismatch
+from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.ring_r import (
     CrtTriple,
     LengthNotDivisibleBy3,
@@ -277,3 +277,44 @@ class TestTextFormats:
     def test_bad_elem_rejected(self, f3):
         with pytest.raises(ValueError):
             ring_elem_from_string(f3, "[1]|[2]")
+
+
+class TestInternedComponents:
+    def test_ring_from_index_uses_interned_elements(self, f9):
+        t = f9.tables()
+        for idx in range(0, 9**3, 7):
+            r = ring_from_index(f9, idx)
+            for x in (r.a, r.b, r.c, *crt_split(r)):
+                assert x is t.elems[x.idx]
+            assert ring_index(f9, r) == idx
+
+    def test_components_from_equal_distinct_fields(self, f9):
+        twin = Field(f9.p, f9.m, f9.modulus)
+        r = RingElem(f9.gen, twin.one, twin.elem([2, 1]))
+        s = RingElem(twin.gen, f9.one, f9.elem([2, 1]))
+        assert r == s and hash(r) == hash(s)
+        assert r * s == s * r == ring_from_index(f9, ring_index(twin, r * r))
+        with pytest.raises(FieldMismatch):
+            RingElem(f9.one, Field(5, 2, [2, 0, 1]).one, f9.one)
+
+    def test_ring_ops_agree_across_table_states(self, f9):
+        plain = Field(f9.p, f9.m, f9.modulus)
+        rng = random.Random(91)
+        for _ in range(300):
+            x, y = (ring_from_index(f9, rng.randrange(9**3)) for _ in range(2))
+            px, py = (
+                RingElem(*(plain.elem(list(c.coeffs)) for c in (r.a, r.b, r.c)))
+                for r in (x, y)
+            )
+            assert (px * py, px + py, px - py, theta(px, 1)) == (
+                x * y, x + y, x - y, theta(x, 1)
+            )
+            assert crt_split(px) == crt_split(x)
+        assert plain._tables is None
+
+    def test_large_field_ring_ops_build_no_tables(self):
+        fld = Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1])  # q = 6561
+        r = RingElem(fld.gen, fld.elem(2), fld.gen * fld.gen + fld.one)
+        s = crt_join(fld, crt_split(r * r + r))
+        assert s == r * r + r and theta(s, 2) == s.frob(2)
+        assert fld._tables is None

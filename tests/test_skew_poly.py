@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -394,6 +395,19 @@ class TestCombineProject:
         rng = random.Random(28)
         for _ in range(500):
             fs = tuple(_random_poly(f9, 1, 4, rng) for _ in range(3))
+            assert project_components(ring_skew_poly_combine(*fs)) == fs
+
+    def test_roundtrip_census_divisor_triples(self, f9):
+        # combine no longer re-splits its result; the splitting must still
+        # invert it on every divisor triple the census builds codes from
+        divs5 = monic_right_divisors(5, f9, 1)
+        for fs in itertools.product(divs5, repeat=3):
+            assert project_components(ring_skew_poly_combine(*fs)) == fs
+        divs4 = monic_right_divisors(4, f9, 1)
+        assert len(divs4) == 36
+        rng = random.Random(2024)
+        for _ in range(2000):
+            fs = tuple(rng.choice(divs4) for _ in range(3))
             assert project_components(ring_skew_poly_combine(*fs)) == fs
 
     def test_aut_mismatch(self, f9):
