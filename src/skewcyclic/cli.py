@@ -72,6 +72,13 @@ def _parse_code(args, fld: Field):
     return code_from_components(*comps)
 
 
+def _parse_word(args, fld: Field):
+    try:
+        return ring_vector_from_string(fld, args.word)
+    except (ValueError, FieldError) as exc:
+        raise CliConfigError(f"bad word {args.word!r}: {exc}") from exc
+
+
 def _emit(payload: dict, table_lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -187,7 +194,7 @@ def cmd_code(args) -> int:
         return 0
     if action == "gray":
         if args.word:
-            word = ring_vector_from_string(fld, args.word)
+            word = _parse_word(args, fld)
             if len(word) != code.n:
                 raise CodeError(f"word length {len(word)} != n = {code.n}")
             img = gray_map(word)
@@ -261,7 +268,7 @@ def cmd_code(args) -> int:
     if action == "contains":
         if not args.word:
             raise CliConfigError("contains requires --word")
-        word = ring_vector_from_string(fld, args.word)
+        word = _parse_word(args, fld)
         member = code.contains(word)
         payload = _code_payload(code)
         payload["word"] = ring_vector_to_string(word)
@@ -269,6 +276,13 @@ def cmd_code(args) -> int:
         _emit(payload, [f"member: {member}"], args.format)
         return 0
     raise CliConfigError(f"unknown code action {action!r}")
+
+
+def _distance_or_none(comp, bound: int) -> int | None:
+    try:
+        return comp.min_hamming_distance(bound).value
+    except EnumerationTooLarge:
+        return None
 
 
 def cmd_census(args) -> int:
@@ -282,21 +296,15 @@ def cmd_census(args) -> int:
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
     # distance law: d_L(C) is the least Hamming distance of the nonzero
-    # components, so each distinct component is enumerated once
-    comp_dist: dict = {}
+    # components; the census shares component instances, and each
+    # enumerates its words once
     rows = []
     for code in all_codes:
-        dists = []
-        for comp in code.components:
-            if comp.is_zero_code():
-                continue
-            if comp not in comp_dist:
-                try:
-                    d = comp.min_hamming_distance(args.distance_bound).value
-                except EnumerationTooLarge:
-                    d = None
-                comp_dist[comp] = d
-            dists.append(comp_dist[comp])
+        dists = [
+            _distance_or_none(comp, args.distance_bound)
+            for comp in code.components
+            if not comp.is_zero_code()
+        ]
         if not dists:
             dist_val, degenerate = 0, True
         elif None in dists:

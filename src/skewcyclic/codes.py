@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .finite_field import Field, FieldElem
+from .finite_field import EnumerationTooLarge, Field, FieldElem
 from .ring_r import (
     Idempotents,
     RingElem,
@@ -105,10 +105,12 @@ class ComponentCode:
 
     Construction computes the cofactor h as the right quotient of x^n - 1
     by g and raises ``NotRightDivisor`` on a nonzero remainder, so every
-    instance satisfies h*g = x^n - 1.
+    instance satisfies h*g = x^n - 1. The minimum distance is computed on
+    first request and kept (``_distance``); codes that share a component
+    share the enumeration.
     """
 
-    __slots__ = ("n", "g", "h", "field", "aut")
+    __slots__ = ("n", "g", "h", "field", "aut", "_distance")
 
     def __init__(self, n: int, g: SkewPoly):
         h, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
@@ -124,6 +126,7 @@ class ComponentCode:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "field", g.field)
         object.__setattr__(self, "aut", g.aut)
+        object.__setattr__(self, "_distance", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -188,11 +191,20 @@ class ComponentCode:
         return component_code_new(self.n, self.reciprocal_cofactor().monic())
 
     def min_hamming_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
+        """Minimum nonzero weight, by enumerating the q^dim codewords once.
+
+        Raises ``EnumerationTooLarge`` whenever q^dim exceeds ``bound``,
+        also when the value is already known.
+        """
         if self.is_zero_code():
             return MinDistance(0, True)
-        rows = linalg.to_index_rows(self.generator_rows(), self.field)
-        w = linalg.span_min_weight(rows, self.field, bound)
-        return MinDistance(w, False)
+        if self.size > bound:
+            raise EnumerationTooLarge(f"span size {self.size} exceeds bound {bound}")
+        if self._distance is None:
+            rows = linalg.to_index_rows(self.generator_rows(), self.field)
+            w = linalg.span_min_weight(rows, self.field, bound)
+            object.__setattr__(self, "_distance", w)
+        return MinDistance(self._distance, False)
 
     def idempotent_generator(self) -> SkewPoly:
         """e with e*e = e mod x^n - 1 and <e> = <g>, via the Bezout identity.

@@ -422,10 +422,12 @@ class Field:
     For m = 1 the canonical modulus [0, 1] is recorded and the
     irreducibility check is skipped; elements are single residues.
 
-    The caches ``_tables``, ``_half`` and ``_frob_rows`` (and the Frobenius
-    index tables inside ``FieldTables``) are filled lazily, without locks,
-    and idempotently: each entry is a deterministic function of the field,
-    so a concurrent or repeated fill writes an equal value.
+    The caches ``_tables``, ``_half``, ``_frob_rows`` and ``_idempotents``
+    (the idempotents of R over this field, filled by
+    ``ring_r.make_idempotents``), and the Frobenius index tables inside
+    ``FieldTables``, are filled lazily, without locks, and idempotently:
+    each entry is a deterministic function of the field, so a concurrent or
+    repeated fill writes an equal value. They live and die with the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -470,6 +472,7 @@ class Field:
         self._tables: FieldTables | None = None
         self._half: FieldElem | None = None
         self._frob_rows: dict[int, list[list[int]]] = {}
+        self._idempotents = None
 
     @property
     def half(self) -> FieldElem:

@@ -80,10 +80,14 @@ class TestMatrixEntry:
     modulus: tuple | None = None
     seed: int = 0
     bounds: Bounds = dc_field(default_factory=Bounds)
+    _field: Field | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def field(self) -> Field:
-        mod = self.modulus if self.modulus is not None else default_modulus(self.p, self.m)
-        return Field(self.p, self.m, mod)
+        """The entry's field, built on first use; every claim shares it."""
+        if self._field is None:
+            mod = self.modulus if self.modulus is not None else default_modulus(self.p, self.m)
+            object.__setattr__(self, "_field", Field(self.p, self.m, mod))
+        return self._field
 
     def config(self) -> dict:
         return {
@@ -124,9 +128,22 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=m):
         f = list(tail) + [1]
-        if _is_irreducible_modp(f, p):
+        # a root in Z_p is a linear factor: cheap to find, and most
+        # reducible candidates have one, so Rabin's test runs on few
+        if not _has_root_modp(f, p) and _is_irreducible_modp(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
+
+
+def _has_root_modp(f: Sequence[int], p: int) -> bool:
+    """Does the polynomial f (ascending coefficients) vanish somewhere on Z_p?"""
+    for x in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return True
+    return False
 
 
 def _code_config(code) -> dict:
@@ -153,32 +170,37 @@ def _module_closure(gen_rows, basis_scale, add, shift, zero, bound: int):
     action and the skew shift.
 
     Scalar closure comes for free from additive closure of the
-    additive-basis multiples of the generators. Shifted words escaping the
-    current span are fed back as new generators until the fixed point.
-    Returns (words, first_span_shift_closed).
+    additive-basis multiples of the generators. The span grows one seed at
+    a time: a seed s outside the span W adds w + k*s for every w in W and
+    k = 1..p-1, so each new word costs one addition and the span is
+    refused as soon as its size would pass ``bound``. Shifted words
+    escaping the current span are fed back as new generators until the
+    fixed point. Returns (words, first_span_shift_closed).
     """
-    gens = list(gen_rows)
+    if bound < 1:
+        raise EnumerationTooLarge(f"closure exceeded bound {bound}")
+    words = {zero}
+    order = [zero]
+
+    def grow(gens):
+        for g in gens:
+            for s in basis_scale(g):
+                if s in words:
+                    continue
+                multiples = []  # s, 2s, ..., (p-1)s
+                ks = s
+                while ks != zero:
+                    multiples.append(ks)
+                    ks = add(ks, s)
+                if len(order) * (len(multiples) + 1) > bound:
+                    raise EnumerationTooLarge(f"closure exceeded bound {bound}")
+                new = [add(w, sk) for sk in multiples for w in order]
+                order.extend(new)
+                words.update(new)
+
+    grow(gen_rows)
     shift_ok = None
     while True:
-        seeds = {s for g in gens for s in basis_scale(g)}
-        seeds.discard(zero)
-        seeds = list(seeds)
-        words = {zero}
-        words.update(seeds)
-        if len(words) > bound:
-            raise EnumerationTooLarge(f"closure exceeded bound {bound}")
-        frontier = list(seeds)
-        while frontier:
-            w = frontier.pop()
-            for s in seeds:
-                nw = add(w, s)
-                if nw not in words:
-                    if len(words) >= bound:
-                        raise EnumerationTooLarge(
-                            f"closure exceeded bound {bound}"
-                        )
-                    words.add(nw)
-                    frontier.append(nw)
         escaped = []
         seen = set()
         for w in words:
@@ -190,7 +212,7 @@ def _module_closure(gen_rows, basis_scale, add, shift, zero, bound: int):
             shift_ok = not escaped
         if not escaped:
             return words, shift_ok
-        gens.extend(escaped)
+        grow(escaped)
 
 
 def _component_closure_idx(code: ComponentCode, bound: int):
@@ -308,13 +330,83 @@ def oracle_code_enumerate(code, bound: int = 10**4):
 # claim oracles
 
 
+def _schoolbook_mul(s: tuple, t: tuple) -> tuple:
+    """(a + bv + cv^2)(x + yv + zv^2) on (a, b, c) triples, with v^3 = v."""
+    a, b, c = s
+    x, y, z = t
+    return (a * x, a * y + b * x + b * z + c * y, a * z + b * y + c * x + c * z)
+
+
+def _splitting_witness(law: str, x: tuple, y, expected: tuple, got: RingElem) -> dict:
+    def abc(t):
+        return None if t is None else "|".join(str(c) for c in t)
+
+    return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
+
+
+def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict | None]:
+    """Is (a, b, c) -> RingElem(a, b, c) a ring isomorphism commuting with theta_i?
+
+    ``RingElem`` stores the splitting coordinates and multiplies them
+    coordinatewise; this is the one independent check of that against the
+    schoolbook product on a + bv + cv^2. ``*`` and ``+`` are compared on
+    every pair in R x B, B = {w^j, w^j v, w^j v^2 : j < m} an F_p-basis of
+    R; both products are F_p-bilinear, so agreement on R x B is agreement
+    on R x R. theta_i is compared on every element, the map is checked
+    injective, and ``a``, ``b``, ``c`` must read the triple back. Past
+    ``pairs`` products, a seeded sample of R replaces R.
+    Returns (exhaustive, witness or None).
+    """
+    zero = fld.zero
+    basis = []
+    w = fld.one
+    for _ in range(fld.m):
+        basis += [(w, zero, zero), (zero, w, zero), (zero, zero, w)]
+        w = w * fld.gen
+    exhaustive = fld.q**3 * len(basis) <= pairs
+    if exhaustive:
+        # index order is the lexicographic order of fld.elements()
+        elems = [fld.from_index(k) for k in range(fld.q)]
+        space = itertools.product(elems, repeat=3)
+    else:
+        space = (
+            tuple(fld.from_index(rng.randrange(fld.q)) for _ in range(3))
+            for _ in range(max(1, pairs // len(basis)))
+        )
+    basis_elems = [RingElem(*t) for t in basis]
+    seen: dict[RingElem, tuple] = {}
+    for s in space:
+        r = RingElem(*s)
+        first = seen.setdefault(r, s)
+        if first != s:
+            return exhaustive, _splitting_witness("injective", first, s, s, r)
+        if (r.a, r.b, r.c) != s:
+            return exhaustive, _splitting_witness("abc", s, None, s, r)
+        laws = [("theta", None, tuple(fld.frob_pow(x, i) for x in s), r.frob(i))]
+        for t, rt in zip(basis, basis_elems):
+            laws.append(("mul", t, _schoolbook_mul(s, t), r * rt))
+            laws.append(("add", t, tuple(x + y for x, y in zip(s, t)), r + rt))
+        for law, t, expected, got in laws:
+            if got != RingElem(*expected):
+                return exhaustive, _splitting_witness(law, s, t, expected, got)
+    return exhaustive, None
+
+
 def verify_gray_isometry(
     entry: TestMatrixEntry,
     lee_distance_fn: Callable | None = None,
 ) -> VerdictReport:
-    """Lee distance on R^n equals Hamming distance of the Gray images."""
+    """R arithmetic matches the schoolbook a + bv + cv^2 ring (see
+    ``_verify_splitting``), and Lee distance on R^n equals Hamming distance
+    of the Gray images."""
     fld = entry.field()
     n = entry.n
+    split_exhaustive, witness = _verify_splitting(
+        fld, entry.i, entry.bounds.pairs, random.Random(entry.seed)
+    )
+    if witness is not None:
+        mode = "exhaustive" if split_exhaustive else "sampled"
+        return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
     dist = lee_distance_fn if lee_distance_fn is not None else lee_distance
     size = fld.q ** (3 * n)
     total_pairs = size * size
@@ -348,7 +440,8 @@ def verify_gray_isometry(
                             "hamming": dh,
                         },
                     )
-        return VerdictReport("gray-isometry", entry.config(), "exhaustive", True)
+        mode = "exhaustive" if split_exhaustive else "sampled"
+        return VerdictReport("gray-isometry", entry.config(), mode, True)
 
     rng = random.Random(entry.seed)
     rsize = fld.q**3

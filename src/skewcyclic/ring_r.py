@@ -10,7 +10,9 @@ splitting coordinates of r are its evaluations at v = 0, 1, -1, namely
 
 The Gray map sends each coordinate of a vector over R to that same triple,
 so the Gray image of r is literally its splitting coordinates; the Lee
-weight of r is the Hamming weight of the triple. All values here are
+weight of r is the Hamming weight of the triple. A ``RingElem`` stores
+that triple, so R arithmetic is F_q arithmetic in each coordinate and the
+a + bv + cv^2 form is computed only for text. All values here are
 immutable and all operations pure.
 """
 
@@ -28,81 +30,112 @@ class LengthNotDivisibleBy3(Exception):
 
 
 class RingElem:
-    """An element a + bv + cv^2 of R."""
+    """An element a + bv + cv^2 of R, stored as its splitting coordinates.
 
-    __slots__ = ("a", "b", "c")
+    The slots x1, x2, x3 hold the evaluations at v = 0, 1, -1, namely
+    (a, a+b+c, a-b+c); every ring operation acts on them coordinatewise.
+    ``RingElem(a, b, c)`` computes them once, and the properties ``a``,
+    ``b``, ``c`` invert the splitting for text I/O.
+    """
+
+    __slots__ = ("x1", "x2", "x3")
 
     def __init__(self, a: FieldElem, b: FieldElem, c: FieldElem):
-        field = a.field
-        if (b.field is not field and b.field != field) or (
-            c.field is not field and c.field != field
-        ):
-            raise FieldMismatch("components belong to different fields")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        # field arithmetic raises FieldMismatch on components of different fields
+        a_plus_c = a + c
+        _set_x1(self, a)
+        _set_x2(self, a_plus_c + b)
+        _set_x3(self, a_plus_c - b)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RingElem is immutable")
+
     @property
     def field(self) -> Field:
-        return self.a.field
+        return self.x1.field
+
+    @property
+    def a(self) -> FieldElem:
+        return self.x1
+
+    @property
+    def b(self) -> FieldElem:
+        return self.field.half * (self.x2 - self.x3)
+
+    @property
+    def c(self) -> FieldElem:
+        return self.field.half * (self.x2 + self.x3) - self.x1
 
     def __add__(self, other: RingElem) -> RingElem:
-        return RingElem(self.a + other.a, self.b + other.b, self.c + other.c)
+        return _split_elem(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
 
     def __sub__(self, other: RingElem) -> RingElem:
-        return RingElem(self.a - other.a, self.b - other.b, self.c - other.c)
+        return _split_elem(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
 
     def __neg__(self) -> RingElem:
-        return RingElem(-self.a, -self.b, -self.c)
+        return _split_elem(-self.x1, -self.x2, -self.x3)
 
     def __mul__(self, other: RingElem) -> RingElem:
-        # expand (a+bv+cv^2)(a'+b'v+c'v^2) and reduce v^3 -> v, v^4 -> v^2
-        a, b, c = self.a, self.b, self.c
-        x, y, z = other.a, other.b, other.c
-        return RingElem(
-            a * x,
-            a * y + b * x + b * z + c * y,
-            a * z + b * y + c * x + c * z,
-        )
+        return _split_elem(self.x1 * other.x1, self.x2 * other.x2, self.x3 * other.x3)
 
     def frob(self, i: int) -> RingElem:
-        """theta_i applied once: raise each of a, b, c to the p^i power."""
-        return RingElem(self.a.frob(i), self.b.frob(i), self.c.frob(i))
+        """theta_i applied once: the p^i power map on a, b, c.
+
+        Frobenius is additive and fixes +-1, so it commutes with the
+        splitting and acts on each coordinate.
+        """
+        frob_pow = self.x1.field.frob_pow
+        return _split_elem(frob_pow(self.x1, i), frob_pow(self.x2, i), frob_pow(self.x3, i))
 
     def scale_field(self, x: FieldElem) -> RingElem:
-        """Multiplication by the scalar x + 0v + 0v^2."""
-        return RingElem(self.a * x, self.b * x, self.c * x)
+        """Multiplication by the scalar x + 0v + 0v^2, which splits to (x, x, x)."""
+        return _split_elem(self.x1 * x, self.x2 * x, self.x3 * x)
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
+        return self.x1.is_zero() and self.x2.is_zero() and self.x3.is_zero()
 
     def is_unit(self) -> bool:
-        x1, x2, x3 = crt_split(self)
-        return not (x1.is_zero() or x2.is_zero() or x3.is_zero())
+        return not (self.x1.is_zero() or self.x2.is_zero() or self.x3.is_zero())
 
     def inv(self) -> RingElem:
-        x1, x2, x3 = crt_split(self)
-        return crt_join(self.field, CrtTriple(x1.inv(), x2.inv(), x3.inv()))
+        return _split_elem(self.x1.inv(), self.x2.inv(), self.x3.inv())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElem)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
+            and self.x1 == other.x1
+            and self.x2 == other.x2
+            and self.x3 == other.x3
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return hash((self.x1, self.x2, self.x3))
 
     def __repr__(self):
         return f"RingElem(a={self.a}, b={self.b}, c={self.c})"
 
     def __str__(self):
         return f"{self.a}|{self.b}|{self.c}"
+
+
+_set_x1 = RingElem.x1.__set__
+_set_x2 = RingElem.x2.__set__
+_set_x3 = RingElem.x3.__set__
+
+
+def _split_elem(x1: FieldElem, x2: FieldElem, x3: FieldElem) -> RingElem:
+    """The element with splitting coordinates (x1, x2, x3); no arithmetic.
+
+    The coordinates must belong to one field; callers guarantee it.
+    """
+    r = object.__new__(RingElem)
+    _set_x1(r, x1)
+    _set_x2(r, x2)
+    _set_x3(r, x3)
+    return r
 
 
 class CrtTriple(NamedTuple):
@@ -120,8 +153,8 @@ class RingDomain:
 
     def __init__(self, field: Field):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "zero", RingElem(field.zero, field.zero, field.zero))
-        object.__setattr__(self, "one", RingElem(field.one, field.zero, field.zero))
+        object.__setattr__(self, "zero", ring_zero(field))
+        object.__setattr__(self, "one", ring_one(field))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingDomain is immutable")
@@ -142,44 +175,36 @@ class Idempotents(NamedTuple):
     eta3: RingElem
 
 
-_idempotents_cache: dict[Field, Idempotents] = {}
-
-
 def make_idempotents(field: Field) -> Idempotents:
-    """The three orthogonal idempotents; the algebra is verified on first
-    construction for each field and the result memoized."""
-    cached = _idempotents_cache.get(field)
-    if cached is not None:
-        return cached
-    one, zero = field.one, field.zero
-    half = field.half
-    eta1 = RingElem(one, zero, -one)
-    eta2 = RingElem(zero, half, half)
-    eta3 = RingElem(zero, -half, half)
-    etas = Idempotents(eta1, eta2, eta3)
-    r_zero = RingElem(zero, zero, zero)
-    r_one = RingElem(one, zero, zero)
-    for j, ej in enumerate(etas):
-        for k, ek in enumerate(etas):
-            expect = ej if j == k else r_zero
-            assert ej * ek == expect, "idempotent algebra failed"
-    assert eta1 + eta2 + eta3 == r_one, "idempotents do not sum to 1"
-    _idempotents_cache[field] = etas
+    """The three orthogonal idempotents, memoized on the field.
+
+    eta_j splits to the j-th unit vector, so the algebra
+    eta_j eta_k = delta_jk eta_j and eta1 + eta2 + eta3 = 1 holds by
+    construction; the oracle checks the splitting itself.
+    """
+    etas = field._idempotents
+    if etas is None:
+        one, zero = field.one, field.zero
+        etas = field._idempotents = Idempotents(
+            _split_elem(one, zero, zero),
+            _split_elem(zero, one, zero),
+            _split_elem(zero, zero, one),
+        )
     return etas
 
 
 def crt_split(r: RingElem) -> CrtTriple:
-    a, b, c = r.a, r.b, r.c
-    return CrtTriple(a, a + b + c, a - b + c)
+    """The splitting coordinates (a, a+b+c, a-b+c) that r stores."""
+    return CrtTriple(r.x1, r.x2, r.x3)
 
 
 def crt_join(field: Field, t: Sequence[FieldElem]) -> RingElem:
     """Inverse of crt_split: the element eta1*x1 + eta2*x2 + eta3*x3."""
     x1, x2, x3 = t
-    half = field.half
-    b = half * (x2 - x3)
-    c = half * (x2 + x3) - x1
-    return RingElem(x1, b, c)
+    for x in (x1, x2, x3):
+        if x.field is not field and x.field != field:
+            raise FieldMismatch("coordinate belongs to a different field")
+    return _split_elem(x1, x2, x3)
 
 
 def theta(r: RingElem, i: int) -> RingElem:
@@ -189,11 +214,11 @@ def theta(r: RingElem, i: int) -> RingElem:
 
 
 def ring_zero(field: Field) -> RingElem:
-    return RingElem(field.zero, field.zero, field.zero)
+    return _split_elem(field.zero, field.zero, field.zero)
 
 
 def ring_one(field: Field) -> RingElem:
-    return RingElem(field.one, field.zero, field.zero)
+    return _split_elem(field.one, field.one, field.one)
 
 
 def ring_elem(field: Field, a, b=0, c=0) -> RingElem:
@@ -218,7 +243,7 @@ def gray_map(vec: Sequence[RingElem]) -> tuple[FieldElem, ...]:
     """Per coordinate emit (a, a+b+c, a-b+c), concatenated in source order."""
     out: list[FieldElem] = []
     for r in vec:
-        out.extend(crt_split(r))
+        out += (r.x1, r.x2, r.x3)
     return tuple(out)
 
 
@@ -233,7 +258,7 @@ def gray_inverse(field: Field, vec: Sequence[FieldElem]) -> tuple[RingElem, ...]
 def lee_weight(r) -> int:
     """Hamming weight of the Gray triple; extends to vectors by summation."""
     if isinstance(r, RingElem):
-        return sum(1 for x in crt_split(r) if not x.is_zero())
+        return (not r.x1.is_zero()) + (not r.x2.is_zero()) + (not r.x3.is_zero())
     return sum(lee_weight(x) for x in r)
 
 
@@ -306,18 +331,16 @@ def ring_tables(field: Field) -> RingTables:
 
 
 def ring_index(field: Field, r: RingElem) -> int:
-    x1, x2, x3 = crt_split(r)
     q = field.q
-    return field.index(x1) + q * field.index(x2) + q * q * field.index(x3)
+    return r.x1.idx + q * r.x2.idx + q * q * r.x3.idx
 
 
 def ring_from_index(field: Field, idx: int) -> RingElem:
     q = field.q
     x1, rest = idx % q, idx // q
     x2, x3 = rest % q, rest // q
-    return crt_join(
-        field,
-        CrtTriple(field.from_index(x1), field.from_index(x2), field.from_index(x3)),
+    return _split_elem(
+        field.from_index(x1), field.from_index(x2), field.from_index(x3)
     )
 
 

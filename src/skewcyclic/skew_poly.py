@@ -66,16 +66,12 @@ class BothZero(SkewPolyError):
 
 
 def _twist(c, i: int, k: int):
-    """theta_i applied k times, i.e. the p^{(i*k mod m)} power map."""
-    field = c.field
-    e = (i * k) % field.m
-    if e == 0:
-        return c
-    if isinstance(c, RingElem):
-        return RingElem(
-            field.frob_pow(c.a, e), field.frob_pow(c.b, e), field.frob_pow(c.c, e)
-        )
-    return field.frob_pow(c, e)
+    """theta_i applied k times, i.e. the p^{(i*k mod m)} power map.
+
+    c is a FieldElem or a RingElem; both apply the map by ``frob``.
+    """
+    e = (i * k) % c.field.m
+    return c.frob(e) if e else c
 
 
 class SkewPoly:

@@ -76,7 +76,7 @@ def test_criterion_2_idempotent_algebra():
     """eta_j eta_k = delta_jk eta_j and sum = 1 for q in {3, 9, 25}."""
     for p, m, mod in ((3, 1, [0, 1]), (3, 2, [1, 0, 1]), (5, 2, [2, 0, 1])):
         fld = Field(p, m, mod)
-        etas = make_idempotents(fld)  # construction re-verifies the algebra
+        etas = make_idempotents(fld)
         one = ring_elem(fld, 1)
         zero = ring_elem(fld, 0)
         assert etas.eta1 + etas.eta2 + etas.eta3 == one

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic.cli import main
 from skewcyclic.codes import census
-from skewcyclic.finite_field import EnumerationTooLarge, field_from_string
+from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
+from skewcyclic.ring_r import ring_vector_from_string
 
 FIELD = "p=3,m=2,mod=1,0,1"
 
@@ -349,3 +354,34 @@ class TestVerifyCommand:
         lengths = {l["config"]["n"] for l in lines}
         assert lengths == {1, 3, 5}
         assert "failed: 0" in out
+
+
+CODE_N1 = ["--field", FIELD, "--n", "1", "--g1", "1", "--g2", "1", "--g3", "1"]
+
+
+class TestWordParsing:
+    @pytest.mark.parametrize("action", ["gray", "contains"])
+    @pytest.mark.parametrize("word", ["1|0|0", "[1]|[0]", "[1,2,3]|[0]|[0]"])
+    def test_garbage_word_exits_2(self, capsys, action, word):
+        code, out, err = run(capsys, "code", action, *CODE_N1, "--word", word)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: bad word")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="[]|;,0123456789-x ", max_size=24) | st.text(max_size=12))
+    def test_random_words_never_raise(self, word):
+        fld = field_from_string(FIELD)
+        try:
+            ring_vector_from_string(fld, word)
+            parses = True
+        except (ValueError, FieldError):
+            parses = False
+        for action in ("gray", "contains"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["code", action, *CODE_N1, f"--word={word}"])
+            if parses:
+                assert code in (0, 1, 2)
+            else:
+                assert code == 2 and out.getvalue() == ""
+                assert err.getvalue().startswith("configuration error: bad word")

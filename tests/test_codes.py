@@ -421,6 +421,32 @@ class TestDistances:
         best = min(lee_weight(w) for w in words if any(not x.is_zero() for x in w))
         assert best == code.min_lee_distance().value
 
+    def test_component_distance_enumerated_once(self, f9, monkeypatch):
+        calls = []
+        enumerate_span = linalg.span_min_weight
+
+        def counting(rows, field, bound):
+            calls.append(len(rows))
+            return enumerate_span(rows, field, bound)
+
+        monkeypatch.setattr(linalg, "span_min_weight", counting)
+        codes = census(5, f9, 1)
+        distances = [code.min_lee_distance() for code in codes]
+        nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
+        assert len(calls) == len(nonzero) == 3
+        assert distances == [code.min_lee_distance() for code in codes]
+        assert len(calls) == 3
+
+    def test_bound_refused_even_when_cached(self, f9):
+        from skewcyclic.finite_field import EnumerationTooLarge
+
+        c = component_code_new(3, SkewPoly.one(f9, 1))
+        assert c.min_hamming_distance() == MinDistance(1, False)
+        for bound in (9**3 - 1, 1):
+            with pytest.raises(EnumerationTooLarge):
+                c.min_hamming_distance(bound)
+        assert c.min_hamming_distance(9**3) == MinDistance(1, False)
+
 
 class TestJsonBlock:
     def test_roundtrip(self, f9):

@@ -379,3 +379,142 @@ class TestHarness:
         a = [r.to_json() for r in verify_entry(entry)]
         b = [r.to_json() for r in verify_entry(entry)]
         assert a == b
+
+
+class TestSplittingCheck:
+    """gray-isometry also checks RingElem arithmetic against a + bv + cv^2."""
+
+    @pytest.mark.parametrize(
+        "attr, law, broken",
+        [
+            ("__mul__", "mul", lambda r, s: r + s),
+            ("__add__", "add", lambda r, s: r - s),
+            ("frob", "theta", lambda r, i: r),
+        ],
+    )
+    def test_broken_ring_op_fails_with_witness(self, monkeypatch, attr, law, broken):
+        from skewcyclic.ring_r import RingElem
+
+        monkeypatch.setattr(RingElem, attr, broken)
+        # R x B has 9^3 * 6 <= 10^4 pairs over F_9: checked exhaustively
+        v = verify_gray_isometry(TestMatrixEntry(p=3, m=2, i=1, n=1))
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample["law"] == law
+        assert v.counterexample["expected"] != v.counterexample["got"]
+        assert {"x", "y"} <= set(v.counterexample)
+
+    def test_broken_splitting_fails_exhaustively(self, monkeypatch):
+        from skewcyclic import ring_r
+
+        def not_injective(self, a, b, c):
+            ring_r._set_x1(self, a)
+            ring_r._set_x2(self, a)
+            ring_r._set_x3(self, a)
+
+        monkeypatch.setattr(ring_r.RingElem, "__init__", not_injective)
+        entry = TestMatrixEntry(p=3, m=1, i=1, n=1, bounds=Bounds(pairs=10**5))
+        v = verify_gray_isometry(entry)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample["law"] == "injective"
+
+    def test_sampled_past_pairs_bound(self):
+        # |R x B| = 25^3 * 6 exceeds the default 10^4 pairs
+        v = verify_gray_isometry(TestMatrixEntry(p=5, m=2, i=1, n=1))
+        assert v.passed and v.mode == "sampled"
+
+
+class TestEntryField:
+    def test_one_field_per_entry(self):
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+        fld = entry.field()
+        assert entry.field() is fld
+        assert entry == TestMatrixEntry(p=3, m=2, i=1, n=1)
+        assert hash(entry) == hash(TestMatrixEntry(p=3, m=2, i=1, n=1))
+
+    @pytest.mark.parametrize(
+        "p, m", [(3, m) for m in range(1, 8)] + [(5, m) for m in range(1, 5)]
+        + [(7, m) for m in range(1, 4)],
+    )
+    def test_default_modulus_is_first_irreducible(self, p, m):
+        from skewcyclic.finite_field import _is_irreducible_modp
+
+        # the definition: Rabin's test on every monic candidate in order
+        expected = (0, 1) if m == 1 else next(
+            tuple(tail) + (1,)
+            for tail in itertools.product(range(p), repeat=m)
+            if _is_irreducible_modp(list(tail) + [1], p)
+        )
+        assert default_modulus(p, m) == expected
+
+
+def _reference_closure(gen_rows, basis_scale, add, shift, zero, bound):
+    """The closure as first written: every seed added to every word."""
+    from skewcyclic.finite_field import EnumerationTooLarge
+
+    gens = list(gen_rows)
+    shift_ok = None
+    while True:
+        seeds = {s for g in gens for s in basis_scale(g)}
+        seeds.discard(zero)
+        words = {zero} | seeds
+        if len(words) > bound:
+            raise EnumerationTooLarge(f"closure exceeded bound {bound}")
+        frontier = list(seeds)
+        while frontier:
+            w = frontier.pop()
+            for s in seeds:
+                nw = add(w, s)
+                if nw not in words:
+                    if len(words) >= bound:
+                        raise EnumerationTooLarge(f"closure exceeded bound {bound}")
+                    words.add(nw)
+                    frontier.append(nw)
+        escaped = {shift(w) for w in words} - words
+        if shift_ok is None:
+            shift_ok = not escaped
+        if not escaped:
+            return words, shift_ok
+        gens.extend(escaped)
+
+
+class TestIncrementalClosure:
+    def _both(self, monkeypatch, closure_of, code, bound):
+        from skewcyclic import oracle
+        from skewcyclic.finite_field import EnumerationTooLarge
+
+        results = []
+        for impl in (oracle._module_closure, _reference_closure):
+            monkeypatch.setattr(oracle, "_module_closure", impl)
+            try:
+                words, closed = closure_of(code, bound)[:2]
+                results.append((set(words), closed))
+            except EnumerationTooLarge:
+                results.append("refused")
+        return results
+
+    def test_equals_reference_on_census(self, f9, monkeypatch):
+        from skewcyclic.oracle import _ring_closure
+
+        for n in (1, 2, 3):
+            for code in census(n, f9, 1):
+                new, old = self._both(monkeypatch, _ring_closure, code, 10**3)
+                assert new == old, code
+
+    def test_equals_reference_on_broken_controls(self, f9, monkeypatch):
+        from skewcyclic.oracle import _component_closure_idx, _ring_closure
+
+        new, old = self._both(monkeypatch, _ring_closure, broken_code(f9, 1, 3), 10**4)
+        assert new == old and new[1] is False
+        comp = broken_component_code(f9, 1, 3)
+        new, old = self._both(monkeypatch, _component_closure_idx, comp, 10**4)
+        assert new == old and new[1] is False
+
+    def test_refuses_at_the_same_sizes(self, f9, monkeypatch):
+        from skewcyclic.oracle import _ring_closure
+
+        code = broken_code(f9, 1, 3)
+        size = len(_ring_closure(code, 10**4)[0])
+        for bound in (0, 1, size - 1, size):
+            new, old = self._both(monkeypatch, _ring_closure, code, bound)
+            assert new == old
+            assert (new == "refused") == (bound < size)

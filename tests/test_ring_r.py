@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.ring_r import (
@@ -318,3 +320,67 @@ class TestInternedComponents:
         s = crt_join(fld, crt_split(r * r + r))
         assert s == r * r + r and theta(s, 2) == s.frob(2)
         assert fld._tables is None
+
+
+# the a + bv + cv^2 formulas, kept here as the reference for the
+# split-native RingElem
+def _schoolbook_mul(s, t):
+    a, b, c = s
+    x, y, z = t
+    return (a * x, a * y + b * x + b * z + c * y, a * z + b * y + c * x + c * z)
+
+
+SPLIT_FIELDS = {9: Field(3, 2, [1, 0, 1]), 25: Field(5, 2, [2, 0, 1])}
+
+
+def _two_triples(q):
+    idx = st.integers(0, q - 1)
+    return st.tuples(st.just(q), st.tuples(idx, idx, idx), st.tuples(idx, idx, idx))
+
+
+class TestSplitNative:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SPLIT_FIELDS)).flatmap(_two_triples))
+    def test_ops_agree_with_schoolbook(self, args):
+        q, si, ti = args
+        fld = SPLIT_FIELDS[q]
+        s = tuple(fld.from_index(k) for k in si)
+        t = tuple(fld.from_index(k) for k in ti)
+        r, u = RingElem(*s), RingElem(*t)
+        assert (r.a, r.b, r.c) == s
+        assert r + u == RingElem(*(x + y for x, y in zip(s, t)))
+        assert r - u == RingElem(*(x - y for x, y in zip(s, t)))
+        assert -r == RingElem(*(-x for x in s))
+        assert r * u == RingElem(*_schoolbook_mul(s, t))
+        assert r.frob(1) == RingElem(*(x.frob(1) for x in s))
+        assert r.scale_field(t[0]) == RingElem(*(x * t[0] for x in s))
+        if r.is_unit():
+            inv = r.inv()
+            assert _schoolbook_mul(s, (inv.a, inv.b, inv.c)) == (
+                fld.one, fld.zero, fld.zero
+            )
+        assert ring_elem_from_string(fld, str(r)) == r
+
+    def test_join_and_split_move_no_arithmetic(self, f9):
+        t = (f9.gen, f9.one, f9.elem([2, 2]))
+        r = crt_join(f9, t)
+        assert all(x is y for x, y in zip(crt_split(r), t))
+        assert all(x is y for x, y in zip(gray_map([r]), t))
+        with pytest.raises(FieldMismatch):
+            crt_join(f9, (f9.one, f9.one, Field(5, 2, [2, 0, 1]).one))
+
+    def test_immutable(self, f9):
+        r = ring_elem(f9, 1, 2, 0)
+        with pytest.raises(AttributeError):
+            r.x1 = f9.zero
+        with pytest.raises(AttributeError):
+            r.a = f9.zero
+        with pytest.raises(AttributeError):
+            del r.x1
+
+    def test_idempotents_live_on_their_field(self, f9):
+        twin = Field(f9.p, f9.m, f9.modulus)
+        etas, twin_etas = make_idempotents(f9), make_idempotents(twin)
+        assert make_idempotents(f9) is etas
+        assert etas == twin_etas
+        assert all(x.field is twin for eta in twin_etas for x in crt_split(eta))
