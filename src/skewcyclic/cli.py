@@ -5,8 +5,8 @@ idempotent|contains, census, verify. Every JSON output embeds the code
 description block, so results can be re-fed to other subcommands. All
 sampling is seeded; given the same flags and seed, output is identical.
 
-Exit codes: 0 success, 1 failed verification or violated precondition,
-2 malformed configuration.
+Exit codes: 0 success, 1 failed verification, violated precondition or
+stdout closed early (for example by ``| head``), 2 malformed configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import codes as codes_mod
@@ -59,17 +60,24 @@ def _parse_code(args, fld: Field):
         raise CliConfigError("a code needs --g (over R) or all of --g1 --g2 --g3")
     if args.n is None:
         raise CliConfigError("--n is required")
+    if args.n < 1:
+        raise CliConfigError(f"--n must be positive, got {args.n}")
+    # a generator that does not parse, or is of degree above n, is a
+    # configuration error; one that parses but does not define a code is a
+    # code error (exit 1)
     try:
         if args.g:
-            g = ring_poly_from_string(args.g, fld, args.aut)
-            return code_from_combined(g, args.n)
-        comps = [
-            component_code_new(args.n, poly_from_string(s, fld, args.aut))
-            for s in (args.g1, args.g2, args.g3)
-        ]
-    except (ValueError,) as exc:
+            g = ring_poly_from_string(args.g, fld, args.aut, max_degree=args.n)
+        else:
+            gs = [
+                poly_from_string(s, fld, args.aut, max_degree=args.n)
+                for s in (args.g1, args.g2, args.g3)
+            ]
+    except (ValueError, FieldError) as exc:
         raise CliConfigError(f"bad generator polynomial: {exc}") from exc
-    return code_from_components(*comps)
+    if args.g:
+        return code_from_combined(g, args.n)
+    return code_from_components(*(component_code_new(args.n, g) for g in gs))
 
 
 def _parse_word(args, fld: Field):
@@ -454,7 +462,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader went away (`verify | head`); send what is left of
+        # stdout, the interpreter's final flush included, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CliConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -645,8 +645,19 @@ def _parse_term(term: str):
     return (head if head else None), power
 
 
-def poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:
-    """Parse a field polynomial; accepts bracket lists and plain integers."""
+def _check_degree(deg: int, max_degree: int | None) -> None:
+    # refused before the coefficient list of length deg + 1 is allocated
+    if max_degree is not None and deg > max_degree:
+        raise ValueError(f"degree {deg} exceeds the maximum {max_degree}")
+
+
+def poly_from_string(
+    s: str, field: Field, aut: int, max_degree: int | None = None
+) -> SkewPoly:
+    """Parse a field polynomial; accepts bracket lists and plain integers.
+
+    A term of degree above ``max_degree`` raises ``ValueError``.
+    """
     from .finite_field import elem_from_string
 
     s = s.strip()
@@ -665,12 +676,18 @@ def poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:
             c = -c
         coeffs[power] = coeffs.get(power, field.zero) + c
     deg = max(coeffs)
+    _check_degree(deg, max_degree)
     out = [coeffs.get(k, field.zero) for k in range(deg + 1)]
     return SkewPoly(field, out, aut)
 
 
-def ring_poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:
-    """Parse a polynomial over R; coefficients are a|b|c triples or integers."""
+def ring_poly_from_string(
+    s: str, field: Field, aut: int, max_degree: int | None = None
+) -> SkewPoly:
+    """Parse a polynomial over R; coefficients are a|b|c triples or integers.
+
+    A term of degree above ``max_degree`` raises ``ValueError``.
+    """
     from .ring_r import ring_elem, ring_elem_from_string
 
     domain = RingDomain(field)
@@ -690,5 +707,6 @@ def ring_poly_from_string(s: str, field: Field, aut: int) -> SkewPoly:
             c = -c
         coeffs[power] = coeffs.get(power, domain.zero) + c
     deg = max(coeffs)
+    _check_degree(deg, max_degree)
     out = [coeffs.get(k, domain.zero) for k in range(deg + 1)]
     return SkewPoly(domain, out, aut)

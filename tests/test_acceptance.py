@@ -148,12 +148,12 @@ def test_criterion_7_shift_closure(censuses):
     for n in (1, 2, 3):
         for code in censuses[n]:
             if code.size <= ENUM_BOUND:
-                v = verify_shift_closure(code, ENUM_BOUND, rng)
+                v = verify_shift_closure(code, rng)
                 assert v.passed and v.mode == "exhaustive"
                 checked += 1
             dual = code.dual()
             if dual.size <= ENUM_BOUND:
-                v = verify_shift_closure(dual, ENUM_BOUND, rng)
+                v = verify_shift_closure(dual, rng)
                 assert v.passed and v.mode == "exhaustive"
                 checked += 1
     assert checked > 0

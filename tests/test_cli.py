@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from skewcyclic.cli import main
 from skewcyclic.codes import census
 from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
 from skewcyclic.ring_r import ring_vector_from_string
+from skewcyclic.skew_poly import poly_from_string, ring_poly_from_string
 
 FIELD = "p=3,m=2,mod=1,0,1"
 
@@ -385,3 +390,72 @@ class TestWordParsing:
             else:
                 assert code == 2 and out.getvalue() == ""
                 assert err.getvalue().startswith("configuration error: bad word")
+
+
+class TestGeneratorParsing:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--g1", "[1,2,3]", "--g2", "1", "--g3", "1"],  # DegreeMismatch
+            ["--g1", "x^2-1", "--g2", "1", "--g3", "1"],  # degree above n
+            ["--g1", "1", "--g2", "[1", "--g3", "1"],
+            ["--g", "[1,2,3]|[0]|[0]"],
+            ["--g", "x^99999999999"],  # refused before any allocation
+        ],
+    )
+    def test_garbage_generator_exits_2(self, capsys, flags):
+        code, out, err = run(
+            capsys, "code", "build", "--field", "p=3,m=2,mod=1,0,1", "--n", "1", *flags
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: bad generator polynomial")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_length_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "code", "build", *CODE_N1[:2], "--n", n, *CODE_N1[4:])
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: --n must be positive")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(alphabet="[]|,0123456789-+x^* ", max_size=24) | st.text(max_size=12),
+        st.sampled_from(["--g1", "--g2", "--g3", "--g"]),
+    )
+    def test_random_generators_never_raise(self, text, flag):
+        fld = field_from_string(FIELD)
+        parse = ring_poly_from_string if flag == "--g" else poly_from_string
+        try:
+            parse(text, fld, 1, max_degree=2)
+            parses = True
+        except (ValueError, FieldError):
+            parses = False
+        gens = {"--g1": "1", "--g2": "1", "--g3": "1"}
+        gens = {flag: text} if flag == "--g" else gens | {flag: text}
+        argv = ["code", "build", "--field", FIELD, "--n", "2"]
+        argv += [f"{k}={v}" for k, v in gens.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if parses and text:  # an empty flag counts as a missing one
+            assert code in (0, 1)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("configuration error: ")
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """`verify | head`: a reader that leaves early gets no traceback."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([{"p": 3, "m": 2, "i": 1, "n": 1}]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewcyclic.cli", "verify", "--matrix", str(matrix)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # no reader: the first write fails with EPIPE
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

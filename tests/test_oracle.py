@@ -43,6 +43,7 @@ from skewcyclic.skew_poly import (
     Factorization,
     SkewPoly,
     poly_from_string,
+    ring_skew_poly_combine,
     skew_mul,
     xn_minus_1,
 )
@@ -219,11 +220,12 @@ class TestClosureOracle:
         assert not v.passed
         assert v.counterexample is not None
 
-    def test_skip_above_bound(self, f9):
+    def test_full_code_checked_exhaustively(self, f9):
+        # 9^9 words: rank tests close the span, nothing is enumerated
         full = component_code_new(3, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
-        v = verify_shift_closure(code, bound=100)
-        assert v.mode == "skipped" and v.passed
+        v = verify_shift_closure(code)
+        assert v.mode == "exhaustive" and v.passed
 
 
 class TestMatrixAndDualityOracles:
@@ -240,6 +242,7 @@ class TestMatrixAndDualityOracles:
         assert verify_cardinality(mixed_code).passed
         assert verify_dual_gray_commutation(mixed_code).passed
         assert verify_quasi_cyclic_gray(mixed_code).passed
+        assert verify_shift_closure(mixed_code).passed
 
     def test_cardinality_negative_control(self, mixed_code):
         rows = mixed_code.gray_generator_rows()
@@ -325,6 +328,44 @@ class TestDistanceOracle:
         assert v.counterexample["component_minimum"] == 1
         assert v.counterexample["direct_enumeration"] == 2
 
+    def test_gray_image_not_a_direct_sum_of_blocks(self, f9, mixed_code):
+        from skewcyclic.ring_r import ring_one
+
+        # the Gray image of (1, 1) is spanned by one word that meets all
+        # three coordinate classes, so its blocks have total rank 3, not 1
+        rows = [(ring_one(f9),) * mixed_code.n]
+        v = verify_distance_law(mixed_code, combined_rows=rows)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample == {"gray_rank": 1, "block_ranks": [1, 1, 1]}
+
+    def test_blocks_shared_within_an_entry(self, f9):
+        codes = census(3, f9, 1)
+        block_minima = {}
+        for code in codes:
+            assert verify_distance_law(code, block_minima=block_minima).passed
+        # every block is a component code; n = 3 has 3 nonzero ones
+        nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
+        assert len(block_minima) == len(nonzero) == 3
+
+    def test_no_work_shared_between_entries(self, monkeypatch):
+        from skewcyclic import linalg
+
+        calls = []
+        enumerate_span = linalg.span_min_weight
+
+        def counting(rows, field, bound):
+            calls.append(len(rows))
+            return enumerate_span(rows, field, bound)
+
+        monkeypatch.setattr(linalg, "span_min_weight", counting)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+            counts.append(len(calls))
+        # 3 production component distances and 3 distinct oracle blocks
+        assert counts == [6, 6]
+
 
 class TestIdempotentOracle:
     def test_passes_at_n5(self, f9):
@@ -389,6 +430,8 @@ class TestSplittingCheck:
         [
             ("__mul__", "mul", lambda r, s: r + s),
             ("__add__", "add", lambda r, s: r - s),
+            ("__sub__", "sub", lambda r, s: r + s),
+            ("__neg__", "neg", lambda r: r),
             ("frob", "theta", lambda r, i: r),
         ],
     )
@@ -493,28 +536,177 @@ class TestIncrementalClosure:
         return results
 
     def test_equals_reference_on_census(self, f9, monkeypatch):
-        from skewcyclic.oracle import _ring_closure
+        from skewcyclic.oracle import _component_closure_idx
 
         for n in (1, 2, 3):
-            for code in census(n, f9, 1):
-                new, old = self._both(monkeypatch, _ring_closure, code, 10**3)
-                assert new == old, code
+            comps = {c for code in census(n, f9, 1) for c in code.components}
+            for comp in comps:
+                new, old = self._both(monkeypatch, _component_closure_idx, comp, 10**3)
+                assert new == old, comp
 
     def test_equals_reference_on_broken_controls(self, f9, monkeypatch):
-        from skewcyclic.oracle import _component_closure_idx, _ring_closure
+        from skewcyclic.oracle import _component_closure_idx
 
-        new, old = self._both(monkeypatch, _ring_closure, broken_code(f9, 1, 3), 10**4)
-        assert new == old and new[1] is False
         comp = broken_component_code(f9, 1, 3)
         new, old = self._both(monkeypatch, _component_closure_idx, comp, 10**4)
         assert new == old and new[1] is False
 
     def test_refuses_at_the_same_sizes(self, f9, monkeypatch):
-        from skewcyclic.oracle import _ring_closure
+        from skewcyclic.oracle import _component_closure_idx
 
-        code = broken_code(f9, 1, 3)
-        size = len(_ring_closure(code, 10**4)[0])
+        comp = broken_component_code(f9, 1, 3)
+        size = len(_component_closure_idx(comp, 10**4)[0])
         for bound in (0, 1, size - 1, size):
-            new, old = self._both(monkeypatch, _ring_closure, code, bound)
+            new, old = self._both(monkeypatch, _component_closure_idx, comp, bound)
             assert new == old
             assert (new == "refused") == (bound < size)
+
+
+def _reference_ring_closure(code, bound):
+    """Closure of a code over R on RingElem words: addition, the R-scalars
+    eta_s * w^t and the skew shift, as the oracle once enumerated it."""
+    from skewcyclic.codes import skew_shift
+    from skewcyclic.ring_r import RingElem, make_idempotents, ring_zero
+
+    fld = code.field
+    scalars = []
+    b = fld.one
+    for _ in range(fld.m):
+        scalars += [eta * RingElem(b, fld.zero, fld.zero) for eta in make_idempotents(fld)]
+        b = b * fld.gen
+    return _reference_closure(
+        code.generator_rows(),
+        lambda g: [tuple(lam * x for x in g) for lam in scalars],
+        lambda x, y: tuple(a + c for a, c in zip(x, y)),
+        lambda w: skew_shift(w, code.aut),
+        tuple([ring_zero(fld)] * code.n),
+        bound,
+    )
+
+
+def _reference_component_closure(code, bound):
+    from skewcyclic.codes import skew_shift
+
+    fld = code.field
+    scalars = [fld.one]
+    for _ in range(1, fld.m):
+        scalars.append(scalars[-1] * fld.gen)
+    return _reference_closure(
+        code.generator_rows(),
+        lambda g: [tuple(lam * x for x in g) for lam in scalars],
+        lambda x, y: tuple(a + c for a, c in zip(x, y)),
+        lambda w: skew_shift(w, code.aut),
+        tuple([fld.zero] * code.n),
+        bound,
+    )
+
+
+def _non_divisor_codes(f9, n):
+    """Component and R codes built on every monic degree-1 non-divisor of x^n - 1."""
+    from skewcyclic.codes import _unchecked_component_code
+    from skewcyclic.skew_poly import is_right_divisor_of_xn_minus_1
+
+    zero = component_code_new(n, xn_minus_1(f9, 1, n))
+    out = []
+    for c in f9.elements():
+        g = SkewPoly(f9, [c, f9.one], 1)
+        if is_right_divisor_of_xn_minus_1(g, n):
+            continue
+        bad = _unchecked_component_code(n, g)
+        out.append(bad)
+        for comps in ((bad, zero, zero), (zero, bad, zero)):
+            combined = ring_skew_poly_combine(*(c.g for c in comps))
+            out.append(SkewCyclicCode(*comps, combined))
+    return out
+
+
+class TestRankClaimsAgainstEnumeration:
+    """The generator-level claims agree with the codeword enumerations they
+    replaced, on the F_9 census for n <= 3 and on non-shift-closed spans."""
+
+    def test_rank_closure_equals_reference_closure(self, f9):
+        from skewcyclic.oracle import _shift_closure_basis
+
+        checked = 0
+        codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
+        codes += [broken_code(f9, 1, 3)] + _non_divisor_codes(f9, 2)
+        for code in codes:
+            reference = (
+                _reference_component_closure
+                if isinstance(code, ComponentCode)
+                else _reference_ring_closure
+            )
+            if code.size > 10**3:
+                continue
+            words, closed = reference(code, 10**4)
+            basis, rank_closed = _shift_closure_basis(code)
+            assert (len(words), closed) == (9 ** len(basis), rank_closed), code
+            checked += 1
+        assert checked >= 150
+
+    def test_non_closed_spans_are_detected(self, f9):
+        from skewcyclic.oracle import _shift_closure_basis
+
+        codes = _non_divisor_codes(f9, 2) + [broken_code(f9, 1, 3)]
+        for code in codes:
+            assert _shift_closure_basis(code)[1] is False
+            assert not verify_shift_closure(code).passed
+
+    def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
+        from skewcyclic import linalg
+        from skewcyclic.oracle import (
+            _deinterleaved_qc_shift,
+            _gray_rows,
+            _interleaved_qc_shift,
+        )
+
+        checked = 0
+        codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
+        codes += [broken_code(f9, 1, 3)]
+        codes += [c for c in _non_divisor_codes(f9, 2) if isinstance(c, SkewCyclicCode)]
+        for code in codes:
+            if code.size > 10**3:
+                continue
+            rows = linalg.to_index_rows(_gray_rows(code), f9)
+            span = linalg.span_vectors(rows, f9, 10**3) if rows else {(0,) * (3 * code.n)}
+            frob = f9.frob_table(code.aut)
+            flags = [
+                all(tuple(shift(y, code.n, frob)) in span for y in span)
+                for shift in (_interleaved_qc_shift, _deinterleaved_qc_shift)
+            ]
+            v = verify_quasi_cyclic_gray(code)
+            got = [
+                v.counterexample["interleaved_convention_closed"],
+                v.counterexample["per_component_convention_closed"],
+            ]
+            assert got == flags, code
+            assert v.passed == any(flags)
+            if not v.passed:
+                word = tuple(v.counterexample["word"])
+                assert word in span
+                assert tuple(_deinterleaved_qc_shift(word, code.n, frob)) not in span
+            checked += 1
+        assert checked >= 100
+
+    def test_block_distance_equals_full_span_enumeration(self, f9):
+        from skewcyclic import linalg
+        from skewcyclic.oracle import _combined_generator_rows
+        from skewcyclic.ring_r import gray_map
+
+        checked = 0
+        codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
+        codes.append(mismatched_code(f9, 1, 3))
+        for code in codes:
+            rows = [gray_map(r) for r in _combined_generator_rows(code)]
+            idx = linalg.to_index_rows(rows, f9)
+            if 9 ** linalg.rank(idx, f9) > 10**5:
+                continue
+            full = linalg.span_min_weight(idx, f9, 10**5)
+            v = verify_distance_law(code)
+            if v.passed:
+                formula = code.min_lee_distance()
+                assert full == (None if formula.degenerate else formula.value)
+            else:
+                assert v.counterexample["direct_enumeration"] == full
+            checked += 1
+        assert checked >= 150

@@ -4,9 +4,11 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic.finite_field import Field
-from skewcyclic.ring_r import RingDomain, RingElem, ring_elem
+from skewcyclic.ring_r import RingDomain, RingElem, ring_elem, ring_from_index
 from skewcyclic.skew_poly import (
     AutMismatch,
     BothZero,
@@ -450,3 +452,82 @@ class TestTextFormat:
         f = ring_poly_from_string("x-1", f9, 1)
         assert f.coeffs[1] == ring_elem(f9, 1)
         assert f.coeffs[0] == ring_elem(f9, -1)
+
+
+# ---------------------------------------------------------------------------
+# skew-ring laws the oracle's rank tests rest on (sigma is semilinear because
+# x*a = theta(a)*x, and membership is a right remainder)
+
+_F9 = Field(3, 2, [1, 0, 1])
+_F81 = Field(3, 4, [2, 0, 0, 1, 1])
+SKEW_RINGS = {
+    "F9-i1": (_F9, 1),
+    "F81-i1": (_F81, 1),
+    "F81-i2": (_F81, 2),
+    "R9-i1": (RingDomain(_F9), 1),
+}
+
+
+def _coeffs(domain, units=False):
+    if isinstance(domain, RingDomain):
+        fld = domain.field
+        elems = st.integers(0, fld.q**3 - 1).map(lambda k: ring_from_index(fld, k))
+        return elems.filter(RingElem.is_unit) if units else elems
+    return st.integers(1 if units else 0, domain.q - 1).map(domain.from_index)
+
+
+def _polys(domain, aut, max_degree=4):
+    return st.lists(_coeffs(domain), max_size=max_degree + 1).map(
+        lambda cs: SkewPoly(domain, cs, aut)
+    )
+
+
+def _theta(c, i):
+    """c -> c^(p^i) by repeated multiplication, on a, b, c for elements of R."""
+    if isinstance(c, RingElem):
+        return RingElem(*(_theta(t, i) for t in (c.a, c.b, c.c)))
+    out = c.field.one
+    for _ in range(c.field.p**i):
+        out = out * c
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_RINGS))
+class TestSkewRingLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_associative(self, name, data):
+        domain, aut = SKEW_RINGS[name]
+        f, g, h = (data.draw(_polys(domain, aut)) for _ in range(3))
+        assert skew_mul(skew_mul(f, g), h) == skew_mul(f, skew_mul(g, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_distributive(self, name, data):
+        domain, aut = SKEW_RINGS[name]
+        f, g, h = (data.draw(_polys(domain, aut)) for _ in range(3))
+        assert skew_mul(f, g + h) == skew_mul(f, g) + skew_mul(f, h)
+        assert skew_mul(f + g, h) == skew_mul(f, h) + skew_mul(g, h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_x_times_a_is_theta_a_times_x(self, name, data):
+        domain, aut = SKEW_RINGS[name]
+        a = data.draw(_coeffs(domain))
+        x = SkewPoly.x_power(domain, aut, 1)
+        lhs = skew_mul(x, SkewPoly(domain, [a], aut))
+        assert lhs == SkewPoly.x_power(domain, aut, 1, _theta(a, aut))
+        assert lhs == skew_mul(SkewPoly(domain, [_theta(a, aut)], aut), x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_right_division(self, name, data):
+        domain, aut = SKEW_RINGS[name]
+        f = data.draw(_polys(domain, aut, max_degree=6))
+        tail = data.draw(_polys(domain, aut, max_degree=3))
+        lc = data.draw(_coeffs(domain, units=True))
+        k = data.draw(st.integers(0, 3))
+        g = tail + SkewPoly.x_power(domain, aut, k + tail.degree + 1, lc)
+        quo, rem = right_divide(f, g)
+        assert skew_mul(quo, g) + rem == f
+        assert rem.is_zero() or rem.degree < g.degree
