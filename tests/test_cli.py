@@ -449,13 +449,17 @@ def test_closed_stdout_exits_quietly(tmp_path):
     matrix.write_text(json.dumps([{"p": 3, "m": 2, "i": 1, "n": 1}]))
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skewcyclic.cli", "verify", "--matrix", str(matrix)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    proc.stdout.close()  # no reader: the first write fails with EPIPE
-    _, err = proc.communicate(timeout=120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start: the first write fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewcyclic.cli", "verify", "--matrix", str(matrix)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
     assert proc.returncode == 1
-    assert err == b""
+    assert proc.stderr == b""
