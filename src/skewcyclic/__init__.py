@@ -35,7 +35,6 @@ from .codes import (
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,
-    decompose,
     skew_shift,
 )
 from .oracle import (

@@ -2,8 +2,9 @@
 
 Subcommands: field check, factor, code build|dual|gray|matrix|distance|
 idempotent|contains, census, verify. Every JSON output embeds the code
-description block, so results can be re-fed to other subcommands. All
-sampling is seeded; given the same flags and seed, output is identical.
+description block, so results can be re-fed to other subcommands. Only
+``verify`` samples, from its ``--seed``; given the same flags, output is
+identical.
 
 Exit codes: 0 success, 1 failed verification, violated precondition or
 stdout closed early (for example by ``| head``), 2 malformed configuration.
@@ -234,11 +235,11 @@ def cmd_code(args) -> int:
         _emit(payload, lines, args.format)
         return 0
     if action == "matrix":
-        mat = code.generator_matrix()
+        rows = code.generator_rows()
         payload = _code_payload(code)
-        payload["generator_matrix"] = [[str(x) for x in row] for row in mat.rows]
-        lines = [f"generator matrix over R ({len(mat.rows)} rows):"]
-        for row in mat.rows:
+        payload["generator_matrix"] = [[str(x) for x in row] for row in rows]
+        lines = [f"generator matrix over R ({len(rows)} rows):"]
+        for row in rows:
             lines.append("  " + "  ".join(str(x) for x in row))
         _emit(payload, lines, args.format)
         return 0
@@ -396,7 +397,6 @@ def _add_common(sp, with_n=True):
     sp.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the suite on a deliberately corrupted code "
         "(must fail, demonstrating witnesses)",
     )
-    sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(func=cmd_verify)
     return parser
 

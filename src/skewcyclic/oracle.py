@@ -18,9 +18,8 @@ itself one of the verified claims. Only the minimum distance is
 enumerated, one coordinate-class block of the Gray image at a time.
 
 ``oracle_code_enumerate`` still lists codewords, for tests at desk size:
-it closes the rows of a component code under addition, scalar action and
-the skew shift, and takes the product of the component closures for a
-code over R.
+it lists the F_q-span of the same shift-closed basis that the
+``shift-closure`` claim builds, through the Gray image for a code over R.
 """
 
 from __future__ import annotations
@@ -39,11 +38,12 @@ from .codes import (
     _poly_to_row,
     _unchecked_component_code,
     census,
-    code_from_components,
+    code_from_combined,
     code_to_json,
     component_code_new,
+    skew_shift,
 )
-from .finite_field import EnumerationTooLarge, Field
+from .finite_field import Field
 from .ring_r import (
     RingElem,
     gray_inverse,
@@ -167,108 +167,6 @@ def _code_config(code) -> dict:
             "g": poly_to_string(code.g),
         }
     return code_to_json(code)
-
-
-# ---------------------------------------------------------------------------
-# ground-truth codeword enumeration (no division anywhere)
-
-
-def _module_closure(gen_rows, basis_scale, add, shift, zero, bound: int):
-    """Smallest set containing the rows, closed under addition, scalar
-    action and the skew shift.
-
-    Scalar closure comes for free from additive closure of the
-    additive-basis multiples of the generators. The span grows one seed at
-    a time: a seed s outside the span W adds w + k*s for every w in W and
-    k = 1..p-1, so each new word costs one addition and the span is
-    refused as soon as its size would pass ``bound``. Shifted words
-    escaping the current span are fed back as new generators until the
-    fixed point. Returns (words, first_span_shift_closed).
-    """
-    if bound < 1:
-        raise EnumerationTooLarge(f"closure exceeded bound {bound}")
-    words = {zero}
-    order = [zero]
-
-    def grow(gens):
-        for g in gens:
-            for s in basis_scale(g):
-                if s in words:
-                    continue
-                multiples = []  # s, 2s, ..., (p-1)s
-                ks = s
-                while ks != zero:
-                    multiples.append(ks)
-                    ks = add(ks, s)
-                if len(order) * (len(multiples) + 1) > bound:
-                    raise EnumerationTooLarge(f"closure exceeded bound {bound}")
-                new = [add(w, sk) for sk in multiples for w in order]
-                order.extend(new)
-                words.update(new)
-
-    grow(gen_rows)
-    shift_ok = None
-    while True:
-        escaped = []
-        seen = set()
-        for w in words:
-            sw = shift(w)
-            if sw not in words and sw not in seen:
-                escaped.append(sw)
-                seen.add(sw)
-        if shift_ok is None:
-            shift_ok = not escaped
-        if not escaped:
-            return words, shift_ok
-        grow(escaped)
-
-
-def _component_closure_idx(code: ComponentCode, bound: int):
-    """Integer-lane closure of a component code; words are index tuples."""
-    fld = code.field
-    t = fld.tables()
-    frob = fld.frob_table(code.aut)
-    add, mul = t.add, t.mul
-    rows = [tuple(fld.index(x) for x in row) for row in code.generator_rows()]
-    # additive basis 1, w, ..., w^{m-1}
-    basis = []
-    b = fld.one
-    for _ in range(fld.m):
-        basis.append(fld.index(b))
-        b = b * fld.gen if fld.m > 1 else b
-
-    def basis_scale(g):
-        return [tuple(mul[c][x] for x in g) for c in basis]
-
-    def add_w(x, y):
-        return tuple(add[a][b] for a, b in zip(x, y))
-
-    def shift_w(w):
-        return tuple(_twist_shift(w, frob))
-
-    zero = tuple([0] * code.n)
-    return _module_closure(rows, basis_scale, add_w, shift_w, zero, bound)
-
-
-def oracle_code_enumerate(code, bound: int = 10**4):
-    """All codewords, by closure of the generator rows; never uses division.
-
-    A code over R is eta1*C1 + eta2*C2 + eta3*C3, so its words are the
-    words whose splitting coordinates run over the product of the three
-    component closures (``gray-isometry`` checks the splitting itself).
-    """
-    fld = code.field
-    if isinstance(code, ComponentCode):
-        words, _ = _component_closure_idx(code, bound)
-        return {tuple(fld.from_index(a) for a in w) for w in words}
-    parts = [_component_closure_idx(c, bound)[0] for c in code.components]
-    if math.prod(map(len, parts)) > bound:
-        raise EnumerationTooLarge(f"closure exceeded bound {bound}")
-    q = fld.q
-    return {
-        tuple(ring_from_index(fld, a + q * b + q * q * c) for a, b, c in zip(*ws))
-        for ws in itertools.product(*parts)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +420,24 @@ def _shift_closure_basis(code) -> tuple[list[list[int]], bool]:
             rows.append(proj)
     n = code.n
     return _rank_closure(rows, lambda y: _deinterleaved_qc_shift(y, n, frob), fld)
+
+
+def oracle_code_enumerate(code, bound: int = 10**4):
+    """All codewords: the span of ``_shift_closure_basis``, refused past
+    ``bound``; never calls ``contains`` and never divides.
+
+    A code over R is listed through its Gray image and mapped back with
+    ``gray_inverse`` (``gray-isometry`` checks the splitting itself).
+    """
+    fld = code.field
+    basis, _ = _shift_closure_basis(code)
+    width = code.n if isinstance(code, ComponentCode) else 3 * code.n
+    # a zero row fixes the word length of the zero code
+    words = linalg.span_vectors(basis or [[0] * width], fld, bound)
+    elems = [fld.from_index(k) for k in range(fld.q)]
+    if isinstance(code, ComponentCode):
+        return {tuple(elems[a] for a in w) for w in words}
+    return {gray_inverse(fld, [elems[a] for a in w]) for w in words}
 
 
 def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
@@ -821,7 +737,8 @@ def verify_distance_law(
 
 
 def verify_idempotent_generators(code: SkewCyclicCode) -> VerdictReport:
-    """The Bezout idempotents exist, square to themselves and generate."""
+    """The Bezout idempotent e exists, e*e = e over R, and the Gray rows of
+    eta_j * (sigma-orbit of e) span the Gray image of the code."""
     from .codes import HypothesisViolated, NotCoprime
 
     cfg = _code_config(code)
@@ -835,18 +752,31 @@ def verify_idempotent_generators(code: SkewCyclicCode) -> VerdictReport:
         return VerdictReport(
             "idempotent-generator", cfg, "exhaustive", False, {"reason": str(exc)}
         )
-    sq = mod_xn_minus_1(skew_mul(e, e), code.n)
-    ok = sq == mod_xn_minus_1(e, code.n)
-    witness = None if ok else {"e": poly_to_string(e)}
+    fld, n = code.field, code.n
+    e_mod = mod_xn_minus_1(e, n)
+    idempotent = mod_xn_minus_1(skew_mul(e, e), n) == e_mod
+    orbit = [_poly_to_row(e_mod, n)]
+    for _ in range(1, n):
+        orbit.append(skew_shift(orbit[-1], code.aut))
+    rows = [
+        gray_map(tuple(eta * c for c in row))
+        for eta in make_idempotents(fld)
+        for row in orbit
+    ]
+    span_e = linalg.canonical_subspace(linalg.to_index_rows(rows, fld), fld)
+    span_c = linalg.canonical_subspace(linalg.to_index_rows(_gray_rows(code), fld), fld)
+    generates = span_e == span_c
+    ok = idempotent and generates
+    witness = None
+    if not ok:
+        witness = {"e": poly_to_string(e), "idempotent": idempotent, "generates": generates}
     return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, witness)
 
 
 def verify_decomposition(code: SkewCyclicCode) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly."""
-    from .codes import decompose
-
-    parts = decompose(code)
-    rebuilt = code_from_components(*parts)
+    rebuilt = code_from_combined(code.g_combined, code.n)
+    parts = rebuilt.components
     ok = parts == code.components and rebuilt == code
     witness = None
     if not ok:

@@ -167,7 +167,7 @@ def test_criterion_8_idempotent_generators(censuses):
     for code in censuses[5]:
         v = verify_idempotent_generators(code)
         assert v.passed and v.mode == "exhaustive"
-        e = code.idempotent_generator()  # internally re-verifies generation
+        e = code.idempotent_generator()  # each component re-verifies its e_j
         assert mod_xn_minus_1(skew_mul(e, e), 5) == mod_xn_minus_1(e, 5)
     _report(8, f"idempotent generators over {len(censuses[5])} codes at n = 5")
 

@@ -350,6 +350,24 @@ class TestVerifyCommand:
     def test_bad_flag_exits_2(self, capsys):
         assert main(["census", "--nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "check", "--field", FIELD, "--seed", "1"],
+            ["factor", "--field", FIELD, "--n", "5", "--seed", "1"],
+            ["code", "build", "--field", FIELD, "--n", "1",
+             "--g1", "1", "--g2", "1", "--g3", "1", "--seed", "1"],
+            ["census", "--field", FIELD, "--n", "1", "--seed", "1"],
+            ["verify", "--format", "table"],
+        ],
+        ids=["field-seed", "factor-seed", "code-seed", "census-seed", "verify-format"],
+    )
+    def test_options_that_did_nothing_exit_2(self, capsys, argv):
+        # nothing but verify samples, and verify only prints JSON lines
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
     def test_default_matrix_all_pass(self, capsys):
         """The default matrix (q = 9, n in 1, 3, 5) must pass end to end."""
         code, out, _ = run(capsys, "verify")

@@ -382,6 +382,27 @@ class TestIdempotentOracle:
         v = verify_idempotent_generators(broken_code(f9, 1, 5))
         assert not v.passed
 
+    @pytest.mark.parametrize(
+        "parts, idempotent, generates",
+        [(("e1", "1", "2"), False, True), (("1", "1", "1"), True, False)],
+    )
+    def test_wrong_combined_idempotent_fails(
+        self, f9, monkeypatch, parts, idempotent, generates
+    ):
+        # every component idempotent is right, so only the checks over R
+        # can see a wrong combination
+        c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
+        full = component_code_new(5, SkewPoly.one(f9, 1))
+        code = code_from_components(c1, full, full)
+        e1 = c1.idempotent_generator()
+        polys = [e1 if s == "e1" else poly_from_string(s, f9, 1) for s in parts]
+        bad = ring_skew_poly_combine(*polys)
+        monkeypatch.setattr(SkewCyclicCode, "idempotent_generator", lambda self: bad)
+        v = verify_idempotent_generators(code)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample["idempotent"] is idempotent
+        assert v.counterexample["generates"] is generates
+
 
 class TestHarness:
     def test_default_matrix_shape(self):
@@ -521,45 +542,47 @@ def _reference_closure(gen_rows, basis_scale, add, shift, zero, bound):
 
 
 class TestIncrementalClosure:
-    def _both(self, monkeypatch, closure_of, code, bound):
-        from skewcyclic import oracle
+    """``oracle_code_enumerate`` lists the same words as the word-by-word
+    closure of the generator rows, and refuses at the same bounds."""
+
+    @staticmethod
+    def _both(code, bound):
         from skewcyclic.finite_field import EnumerationTooLarge
 
+        reference = (
+            _reference_component_closure
+            if isinstance(code, ComponentCode)
+            else _reference_ring_closure
+        )
         results = []
-        for impl in (oracle._module_closure, _reference_closure):
-            monkeypatch.setattr(oracle, "_module_closure", impl)
+        for enumerate_words in (oracle_code_enumerate, lambda c, b: reference(c, b)[0]):
             try:
-                words, closed = closure_of(code, bound)[:2]
-                results.append((set(words), closed))
+                results.append(set(enumerate_words(code, bound)))
             except EnumerationTooLarge:
                 results.append("refused")
         return results
 
-    def test_equals_reference_on_census(self, f9, monkeypatch):
-        from skewcyclic.oracle import _component_closure_idx
-
+    def test_equals_reference_on_census(self, f9):
         for n in (1, 2, 3):
             comps = {c for code in census(n, f9, 1) for c in code.components}
             for comp in comps:
-                new, old = self._both(monkeypatch, _component_closure_idx, comp, 10**3)
+                new, old = self._both(comp, 10**3)
                 assert new == old, comp
 
-    def test_equals_reference_on_broken_controls(self, f9, monkeypatch):
-        from skewcyclic.oracle import _component_closure_idx
+    def test_equals_reference_on_broken_controls(self, f9):
+        for code in (broken_component_code(f9, 1, 3), broken_code(f9, 1, 3)):
+            new, old = self._both(code, 10**4)
+            assert new == old, code
+            # the closure is larger than the span of the generator rows
+            assert len(new) > code.size
 
-        comp = broken_component_code(f9, 1, 3)
-        new, old = self._both(monkeypatch, _component_closure_idx, comp, 10**4)
-        assert new == old and new[1] is False
-
-    def test_refuses_at_the_same_sizes(self, f9, monkeypatch):
-        from skewcyclic.oracle import _component_closure_idx
-
-        comp = broken_component_code(f9, 1, 3)
-        size = len(_component_closure_idx(comp, 10**4)[0])
-        for bound in (0, 1, size - 1, size):
-            new, old = self._both(monkeypatch, _component_closure_idx, comp, bound)
-            assert new == old
-            assert (new == "refused") == (bound < size)
+    def test_refuses_at_the_same_sizes(self, f9):
+        for code in (broken_component_code(f9, 1, 3), broken_code(f9, 1, 3)):
+            size = len(oracle_code_enumerate(code, 10**4))
+            for bound in (0, 1, size - 1, size):
+                new, old = self._both(code, bound)
+                assert new == old, (code, bound)
+                assert (new == "refused") == (bound < size)
 
 
 def _reference_ring_closure(code, bound):
@@ -641,6 +664,7 @@ class TestRankClaimsAgainstEnumeration:
             words, closed = reference(code, 10**4)
             basis, rank_closed = _shift_closure_basis(code)
             assert (len(words), closed) == (9 ** len(basis), rank_closed), code
+            assert oracle_code_enumerate(code) == words, code
             checked += 1
         assert checked >= 150
 
