@@ -44,6 +44,13 @@ class CliConfigError(Exception):
     pass
 
 
+def _reject_lone_dashes(args) -> None:
+    """argparse turns a lone ``--`` option value (``--word=--``) into []."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise CliConfigError(f"bad {name.replace('_', '-')} '--'")
+
+
 def _parse_field(args) -> Field:
     if not args.field:
         raise CliConfigError("--field is required (e.g. p=3,m=2,mod=1,0,1)")
@@ -461,6 +468,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _reject_lone_dashes(args)
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return rc

@@ -24,13 +24,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .finite_field import EnumerationTooLarge, Field, FieldElem
-from .ring_r import (
-    Idempotents,
-    RingElem,
-    crt_split,
-    make_idempotents,
-)
+from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldMismatch
+from .ring_r import Idempotents, RingElem, make_idempotents
 from .skew_poly import (
     AutMismatch,
     SkewPoly,
@@ -101,10 +96,12 @@ class ComponentCode:
     by g and raises ``NotRightDivisor`` on a nonzero remainder, so every
     instance satisfies h*g = x^n - 1. The minimum distance is computed on
     first request and kept (``_distance``); codes that share a component
-    share the enumeration.
+    share the enumeration. So are the right remainders x^t mod g for
+    deg g <= t < n that ``contains`` reads (``_remainder_cols``, stored
+    column by column: entry [k][t - deg g] is the coefficient of x^k).
     """
 
-    __slots__ = ("n", "g", "h", "field", "aut", "_distance")
+    __slots__ = ("n", "g", "h", "field", "aut", "_distance", "_remainder_cols")
 
     def __init__(self, n: int, g: SkewPoly):
         h, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
@@ -121,6 +118,7 @@ class ComponentCode:
         object.__setattr__(self, "field", g.field)
         object.__setattr__(self, "aut", g.aut)
         object.__setattr__(self, "_distance", None)
+        object.__setattr__(self, "_remainder_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -148,21 +146,54 @@ class ComponentCode:
             rows.append(tuple(row))
         return rows
 
-    def _word_to_poly(self, word) -> SkewPoly:
+    def _coefficients(self, word) -> Sequence[FieldElem]:
+        """The n coefficients of a word (a sequence or a ``SkewPoly``), validated."""
         if isinstance(word, SkewPoly):
             if word.degree >= self.n:
                 raise LengthMismatch(f"degree {word.degree} >= n = {self.n}")
-            return word
+            self.g._check_compat(word)
+            return word.padded(self.n)
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
-        return SkewPoly(self.field, list(word), self.aut)
+        field = self.field
+        for x in word:
+            if not isinstance(x, FieldElem) or (x.field is not field and x.field != field):
+                raise FieldMismatch(f"word coordinate {x!r} is not in {field!r}")
+        return word
+
+    def _remainder_columns(self) -> tuple:
+        """``_remainder_cols``, filled on first use by one ``right_divide`` per t."""
+        cols = self._remainder_cols
+        if cols is None:
+            d = self.g.degree
+            rems = [
+                right_divide(SkewPoly.x_power(self.field, self.aut, t), self.g)
+                .remainder.padded(d)
+                for t in range(d, self.n)
+            ]
+            cols = tuple(tuple(rem[k] for rem in rems) for k in range(d))
+            object.__setattr__(self, "_remainder_cols", cols)
+        return cols
 
     def contains(self, word) -> bool:
-        """Membership: zero right remainder on division by g."""
-        f = self._word_to_poly(word)
-        if self.g.degree == 0:
-            return True
-        return right_divide(f, self.g).remainder.is_zero()
+        """Membership: zero right remainder on division by g.
+
+        The remainder is left F_q-linear in the word: with d = deg g it is
+        word[:d] + sum over t >= d of word_t * (x^t mod g). Each coefficient
+        of x^k is summed over the nonzero word_t and tested in turn.
+        """
+        coeffs = self._coefficients(word)
+        d = self.g.degree
+        cols = self._remainder_columns()
+        high = [(t, c) for t, c in enumerate(coeffs[d:]) if not c.is_zero()]
+        for k in range(d):
+            col = cols[k]
+            s = coeffs[k]
+            for t, c in high:
+                s = s + c * col[t]
+            if not s.is_zero():
+                return False
+        return True
 
     def reciprocal_cofactor(self) -> SkewPoly:
         """h~ = h_{n-r} + theta(h_{n-r-1}) x + ... + theta^{n-r}(h_0) x^{n-r}.
@@ -334,20 +365,20 @@ class SkewCyclicCode:
                 rows.append(tuple(row))
         return rows
 
-    def component_words(self, word: Sequence[RingElem]):
-        """Split a word over R into its three coordinatewise field words."""
-        triples = [crt_split(r) for r in word]
-        return tuple(tuple(t[k] for t in triples) for k in range(3))
-
     def contains(self, word) -> bool:
-        """Membership via the splitting: three right-remainder tests over F_q."""
+        """Membership via the splitting: the coordinate words (x1), (x2),
+        (x3) that the word's ``RingElem``s store lie in C1, C2 and C3."""
         if isinstance(word, SkewPoly):
+            self.g_combined._check_compat(word)
             word = _poly_to_row(word, self.n)
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
-        w1, w2, w3 = self.component_words(word)
+        if not all(isinstance(r, RingElem) for r in word):
+            raise FieldMismatch("word coordinates must be elements of R")
         return (
-            self.c1.contains(w1) and self.c2.contains(w2) and self.c3.contains(w3)
+            self.c1.contains([r.x1 for r in word])
+            and self.c2.contains([r.x2 for r in word])
+            and self.c3.contains([r.x3 for r in word])
         )
 
     def dual(self) -> SkewCyclicCode:

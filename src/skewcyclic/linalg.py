@@ -100,15 +100,25 @@ def canonical_subspace(rows: Sequence[Sequence[int]], field: Field) -> tuple:
 
 
 def span_vectors(
-    rows: Sequence[Sequence[int]], field: Field, bound: int = 10**4
+    rows: Sequence[Sequence[int]],
+    field: Field,
+    bound: int = 10**4,
+    ncols: int | None = None,
 ) -> set[tuple[int, ...]]:
-    """The full row span as a set of index tuples (small spaces only)."""
+    """The full row span as a set of index tuples (small spaces only).
+
+    ``ncols`` is required when there are no rows (the span is then the
+    zero word of that length).
+    """
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty matrix")
     t = field.tables()
     basis = rref(rows, field)
     size = field.q ** len(basis)
     if size > bound:
         raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
-    ncols = len(rows[0]) if rows else 0
     scaled = [[[t.mul[c][x] for x in row] for c in range(field.q)] for row in basis]
     out = {tuple([0] * ncols)}
     words = [tuple([0] * ncols)]

@@ -114,6 +114,15 @@ class VerdictReport:
     mode: str  # "exhaustive" | "sampled" | "skipped"
     passed: bool
     counterexample: dict | None = None
+    # how many codes (or whole entries) the report covers: a single verdict
+    # counts itself by its mode, an aggregate sums its verdicts
+    checked: int | None = None
+    skipped: int | None = None
+
+    def __post_init__(self):
+        if self.checked is None:
+            left_out = self.mode == "skipped"
+            self.checked, self.skipped = int(not left_out), int(left_out)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -123,6 +132,8 @@ class VerdictReport:
                 "mode": self.mode,
                 "pass": self.passed,
                 "counterexample": self.counterexample,
+                "checked": self.checked,
+                "skipped": self.skipped,
             },
             sort_keys=True,
         )
@@ -432,8 +443,7 @@ def oracle_code_enumerate(code, bound: int = 10**4):
     fld = code.field
     basis, _ = _shift_closure_basis(code)
     width = code.n if isinstance(code, ComponentCode) else 3 * code.n
-    # a zero row fixes the word length of the zero code
-    words = linalg.span_vectors(basis or [[0] * width], fld, bound)
+    words = linalg.span_vectors(basis, fld, bound, ncols=width)
     elems = [fld.from_index(k) for k in range(fld.q)]
     if isinstance(code, ComponentCode):
         return {tuple(elems[a] for a in w) for w in words}
@@ -888,10 +898,14 @@ def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> Verdi
         mode = "sampled"
     if verdicts and all(v.mode == "skipped" for v in verdicts):
         mode = "skipped"
+    counts = {
+        "checked": sum(v.checked for v in verdicts),
+        "skipped": sum(v.skipped for v in verdicts),
+    }
     for v in verdicts:
         if not v.passed:
-            return VerdictReport(claim, config, v.mode, False, v.counterexample)
-    return VerdictReport(claim, config, mode, True)
+            return VerdictReport(claim, config, v.mode, False, v.counterexample, **counts)
+    return VerdictReport(claim, config, mode, True, **counts)
 
 
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
@@ -906,10 +920,23 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     reports.append(verify_combined_uniqueness(codes, cfg))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
+    # codes too large for a shift-closure claim; kept apart so that the
+    # claims keep the order of their first checked code
+    left_out: dict[str, list[VerdictReport]] = {}
     block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
 
     def record(v: VerdictReport):
         per_code.setdefault(v.claim, []).append(v)
+
+    def closure(claim: str, target: SkewCyclicCode) -> None:
+        if target.size > entry.bounds.enumeration:
+            reason = f"code size {target.size} exceeds bound {entry.bounds.enumeration}"
+            left_out.setdefault(claim, []).append(
+                VerdictReport(claim, _code_config(target), "skipped", True, {"reason": reason})
+            )
+            return
+        v = verify_shift_closure(target, rng)
+        record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
     for code in codes:
         combined = _combined_generator_rows(code)
@@ -923,17 +950,11 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         record(
             verify_distance_law(code, entry.bounds.distance, combined, block_minima)
         )
-        if code.size <= entry.bounds.enumeration:
-            record(verify_shift_closure(code, rng))
-        dual = code.dual()
-        if dual.size <= entry.bounds.enumeration:
-            v = verify_shift_closure(dual, rng)
-            record(
-                VerdictReport(
-                    "dual-shift-closure", v.config, v.mode, v.passed, v.counterexample
-                )
-            )
+        closure("shift-closure", code)
+        closure("dual-shift-closure", code.dual())
     for claim, verdicts in per_code.items():
+        reports.append(_aggregate(claim, cfg, verdicts + left_out.pop(claim, [])))
+    for claim, verdicts in left_out.items():
         reports.append(_aggregate(claim, cfg, verdicts))
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2

@@ -384,11 +384,27 @@ CODE_N1 = ["--field", FIELD, "--n", "1", "--g1", "1", "--g2", "1", "--g3", "1"]
 
 class TestWordParsing:
     @pytest.mark.parametrize("action", ["gray", "contains"])
-    @pytest.mark.parametrize("word", ["1|0|0", "[1]|[0]", "[1,2,3]|[0]|[0]"])
+    @pytest.mark.parametrize("word", ["1|0|0", "[1]|[0]", "[1,2,3]|[0]|[0]", "--"])
     def test_garbage_word_exits_2(self, capsys, action, word):
-        code, out, err = run(capsys, "code", action, *CODE_N1, "--word", word)
+        # --word=-- reaches argparse as one token, which it turns into []
+        code, out, err = run(capsys, "code", action, *CODE_N1, f"--word={word}")
         assert code == 2 and out == ""
         assert err.startswith("configuration error: bad word")
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["code", "build", *CODE_N1[:4], "--g1=--", "--g2", "1", "--g3", "1"], "g1"),
+            (["code", "build", "--field=--", *CODE_N1[2:]], "field"),
+            (["code", "distance", *CODE_N1[:2], "--n=--", *CODE_N1[4:]], "n"),
+            (["census", *CODE_N1[:4], "--distance-bound=--"], "distance-bound"),
+            (["verify", "--seed=--"], "seed"),
+        ],
+    )
+    def test_lone_dashes_value_exits_2(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"configuration error: bad {option} '--'\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="[]|;,0123456789-x ", max_size=24) | st.text(max_size=12))

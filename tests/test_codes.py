@@ -1,8 +1,12 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewcyclic import codes
 from skewcyclic.codes import (
     ComponentCode,
     HypothesisViolated,
@@ -19,14 +23,18 @@ from skewcyclic.codes import (
     count_skew_cyclic_codes,
     skew_shift,
 )
-from skewcyclic.ring_r import RingElem, gray_map, ring_elem
+from skewcyclic.finite_field import Field, FieldMismatch
+from skewcyclic.oracle import broken_component_code, default_modulus
+from skewcyclic.ring_r import RingDomain, RingElem, gray_map, ring_elem
 from skewcyclic.skew_poly import (
     AutMismatch,
+    DomainMismatch,
     SkewPoly,
     brute_right_divisors,
     mod_xn_minus_1,
     monic_right_divisors,
     poly_from_string,
+    right_divide,
     ring_skew_poly_combine,
     skew_mul,
     xn_minus_1,
@@ -159,6 +167,179 @@ class TestMembership:
     def test_length_mismatch(self, f9, xw_code):
         with pytest.raises(LengthMismatch):
             xw_code.contains((f9.zero,))
+
+
+# ---------------------------------------------------------------------------
+# linear membership: contains(w) is the zero test of w's right remainder by g
+
+_F9 = Field(3, 2, [1, 0, 1])
+_F25 = Field(5, 2, [2, 0, 1])
+_F27 = Field(3, 3, [1, 2, 0, 1])
+_F81 = Field(3, 4, [2, 0, 0, 1, 1])
+KERNEL_FAMILIES = {
+    "F9-i1-n4": (_F9, 1, 4),
+    "F9-i1-n5": (_F9, 1, 5),
+    "F25-i1-n4": (_F25, 1, 4),
+    "F27-i1-n2": (_F27, 1, 2),
+    "F27-i1-n4": (_F27, 1, 4),
+    "F81-i1-n3": (_F81, 1, 3),
+    "F81-i2-n5": (_F81, 2, 5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_components(name):
+    """Every divisor's code of the family, then the oracle's broken component."""
+    fld, i, n = KERNEL_FAMILIES[name]
+    comps = [component_code_new(n, g) for g in monic_right_divisors(n, fld, i)]
+    return comps + [broken_component_code(fld, i, n)]
+
+
+def _remainder_is_zero(comp, word) -> bool:
+    return right_divide(SkewPoly(comp.field, word, comp.aut), comp.g).remainder.is_zero()
+
+
+def _draw_word(data, comp):
+    """A uniform word, or a random F_q-combination of the generator rows."""
+    fld, n = comp.field, comp.n
+    coeff = st.integers(0, fld.q - 1).map(fld.from_index)
+    if data.draw(st.booleans()):
+        return tuple(data.draw(st.lists(coeff, min_size=n, max_size=n)))
+    word = [fld.zero] * n
+    for row in comp.generator_rows():
+        c = data.draw(coeff)
+        word = [w + c * x for w, x in zip(word, row)]
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
+class TestLinearMembership:
+    def test_families_hold_both_extreme_divisors(self, name):
+        fld, i, n = KERNEL_FAMILIES[name]
+        gs = [c.g for c in _kernel_components(name)]
+        assert SkewPoly.one(fld, i) in gs and xn_minus_1(fld, i, n) in gs
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_contains_is_zero_remainder(self, name, data):
+        for comp in _kernel_components(name):
+            word = _draw_word(data, comp)
+            expected = _remainder_is_zero(comp, word)
+            assert comp.contains(word) is expected
+            poly = SkewPoly(comp.field, word, comp.aut)
+            assert comp.contains(poly) is expected
+            assert comp.contains(list(word)) is expected
+
+
+class TestLinearMembershipKernel:
+    def test_field_past_table_limit(self):
+        fld = Field(3, 8, default_modulus(3, 8))
+        assert fld.q == 6561
+        rng = random.Random(6561)
+        answers = set()
+        for g in monic_right_divisors(5, fld, 4):
+            comp = component_code_new(5, g)
+            uniform = tuple(fld.from_index(rng.randrange(fld.q)) for _ in range(5))
+            encoded = [fld.zero] * 5
+            for row in comp.generator_rows():
+                c = fld.from_index(rng.randrange(fld.q))
+                encoded = [w + c * x for w, x in zip(encoded, row)]
+            for word in (uniform, tuple(encoded)):
+                expected = _remainder_is_zero(comp, word)
+                assert comp.contains(word) is expected
+                answers.add(expected)
+        assert answers == {True, False}
+        assert fld._tables is None
+
+    def test_length_mismatch(self, f9):
+        for comp in _kernel_components("F9-i1-n5"):
+            with pytest.raises(LengthMismatch):
+                comp.contains((f9.zero,) * 4)
+            with pytest.raises(LengthMismatch):
+                comp.contains(SkewPoly.x_power(f9, 1, 5))
+
+    def test_polynomial_word_of_another_ring(self, f9, f25):
+        for comp in _kernel_components("F81-i1-n3"):
+            with pytest.raises(AutMismatch):
+                comp.contains(SkewPoly.x_power(_F81, 2, 1))
+        for comp in _kernel_components("F9-i1-n5"):
+            for domain in (f25, RingDomain(f9)):
+                for word in (SkewPoly.zero(domain, 1), SkewPoly.x_power(domain, 1, 2)):
+                    with pytest.raises(DomainMismatch):
+                        comp.contains(word)
+
+    def test_word_over_another_field(self, f25):
+        foreign = [
+            (f25.zero,) * 5,  # all zero: no arithmetic would catch it
+            (f25.one,) + (f25.zero,) * 4,
+            (0, 0, 0, 0, 0),
+        ]
+        for comp in _kernel_components("F9-i1-n5"):
+            for word in foreign:
+                with pytest.raises(FieldMismatch):
+                    comp.contains(word)
+
+    def test_ring_word_over_another_field(self, f9, f25):
+        code = census(5, f9, 1)[0]
+        zero25 = RingElem(f25.zero, f25.zero, f25.zero)
+        for word in ((zero25,) * 5, (f9.zero,) * 5):
+            with pytest.raises(FieldMismatch):
+                code.contains(word)
+        with pytest.raises(DomainMismatch):
+            code.contains(SkewPoly.zero(f9, 1))
+
+    def test_ring_code_matches_gray_span(self, f9):
+        rng = random.Random(93)
+        elems = f9.elements()
+        for code in census(3, f9, 1):
+            rows = linalg.to_index_rows(_gray_mapped_rows(code), f9)
+            rank = linalg.rank(rows, f9)
+            encoded = [RingElem(f9.zero, f9.zero, f9.zero)] * 3
+            for row in code.generator_rows():
+                c = RingElem(*(rng.choice(elems) for _ in range(3)))
+                encoded = [w + c * x for w, x in zip(encoded, row)]
+            uniform = [RingElem(*(rng.choice(elems) for _ in range(3))) for _ in range(3)]
+            for word in (tuple(encoded), tuple(uniform)):
+                image = linalg.to_index_rows([gray_map(word)], f9)
+                expected = linalg.rank(rows + image, f9) == rank
+                assert code.contains(word) is expected
+                poly = SkewPoly(RingDomain(f9), word, 1)
+                assert code.contains(poly) is expected
+
+    def test_remainders_divided_once_on_first_use(self, f9, monkeypatch):
+        calls = []
+        divide = codes.right_divide
+
+        def counting(f, g):
+            calls.append(g)
+            return divide(f, g)
+
+        monkeypatch.setattr(codes, "right_divide", counting)
+        divisors = monic_right_divisors(5, f9, 1)
+        comps = [component_code_new(5, g) for g in divisors]
+        all_codes = census(5, f9, 1)
+        # construction divides only for the cofactors, never for remainders
+        assert len(calls) == 2 * len(divisors)
+        assert all(c._remainder_cols is None for c in comps)
+        zero = (f9.zero,) * 5
+        for comp in comps:
+            calls.clear()
+            comp.contains(zero)
+            assert len(calls) == comp.n - comp.g.degree
+            assert all(g is comp.g for g in calls)
+            calls.clear()
+            for row in comp.generator_rows():
+                comp.contains(row)
+            comp.contains(SkewPoly.x_power(f9, 1, 4))
+            assert calls == []
+        calls.clear()
+        code = all_codes[-1]
+        ring_zero = (RingElem(f9.zero, f9.zero, f9.zero),) * 5
+        assert code.contains(ring_zero)
+        distinct = {id(c): c for c in code.components}.values()
+        assert len(calls) == sum(5 - c.g.degree for c in distinct)
+        calls.clear()
+        assert code.contains(ring_zero) and calls == []
 
 
 class TestSkewShift:

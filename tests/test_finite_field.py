@@ -397,3 +397,15 @@ def test_field_laws_on_interned_elements(args):
         x * y, x + y, x - y, -x, x.frob(1)
     )
     assert twin._tables is None
+
+
+_ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(_ODD_PRIMES), m=st.integers(1, 4))
+def test_field_spec_text_roundtrip(p, m):
+    from skewcyclic.oracle import default_modulus
+
+    fld = Field(p, m, default_modulus(p, m))
+    assert field_from_string(fld.spec_string()) == fld

@@ -73,6 +73,13 @@ class TestSpan:
         assert tuple([0, 0, 0]) in span
         assert tuple(rows[0]) in span
 
+    def test_span_of_no_rows_needs_a_length(self, f9):
+        assert linalg.span_vectors([], f9, ncols=3) == {(0, 0, 0)}
+        with pytest.raises(ValueError):
+            linalg.span_vectors([], f9)
+        # rows fix the length, as in nullspace
+        assert linalg.span_vectors([[0, 0]], f9, ncols=3) == {(0, 0)}
+
     def test_span_bound(self, f9):
         with pytest.raises(EnumerationTooLarge):
             linalg.span_vectors([[1, 0], [0, 1]], f9, bound=80)

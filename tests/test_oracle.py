@@ -196,6 +196,21 @@ class TestCensusOracle:
 
 
 class TestClosureOracle:
+    def test_remainder_rank_ignores_the_membership_memo(self, f9):
+        from skewcyclic.oracle import _remainder_rank
+
+        comp = component_code_new(5, poly_from_string("x-1", f9, 1))
+        comp.contains((f9.zero,) * 5)
+        assert comp._remainder_cols is not None
+        # a corrupt memo: x^t mod (x - 1) read as 0 instead of 1
+        object.__setattr__(comp, "_remainder_cols", ((f9.zero,) * 4,))
+        assert _remainder_rank(comp) == 1
+        # the oracle's own rank still holds, so the generators' rejection shows
+        v = verify_shift_closure(comp)
+        assert not v.passed
+        assert v.counterexample["membership_kernel_size"] == 9**4
+        assert v.counterexample["generators_pass_membership"] is False
+
     def test_passes_on_valid_code(self, mixed_code):
         v = verify_shift_closure(mixed_code)
         assert v.passed and v.mode == "exhaustive"
@@ -426,6 +441,44 @@ class TestHarness:
 
     def test_empty_matrix(self):
         assert verify_all([]) == []
+
+    def test_codes_past_the_enumeration_bound_count_as_skipped(self, monkeypatch):
+        from skewcyclic import oracle
+
+        seen = {}
+        aggregate = oracle._aggregate
+
+        def capturing(claim, config, verdicts):
+            seen[claim] = list(verdicts)
+            return aggregate(claim, config, verdicts)
+
+        monkeypatch.setattr(oracle, "_aggregate", capturing)
+        # n = 1 over F_9: code sizes 9^dim for dim 0..3, one code of size 729
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1, bounds=Bounds(enumeration=100))
+        reports = {r.claim: r for r in verify_entry(entry)}
+        for claim in ("shift-closure", "dual-shift-closure"):
+            r = reports[claim]
+            assert (r.mode, r.passed, r.checked, r.skipped) == ("exhaustive", True, 7, 1)
+            left_out = [v for v in seen[claim] if v.mode == "skipped"]
+            assert [v.counterexample for v in left_out] == [
+                {"reason": "code size 729 exceeds bound 100"}
+            ]
+            parsed = json.loads(r.to_json())
+            assert (parsed["checked"], parsed["skipped"]) == (7, 1)
+        for claim, codes_checked in (("cardinality-rank", 8), ("gray-isometry", 1)):
+            r = reports[claim]
+            assert (r.checked, r.skipped) == (codes_checked, 0)
+
+    def test_failed_aggregate_keeps_counts(self, f9):
+        from skewcyclic.oracle import _aggregate
+
+        verdicts = [
+            VerdictReport("c", {}, "exhaustive", True),
+            VerdictReport("c", {}, "skipped", True, {"reason": "r"}),
+            VerdictReport("c", {}, "exhaustive", False, {"w": 1}),
+        ]
+        r = _aggregate("c", {}, verdicts)
+        assert (r.passed, r.counterexample, r.checked, r.skipped) == (False, {"w": 1}, 2, 1)
 
     def test_inject_broken_produces_failing_verdict(self):
         reports = verify_all(
@@ -692,7 +745,7 @@ class TestRankClaimsAgainstEnumeration:
             if code.size > 10**3:
                 continue
             rows = linalg.to_index_rows(_gray_rows(code), f9)
-            span = linalg.span_vectors(rows, f9, 10**3) if rows else {(0,) * (3 * code.n)}
+            span = linalg.span_vectors(rows, f9, 10**3, ncols=3 * code.n)
             frob = f9.frob_table(code.aut)
             flags = [
                 all(tuple(shift(y, code.n, frob)) in span for y in span)

@@ -531,3 +531,21 @@ class TestSkewRingLaws:
         quo, rem = right_divide(f, g)
         assert skew_mul(quo, g) + rem == f
         assert rem.is_zero() or rem.degree < g.degree
+
+
+# ---------------------------------------------------------------------------
+# text round-trips: what poly_to_string prints, the parsers read back
+
+
+@pytest.mark.parametrize("domain,aut", [(_F9, 1), (_F81, 2)], ids=["F9-i1", "F81-i2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_poly_text_roundtrip(domain, aut, data):
+    f = data.draw(_polys(domain, aut, max_degree=6))
+    assert poly_from_string(poly_to_string(f), domain, aut) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_polys(RingDomain(_F9), 1, max_degree=6))
+def test_ring_poly_text_roundtrip(f):
+    assert ring_poly_from_string(poly_to_string(f), _F9, 1) == f
