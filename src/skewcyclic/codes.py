@@ -15,7 +15,9 @@ normalized monic. Idempotent generators exist when n is coprime to both q
 and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
 fixed subfield.
 
-Code objects are immutable after construction.
+Code objects are immutable after construction. What they derive (dual,
+idempotent generator, generator rows, distance, remainders) is built on
+first request and kept on the object, so it is freed with the code.
 """
 
 from __future__ import annotations
@@ -99,9 +101,15 @@ class ComponentCode:
     share the enumeration. So are the right remainders x^t mod g for
     deg g <= t < n that ``contains`` reads (``_remainder_cols``, stored
     column by column: entry [k][t - deg g] is the coefficient of x^k).
+    The dual code (``_dual``) and the idempotent generator
+    (``_idempotent``) are likewise built on first request and kept; a
+    failed construction is not kept.
     """
 
-    __slots__ = ("n", "g", "h", "field", "aut", "_distance", "_remainder_cols")
+    __slots__ = (
+        "n", "g", "h", "field", "aut",
+        "_distance", "_remainder_cols", "_dual", "_idempotent",
+    )
 
     def __init__(self, n: int, g: SkewPoly):
         h, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
@@ -119,6 +127,8 @@ class ComponentCode:
         object.__setattr__(self, "aut", g.aut)
         object.__setattr__(self, "_distance", None)
         object.__setattr__(self, "_remainder_cols", None)
+        object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_idempotent", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -206,11 +216,21 @@ class ComponentCode:
         return SkewPoly(self.field, coeffs, self.aut)
 
     def dual(self) -> ComponentCode:
-        """The orthogonal code, generated by the monic normalization of h~."""
-        if self.g.degree == self.n:
-            # zero code: h = 1 and the index formula degenerates, dual is everything
-            return component_code_new(self.n, SkewPoly.one(self.field, self.aut))
-        return component_code_new(self.n, self.reciprocal_cofactor().monic())
+        """The orthogonal code, generated by the monic normalization of h~.
+
+        Built on the first call and kept in ``_dual``. The dual's own
+        ``_dual`` starts empty, so its dual is rebuilt from its cofactor.
+        """
+        dual = self._dual
+        if dual is None:
+            if self.g.degree == self.n:
+                # zero code: h = 1 and the index formula degenerates, dual is everything
+                g = SkewPoly.one(self.field, self.aut)
+            else:
+                g = self.reciprocal_cofactor().monic()
+            dual = component_code_new(self.n, g)
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
     def min_hamming_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
         """Minimum nonzero weight, by enumerating the q^dim codewords once.
@@ -232,9 +252,12 @@ class ComponentCode:
         """e with e*e = e mod x^n - 1 and <e> = <g>, via the Bezout identity.
 
         Requires n coprime to q and to the automorphism order. Both
-        postconditions are re-verified before returning; ``_generates``
-        runs every orbit row through ``contains``.
+        postconditions are re-verified before e is kept in ``_idempotent``;
+        ``_generates`` runs every orbit row through ``contains``. A failure
+        raises on every call.
         """
+        if self._idempotent is not None:
+            return self._idempotent
         t_i = self.field.m // self.aut
         if math.gcd(self.n, self.field.q) != 1 or math.gcd(self.n, t_i) != 1:
             raise HypothesisViolated(
@@ -249,6 +272,7 @@ class ComponentCode:
             raise AssertionError("constructed generator is not idempotent")
         if not self._generates(e):
             raise AssertionError("idempotent does not generate the code")
+        object.__setattr__(self, "_idempotent", e)
         return e
 
     def _generates(self, e: SkewPoly) -> bool:
@@ -306,9 +330,13 @@ def _unchecked_component_code(n: int, g: SkewPoly) -> ComponentCode:
 
 
 class SkewCyclicCode:
-    """A skew cyclic code over R, as eta1*C1 + eta2*C2 + eta3*C3."""
+    """A skew cyclic code over R, as eta1*C1 + eta2*C2 + eta3*C3.
 
-    __slots__ = ("n", "c1", "c2", "c3", "g_combined", "field", "aut")
+    The dual code (``_dual``) and the R-level generator rows (``_rows``,
+    a tuple) are built on first request and kept.
+    """
+
+    __slots__ = ("n", "c1", "c2", "c3", "g_combined", "field", "aut", "_dual", "_rows")
 
     def __init__(self, c1: ComponentCode, c2: ComponentCode, c3: ComponentCode,
                  g_combined: SkewPoly):
@@ -319,6 +347,8 @@ class SkewCyclicCode:
         object.__setattr__(self, "g_combined", g_combined)
         object.__setattr__(self, "field", c1.field)
         object.__setattr__(self, "aut", c1.aut)
+        object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewCyclicCode is immutable")
@@ -342,13 +372,19 @@ class SkewCyclicCode:
         return make_idempotents(self.field)
 
     def generator_rows(self) -> list[tuple[RingElem, ...]]:
-        """The stacked rows eta_j * (rows of C_j), as vectors over R."""
-        etas = self.idempotents()
-        rows = []
-        for eta, comp in zip(etas, self.components):
-            for row in comp.generator_rows():
-                rows.append(tuple(eta.scale_field(x) for x in row))
-        return rows
+        """The stacked rows eta_j * (rows of C_j), as vectors over R.
+
+        Built once into ``_rows``; each call returns a new list.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = tuple(
+                tuple(eta.scale_field(x) for x in row)
+                for eta, comp in zip(self.idempotents(), self.components)
+                for row in comp.generator_rows()
+            )
+            object.__setattr__(self, "_rows", rows)
+        return list(rows)
 
     def gray_generator_rows(self) -> list[tuple[FieldElem, ...]]:
         """The Gray images of ``generator_rows()``, in the same order.
@@ -382,9 +418,12 @@ class SkewCyclicCode:
         )
 
     def dual(self) -> SkewCyclicCode:
-        return code_from_components(
-            self.c1.dual(), self.c2.dual(), self.c3.dual()
-        )
+        """eta1*C1^perp + eta2*C2^perp + eta3*C3^perp, built once into ``_dual``."""
+        dual = self._dual
+        if dual is None:
+            dual = code_from_components(self.c1.dual(), self.c2.dual(), self.c3.dual())
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
     def is_self_dual(self) -> bool:
         return all(c == c.dual() for c in self.components)
@@ -445,7 +484,7 @@ def code_from_components(
     if not (c1.aut == c2.aut == c3.aut):
         raise AutMismatch("component automorphisms differ")
     if not (c1.field == c2.field == c3.field):
-        raise LengthMismatch("component fields differ")
+        raise FieldMismatch("component fields differ")
     g = ring_skew_poly_combine(c1.g, c2.g, c3.g)
     return SkewCyclicCode(c1, c2, c3, g)
 

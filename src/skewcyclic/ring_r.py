@@ -263,9 +263,21 @@ def lee_weight(r) -> int:
 
 
 def lee_distance(x, y) -> int:
+    """lee_weight(x - y): the split coordinates where x and y differ.
+
+    Raises ``FieldMismatch`` for coordinates over different fields, as
+    their difference does, and ``ValueError`` for vectors of unequal
+    length.
+    """
     if isinstance(x, RingElem):
-        return lee_weight(x - y)
-    return sum(lee_weight(a - b) for a, b in zip(x, y, strict=True))
+        x, y = (x,), (y,)
+    d = 0
+    for a, b in zip(x, y, strict=True):
+        a1, b1 = a.x1, b.x1
+        if a1.field is not b1.field and a1.field != b1.field:
+            raise FieldMismatch("operands belong to different fields")
+        d += (a1.idx != b1.idx) + (a.x2.idx != b.x2.idx) + (a.x3.idx != b.x3.idx)
+    return d
 
 
 def hamming_distance(x: Sequence[FieldElem], y: Sequence[FieldElem]) -> int:

@@ -18,6 +18,8 @@ from skewcyclic.ring_r import ring_vector_from_string
 from skewcyclic.skew_poly import poly_from_string, ring_poly_from_string
 
 FIELD = "p=3,m=2,mod=1,0,1"
+DATA = Path(__file__).resolve().parent / "data"
+BENCH_MATRIX = Path(__file__).resolve().parents[1] / "bench" / "verify_matrix.json"
 
 
 def run(capsys, *argv):
@@ -91,6 +93,23 @@ class TestCodeCommand:
         payload = json.loads(out)
         assert payload["cardinality"] == 9**14
         assert payload["dims"] == [4, 5, 5]
+
+    def test_components_over_different_fields_exit_1(self, capsys, monkeypatch):
+        from skewcyclic import cli
+
+        f25 = field_from_string("p=5,m=2,mod=2,0,1")
+        build, built = cli.component_code_new, []
+
+        def second_over_f25(n, g):
+            if len(built) == 1:
+                g = poly_from_string("1", f25, 1)
+            built.append(build(n, g))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "component_code_new", second_over_f25)
+        code, out, err = run(capsys, *self.BUILD)
+        assert code == 1 and out == ""
+        assert err.startswith("error: FieldMismatch: component fields differ")
 
     def test_json_block_roundtrips_through_contains(self, capsys):
         _, out, _ = run(capsys, *self.BUILD)
@@ -367,6 +386,23 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["verify", "--seed", "0"], "verify_seed0.txt"),
+            (
+                ["verify", "--matrix", str(BENCH_MATRIX), "--seed", "101"],
+                "verify_bench_matrix_seed101.txt",
+            ),
+        ],
+        ids=["default-seed0", "bench-matrix-seed101"],
+    )
+    def test_seeded_output_is_reproduced(self, capsys, argv, golden):
+        # the recorded stdout pins every verdict, mode and count byte for byte
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()
 
     def test_default_matrix_all_pass(self, capsys):
         """The default matrix (q = 9, n in 1, 3, 5) must pass end to end."""

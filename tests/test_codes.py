@@ -12,6 +12,7 @@ from skewcyclic.codes import (
     HypothesisViolated,
     LengthMismatch,
     MinDistance,
+    NotCoprime,
     NotMonic,
     NotRightDivisor,
     census,
@@ -442,6 +443,12 @@ class TestRingCodeConstruction:
         with pytest.raises(AutMismatch):
             code_from_components(a, b, b)
 
+    def test_field_mismatch(self, f9, f25):
+        a = component_code_new(2, SkewPoly.one(f9, 1))
+        b = component_code_new(2, SkewPoly.one(f25, 1))
+        with pytest.raises(FieldMismatch, match="component fields differ"):
+            code_from_components(a, b, a)
+
     def test_from_combined_roundtrip(self, f9):
         c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
         c2 = component_code_new(5, SkewPoly.one(f9, 1))
@@ -535,6 +542,63 @@ class TestIdempotents:
         assert e1 == comps[0].idempotent_generator()
         assert e2 == SkewPoly.one(f9, 1)
         assert e3 == SkewPoly.one(f9, 1)
+
+
+class TestDerivedCodeMemos:
+    @pytest.mark.parametrize("g", ["x-1", "1", "1+x+x^2+x^3+x^4", "x^5-1"])
+    def test_component_dual_built_once(self, f9, g):
+        c = component_code_new(5, poly_from_string(g, f9, 1))
+        dual = c.dual()
+        assert c.dual() is dual
+        # the dual's own memo starts empty: the double dual is rebuilt
+        double = dual.dual()
+        assert double is not c and double == c
+        assert dual.dual() is double
+
+    def test_ring_code_dual_built_once(self, f9):
+        comps = [
+            component_code_new(5, poly_from_string(s, f9, 1))
+            for s in ("x-1", "1", "x^5-1")
+        ]
+        code = code_from_components(*comps)
+        dual = code.dual()
+        assert code.dual() is dual
+        assert all(d is c.dual() for d, c in zip(dual.components, comps))
+        double = dual.dual()
+        assert double is not code and double == code
+
+    def test_generator_rows_are_fresh_lists(self, f9, xw_code):
+        full = component_code_new(2, SkewPoly.one(f9, 1))
+        code = code_from_components(xw_code, full, full)
+        first, second = code.generator_rows(), code.generator_rows()
+        assert first == second and first is not second
+        first.append(first[0])
+        first[0] = None
+        assert code.generator_rows() == second
+        assert len(second) == code.dim
+
+    def test_idempotent_kept_after_checks(self, f9):
+        c = component_code_new(5, poly_from_string("x-1", f9, 1))
+        e = c.idempotent_generator()
+        assert c._idempotent is e and c.idempotent_generator() is e
+
+    def test_failed_idempotent_caches_nothing(self, f9, monkeypatch):
+        gated = component_code_new(3, poly_from_string("x-1", f9, 1))
+        broken = broken_component_code(f9, 1, 5)
+        for _ in range(2):
+            with pytest.raises(HypothesisViolated):
+                gated.idempotent_generator()  # gcd(3, 9) = 3
+            with pytest.raises((NotCoprime, AssertionError)):
+                broken.idempotent_generator()
+        assert gated._idempotent is None and broken._idempotent is None
+        c = component_code_new(5, poly_from_string("x-1", f9, 1))
+        with monkeypatch.context() as m:
+            m.setattr(ComponentCode, "_generates", lambda self, e: False)
+            for _ in range(2):
+                with pytest.raises(AssertionError, match="generate"):
+                    c.idempotent_generator()
+        assert c._idempotent is None
+        assert c.idempotent_generator() == poly_from_string("2+x+x^2+x^3+x^4", f9, 1)
 
 
 class TestCensus:

@@ -274,6 +274,17 @@ class TestMatrixAndDualityOracles:
         v = verify_duality(broken_code(f9, 1, 3))
         assert not v.passed and v.counterexample is not None
 
+    def test_duality_checks_what_the_memo_holds(self, f9):
+        c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
+        full = component_code_new(5, SkewPoly.one(f9, 1))
+        zero = component_code_new(5, xn_minus_1(f9, 1, 5))
+        code = code_from_components(c1, full, zero)
+        assert verify_duality(code_from_components(c1, full, zero)).passed
+        # <x - 1> has dimension 4; the full code is not orthogonal to it
+        object.__setattr__(c1, "_dual", full)
+        v = verify_duality(code)
+        assert not v.passed and "inner_product" in v.counterexample
+
     def test_dual_gray_commutation(self, mixed_code):
         assert verify_dual_gray_commutation(mixed_code).passed
 
@@ -430,6 +441,47 @@ class TestHarness:
         assert reports and all(r.passed for r in reports)
         claims = {r.claim for r in reports}
         assert "gray-isometry" in claims and "census-count" in claims
+
+    def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
+        from skewcyclic import codes
+
+        duals: dict[int, list] = {}  # id(component) -> [component, each dual() result]
+        built_by_dual, in_dual, egcd_on = [], [], []
+        new, dual, egcd = (
+            codes.component_code_new, ComponentCode.dual, codes.extended_gcd_commutative
+        )
+
+        def recording_new(n, g):
+            code = new(n, g)
+            if in_dual:
+                built_by_dual.append(code)
+            return code
+
+        def recording_dual(self):
+            in_dual.append(self)
+            try:
+                result = dual(self)
+            finally:
+                in_dual.pop()
+            duals.setdefault(id(self), [self]).append(result)
+            return result
+
+        def recording_egcd(g, h):
+            egcd_on.append(g)
+            return egcd(g, h)
+
+        monkeypatch.setattr(codes, "component_code_new", recording_new)
+        monkeypatch.setattr(ComponentCode, "dual", recording_dual)
+        monkeypatch.setattr(codes, "extended_gcd_commutative", recording_egcd)
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=5))
+        assert all(r.passed for r in reports)
+        # the 4 census components and their 4 duals (whose duals are the
+        # double duals): each asked many times, each dual built once
+        assert len(duals) == 8 and len(built_by_dual) == 8
+        assert all(all(d is got[1] for d in got[1:]) for got in duals.values())
+        assert {id(got[1]) for got in duals.values()} == {id(c) for c in built_by_dual}
+        # one Bezout construction per distinct census component
+        assert len(egcd_on) == 4 and len(set(egcd_on)) == 4
 
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))

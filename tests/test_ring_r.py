@@ -246,6 +246,59 @@ class TestLeeWeight:
                 )
 
 
+LEE_FIELDS = {
+    9: Field(3, 2, [1, 0, 1]),
+    25: Field(5, 2, [2, 0, 1]),
+    3**8: Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),  # past TABLE_LIMIT: no tables
+}
+
+
+def _word_pair(q):
+    idx = st.integers(0, q - 1)
+    word = st.lists(st.tuples(idx, idx, idx), min_size=0, max_size=4)
+    return st.tuples(st.just(q), word.flatmap(
+        lambda xs: st.tuples(
+            st.just(xs),
+            st.lists(st.tuples(idx, idx, idx), min_size=len(xs), max_size=len(xs)),
+            st.booleans(),
+        )
+    ))
+
+
+def _ring_word(fld, triples):
+    return tuple(crt_join(fld, [fld.from_index(k) for k in t]) for t in triples)
+
+
+class TestLeeDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(LEE_FIELDS)).flatmap(_word_pair))
+    def test_equals_weight_of_difference(self, args):
+        q, (xs, ys, twin) = args
+        fld = LEE_FIELDS[q]
+        # y over an equal but distinct Field counts as the same field
+        yfld = Field(fld.p, fld.m, fld.modulus) if twin else fld
+        x, y = _ring_word(fld, xs), _ring_word(yfld, ys)
+        assert lee_distance(x, y) == sum(lee_weight(a - b) for a, b in zip(x, y))
+        for a, b in zip(x, y):
+            assert lee_distance(a, b) == lee_weight(a - b)
+        assert LEE_FIELDS[3**8]._tables is None
+
+    def test_mixed_fields_raise(self, f9, f25):
+        zero9, zero25 = ring_elem(f9, 0), ring_elem(f25, 0)
+        one9 = ring_elem(f9, 1)
+        with pytest.raises(FieldMismatch):
+            lee_distance(zero9, zero25)
+        with pytest.raises(FieldMismatch):
+            lee_distance((one9, zero9), (one9, zero25))
+        with pytest.raises(FieldMismatch):
+            zero9 - zero25  # the difference it stands for raises the same way
+
+    def test_unequal_lengths_raise(self, f9):
+        one = ring_elem(f9, 1)
+        with pytest.raises(ValueError):
+            lee_distance((one, one), (one,))
+
+
 class TestRingTables:
     def test_tables_agree_with_objects(self, f3):
         rt = ring_tables(f3)
