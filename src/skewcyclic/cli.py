@@ -312,8 +312,8 @@ def cmd_census(args) -> int:
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
     # distance law: d_L(C) is the least Hamming distance of the nonzero
-    # components; the census shares component instances, and each
-    # enumerates its words once
+    # components; the census shares component instances, and each is
+    # enumerated once, on the smaller of itself and its dual
     rows = []
     for code in all_codes:
         dists = [
@@ -434,7 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g3", help="third component generator over F_q")
     sp.add_argument("--g", help="combined generator over R")
     sp.add_argument("--word", help="vector over R, semicolon-separated a|b|c elements")
-    sp.add_argument("--bound", type=int, default=10**6, help="enumeration bound")
+    sp.add_argument(
+        "--bound",
+        type=int,
+        default=10**6,
+        help="distance: refuse a component when the smaller of it and its "
+        "dual exceeds this many words",
+    )
     sp.set_defaults(func=cmd_code)
 
     sp = sub.add_parser("census", help="list every skew cyclic code of length n")
@@ -444,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--distance-bound",
         type=int,
         default=10**6,
-        help="skip distances above this enumeration size",
+        help="leave a distance empty when a component's smaller side (the "
+        "component or its dual) exceeds this many words",
     )
     sp.set_defaults(func=cmd_census)
 

@@ -233,18 +233,35 @@ class ComponentCode:
         return dual
 
     def min_hamming_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
-        """Minimum nonzero weight, by enumerating the q^dim codewords once.
+        """Minimum nonzero weight, enumerated on the smaller of C and C^perp.
 
-        Raises ``EnumerationTooLarge`` whenever q^dim exceeds ``bound``,
-        also when the value is already known.
+        With k = dim: if k <= n - k, the q^k codewords are enumerated
+        (``span_min_weight``). Otherwise the weight distribution of the
+        q^(n-k)-word ``dual()`` is enumerated and carried back by
+        ``linalg.macwilliams``; its postconditions, and a result of other
+        than q^k words, raise ``MacWilliamsError`` and keep nothing.
+        Raises ``EnumerationTooLarge`` whenever q^min(k, n - k) exceeds
+        ``bound``, also when the value is already known.
         """
         if self.is_zero_code():
             return MinDistance(0, True)
-        if self.size > bound:
-            raise EnumerationTooLarge(f"span size {self.size} exceeds bound {bound}")
+        k, n, fld = self.dim, self.n, self.field
+        size = fld.q ** min(k, n - k)
+        if size > bound:
+            raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
         if self._distance is None:
-            rows = linalg.to_index_rows(self.generator_rows(), self.field)
-            w = linalg.span_min_weight(rows, self.field, bound)
+            if k <= n - k:
+                rows = linalg.to_index_rows(self.generator_rows(), fld)
+                w = linalg.span_min_weight(rows, fld, bound)
+            else:
+                rows = linalg.to_index_rows(self.dual().generator_rows(), fld)
+                dual_weights = linalg.span_weight_distribution(rows, fld, bound, n)
+                weights = linalg.macwilliams(dual_weights, n, fld.q)
+                if sum(weights) != self.size:
+                    raise linalg.MacWilliamsError(
+                        f"the dual's weights carry to {sum(weights)} words, not {self.size}"
+                    )
+                w = next(j for j in range(1, n + 1) if weights[j])
             object.__setattr__(self, "_distance", w)
         return MinDistance(self._distance, False)
 

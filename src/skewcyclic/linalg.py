@@ -3,17 +3,19 @@
 Rows are lists of element indices (see Field.index); all elimination is
 table-driven and exact. The span enumerators expand F_q-vectors into
 base-p digit vectors so that bulk enumeration can run through numpy in
-chunks while staying exact integer arithmetic mod p.
+chunks while staying exact integer arithmetic mod p. ``macwilliams``
+carries a weight distribution to the dual code in exact integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .finite_field import EnumerationTooLarge, Field, FieldElem
+from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldError
 
 _BLOCK_BYTES = 1 << 22  # bytes of words per numpy block in span enumeration
 
@@ -153,25 +155,13 @@ def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def span_min_weight(
-    rows: Sequence[Sequence[int]], field: Field, bound: int = 10**6
-) -> int | None:
-    """Minimum Hamming weight over the nonzero vectors of the row span.
+def _projective_weights(basis: list[list[int]], field: Field):
+    """Hamming weights of the projective words of the span of an RREF basis.
 
-    Weight counts nonzero F_q coordinates. Returns None when the span is
-    the zero space. Exhaustive and exact; raises when the span is larger
-    than ``bound``.
-
-    Scaling a word does not change its weight, so only the words whose
-    first nonzero coefficient on the RREF basis is 1 are enumerated:
-    (q^k - 1)/(q - 1) of the q^k words.
+    The projective words are those whose first nonzero coefficient on the
+    basis is 1: (q^k - 1)/(q - 1) of the q^k words, one for each line of
+    the span. They are yielded as numpy arrays of weights, one per block.
     """
-    basis = rref(rows, field)
-    if not basis:
-        return None
-    size = field.q ** len(basis)
-    if size > bound:
-        raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
     p, m = field.p, field.m
     ncoords = len(basis[0])
     width = ncoords * m
@@ -189,7 +179,6 @@ def span_min_weight(
     inner = np.zeros((1, width), dtype=dtype)
     for row in zrows[k - inner_k :]:
         inner = ((inner[:, None, :] + digits * row) % p).reshape(-1, width)
-    best = None
     for lead in range(0, k, m):
         # coefficient 1 on basis row lead // m, 0 before it, anything after
         free = k - lead - m
@@ -202,11 +191,104 @@ def span_min_weight(
                 if c:
                     offset = (offset + c * row) % p
             words = (block + offset) % p
-            nz = words.reshape(len(words), ncoords, m).any(axis=2).sum(axis=1)
-            w = int(nz.min())
-            if best is None or w < best:
-                best = w
-    return best
+            yield words.reshape(len(words), ncoords, m).any(axis=2).sum(axis=1)
+
+
+def _refuse_span(basis: list[list[int]], field: Field, bound: int) -> None:
+    size = field.q ** len(basis)
+    if size > bound:
+        raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
+
+
+def span_min_weight(
+    rows: Sequence[Sequence[int]], field: Field, bound: int = 10**6
+) -> int | None:
+    """Minimum Hamming weight over the nonzero vectors of the row span.
+
+    Weight counts nonzero F_q coordinates. Returns None when the span is
+    the zero space. Exhaustive and exact; raises when the span is larger
+    than ``bound``.
+
+    Scaling a word does not change its weight, so only the projective
+    words are enumerated (``_projective_weights``).
+    """
+    basis = rref(rows, field)
+    if not basis:
+        return None
+    _refuse_span(basis, field, bound)
+    return min(int(w.min()) for w in _projective_weights(basis, field))
+
+
+def span_weight_distribution(
+    rows: Sequence[Sequence[int]],
+    field: Field,
+    bound: int = 10**6,
+    ncols: int | None = None,
+) -> list[int]:
+    """The weight distribution A_0, ..., A_ncols of the row span.
+
+    A_w is the exact number of words of Hamming weight w. Each projective
+    word stands for its q - 1 nonzero multiples, and the zero word is
+    added. Raises when the span is larger than ``bound``. ``ncols`` is
+    required when there are no rows (the span is then the zero word of
+    that length).
+    """
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    basis = rref(rows, field)
+    _refuse_span(basis, field, bound)
+    counts = np.zeros(ncols + 1, dtype=np.int64)
+    if basis:
+        for w in _projective_weights(basis, field):
+            counts += np.bincount(w, minlength=ncols + 1)
+    dist = [int(c) * (field.q - 1) for c in counts]
+    dist[0] += 1
+    return dist
+
+
+class MacWilliamsError(FieldError):
+    """A weight distribution that the MacWilliams transform cannot carry
+    to a dual code."""
+
+
+def _krawtchouk(j: int, i: int, n: int, q: int) -> int:
+    """K_j(i) = sum_s (-1)^s (q - 1)^(j - s) C(i, s) C(n - i, j - s)."""
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+        for s in range(min(i, j) + 1)
+    )
+
+
+def macwilliams(weights: Sequence[int], n: int, q: int) -> list[int]:
+    """The dual's weight distribution B_0..B_n from a code's A_0..A_n.
+
+    B_j = (1/|C|) sum_i A_i K_j(i) with |C| = sum A and the Krawtchouk
+    sums K_j(i) in exact integers (MacWilliams and Sloane, The Theory of
+    Error-Correcting Codes, 1977, ch. 5). Raises ``MacWilliamsError``
+    unless every sum is divisible by |C|, every B_j >= 0, B_0 = 1 and
+    |C| * sum B = q^n, so a failure is never returned as a distribution.
+    """
+    if len(weights) != n + 1:
+        raise ValueError(f"{len(weights)} weights given for length {n}")
+    total = sum(weights)
+    if total < 1:
+        raise MacWilliamsError(f"weights sum to {total}, not a code size")
+    out = []
+    for j in range(n + 1):
+        s = sum(a * _krawtchouk(j, i, n, q) for i, a in enumerate(weights) if a)
+        b, r = divmod(s, total)
+        if r or b < 0:
+            raise MacWilliamsError(
+                f"Krawtchouk sum {s} for B_{j} is not a nonnegative multiple of {total}"
+            )
+        out.append(b)
+    if out[0] != 1 or total * sum(out) != q**n:
+        raise MacWilliamsError(
+            f"B_0 = {out[0]} and |C| * sum B = {total * sum(out)}; need 1 and {q**n}"
+        )
+    return out
 
 
 def _digit_dtype(p: int):

@@ -43,7 +43,7 @@ from .codes import (
     component_code_new,
     skew_shift,
 )
-from .finite_field import Field
+from .finite_field import EnumerationTooLarge, Field
 from .ring_r import (
     RingElem,
     gray_inverse,
@@ -510,7 +510,9 @@ def _gray_rows(code: SkewCyclicCode) -> list[tuple]:
     return [gray_map(row) for row in code.generator_rows()]
 
 
-def verify_cardinality(code: SkewCyclicCode, rows_override=None) -> VerdictReport:
+def verify_cardinality(
+    code: SkewCyclicCode, rows_override=None, config=None
+) -> VerdictReport:
     """Rank of the Gray generator matrix equals 3n - sum(deg g_i)."""
     rows = rows_override if rows_override is not None else _gray_rows(code)
     idx = linalg.to_index_rows(rows, code.field)
@@ -519,7 +521,7 @@ def verify_cardinality(code: SkewCyclicCode, rows_override=None) -> VerdictRepor
     ok = r == expected
     witness = None if ok else {"rank": r, "expected": expected}
     return VerdictReport(
-        "cardinality-rank", _code_config(code), "exhaustive", ok, witness
+        "cardinality-rank", config or _code_config(code), "exhaustive", ok, witness
     )
 
 
@@ -531,9 +533,10 @@ def _ring_inner_product(x: Sequence[RingElem], y: Sequence[RingElem]) -> RingEle
     return acc
 
 
-def verify_duality(code: SkewCyclicCode) -> VerdictReport:
+def verify_duality(code: SkewCyclicCode, config=None) -> VerdictReport:
     """Generator rows of C and dual(C) are orthogonal over R; sizes multiply
     to q^{3n}; the double dual is C itself."""
+    cfg = config or _code_config(code)
     dual = code.dual()
     for row in code.generator_rows():
         for drow in dual.generator_rows():
@@ -541,7 +544,7 @@ def verify_duality(code: SkewCyclicCode) -> VerdictReport:
             if not ip.is_zero():
                 return VerdictReport(
                     "duality",
-                    _code_config(code),
+                    cfg,
                     "exhaustive",
                     False,
                     {
@@ -561,10 +564,10 @@ def verify_duality(code: SkewCyclicCode) -> VerdictReport:
             "double_dual_ok": double_ok,
             "dual": _code_config(dual),
         }
-    return VerdictReport("duality", _code_config(code), "exhaustive", ok, witness)
+    return VerdictReport("duality", cfg, "exhaustive", ok, witness)
 
 
-def verify_dual_gray_commutation(code: SkewCyclicCode) -> VerdictReport:
+def verify_dual_gray_commutation(code: SkewCyclicCode, config=None) -> VerdictReport:
     """Canonical bases of the Gray image's orthogonal space and of the Gray
     image of the dual coincide."""
     fld = code.field
@@ -582,7 +585,7 @@ def verify_dual_gray_commutation(code: SkewCyclicCode) -> VerdictReport:
             "gray_dual_dim": len(rhs),
         }
     return VerdictReport(
-        "dual-gray-commute", _code_config(code), "exhaustive", ok, witness
+        "dual-gray-commute", config or _code_config(code), "exhaustive", ok, witness
     )
 
 
@@ -599,7 +602,7 @@ def _deinterleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[i
     return out
 
 
-def verify_quasi_cyclic_gray(code: SkewCyclicCode) -> VerdictReport:
+def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport:
     """The Gray image is closed under an index-3 blockwise skew shift.
 
     Tested first with consecutive blocks of the interleaved coordinates,
@@ -625,7 +628,9 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode) -> VerdictReport:
     }
     if not ok:
         witness["word"] = next(b for b in basis if not closed(_deinterleaved_qc_shift, [b]))
-    return VerdictReport("quasi-cyclic-gray", _code_config(code), "exhaustive", ok, witness)
+    return VerdictReport(
+        "quasi-cyclic-gray", config or _code_config(code), "exhaustive", ok, witness
+    )
 
 
 def _combined_generator_rows(code: SkewCyclicCode) -> list[tuple[RingElem, ...]]:
@@ -644,7 +649,7 @@ def _combined_generator_rows(code: SkewCyclicCode) -> list[tuple[RingElem, ...]]
 
 
 def verify_principality(
-    code: SkewCyclicCode, samples: int = 100, rng=None, combined_rows=None
+    code: SkewCyclicCode, samples: int = 100, rng=None, combined_rows=None, config=None
 ) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
@@ -653,7 +658,7 @@ def verify_principality(
     when not given.
     """
     fld = code.field
-    cfg = _code_config(code)
+    cfg = config or _code_config(code)
 
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", cfg, mode, False, witness)
@@ -698,7 +703,11 @@ def verify_principality(
 
 
 def verify_distance_law(
-    code: SkewCyclicCode, bound: int = 10**6, combined_rows=None, block_minima=None
+    code: SkewCyclicCode,
+    bound: int = 10**6,
+    combined_rows=None,
+    block_minima=None,
+    config=None,
 ) -> VerdictReport:
     """Minimum Lee distance equals the smallest component Hamming distance,
     cross-checked on the Gray image V of the combined generator alone.
@@ -709,11 +718,16 @@ def verify_distance_law(
     its own, refused past ``bound``. ``block_minima`` maps a block's RREF
     rows to its minimum weight, so codes that share a block enumerate it
     once; ``combined_rows`` are ``_combined_generator_rows(code)``, built
-    here when not given.
+    here when not given. A component distance past ``bound`` skips the
+    claim.
     """
     fld = code.field
-    cfg = _code_config(code)
-    formula = code.min_lee_distance(bound)
+    cfg = config or _code_config(code)
+    try:
+        formula = code.min_lee_distance(bound)
+    except EnumerationTooLarge as exc:
+        reason = {"reason": f"component distance: {exc}"}
+        return VerdictReport("distance-law", cfg, "skipped", True, reason)
     if combined_rows is None:
         combined_rows = _combined_generator_rows(code)
     if block_minima is None:
@@ -746,12 +760,12 @@ def verify_distance_law(
     return VerdictReport("distance-law", cfg, "exhaustive", ok, witness)
 
 
-def verify_idempotent_generators(code: SkewCyclicCode) -> VerdictReport:
+def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictReport:
     """The Bezout idempotent e exists, e*e = e over R, and the Gray rows of
     eta_j * (sigma-orbit of e) span the Gray image of the code."""
     from .codes import HypothesisViolated, NotCoprime
 
-    cfg = _code_config(code)
+    cfg = config or _code_config(code)
     try:
         e = code.idempotent_generator()
     except HypothesisViolated as exc:
@@ -783,7 +797,7 @@ def verify_idempotent_generators(code: SkewCyclicCode) -> VerdictReport:
     return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, witness)
 
 
-def verify_decomposition(code: SkewCyclicCode) -> VerdictReport:
+def verify_decomposition(code: SkewCyclicCode, config=None) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly."""
     rebuilt = code_from_combined(code.g_combined, code.n)
     parts = rebuilt.components
@@ -792,13 +806,18 @@ def verify_decomposition(code: SkewCyclicCode) -> VerdictReport:
     if not ok:
         witness = {"recovered": [poly_to_string(c.g) for c in parts]}
     return VerdictReport(
-        "decompose-compose", _code_config(code), "exhaustive", ok, witness
+        "decompose-compose", config or _code_config(code), "exhaustive", ok, witness
     )
 
 
-def verify_combined_uniqueness(codes: Sequence[SkewCyclicCode], config: dict) -> VerdictReport:
+def verify_combined_uniqueness(
+    codes: Sequence[SkewCyclicCode], config: dict, code_config: Callable | None = None
+) -> VerdictReport:
     """Distinct censused codes carry distinct combined generators, each a
-    right divisor of x^n - 1 over R (witnessed by its cofactor)."""
+    right divisor of x^n - 1 over R (witnessed by its cofactor).
+    ``code_config`` builds a code's config (``_code_config`` when not
+    given)."""
+    code_config = code_config or _code_config
     seen = {}
     for code in codes:
         key = code.g_combined
@@ -808,9 +827,9 @@ def verify_combined_uniqueness(codes: Sequence[SkewCyclicCode], config: dict) ->
                 config,
                 "exhaustive",
                 False,
-                {"duplicate": _code_config(code), "first": seen[key]},
+                {"duplicate": code_config(code), "first": seen[key]},
             )
-        seen[key] = _code_config(code)
+        seen[key] = code_config(code)
         h = ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h)
         if skew_mul(h, code.g_combined) != xn_minus_1(
             code.g_combined.domain, code.aut, code.n
@@ -820,7 +839,7 @@ def verify_combined_uniqueness(codes: Sequence[SkewCyclicCode], config: dict) ->
                 config,
                 "exhaustive",
                 False,
-                {"not_a_divisor": _code_config(code)},
+                {"not_a_divisor": code_config(code)},
             )
     return VerdictReport("combined-generator", config, "exhaustive", True)
 
@@ -917,7 +936,14 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         verify_fixed_subfield_divisors(entry),
     ]
     codes = census(entry.n, fld, entry.i, entry.bounds.search)
-    reports.append(verify_combined_uniqueness(codes, cfg))
+    configs: dict = {}  # each code's config, built once per entry
+
+    def config_of(code) -> dict:
+        if code not in configs:
+            configs[code] = _code_config(code)
+        return configs[code]
+
+    reports.append(verify_combined_uniqueness(codes, cfg, config_of))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
     # codes too large for a shift-closure claim; kept apart so that the
@@ -932,23 +958,28 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         if target.size > entry.bounds.enumeration:
             reason = f"code size {target.size} exceeds bound {entry.bounds.enumeration}"
             left_out.setdefault(claim, []).append(
-                VerdictReport(claim, _code_config(target), "skipped", True, {"reason": reason})
+                VerdictReport(claim, config_of(target), "skipped", True, {"reason": reason})
             )
             return
-        v = verify_shift_closure(target, rng)
+        v = verify_shift_closure(target, rng, config=config_of(target))
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
     for code in codes:
         combined = _combined_generator_rows(code)
-        record(verify_cardinality(code))
-        record(verify_duality(code))
-        record(verify_dual_gray_commutation(code))
-        record(verify_decomposition(code))
-        record(verify_idempotent_generators(code))
-        record(verify_quasi_cyclic_gray(code))
-        record(verify_principality(code, samples=20, rng=rng, combined_rows=combined))
+        c = config_of(code)
+        record(verify_cardinality(code, config=c))
+        record(verify_duality(code, config=c))
+        record(verify_dual_gray_commutation(code, config=c))
+        record(verify_decomposition(code, config=c))
+        record(verify_idempotent_generators(code, config=c))
+        record(verify_quasi_cyclic_gray(code, config=c))
         record(
-            verify_distance_law(code, entry.bounds.distance, combined, block_minima)
+            verify_principality(code, samples=20, rng=rng, combined_rows=combined, config=c)
+        )
+        record(
+            verify_distance_law(
+                code, entry.bounds.distance, combined, block_minima, config=c
+            )
         )
         closure("shift-closure", code)
         closure("dual-shift-closure", code.dual())

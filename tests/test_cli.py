@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcyclic import linalg
 from skewcyclic.cli import main
 from skewcyclic.codes import census
 from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
+from skewcyclic.oracle import CLAIMS
 from skewcyclic.ring_r import ring_vector_from_string
 from skewcyclic.skew_poly import poly_from_string, ring_poly_from_string
 
@@ -274,7 +276,7 @@ class TestCensusCommand:
         assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize(
-        "n,distance_bound", [(5, 10**6), (5, 100), (7, 1000)]
+        "n,distance_bound", [(5, 10**6), (5, 100), (7, 1000), (5, 5), (7, 8)]
     )
     def test_distances_follow_the_distance_law(self, capsys, n, distance_bound):
         code, out, _ = run(
@@ -297,7 +299,13 @@ class TestCensusCommand:
                 expected = (None, False)
                 seen_none = True
             assert (row["min_lee_distance"], row["degenerate"]) == expected
-        assert seen_none == (distance_bound < 9**5)
+        # a component is enumerated on the smaller of itself and its dual
+        smaller = [
+            9 ** min(comp.dim, n - comp.dim)
+            for c in codes for comp in c.components if not comp.is_zero_code()
+        ]
+        assert seen_none == (max(smaller) > distance_bound)
+        assert seen_none == (distance_bound < 9)
 
     def test_count_formula_column(self, capsys):
         code, out, _ = run(
@@ -305,6 +313,28 @@ class TestCensusCommand:
         )
         payload = json.loads(out)
         assert payload["count"] == payload["count_formula"] == 64
+
+    def test_no_empty_distance_at_n11(self, capsys):
+        # every component has min(k, n - k) <= 5 and 9^5 is below the
+        # default bound, so the smaller side always fits
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "census", "--field", FIELD, "--n", "11", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 512
+        assert all(r["min_lee_distance"] is not None for r in rows)
+        fld = field_from_string(FIELD)
+        comps = {c for code in census(11, fld, 1) for c in code.components}
+        assert sorted(c.dim for c in comps) == [0, 1, 5, 5, 6, 6, 10, 11]
+        for comp in comps:
+            if not comp.is_zero_code() and comp.size <= 10**6:
+                own = linalg.to_index_rows(comp.generator_rows(), fld)
+                assert comp.min_hamming_distance().value == linalg.span_min_weight(
+                    own, fld, 10**6
+                )
+        assert time.perf_counter() - start < 10
 
     def test_census_factors_once(self, capsys, monkeypatch):
         import sys
@@ -403,6 +433,22 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / golden).read_bytes()
+
+    def test_small_distance_bound_skips_only_the_distance_law(self, capsys, tmp_path):
+        # components of dimension 1 and 2 have a 9-word smaller side, past
+        # the bound; the distance law skips their codes and nothing else is lost
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([
+            {"p": 3, "m": 2, "i": 1, "n": 3, "modulus": [1, 0, 1], "bounds": {"distance": 5}}
+        ]))
+        code, out, _ = run(capsys, "verify", "--matrix", str(matrix))
+        assert code == 0
+        lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert sorted(l["claim"] for l in lines) == sorted(CLAIMS)
+        assert all(l["pass"] for l in lines)
+        law = next(l for l in lines if l["claim"] == "distance-law")
+        assert law["skipped"] > 0 and law["checked"] + law["skipped"] == 64
+        assert "claims checked: 14, passed: 14, failed: 0" in out
 
     def test_default_matrix_all_pass(self, capsys):
         """The default matrix (q = 9, n in 1, 3, 5) must pass end to end."""

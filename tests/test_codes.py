@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -671,29 +672,97 @@ class TestDistances:
 
     def test_component_distance_enumerated_once(self, f9, monkeypatch):
         calls = []
-        enumerate_span = linalg.span_min_weight
 
-        def counting(rows, field, bound):
-            calls.append(len(rows))
-            return enumerate_span(rows, field, bound)
+        def counting(name):
+            enumerate_span = getattr(linalg, name)
 
-        monkeypatch.setattr(linalg, "span_min_weight", counting)
+            def wrapper(rows, field, bound, *args):
+                calls.append((name, len(rows)))
+                return enumerate_span(rows, field, bound, *args)
+
+            return wrapper
+
+        for name in ("span_min_weight", "span_weight_distribution"):
+            monkeypatch.setattr(linalg, name, counting(name))
         codes = census(5, f9, 1)
         distances = [code.min_lee_distance() for code in codes]
         nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
         assert len(calls) == len(nonzero) == 3
         assert distances == [code.min_lee_distance() for code in codes]
-        assert len(calls) == 3
+        # dims 1 | 4, 5: the last two are read from their duals of dims 1, 0
+        assert sorted(calls) == [
+            ("span_min_weight", 1),
+            ("span_weight_distribution", 0),
+            ("span_weight_distribution", 1),
+        ]
+
+    def test_wrong_dual_weights_raise_and_keep_nothing(self, f9, monkeypatch):
+        c = component_code_new(5, poly_from_string("x-1", f9, 1))  # k = 4 > n - k
+        with monkeypatch.context() as mp:
+            # two zero words: no code has this distribution
+            mp.setattr(linalg, "span_weight_distribution", lambda *a: [2, 0, 0, 0, 0, 0])
+            with pytest.raises(linalg.MacWilliamsError):
+                c.min_hamming_distance()
+        assert c._distance is None
+        # a real code of the wrong size in place of the dual: the code itself
+        object.__setattr__(c, "_dual", c)
+        with pytest.raises(linalg.MacWilliamsError, match="carry to 9 words, not 6561"):
+            c.min_hamming_distance()
+        assert c._distance is None
+        object.__setattr__(c, "_dual", None)
+        assert c.min_hamming_distance() == MinDistance(2, False)
 
     def test_bound_refused_even_when_cached(self, f9):
         from skewcyclic.finite_field import EnumerationTooLarge
 
-        c = component_code_new(3, SkewPoly.one(f9, 1))
-        assert c.min_hamming_distance() == MinDistance(1, False)
-        for bound in (9**3 - 1, 1):
-            with pytest.raises(EnumerationTooLarge):
+        # dim 2 of length 4: the code and its dual both have 81 words
+        c = component_code_new(4, poly_from_string("x^2-1", f9, 1))
+        assert c.dim == 2 and c.dual().dim == 2
+        assert c.min_hamming_distance() == MinDistance(2, False)
+        for bound in (80, 1):
+            with pytest.raises(EnumerationTooLarge, match="span size 81 exceeds bound"):
                 c.min_hamming_distance(bound)
-        assert c.min_hamming_distance(9**3) == MinDistance(1, False)
+        assert c.min_hamming_distance(81) == MinDistance(2, False)
+
+
+def _min_dependent_columns(rows, fld, n) -> int:
+    """d(C) as the fewest linearly dependent columns of a parity-check
+    matrix: the nullspace basis of C's rows, with no dual construction."""
+    checks = linalg.nullspace(rows, fld, n)
+    for w in range(1, n + 1):
+        for cols in itertools.combinations(range(n), w):
+            if linalg.rank([[h[j] for h in checks] for j in cols], fld) < w:
+                return w
+    raise AssertionError("C has no nonzero word")
+
+
+_FAMILIES = [
+    ("F_9", (3, 2), 1, range(1, 8)),
+    ("F_25", (5, 2), 1, (4, 5)),
+    ("F_27", (3, 3), 1, (2, 4)),
+    ("F_81", (3, 4), 2, (5,)),
+]
+
+
+@pytest.mark.parametrize(
+    "p,m,i,n",
+    [(p, m, i, n) for _, (p, m), i, ns in _FAMILIES for n in ns],
+    ids=[f"{name}-i{i}-n{n}" for name, _, i, ns in _FAMILIES for n in ns],
+)
+def test_component_distance_matches_direct_minimum(p, m, i, n):
+    """Every distinct component, read from whichever of C and C^perp is
+    smaller, against span_min_weight on its own rows (q^k <= 10^6) and
+    the parity-check column count (every size)."""
+    fld = Field(p, m, default_modulus(p, m))
+    for g in monic_right_divisors(n, fld, i):
+        comp = component_code_new(n, g)
+        if comp.is_zero_code():
+            continue
+        rows = linalg.to_index_rows(comp.generator_rows(), fld)
+        d = comp.min_hamming_distance().value
+        assert d == _min_dependent_columns(rows, fld, n), comp
+        if comp.size <= 10**6:
+            assert d == linalg.span_min_weight(rows, fld, 10**6), comp
 
 
 class TestJsonBlock:

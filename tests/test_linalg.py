@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic import linalg
 from skewcyclic.finite_field import EnumerationTooLarge, Field
@@ -163,3 +166,105 @@ def test_min_weight_bound_unchanged(f9):
     assert linalg.span_min_weight(rows, f9, bound=729) == 1
     with pytest.raises(EnumerationTooLarge):
         linalg.span_min_weight(rows, f9, bound=728)
+
+
+def _weights_by_listing(rows, fld, ncols):
+    """Weight distribution counted over every word of ``span_vectors``."""
+    out = [0] * (ncols + 1)
+    for v in linalg.span_vectors(rows, fld, bound=10**6, ncols=ncols):
+        out[sum(1 for x in v if x != 0)] += 1
+    return out
+
+
+class TestWeightDistribution:
+    @pytest.mark.parametrize("fixture", ["f3", "f9", "f25"])
+    def test_matches_listing(self, fixture, request, monkeypatch):
+        fld = request.getfixturevalue(fixture)
+        rng = random.Random(fld.q + 1)
+        for k in range(0, 4):
+            rows = _random_matrix(fld, k, 5, rng)
+            expected = _weights_by_listing(rows, fld, 5)
+            assert linalg.span_weight_distribution(rows, fld, 10**6, 5) == expected
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_BLOCK_BYTES", 64)
+                assert linalg.span_weight_distribution(rows, fld, 10**6, 5) == expected
+
+    def test_zero_code_needs_a_length(self, f9):
+        assert linalg.span_weight_distribution([], f9, 1, ncols=3) == [1, 0, 0, 0]
+        assert linalg.span_weight_distribution([[0, 0]], f9, 1) == [1, 0, 0]
+        with pytest.raises(ValueError):
+            linalg.span_weight_distribution([], f9, 1)
+
+    def test_refused_before_enumerating(self, f9, monkeypatch):
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started past the bound")
+
+        monkeypatch.setattr(linalg, "_digit_rows", no_enumeration)
+        with pytest.raises(EnumerationTooLarge, match="span size 729 exceeds bound 728"):
+            linalg.span_weight_distribution(rows, f9, 728)
+
+    def test_least_weight_is_min_weight(self, f27):
+        rng = random.Random(27)
+        for k in range(1, 4):
+            rows = _random_matrix(f27, k, 6, rng)
+            dist = linalg.span_weight_distribution(rows, f27)
+            least = next(w for w in range(1, 7) if dist[w])
+            assert least == linalg.span_min_weight(rows, f27)
+
+
+_FIELDS = {9: Field(3, 2, [1, 0, 1]), 25: Field(5, 2, [2, 0, 1]), 27: Field(3, 3, [1, 2, 0, 1])}
+
+
+class TestMacWilliams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.sampled_from(sorted(_FIELDS)),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_dual_weights_carry_to_the_code(self, q, n, data):
+        # the dual comes from the nullspace, not from any skew construction
+        fld = _FIELDS[q]
+        k = data.draw(st.integers(0, n))
+        entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        rows = data.draw(st.lists(entries, min_size=k, max_size=k))
+        dual = linalg.nullspace(rows, fld, n)
+        a = linalg.span_weight_distribution(rows, fld, 10**8, n)
+        b = linalg.span_weight_distribution(dual, fld, 10**8, n)
+        assert linalg.macwilliams(b, n, q) == a
+        assert linalg.macwilliams(a, n, q) == b
+
+    def test_zero_code_and_full_space(self):
+        full = [math.comb(4, j) * 8**j for j in range(5)]
+        assert linalg.macwilliams([1, 0, 0, 0, 0], 4, 9) == full
+        assert linalg.macwilliams(full, 4, 9) == [1, 0, 0, 0, 0]
+
+    def test_own_weights_in_place_of_the_dual_fail(self, f9):
+        # a [4, 1] code whose dual has dimension 3: the transform of its
+        # own weights is not its weight distribution
+        rows = [[1, 1, 1, 1]]
+        own = linalg.span_weight_distribution(rows, f9, ncols=4)
+        try:
+            carried = linalg.macwilliams(own, 4, 9)
+        except linalg.MacWilliamsError:
+            return
+        assert carried != own
+
+    @pytest.mark.parametrize(
+        "weights,n,q,message",
+        [
+            ([1, 1], 1, 3, "sum 1 for B_1 is not"),  # B_1 = 1/2
+            ([1, 0, 3], 2, 2, "sum -4 for B_1 is not"),  # B_1 = -1
+            ([2, 0, 0], 2, 3, "sum B = 18; need 1 and 9"),  # two zero words
+        ],
+        ids=["fractional", "negative", "two-zero-words"],
+    )
+    def test_postconditions_raise(self, weights, n, q, message):
+        with pytest.raises(linalg.MacWilliamsError, match=message):
+            linalg.macwilliams(weights, n, q)
+
+    def test_length_must_match(self):
+        with pytest.raises(ValueError):
+            linalg.macwilliams([1, 0], 2, 3)

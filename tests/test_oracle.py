@@ -373,24 +373,52 @@ class TestDistanceOracle:
         nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
         assert len(block_minima) == len(nonzero) == 3
 
+    def test_component_past_the_bound_is_skipped(self, f9):
+        # C1 = <x - 1> at n = 3 has dimension 2; its 9-word dual is the
+        # smaller side, and 9 exceeds the bound
+        c1 = component_code_new(3, poly_from_string("x-1", f9, 1))
+        full = component_code_new(3, SkewPoly.one(f9, 1))
+        v = verify_distance_law(code_from_components(c1, full, full), bound=5)
+        assert v.mode == "skipped" and v.passed
+        assert v.counterexample == {
+            "reason": "component distance: span size 9 exceeds bound 5"
+        }
+
+    def test_small_bound_keeps_the_rest_of_the_entry(self):
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=3, bounds=Bounds(distance=5))
+        reports = verify_entry(entry)
+        assert [r.claim for r in reports] == [
+            r.claim for r in verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+        ]
+        assert all(r.passed for r in reports)
+        law = next(r for r in reports if r.claim == "distance-law")
+        assert law.skipped > 0 and law.checked + law.skipped == 64
+
     def test_no_work_shared_between_entries(self, monkeypatch):
         from skewcyclic import linalg
 
         calls = []
-        enumerate_span = linalg.span_min_weight
 
-        def counting(rows, field, bound):
-            calls.append(len(rows))
-            return enumerate_span(rows, field, bound)
+        def counting(name):
+            enumerate_span = getattr(linalg, name)
 
-        monkeypatch.setattr(linalg, "span_min_weight", counting)
+            def wrapper(rows, field, bound, *args):
+                calls.append(name)
+                return enumerate_span(rows, field, bound, *args)
+
+            return wrapper
+
+        for name in ("span_min_weight", "span_weight_distribution"):
+            monkeypatch.setattr(linalg, name, counting(name))
         counts = []
         for _ in range(2):
             calls.clear()
             verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
-            counts.append(len(calls))
-        # 3 production component distances and 3 distinct oracle blocks
-        assert counts == [6, 6]
+            counts.append(sorted(calls))
+        # 3 production component distances (dims 1, 2, 3: the last two
+        # from their duals' weights) and 3 distinct oracle blocks
+        expected = ["span_min_weight"] * 4 + ["span_weight_distribution"] * 2
+        assert counts == [expected, expected]
 
 
 class TestIdempotentOracle:
@@ -441,6 +469,22 @@ class TestHarness:
         assert reports and all(r.passed for r in reports)
         claims = {r.claim for r in reports}
         assert "gray-isometry" in claims and "census-count" in claims
+
+    def test_entry_builds_each_code_config_once(self, monkeypatch):
+        from skewcyclic import oracle
+
+        built = []
+        code_config = oracle._code_config
+
+        def recording(code):
+            built.append(code)
+            return code_config(code)
+
+        monkeypatch.setattr(oracle, "_code_config", recording)
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+        assert all(r.passed for r in reports)
+        # the census holds every dual, so its 64 codes are all there is
+        assert len(built) == len(set(built)) == 64
 
     def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
         from skewcyclic import codes
