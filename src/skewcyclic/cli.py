@@ -13,6 +13,7 @@ stdout closed early (for example by ``| head``), 2 malformed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -131,6 +132,8 @@ def cmd_factor(args) -> int:
     fld = _parse_field(args)
     if args.n is None:
         raise CliConfigError("--n is required")
+    if args.n < 1:
+        raise CliConfigError(f"--n must be positive, got {args.n}")
     t_i = fld.check_aut_exponent(args.aut)
     if math.gcd(args.n, t_i) != 1:
         raise HypothesisViolated(
@@ -311,6 +314,8 @@ def cmd_census(args) -> int:
     formula = None
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
+    # the census shares its D distinct component objects: format each once
+    text = functools.cache(lambda comp: poly_to_string(comp.g))
     # distance law: d_L(C) is the least Hamming distance of the nonzero
     # components; the census shares component instances, and each is
     # enumerated once, on the smaller of itself and its dual
@@ -329,9 +334,9 @@ def cmd_census(args) -> int:
             dist_val, degenerate = min(dists), False
         rows.append(
             {
-                "g1": poly_to_string(code.c1.g),
-                "g2": poly_to_string(code.c2.g),
-                "g3": poly_to_string(code.c3.g),
+                "g1": text(code.c1),
+                "g2": text(code.c2),
+                "g3": text(code.c3),
                 "cardinality": code.size,
                 "min_lee_distance": dist_val,
                 "degenerate": degenerate,

@@ -1,4 +1,5 @@
-"""Exact arithmetic in F_q = F_{p^m} for odd primes p.
+"""Exact arithmetic in F_q = F_{p^m} for odd primes p, and the commutative
+polynomial lane over its subfields.
 
 The field is represented as Z_p[w]/(f(w)) with f monic irreducible of
 degree m; elements are coefficient vectors in the basis 1, w, ..., w^{m-1}.
@@ -13,11 +14,17 @@ and ``Field.from_index`` returns the interned element too. Interned
 elements are shared by every holder and immutable. Fields past
 TABLE_LIMIT never build tables and keep the coefficient arithmetic.
 
+Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
+have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
+remainder, product, gcd and Rabin's irreducibility test (SIAM J. Comput.
+9, 1980). For i = 1 it is arithmetic mod p and never enumerates F_q; for
+i > 1 it reads tables built from ``fixed_subfield(i)``. Every modulus is
+checked by Rabin's test on the lane over Z_p.
+
 A ``Field``'s defining data (p, m, modulus) never changes after
 construction; its caches are filled lazily, without locks, and
 idempotently (see ``Field``). ``FieldElem`` values are plain immutable
-data and all operations are pure functions. The modulus is checked by
-Rabin's irreducibility test over Z_p.
+data and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import itertools
 from typing import Sequence
 
 ENUMERATION_LIMIT = 2**16
-TABLE_LIMIT = 4096  # largest q for which dense int op tables are built
+TABLE_LIMIT = 4096  # largest q, or subfield order p^i, with dense int op tables
 
 
 class FieldError(Exception):
@@ -65,125 +72,6 @@ class EnumerationTooLarge(FieldError):
     pass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-# ---------------------------------------------------------------------------
-# coefficient-vector helpers over Z_p (ascending degree, plain int lists)
-
-
-def _poly_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mul_modp(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod_modp(f: Sequence[int], g: Sequence[int], p: int):
-    """Quotient and remainder of f by g over Z_p; g must be nonzero."""
-    f = list(f)
-    _poly_trim(f)
-    dg = len(g) - 1
-    inv_lc = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        k = len(f) - 1 - dg
-        c = (f[-1] * inv_lc) % p
-        q[k] = c
-        for j in range(dg + 1):
-            f[k + j] = (f[k + j] - c * g[j]) % p
-        _poly_trim(f)
-    return q, f
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_q as FieldElem lists (ascending, no trailing zeros)
-
-
-def _trim(f: list) -> list:
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _monic(f: list) -> list:
-    c = f[-1].inv()
-    return [c * a for a in f]
-
-
-def _sub(f: list, g: list) -> list:
-    zero = (f or g)[0].field.zero
-    n = max(len(f), len(g))
-    f, g = f + [zero] * (n - len(f)), g + [zero] * (n - len(g))
-    return _trim([a - b for a, b in zip(f, g)])
-
-
-def _rem(f: list, g: list) -> list:
-    """The remainder of f on division by the monic g."""
-    r = list(f)
-    d = len(g) - 1
-    while len(r) > d:
-        c = r.pop()
-        if c.is_zero():
-            continue
-        k = len(r) - d
-        for j in range(d):
-            r[k + j] = r[k + j] - c * g[j]
-    return _trim(r)
-
-
-def _mulmod(a: list, b: list, g: list) -> list:
-    if not a or not b:
-        return []
-    out = [a[0].field.zero] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(b):
-            out[j + k] = out[j + k] + x * y
-    return _rem(out, g)
-
-
-def _powmod(a: list, e: int, g: list) -> list:
-    out = [a[0].field.one]
-    while e:
-        if e & 1:
-            out = _mulmod(out, a, g)
-        a = _mulmod(a, a, g)
-        e >>= 1
-    return out
-
-
-def _gcd(f: list, g: list) -> list:
-    """The monic gcd of f and g, not both zero."""
-    while g:
-        g = _monic(g)
-        f, g = g, _rem(f, g)
-    return _monic(f)
-
-
 def _prime_divisors(d: int) -> list[int]:
     out, r = [], 2
     while r * r <= d:
@@ -195,42 +83,13 @@ def _prime_divisors(d: int) -> list[int]:
     return out + ([d] if d > 1 else [])
 
 
-def _is_irreducible_rabin(f: list, q: int) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic f over F_q.
-
-    f of degree d is irreducible iff x^{q^d} = x mod f and
-    gcd(f, x^{q^{d/r}} - x) = 1 for every prime r dividing d. The
-    coefficients lie in F_q, so v -> v^q mod f is F_q-linear; it is applied
-    as the matrix whose row j is x^{qj} mod f.
-    """
-    d = len(f) - 1
-    if d <= 1:
-        return d == 1
-    zero, one = f[0].field.zero, f[0].field.one
-    x = [zero, one]
-    rows = [[one]]
-    xq = _powmod(x, q, f)
-    for _ in range(1, d):
-        rows.append(_mulmod(rows[-1], xq, f))
-    powers = [x]  # powers[k] = x^{q^k} mod f
-    for _ in range(d):
-        out = [zero] * d
-        for c, row in zip(powers[-1], rows):
-            if not c.is_zero():
-                for j, a in enumerate(row):
-                    out[j] = out[j] + c * a
-        powers.append(_trim(out))
-    if powers[d] != x:
-        return False
-    return all(
-        len(_gcd(f, _sub(powers[d // r], x))) == 1 for r in _prime_divisors(d)
-    )
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def _is_irreducible_modp(f: Sequence[int], p: int) -> bool:
     """Rabin's test over Z_p for the monic f (ascending degree)."""
-    prime = Field(p, 1, (0, 1))
-    return _is_irreducible_rabin([prime.elem(c) for c in f], p)
+    return PrimeSubfield(p).is_irreducible([c % p for c in f])
 
 
 def _index_of(coeffs: Sequence[int], p: int) -> int:
@@ -322,13 +181,13 @@ class FieldElem:
         )
 
     def inv(self) -> FieldElem:
-        """Multiplicative inverse: a lookup, or extended Euclid on the coefficients."""
+        """Multiplicative inverse: a lookup, or a^{q-2} on the coefficients."""
         if self.idx == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         t = self.field._tables
         if t is not None:
             return t.elems[t.inv[self.idx]]
-        return _raw_elem(self.field, tuple(self.field._inv_coeffs(self.coeffs)))
+        return self.field._pow(self, self.field.q - 2)
 
     def frob(self, i: int) -> FieldElem:
         """One application of the automorphism a -> a^{p^i} (i need not divide m)."""
@@ -390,21 +249,16 @@ class FieldTables:
     not invert zero.
     """
 
-    __slots__ = (
-        "q", "zero", "one", "elems", "add", "sub", "mul", "neg", "inv", "_frob",
-    )
+    __slots__ = ("one", "elems", "add", "sub", "mul", "neg", "inv", "_frob")
 
     def __init__(self, field: Field):
-        q, p = field.q, field.p
+        p = field.p
         coeffs = list(itertools.product(range(p), repeat=field.m))
-        self.q = q
-        self.zero = 0
         self.one = field.one.idx
         self.elems = [_raw_elem(field, c, i) for i, c in enumerate(coeffs)]
         self.elems[0] = field.zero
         self.elems[self.one] = field.one
         self.neg = [_index_of([(-a) % p for a in c], p) for c in coeffs]
-        self.inv = [0] + [_index_of(field._inv_coeffs(c), p) for c in coeffs[1:]]
         self.add = [
             [_index_of([(a + b) % p for a, b in zip(x, y)], p) for y in coeffs]
             for x in coeffs
@@ -413,6 +267,7 @@ class FieldTables:
         self.mul = [
             [_index_of(field._mul_coeffs(x, y), p) for y in coeffs] for x in coeffs
         ]
+        self.inv = [0] + [row.index(self.one) for row in self.mul[1:]]
         self._frob: dict[int, list[int]] = {}
 
 
@@ -422,12 +277,13 @@ class Field:
     For m = 1 the canonical modulus [0, 1] is recorded and the
     irreducibility check is skipped; elements are single residues.
 
-    The caches ``_tables``, ``_half``, ``_frob_rows`` and ``_idempotents``
-    (the idempotents of R over this field, filled by
-    ``ring_r.make_idempotents``), and the Frobenius index tables inside
-    ``FieldTables``, are filled lazily, without locks, and idempotently:
-    each entry is a deterministic function of the field, so a concurrent or
-    repeated fill writes an equal value. They live and die with the field.
+    The caches ``_tables``, ``_half``, ``_frob_rows``, ``_subfields`` (the
+    polynomial lanes by i) and ``_idempotents`` (the idempotents of R over
+    this field, filled by ``ring_r.make_idempotents``), and the Frobenius
+    index tables inside ``FieldTables``, are filled lazily, without locks,
+    and idempotently: each entry is a deterministic function of the field,
+    so a concurrent or repeated fill writes an equal value. They live and
+    die with the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -455,23 +311,12 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = tuple(modulus)
-        # reduction rows: w^{m+j} expressed in the basis, for j = 0..m-2
-        self._red = []
-        if m > 1:
-            row = [(-c) % p for c in modulus[:m]]
-            self._red.append(row)
-            for _ in range(m - 2):
-                prev = self._red[-1]
-                row = [0] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    row = [(row[t] + top * self._red[0][t]) % p for t in range(m)]
-                self._red.append(row)
         self.zero = FieldElem(self, [0] * m)
         self.one = FieldElem(self, [1] + [0] * (m - 1))
         self._tables: FieldTables | None = None
         self._half: FieldElem | None = None
         self._frob_rows: dict[int, list[list[int]]] = {}
+        self._subfields: dict[int, Subfield] = {}
         self._idempotents = None
 
     @property
@@ -511,39 +356,12 @@ class Field:
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:m]
-        for j in range(m - 1):
+        for j in range(m - 2, -1, -1):  # c w^{m+j} = c w^j (w^m - f(w))
             c = conv[m + j]
             if c:
-                red = self._red[j]
-                for t in range(m):
-                    out[t] = (out[t] + c * red[t]) % p
-        return out
-
-    def _inv_coeffs(self, a: tuple) -> list[int]:
-        p = self.p
-        if self.m == 1:
-            return [pow(a[0], p - 2, p)]
-        # extended Euclid in Z_p[w]: r0 = modulus, r1 = a
-        r0, s0 = list(self.modulus), []
-        r1, s1 = _poly_trim(list(a)), [1]
-        while r1:
-            q, r = _poly_divmod_modp(r0, r1, p)
-            s = [x % p for x in self._poly_sub(s0, _poly_mul_modp(q, s1, p), p)]
-            r0, s0, r1, s1 = r1, s1, r, _poly_trim(s)
-        # r0 is gcd (a nonzero constant since modulus is irreducible)
-        c = pow(r0[0], p - 2, p)
-        out = [(c * x) % p for x in s0]
-        out += [0] * (self.m - len(out))
-        return out[: self.m]
-
-    @staticmethod
-    def _poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
-        n = max(len(f), len(g))
-        return [
-            ((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-            for i in range(n)
-        ]
+                for t, b in enumerate(self.modulus, j):
+                    conv[t] = (conv[t] - c * b) % p
+        return conv[:m]
 
     # -- the Frobenius power maps ---------------------------------------------
 
@@ -663,6 +481,15 @@ class Field:
         assert len(fixed) == self.p**i
         return fixed
 
+    def subfield(self, i: int) -> Subfield:
+        """The lane over the theta_i-fixed subfield F_{p^i} (memoized)."""
+        self.check_aut_exponent(i)
+        lane = self._subfields.get(i)
+        if lane is None:
+            lane = PrimeSubfield(self.p, self) if i == 1 else Subfield(self, i)
+            self._subfields[i] = lane
+        return lane
+
     # -- equality / formatting ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -684,6 +511,172 @@ class Field:
         return f"p={self.p},m={self.m},mod={mod}"
 
 
+# ---------------------------------------------------------------------------
+# the commutative lane: polynomials over F_{p^i} as lists of lane indices
+
+
+class Subfield:
+    """The subfield F_{p^i} fixed by theta_i, on lane indices 0..p^i - 1.
+
+    Lane index k is the k-th fixed element in the canonical enumeration, so
+    lane indices increase with the F_q index and 0 is zero. Polynomials are
+    lists of lane indices, ascending, no trailing zeros. The helpers rest on
+    two kernels, ``inv`` and ``axpy(u, c, v) = u + c*v`` (equal lengths),
+    which read dense tables built from ``fixed_subfield(i)`` here and are
+    arithmetic mod p in ``PrimeSubfield``.
+    """
+
+    __slots__ = ("p", "order", "one", "minus_one", "field", "elems", "_lanes",
+                 "_add", "_mul", "_inv")
+
+    def __init__(self, field: Field, i: int):
+        order = field.p**i
+        if order > TABLE_LIMIT:
+            raise EnumerationTooLarge(f"subfield order {order} too large for tables")
+        elems, one, n = field.fixed_subfield(i), field.one, order - 1
+        lanes = {x.idx: k for k, x in enumerate(elems)}
+        self.p, self.order, self.field = field.p, order, field
+        self.elems, self._lanes = elems, lanes
+        self.one, self.minus_one = lanes[one.idx], lanes[(-one).idx]
+        # F_Q^* is cyclic: from the powers of a generator g and Zech's
+        # logarithm, lane(1 + g^k), the tables take O(Q) field operations
+        for g in elems[1:]:
+            exp, x = [self.one], g
+            while x != one:
+                exp.append(lanes[x.idx])
+                x = x * g
+            if len(exp) == n:
+                break
+        log = [0] * order
+        for k, a in enumerate(exp):
+            log[a] = k
+        zech = [lanes[(one + elems[a]).idx] for a in exp]
+        exp += exp
+        mul = self._mul = [[0] * order] + [
+            [0] + [exp[la + log[b]] for b in range(1, order)] for la in log[1:]
+        ]
+        self._add = [list(range(order))] + [  # a + b = a * (1 + b/a)
+            [a] + [mul[a][zech[(log[b] - log[a]) % n]] for b in range(1, order)]
+            for a in range(1, order)
+        ]
+        self._inv = [0] + [exp[n - la] for la in log[1:]]
+
+    def inv(self, a: int) -> int:
+        return self._inv[a]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        add, row = self._add, self._mul[c]
+        return [add[a][row[b]] for a, b in zip(u, v)]
+
+    def elem(self, k: int) -> FieldElem:
+        """The element of F_q at lane index k."""
+        return self.elems[k]
+
+    def lane_index(self, x: FieldElem) -> int | None:
+        """The lane index of x, or None when x lies outside the subfield."""
+        return self._lanes.get(x.idx)
+
+    @staticmethod
+    def trim(f: list[int]) -> list[int]:
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def monic(self, f: list[int]) -> list[int]:
+        return self.axpy([0] * len(f), self.inv(f[-1]), f)
+
+    def sub(self, f: list[int], g: list[int]) -> list[int]:
+        n = max(len(f), len(g))
+        pad = [0] * n
+        return self.trim(self.axpy((f + pad)[:n], self.minus_one, (g + pad)[:n]))
+
+    def rem(self, f: list[int], g: list[int]) -> list[int]:
+        """The remainder of f on division by the nonzero g."""
+        if g[-1] != self.one:
+            g = self.monic(g)
+        d = len(g) - 1
+        low = self.axpy([0] * d, self.minus_one, g[:-1])
+        r = list(f)
+        while len(r) > d:
+            c = r.pop()
+            if c:
+                r[len(r) - d :] = self.axpy(r[len(r) - d :], c, low)
+        return self.trim(r)
+
+    def mul(self, f: list[int], g: list[int]) -> list[int]:
+        n, out = len(g), [0] * (len(f) + len(g) - 1)
+        for j, a in enumerate(f):
+            if a:
+                out[j : j + n] = self.axpy(out[j : j + n], a, g)
+        return self.trim(out)
+
+    def mulmod(self, a: list[int], b: list[int], g: list[int]) -> list[int]:
+        return self.rem(self.mul(a, b), g)
+
+    def powmod(self, a: list[int], e: int, g: list[int]) -> list[int]:
+        out = [self.one]
+        while e:
+            if e & 1:
+                out = self.mulmod(out, a, g)
+            a = self.mulmod(a, a, g)
+            e >>= 1
+        return out
+
+    def gcd(self, f: list[int], g: list[int]) -> list[int]:
+        """The monic gcd of f and g, not both zero."""
+        while g:
+            f, g = g, self.rem(f, g)
+        return self.monic(f)
+
+    def is_irreducible(self, f: list[int]) -> bool:
+        """Rabin's test for a monic f of degree d over F_Q, Q = p^i.
+
+        f is irreducible iff x^{Q^d} = x mod f and gcd(f, x^{Q^{d/r}} - x)
+        = 1 for every prime r dividing d. v -> v^Q mod f is F_Q-linear; it
+        is applied as the matrix whose row j is x^{Qj} mod f.
+        """
+        d = len(f) - 1
+        if d <= 1:
+            return d == 1
+        x = [0, self.one]
+        xq = self.powmod(x, self.order, f)
+        rows = [[self.one]]
+        for _ in range(1, d):
+            rows.append(self.mulmod(rows[-1], xq, f))
+        rows = [row + [0] * (d - len(row)) for row in rows]
+        powers = [x]  # powers[k] = x^{Q^k} mod f
+        for _ in range(d):
+            out = [0] * d
+            for c, row in zip(powers[-1], rows):
+                if c:
+                    out = self.axpy(out, c, row)
+            powers.append(self.trim(out))
+        return powers[d] == x and all(
+            len(self.gcd(f, self.sub(powers[d // r], x))) == 1 for r in _prime_divisors(d)
+        )
+
+
+class PrimeSubfield(Subfield):
+    """F_p on the residues 0..p-1, by arithmetic mod p: no table is built
+    and F_q is never enumerated. ``field`` is None for a bare Z_p."""
+
+    def __init__(self, p: int, field: Field | None = None):
+        self.p, self.order, self.one, self.minus_one, self.field = p, p, 1, p - 1, field
+
+    def inv(self, a: int) -> int:
+        return pow(a, self.p - 2, self.p)
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(u, v)]
+
+    def elem(self, k: int) -> FieldElem:
+        return self.field.elem(k)
+
+    def lane_index(self, x: FieldElem) -> int | None:
+        return None if any(x.coeffs[1:]) else x.coeffs[0]
+
+
 def field_new(p: int, m: int, modulus: Sequence[int]) -> Field:
     """Construct and validate F_{p^m} = Z_p[w]/(f(w))."""
     return Field(p, m, modulus)
@@ -691,10 +684,6 @@ def field_new(p: int, m: int, modulus: Sequence[int]) -> Field:
 
 def frobenius(x: FieldElem, i: int) -> FieldElem:
     return x.field.frobenius(x, i)
-
-
-def elements(field: Field, bound: int = ENUMERATION_LIMIT) -> list[FieldElem]:
-    return field.elements(bound)
 
 
 # ---------------------------------------------------------------------------

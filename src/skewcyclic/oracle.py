@@ -911,7 +911,11 @@ def default_matrix(seed: int = 0) -> list[TestMatrixEntry]:
 
 
 def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> VerdictReport:
-    """Collapse per-code verdicts into one report per (claim, entry)."""
+    """Collapse per-code verdicts into one report per (claim, entry).
+
+    A failure reports the first failing verdict's witness; when that verdict
+    is about one code, its config is kept as the witness's ``code``.
+    """
     mode = "exhaustive"
     if any(v.mode == "sampled" for v in verdicts):
         mode = "sampled"
@@ -923,7 +927,10 @@ def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> Verdi
     }
     for v in verdicts:
         if not v.passed:
-            return VerdictReport(claim, config, v.mode, False, v.counterexample, **counts)
+            witness = v.counterexample
+            if v.config != config:  # a per-code verdict: name the failing code
+                witness = {**(witness or {}), "code": v.config}
+            return VerdictReport(claim, config, v.mode, False, witness, **counts)
     return VerdictReport(claim, config, mode, True, **counts)
 
 

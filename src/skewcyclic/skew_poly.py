@@ -23,14 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .finite_field import (
-    Field,
-    FieldElem,
-    _gcd,
-    _is_irreducible_rabin,
-    _rem,
-    _trim,
-)
+from .finite_field import Field, FieldElem
 from .ring_r import RingDomain, RingElem, crt_join, crt_split
 
 SEARCH_LIMIT = 10**7
@@ -371,10 +364,11 @@ def monic_right_divisors(
 # ---------------------------------------------------------------------------
 # the commutative lane: F_{p^i}[x] inside F_q[x, theta_i]
 #
-# The list helpers from ``finite_field`` (``_rem``, ``_gcd``, Rabin's test)
-# take plain coefficient lists over the theta-fixed subfield (ascending, no
-# trailing zeros). theta_i fixes every coefficient, so the skew product is
-# the ordinary one and no twist is computed.
+# theta_i fixes every coefficient of F_{p^i}[x], so there the skew product
+# is the ordinary one. ``Field.subfield(i)`` gives the one lane for it:
+# polynomials as lists of lane indices (ascending, no trailing zeros) with
+# remainder, product, gcd and Rabin's test. Factoring and its verification
+# run on the lane; factors are lifted to ``SkewPoly`` once, at the end.
 
 
 def _cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
@@ -423,31 +417,32 @@ class Factorization:
     factors: tuple[tuple[SkewPoly, int], ...]
 
     def verify(self) -> None:
-        """Re-check the product, the subfield and irreducibility of every factor.
+        """Re-check the subfield, the product and irreducibility of every factor.
 
-        The factors must be monic and pairwise distinct with positive
-        multiplicities, so that ``census_counts`` counts distinct
-        irreducibles; irreducibility is Rabin's test over F_{p^i}.
+        Each factor is read onto the lane of F_{p^i} first, which fails for a
+        coefficient outside the subfield. The factors must be monic and
+        pairwise distinct with positive multiplicities, so that
+        ``census_counts`` counts distinct irreducibles; irreducibility is
+        Rabin's test over F_{p^i}.
         """
-        polys = [g for g, _ in self.factors]
-        if len(set(polys)) != len(polys):
-            raise AssertionError("an irreducible factor is listed more than once")
-        prod = SkewPoly.one(self.field, self.aut)
+        lane = self.field.subfield(self.aut)
+        polys, prod = [], [lane.one]
         for g, s in self.factors:
-            if s < 1 or not g.is_monic():
+            f = [lane.lane_index(c) for c in g.coeffs]
+            if None in f:
+                raise AssertionError(f"factor {g} leaves the fixed subfield")
+            if s < 1 or not f or f[-1] != lane.one:
                 raise AssertionError(f"factor ({g})^{s} is not a monic power")
+            polys.append(f)
             for _ in range(s):
-                prod = skew_mul(prod, g)
-        if prod != xn_minus_1(self.field, self.aut, self.n):
+                prod = lane.mul(prod, f)
+        if len(set(map(tuple, polys))) != len(polys):
+            raise AssertionError("an irreducible factor is listed more than once")
+        if prod != [lane.minus_one] + [0] * (self.n - 1) + [lane.one]:
             raise AssertionError("factor product does not reproduce x^n - 1")
-        sub = set(self.field.fixed_subfield(self.aut))
-        q = self.field.p**self.aut
-        for g in polys:
-            for coeff in g.coeffs:
-                if coeff not in sub:
-                    raise AssertionError(f"factor {g} leaves the fixed subfield")
-            if not _is_irreducible_rabin(list(g.coeffs), q):
-                raise AssertionError(f"factor {g} is reducible over F_{q}")
+        for f, (g, _) in zip(polys, self.factors):
+            if not lane.is_irreducible(f):
+                raise AssertionError(f"factor {g} is reducible over F_{lane.order}")
 
     def census_counts(self) -> tuple[int, int]:
         """(number of skew cyclic codes over F_q, number over R)."""
@@ -469,41 +464,40 @@ def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
     Syst. Tech. J. 46, 1967). Factors are sorted by degree, then by
     coefficient indices.
     """
-    field.check_aut_exponent(i)
-    p = field.p
+    if n < 1:  # x^0 - 1 = 0 has no factorization, and n = 0 never leaves the loop
+        raise SkewPolyError(f"x^n - 1 needs n >= 1, got {n}")
+    lane = field.subfield(i)
     n1 = n
-    while n1 % p == 0:
-        n1 //= p
-    sub = field.fixed_subfield(i)
-    zero, one = field.zero, field.one
-    cosets = _cyclotomic_cosets(p**i, n1)
-    factors = [[-one] + [zero] * (n1 - 1) + [one]]
+    while n1 % field.p == 0:
+        n1 //= field.p
+    cosets = _cyclotomic_cosets(lane.order, n1)
+    factors = [[lane.minus_one] + [0] * (n1 - 1) + [lane.one]]
     for coset in cosets:
         if len(factors) == len(cosets):
             break
-        e_c = [zero] * n1
+        e_c = [0] * n1
         for j in coset:
-            e_c[j] = one
-        e_c = _trim(e_c)
+            e_c[j] = lane.one
         split = []
         for f in factors:
-            r = _rem(e_c, f)
+            r = lane.rem(e_c, f)
             if len(r) <= 1:
                 split.append(f)
                 continue
             left = len(f) - 1
-            for s in sub:
-                h = _gcd(f, [r[0] - s] + r[1:])
+            for c in range(lane.order):  # gcd(f, r - s) as s runs over F_Q
+                h = lane.gcd(f, [c] + r[1:])
                 if len(h) > 1:
                     split.append(h)
                     left -= len(h) - 1
                     if not left:
                         break
         factors = split
-    factors.sort(key=lambda f: (len(f), tuple(field.index(c) for c in f)))
-    fac = Factorization(
-        n, field, i, tuple((SkewPoly(field, f, i), n // n1) for f in factors)
-    )
+    # lane indices increase with the F_q index, so this is the (degree,
+    # coefficient indices) order
+    factors.sort(key=lambda f: (len(f), f))
+    lift = [SkewPoly(field, [lane.elem(c) for c in f], i) for f in factors]
+    fac = Factorization(n, field, i, tuple((g, n // n1) for g in lift))
     fac.verify()
     return fac
 

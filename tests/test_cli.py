@@ -73,6 +73,12 @@ class TestFactorCommand:
         assert payload["codes_over_field"] == 2
         assert payload["codes_over_ring"] == 8
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_length_exits_2(self, capsys, n):
+        # n = 0 used to loop forever, n = -1 printed a factorization of x^-1 - 1
+        code, out, err = run(capsys, "factor", "--field", "p=3,m=1", "--n", n)
+        assert code == 2 and out == "" and "--n must be positive" in err
+
     def test_gcd_gate_exits_1(self, capsys):
         code, _, err = run(capsys, "factor", "--field", FIELD, "--n", "4")
         assert code == 1 and "gcd" in err
@@ -81,6 +87,37 @@ class TestFactorCommand:
         a = run(capsys, "factor", "--field", FIELD, "--n", "5")
         b = run(capsys, "factor", "--field", FIELD, "--n", "5")
         assert a == b
+
+    def test_large_field_with_prime_subfield(self, capsys):
+        # q = 3^11 is past the enumeration bound, but theta_1 fixes F_3 and
+        # the factorization never enumerates F_q
+        code, out, err = run(
+            capsys, "factor", "--field", "p=3,m=11,mod=1,0,2,0,0,0,0,0,0,0,0,1",
+            "--aut", "1", "--n", "5", "--format", "json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+
+        def c(k):
+            return "[" + ",".join([str(k)] + ["0"] * 10) + "]"
+
+        x_minus_1 = f"{c(2)} + {c(1)}*x"
+        quartic = " + ".join([c(1), f"{c(1)}*x"] + [f"{c(1)}*x^{k}" for k in (2, 3, 4)])
+        assert payload["factors"] == [
+            {"poly": x_minus_1, "multiplicity": 1},
+            {"poly": quartic, "multiplicity": 1},
+        ]
+        assert (payload["codes_over_field"], payload["codes_over_ring"]) == (4, 64)
+
+    PINNED = json.loads((DATA / "factor_json_pins.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_json_output_is_pinned(self, capsys, argv):
+        # recorded before the factorization moved to the index lane: the
+        # cli-ladder rungs and F_9 (i = 1) at n = 97 and 241
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert out == self.PINNED[argv]
 
 
 class TestCodeCommand:
@@ -257,6 +294,11 @@ class TestCensusCommand:
         zero = next(r for r in payload["rows"] if r["cardinality"] == 1)
         assert zero["degenerate"] and zero["min_lee_distance"] == 0
 
+    def test_zero_length_over_a_prime_field_exits_1(self, capsys):
+        # gcd(0, t_1) = 1 routes n = 0 to the factorization, which refuses it
+        code, out, err = run(capsys, "census", "--field", "p=3,m=1", "--n", "0")
+        assert code == 1 and out == "" and "n >= 1" in err
+
     def test_table_bound_exceeded(self, capsys):
         code, out, err = run(
             capsys, "census", "--field", FIELD, "--n", "2", "--bound", "10"
@@ -389,6 +431,34 @@ class TestVerifyCommand:
             if l.startswith("{") and not json.loads(l)["pass"]
         ]
         assert failing and all(f["counterexample"] for f in failing)
+
+    def test_failing_verdict_names_the_failing_code(self, capsys, tmp_path, monkeypatch):
+        from skewcyclic import oracle
+
+        real, broken = oracle.verify_cardinality, []
+
+        def fail_fifth_code(code, config=None):
+            v = real(code, config=config)
+            broken.append(v.config)
+            if len(broken) == 5:
+                return oracle.VerdictReport(
+                    v.claim, v.config, v.mode, False, {"rank": 0, "expected": 1}
+                )
+            return v
+
+        monkeypatch.setattr(oracle, "verify_cardinality", fail_fifth_code)
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([{"p": 3, "m": 2, "i": 1, "n": 3}]))
+        code, out, _ = run(capsys, "verify", "--matrix", str(matrix))
+        assert code == 1
+        verdicts = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        failing = [v for v in verdicts if not v["pass"]]
+        assert [v["claim"] for v in failing] == ["cardinality-rank"]
+        assert failing[0]["config"]["n"] == 3 and "g1" not in failing[0]["config"]
+        assert failing[0]["counterexample"] == {
+            "rank": 0, "expected": 1, "code": broken[4],
+        }
+        assert broken[4]["g1"] and broken[4] != broken[0]
 
     def test_malformed_matrix_exits_2(self, capsys, tmp_path):
         matrix = tmp_path / "matrix.json"

@@ -17,7 +17,6 @@ from skewcyclic.finite_field import (
     ReducibleModulus,
     ZeroInverse,
     _is_irreducible_modp,
-    _poly_divmod_modp,
     elem_from_string,
     field_from_string,
     field_new,
@@ -52,6 +51,15 @@ class TestConstruction:
         # 1 + w + w^2 has the root 1 mod 3
         with pytest.raises(ReducibleModulus):
             field_new(3, 2, [1, 1, 1])
+
+    def test_modulus_check_builds_no_tables_for_a_large_prime(self):
+        # p = 4099 > TABLE_LIMIT: Rabin's test runs mod p, with no p x p table
+        assert 4099 > TABLE_LIMIT
+        fld = field_new(4099, 2, [1, 0, 1])  # -1 is a non-residue, 4099 = 3 mod 4
+        assert fld.gen * fld.gen == fld.elem(-1) and fld._tables is None
+        assert fld.gen * fld.gen.inv() == fld.one
+        with pytest.raises(ReducibleModulus):
+            field_new(4099, 2, [-1, 0, 1])
 
     def test_modulus_degree_checked(self):
         with pytest.raises(DegreeMismatch):
@@ -264,14 +272,14 @@ KERNEL_SPECS = [
 class TestInternedKernel:
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
     def test_lookups_agree_with_coefficient_helpers(self, spec):
-        fld = Field(*spec)
+        fld, plain = Field(*spec), Field(*spec)
         p = fld.p
         elems = [fld.from_index(i) for i in range(fld.q)]
         assert fld._tables is not None
         for x in elems:
             assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
             if not x.is_zero():
-                assert x.inv().coeffs == tuple(fld._inv_coeffs(x.coeffs))
+                assert x.inv().coeffs == plain.elem(list(x.coeffs)).inv().coeffs
             ref = x.coeffs
             for e in range(2 * fld.m):
                 assert fld.frob_pow(x, e).coeffs == ref
@@ -283,6 +291,7 @@ class TestInternedKernel:
                 assert (x + y).coeffs == add
                 assert (x - y).coeffs == sub
                 assert (x * y).coeffs == tuple(fld._mul_coeffs(x.coeffs, y.coeffs))
+        assert plain._tables is None  # its inverses came from coefficient arithmetic
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
     def test_results_are_the_interned_elements(self, spec):
@@ -342,13 +351,23 @@ class TestInternedKernel:
         assert fld.from_index(fld.q - 1) is x
 
 
+def _divides_modp(g, f, p):
+    """True iff the monic g divides f over Z_p (schoolbook long division)."""
+    r, d = list(f), len(g) - 1
+    while len(r) > d:
+        c = r.pop()
+        for j in range(d):
+            r[len(r) - d + j] = (r[len(r) - d + j] - c * g[j]) % p
+    return not any(r)
+
+
 class TestRabinModulus:
     @staticmethod
     def _trial_division(f, p):
         deg = len(f) - 1
         for d in range(1, deg // 2 + 1):
             for tail in itertools.product(range(p), repeat=d):
-                if not _poly_divmod_modp(f, list(tail) + [1], p)[1]:
+                if _divides_modp(list(tail) + [1], f, p):
                     return False
         return deg >= 1
 
