@@ -4,7 +4,9 @@ A component code of length n over F_q is the left module generated by a
 monic right divisor g of x^n - 1 in F_q[x, theta_i]; its dimension is
 n - deg g. A code over R is the direct sum eta1*C1 + eta2*C2 + eta3*C3 of
 three component codes of equal length, generated over R by the single
-combined polynomial eta1*g1 + eta2*g2 + eta3*g3.
+combined polynomial eta1*g1 + eta2*g2 + eta3*g3. The splitting
+R[x, theta_i] = F_q[x, theta_i]^3 makes (g1, g2, g3) determine that
+polynomial, so a code over R is built from its components alone.
 
 Duals come from the reversed-and-twisted cofactor: if x^n - 1 = h*g with
 deg g = r, the dual of <g> is generated by
@@ -16,8 +18,9 @@ and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
 fixed subfield.
 
 Code objects are immutable after construction. What they derive (dual,
-idempotent generator, generator rows, distance, remainders) is built on
-first request and kept on the object, so it is freed with the code.
+idempotent generator, component and R-level generator rows, the combined
+generator, distance, remainders) is built on first request and kept on
+the object, so it is freed with the code.
 """
 
 from __future__ import annotations
@@ -101,14 +104,14 @@ class ComponentCode:
     share the enumeration. So are the right remainders x^t mod g for
     deg g <= t < n that ``contains`` reads (``_remainder_cols``, stored
     column by column: entry [k][t - deg g] is the coefficient of x^k).
-    The dual code (``_dual``) and the idempotent generator
-    (``_idempotent``) are likewise built on first request and kept; a
-    failed construction is not kept.
+    The generator rows (``_rows``), the dual code (``_dual``) and the
+    idempotent generator (``_idempotent``) are likewise built on first
+    request and kept; a failed construction is not kept.
     """
 
     __slots__ = (
         "n", "g", "h", "field", "aut",
-        "_distance", "_remainder_cols", "_dual", "_idempotent",
+        "_distance", "_remainder_cols", "_dual", "_idempotent", "_rows",
     )
 
     def __init__(self, n: int, g: SkewPoly):
@@ -129,6 +132,7 @@ class ComponentCode:
         object.__setattr__(self, "_remainder_cols", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_idempotent", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -145,16 +149,19 @@ class ComponentCode:
         return self.dim == 0
 
     def generator_rows(self) -> list[tuple[FieldElem, ...]]:
-        """Row j is the coefficient vector of x^j * g, for j < dim."""
-        rows = []
-        zero = self.field.zero
-        for j in range(self.dim):
-            tw = self.g.twist_coeffs(j)
-            row = [zero] * self.n
-            for t, c in enumerate(tw.coeffs):
-                row[j + t] = c
-            rows.append(tuple(row))
-        return rows
+        """Row j is the coefficient vector of x^j * g, for j < dim.
+
+        Built once into ``_rows``; each call returns a new list.
+        """
+        rows = self._rows
+        if rows is None:
+            zero = self.field.zero
+            rows = tuple(
+                (zero,) * j + self.g.twist_coeffs(j).coeffs + (zero,) * (self.dim - j - 1)
+                for j in range(self.dim)
+            )
+            object.__setattr__(self, "_rows", rows)
+        return list(rows)
 
     def _coefficients(self, word) -> Sequence[FieldElem]:
         """The n coefficients of a word (a sequence or a ``SkewPoly``), validated."""
@@ -349,26 +356,35 @@ def _unchecked_component_code(n: int, g: SkewPoly) -> ComponentCode:
 class SkewCyclicCode:
     """A skew cyclic code over R, as eta1*C1 + eta2*C2 + eta3*C3.
 
-    The dual code (``_dual``) and the R-level generator rows (``_rows``,
-    a tuple) are built on first request and kept.
+    The code is its component triple. The combined generator
+    (``_g_combined``), the dual code (``_dual``) and the R-level generator
+    rows (``_rows``, a tuple) are built on first request and kept.
     """
 
-    __slots__ = ("n", "c1", "c2", "c3", "g_combined", "field", "aut", "_dual", "_rows")
+    __slots__ = ("n", "c1", "c2", "c3", "field", "aut", "_g_combined", "_dual", "_rows")
 
-    def __init__(self, c1: ComponentCode, c2: ComponentCode, c3: ComponentCode,
-                 g_combined: SkewPoly):
+    def __init__(self, c1: ComponentCode, c2: ComponentCode, c3: ComponentCode):
         object.__setattr__(self, "n", c1.n)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "g_combined", g_combined)
         object.__setattr__(self, "field", c1.field)
         object.__setattr__(self, "aut", c1.aut)
+        object.__setattr__(self, "_g_combined", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewCyclicCode is immutable")
+
+    @property
+    def g_combined(self) -> SkewPoly:
+        """eta1*g1 + eta2*g2 + eta3*g3, built once into ``_g_combined``."""
+        g = self._g_combined
+        if g is None:
+            g = ring_skew_poly_combine(self.c1.g, self.c2.g, self.c3.g)
+            object.__setattr__(self, "_g_combined", g)
+        return g
 
     @property
     def components(self) -> tuple[ComponentCode, ComponentCode, ComponentCode]:
@@ -471,16 +487,15 @@ class SkewCyclicCode:
             self.c3.idempotent_generator(),
         )
 
+    def _key(self) -> tuple:
+        # the splitting is a bijection: equal triples, equal combined generators
+        return (self.n, self.aut, self.c1.g, self.c2.g, self.c3.g)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewCyclicCode)
-            and self.n == other.n
-            and self.aut == other.aut
-            and self.g_combined == other.g_combined
-        )
+        return isinstance(other, SkewCyclicCode) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.aut, self.g_combined))
+        return hash(self._key())
 
     def __repr__(self):
         gs = ", ".join(poly_to_string(c.g) for c in self.components)
@@ -490,11 +505,12 @@ class SkewCyclicCode:
 def code_from_components(
     c1: ComponentCode, c2: ComponentCode, c3: ComponentCode
 ) -> SkewCyclicCode:
-    """The code eta1*C1 + eta2*C2 + eta3*C3 with its combined generator.
+    """The code eta1*C1 + eta2*C2 + eta3*C3.
 
     Each component satisfies h_j*g_j = x^n - 1, and the splitting
     R[x, theta_i] = F_q[x, theta_i]^3 carries that to the combined h and g,
-    so nothing is re-multiplied over R (the oracle re-checks it).
+    so nothing is combined or re-multiplied over R here (the oracle
+    re-checks it).
     """
     if not (c1.n == c2.n == c3.n):
         raise LengthMismatch("component lengths differ")
@@ -502,8 +518,20 @@ def code_from_components(
         raise AutMismatch("component automorphisms differ")
     if not (c1.field == c2.field == c3.field):
         raise FieldMismatch("component fields differ")
-    g = ring_skew_poly_combine(c1.g, c2.g, c3.g)
-    return SkewCyclicCode(c1, c2, c3, g)
+    return SkewCyclicCode(c1, c2, c3)
+
+
+def _unchecked_code(
+    c1: ComponentCode, c2: ComponentCode, c3: ComponentCode, g_combined: SkewPoly
+) -> SkewCyclicCode:
+    """Bypass the splitting (negative controls in the verification suite).
+
+    The only way to build a ``SkewCyclicCode`` whose combined generator is
+    not eta1*g1 + eta2*g2 + eta3*g3.
+    """
+    code = SkewCyclicCode(c1, c2, c3)
+    object.__setattr__(code, "_g_combined", g_combined)
+    return code
 
 
 def code_from_combined(g: SkewPoly, n: int) -> SkewCyclicCode:

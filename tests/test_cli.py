@@ -133,6 +133,17 @@ class TestCodeCommand:
         assert payload["cardinality"] == 9**14
         assert payload["dims"] == [4, 5, 5]
 
+    CODE_PINS = json.loads((DATA / "code_json_pins.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(CODE_PINS))
+    def test_json_output_is_pinned(self, capsys, argv):
+        # recorded while codes still combined their generators at
+        # construction: build, dual and (n = 5) idempotent over F_9 for
+        # thirteen codes at n = 4 and 5, zero and full components included
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert out == self.CODE_PINS[argv]
+
     def test_components_over_different_fields_exit_1(self, capsys, monkeypatch):
         from skewcyclic import cli
 

@@ -120,6 +120,72 @@ class TestSplitNativeConstruction:
             assert skew_mul(h, g) == xn_minus_1(g.domain, 1, 5)
 
 
+def _recording(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call as (args, result)."""
+    original, calls = getattr(owner, name), []
+
+    def counted(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestCombinedGeneratorOnDemand:
+    """A code over R is its component triple; the combined generator is
+    built on first access, once."""
+
+    def test_construction_combines_nothing(self, f9, monkeypatch):
+        calls = _recording(monkeypatch, codes, "ring_skew_poly_combine")
+        built = census(3, f9, 1)
+        built += [code_from_json(code_to_json(c)) for c in built[:8]]
+        assert len(built) == 72 and calls == []
+
+    @pytest.mark.parametrize(
+        "fld,n", [("f9", 1), ("f9", 2), ("f9", 3), ("f9", 4), ("f25", 4)]
+    )
+    def test_built_once_and_equal_to_the_combination(self, request, monkeypatch, fld, n):
+        fld = request.getfixturevalue(fld)
+        built = census(n, fld, 1, bound=None)
+        calls = _recording(monkeypatch, codes, "ring_skew_poly_combine")
+        while built:  # popped, so each memo is freed once checked
+            code = built.pop()
+            g = code.g_combined
+            assert code.g_combined is g
+            # g is what ring_skew_poly_combine returned on this code's own g_j
+            args, result = calls.pop()
+            assert result is g and all(a is c.g for a, c in zip(args, code.components))
+        assert calls == []
+
+
+class TestComponentEquality:
+    """Equality and hashing from (n, aut, g1, g2, g3) agree with equality
+    of the combined generators."""
+
+    def test_agrees_with_combined_generators_on_census(self, f9):
+        built = census(3, f9, 1)
+        pairs = 0
+        for a in built:
+            for b in built:
+                assert (a == b) == (a.g_combined == b.g_combined)
+                if a == b:
+                    assert hash(a) == hash(b)
+                pairs += 1
+        assert pairs == 4096 and len(set(built)) == 64
+
+    def test_equal_but_distinct_fields(self, f9):
+        twin = Field(3, 2, [1, 0, 1])
+        assert twin is not f9 and twin == f9
+        ours, theirs = census(3, f9, 1), census(3, twin, 1)
+        for a, b in zip(ours, theirs):
+            assert a.field is not b.field
+            assert a == b and hash(a) == hash(b)
+            assert a.g_combined == b.g_combined
+        assert set(ours) == set(theirs) and len(set(ours + theirs)) == 64
+        assert ours[1] != theirs[2] and ours[1].g_combined != theirs[2].g_combined
+
+
 class TestGeneratorRows:
     def test_full_code_rows_are_identity(self, f9):
         c = component_code_new(2, SkewPoly.one(f9, 1))
@@ -577,6 +643,16 @@ class TestDerivedCodeMemos:
         first[0] = None
         assert code.generator_rows() == second
         assert len(second) == code.dim
+
+    @pytest.mark.parametrize("g", ["x-1", "1", "1+x+x^2+x^3+x^4", "x^5-1"])
+    def test_component_rows_twisted_once(self, f9, monkeypatch, g):
+        c = component_code_new(5, poly_from_string(g, f9, 1))
+        calls = _recording(monkeypatch, SkewPoly, "twist_coeffs")
+        first, second = c.generator_rows(), c.generator_rows()
+        assert first == second and first is not second
+        first.insert(0, None)
+        assert c.generator_rows() == second and len(second) == c.dim
+        assert len(calls) == c.dim
 
     def test_idempotent_kept_after_checks(self, f9):
         c = component_code_new(5, poly_from_string("x-1", f9, 1))

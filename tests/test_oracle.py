@@ -307,6 +307,20 @@ class TestMatrixAndDualityOracles:
     def test_decomposition(self, mixed_code):
         assert verify_decomposition(mixed_code).passed
 
+    def test_decomposition_checks_the_combined_round_trip(self, mixed_code, monkeypatch):
+        # equal components, different combined generator: only the R-level
+        # comparison can see it
+        from skewcyclic import oracle
+        from skewcyclic.codes import _unchecked_code
+
+        other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
+        assert other != mixed_code.g_combined
+        monkeypatch.setattr(
+            oracle, "code_from_combined", lambda g, n: _unchecked_code(*mixed_code.components, other)
+        )
+        v = verify_decomposition(mixed_code)
+        assert not v.passed and v.mode == "exhaustive"
+
     def test_uniqueness_over_census(self, f9, entry9):
         codes = census(1, f9, 1)
         assert verify_combined_uniqueness(codes, entry9.config()).passed
@@ -787,8 +801,7 @@ def _non_divisor_codes(f9, n):
         bad = _unchecked_component_code(n, g)
         out.append(bad)
         for comps in ((bad, zero, zero), (zero, bad, zero)):
-            combined = ring_skew_poly_combine(*(c.g for c in comps))
-            out.append(SkewCyclicCode(*comps, combined))
+            out.append(code_from_components(*comps))
     return out
 
 
