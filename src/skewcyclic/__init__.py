@@ -1,8 +1,7 @@
 """Exact computer algebra for skew cyclic codes over F_q + vF_q + v^2F_q (v^3 = v)."""
 
-from .finite_field import Field, FieldElem, field_new, frobenius
+from .finite_field import Field, FieldElem
 from .ring_r import (
-    RingDomain,
     RingElem,
     crt_join,
     crt_split,
@@ -11,7 +10,6 @@ from .ring_r import (
     lee_distance,
     lee_weight,
     make_idempotents,
-    theta,
 )
 from .skew_poly import (
     Factorization,
@@ -31,7 +29,6 @@ from .codes import (
     ComponentCode,
     SkewCyclicCode,
     census,
-    code_from_combined,
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,

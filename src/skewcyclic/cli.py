@@ -24,7 +24,6 @@ from . import oracle as oracle_mod
 from .codes import (
     CodeError,
     census,
-    code_from_combined,
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,
@@ -37,7 +36,9 @@ from .skew_poly import (
     factor_xn_minus_1,
     poly_from_string,
     poly_to_string,
-    ring_poly_from_string,
+    project_components,
+    ring_coeffs_from_string,
+    ring_skew_poly_combine,
 )
 
 
@@ -61,32 +62,42 @@ def _parse_field(args) -> Field:
         raise CliConfigError(f"bad field spec {args.field!r}: {exc}") from exc
 
 
+def _length(args) -> int:
+    """The --n of factor, code and census: required and positive."""
+    if args.n is None:
+        raise CliConfigError("--n is required")
+    if args.n < 1:
+        raise CliConfigError(f"--n must be positive, got {args.n}")
+    return args.n
+
+
 def _parse_code(args, fld: Field):
     have_triple = args.g1 or args.g2 or args.g3
     if args.g and have_triple:
         raise CliConfigError("give either --g or the --g1/--g2/--g3 triple, not both")
     if not args.g and not (args.g1 and args.g2 and args.g3):
         raise CliConfigError("a code needs --g (over R) or all of --g1 --g2 --g3")
-    if args.n is None:
-        raise CliConfigError("--n is required")
-    if args.n < 1:
-        raise CliConfigError(f"--n must be positive, got {args.n}")
+    n = _length(args)
     # a generator that does not parse, or is of degree above n, is a
     # configuration error; one that parses but does not define a code is a
     # code error (exit 1)
     try:
         if args.g:
-            g = ring_poly_from_string(args.g, fld, args.aut, max_degree=args.n)
+            coeffs = ring_coeffs_from_string(args.g, fld, max_degree=n)
+            gs = project_components(coeffs, fld, args.aut)
         else:
             gs = [
-                poly_from_string(s, fld, args.aut, max_degree=args.n)
+                poly_from_string(s, fld, args.aut, max_degree=n)
                 for s in (args.g1, args.g2, args.g3)
             ]
     except (ValueError, FieldError) as exc:
         raise CliConfigError(f"bad generator polynomial: {exc}") from exc
-    if args.g:
-        return code_from_combined(g, args.n)
-    return code_from_components(*(component_code_new(args.n, g) for g in gs))
+    return code_from_components(*(component_code_new(n, g) for g in gs))
+
+
+def _combined_text(polys) -> str:
+    """eta1*f1 + eta2*f2 + eta3*f3 over R, as text."""
+    return poly_to_string(ring_skew_poly_combine(*polys))
 
 
 def _parse_word(args, fld: Field):
@@ -130,10 +141,7 @@ def cmd_field(args) -> int:
 
 def cmd_factor(args) -> int:
     fld = _parse_field(args)
-    if args.n is None:
-        raise CliConfigError("--n is required")
-    if args.n < 1:
-        raise CliConfigError(f"--n must be positive, got {args.n}")
+    _length(args)
     t_i = fld.check_aut_exponent(args.aut)
     if math.gcd(args.n, t_i) != 1:
         raise HypothesisViolated(
@@ -167,7 +175,7 @@ def _code_payload(code) -> dict:
         "code": block,
         "dims": [c.dim for c in code.components],
         "cardinality": code.size,
-        "combined_generator": poly_to_string(code.g_combined),
+        "combined_generator": _combined_text(c.g for c in code.components),
     }
 
 
@@ -183,7 +191,7 @@ def cmd_code(args) -> int:
                 f"skew cyclic code over R, n = {code.n}, aut = {code.aut}",
                 f"generators: {', '.join(poly_to_string(c.g) for c in code.components)}",
                 f"dims: {[c.dim for c in code.components]}  |C| = {code.size}",
-                f"combined generator: {poly_to_string(code.g_combined)}",
+                f"combined generator: {payload['combined_generator']}",
             ],
             args.format,
         )
@@ -197,7 +205,7 @@ def cmd_code(args) -> int:
             poly_to_string(c.reciprocal_cofactor()) for c in code.components
         ]
         payload["dual_generators"] = [poly_to_string(c.g) for c in dual.components]
-        payload["dual_combined_generator"] = poly_to_string(dual.g_combined)
+        payload["dual_combined_generator"] = _combined_text(c.g for c in dual.components)
         payload["dual_cardinality"] = dual.size
         lines = [f"dual of code with n = {code.n}:"]
         for k, c in enumerate(code.components, 1):
@@ -207,7 +215,7 @@ def cmd_code(args) -> int:
             "dual generators: "
             + ", ".join(poly_to_string(c.g) for c in dual.components)
         )
-        lines.append(f"dual combined generator: {poly_to_string(dual.g_combined)}")
+        lines.append(f"dual combined generator: {payload['dual_combined_generator']}")
         lines.append(f"|dual| = {dual.size}")
         _emit(payload, lines, args.format)
         return 0
@@ -268,18 +276,16 @@ def cmd_code(args) -> int:
         _emit(payload, [f"min Lee distance: {label}"], args.format)
         return 0
     if action == "idempotent":
-        e = code.idempotent_generator()
+        es = code.idempotent_generator()
         payload = _code_payload(code)
-        payload["idempotent"] = poly_to_string(e)
-        payload["component_idempotents"] = [
-            poly_to_string(c.idempotent_generator()) for c in code.components
-        ]
+        payload["idempotent"] = _combined_text(es)
+        payload["component_idempotents"] = [poly_to_string(e) for e in es]
         payload["idempotent_verified"] = True
         _emit(
             payload,
             [
                 f"idempotent generator (e*e = e mod x^{code.n} - 1, verified):",
-                f"  e = {poly_to_string(e)}",
+                f"  e = {payload['idempotent']}",
             ],
             args.format,
         )
@@ -306,8 +312,7 @@ def _distance_or_none(comp, bound: int) -> int | None:
 
 def cmd_census(args) -> int:
     fld = _parse_field(args)
-    if args.n is None:
-        raise CliConfigError("--n is required")
+    _length(args)
     all_codes = census(args.n, fld, args.aut, bound=args.bound)
     count = len(all_codes)
     t_i = fld.check_aut_exponent(args.aut)
@@ -401,6 +406,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of the bounds: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(sp, with_n=True):
     sp.add_argument("--field", help="field spec, e.g. p=3,m=2,mod=1,0,1")
     sp.add_argument("--aut", type=int, default=1, help="automorphism exponent i")
@@ -441,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", help="vector over R, semicolon-separated a|b|c elements")
     sp.add_argument(
         "--bound",
-        type=int,
+        type=non_negative_int,
         default=10**6,
         help="distance: refuse a component when the smaller of it and its "
         "dual exceeds this many words",
@@ -450,10 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="list every skew cyclic code of length n")
     _add_common(sp)
-    sp.add_argument("--bound", type=int, default=10**4, help="max table rows")
+    sp.add_argument("--bound", type=non_negative_int, default=10**4, help="max table rows")
     sp.add_argument(
         "--distance-bound",
-        type=int,
+        type=non_negative_int,
         default=10**6,
         help="leave a distance empty when a component's smaller side (the "
         "component or its dual) exceeds this many words",

@@ -3,10 +3,13 @@
 A component code of length n over F_q is the left module generated by a
 monic right divisor g of x^n - 1 in F_q[x, theta_i]; its dimension is
 n - deg g. A code over R is the direct sum eta1*C1 + eta2*C2 + eta3*C3 of
-three component codes of equal length, generated over R by the single
-combined polynomial eta1*g1 + eta2*g2 + eta3*g3. The splitting
-R[x, theta_i] = F_q[x, theta_i]^3 makes (g1, g2, g3) determine that
-polynomial, so a code over R is built from its components alone.
+three component codes of equal length. The splitting
+R[x, theta_i] = F_q[x, theta_i]^3 makes the code its component triple:
+the combined generator eta1*g1 + eta2*g2 + eta3*g3 that generates it over
+R, like the combined generator of its dual and its idempotent, is fixed
+by the components, so no polynomial over R is built here. The CLI formats
+them at output through ``ring_skew_poly_combine``; the oracle rebuilds
+them with its own arithmetic over R and re-checks them.
 
 Duals come from the reversed-and-twisted cofactor: if x^n - 1 = h*g with
 deg g = r, the dual of <g> is generated by
@@ -18,9 +21,9 @@ and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
 fixed subfield.
 
 Code objects are immutable after construction. What they derive (dual,
-idempotent generator, component and R-level generator rows, the combined
-generator, distance, remainders) is built on first request and kept on
-the object, so it is freed with the code.
+idempotent generator, component and R-level generator rows, distance,
+remainders) is built on first request and kept on the object, so it is
+freed with the code.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .skew_poly import (
     poly_from_string,
     poly_to_string,
     right_divide,
-    ring_skew_poly_combine,
-    project_components,
     skew_mul,
     xn_minus_1,
 )
@@ -115,7 +116,7 @@ class ComponentCode:
     )
 
     def __init__(self, n: int, g: SkewPoly):
-        h, rem = right_divide(xn_minus_1(g.domain, g.aut, n), g)
+        h, rem = right_divide(xn_minus_1(g.field, g.aut, n), g)
         if not rem.is_zero():
             raise NotRightDivisor(
                 f"{poly_to_string(g)} does not right-divide x^{n} - 1"
@@ -301,13 +302,13 @@ class ComponentCode:
 
     def _generates(self, e: SkewPoly) -> bool:
         """Does the left module spanned by e equal this code?"""
-        rows = [_poly_to_row(mod_xn_minus_1(e, self.n), self.n)]
+        rows = [tuple(mod_xn_minus_1(e, self.n).padded(self.n))]
         for j in range(1, self.n):
             rows.append(skew_shift(rows[-1], self.aut))
         idx = linalg.to_index_rows(rows, self.field)
         if linalg.rank(idx, self.field) != self.dim:
             return False
-        g_row = _poly_to_row(mod_xn_minus_1(self.g, self.n), self.n)
+        g_row = tuple(mod_xn_minus_1(self.g, self.n).padded(self.n))
         idx.append([self.field.index(x) for x in g_row])
         return linalg.rank(idx, self.field) == self.dim and all(
             self.contains(row) for row in rows
@@ -328,11 +329,6 @@ class ComponentCode:
         return f"ComponentCode(n={self.n}, g={poly_to_string(self.g)}, aut={self.aut})"
 
 
-def _poly_to_row(f: SkewPoly, n: int) -> tuple:
-    zero = f.domain.zero
-    return tuple(list(f.coeffs) + [zero] * (n - len(f.coeffs)))
-
-
 def component_code_new(n: int, g: SkewPoly) -> ComponentCode:
     """Validated construction: g must be monic and right-divide x^n - 1."""
     if n < 1:
@@ -347,7 +343,7 @@ def _unchecked_component_code(n: int, g: SkewPoly) -> ComponentCode:
 
     The only way to build a ``ComponentCode`` whose h*g is not x^n - 1.
     """
-    quo, _ = right_divide(xn_minus_1(g.domain, g.aut, n), g)
+    quo, _ = right_divide(xn_minus_1(g.field, g.aut, n), g)
     code = object.__new__(ComponentCode)
     code._set(n, g, quo)
     return code
@@ -356,12 +352,12 @@ def _unchecked_component_code(n: int, g: SkewPoly) -> ComponentCode:
 class SkewCyclicCode:
     """A skew cyclic code over R, as eta1*C1 + eta2*C2 + eta3*C3.
 
-    The code is its component triple. The combined generator
-    (``_g_combined``), the dual code (``_dual``) and the R-level generator
-    rows (``_rows``, a tuple) are built on first request and kept.
+    The code is its component triple (c1, c2, c3); equality and hash come
+    from the three generators. The dual code (``_dual``) and the R-level
+    generator rows (``_rows``, a tuple) are built on first request and kept.
     """
 
-    __slots__ = ("n", "c1", "c2", "c3", "field", "aut", "_g_combined", "_dual", "_rows")
+    __slots__ = ("n", "c1", "c2", "c3", "field", "aut", "_dual", "_rows")
 
     def __init__(self, c1: ComponentCode, c2: ComponentCode, c3: ComponentCode):
         object.__setattr__(self, "n", c1.n)
@@ -370,21 +366,11 @@ class SkewCyclicCode:
         object.__setattr__(self, "c3", c3)
         object.__setattr__(self, "field", c1.field)
         object.__setattr__(self, "aut", c1.aut)
-        object.__setattr__(self, "_g_combined", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewCyclicCode is immutable")
-
-    @property
-    def g_combined(self) -> SkewPoly:
-        """eta1*g1 + eta2*g2 + eta3*g3, built once into ``_g_combined``."""
-        g = self._g_combined
-        if g is None:
-            g = ring_skew_poly_combine(self.c1.g, self.c2.g, self.c3.g)
-            object.__setattr__(self, "_g_combined", g)
-        return g
 
     @property
     def components(self) -> tuple[ComponentCode, ComponentCode, ComponentCode]:
@@ -435,11 +421,8 @@ class SkewCyclicCode:
         return rows
 
     def contains(self, word) -> bool:
-        """Membership via the splitting: the coordinate words (x1), (x2),
-        (x3) that the word's ``RingElem``s store lie in C1, C2 and C3."""
-        if isinstance(word, SkewPoly):
-            self.g_combined._check_compat(word)
-            word = _poly_to_row(word, self.n)
+        """Membership of a sequence of ``RingElem`` via the splitting: the
+        coordinate words (x1), (x2), (x3) it stores lie in C1, C2 and C3."""
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
         if not all(isinstance(r, RingElem) for r in word):
@@ -474,18 +457,15 @@ class SkewCyclicCode:
             return MinDistance(0, True)
         return MinDistance(best, False)
 
-    def idempotent_generator(self) -> SkewPoly:
-        """Combined idempotent generator eta1*e1 + eta2*e2 + eta3*e3 over R.
+    def idempotent_generator(self) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
+        """The components (e1, e2, e3) of the idempotent generator
+        e = eta1*e1 + eta2*e2 + eta3*e3 over R.
 
         Each e_j is a verified idempotent generator of C_j, and the
         splitting carries e_j*e_j = e_j and <e_j> = C_j to e over R
         (``oracle.verify_idempotent_generators`` re-checks both over R).
         """
-        return ring_skew_poly_combine(
-            self.c1.idempotent_generator(),
-            self.c2.idempotent_generator(),
-            self.c3.idempotent_generator(),
-        )
+        return tuple(c.idempotent_generator() for c in self.components)
 
     def _key(self) -> tuple:
         # the splitting is a bijection: equal triples, equal combined generators
@@ -519,29 +499,6 @@ def code_from_components(
     if not (c1.field == c2.field == c3.field):
         raise FieldMismatch("component fields differ")
     return SkewCyclicCode(c1, c2, c3)
-
-
-def _unchecked_code(
-    c1: ComponentCode, c2: ComponentCode, c3: ComponentCode, g_combined: SkewPoly
-) -> SkewCyclicCode:
-    """Bypass the splitting (negative controls in the verification suite).
-
-    The only way to build a ``SkewCyclicCode`` whose combined generator is
-    not eta1*g1 + eta2*g2 + eta3*g3.
-    """
-    code = SkewCyclicCode(c1, c2, c3)
-    object.__setattr__(code, "_g_combined", g_combined)
-    return code
-
-
-def code_from_combined(g: SkewPoly, n: int) -> SkewCyclicCode:
-    """Build a code from a single generator over R by splitting it."""
-    g1, g2, g3 = project_components(g)
-    return code_from_components(
-        component_code_new(n, g1),
-        component_code_new(n, g2),
-        component_code_new(n, g3),
-    )
 
 
 def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:

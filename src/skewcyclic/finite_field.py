@@ -365,11 +365,6 @@ class Field:
 
     # -- the Frobenius power maps ---------------------------------------------
 
-    def frobenius(self, x: FieldElem, i: int) -> FieldElem:
-        """theta_i : a -> a^{p^i}. Requires i positive and dividing m."""
-        self.check_aut_exponent(i)
-        return self.frob_pow(x, i)
-
     def check_aut_exponent(self, i: int) -> int:
         """Validate an automorphism exponent and return the order t_i = m / i."""
         if not isinstance(i, int) or i < 1 or self.m % i != 0:
@@ -675,15 +670,6 @@ class PrimeSubfield(Subfield):
 
     def lane_index(self, x: FieldElem) -> int | None:
         return None if any(x.coeffs[1:]) else x.coeffs[0]
-
-
-def field_new(p: int, m: int, modulus: Sequence[int]) -> Field:
-    """Construct and validate F_{p^m} = Z_p[w]/(f(w))."""
-    return Field(p, m, modulus)
-
-
-def frobenius(x: FieldElem, i: int) -> FieldElem:
-    return x.field.frobenius(x, i)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ polynomial to do so; agreement with the membership test in ``codes`` is
 itself one of the verified claims. Only the minimum distance is
 enumerated, one coordinate-class block of the Gray image at a time.
 
+Production has no polynomial over R. The claims about the combined
+generator eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples
+of ``RingElem`` coefficients with a skew multiply, a fold mod x^n - 1 and
+a right division. The eta_j are built from their a + bv + cv^2 form, so
+the lane rests on the ``RingElem`` arithmetic that ``_verify_splitting``
+checks against the schoolbook product.
+
 ``oracle_code_enumerate`` still lists codewords, for tests at desk size:
 it lists the F_q-span of the same shift-closed basis that the
 ``shift-closure`` claim builds, through the Gray image for a code over R.
@@ -35,15 +42,11 @@ from . import linalg
 from .codes import (
     ComponentCode,
     SkewCyclicCode,
-    _poly_to_row,
-    _unchecked_code,
     _unchecked_component_code,
     census,
-    code_from_combined,
     code_from_components,
     code_to_json,
     component_code_new,
-    skew_shift,
 )
 from .finite_field import EnumerationTooLarge, Field
 from .ring_r import (
@@ -52,7 +55,6 @@ from .ring_r import (
     gray_map,
     hamming_distance,
     lee_distance,
-    make_idempotents,
     ring_from_index,
 )
 from .skew_poly import (
@@ -62,11 +64,11 @@ from .skew_poly import (
     brute_right_divisors,
     factor_xn_minus_1,
     is_right_divisor_of_xn_minus_1,
-    mod_xn_minus_1,
+    poly_from_string,
     poly_to_string,
+    project_components,
     right_divide,
     ring_skew_poly_combine,
-    skew_mul,
     xn_minus_1,
 )
 
@@ -635,29 +637,111 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport
     )
 
 
-def _combined_generator_rows(code: SkewCyclicCode) -> list[tuple[RingElem, ...]]:
-    """Rows spanning <g_combined> over R: eta_t * (x^j * g mod x^n - 1)."""
-    etas = make_idempotents(code.field)
-    g = code.g_combined
+# ---------------------------------------------------------------------------
+# the oracle's R lane: polynomials in R[x, theta_i] as tuples of RingElem
+# coefficients, ascending, without trailing zeros
+
+
+def _r_trim(coeffs) -> tuple:
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def _r_mul(f: tuple, g: tuple, aut: int) -> tuple:
+    """The skew product: (a x^i)(b x^j) = a theta^i(b) x^{i+j}."""
+    if not f or not g:
+        return ()
+    m = f[0].field.m
+    out = [f[0] - f[0]] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a.is_zero():
+            continue
+        e = aut * i % m
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b.frob(e)
+    return _r_trim(out)
+
+
+def _r_fold(f: tuple, n: int) -> tuple:
+    """The right remainder of f by x^n - 1, with no division:
+    a x^{n+k} = (a x^k)(x^n - 1) + a x^k moves each coefficient to degree k mod n."""
+    out = list(f[:n])
+    for k in range(n, len(f)):
+        out[k % n] = out[k % n] + f[k]
+    return _r_trim(out)
+
+
+def _r_right_divide(f: tuple, g: tuple, aut: int) -> tuple[tuple, tuple]:
+    """(quotient, remainder) with f = quotient*g + remainder and
+    deg remainder < deg g; g's leading coefficient must be a unit of R."""
+    m = g[-1].field.m
+    d = len(g) - 1
+    r = list(f)
+    quo = [g[-1] - g[-1]] * max(0, len(r) - d)
+    while len(r) > d:
+        k = len(r) - 1 - d
+        e = aut * k % m
+        qk = r[-1] * g[-1].frob(e).inv()
+        quo[k] = qk
+        for j, b in enumerate(g):
+            r[k + j] = r[k + j] - qk * b.frob(e)
+        r = list(_r_trim(r))
+    return _r_trim(quo), tuple(r)
+
+
+def _etas(fld: Field) -> tuple[RingElem, RingElem, RingElem]:
+    """eta1 = 1 - v^2, eta2 = (v + v^2)/2, eta3 = (-v + v^2)/2, from a, b, c."""
+    zero, one, half = fld.zero, fld.one, fld.half
+    return (RingElem(one, zero, -one), RingElem(zero, half, half), RingElem(zero, -half, half))
+
+
+def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
+    """eta1*f1 + eta2*f2 + eta3*f3 over R, by R arithmetic on constants
+    c + 0v + 0v^2 (``crt_join`` is what the claims check, not what they use)."""
+    zero = fld.zero
+    etas = _etas(fld)
+    out = []
+    for k in range(max(len(f.coeffs) for f in polys)):
+        t1, t2, t3 = (eta * RingElem(f.coeff(k), zero, zero) for eta, f in zip(etas, polys))
+        out.append(t1 + t2 + t3)
+    return _r_trim(out)
+
+
+def _combined_generator(code: SkewCyclicCode) -> tuple:
+    return _combine([c.g for c in code.components], code.field)
+
+
+def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple[RingElem, ...]]:
+    """Rows spanning <g> over R: eta_t * (x^j * g mod x^n - 1) for j < n."""
+    fld, n = code.field, code.n
+    r0 = RingElem(fld.zero, fld.zero, fld.zero)
+    etas = _etas(fld)
     rows = []
-    for j in range(code.n):
-        shifted = mod_xn_minus_1(
-            skew_mul(SkewPoly.x_power(g.domain, g.aut, j), g), code.n
-        )
-        base = _poly_to_row(shifted, code.n)
+    for j in range(n):
+        x_j = (r0,) * j + (RingElem(fld.one, fld.zero, fld.zero),)
+        shifted = _r_fold(_r_mul(x_j, g, code.aut), n)
+        base = shifted + (r0,) * (n - len(shifted))
         for eta in etas:
             rows.append(tuple(eta * c for c in base))
     return rows
 
 
 def verify_principality(
-    code: SkewCyclicCode, samples: int = 100, rng=None, combined_rows=None, config=None
+    code: SkewCyclicCode,
+    samples: int = 100,
+    rng=None,
+    combined=None,
+    combined_rows=None,
+    config=None,
 ) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
-    ``combined_rows`` are ``_combined_generator_rows(code)``, built here
-    when not given.
+    ``combined`` is the combined generator (``_combined_generator(code)``)
+    and ``combined_rows`` its ``_combined_generator_rows``; each is built
+    here when not given.
     """
     fld = code.field
     cfg = config or _code_config(code)
@@ -665,8 +749,10 @@ def verify_principality(
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", cfg, mode, False, witness)
 
+    if combined is None:
+        combined = _combined_generator(code)
     if combined_rows is None:
-        combined_rows = _combined_generator_rows(code)
+        combined_rows = _combined_generator_rows(combined, code)
     rows = [gray_map(r) for r in combined_rows]
     basis = linalg.rref(linalg.to_index_rows(rows, fld), fld)
     if len(basis) != code.dim:
@@ -694,10 +780,9 @@ def verify_principality(
             return fail("sampled", {"word": [str(x) for x in word]})
     # when the combined generator has a unit leading coefficient the
     # literal right-remainder test must agree as well
-    if code.g_combined.is_zero() or code.g_combined.lc().is_unit():
+    if combined and combined[-1].is_unit():
         for row in code.generator_rows():
-            f = SkewPoly(code.g_combined.domain, list(row), code.aut)
-            if not right_divide(f, code.g_combined).remainder.is_zero():
+            if _r_right_divide(_r_trim(row), combined, code.aut)[1]:
                 return fail(
                     "exhaustive", {"right_remainder_nonzero_on": [str(x) for x in row]}
                 )
@@ -731,7 +816,7 @@ def verify_distance_law(
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
     if combined_rows is None:
-        combined_rows = _combined_generator_rows(code)
+        combined_rows = _combined_generator_rows(_combined_generator(code), code)
     if block_minima is None:
         block_minima = {}
     rows = [gray_map(r) for r in combined_rows]
@@ -763,13 +848,14 @@ def verify_distance_law(
 
 
 def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictReport:
-    """The Bezout idempotent e exists, e*e = e over R, and the Gray rows of
-    eta_j * (sigma-orbit of e) span the Gray image of the code."""
+    """The Bezout idempotent e = eta1*e1 + eta2*e2 + eta3*e3 exists,
+    e*e = e mod x^n - 1 over R, and the Gray rows of eta_j * (sigma-orbit
+    of e) span the Gray image of the code."""
     from .codes import HypothesisViolated, NotCoprime
 
     cfg = config or _code_config(code)
     try:
-        e = code.idempotent_generator()
+        parts = code.idempotent_generator()
     except HypothesisViolated as exc:
         return VerdictReport(
             "idempotent-generator", cfg, "skipped", True, {"reason": str(exc)}
@@ -779,16 +865,9 @@ def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictRe
             "idempotent-generator", cfg, "exhaustive", False, {"reason": str(exc)}
         )
     fld, n = code.field, code.n
-    e_mod = mod_xn_minus_1(e, n)
-    idempotent = mod_xn_minus_1(skew_mul(e, e), n) == e_mod
-    orbit = [_poly_to_row(e_mod, n)]
-    for _ in range(1, n):
-        orbit.append(skew_shift(orbit[-1], code.aut))
-    rows = [
-        gray_map(tuple(eta * c for c in row))
-        for eta in make_idempotents(fld)
-        for row in orbit
-    ]
+    e = _combine(parts, fld)
+    idempotent = _r_fold(_r_mul(e, e, code.aut), n) == _r_fold(e, n)
+    rows = [gray_map(row) for row in _combined_generator_rows(e, code)]
     span_e = linalg.canonical_subspace(linalg.to_index_rows(rows, fld), fld)
     span_c = linalg.canonical_subspace(linalg.to_index_rows(_gray_rows(code), fld), fld)
     generates = span_e == span_c
@@ -799,44 +878,52 @@ def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictRe
     return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, witness)
 
 
-def verify_decomposition(code: SkewCyclicCode, config=None) -> VerdictReport:
+def verify_decomposition(code: SkewCyclicCode, config=None, combined=None) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly,
-    and they combine back to the same generator over R."""
-    rebuilt = code_from_combined(code.g_combined, code.n)
-    parts = rebuilt.components
-    ok = parts == code.components and rebuilt.g_combined == code.g_combined
+    and ``ring_skew_poly_combine`` joins them back to the same generator.
+
+    ``combined`` is ``_combined_generator(code)``, built here when not given.
+    """
+    g = combined if combined is not None else _combined_generator(code)
+    parts = project_components(g, code.field, code.aut)
+    ok = parts == tuple(c.g for c in code.components) and ring_skew_poly_combine(*parts) == g
     witness = None
     if not ok:
-        witness = {"recovered": [poly_to_string(c.g) for c in parts]}
+        witness = {"recovered": [poly_to_string(f) for f in parts]}
     return VerdictReport(
         "decompose-compose", config or _code_config(code), "exhaustive", ok, witness
     )
 
 
 def verify_combined_uniqueness(
-    codes: Sequence[SkewCyclicCode], config: dict, code_config: Callable | None = None
+    codes: Sequence[SkewCyclicCode],
+    config: dict,
+    code_config: Callable | None = None,
+    generators: Sequence[tuple] | None = None,
 ) -> VerdictReport:
     """Distinct censused codes carry distinct combined generators, each a
-    right divisor of x^n - 1 over R (witnessed by its cofactor).
+    right divisor of x^n - 1 over R (witnessed by its combined cofactor).
     ``code_config`` builds a code's config (``_code_config`` when not
-    given)."""
+    given); ``generators`` are the codes' ``_combined_generator``s, built
+    here when not given."""
     code_config = code_config or _code_config
+    if generators is None:
+        generators = [_combined_generator(code) for code in codes]
     seen = {}
-    for code in codes:
-        key = code.g_combined
-        if key in seen:
+    for code, g in zip(codes, generators):
+        if g in seen:
             return VerdictReport(
                 "combined-generator",
                 config,
                 "exhaustive",
                 False,
-                {"duplicate": code_config(code), "first": seen[key]},
+                {"duplicate": code_config(code), "first": seen[g]},
             )
-        seen[key] = code_config(code)
-        h = ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h)
-        if skew_mul(h, code.g_combined) != xn_minus_1(
-            code.g_combined.domain, code.aut, code.n
-        ):
+        seen[g] = code_config(code)
+        fld = code.field
+        zero, one = RingElem(fld.zero, fld.zero, fld.zero), RingElem(fld.one, fld.zero, fld.zero)
+        h = _combine([c.h for c in code.components], fld)
+        if _r_mul(h, g, code.aut) != (-one,) + (zero,) * (code.n - 1) + (one,):
             return VerdictReport(
                 "combined-generator",
                 config,
@@ -876,14 +963,12 @@ def broken_code(field: Field, i: int, n: int) -> SkewCyclicCode:
     return code_from_components(bad, zero, zero)
 
 
-def mismatched_code(field: Field, i: int, n: int) -> SkewCyclicCode:
-    """Components and combined generator that disagree (for distance control)."""
-    from .skew_poly import poly_from_string
-
+def mismatched_code(field: Field, i: int, n: int) -> tuple[SkewCyclicCode, tuple]:
+    """A code and a combined generator that disagree (for distance control):
+    the full code, and eta1*g + eta2*g + eta3*g for g = x - 1."""
     full = component_code_new(n, SkewPoly.one(field, i))
-    xm1 = component_code_new(n, poly_from_string("x-1", field, i))
-    g = ring_skew_poly_combine(xm1.g, xm1.g, xm1.g)
-    return _unchecked_code(full, full, full, g)
+    xm1 = poly_from_string("x-1", field, i)
+    return code_from_components(full, full, full), _combine([xm1] * 3, field)
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +1030,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         verify_fixed_subfield_divisors(entry),
     ]
     codes = census(entry.n, fld, entry.i, entry.bounds.search)
+    generators = [_combined_generator(code) for code in codes]
     configs: dict = {}  # each code's config, built once per entry
 
     def config_of(code) -> dict:
@@ -952,7 +1038,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
             configs[code] = _code_config(code)
         return configs[code]
 
-    reports.append(verify_combined_uniqueness(codes, cfg, config_of))
+    reports.append(verify_combined_uniqueness(codes, cfg, config_of, generators))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
     # codes too large for a shift-closure claim; kept apart so that the
@@ -973,23 +1059,21 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         v = verify_shift_closure(target, rng, config=config_of(target))
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
-    for code in codes:
-        combined = _combined_generator_rows(code)
+    for code, g in zip(codes, generators):
+        rows = _combined_generator_rows(g, code)
         c = config_of(code)
         record(verify_cardinality(code, config=c))
         record(verify_duality(code, config=c))
         record(verify_dual_gray_commutation(code, config=c))
-        record(verify_decomposition(code, config=c))
+        record(verify_decomposition(code, config=c, combined=g))
         record(verify_idempotent_generators(code, config=c))
         record(verify_quasi_cyclic_gray(code, config=c))
         record(
-            verify_principality(code, samples=20, rng=rng, combined_rows=combined, config=c)
-        )
-        record(
-            verify_distance_law(
-                code, entry.bounds.distance, combined, block_minima, config=c
+            verify_principality(
+                code, samples=20, rng=rng, combined=g, combined_rows=rows, config=c
             )
         )
+        record(verify_distance_law(code, entry.bounds.distance, rows, block_minima, config=c))
         closure("shift-closure", code)
         closure("dual-shift-closure", code.dual())
     for claim, verdicts in per_code.items():

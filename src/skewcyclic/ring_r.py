@@ -146,29 +146,6 @@ class CrtTriple(NamedTuple):
     x3: FieldElem
 
 
-class RingDomain:
-    """Coefficient-domain marker for polynomials over R (vs the base field)."""
-
-    __slots__ = ("field", "zero", "one")
-
-    def __init__(self, field: Field):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "zero", ring_zero(field))
-        object.__setattr__(self, "one", ring_one(field))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingDomain is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RingDomain) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("RingDomain", self.field))
-
-    def __repr__(self):
-        return f"RingDomain({self.field!r})"
-
-
 class Idempotents(NamedTuple):
     eta1: RingElem
     eta2: RingElem
@@ -205,12 +182,6 @@ def crt_join(field: Field, t: Sequence[FieldElem]) -> RingElem:
         if x.field is not field and x.field != field:
             raise FieldMismatch("coordinate belongs to a different field")
     return _split_elem(x1, x2, x3)
-
-
-def theta(r: RingElem, i: int) -> RingElem:
-    """The automorphism a + bv + cv^2 -> a^{p^i} + v b^{p^i} + v^2 c^{p^i}."""
-    r.field.check_aut_exponent(i)
-    return r.frob(i)
 
 
 def ring_zero(field: Field) -> RingElem:
@@ -340,11 +311,6 @@ def ring_tables(field: Field) -> RingTables:
     if field not in _ring_tables_cache:
         _ring_tables_cache[field] = RingTables(field)
     return _ring_tables_cache[field]
-
-
-def ring_index(field: Field, r: RingElem) -> int:
-    q = field.q
-    return r.x1.idx + q * r.x2.idx + q * q * r.x3.idx
 
 
 def ring_from_index(field: Field, idx: int) -> RingElem:

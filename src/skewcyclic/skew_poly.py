@@ -1,14 +1,19 @@
-"""Skew polynomial rings K[x, theta_i] for K in {F_q, R}.
+"""Skew polynomial rings F_q[x, theta_i].
 
 Addition is coefficientwise; multiplication obeys the twisted monomial
 rule (a x^i)(b x^j) = a theta^i(b) x^{i+j}, which makes the ring
 noncommutative whenever theta_i moves some coefficient. Right division by
-a divisor with unit leading coefficient is total, and membership in left
-ideals reduces to right remainders.
+a nonzero divisor is total, and membership in left ideals reduces to
+right remainders.
 
 Coefficients fixed by theta_i commute with x, so the subring
 F_{p^i}[x] is an ordinary commutative polynomial ring. Factoring x^n - 1
 and the extended Euclidean algorithm happen there.
+
+Coefficients lie in F_q only. The splitting R[x, theta_i] = F_q[x, theta_i]^3
+makes a polynomial over R = F_q + vF_q + v^2F_q a triple of these, so
+R-level coefficients appear only at text I/O: ``ring_skew_poly_combine``
+formats a triple, and ``project_components`` splits a parsed one.
 
 Polynomials are normalized eagerly (no trailing zeros), immutable, and
 all operations are pure.
@@ -19,12 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .finite_field import Field, FieldElem
-from .ring_r import RingDomain, RingElem, crt_join, crt_split
+from .finite_field import Field, FieldElem, elem_from_string
+from .ring_r import (
+    RingElem,
+    crt_join,
+    crt_split,
+    ring_elem,
+    ring_elem_from_string,
+    ring_one,
+    ring_zero,
+)
 
 SEARCH_LIMIT = 10**7
 _NP_CHUNK = 1 << 20
@@ -42,10 +55,6 @@ class AutMismatch(SkewPolyError):
     pass
 
 
-class NonMonicDivisor(SkewPolyError):
-    pass
-
-
 class ZeroDivisor(SkewPolyError):
     pass
 
@@ -59,26 +68,25 @@ class BothZero(SkewPolyError):
 
 
 def _twist(c, i: int, k: int):
-    """theta_i applied k times, i.e. the p^{(i*k mod m)} power map.
-
-    c is a FieldElem or a RingElem; both apply the map by ``frob``.
-    """
+    """theta_i applied k times, i.e. the p^{(i*k mod m)} power map, by ``frob``."""
     e = (i * k) % c.field.m
     return c.frob(e) if e else c
 
 
 class SkewPoly:
-    """A polynomial in K[x, theta_i], coefficients ascending, no trailing zeros."""
+    """A polynomial in F_q[x, theta_i], coefficients ascending, no trailing zeros."""
 
-    __slots__ = ("domain", "aut", "coeffs")
+    __slots__ = ("field", "aut", "coeffs")
 
-    def __init__(self, domain, coeffs: Sequence, aut: int):
-        field = domain.field if isinstance(domain, RingDomain) else domain
+    # coefficients lie in F_q; bench/spans.py names the mul/divide spans by this
+    over_ring = False
+
+    def __init__(self, field: Field, coeffs: Sequence[FieldElem], aut: int):
         field.check_aut_exponent(aut)
         cs = list(coeffs)
-        while cs and cs[-1] == domain.zero:
+        while cs and cs[-1] == field.zero:
             cs.pop()
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "aut", aut)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -88,28 +96,19 @@ class SkewPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, domain, aut: int) -> SkewPoly:
-        return cls(domain, [], aut)
+    def zero(cls, field: Field, aut: int) -> SkewPoly:
+        return cls(field, [], aut)
 
     @classmethod
-    def one(cls, domain, aut: int) -> SkewPoly:
-        return cls(domain, [domain.one], aut)
+    def one(cls, field: Field, aut: int) -> SkewPoly:
+        return cls(field, [field.one], aut)
 
     @classmethod
-    def x_power(cls, domain, aut: int, k: int, coeff=None) -> SkewPoly:
-        c = domain.one if coeff is None else coeff
-        return cls(domain, [domain.zero] * k + [c], aut)
+    def x_power(cls, field: Field, aut: int, k: int, coeff=None) -> SkewPoly:
+        c = field.one if coeff is None else coeff
+        return cls(field, [field.zero] * k + [c], aut)
 
     # -- structure ------------------------------------------------------------
-
-    @property
-    def field(self) -> Field:
-        d = self.domain
-        return d.field if isinstance(d, RingDomain) else d
-
-    @property
-    def over_ring(self) -> bool:
-        return isinstance(self.domain, RingDomain)
 
     @property
     def degree(self) -> int:
@@ -124,17 +123,17 @@ class SkewPoly:
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.domain.one
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.domain.zero
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
 
     def padded(self, length: int) -> list:
-        return list(self.coeffs) + [self.domain.zero] * (length - len(self.coeffs))
+        return list(self.coeffs) + [self.field.zero] * (length - len(self.coeffs))
 
     def _check_compat(self, other: SkewPoly) -> None:
-        if self.domain != other.domain:
-            raise DomainMismatch("polynomials over different coefficient domains")
+        if self.field != other.field:
+            raise DomainMismatch("polynomials over different fields")
         if self.aut != other.aut:
             raise AutMismatch(f"automorphism exponents differ: {self.aut} vs {other.aut}")
 
@@ -144,7 +143,7 @@ class SkewPoly:
         self._check_compat(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return SkewPoly(
-            self.domain,
+            self.field,
             [a + b for a, b in zip(self.padded(n), other.padded(n))],
             self.aut,
         )
@@ -153,20 +152,20 @@ class SkewPoly:
         self._check_compat(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return SkewPoly(
-            self.domain,
+            self.field,
             [a - b for a, b in zip(self.padded(n), other.padded(n))],
             self.aut,
         )
 
     def __neg__(self) -> SkewPoly:
-        return SkewPoly(self.domain, [-c for c in self.coeffs], self.aut)
+        return SkewPoly(self.field, [-c for c in self.coeffs], self.aut)
 
     def __mul__(self, other: SkewPoly) -> SkewPoly:
         return skew_mul(self, other)
 
     def scale(self, c) -> SkewPoly:
         """Left multiplication by the constant c (no twist on degree zero)."""
-        return SkewPoly(self.domain, [c * x for x in self.coeffs], self.aut)
+        return SkewPoly(self.field, [c * x for x in self.coeffs], self.aut)
 
     def monic(self) -> SkewPoly:
         """The left scalar multiple with leading coefficient one."""
@@ -177,13 +176,13 @@ class SkewPoly:
     def twist_coeffs(self, k: int) -> SkewPoly:
         """Apply theta^k to every coefficient (degrees unchanged)."""
         return SkewPoly(
-            self.domain, [_twist(c, self.aut, k) for c in self.coeffs], self.aut
+            self.field, [_twist(c, self.aut, k) for c in self.coeffs], self.aut
         )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewPoly)
-            and self.domain == other.domain
+            and self.field == other.field
             and self.aut == other.aut
             and self.coeffs == other.coeffs
         )
@@ -207,69 +206,52 @@ def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Product under (a x^i)(b x^j) = a theta^i(b) x^{i+j}."""
     f._check_compat(g)
     if f.is_zero() or g.is_zero():
-        return SkewPoly.zero(f.domain, f.aut)
-    out = [f.domain.zero] * (f.degree + g.degree + 1)
+        return SkewPoly.zero(f.field, f.aut)
+    out = [f.field.zero] * (f.degree + g.degree + 1)
     i_aut = f.aut
     for i, fi in enumerate(f.coeffs):
-        if fi == f.domain.zero:
+        if fi.is_zero():
             continue
         for j, gj in enumerate(g.coeffs):
             out[i + j] = out[i + j] + fi * _twist(gj, i_aut, i)
-    return SkewPoly(f.domain, out, f.aut)
+    return SkewPoly(f.field, out, f.aut)
 
 
 def right_divide(f: SkewPoly, g: SkewPoly) -> DivisionResult:
-    """f = q * g + r with deg r < deg g (skew multiplication).
-
-    The divisor's leading coefficient must be invertible; over F_q that is
-    any nonzero g, over R it must be a unit in all three splitting
-    coordinates.
-    """
+    """f = q * g + r with deg r < deg g (skew multiplication), for g nonzero."""
     f._check_compat(g)
     if g.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
     lc = g.lc()
-    if isinstance(lc, RingElem):
-        if not lc.is_unit():
-            raise NonMonicDivisor(
-                "divisor leading coefficient is not a unit of R"
-            )
     d = g.degree
     r = list(f.coeffs)
-    q = [f.domain.zero] * max(0, len(r) - d)
+    q = [f.field.zero] * max(0, len(r) - d)
     aut = f.aut
     while len(r) - 1 >= d and r:
-        if r[-1] == f.domain.zero:
-            r.pop()
-            continue
         k = len(r) - 1 - d
         qk = r[-1] * _twist(lc, aut, k).inv()
         q[k] = qk
         for j in range(d + 1):
             r[k + j] = r[k + j] - qk * _twist(g.coeffs[j], aut, k)
-        while r and r[-1] == f.domain.zero:
+        while r and r[-1].is_zero():
             r.pop()
-    return DivisionResult(
-        SkewPoly(f.domain, q, aut), SkewPoly(f.domain, r, aut)
-    )
+    return DivisionResult(SkewPoly(f.field, q, aut), SkewPoly(f.field, r, aut))
 
 
-def xn_minus_1(domain, aut: int, n: int) -> SkewPoly:
-    return SkewPoly(
-        domain, [-domain.one] + [domain.zero] * (n - 1) + [domain.one], aut
-    )
+def xn_minus_1(field: Field, aut: int, n: int) -> SkewPoly:
+    return SkewPoly(field, [-field.one] + [field.zero] * (n - 1) + [field.one], aut)
 
 
 def is_right_divisor_of_xn_minus_1(g: SkewPoly, n: int) -> bool:
     """True iff g right-divides x^n - 1, by computing the right remainder."""
-    return right_divide(xn_minus_1(g.domain, g.aut, n), g).remainder.is_zero()
+    return right_divide(xn_minus_1(g.field, g.aut, n), g).remainder.is_zero()
 
 
 def mod_xn_minus_1(f: SkewPoly, n: int) -> SkewPoly:
     """Right remainder of f by x^n - 1 (which is monic, so always defined)."""
     if f.degree < n:
         return f
-    return right_divide(f, xn_minus_1(f.domain, f.aut, n)).remainder
+    return right_divide(f, xn_minus_1(f.field, f.aut, n)).remainder
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +507,8 @@ def extended_gcd_commutative(f: SkewPoly, g: SkewPoly):
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     f._check_compat(g)
-    domain, aut = f.domain, f.aut
-    one, zero = SkewPoly.one(domain, aut), SkewPoly.zero(domain, aut)
+    field, aut = f.field, f.aut
+    one, zero = SkewPoly.one(field, aut), SkewPoly.zero(field, aut)
     r0, a0, b0 = f, one, zero
     r1, a1, b1 = g, zero, one
     while not r1.is_zero():
@@ -547,33 +529,29 @@ def extended_gcd_commutative(f: SkewPoly, g: SkewPoly):
 
 
 # ---------------------------------------------------------------------------
-# crossing between F_q[x, theta] and R[x, theta]
+# crossing between F_q[x, theta] and R[x, theta], at text I/O only
 
 
-def ring_skew_poly_combine(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly) -> SkewPoly:
-    """eta1*f1 + eta2*f2 + eta3*f3, built coefficientwise via the splitting."""
+def ring_skew_poly_combine(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly) -> tuple[RingElem, ...]:
+    """The coefficients of eta1*f1 + eta2*f2 + eta3*f3, one ``crt_join`` each.
+
+    Ascending with no trailing zeros (the zero polynomial gives ()), ready
+    for ``poly_to_string``.
+    """
     f1._check_compat(f2)
     f1._check_compat(f3)
-    if f1.over_ring:
-        raise DomainMismatch("components must be polynomials over the field")
-    field = f1.field
     n = max(len(f1.coeffs), len(f2.coeffs), len(f3.coeffs))
-    coeffs = [
-        crt_join(field, (c1, c2, c3))
-        for c1, c2, c3 in zip(f1.padded(n), f2.padded(n), f3.padded(n))
-    ]
-    return SkewPoly(RingDomain(field), coeffs, f1.aut)
-
-
-def project_components(f: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
-    """The three field polynomials whose combination is f."""
-    if not f.over_ring:
-        raise DomainMismatch("expected a polynomial over R")
-    field = f.field
-    triples = [crt_split(c) for c in f.coeffs]
     return tuple(
-        SkewPoly(field, [t[k] for t in triples], f.aut) for k in range(3)
+        crt_join(f1.field, t) for t in zip(f1.padded(n), f2.padded(n), f3.padded(n))
     )
+
+
+def project_components(
+    coeffs: Sequence[RingElem], field: Field, aut: int
+) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
+    """The three polynomials over F_q whose combination has these R coefficients."""
+    triples = [crt_split(c) for c in coeffs]
+    return tuple(SkewPoly(field, [t[k] for t in triples], aut) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +560,12 @@ def project_components(f: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
 # constants
 
 
-def poly_to_string(f: SkewPoly) -> str:
-    if f.is_zero():
-        return "0"
+def poly_to_string(f: SkewPoly | Sequence) -> str:
+    """Text of a polynomial, or of ascending coefficients over F_q or R."""
+    coeffs = f.coeffs if isinstance(f, SkewPoly) else f
     terms = []
-    for k, c in enumerate(f.coeffs):
-        if c == f.domain.zero:
+    for k, c in enumerate(coeffs):
+        if c.is_zero():
             continue
         cs = str(c)
         if k == 0:
@@ -596,7 +574,7 @@ def poly_to_string(f: SkewPoly) -> str:
             terms.append(f"{cs}*x")
         else:
             terms.append(f"{cs}*x^{k}")
-    return " + ".join(terms)
+    return " + ".join(terms) or "0"
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
@@ -639,68 +617,54 @@ def _parse_term(term: str):
     return (head if head else None), power
 
 
-def _check_degree(deg: int, max_degree: int | None) -> None:
-    # refused before the coefficient list of length deg + 1 is allocated
+def _parse_coeffs(s: str, read: Callable, zero, max_degree: int | None) -> list:
+    """Ascending coefficients of the text s, without trailing zeros; ``read``
+    turns one coefficient's text into a coefficient, and gets None for a
+    bare power of x.
+
+    A term of degree above ``max_degree`` raises ``ValueError`` before the
+    coefficient list is allocated.
+    """
+    s = s.strip()
+    if s in ("0", ""):
+        return []
+    coeffs: dict = {}
+    for sign, term in _split_terms(s):
+        ctext, power = _parse_term(term)
+        c = read(ctext)
+        coeffs[power] = coeffs.get(power, zero) + (-c if sign < 0 else c)
+    deg = max(coeffs)
     if max_degree is not None and deg > max_degree:
         raise ValueError(f"degree {deg} exceeds the maximum {max_degree}")
+    out = [coeffs.get(k, zero) for k in range(deg + 1)]
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
 
 
 def poly_from_string(
     s: str, field: Field, aut: int, max_degree: int | None = None
 ) -> SkewPoly:
-    """Parse a field polynomial; accepts bracket lists and plain integers.
+    """Parse a polynomial over F_q; coefficients are bracket lists or integers."""
 
-    A term of degree above ``max_degree`` raises ``ValueError``.
-    """
-    from .finite_field import elem_from_string
-
-    s = s.strip()
-    if s in ("0", ""):
-        return SkewPoly.zero(field, aut)
-    coeffs: dict[int, FieldElem] = {}
-    for sign, term in _split_terms(s):
-        ctext, power = _parse_term(term)
+    def read(ctext):
         if ctext is None:
-            c = field.one
-        elif ctext.startswith("["):
-            c = elem_from_string(field, ctext)
-        else:
-            c = field.elem(int(ctext))
-        if sign < 0:
-            c = -c
-        coeffs[power] = coeffs.get(power, field.zero) + c
-    deg = max(coeffs)
-    _check_degree(deg, max_degree)
-    out = [coeffs.get(k, field.zero) for k in range(deg + 1)]
-    return SkewPoly(field, out, aut)
+            return field.one
+        return elem_from_string(field, ctext) if ctext.startswith("[") else field.elem(int(ctext))
+
+    return SkewPoly(field, _parse_coeffs(s, read, field.zero, max_degree), aut)
 
 
-def ring_poly_from_string(
-    s: str, field: Field, aut: int, max_degree: int | None = None
-) -> SkewPoly:
-    """Parse a polynomial over R; coefficients are a|b|c triples or integers.
+def ring_coeffs_from_string(
+    s: str, field: Field, max_degree: int | None = None
+) -> tuple[RingElem, ...]:
+    """Parse a polynomial over R into its ascending coefficients (as
+    ``ring_skew_poly_combine`` returns them); coefficients are a|b|c
+    triples or integers."""
 
-    A term of degree above ``max_degree`` raises ``ValueError``.
-    """
-    from .ring_r import ring_elem, ring_elem_from_string
-
-    domain = RingDomain(field)
-    s = s.strip()
-    if s in ("0", ""):
-        return SkewPoly.zero(domain, aut)
-    coeffs: dict[int, RingElem] = {}
-    for sign, term in _split_terms(s):
-        ctext, power = _parse_term(term)
+    def read(ctext):
         if ctext is None:
-            c = domain.one
-        elif "|" in ctext:
-            c = ring_elem_from_string(field, ctext)
-        else:
-            c = ring_elem(field, int(ctext))
-        if sign < 0:
-            c = -c
-        coeffs[power] = coeffs.get(power, domain.zero) + c
-    deg = max(coeffs)
-    _check_degree(deg, max_degree)
-    out = [coeffs.get(k, domain.zero) for k in range(deg + 1)]
-    return SkewPoly(domain, out, aut)
+            return ring_one(field)
+        return ring_elem_from_string(field, ctext) if "|" in ctext else ring_elem(field, int(ctext))
+
+    return tuple(_parse_coeffs(s, read, ring_zero(field), max_degree))

@@ -167,8 +167,8 @@ def test_criterion_8_idempotent_generators(censuses):
     for code in censuses[5]:
         v = verify_idempotent_generators(code)
         assert v.passed and v.mode == "exhaustive"
-        e = code.idempotent_generator()  # each component re-verifies its e_j
-        assert mod_xn_minus_1(skew_mul(e, e), 5) == mod_xn_minus_1(e, 5)
+        for e in code.idempotent_generator():  # each component re-verifies its e_j
+            assert mod_xn_minus_1(skew_mul(e, e), 5) == mod_xn_minus_1(e, 5)
     _report(8, f"idempotent generators over {len(censuses[5])} codes at n = 5")
 
 
@@ -190,15 +190,19 @@ def test_criterion_10_negative_controls(f9):
     """Every verification suite fails, with a witness, on corrupted input."""
     broken3 = broken_code(f9, 1, 3)
     broken5 = broken_code(f9, 1, 5)
-    mismatched = mismatched_code(f9, 1, 3)
+    from skewcyclic.oracle import _combined_generator_rows
+
+    mismatched, g = mismatched_code(f9, 1, 3)
     verdicts = {
         "closure-component": verify_shift_closure(broken_component_code(f9, 1, 3)),
         "closure-ring": verify_shift_closure(broken3),
         "duality": verify_duality(broken3),
         "dual-gray": verify_dual_gray_commutation(broken3),
         "quasi-cyclic": verify_quasi_cyclic_gray(broken3),
-        "distance": verify_distance_law(mismatched),
-        "principality": verify_principality(mismatched),
+        "distance": verify_distance_law(
+            mismatched, combined_rows=_combined_generator_rows(g, mismatched)
+        ),
+        "principality": verify_principality(mismatched, combined=g),
         "idempotent": verify_idempotent_generators(broken5),
     }
     for name, verdict in verdicts.items():

@@ -17,7 +17,7 @@ from skewcyclic.codes import census
 from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
 from skewcyclic.oracle import CLAIMS
 from skewcyclic.ring_r import ring_vector_from_string
-from skewcyclic.skew_poly import poly_from_string, ring_poly_from_string
+from skewcyclic.skew_poly import poly_from_string, project_components, ring_coeffs_from_string
 
 FIELD = "p=3,m=2,mod=1,0,1"
 DATA = Path(__file__).resolve().parent / "data"
@@ -72,12 +72,6 @@ class TestFactorCommand:
         assert code == 0 and len(payload["factors"]) == 1
         assert payload["codes_over_field"] == 2
         assert payload["codes_over_ring"] == 8
-
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_nonpositive_length_exits_2(self, capsys, n):
-        # n = 0 used to loop forever, n = -1 printed a factorization of x^-1 - 1
-        code, out, err = run(capsys, "factor", "--field", "p=3,m=1", "--n", n)
-        assert code == 2 and out == "" and "--n must be positive" in err
 
     def test_gcd_gate_exits_1(self, capsys):
         code, _, err = run(capsys, "factor", "--field", FIELD, "--n", "4")
@@ -304,11 +298,6 @@ class TestCensusCommand:
         assert full["cardinality"] == 9**3 and full["min_lee_distance"] == 1
         zero = next(r for r in payload["rows"] if r["cardinality"] == 1)
         assert zero["degenerate"] and zero["min_lee_distance"] == 0
-
-    def test_zero_length_over_a_prime_field_exits_1(self, capsys):
-        # gcd(0, t_1) = 1 routes n = 0 to the factorization, which refuses it
-        code, out, err = run(capsys, "census", "--field", "p=3,m=1", "--n", "0")
-        assert code == 1 and out == "" and "n >= 1" in err
 
     def test_table_bound_exceeded(self, capsys):
         code, out, err = run(
@@ -607,12 +596,6 @@ class TestGeneratorParsing:
         assert code == 2 and out == ""
         assert err.startswith("configuration error: bad generator polynomial")
 
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_nonpositive_length_exits_2(self, capsys, n):
-        code, out, err = run(capsys, "code", "build", *CODE_N1[:2], "--n", n, *CODE_N1[4:])
-        assert code == 2 and out == ""
-        assert err.startswith("configuration error: --n must be positive")
-
     @settings(max_examples=200, deadline=None)
     @given(
         st.text(alphabet="[]|,0123456789-+x^* ", max_size=24) | st.text(max_size=12),
@@ -620,9 +603,11 @@ class TestGeneratorParsing:
     )
     def test_random_generators_never_raise(self, text, flag):
         fld = field_from_string(FIELD)
-        parse = ring_poly_from_string if flag == "--g" else poly_from_string
         try:
-            parse(text, fld, 1, max_degree=2)
+            if flag == "--g":
+                project_components(ring_coeffs_from_string(text, fld, max_degree=2), fld, 1)
+            else:
+                poly_from_string(text, fld, 1, max_degree=2)
             parses = True
         except (ValueError, FieldError):
             parses = False
@@ -638,6 +623,41 @@ class TestGeneratorParsing:
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("field", [FIELD, "p=3,m=1"])
+@pytest.mark.parametrize(
+    "command",
+    [["factor"], ["code", "build", "--g1", "1", "--g2", "1", "--g3", "1"], ["census"]],
+    ids=["factor", "code-build", "census"],
+)
+def test_nonpositive_length_exits_2(capsys, command, field, n):
+    # one check for every subcommand with --n: factor at n = 0 used to loop
+    # forever, and census went on to the divisor search and exited 1
+    code, out, err = run(capsys, *command, "--field", field, "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: --n must be positive, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--field", FIELD, "--n", "1", "--bound", "-1"],
+        ["census", "--field", FIELD, "--n", "1", "--distance-bound", "-1"],
+        ["code", "distance", *CODE_N1, "--bound", "-1"],
+    ],
+    ids=["census-bound", "census-distance-bound", "code-distance-bound"],
+)
+def test_negative_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be non-negative, got -1" in err
+
+
+def test_zero_bound_is_a_refusal_not_a_configuration_error(capsys):
+    code, out, err = run(capsys, "census", "--field", FIELD, "--n", "1", "--bound", "0")
+    assert code == 1 and out == "" and "TableTooLarge" in err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

@@ -17,7 +17,6 @@ from skewcyclic.codes import (
     NotMonic,
     NotRightDivisor,
     census,
-    code_from_combined,
     code_from_components,
     code_from_json,
     code_to_json,
@@ -27,7 +26,8 @@ from skewcyclic.codes import (
 )
 from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.oracle import broken_component_code, default_modulus
-from skewcyclic.ring_r import RingDomain, RingElem, gray_map, ring_elem
+from skewcyclic.oracle import _r_fold, _r_mul
+from skewcyclic.ring_r import RingElem, gray_map, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
     DomainMismatch,
@@ -36,7 +36,9 @@ from skewcyclic.skew_poly import (
     mod_xn_minus_1,
     monic_right_divisors,
     poly_from_string,
+    project_components,
     right_divide,
+    ring_coeffs_from_string,
     ring_skew_poly_combine,
     skew_mul,
     xn_minus_1,
@@ -114,10 +116,11 @@ class TestSplitNativeConstruction:
     def test_combined_cofactor_over_r(self, f9):
         codes = census(5, f9, 1)
         assert len(codes) == 64
+        xn1 = ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3)
         for code in codes:
             h = ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h)
-            g = code.g_combined
-            assert skew_mul(h, g) == xn_minus_1(g.domain, 1, 5)
+            g = _combined(code)
+            assert _r_mul(h, g, 1) == xn1
 
 
 def _recording(monkeypatch, owner, name):
@@ -132,31 +135,9 @@ def _recording(monkeypatch, owner, name):
     return calls
 
 
-class TestCombinedGeneratorOnDemand:
-    """A code over R is its component triple; the combined generator is
-    built on first access, once."""
-
-    def test_construction_combines_nothing(self, f9, monkeypatch):
-        calls = _recording(monkeypatch, codes, "ring_skew_poly_combine")
-        built = census(3, f9, 1)
-        built += [code_from_json(code_to_json(c)) for c in built[:8]]
-        assert len(built) == 72 and calls == []
-
-    @pytest.mark.parametrize(
-        "fld,n", [("f9", 1), ("f9", 2), ("f9", 3), ("f9", 4), ("f25", 4)]
-    )
-    def test_built_once_and_equal_to_the_combination(self, request, monkeypatch, fld, n):
-        fld = request.getfixturevalue(fld)
-        built = census(n, fld, 1, bound=None)
-        calls = _recording(monkeypatch, codes, "ring_skew_poly_combine")
-        while built:  # popped, so each memo is freed once checked
-            code = built.pop()
-            g = code.g_combined
-            assert code.g_combined is g
-            # g is what ring_skew_poly_combine returned on this code's own g_j
-            args, result = calls.pop()
-            assert result is g and all(a is c.g for a, c in zip(args, code.components))
-        assert calls == []
+def _combined(code):
+    """The combined generator's coefficients, as the CLI formats them."""
+    return ring_skew_poly_combine(*(c.g for c in code.components))
 
 
 class TestComponentEquality:
@@ -168,7 +149,7 @@ class TestComponentEquality:
         pairs = 0
         for a in built:
             for b in built:
-                assert (a == b) == (a.g_combined == b.g_combined)
+                assert (a == b) == (_combined(a) == _combined(b))
                 if a == b:
                     assert hash(a) == hash(b)
                 pairs += 1
@@ -181,9 +162,9 @@ class TestComponentEquality:
         for a, b in zip(ours, theirs):
             assert a.field is not b.field
             assert a == b and hash(a) == hash(b)
-            assert a.g_combined == b.g_combined
+            assert _combined(a) == _combined(b)
         assert set(ours) == set(theirs) and len(set(ours + theirs)) == 64
-        assert ours[1] != theirs[2] and ours[1].g_combined != theirs[2].g_combined
+        assert ours[1] != theirs[2] and _combined(ours[1]) != _combined(theirs[2])
 
 
 class TestGeneratorRows:
@@ -331,10 +312,9 @@ class TestLinearMembershipKernel:
             with pytest.raises(AutMismatch):
                 comp.contains(SkewPoly.x_power(_F81, 2, 1))
         for comp in _kernel_components("F9-i1-n5"):
-            for domain in (f25, RingDomain(f9)):
-                for word in (SkewPoly.zero(domain, 1), SkewPoly.x_power(domain, 1, 2)):
-                    with pytest.raises(DomainMismatch):
-                        comp.contains(word)
+            for word in (SkewPoly.zero(f25, 1), SkewPoly.x_power(f25, 1, 2)):
+                with pytest.raises(DomainMismatch):
+                    comp.contains(word)
 
     def test_word_over_another_field(self, f25):
         foreign = [
@@ -353,8 +333,6 @@ class TestLinearMembershipKernel:
         for word in ((zero25,) * 5, (f9.zero,) * 5):
             with pytest.raises(FieldMismatch):
                 code.contains(word)
-        with pytest.raises(DomainMismatch):
-            code.contains(SkewPoly.zero(f9, 1))
 
     def test_ring_code_matches_gray_span(self, f9):
         rng = random.Random(93)
@@ -371,8 +349,6 @@ class TestLinearMembershipKernel:
                 image = linalg.to_index_rows([gray_map(word)], f9)
                 expected = linalg.rank(rows + image, f9) == rank
                 assert code.contains(word) is expected
-                poly = SkewPoly(RingDomain(f9), word, 1)
-                assert code.contains(poly) is expected
 
     def test_remainders_divided_once_on_first_use(self, f9, monkeypatch):
         calls = []
@@ -479,6 +455,12 @@ class TestDual:
             assert c.dim + c.dual().dim == 3
 
 
+def _from_combined(coeffs, field, n):
+    """The code of a combined generator, split as the CLI splits --g."""
+    gs = project_components(coeffs, field, 1)
+    return code_from_components(*(component_code_new(n, g) for g in gs))
+
+
 class TestRingCodeConstruction:
     def test_three_zero_codes(self, f9):
         z = component_code_new(2, xn_minus_1(f9, 1, 2))
@@ -489,7 +471,7 @@ class TestRingCodeConstruction:
         full = component_code_new(2, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
         assert code.size == 9**6
-        assert code.g_combined == SkewPoly.one(code.g_combined.domain, 1)
+        assert _combined(code) == (ring_one(f9),)
 
     def test_cardinality_formula(self, f9):
         one = SkewPoly.one(f9, 1)
@@ -520,26 +502,24 @@ class TestRingCodeConstruction:
         c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
         c2 = component_code_new(5, SkewPoly.one(f9, 1))
         code = code_from_components(c1, c2, c2)
-        again = code_from_combined(code.g_combined, 5)
+        again = _from_combined(_combined(code), f9, 5)
         assert again == code
 
     def test_from_combined_rejects_non_divisor(self, f9):
-        from skewcyclic.skew_poly import ring_poly_from_string
-
-        bad = ring_poly_from_string("[0,1]|[0,0]|[0,0] + x", f9, 1)  # x + w
+        bad = ring_coeffs_from_string("[0,1]|[0,0]|[0,0] + x", f9)  # x + w
         with pytest.raises(NotRightDivisor):
-            code_from_combined(bad, 3)
+            _from_combined(bad, f9, 3)
 
     def test_decompose_roundtrip(self, f9):
         # Decomposition of a code over R is the component split of its
-        # combined generator: recovering the components from g_combined
+        # combined generator: recovering the components from it
         # must give them back exactly and rebuild the same code.
         comps = [
             component_code_new(5, poly_from_string(s, f9, 1))
             for s in ("x-1", "1", "1+x+x^2+x^3+x^4")
         ]
         code = code_from_components(*comps)
-        parts = code_from_combined(code.g_combined, code.n).components
+        parts = _from_combined(_combined(code), f9, code.n).components
         assert parts == tuple(comps)
         assert code_from_components(*parts) == code
 
@@ -600,12 +580,9 @@ class TestIdempotents:
             for s in ("x-1", "1", "1")
         ]
         code = code_from_components(*comps)
-        e = code.idempotent_generator()
-        sq = mod_xn_minus_1(skew_mul(e, e), 5)
-        assert sq == mod_xn_minus_1(e, 5)
-        from skewcyclic.skew_poly import project_components
-
-        e1, e2, e3 = project_components(e)
+        e1, e2, e3 = code.idempotent_generator()
+        e = ring_skew_poly_combine(e1, e2, e3)
+        assert _r_fold(_r_mul(e, e, 1), 5) == _r_fold(e, 5)
         assert e1 == comps[0].idempotent_generator()
         assert e2 == SkewPoly.one(f9, 1)
         assert e3 == SkewPoly.one(f9, 1)

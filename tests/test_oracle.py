@@ -311,15 +311,19 @@ class TestMatrixAndDualityOracles:
         # equal components, different combined generator: only the R-level
         # comparison can see it
         from skewcyclic import oracle
-        from skewcyclic.codes import _unchecked_code
 
         other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
-        assert other != mixed_code.g_combined
-        monkeypatch.setattr(
-            oracle, "code_from_combined", lambda g, n: _unchecked_code(*mixed_code.components, other)
-        )
+        assert other != oracle._combined_generator(mixed_code)
+        monkeypatch.setattr(oracle, "ring_skew_poly_combine", lambda *fs: other)
         v = verify_decomposition(mixed_code)
         assert not v.passed and v.mode == "exhaustive"
+
+    def test_decomposition_of_a_foreign_generator_fails(self, mixed_code):
+        from skewcyclic import oracle
+
+        other = oracle._combine([c.g for c in reversed(mixed_code.components)], mixed_code.field)
+        v = verify_decomposition(mixed_code, combined=other)
+        assert not v.passed and len(v.counterexample["recovered"]) == 3
 
     def test_uniqueness_over_census(self, f9, entry9):
         codes = census(1, f9, 1)
@@ -352,7 +356,8 @@ class TestPrincipalityOracle:
         assert verify_principality(mixed_code).passed
 
     def test_negative_control(self, f9):
-        v = verify_principality(mismatched_code(f9, 1, 3))
+        code, g = mismatched_code(f9, 1, 3)
+        v = verify_principality(code, combined=g)
         assert not v.passed
         assert v.counterexample["combined_span_dim"] == 6
         assert v.counterexample["code_dim"] == 9
@@ -363,7 +368,10 @@ class TestDistanceOracle:
         assert verify_distance_law(mixed_code).passed
 
     def test_negative_control(self, f9):
-        v = verify_distance_law(mismatched_code(f9, 1, 3))
+        from skewcyclic.oracle import _combined_generator_rows
+
+        code, g = mismatched_code(f9, 1, 3)
+        v = verify_distance_law(code, combined_rows=_combined_generator_rows(g, code))
         assert not v.passed
         assert v.counterexample["component_minimum"] == 1
         assert v.counterexample["direct_enumeration"] == 2
@@ -463,8 +471,7 @@ class TestIdempotentOracle:
         full = component_code_new(5, SkewPoly.one(f9, 1))
         code = code_from_components(c1, full, full)
         e1 = c1.idempotent_generator()
-        polys = [e1 if s == "e1" else poly_from_string(s, f9, 1) for s in parts]
-        bad = ring_skew_poly_combine(*polys)
+        bad = tuple(e1 if s == "e1" else poly_from_string(s, f9, 1) for s in parts)
         monkeypatch.setattr(SkewCyclicCode, "idempotent_generator", lambda self: bad)
         v = verify_idempotent_generators(code)
         assert not v.passed and v.mode == "exhaustive"
@@ -880,15 +887,18 @@ class TestRankClaimsAgainstEnumeration:
         from skewcyclic.ring_r import gray_map
 
         checked = 0
-        codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
-        codes.append(mismatched_code(f9, 1, 3))
-        for code in codes:
-            rows = [gray_map(r) for r in _combined_generator_rows(code)]
+        from skewcyclic.oracle import _combined_generator
+
+        pairs = [(c, _combined_generator(c)) for n in (1, 2, 3) for c in census(n, f9, 1)]
+        pairs.append(mismatched_code(f9, 1, 3))
+        for code, g in pairs:
+            combined = _combined_generator_rows(g, code)
+            rows = [gray_map(r) for r in combined]
             idx = linalg.to_index_rows(rows, f9)
             if 9 ** linalg.rank(idx, f9) > 10**5:
                 continue
             full = linalg.span_min_weight(idx, f9, 10**5)
-            v = verify_distance_law(code)
+            v = verify_distance_law(code, combined_rows=combined)
             if v.passed:
                 formula = code.min_lee_distance()
                 assert full == (None if formula.degenerate else formula.value)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcyclic.finite_field import Field
-from skewcyclic.ring_r import RingDomain, RingElem, ring_elem, ring_from_index
+from skewcyclic.oracle import _combine, _r_fold, _r_mul, _r_right_divide, _r_trim
+from skewcyclic.ring_r import RingElem, ring_elem, ring_from_index
 from skewcyclic.skew_poly import (
     AutMismatch,
     BothZero,
     DomainMismatch,
     Factorization,
-    NonMonicDivisor,
     SearchSpaceTooLarge,
     SkewPoly,
     ZeroDivisor,
@@ -27,7 +28,7 @@ from skewcyclic.skew_poly import (
     poly_from_string,
     poly_to_string,
     right_divide,
-    ring_poly_from_string,
+    ring_coeffs_from_string,
     ring_skew_poly_combine,
     project_components,
     skew_mul,
@@ -139,29 +140,6 @@ class TestRightDivide:
     def test_zero_divisor_rejected(self, f9):
         with pytest.raises(ZeroDivisor):
             right_divide(SkewPoly.one(f9, 1), SkewPoly.zero(f9, 1))
-
-    def test_nonunit_leading_coefficient_over_ring(self, f9):
-        dom = RingDomain(f9)
-        eta1 = ring_elem(f9, 1, 0, -1)  # zero divisor
-        g = SkewPoly(dom, [dom.one, eta1], 1)
-        f = SkewPoly(dom, [dom.one, dom.one, dom.one], 1)
-        with pytest.raises(NonMonicDivisor):
-            right_divide(f, g)
-
-    def test_unit_leading_coefficient_over_ring(self, f9):
-        dom = RingDomain(f9)
-        rng = random.Random(26)
-        elems = f9.elements()
-
-        def rand_ring():
-            return RingElem(rng.choice(elems), rng.choice(elems), rng.choice(elems))
-
-        for _ in range(100):
-            f = SkewPoly(dom, [rand_ring() for _ in range(6)], 1)
-            g = SkewPoly(dom, [rand_ring(), rand_ring(), dom.one], 1)
-            q, r = right_divide(f, g)
-            assert skew_mul(q, g) + r == f
-            assert r.degree < g.degree
 
 
 class TestDivisorPredicates:
@@ -382,35 +360,35 @@ class TestCombineProject:
     def test_combine_equal_components_is_lift(self, f9):
         g = poly_from_string("x-1", f9, 1)
         lifted = ring_skew_poly_combine(g, g, g)
-        assert project_components(lifted) == (g, g, g)
-        for c in lifted.coeffs:
+        assert project_components(lifted, f9, 1) == (g, g, g)
+        for c in lifted:
             assert c.b.is_zero() and c.c.is_zero()
 
     def test_combine_mixed_projects_back(self, f9):
         f1 = poly_from_string("x-1", f9, 1)
         one = SkewPoly.one(f9, 1)
         combined = ring_skew_poly_combine(f1, one, one)
-        assert combined.degree == 1
-        assert project_components(combined) == (f1, one, one)
+        assert len(combined) == 2
+        assert project_components(combined, f9, 1) == (f1, one, one)
 
     def test_roundtrip_random(self, f9):
         rng = random.Random(28)
         for _ in range(500):
             fs = tuple(_random_poly(f9, 1, 4, rng) for _ in range(3))
-            assert project_components(ring_skew_poly_combine(*fs)) == fs
+            assert project_components(ring_skew_poly_combine(*fs), f9, 1) == fs
 
     def test_roundtrip_census_divisor_triples(self, f9):
         # combine no longer re-splits its result; the splitting must still
         # invert it on every divisor triple the census builds codes from
         divs5 = monic_right_divisors(5, f9, 1)
         for fs in itertools.product(divs5, repeat=3):
-            assert project_components(ring_skew_poly_combine(*fs)) == fs
+            assert project_components(ring_skew_poly_combine(*fs), f9, 1) == fs
         divs4 = monic_right_divisors(4, f9, 1)
         assert len(divs4) == 36
         rng = random.Random(2024)
         for _ in range(2000):
             fs = tuple(rng.choice(divs4) for _ in range(3))
-            assert project_components(ring_skew_poly_combine(*fs)) == fs
+            assert project_components(ring_skew_poly_combine(*fs), f9, 1) == fs
 
     def test_aut_mismatch(self, f9):
         with pytest.raises(AutMismatch):
@@ -444,14 +422,18 @@ class TestTextFormat:
 
     def test_ring_poly_roundtrip(self, f9):
         s = "[1,0]|[0,1]|[0,0] + [0,0]|[2,0]|[1,1]*x^2"
-        f = ring_poly_from_string(s, f9, 1)
+        f = ring_coeffs_from_string(s, f9)
         assert poly_to_string(f) == s
-        assert ring_poly_from_string(poly_to_string(f), f9, 1) == f
+        assert ring_coeffs_from_string(poly_to_string(f), f9) == f
 
     def test_ring_poly_integer_coefficients(self, f9):
-        f = ring_poly_from_string("x-1", f9, 1)
-        assert f.coeffs[1] == ring_elem(f9, 1)
-        assert f.coeffs[0] == ring_elem(f9, -1)
+        f = ring_coeffs_from_string("x-1", f9)
+        assert f == (ring_elem(f9, -1), ring_elem(f9, 1))
+
+    def test_ring_poly_cancelling_top_term(self, f9):
+        assert ring_coeffs_from_string("1 + x - x", f9) == (ring_elem(f9, 1),)
+        assert ring_coeffs_from_string("x - x", f9) == ()
+        assert poly_to_string(()) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +446,16 @@ SKEW_RINGS = {
     "F9-i1": (_F9, 1),
     "F81-i1": (_F81, 1),
     "F81-i2": (_F81, 2),
-    "R9-i1": (RingDomain(_F9), 1),
 }
 
 
-def _coeffs(domain, units=False):
-    if isinstance(domain, RingDomain):
-        fld = domain.field
-        elems = st.integers(0, fld.q**3 - 1).map(lambda k: ring_from_index(fld, k))
-        return elems.filter(RingElem.is_unit) if units else elems
-    return st.integers(1 if units else 0, domain.q - 1).map(domain.from_index)
+def _coeffs(field, units=False):
+    return st.integers(1 if units else 0, field.q - 1).map(field.from_index)
 
 
-def _polys(domain, aut, max_degree=4):
-    return st.lists(_coeffs(domain), max_size=max_degree + 1).map(
-        lambda cs: SkewPoly(domain, cs, aut)
+def _polys(field, aut, max_degree=4):
+    return st.lists(_coeffs(field), max_size=max_degree + 1).map(
+        lambda cs: SkewPoly(field, cs, aut)
     )
 
 
@@ -497,58 +474,137 @@ class TestSkewRingLaws:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_associative(self, name, data):
-        domain, aut = SKEW_RINGS[name]
-        f, g, h = (data.draw(_polys(domain, aut)) for _ in range(3))
+        field, aut = SKEW_RINGS[name]
+        f, g, h = (data.draw(_polys(field, aut)) for _ in range(3))
         assert skew_mul(skew_mul(f, g), h) == skew_mul(f, skew_mul(g, h))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_distributive(self, name, data):
-        domain, aut = SKEW_RINGS[name]
-        f, g, h = (data.draw(_polys(domain, aut)) for _ in range(3))
+        field, aut = SKEW_RINGS[name]
+        f, g, h = (data.draw(_polys(field, aut)) for _ in range(3))
         assert skew_mul(f, g + h) == skew_mul(f, g) + skew_mul(f, h)
         assert skew_mul(f + g, h) == skew_mul(f, h) + skew_mul(g, h)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_x_times_a_is_theta_a_times_x(self, name, data):
-        domain, aut = SKEW_RINGS[name]
-        a = data.draw(_coeffs(domain))
-        x = SkewPoly.x_power(domain, aut, 1)
-        lhs = skew_mul(x, SkewPoly(domain, [a], aut))
-        assert lhs == SkewPoly.x_power(domain, aut, 1, _theta(a, aut))
-        assert lhs == skew_mul(SkewPoly(domain, [_theta(a, aut)], aut), x)
+        field, aut = SKEW_RINGS[name]
+        a = data.draw(_coeffs(field))
+        x = SkewPoly.x_power(field, aut, 1)
+        lhs = skew_mul(x, SkewPoly(field, [a], aut))
+        assert lhs == SkewPoly.x_power(field, aut, 1, _theta(a, aut))
+        assert lhs == skew_mul(SkewPoly(field, [_theta(a, aut)], aut), x)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_right_division(self, name, data):
-        domain, aut = SKEW_RINGS[name]
-        f = data.draw(_polys(domain, aut, max_degree=6))
-        tail = data.draw(_polys(domain, aut, max_degree=3))
-        lc = data.draw(_coeffs(domain, units=True))
+        field, aut = SKEW_RINGS[name]
+        f = data.draw(_polys(field, aut, max_degree=6))
+        tail = data.draw(_polys(field, aut, max_degree=3))
+        lc = data.draw(_coeffs(field, units=True))
         k = data.draw(st.integers(0, 3))
-        g = tail + SkewPoly.x_power(domain, aut, k + tail.degree + 1, lc)
+        g = tail + SkewPoly.x_power(field, aut, k + tail.degree + 1, lc)
         quo, rem = right_divide(f, g)
         assert skew_mul(quo, g) + rem == f
         assert rem.is_zero() or rem.degree < g.degree
+
+
+# the same laws on the oracle's R lane over F_9 with theta_1: tuples of
+# RingElem coefficients, the only polynomials over R that get multiplied
+
+_R_AUT = 1
+
+
+def _r_coeffs(units=False):
+    elems = st.integers(0, _F9.q**3 - 1).map(lambda k: ring_from_index(_F9, k))
+    return elems.filter(RingElem.is_unit) if units else elems
+
+
+def _r_polys(max_degree=4):
+    return st.lists(_r_coeffs(), max_size=max_degree + 1).map(_r_trim)
+
+
+def _r_add(f, g):
+    zero = ring_elem(_F9, 0)
+    n = max(len(f), len(g))
+    f, g = (tuple(h) + (zero,) * (n - len(h)) for h in (f, g))
+    return _r_trim(a + b for a, b in zip(f, g))
+
+
+class TestOracleRingLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_associative(self, data):
+        f, g, h = (data.draw(_r_polys()) for _ in range(3))
+        mul = functools.partial(_r_mul, aut=_R_AUT)
+        assert mul(mul(f, g), h) == mul(f, mul(g, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_distributive(self, data):
+        f, g, h = (data.draw(_r_polys()) for _ in range(3))
+        mul = functools.partial(_r_mul, aut=_R_AUT)
+        assert mul(f, _r_add(g, h)) == _r_add(mul(f, g), mul(f, h))
+        assert mul(_r_add(f, g), h) == _r_add(mul(f, h), mul(g, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_r_coeffs())
+    def test_x_times_a_is_theta_a_times_x(self, a):
+        zero, one = ring_elem(_F9, 0), ring_elem(_F9, 1)
+        x = (zero, one)
+        lhs = _r_mul(x, _r_trim([a]), _R_AUT)
+        assert lhs == _r_trim([zero, _theta(a, _R_AUT)])
+        assert lhs == _r_mul(_r_trim([_theta(a, _R_AUT)]), x, _R_AUT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_right_division(self, data):
+        f = data.draw(_r_polys(max_degree=6))
+        tail = data.draw(_r_polys(max_degree=3))
+        lc = data.draw(_r_coeffs(units=True))
+        k = data.draw(st.integers(0, 3))
+        g = tail + (ring_elem(_F9, 0),) * (k + 4 - len(tail)) + (lc,)
+        quo, rem = _r_right_divide(f, g, _R_AUT)
+        assert _r_add(_r_mul(quo, g, _R_AUT), rem) == f
+        assert len(rem) < len(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), f=_r_polys(max_degree=12))
+    def test_fold_is_the_right_remainder_by_xn_minus_1(self, n, f):
+        zero, one = ring_elem(_F9, 0), ring_elem(_F9, 1)
+        xn_minus_1 = (-one,) + (zero,) * (n - 1) + (one,)
+        assert _r_fold(f, n) == _r_right_divide(f, xn_minus_1, _R_AUT)[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_product_of_combinations_is_the_combined_product(self, data):
+        # R[x, theta] = F_q[x, theta]^3: multiplying combined generators on
+        # the lane is multiplying each component with skew_mul
+        fs, gs = ([data.draw(_polys(_F9, _R_AUT)) for _ in range(3)] for _ in range(2))
+        products = [skew_mul(f, g) for f, g in zip(fs, gs)]
+        for polys in (fs, gs, products):
+            assert _combine(polys, _F9) == ring_skew_poly_combine(*polys)
+        lane = _r_mul(_combine(fs, _F9), _combine(gs, _F9), _R_AUT)
+        assert lane == ring_skew_poly_combine(*products)
 
 
 # ---------------------------------------------------------------------------
 # text round-trips: what poly_to_string prints, the parsers read back
 
 
-@pytest.mark.parametrize("domain,aut", [(_F9, 1), (_F81, 2)], ids=["F9-i1", "F81-i2"])
+@pytest.mark.parametrize("field,aut", [(_F9, 1), (_F81, 2)], ids=["F9-i1", "F81-i2"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_field_poly_text_roundtrip(domain, aut, data):
-    f = data.draw(_polys(domain, aut, max_degree=6))
-    assert poly_from_string(poly_to_string(f), domain, aut) == f
+def test_field_poly_text_roundtrip(field, aut, data):
+    f = data.draw(_polys(field, aut, max_degree=6))
+    assert poly_from_string(poly_to_string(f), field, aut) == f
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=_polys(RingDomain(_F9), 1, max_degree=6))
+@given(f=_r_polys(max_degree=6))
 def test_ring_poly_text_roundtrip(f):
-    assert ring_poly_from_string(poly_to_string(f), _F9, 1) == f
+    assert ring_coeffs_from_string(poly_to_string(f), _F9) == f
 
 
 # ---------------------------------------------------------------------------
