@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import codes as codes_mod
 from . import oracle as oracle_mod
 from .codes import (
     CodeError,
-    census,
+    census_components,
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,
@@ -310,61 +311,62 @@ def _distance_or_none(comp, bound: int) -> int | None:
         return None
 
 
+# one element of "rows" as json.dumps(payload, indent=2, sort_keys=True) writes it
+_JSON_ROW = (
+    '    {\n      "cardinality": %d,\n      "degenerate": %s,\n      "g1": %s,\n'
+    '      "g2": %s,\n      "g3": %s,\n      "min_lee_distance": %s\n    }'
+)
+
+
 def cmd_census(args) -> int:
     fld = _parse_field(args)
     _length(args)
-    all_codes = census(args.n, fld, args.aut, bound=args.bound)
-    count = len(all_codes)
+    comps = census_components(args.n, fld, args.aut, bound=args.bound)
+    count = len(comps) ** 3
     t_i = fld.check_aut_exponent(args.aut)
     formula = None
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
-    # the census shares its D distinct component objects: format each once
-    text = functools.cache(lambda comp: poly_to_string(comp.g))
-    # distance law: d_L(C) is the least Hamming distance of the nonzero
-    # components; the census shares component instances, and each is
+    # all that can fail runs here, once per component, before the first
+    # byte, so a refusal or an error leaves stdout empty. Distance law:
+    # d_L(C) is the least Hamming distance of the nonzero components, each
     # enumerated once, on the smaller of itself and its dual
-    rows = []
-    for code in all_codes:
-        dists = [
-            _distance_or_none(comp, args.distance_bound)
-            for comp in code.components
-            if not comp.is_zero_code()
-        ]
-        if not dists:
-            dist_val, degenerate = 0, True
-        elif None in dists:
-            dist_val, degenerate = None, False
-        else:
-            dist_val, degenerate = min(dists), False
-        rows.append(
-            {
-                "g1": text(code.c1),
-                "g2": text(code.c2),
-                "g3": text(code.c3),
-                "cardinality": code.size,
-                "min_lee_distance": dist_val,
-                "degenerate": degenerate,
-            }
-        )
-    payload = {
-        "field": {"p": fld.p, "m": fld.m, "mod": list(fld.modulus)},
-        "aut": args.aut,
-        "n": args.n,
-        "count": count,
-        "count_formula": formula[1] if formula else None,
-        "rows": rows,
-    }
-    lines = [
-        f"census of skew cyclic codes over R, n = {args.n}, q = {fld.q}: "
-        f"{count} codes"
-    ]
-    for r in rows:
-        d = "-" if r["min_lee_distance"] is None else str(r["min_lee_distance"])
-        lines.append(
-            f"  ({r['g1']} | {r['g2']} | {r['g3']})  |C| = {r['cardinality']}  d = {d}"
-        )
-    _emit(payload, lines, args.format)
+    texts = [poly_to_string(c.g) for c in comps]
+    sizes = [c.size for c in comps]
+    zero = [c.is_zero_code() for c in comps]
+    dists = [_distance_or_none(c, args.distance_bound) for c in comps]
+
+    def rows():
+        """(a, b, c, |C|, d_L or None, degenerate) per index triple, in census order."""
+        for a, b, c in itertools.product(range(len(comps)), repeat=3):
+            ds = [dists[k] for k in (a, b, c) if not zero[k]]
+            dist = 0 if not ds else None if None in ds else min(ds)
+            yield a, b, c, sizes[a] * sizes[b] * sizes[c], dist, not ds
+
+    write = sys.stdout.write
+    if args.format == "json":
+        payload = {
+            "field": {"p": fld.p, "m": fld.m, "mod": list(fld.modulus)},
+            "aut": args.aut,
+            "n": args.n,
+            "count": count,
+            "count_formula": formula[1] if formula else None,
+            "rows": [],
+        }
+        # "rows" sorts last: the header ends in "[]\n}", and the rows go in between
+        write(json.dumps(payload, indent=2, sort_keys=True)[:-3])
+        quoted = [json.dumps(t) for t in texts]
+        sep = "\n"
+        for a, b, c, size, dist, degenerate in rows():
+            flag, d = "true" if degenerate else "false", "null" if dist is None else dist
+            write(sep + _JSON_ROW % (size, flag, quoted[a], quoted[b], quoted[c], d))
+            sep = ",\n"
+        write("\n  ]\n}\n")
+        return 0
+    write(f"census of skew cyclic codes over R, n = {args.n}, q = {fld.q}: {count} codes\n")
+    for a, b, c, size, dist, _ in rows():
+        d = "-" if dist is None else dist
+        write(f"  ({texts[a]} | {texts[b]} | {texts[c]})  |C| = {size}  d = {d}\n")
     return 0
 
 
@@ -424,6 +426,7 @@ def _add_common(sp, with_n=True):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewcyclic",

@@ -28,6 +28,7 @@ freed with the code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -523,22 +524,27 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     return over_field, over_field**3
 
 
-def census(
+def census_components(
     n: int, field: Field, i: int, search_bound: int = 10**7, bound: int | None = None
-) -> list[SkewCyclicCode]:
-    """Every skew cyclic code of length n over R, in deterministic order.
+) -> list[ComponentCode]:
+    """The D component codes of length n; their D^3 triples are the codes over R.
 
-    There are (number of divisors)^3 codes; past ``bound`` this raises
-    before any code is built.
+    Past ``bound`` codes over R, this raises before any component is built.
     """
     divisors = monic_right_divisors(n, field, i, search_bound)
     count = len(divisors) ** 3
     if bound is not None and count > bound:
         raise TableTooLarge(f"census size {count} exceeds table bound {bound}")
-    comps = [component_code_new(n, g) for g in divisors]
-    return [
-        code_from_components(a, b, c) for a in comps for b in comps for c in comps
-    ]
+    return [component_code_new(n, g) for g in divisors]
+
+
+def census(
+    n: int, field: Field, i: int, search_bound: int = 10**7, bound: int | None = None
+) -> list[SkewCyclicCode]:
+    """Every skew cyclic code of length n over R, in deterministic order:
+    the triples of ``census_components``, last component fastest."""
+    comps = census_components(n, field, i, search_bound, bound)
+    return [code_from_components(*triple) for triple in itertools.product(comps, repeat=3)]
 
 
 # ---------------------------------------------------------------------------

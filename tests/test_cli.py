@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -403,6 +404,85 @@ class TestCensusCommand:
         assert json.loads(out)["count_formula"] == 64
         assert len(calls) == 1
 
+    CENSUS_PINS = json.loads((DATA / "census_pins.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(CENSUS_PINS))
+    def test_stdout_is_pinned(self, argv):
+        # recorded while the census still built all D^3 codes and printed
+        # its output at the end: F_9 at n = 4 (the brute-search path,
+        # 46656 rows), 5, 7, 11 and 13, and F_25 (i = 2) at n = 3
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv.split())
+        data = buf.getvalue().encode()
+        assert code == 0
+        assert len(data) == self.CENSUS_PINS[argv]["bytes"]
+        assert hashlib.sha256(data).hexdigest() == self.CENSUS_PINS[argv]["sha256"]
+
+    def test_rows_come_from_the_components_alone(self, capsys, monkeypatch):
+        from skewcyclic import cli, codes
+
+        built = {"code": 0, "component": 0}
+        comps = []
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def counted(self, *args):
+                built[key] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        counting(codes.SkewCyclicCode, "code")
+        counting(codes.ComponentCode, "component")
+        listed = cli.census_components
+
+        def listing(*args, **kwargs):
+            comps.extend(listed(*args, **kwargs))
+            return comps
+
+        monkeypatch.setattr(cli, "census_components", listing)
+        code, out, _ = run(capsys, "census", "--field", FIELD, "--n", "11")
+        assert code == 0 and len(out.splitlines()) == 1 + 512
+        assert built["code"] == 0
+        # the D = 8 components, and the dual of each component past half
+        # the length, enumerated on that smaller side for its distance
+        duals = [c for c in comps if c.dim > 11 - c.dim]
+        assert len(comps) == 8 and len(duals) == 4
+        assert all(c._dual is not None for c in duals)
+        assert built["component"] == len(comps) + len(duals)
+
+    def test_distance_error_leaves_stdout_empty(self, capsys, monkeypatch):
+        def failing(weights, n, q):
+            raise linalg.MacWilliamsError("injected")
+
+        monkeypatch.setattr(linalg, "macwilliams", failing)
+        for fmt in ("table", "json"):
+            code, out, err = run(
+                capsys, "census", "--field", FIELD, "--n", "5", "--format", fmt
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("error: MacWilliamsError: injected")
+
+    def test_reader_that_leaves_early_gets_no_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "skewcyclic.cli", "census", "--field", FIELD,
+                "--aut", "1", "--n", "13", "--bound", "100000",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b"census of skew cyclic codes over R, n = 13, q = 9")
+        assert b"Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_matrix_file(self, capsys, tmp_path):
@@ -658,6 +738,32 @@ def test_negative_bound_exits_2(capsys, argv):
 def test_zero_bound_is_a_refusal_not_a_configuration_error(capsys):
     code, out, err = run(capsys, "census", "--field", FIELD, "--n", "1", "--bound", "0")
     assert code == 1 and out == "" and "TableTooLarge" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process, and no call leaks into the next."""
+    from skewcyclic.cli import build_parser
+
+    distance = [
+        "code", "distance", "--field", FIELD, "--n", "5",
+        "--g1", "x-1", "--g2", "x^5-1", "--g3", "x^5-1", "--format", "json",
+    ]
+    calls = [
+        ["census", "--nope"],
+        distance + ["--bound", "0"],
+        distance,  # --bound back at its default
+        ["census", "--field", FIELD, "--n", "3", "--format", "json"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert shared == alone
+    assert [rc for rc, _, _ in shared] == [2, 1, 0, 0]
+    assert "unrecognized arguments: --nope" in shared[0][2]
+    assert json.loads(shared[2][1])["min_lee_distance"] == 2
+    assert build_parser() is build_parser()
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
