@@ -62,6 +62,23 @@ def rank(rows: Sequence[Sequence[int]], field: Field) -> int:
     return len(rref(rows, field))
 
 
+def in_row_space(basis: Sequence[Sequence[int]], row: Sequence[int], field: Field) -> bool:
+    """Is ``row`` in the span of ``basis``, which must be ``rref`` output?
+
+    Each basis row has a 1 at its pivot, its first nonzero entry, and
+    every other basis row a 0 there, so one pass that clears each pivot
+    column of ``row`` leaves zero exactly when ``row`` is in the span.
+    """
+    t = field.tables()
+    rest = list(row)
+    for b in basis:
+        f = rest[b.index(t.one)]
+        if f:
+            mul_f, sub = t.mul[f], t.sub
+            rest = [sub[x][mul_f[y]] for x, y in zip(rest, b)]
+    return not any(rest)
+
+
 def nullspace(
     rows: Sequence[Sequence[int]], field: Field, ncols: int | None = None
 ) -> list[list[int]]:

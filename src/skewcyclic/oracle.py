@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -53,7 +54,6 @@ from .ring_r import (
     RingElem,
     gray_inverse,
     gray_map,
-    hamming_distance,
     lee_distance,
     ring_from_index,
 )
@@ -188,16 +188,25 @@ def _code_config(code) -> dict:
 # claim oracles
 
 
-def _schoolbook_mul(s: tuple, t: tuple) -> tuple:
-    """(a + bv + cv^2)(x + yv + zv^2) on (a, b, c) triples, with v^3 = v."""
-    a, b, c = s
+def _schoolbook_mul(s: tuple, t: tuple, tables) -> tuple:
+    """(a + bv + cv^2)(x + yv + zv^2) on (a, b, c) index triples, with v^3 = v."""
+    add = tables.add
+    a, b, c = (tables.mul[k] for k in s)
     x, y, z = t
-    return (a * x, a * y + b * x + b * z + c * y, a * z + b * y + c * x + c * z)
+    return a[x], add[add[a[y]][b[x]]][add[b[z]][c[y]]], add[add[a[z]][b[y]]][add[c[x]][c[z]]]
 
 
-def _splitting_witness(law: str, x: tuple, y, expected: tuple, got: RingElem) -> dict:
+def _evaluations(s: tuple, tables) -> tuple:
+    """The oracle's own splitting of an (a, b, c) index triple: its values
+    (a, a+b+c, a-b+c) at v = 0, 1, -1."""
+    a, b, c = s
+    a_c = tables.add[a][c]
+    return (a, tables.add[a_c][b], tables.sub[a_c][b])
+
+
+def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) -> dict:
     def abc(t):
-        return None if t is None else "|".join(str(c) for c in t)
+        return None if t is None else "|".join(str(fld.from_index(k)) for k in t)
 
     return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
 
@@ -211,47 +220,53 @@ def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict |
     compared on every pair in R x B, B = {w^j, w^j v, w^j v^2 : j < m} an
     F_p-basis of R; the product is F_p-bilinear, so agreement on R x B is
     agreement on R x R. theta_i and negation are compared on every
-    element, the map is checked injective, and ``a``, ``b``, ``c`` must
-    read the triple back. Past ``pairs`` products, a seeded sample of R
-    replaces R.
+    element. The schoolbook side runs on (a, b, c) index triples with the
+    field tables, and each production result must equal the oracle's own
+    evaluation map (a, a+b+c, a-b+c) of it. Before any law, the map is
+    checked injective and ``a``, ``b``, ``c`` must read every triple back.
+    Past ``pairs`` products, a seeded sample of R replaces R.
     Returns (exhaustive, witness or None).
     """
-    zero = fld.zero
+    t = fld.tables()
+    add, sub, neg = t.add, t.sub, t.neg
+    frob = fld.frob_table(i)
     basis = []
-    w = fld.one
+    w = t.one
     for _ in range(fld.m):
-        basis += [(w, zero, zero), (zero, w, zero), (zero, zero, w)]
-        w = w * fld.gen
+        basis += [(w, 0, 0), (0, w, 0), (0, 0, w)]
+        w = t.mul[w][fld.gen.idx]
     exhaustive = fld.q**3 * len(basis) <= pairs
     if exhaustive:
         # index order is the lexicographic order of fld.elements()
-        elems = [fld.from_index(k) for k in range(fld.q)]
-        space = itertools.product(elems, repeat=3)
+        space = list(itertools.product(range(fld.q), repeat=3))
     else:
-        space = (
-            tuple(fld.from_index(rng.randrange(fld.q)) for _ in range(3))
+        space = [
+            tuple(rng.randrange(fld.q) for _ in range(3))
             for _ in range(max(1, pairs // len(basis)))
-        )
-    basis_elems = [RingElem(*t) for t in basis]
+        ]
+    made = [RingElem(*(t.elems[k] for k in s)) for s in space]
     seen: dict[RingElem, tuple] = {}
-    for s in space:
-        r = RingElem(*s)
+    for s, r in zip(space, made):
         first = seen.setdefault(r, s)
         if first != s:
-            return exhaustive, _splitting_witness("injective", first, s, s, r)
-        if (r.a, r.b, r.c) != s:
-            return exhaustive, _splitting_witness("abc", s, None, s, r)
+            return exhaustive, _splitting_witness(fld, "injective", first, s, s, r)
+        if (r.a.idx, r.b.idx, r.c.idx) != s:
+            return exhaustive, _splitting_witness(fld, "abc", s, None, s, r)
+    basis_elems = [RingElem(*(t.elems[k] for k in u)) for u in basis]
+    for s, r in zip(space, made):
+        a, b, c = s
         laws = [
-            ("theta", None, tuple(fld.frob_pow(x, i) for x in s), r.frob(i)),
-            ("neg", None, tuple(-x for x in s), -r),
+            ("theta", None, (frob[a], frob[b], frob[c]), r.frob(i)),
+            ("neg", None, (neg[a], neg[b], neg[c]), -r),
         ]
-        for t, rt in zip(basis, basis_elems):
-            laws.append(("mul", t, _schoolbook_mul(s, t), r * rt))
-            laws.append(("add", t, tuple(x + y for x, y in zip(s, t)), r + rt))
-            laws.append(("sub", t, tuple(x - y for x, y in zip(s, t)), r - rt))
-        for law, t, expected, got in laws:
-            if got != RingElem(*expected):
-                return exhaustive, _splitting_witness(law, s, t, expected, got)
+        for u, ru in zip(basis, basis_elems):
+            x, y, z = u
+            laws.append(("mul", u, _schoolbook_mul(s, u, t), r * ru))
+            laws.append(("add", u, (add[a][x], add[b][y], add[c][z]), r + ru))
+            laws.append(("sub", u, (sub[a][x], sub[b][y], sub[c][z]), r - ru))
+        for law, u, expected, got in laws:
+            if _evaluations(expected, t) != (got.x1.idx, got.x2.idx, got.x3.idx):
+                return exhaustive, _splitting_witness(fld, law, s, u, expected, got)
     return exhaustive, None
 
 
@@ -261,7 +276,12 @@ def verify_gray_isometry(
 ) -> VerdictReport:
     """R arithmetic matches the schoolbook a + bv + cv^2 ring (see
     ``_verify_splitting``), and Lee distance on R^n equals Hamming distance
-    of the Gray images."""
+    of the Gray images.
+
+    A word is n base-q^3 digits, each the (a, b, c) index triple of one
+    element; its Gray image is the oracle's own (a, a+b+c, a-b+c) on the
+    field tables, and the distance under test gets the ``RingElem``s.
+    """
     fld = entry.field()
     n = entry.n
     split_exhaustive, witness = _verify_splitting(
@@ -271,31 +291,39 @@ def verify_gray_isometry(
         mode = "exhaustive" if split_exhaustive else "sampled"
         return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
     dist = lee_distance_fn if lee_distance_fn is not None else lee_distance
+    t = fld.tables()
+    q = fld.q
+    rsize = q**3
+    # each drawn element is built once, next to its Gray triple as three code
+    # points (field indices): a word's image is one join of strings
+    ring: dict[int, RingElem] = {}
+    gray: dict[int, str] = {}
+
+    def word(digits: Sequence[int]) -> tuple[tuple[RingElem, ...], str]:
+        for k in digits:
+            if k not in ring:
+                s = (k // (q * q), k // q % q, k % q)
+                ring[k] = RingElem(*(t.elems[x] for x in s))
+                gray[k] = "".join(map(chr, _evaluations(s, t)))
+        return tuple(map(ring.__getitem__, digits)), "".join(map(gray.__getitem__, digits))
+
     exhaustive = fld.q ** (6 * n) <= entry.bounds.pairs
     if exhaustive:
-        from .ring_r import ring_elements
-
-        space = [tuple(w) for w in itertools.product(ring_elements(fld), repeat=n)]
+        # digit order is the lexicographic order of ring_elements(fld)
+        space = [word(w) for w in itertools.product(range(rsize), repeat=n)]
         pairs = ((x, y) for x in space for y in space)
     else:
         rng = random.Random(entry.seed)
-        rsize = fld.q**3
-        elems: dict[int, RingElem] = {}  # each drawn element is built once
+        wsize, powers = rsize**n, [rsize**j for j in range(n)]
 
-        def draw() -> tuple[RingElem, ...]:
-            word = []
-            for _ in range(n):
-                k = rng.randrange(rsize)
-                r = elems.get(k)
-                if r is None:
-                    r = elems[k] = ring_from_index(fld, k)
-                word.append(r)
-            return tuple(word)
+        def draw() -> tuple[tuple[RingElem, ...], str]:
+            w = rng.randrange(wsize)
+            return word([w // pw % rsize for pw in powers])
 
         pairs = ((draw(), draw()) for _ in range(entry.bounds.pairs))
-    for x, y in pairs:
+    for (x, gx), (y, gy) in pairs:
         dl = dist(x, y)
-        dh = hamming_distance(gray_map(x), gray_map(y))
+        dh = sum(map(operator.ne, gx, gy))
         if dl != dh:
             witness = {"x": [str(r) for r in x], "y": [str(r) for r in y]}
             witness |= {"lee": dl, "hamming": dh}
@@ -759,8 +787,7 @@ def verify_principality(
         return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
 
     def in_span(word) -> bool:
-        row = [fld.index(x) for x in gray_map(word)]
-        return linalg.rank(basis + [row], fld) == len(basis)
+        return linalg.in_row_space(basis, [fld.index(x) for x in gray_map(word)], fld)
 
     for row in code.generator_rows():
         if not in_span(row):

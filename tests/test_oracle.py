@@ -160,6 +160,21 @@ class TestIsometryOracle:
         b = verify_gray_isometry(entry).to_json()
         assert a == b
 
+    def test_sampled_pairs_reject_a_distance_blind_to_x3(self):
+        from skewcyclic.ring_r import lee_distance
+
+        def blind(x, y):
+            # the Lee distance with every third split coordinate ignored
+            return sum(lee_distance(a, b) - (a.x3 != b.x3) for a, b in zip(x, y))
+
+        # the bench entry: F_9, n = 5, default pairs, so the pairs are sampled
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=5, modulus=(1, 0, 1))
+        v = verify_gray_isometry(entry, lee_distance_fn=blind)
+        assert not v.passed and v.mode == "sampled"
+        assert {"x", "y", "lee", "hamming"} <= set(v.counterexample)
+        assert v.counterexample["lee"] < v.counterexample["hamming"]
+        assert v.to_json() == verify_gray_isometry(entry, lee_distance_fn=blind).to_json()
+
 
 class TestCensusOracle:
     @pytest.mark.parametrize("n", [1, 3])
@@ -490,6 +505,21 @@ class TestHarness:
         assert reports and all(r.passed for r in reports)
         claims = {r.claim for r in reports}
         assert "gray-isometry" in claims and "census-count" in claims
+
+    def test_verify_entry_with_twisted_divisors_all_pass(self):
+        # gcd(2, t_1) = 2 over F_9: some divisors of x^2 - 1 have
+        # coefficients that theta moves, so the R lane's twist is exercised
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
+        assert reports and all(r.passed for r in reports)
+
+    def test_r_lane_without_the_twist_fails_at_n2(self, monkeypatch):
+        from skewcyclic import oracle
+
+        untwisted = oracle._r_mul
+        monkeypatch.setattr(oracle, "_r_mul", lambda f, g, aut: untwisted(f, g, 0))
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
+        failed = {r.claim for r in reports if not r.passed}
+        assert {"combined-generator", "principal-generator", "distance-law"} <= failed
 
     def test_entry_builds_each_code_config_once(self, monkeypatch):
         from skewcyclic import oracle
