@@ -19,10 +19,16 @@ enumerated, one coordinate-class block of the Gray image at a time.
 
 Production has no polynomial over R. The claims about the combined
 generator eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples
-of ``RingElem`` coefficients with a skew multiply, a fold mod x^n - 1 and
-a right division. The eta_j are built from their a + bv + cv^2 form, so
-the lane rests on the ``RingElem`` arithmetic that ``_verify_splitting``
-checks against the schoolbook product.
+of (a, b, c) field-index triples, one per coefficient a + bv + cv^2, with
+a skew multiply, a fold mod x^n - 1 and a right division. Products are
+the schoolbook ones (``_schoolbook_mul``), theta_i acts on a, b and c,
+and Gray rows come from the oracle's own evaluation map
+(``_evaluations``), so the lane shares only the field tables with
+production's R arithmetic. Production ``RingElem`` rows enter the lane
+through the oracle's inverse splitting of their stored coordinates
+(``_read_row``); lane triples become ``RingElem``s only where production
+takes them: ``contains``, ``project_components`` and the
+``ring_skew_poly_combine`` comparison.
 
 ``oracle_code_enumerate`` still lists codewords, for tests at desk size:
 it lists the F_q-span of the same shift-closed basis that the
@@ -31,13 +37,15 @@ it lists the F_q-span of the same shift-closed basis that the
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import linalg
 from .codes import (
@@ -55,7 +63,6 @@ from .ring_r import (
     gray_inverse,
     gray_map,
     lee_distance,
-    ring_from_index,
 )
 from .skew_poly import (
     Factorization,
@@ -190,8 +197,8 @@ def _code_config(code) -> dict:
 
 def _schoolbook_mul(s: tuple, t: tuple, tables) -> tuple:
     """(a + bv + cv^2)(x + yv + zv^2) on (a, b, c) index triples, with v^3 = v."""
-    add = tables.add
-    a, b, c = (tables.mul[k] for k in s)
+    add, mul = tables.add, tables.mul
+    a, b, c = mul[s[0]], mul[s[1]], mul[s[2]]
     x, y, z = t
     return a[x], add[add[a[y]][b[x]]][add[b[z]][c[y]]], add[add[a[z]][b[y]]][add[c[x]][c[z]]]
 
@@ -204,9 +211,14 @@ def _evaluations(s: tuple, tables) -> tuple:
     return (a, tables.add[a_c][b], tables.sub[a_c][b])
 
 
+def _triple_text(fld: Field, s: tuple) -> str:
+    """The ``a|b|c`` text of an (a, b, c) index triple, as ``RingElem`` prints it."""
+    return "|".join(str(fld.from_index(k)) for k in s)
+
+
 def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) -> dict:
     def abc(t):
-        return None if t is None else "|".join(str(fld.from_index(k)) for k in t)
+        return None if t is None else _triple_text(fld, t)
 
     return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
 
@@ -270,6 +282,52 @@ def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict |
     return exhaustive, None
 
 
+_ISOMETRY_BLOCK = 2**14  # word coordinates per numpy block of isometry pairs
+
+
+def _base_digits(values: list[int], base: int, n: int) -> np.ndarray:
+    """The n base-``base`` digits of each value, least significant first,
+    one int64 row per value.
+
+    Each value is cut into int64 limbs of ``per`` digits with exact integer
+    arithmetic, and the limbs into digits by numpy.
+    """
+    per = 1
+    while per < n and base ** (per + 1) < 2**63:
+        per += 1
+    limb = base**per
+    big = np.array(values, dtype=object)
+    powers = base ** np.arange(per, dtype=np.int64)
+    digits = [
+        (big // limb**j % limb).astype(np.int64)[:, None] // powers % base
+        for j in range(-(-n // per))
+    ]
+    return np.concatenate(digits, axis=1)[:, :n]
+
+
+def _isometry_blocks(entry: TestMatrixEntry, exhaustive: bool):
+    """The word pairs of the isometry claim as (X, Y) digit arrays, in order.
+
+    A word is n base-q^3 digits, each the (a, b, c) index triple of one
+    element. Exhaustive: every pair, x before y, each in the lexicographic
+    order of ``ring_elements``. Sampled: ``pairs`` pairs whose words are
+    one ``randrange(q^(3n))`` each from ``Random(entry.seed)``, x then y.
+    Each block holds at most about ``_ISOMETRY_BLOCK`` coordinates.
+    """
+    n, rsize = entry.n, entry.field().q ** 3
+    wsize = rsize**n
+    if exhaustive:
+        values = (w for p in range(wsize * wsize) for w in divmod(p, wsize))
+    else:
+        rng = random.Random(entry.seed)
+        values = (rng.randrange(wsize) for _ in range(2 * entry.bounds.pairs))
+    while drawn := list(itertools.islice(values, 2 * max(1, _ISOMETRY_BLOCK // (2 * n)))):
+        digits = _base_digits(drawn, rsize, n)
+        if exhaustive:  # lexicographic order: the first coordinate is the top digit
+            digits = digits[:, ::-1]
+        yield digits[0::2], digits[1::2]
+
+
 def verify_gray_isometry(
     entry: TestMatrixEntry,
     lee_distance_fn: Callable | None = None,
@@ -278,9 +336,12 @@ def verify_gray_isometry(
     ``_verify_splitting``), and Lee distance on R^n equals Hamming distance
     of the Gray images.
 
-    A word is n base-q^3 digits, each the (a, b, c) index triple of one
-    element; its Gray image is the oracle's own (a, a+b+c, a-b+c) on the
-    field tables, and the distance under test gets the ``RingElem``s.
+    The pairs come from ``_isometry_blocks``. Each distinct element is
+    built once as ``RingElem(a, b, c)``, next to its Gray triple: the
+    oracle's own (a, a+b+c, a-b+c) on the field tables. The Hamming side
+    of a whole block is one numpy comparison of Gray triples; the distance
+    under test gets the ``RingElem`` words, one pair at a time, and the
+    first pair that disagrees is the witness.
     """
     fld = entry.field()
     n = entry.n
@@ -293,42 +354,31 @@ def verify_gray_isometry(
     dist = lee_distance_fn if lee_distance_fn is not None else lee_distance
     t = fld.tables()
     q = fld.q
-    rsize = q**3
-    # each drawn element is built once, next to its Gray triple as three code
-    # points (field indices): a word's image is one join of strings
+    exhaustive = q ** (6 * n) <= entry.bounds.pairs
+    mode = "exhaustive" if exhaustive else "sampled"
     ring: dict[int, RingElem] = {}
-    gray: dict[int, str] = {}
-
-    def word(digits: Sequence[int]) -> tuple[tuple[RingElem, ...], str]:
+    gray: dict[int, tuple] = {}
+    for xd, yd in _isometry_blocks(entry, exhaustive):
+        digits, inverse = np.unique(np.concatenate([xd, yd]).ravel(), return_inverse=True)
+        digits = digits.tolist()
         for k in digits:
             if k not in ring:
                 s = (k // (q * q), k // q % q, k % q)
                 ring[k] = RingElem(*(t.elems[x] for x in s))
-                gray[k] = "".join(map(chr, _evaluations(s, t)))
-        return tuple(map(ring.__getitem__, digits)), "".join(map(gray.__getitem__, digits))
-
-    exhaustive = fld.q ** (6 * n) <= entry.bounds.pairs
-    if exhaustive:
-        # digit order is the lexicographic order of ring_elements(fld)
-        space = [word(w) for w in itertools.product(range(rsize), repeat=n)]
-        pairs = ((x, y) for x in space for y in space)
-    else:
-        rng = random.Random(entry.seed)
-        wsize, powers = rsize**n, [rsize**j for j in range(n)]
-
-        def draw() -> tuple[tuple[RingElem, ...], str]:
-            w = rng.randrange(wsize)
-            return word([w // pw % rsize for pw in powers])
-
-        pairs = ((draw(), draw()) for _ in range(entry.bounds.pairs))
-    for (x, gx), (y, gy) in pairs:
-        dl = dist(x, y)
-        dh = sum(map(operator.ne, gx, gy))
-        if dl != dh:
-            witness = {"x": [str(r) for r in x], "y": [str(r) for r in y]}
-            witness |= {"lee": dl, "hamming": dh}
-            mode = "exhaustive" if exhaustive else "sampled"
-            return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
+                gray[k] = _evaluations(s, t)
+        elems = np.empty(len(digits), dtype=object)
+        elems[:] = [ring[k] for k in digits]
+        images = np.array([gray[k] for k in digits], dtype=np.int32)
+        xi, yi = inverse.reshape(2, len(xd), n)
+        hamming = np.count_nonzero(images[xi] != images[yi], axis=(1, 2))
+        words = zip(elems[xi].tolist(), elems[yi].tolist(), hamming.tolist())
+        for x, y, dh in words:
+            x, y = tuple(x), tuple(y)
+            dl = dist(x, y)
+            if dl != dh:
+                witness = {"x": [str(r) for r in x], "y": [str(r) for r in y]}
+                witness |= {"lee": dl, "hamming": dh}
+                return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
     mode = "exhaustive" if exhaustive and split_exhaustive else "sampled"
     return VerdictReport("gray-isometry", entry.config(), mode, True)
 
@@ -557,23 +607,21 @@ def verify_cardinality(
     )
 
 
-def _ring_inner_product(x: Sequence[RingElem], y: Sequence[RingElem]) -> RingElem:
-    acc = None
-    for a, b in zip(x, y, strict=True):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def verify_duality(code: SkewCyclicCode, config=None) -> VerdictReport:
     """Generator rows of C and dual(C) are orthogonal over R; sizes multiply
-    to q^{3n}; the double dual is C itself."""
+    to q^{3n}; the double dual is C itself.
+
+    The inner products run on the oracle's R lane, over the rows read
+    through ``_read_row``."""
     cfg = config or _code_config(code)
+    fld = code.field
     dual = code.dual()
+    drows = [(drow, _read_row(drow, fld)) for drow in dual.generator_rows()]
     for row in code.generator_rows():
-        for drow in dual.generator_rows():
-            ip = _ring_inner_product(row, drow)
-            if not ip.is_zero():
+        x = _read_row(row, fld)
+        for drow, y in drows:
+            ip = _ring_inner_product(x, y, fld)
+            if ip != _R_ZERO:
                 return VerdictReport(
                     "duality",
                     cfg,
@@ -582,7 +630,7 @@ def verify_duality(code: SkewCyclicCode, config=None) -> VerdictReport:
                     {
                         "row": [str(x) for x in row],
                         "dual_row": [str(x) for x in drow],
-                        "inner_product": str(ip),
+                        "inner_product": _triple_text(fld, ip),
                     },
                 )
     size_ok = code.size * dual.size == code.field.q ** (3 * code.n)
@@ -666,74 +714,144 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport
 
 
 # ---------------------------------------------------------------------------
-# the oracle's R lane: polynomials in R[x, theta_i] as tuples of RingElem
-# coefficients, ascending, without trailing zeros
+# the oracle's R lane: polynomials in R[x, theta_i] as tuples of (a, b, c)
+# index triples, ascending, without trailing zeros
+
+_R_ZERO = (0, 0, 0)
+
+
+def _r_add(s: tuple, t: tuple, tables) -> tuple:
+    add = tables.add
+    return add[s[0]][t[0]], add[s[1]][t[1]], add[s[2]][t[2]]
+
+
+def _r_sub(s: tuple, t: tuple, tables) -> tuple:
+    sub = tables.sub
+    return sub[s[0]][t[0]], sub[s[1]][t[1]], sub[s[2]][t[2]]
+
+
+def _half(tables) -> int:
+    """The index of 1/2, from the tables alone."""
+    return tables.inv[tables.add[tables.one][tables.one]]
+
+
+def _r_theta(s: tuple, frob: list[int]) -> tuple:
+    """theta on a + bv + cv^2: it fixes v, so it acts on a, b and c."""
+    return frob[s[0]], frob[s[1]], frob[s[2]]
+
+
+def _abc(x: tuple, tables) -> tuple:
+    """The oracle's inverse splitting: the (a, b, c) triple with evaluations
+    x = (x1, x2, x3), namely a = x1, b = (x2 - x3)/2, c = (x2 + x3)/2 - x1."""
+    add, sub, half = tables.add, tables.sub, tables.mul[_half(tables)]
+    x1, x2, x3 = x
+    return x1, half[sub[x2][x3]], sub[half[add[x2][x3]]][x1]
+
+
+def _r_inv(s: tuple, tables) -> tuple:
+    """The inverse of a unit: every evaluation is nonzero, and inverts."""
+    x = _evaluations(s, tables)
+    if 0 in x:
+        raise ZeroDivisionError(f"{s} is not a unit of R")
+    return _abc(tuple(tables.inv[k] for k in x), tables)
+
+
+def _read_row(row: Sequence[RingElem], fld: Field) -> tuple:
+    """A production row over R as lane triples, from the splitting
+    coordinates each ``RingElem`` stores."""
+    t = fld.tables()
+    return tuple(_abc((r.x1.idx, r.x2.idx, r.x3.idx), t) for r in row)
+
+
+def _gray_index_row(row: Sequence[tuple], tables) -> list[int]:
+    """The Gray image of a row of triples, from ``_evaluations``."""
+    return [k for s in row for k in _evaluations(s, tables)]
+
+
+def _ring_elems(fld: Field) -> Callable[[tuple], RingElem]:
+    """triple -> ``RingElem(a, b, c)``, each distinct triple built once."""
+    elems = fld.tables().elems
+    return functools.cache(lambda s: RingElem(elems[s[0]], elems[s[1]], elems[s[2]]))
+
+
+def _ring_inner_product(x: Sequence[tuple], y: Sequence[tuple], fld: Field) -> tuple:
+    t = fld.tables()
+    acc = _R_ZERO
+    for a, b in zip(x, y, strict=True):
+        acc = _r_add(acc, _schoolbook_mul(a, b, t), t)
+    return acc
 
 
 def _r_trim(coeffs) -> tuple:
     cs = list(coeffs)
-    while cs and cs[-1].is_zero():
+    while cs and cs[-1] == _R_ZERO:
         cs.pop()
     return tuple(cs)
 
 
-def _r_mul(f: tuple, g: tuple, aut: int) -> tuple:
+def _r_mul(f: tuple, g: tuple, aut: int, fld: Field) -> tuple:
     """The skew product: (a x^i)(b x^j) = a theta^i(b) x^{i+j}."""
     if not f or not g:
         return ()
-    m = f[0].field.m
-    out = [f[0] - f[0]] * (len(f) + len(g) - 1)
+    t = fld.tables()
+    out = [_R_ZERO] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a.is_zero():
+        if a == _R_ZERO:
             continue
-        e = aut * i % m
+        frob = fld.frob_table(aut * i % fld.m)
         for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b.frob(e)
+            out[i + j] = _r_add(out[i + j], _schoolbook_mul(a, _r_theta(b, frob), t), t)
     return _r_trim(out)
 
 
-def _r_fold(f: tuple, n: int) -> tuple:
+def _r_fold(f: tuple, n: int, fld: Field) -> tuple:
     """The right remainder of f by x^n - 1, with no division:
     a x^{n+k} = (a x^k)(x^n - 1) + a x^k moves each coefficient to degree k mod n."""
+    t = fld.tables()
     out = list(f[:n])
     for k in range(n, len(f)):
-        out[k % n] = out[k % n] + f[k]
+        out[k % n] = _r_add(out[k % n], f[k], t)
     return _r_trim(out)
 
 
-def _r_right_divide(f: tuple, g: tuple, aut: int) -> tuple[tuple, tuple]:
+def _r_right_divide(f: tuple, g: tuple, aut: int, fld: Field) -> tuple[tuple, tuple]:
     """(quotient, remainder) with f = quotient*g + remainder and
-    deg remainder < deg g; g's leading coefficient must be a unit of R."""
-    m = g[-1].field.m
+    deg remainder < deg g; g's leading coefficient must be a unit of R.
+
+    Each step clears one coefficient from the top; a coefficient that
+    stays nonzero (broken arithmetic) is kept in the remainder."""
+    t = fld.tables()
     d = len(g) - 1
     r = list(f)
-    quo = [g[-1] - g[-1]] * max(0, len(r) - d)
-    while len(r) > d:
-        k = len(r) - 1 - d
-        e = aut * k % m
-        qk = r[-1] * g[-1].frob(e).inv()
+    quo = [_R_ZERO] * max(0, len(r) - d)
+    for k in reversed(range(len(quo))):
+        frob = fld.frob_table(aut * k % fld.m)
+        qk = _schoolbook_mul(r[k + d], _r_inv(_r_theta(g[-1], frob), t), t)
         quo[k] = qk
         for j, b in enumerate(g):
-            r[k + j] = r[k + j] - qk * b.frob(e)
-        r = list(_r_trim(r))
-    return _r_trim(quo), tuple(r)
+            r[k + j] = _r_sub(r[k + j], _schoolbook_mul(qk, _r_theta(b, frob), t), t)
+    return _r_trim(quo), _r_trim(r)
 
 
-def _etas(fld: Field) -> tuple[RingElem, RingElem, RingElem]:
-    """eta1 = 1 - v^2, eta2 = (v + v^2)/2, eta3 = (-v + v^2)/2, from a, b, c."""
-    zero, one, half = fld.zero, fld.one, fld.half
-    return (RingElem(one, zero, -one), RingElem(zero, half, half), RingElem(zero, -half, half))
+def _etas(fld: Field) -> tuple[tuple, tuple, tuple]:
+    """eta1 = 1 - v^2, eta2 = (v + v^2)/2, eta3 = (-v + v^2)/2, as triples."""
+    t = fld.tables()
+    one, neg, half = t.one, t.neg, _half(t)
+    return (one, 0, neg[one]), (0, half, half), (0, neg[half], half)
 
 
 def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
-    """eta1*f1 + eta2*f2 + eta3*f3 over R, by R arithmetic on constants
-    c + 0v + 0v^2 (``crt_join`` is what the claims check, not what they use)."""
-    zero = fld.zero
+    """eta1*f1 + eta2*f2 + eta3*f3 over R, by schoolbook products with the
+    constants c + 0v + 0v^2 (``crt_join`` is what the claims check, not
+    what they use)."""
+    t = fld.tables()
     etas = _etas(fld)
     out = []
     for k in range(max(len(f.coeffs) for f in polys)):
-        t1, t2, t3 = (eta * RingElem(f.coeff(k), zero, zero) for eta, f in zip(etas, polys))
-        out.append(t1 + t2 + t3)
+        acc = _R_ZERO
+        for eta, f in zip(etas, polys):
+            acc = _r_add(acc, _schoolbook_mul(eta, (fld.index(f.coeff(k)), 0, 0), t), t)
+        out.append(acc)
     return _r_trim(out)
 
 
@@ -741,18 +859,18 @@ def _combined_generator(code: SkewCyclicCode) -> tuple:
     return _combine([c.g for c in code.components], code.field)
 
 
-def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple[RingElem, ...]]:
+def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple]:
     """Rows spanning <g> over R: eta_t * (x^j * g mod x^n - 1) for j < n."""
     fld, n = code.field, code.n
-    r0 = RingElem(fld.zero, fld.zero, fld.zero)
+    t = fld.tables()
     etas = _etas(fld)
     rows = []
     for j in range(n):
-        x_j = (r0,) * j + (RingElem(fld.one, fld.zero, fld.zero),)
-        shifted = _r_fold(_r_mul(x_j, g, code.aut), n)
-        base = shifted + (r0,) * (n - len(shifted))
+        x_j = (_R_ZERO,) * j + ((t.one, 0, 0),)
+        shifted = _r_fold(_r_mul(x_j, g, code.aut, fld), n, fld)
+        base = shifted + (_R_ZERO,) * (n - len(shifted))
         for eta in etas:
-            rows.append(tuple(eta * c for c in base))
+            rows.append(tuple(_schoolbook_mul(eta, c, t) for c in base))
     return rows
 
 
@@ -763,16 +881,21 @@ def verify_principality(
     combined=None,
     combined_rows=None,
     config=None,
+    ring_elems=None,
 ) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
     ``combined`` is the combined generator (``_combined_generator(code)``)
     and ``combined_rows`` its ``_combined_generator_rows``; each is built
-    here when not given.
+    here when not given. ``ring_elems`` (``_ring_elems``, one per entry)
+    builds the ``RingElem`` words that ``contains`` gets. Each sampled word
+    is n (a, b, c) digit triples.
     """
     fld = code.field
+    t = fld.tables()
     cfg = config or _code_config(code)
+    ring_elems = ring_elems or _ring_elems(fld)
 
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", cfg, mode, False, witness)
@@ -781,35 +904,36 @@ def verify_principality(
         combined = _combined_generator(code)
     if combined_rows is None:
         combined_rows = _combined_generator_rows(combined, code)
-    rows = [gray_map(r) for r in combined_rows]
-    basis = linalg.rref(linalg.to_index_rows(rows, fld), fld)
+    basis = linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
     if len(basis) != code.dim:
         return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
 
-    def in_span(word) -> bool:
-        return linalg.in_row_space(basis, [fld.index(x) for x in gray_map(word)], fld)
+    def in_span(row) -> bool:
+        return linalg.in_row_space(basis, _gray_index_row(row, t), fld)
 
-    for row in code.generator_rows():
-        if not in_span(row):
+    generator_rows = [(row, _read_row(row, fld)) for row in code.generator_rows()]
+    for row, triples in generator_rows:
+        if not in_span(triples):
             return fail(
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
     for row in combined_rows:
-        if not code.contains(row):
-            return fail("exhaustive", {"combined_row_rejected": [str(x) for x in row]})
+        word = tuple(map(ring_elems, row))
+        if not code.contains(word):
+            return fail("exhaustive", {"combined_row_rejected": [str(x) for x in word]})
     rng = rng or random.Random(0)
-    rsize = fld.q**3
+    q = fld.q
     for _ in range(samples):
-        word = tuple(
-            ring_from_index(fld, rng.randrange(rsize)) for _ in range(code.n)
-        )
-        if code.contains(word) != in_span(word):
+        digits = [rng.randrange(q**3) for _ in range(code.n)]
+        triples = tuple((k // (q * q), k // q % q, k % q) for k in digits)
+        word = tuple(map(ring_elems, triples))
+        if code.contains(word) != in_span(triples):
             return fail("sampled", {"word": [str(x) for x in word]})
     # when the combined generator has a unit leading coefficient the
     # literal right-remainder test must agree as well
-    if combined and combined[-1].is_unit():
-        for row in code.generator_rows():
-            if _r_right_divide(_r_trim(row), combined, code.aut)[1]:
+    if combined and 0 not in _evaluations(combined[-1], t):
+        for row, triples in generator_rows:
+            if _r_right_divide(_r_trim(triples), combined, code.aut, fld)[1]:
                 return fail(
                     "exhaustive", {"right_remainder_nonzero_on": [str(x) for x in row]}
                 )
@@ -846,8 +970,8 @@ def verify_distance_law(
         combined_rows = _combined_generator_rows(_combined_generator(code), code)
     if block_minima is None:
         block_minima = {}
-    rows = [gray_map(r) for r in combined_rows]
-    basis = linalg.rref(linalg.to_index_rows(rows, fld), fld)
+    t = fld.tables()
+    basis = linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     if len(basis) != sum(map(len, blocks)):
         witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}
@@ -892,26 +1016,33 @@ def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictRe
             "idempotent-generator", cfg, "exhaustive", False, {"reason": str(exc)}
         )
     fld, n = code.field, code.n
+    t = fld.tables()
     e = _combine(parts, fld)
-    idempotent = _r_fold(_r_mul(e, e, code.aut), n) == _r_fold(e, n)
-    rows = [gray_map(row) for row in _combined_generator_rows(e, code)]
-    span_e = linalg.canonical_subspace(linalg.to_index_rows(rows, fld), fld)
+    idempotent = _r_fold(_r_mul(e, e, code.aut, fld), n, fld) == _r_fold(e, n, fld)
+    rows = [_gray_index_row(row, t) for row in _combined_generator_rows(e, code)]
+    span_e = linalg.canonical_subspace(rows, fld)
     span_c = linalg.canonical_subspace(linalg.to_index_rows(_gray_rows(code), fld), fld)
     generates = span_e == span_c
     ok = idempotent and generates
     witness = None
     if not ok:
-        witness = {"e": poly_to_string(e), "idempotent": idempotent, "generates": generates}
+        e_text = poly_to_string(tuple(map(_ring_elems(fld), e)))
+        witness = {"e": e_text, "idempotent": idempotent, "generates": generates}
     return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, witness)
 
 
-def verify_decomposition(code: SkewCyclicCode, config=None, combined=None) -> VerdictReport:
+def verify_decomposition(
+    code: SkewCyclicCode, config=None, combined=None, ring_elems=None
+) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly,
     and ``ring_skew_poly_combine`` joins them back to the same generator.
 
-    ``combined`` is ``_combined_generator(code)``, built here when not given.
+    ``combined`` is ``_combined_generator(code)``, built here when not
+    given; ``ring_elems`` (``_ring_elems``) turns it into the ``RingElem``
+    coefficients that production splits and joins.
     """
-    g = combined if combined is not None else _combined_generator(code)
+    combined = combined if combined is not None else _combined_generator(code)
+    g = tuple(map(ring_elems or _ring_elems(code.field), combined))
     parts = project_components(g, code.field, code.aut)
     ok = parts == tuple(c.g for c in code.components) and ring_skew_poly_combine(*parts) == g
     witness = None
@@ -948,9 +1079,10 @@ def verify_combined_uniqueness(
             )
         seen[g] = code_config(code)
         fld = code.field
-        zero, one = RingElem(fld.zero, fld.zero, fld.zero), RingElem(fld.one, fld.zero, fld.zero)
+        one, neg = fld.tables().one, fld.tables().neg
+        x_n_minus_1 = ((neg[one], 0, 0),) + (_R_ZERO,) * (code.n - 1) + ((one, 0, 0),)
         h = _combine([c.h for c in code.components], fld)
-        if _r_mul(h, g, code.aut) != (-one,) + (zero,) * (code.n - 1) + (one,):
+        if _r_mul(h, g, code.aut, fld) != x_n_minus_1:
             return VerdictReport(
                 "combined-generator",
                 config,
@@ -1066,6 +1198,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         return configs[code]
 
     reports.append(verify_combined_uniqueness(codes, cfg, config_of, generators))
+    ring_elems = _ring_elems(fld)  # the lane's triples as RingElems, built once per entry
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
     # codes too large for a shift-closure claim; kept apart so that the
@@ -1092,12 +1225,13 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         record(verify_cardinality(code, config=c))
         record(verify_duality(code, config=c))
         record(verify_dual_gray_commutation(code, config=c))
-        record(verify_decomposition(code, config=c, combined=g))
+        record(verify_decomposition(code, config=c, combined=g, ring_elems=ring_elems))
         record(verify_idempotent_generators(code, config=c))
         record(verify_quasi_cyclic_gray(code, config=c))
         record(
             verify_principality(
-                code, samples=20, rng=rng, combined=g, combined_rows=rows, config=c
+                code, samples=20, rng=rng, combined=g, combined_rows=rows, config=c,
+                ring_elems=ring_elems,
             )
         )
         record(verify_distance_law(code, entry.bounds.distance, rows, block_minima, config=c))

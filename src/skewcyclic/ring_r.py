@@ -251,10 +251,6 @@ def lee_distance(x, y) -> int:
     return d
 
 
-def hamming_distance(x: Sequence[FieldElem], y: Sequence[FieldElem]) -> int:
-    return sum(1 for a, b in zip(x, y, strict=True) if a != b)
-
-
 # ---------------------------------------------------------------------------
 # dense integer tables for hot loops (oracle enumeration)
 #
@@ -311,15 +307,6 @@ def ring_tables(field: Field) -> RingTables:
     if field not in _ring_tables_cache:
         _ring_tables_cache[field] = RingTables(field)
     return _ring_tables_cache[field]
-
-
-def ring_from_index(field: Field, idx: int) -> RingElem:
-    q = field.q
-    x1, rest = idx % q, idx // q
-    x2, x3 = rest % q, rest // q
-    return _split_elem(
-        field.from_index(x1), field.from_index(x2), field.from_index(x3)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from skewcyclic.codes import (
 )
 from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.oracle import broken_component_code, default_modulus
-from skewcyclic.oracle import _r_fold, _r_mul
+from skewcyclic.oracle import _r_fold, _r_mul, _read_row
 from skewcyclic.ring_r import RingElem, gray_map, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
@@ -116,11 +116,12 @@ class TestSplitNativeConstruction:
     def test_combined_cofactor_over_r(self, f9):
         codes = census(5, f9, 1)
         assert len(codes) == 64
-        xn1 = ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3)
+        # the combined polynomials enter the oracle's lane as (a, b, c) triples
+        xn1 = _read_row(ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3), f9)
         for code in codes:
-            h = ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h)
-            g = _combined(code)
-            assert _r_mul(h, g, 1) == xn1
+            h = _read_row(ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h), f9)
+            g = _read_row(_combined(code), f9)
+            assert _r_mul(h, g, 1, f9) == xn1
 
 
 def _recording(monkeypatch, owner, name):
@@ -581,8 +582,8 @@ class TestIdempotents:
         ]
         code = code_from_components(*comps)
         e1, e2, e3 = code.idempotent_generator()
-        e = ring_skew_poly_combine(e1, e2, e3)
-        assert _r_fold(_r_mul(e, e, 1), 5) == _r_fold(e, 5)
+        e = _read_row(ring_skew_poly_combine(e1, e2, e3), f9)
+        assert _r_fold(_r_mul(e, e, 1, f9), 5, f9) == _r_fold(e, 5, f9)
         assert e1 == comps[0].idempotent_generator()
         assert e2 == SkewPoly.one(f9, 1)
         assert e3 == SkewPoly.one(f9, 1)

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcyclic.codes import (
     ComponentCode,
@@ -176,6 +178,18 @@ class TestIsometryOracle:
         assert v.to_json() == verify_gray_isometry(entry, lee_distance_fn=blind).to_json()
 
 
+class TestBaseDigits:
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.integers(2, 10**11), n=st.integers(1, 12), data=st.data())
+    def test_digits_match_integer_division(self, base, n, data):
+        # past 2^63 a value is cut into int64 limbs; the digits stay exact
+        from skewcyclic.oracle import _base_digits
+
+        values = data.draw(st.lists(st.integers(0, base**n - 1), min_size=1, max_size=6))
+        expected = [[v // base**j % base for j in range(n)] for v in values]
+        assert _base_digits(values, base, n).tolist() == expected
+
+
 class TestCensusOracle:
     @pytest.mark.parametrize("n", [1, 3])
     def test_passes(self, n):
@@ -328,7 +342,8 @@ class TestMatrixAndDualityOracles:
         from skewcyclic import oracle
 
         other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
-        assert other != oracle._combined_generator(mixed_code)
+        ring_elems = oracle._ring_elems(mixed_code.field)
+        assert other != tuple(map(ring_elems, oracle._combined_generator(mixed_code)))
         monkeypatch.setattr(oracle, "ring_skew_poly_combine", lambda *fs: other)
         v = verify_decomposition(mixed_code)
         assert not v.passed and v.mode == "exhaustive"
@@ -392,11 +407,9 @@ class TestDistanceOracle:
         assert v.counterexample["direct_enumeration"] == 2
 
     def test_gray_image_not_a_direct_sum_of_blocks(self, f9, mixed_code):
-        from skewcyclic.ring_r import ring_one
-
         # the Gray image of (1, 1) is spanned by one word that meets all
         # three coordinate classes, so its blocks have total rank 3, not 1
-        rows = [(ring_one(f9),) * mixed_code.n]
+        rows = [((f9.tables().one, 0, 0),) * mixed_code.n]
         v = verify_distance_law(mixed_code, combined_rows=rows)
         assert not v.passed and v.mode == "exhaustive"
         assert v.counterexample == {"gray_rank": 1, "block_ranks": [1, 1, 1]}
@@ -516,10 +529,53 @@ class TestHarness:
         from skewcyclic import oracle
 
         untwisted = oracle._r_mul
-        monkeypatch.setattr(oracle, "_r_mul", lambda f, g, aut: untwisted(f, g, 0))
+        monkeypatch.setattr(oracle, "_r_mul", lambda f, g, aut, fld: untwisted(f, g, 0, fld))
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
         failed = {r.claim for r in reports if not r.passed}
         assert {"combined-generator", "principal-generator", "distance-law"} <= failed
+
+    def test_schoolbook_product_with_v_cubed_minus_v_fails(self, monkeypatch):
+        # the lane's multiply rests on v^3 = v; with v^3 = -v instead, the
+        # eta_j stop being orthogonal idempotents
+        from skewcyclic import oracle
+
+        def v_cubed_is_minus_v(s, t, tables):
+            add, sub, mul = tables.add, tables.sub, tables.mul
+            (a, b, c), (x, y, z) = s, t
+            v = sub[add[mul[a][y]][mul[b][x]]][add[mul[b][z]][mul[c][y]]]
+            v2 = sub[add[add[mul[a][z]][mul[b][y]]][mul[c][x]]][mul[c][z]]
+            return mul[a][x], v, v2
+
+        monkeypatch.setattr(oracle, "_schoolbook_mul", v_cubed_is_minus_v)
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+        failed = {r.claim: r for r in reports if not r.passed}
+        assert {"duality", "combined-generator"} <= failed.keys()
+        assert failed["duality"].counterexample["inner_product"] != "[0,0]|[0,0]|[0,0]"
+        assert "not_a_divisor" in failed["combined-generator"].counterexample
+
+    def test_per_code_claims_use_no_ring_arithmetic_of_production(self, monkeypatch):
+        # the R lane computes on index triples: with every RingElem operator
+        # raising, all claims but the splitting check itself still pass
+        from skewcyclic import oracle
+        from skewcyclic.ring_r import RingElem, ring_one
+
+        def refuse(*args):
+            raise AssertionError("RingElem arithmetic called")
+
+        for op in ("__add__", "__sub__", "__mul__", "__neg__", "inv", "frob"):
+            monkeypatch.setattr(RingElem, op, refuse)
+        one = ring_one(Field(3, 2, [1, 0, 1]))
+        with pytest.raises(AssertionError):
+            one * one
+        # gray-isometry checks those operators, so it is the one claim left out
+        monkeypatch.setattr(
+            oracle,
+            "verify_gray_isometry",
+            lambda entry: VerdictReport("gray-isometry", entry.config(), "skipped", True),
+        )
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+        assert len(reports) == len(oracle.CLAIMS)
+        assert all(r.passed for r in reports), [r.claim for r in reports if not r.passed]
 
     def test_entry_builds_each_code_config_once(self, monkeypatch):
         from skewcyclic import oracle
@@ -917,13 +973,15 @@ class TestRankClaimsAgainstEnumeration:
         from skewcyclic.ring_r import gray_map
 
         checked = 0
-        from skewcyclic.oracle import _combined_generator
+        from skewcyclic.oracle import _combined_generator, _ring_elems
 
         pairs = [(c, _combined_generator(c)) for n in (1, 2, 3) for c in census(n, f9, 1)]
         pairs.append(mismatched_code(f9, 1, 3))
+        ring_elems = _ring_elems(f9)
         for code, g in pairs:
             combined = _combined_generator_rows(g, code)
-            rows = [gray_map(r) for r in combined]
+            # the Gray rows through production's map, not the oracle's
+            rows = [gray_map(tuple(map(ring_elems, r))) for r in combined]
             idx = linalg.to_index_rows(rows, f9)
             if 9 ** linalg.rank(idx, f9) > 10**5:
                 continue

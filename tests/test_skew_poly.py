@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcyclic.finite_field import Field
-from skewcyclic.oracle import _combine, _r_fold, _r_mul, _r_right_divide, _r_trim
-from skewcyclic.ring_r import RingElem, ring_elem, ring_from_index
+from skewcyclic.oracle import (
+    _combine,
+    _evaluations,
+    _r_fold,
+    _r_mul,
+    _r_right_divide,
+    _r_trim,
+    _read_row,
+)
+from skewcyclic.ring_r import RingElem, ring_elem
 from skewcyclic.skew_poly import (
     AutMismatch,
     BothZero,
@@ -511,14 +519,19 @@ class TestSkewRingLaws:
 
 
 # the same laws on the oracle's R lane over F_9 with theta_1: tuples of
-# RingElem coefficients, the only polynomials over R that get multiplied
+# (a, b, c) index triples, the only polynomials over R that get multiplied
 
 _R_AUT = 1
+_R_ZERO = (0, 0, 0)
+_R_ONE = (_F9.tables().one, 0, 0)
 
 
 def _r_coeffs(units=False):
-    elems = st.integers(0, _F9.q**3 - 1).map(lambda k: ring_from_index(_F9, k))
-    return elems.filter(RingElem.is_unit) if units else elems
+    idx = st.integers(0, _F9.q - 1)
+    triples = st.tuples(idx, idx, idx)
+    if units:
+        return triples.filter(lambda s: RingElem(*map(_F9.from_index, s)).is_unit())
+    return triples
 
 
 def _r_polys(max_degree=4):
@@ -526,10 +539,14 @@ def _r_polys(max_degree=4):
 
 
 def _r_add(f, g):
-    zero = ring_elem(_F9, 0)
     n = max(len(f), len(g))
-    f, g = (tuple(h) + (zero,) * (n - len(h)) for h in (f, g))
-    return _r_trim(a + b for a, b in zip(f, g))
+    f, g = (tuple(h) + (_R_ZERO,) * (n - len(h)) for h in (f, g))
+    add = _F9.tables().add
+    return _r_trim(tuple(add[x][y] for x, y in zip(a, b)) for a, b in zip(f, g))
+
+
+def _r_theta(s, i):
+    return tuple(_F9.index(_theta(_F9.from_index(k), i)) for k in s)
 
 
 class TestOracleRingLaws:
@@ -537,25 +554,24 @@ class TestOracleRingLaws:
     @given(data=st.data())
     def test_associative(self, data):
         f, g, h = (data.draw(_r_polys()) for _ in range(3))
-        mul = functools.partial(_r_mul, aut=_R_AUT)
+        mul = functools.partial(_r_mul, aut=_R_AUT, fld=_F9)
         assert mul(mul(f, g), h) == mul(f, mul(g, h))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_distributive(self, data):
         f, g, h = (data.draw(_r_polys()) for _ in range(3))
-        mul = functools.partial(_r_mul, aut=_R_AUT)
+        mul = functools.partial(_r_mul, aut=_R_AUT, fld=_F9)
         assert mul(f, _r_add(g, h)) == _r_add(mul(f, g), mul(f, h))
         assert mul(_r_add(f, g), h) == _r_add(mul(f, h), mul(g, h))
 
     @settings(max_examples=40, deadline=None)
     @given(a=_r_coeffs())
     def test_x_times_a_is_theta_a_times_x(self, a):
-        zero, one = ring_elem(_F9, 0), ring_elem(_F9, 1)
-        x = (zero, one)
-        lhs = _r_mul(x, _r_trim([a]), _R_AUT)
-        assert lhs == _r_trim([zero, _theta(a, _R_AUT)])
-        assert lhs == _r_mul(_r_trim([_theta(a, _R_AUT)]), x, _R_AUT)
+        x = (_R_ZERO, _R_ONE)
+        lhs = _r_mul(x, _r_trim([a]), _R_AUT, _F9)
+        assert lhs == _r_trim([_R_ZERO, _r_theta(a, _R_AUT)])
+        assert lhs == _r_mul(_r_trim([_r_theta(a, _R_AUT)]), x, _R_AUT, _F9)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -564,17 +580,17 @@ class TestOracleRingLaws:
         tail = data.draw(_r_polys(max_degree=3))
         lc = data.draw(_r_coeffs(units=True))
         k = data.draw(st.integers(0, 3))
-        g = tail + (ring_elem(_F9, 0),) * (k + 4 - len(tail)) + (lc,)
-        quo, rem = _r_right_divide(f, g, _R_AUT)
-        assert _r_add(_r_mul(quo, g, _R_AUT), rem) == f
+        g = tail + (_R_ZERO,) * (k + 4 - len(tail)) + (lc,)
+        quo, rem = _r_right_divide(f, g, _R_AUT, _F9)
+        assert _r_add(_r_mul(quo, g, _R_AUT, _F9), rem) == f
         assert len(rem) < len(g)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 5), f=_r_polys(max_degree=12))
     def test_fold_is_the_right_remainder_by_xn_minus_1(self, n, f):
-        zero, one = ring_elem(_F9, 0), ring_elem(_F9, 1)
-        xn_minus_1 = (-one,) + (zero,) * (n - 1) + (one,)
-        assert _r_fold(f, n) == _r_right_divide(f, xn_minus_1, _R_AUT)[1]
+        minus_one = (_F9.tables().neg[_R_ONE[0]], 0, 0)
+        xn_minus_1 = (minus_one,) + (_R_ZERO,) * (n - 1) + (_R_ONE,)
+        assert _r_fold(f, n, _F9) == _r_right_divide(f, xn_minus_1, _R_AUT, _F9)[1]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -584,9 +600,67 @@ class TestOracleRingLaws:
         fs, gs = ([data.draw(_polys(_F9, _R_AUT)) for _ in range(3)] for _ in range(2))
         products = [skew_mul(f, g) for f, g in zip(fs, gs)]
         for polys in (fs, gs, products):
-            assert _combine(polys, _F9) == ring_skew_poly_combine(*polys)
-        lane = _r_mul(_combine(fs, _F9), _combine(gs, _F9), _R_AUT)
-        assert lane == ring_skew_poly_combine(*products)
+            assert _combine(polys, _F9) == _read_row(ring_skew_poly_combine(*polys), _F9)
+        lane = _r_mul(_combine(fs, _F9), _combine(gs, _F9), _R_AUT, _F9)
+        assert lane == _read_row(ring_skew_poly_combine(*products), _F9)
+
+
+# the lane against production on each component: under the oracle's
+# evaluation map (a, a+b+c, a-b+c), a combined product, fold or division
+# is the F_q[x, theta_1] one on every component
+
+_F25 = Field(5, 2, [2, 0, 1])
+_LANE_FIELDS = {"F9": _F9, "F25": _F25}
+
+
+def _lane_components(f, field):
+    """The three polynomials over F_q that the oracle's evaluations of f give."""
+    t = field.tables()
+    values = [_evaluations(s, t) for s in f]
+    return tuple(
+        SkewPoly(field, [field.from_index(x[j]) for x in values], 1) for j in range(3)
+    )
+
+
+def _monic_free(field, degree):
+    """Polynomials of exactly this degree with a nonzero leading coefficient."""
+    return st.tuples(
+        st.lists(_coeffs(field), min_size=degree, max_size=degree), _coeffs(field, units=True)
+    ).map(lambda parts: SkewPoly(field, parts[0] + [parts[1]], 1))
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_FIELDS))
+class TestOracleLaneAgainstComponents:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mul(self, name, data):
+        field = _LANE_FIELDS[name]
+        fs, gs = ([data.draw(_polys(field, 1)) for _ in range(3)] for _ in range(2))
+        lane = _r_mul(_combine(fs, field), _combine(gs, field), 1, field)
+        assert _lane_components(lane, field) == tuple(map(skew_mul, fs, gs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_fold(self, name, data):
+        field = _LANE_FIELDS[name]
+        n = data.draw(st.integers(1, 5))
+        fs = [data.draw(_polys(field, 1, max_degree=12)) for _ in range(3)]
+        lane = _r_fold(_combine(fs, field), n, field)
+        assert _lane_components(lane, field) == tuple(mod_xn_minus_1(f, n) for f in fs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_right_divide(self, name, data):
+        # equal degrees and nonzero leading coefficients: the combined
+        # divisor's leading coefficient is a unit of R
+        field = _LANE_FIELDS[name]
+        d = data.draw(st.integers(0, 3))
+        fs = [data.draw(_polys(field, 1, max_degree=7)) for _ in range(3)]
+        gs = [data.draw(_monic_free(field, d)) for _ in range(3)]
+        quo, rem = _r_right_divide(_combine(fs, field), _combine(gs, field), 1, field)
+        expected = [right_divide(f, g) for f, g in zip(fs, gs)]
+        assert _lane_components(quo, field) == tuple(r.quotient for r in expected)
+        assert _lane_components(rem, field) == tuple(r.remainder for r in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +678,8 @@ def test_field_poly_text_roundtrip(field, aut, data):
 @settings(max_examples=60, deadline=None)
 @given(f=_r_polys(max_degree=6))
 def test_ring_poly_text_roundtrip(f):
-    assert ring_coeffs_from_string(poly_to_string(f), _F9) == f
+    coeffs = tuple(RingElem(*map(_F9.from_index, s)) for s in f)
+    assert ring_coeffs_from_string(poly_to_string(coeffs), _F9) == coeffs
 
 
 # ---------------------------------------------------------------------------
