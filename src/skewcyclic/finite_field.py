@@ -7,12 +7,14 @@ Everything is integer arithmetic mod p, so all results are exact.
 
 Every ``FieldElem`` also carries its canonical index (``Field.index``).
 Coefficient arithmetic mod p defines the operations. For q <= TABLE_LIMIT,
-``Field.tables()`` builds from it, lazily and once per field, dense index
-tables and one interned element per index; from then on every operation
+``Field.tables()`` builds, lazily and once per field, dense index tables
+and one interned element per index; from then on every operation
 (+ - * neg inv frob) is a list lookup that returns an interned element,
 and ``Field.from_index`` returns the interned element too. Interned
 elements are shared by every holder and immutable. Fields past
-TABLE_LIMIT never build tables and keep the coefficient arithmetic.
+TABLE_LIMIT never build tables and keep the coefficient arithmetic. One
+builder makes the tables of F_q and of every subfield lane from the powers
+of a generator and Zech's logarithm: O(q) field operations, then lookups.
 
 Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
 have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
@@ -237,6 +239,35 @@ def _raw_elem(field, coeffs: tuple, idx: int | None = None) -> FieldElem:
     return e
 
 
+def _cyclic_tables(elems: list[FieldElem]) -> tuple[dict[int, int], list, list, list]:
+    """Dense tables of the subfield F_Q whose elements are ``elems`` (index
+    order, zero first): each element's position by F_q index, and ``mul``,
+    ``add`` and ``inv`` on positions. F_Q^* is cyclic, so a generator's powers
+    and Zech's logarithm pos(1 + g^k) take O(Q) field operations (Lidl and
+    Niederreiter, Finite Fields, 2.1); each entry is then a lookup."""
+    one, order, n = elems[0].field.one, len(elems), len(elems) - 1
+    pos = {x.idx: k for k, x in enumerate(elems)}
+    for g in elems[1:]:
+        exp, x = [pos[one.idx]], g
+        while x != one:
+            exp.append(pos[x.idx])
+            x = x * g
+        if len(exp) == n:
+            break
+    log = [0] * order
+    for k, a in enumerate(exp):
+        log[a] = k
+    zech = [pos[(one + elems[a]).idx] for a in exp]
+    exp += exp
+    mul = [[0] * order] + [[0] + [exp[la + lb] for lb in log[1:]] for la in log[1:]]
+    add = [list(range(order))]
+    for a in range(1, order):  # a + b = a (1 + b/a); a negative index wraps mod n
+        row, la = mul[a], log[a]
+        add.append([a] + [row[zech[lb - la]] for lb in log[1:]])
+    inv = [0] + [exp[n - la] for la in log[1:]]
+    return pos, mul, add, inv
+
+
 class FieldTables:
     """Dense integer operation tables and interned elements for a small field.
 
@@ -244,30 +275,22 @@ class FieldTables:
     (lexicographic on ascending-degree coefficient vectors), so index 0 is
     always the zero element. ``elems[i]`` is the one shared ``FieldElem``
     with index i (``field.zero`` and ``field.one`` at their indices), which
-    every table-driven operation returns. The tables are built from the
-    coefficient arithmetic. ``inv[0]`` is 0 as a sentinel; callers must
+    every table-driven operation returns. ``mul``, ``add`` and ``inv`` come
+    from ``_cyclic_tables``, ``neg`` is the ``mul`` row of -1, and ``sub``
+    reads ``add`` and ``neg``. ``inv[0]`` is 0 as a sentinel; callers must
     not invert zero.
     """
 
     __slots__ = ("one", "elems", "add", "sub", "mul", "neg", "inv", "_frob")
 
     def __init__(self, field: Field):
-        p = field.p
-        coeffs = list(itertools.product(range(p), repeat=field.m))
+        coeffs = itertools.product(range(field.p), repeat=field.m)
         self.one = field.one.idx
         self.elems = [_raw_elem(field, c, i) for i, c in enumerate(coeffs)]
-        self.elems[0] = field.zero
-        self.elems[self.one] = field.one
-        self.neg = [_index_of([(-a) % p for a in c], p) for c in coeffs]
-        self.add = [
-            [_index_of([(a + b) % p for a, b in zip(x, y)], p) for y in coeffs]
-            for x in coeffs
-        ]
+        self.elems[0], self.elems[self.one] = field.zero, field.one
+        _, self.mul, self.add, self.inv = _cyclic_tables(self.elems)
+        self.neg = list(self.mul[(-field.one).idx])
         self.sub = [[row[b] for b in self.neg] for row in self.add]
-        self.mul = [
-            [_index_of(field._mul_coeffs(x, y), p) for y in coeffs] for x in coeffs
-        ]
-        self.inv = [0] + [row.index(self.one) for row in self.mul[1:]]
         self._frob: dict[int, list[int]] = {}
 
 
@@ -528,33 +551,10 @@ class Subfield:
         order = field.p**i
         if order > TABLE_LIMIT:
             raise EnumerationTooLarge(f"subfield order {order} too large for tables")
-        elems, one, n = field.fixed_subfield(i), field.one, order - 1
-        lanes = {x.idx: k for k, x in enumerate(elems)}
+        self.elems = field.fixed_subfield(i)
+        self._lanes, self._mul, self._add, self._inv = _cyclic_tables(self.elems)
         self.p, self.order, self.field = field.p, order, field
-        self.elems, self._lanes = elems, lanes
-        self.one, self.minus_one = lanes[one.idx], lanes[(-one).idx]
-        # F_Q^* is cyclic: from the powers of a generator g and Zech's
-        # logarithm, lane(1 + g^k), the tables take O(Q) field operations
-        for g in elems[1:]:
-            exp, x = [self.one], g
-            while x != one:
-                exp.append(lanes[x.idx])
-                x = x * g
-            if len(exp) == n:
-                break
-        log = [0] * order
-        for k, a in enumerate(exp):
-            log[a] = k
-        zech = [lanes[(one + elems[a]).idx] for a in exp]
-        exp += exp
-        mul = self._mul = [[0] * order] + [
-            [0] + [exp[la + log[b]] for b in range(1, order)] for la in log[1:]
-        ]
-        self._add = [list(range(order))] + [  # a + b = a * (1 + b/a)
-            [a] + [mul[a][zech[(log[b] - log[a]) % n]] for b in range(1, order)]
-            for a in range(1, order)
-        ]
-        self._inv = [0] + [exp[n - la] for la in log[1:]]
+        self.one, self.minus_one = self._lanes[field.one.idx], self._lanes[(-field.one).idx]
 
     def inv(self, a: int) -> int:
         return self._inv[a]

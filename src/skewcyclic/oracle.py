@@ -24,7 +24,8 @@ a skew multiply, a fold mod x^n - 1 and a right division. Products are
 the schoolbook ones (``_schoolbook_mul``), theta_i acts on a, b and c,
 and Gray rows come from the oracle's own evaluation map
 (``_evaluations``), so the lane shares only the field tables with
-production's R arithmetic. Production ``RingElem`` rows enter the lane
+production's R arithmetic, and ``_verify_tables`` checks those against
+coefficient arithmetic mod p. Production ``RingElem`` rows enter the lane
 through the oracle's inverse splitting of their stored coordinates
 (``_read_row``); lane triples become ``RingElem``s only where production
 takes them: ``contains``, ``project_components`` and the
@@ -223,7 +224,59 @@ def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) 
     return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
 
 
-def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict | None]:
+def _verify_tables(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, dict | None]:
+    """Do the field's dense tables agree with coefficient arithmetic mod p?
+
+    The tables come from a generator and Zech's logarithm, not from the
+    coefficients, so the schoolbook side of ``_verify_splitting`` checks
+    them first. ``add``, ``sub`` and ``mul`` are compared with addition and
+    subtraction mod p and ``_mul_coeffs`` on every pair when q^2 <=
+    ``pairs``, else on ``pairs`` pairs drawn from ``Random(seed)``. ``neg``,
+    ``inv`` and ``frob_table(i)`` are compared on every element, the last
+    two with a^{q-2} and a^{p^i} by square-and-multiply on ``_mul_coeffs``.
+    Returns (exhaustive, witness or None).
+    """
+    t, p, q = fld.tables(), fld.p, fld.q
+    frob = fld.frob_table(i)
+    coeffs = list(itertools.product(range(p), repeat=fld.m))  # in index order
+    index = {c: k for k, c in enumerate(coeffs)}
+
+    def power(c: tuple, e: int) -> tuple:
+        out = coeffs[t.one]
+        while e:
+            if e & 1:
+                out = tuple(fld._mul_coeffs(out, c))
+            c, e = tuple(fld._mul_coeffs(c, c)), e >> 1
+        return out
+
+    exhaustive = q * q <= pairs
+    if exhaustive:
+        operands = itertools.product(range(q), repeat=2)
+    else:
+        rng = random.Random(seed)
+        operands = ((rng.randrange(q), rng.randrange(q)) for _ in range(pairs))
+
+    def laws():
+        for x, c in enumerate(coeffs):
+            yield "neg", (x,), tuple(-a % p for a in c), t.neg[x]
+            if x:
+                yield "inv", (x,), power(c, q - 2), t.inv[x]
+            yield f"frob_table({i})", (x,), power(c, p**i), frob[x]
+        for x, y in operands:
+            a, b = coeffs[x], coeffs[y]
+            yield "add", (x, y), tuple((u + v) % p for u, v in zip(a, b)), t.add[x][y]
+            yield "sub", (x, y), tuple((u - v) % p for u, v in zip(a, b)), t.sub[x][y]
+            yield "mul", (x, y), tuple(fld._mul_coeffs(a, b)), t.mul[x][y]
+
+    for table, xs, expected, got in laws():
+        if index[expected] != got:
+            return exhaustive, {
+                "table": table, "operands": list(xs), "expected": index[expected], "got": got
+            }
+    return exhaustive, None
+
+
+def _verify_splitting(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, dict | None]:
     """Is (a, b, c) -> RingElem(a, b, c) a ring isomorphism commuting with theta_i?
 
     ``RingElem`` stores the splitting coordinates and multiplies them
@@ -234,11 +287,15 @@ def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict |
     agreement on R x R. theta_i and negation are compared on every
     element. The schoolbook side runs on (a, b, c) index triples with the
     field tables, and each production result must equal the oracle's own
-    evaluation map (a, a+b+c, a-b+c) of it. Before any law, the map is
-    checked injective and ``a``, ``b``, ``c`` must read every triple back.
-    Past ``pairs`` products, a seeded sample of R replaces R.
+    evaluation map (a, a+b+c, a-b+c) of it. Before any law, the tables
+    must pass ``_verify_tables``, the map is checked injective, and ``a``,
+    ``b``, ``c`` must read every triple back. Past ``pairs`` products, a
+    sample of R drawn from ``Random(seed)`` replaces R.
     Returns (exhaustive, witness or None).
     """
+    tables_exhaustive, witness = _verify_tables(fld, i, pairs, seed)
+    if witness is not None:
+        return tables_exhaustive, witness
     t = fld.tables()
     add, sub, neg = t.add, t.sub, t.neg
     frob = fld.frob_table(i)
@@ -247,11 +304,12 @@ def _verify_splitting(fld: Field, i: int, pairs: int, rng) -> tuple[bool, dict |
     for _ in range(fld.m):
         basis += [(w, 0, 0), (0, w, 0), (0, 0, w)]
         w = t.mul[w][fld.gen.idx]
-    exhaustive = fld.q**3 * len(basis) <= pairs
+    exhaustive = fld.q**3 * len(basis) <= pairs and tables_exhaustive
     if exhaustive:
         # index order is the lexicographic order of fld.elements()
         space = list(itertools.product(range(fld.q), repeat=3))
     else:
+        rng = random.Random(seed)
         space = [
             tuple(rng.randrange(fld.q) for _ in range(3))
             for _ in range(max(1, pairs // len(basis)))
@@ -346,7 +404,7 @@ def verify_gray_isometry(
     fld = entry.field()
     n = entry.n
     split_exhaustive, witness = _verify_splitting(
-        fld, entry.i, entry.bounds.pairs, random.Random(entry.seed)
+        fld, entry.i, entry.bounds.pairs, entry.seed
     )
     if witness is not None:
         mode = "exhaustive" if split_exhaustive else "sampled"
@@ -383,27 +441,36 @@ def verify_gray_isometry(
     return VerdictReport("gray-isometry", entry.config(), mode, True)
 
 
-def verify_census(
-    entry: TestMatrixEntry, factorization: Factorization | None = None
-) -> VerdictReport:
-    """Brute-force divisor count against the factorization formula (and cube)."""
+def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
+    """The entry's monic right divisors of x^n - 1 by exhaustive search, or
+    why the census claims skip it: gcd(n, t_i) != 1 or a search space past
+    ``bounds.search``."""
     fld = entry.field()
-    t_i = fld.check_aut_exponent(entry.i)
-    if math.gcd(entry.n, t_i) != 1:
-        return VerdictReport(
-            "census-count",
-            entry.config(),
-            "skipped",
-            True,
-            {"reason": f"gcd(n, t_i) = {math.gcd(entry.n, t_i)} != 1"},
-        )
+    g = math.gcd(entry.n, fld.check_aut_exponent(entry.i))
+    if g != 1:
+        return f"gcd(n, t_i) = {g} != 1"
     try:
-        brute = len(brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search))
+        return brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search)
     except SearchSpaceTooLarge as exc:
+        return str(exc)
+
+
+def verify_census(
+    entry: TestMatrixEntry,
+    factorization: Factorization | None = None,
+    divisors: list[SkewPoly] | str | None = None,
+) -> VerdictReport:
+    """Brute-force divisor count against the factorization formula (and cube).
+
+    ``divisors`` is ``_brute_divisors(entry)``, searched here when not given.
+    """
+    divisors = _brute_divisors(entry) if divisors is None else divisors
+    if isinstance(divisors, str):
         return VerdictReport(
-            "census-count", entry.config(), "skipped", True, {"reason": str(exc)}
+            "census-count", entry.config(), "skipped", True, {"reason": divisors}
         )
-    fac = factorization or factor_xn_minus_1(entry.n, fld, entry.i)
+    brute = len(divisors)
+    fac = factorization or factor_xn_minus_1(entry.n, entry.field(), entry.i)
     formula_fq, formula_r = fac.census_counts()
     ok = brute == formula_fq and brute**3 == formula_r
     witness = None
@@ -417,28 +484,19 @@ def verify_census(
     return VerdictReport("census-count", entry.config(), "exhaustive", ok, witness)
 
 
-def verify_fixed_subfield_divisors(entry: TestMatrixEntry) -> VerdictReport:
-    """When gcd(n, t_i) = 1, every monic right divisor has theta-fixed coefficients."""
+def verify_fixed_subfield_divisors(
+    entry: TestMatrixEntry, divisors: list[SkewPoly] | str | None = None
+) -> VerdictReport:
+    """When gcd(n, t_i) = 1, every monic right divisor has theta-fixed coefficients.
+
+    ``divisors`` is ``_brute_divisors(entry)``, searched here when not given.
+    """
+    divisors = _brute_divisors(entry) if divisors is None else divisors
+    if isinstance(divisors, str):
+        return VerdictReport(
+            "fixed-subfield-divisors", entry.config(), "skipped", True, {"reason": divisors}
+        )
     fld = entry.field()
-    t_i = fld.check_aut_exponent(entry.i)
-    if math.gcd(entry.n, t_i) != 1:
-        return VerdictReport(
-            "fixed-subfield-divisors",
-            entry.config(),
-            "skipped",
-            True,
-            {"reason": f"gcd(n, t_i) = {math.gcd(entry.n, t_i)} != 1"},
-        )
-    try:
-        divisors = brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search)
-    except SearchSpaceTooLarge as exc:
-        return VerdictReport(
-            "fixed-subfield-divisors",
-            entry.config(),
-            "skipped",
-            True,
-            {"reason": str(exc)},
-        )
     for g in divisors:
         for c in g.coeffs:
             if fld.frob_pow(c, entry.i) != c:
@@ -874,6 +932,12 @@ def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple]:
     return rows
 
 
+def _gray_basis(combined_rows: list[tuple], fld: Field) -> list[list[int]]:
+    """The RREF basis of the Gray index rows of ``_combined_generator_rows``."""
+    t = fld.tables()
+    return linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
+
+
 def verify_principality(
     code: SkewCyclicCode,
     samples: int = 100,
@@ -882,15 +946,16 @@ def verify_principality(
     combined_rows=None,
     config=None,
     ring_elems=None,
+    basis=None,
 ) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
-    ``combined`` is the combined generator (``_combined_generator(code)``)
-    and ``combined_rows`` its ``_combined_generator_rows``; each is built
-    here when not given. ``ring_elems`` (``_ring_elems``, one per entry)
-    builds the ``RingElem`` words that ``contains`` gets. Each sampled word
-    is n (a, b, c) digit triples.
+    ``combined`` is the combined generator (``_combined_generator(code)``),
+    ``combined_rows`` its ``_combined_generator_rows`` and ``basis`` their
+    ``_gray_basis``; each is built here when not given. ``ring_elems``
+    (``_ring_elems``, one per entry) builds the ``RingElem`` words that
+    ``contains`` gets. Each sampled word is n (a, b, c) digit triples.
     """
     fld = code.field
     t = fld.tables()
@@ -904,7 +969,8 @@ def verify_principality(
         combined = _combined_generator(code)
     if combined_rows is None:
         combined_rows = _combined_generator_rows(combined, code)
-    basis = linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
+    if basis is None:
+        basis = _gray_basis(combined_rows, fld)
     if len(basis) != code.dim:
         return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
 
@@ -946,6 +1012,7 @@ def verify_distance_law(
     combined_rows=None,
     block_minima=None,
     config=None,
+    basis=None,
 ) -> VerdictReport:
     """Minimum Lee distance equals the smallest component Hamming distance,
     cross-checked on the Gray image V of the combined generator alone.
@@ -955,9 +1022,9 @@ def verify_distance_law(
     minimum weight of a nonzero block, and each block is enumerated on
     its own, refused past ``bound``. ``block_minima`` maps a block's RREF
     rows to its minimum weight, so codes that share a block enumerate it
-    once; ``combined_rows`` are ``_combined_generator_rows(code)``, built
-    here when not given. A component distance past ``bound`` skips the
-    claim.
+    once; ``combined_rows`` are ``_combined_generator_rows(code)`` and
+    ``basis`` their ``_gray_basis``, each built here when not given. A
+    component distance past ``bound`` skips the claim.
     """
     fld = code.field
     cfg = config or _code_config(code)
@@ -970,8 +1037,8 @@ def verify_distance_law(
         combined_rows = _combined_generator_rows(_combined_generator(code), code)
     if block_minima is None:
         block_minima = {}
-    t = fld.tables()
-    basis = linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
+    if basis is None:
+        basis = _gray_basis(combined_rows, fld)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     if len(basis) != sum(map(len, blocks)):
         witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}
@@ -1183,10 +1250,11 @@ def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> Verdi
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
     fld = entry.field()
     cfg = entry.config()
+    divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
     reports = [
         verify_gray_isometry(entry),
-        verify_census(entry),
-        verify_fixed_subfield_divisors(entry),
+        verify_census(entry, divisors=divisors),
+        verify_fixed_subfield_divisors(entry, divisors),
     ]
     codes = census(entry.n, fld, entry.i, entry.bounds.search)
     generators = [_combined_generator(code) for code in codes]
@@ -1221,6 +1289,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
 
     for code, g in zip(codes, generators):
         rows = _combined_generator_rows(g, code)
+        basis = _gray_basis(rows, fld)
         c = config_of(code)
         record(verify_cardinality(code, config=c))
         record(verify_duality(code, config=c))
@@ -1231,10 +1300,14 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         record(
             verify_principality(
                 code, samples=20, rng=rng, combined=g, combined_rows=rows, config=c,
-                ring_elems=ring_elems,
+                ring_elems=ring_elems, basis=basis,
             )
         )
-        record(verify_distance_law(code, entry.bounds.distance, rows, block_minima, config=c))
+        record(
+            verify_distance_law(
+                code, entry.bounds.distance, rows, block_minima, config=c, basis=basis
+            )
+        )
         closure("shift-closure", code)
         closure("dual-shift-closure", code.dual())
     for claim, verdicts in per_code.items():

@@ -349,6 +349,58 @@ class TestInternedKernel:
         assert fld.from_index(fld.q - 1) is x
 
 
+F_243 = (3, 5, [1, 0, 0, 0, 2, 1])
+F_729 = (3, 6, [1, 0, 0, 0, 1, 1, 1])
+
+
+class TestCyclicTables:
+    """The tables from a generator and Zech's logarithm, against the
+    coefficient helpers and across the subfield lanes."""
+
+    def test_f243_tables_match_coefficient_helpers(self):
+        fld = Field(*F_243)
+        t, p, q = fld.tables(), fld.p, fld.q
+        coeffs = list(itertools.product(range(p), repeat=fld.m))  # index order
+        for x, c in enumerate(coeffs):
+            assert coeffs[t.neg[x]] == tuple(-a % p for a in c)
+            if x:
+                assert coeffs[t.inv[x]] == _coeff_pow(fld, c, q - 2)
+        rng = random.Random(243)
+        for _ in range(20000):
+            x, y = rng.randrange(q), rng.randrange(q)
+            a, b = coeffs[x], coeffs[y]
+            assert coeffs[t.add[x][y]] == tuple((u + v) % p for u, v in zip(a, b))
+            assert coeffs[t.sub[x][y]] == tuple((u - v) % p for u, v in zip(a, b))
+            assert coeffs[t.mul[x][y]] == tuple(fld._mul_coeffs(a, b))
+
+    @pytest.mark.parametrize(
+        "spec, i", [((3, 4, [2, 0, 0, 1, 1]), 2), (F_729, 2), (F_729, 3)]
+    )
+    def test_lane_tables_are_the_field_tables_on_the_fixed_elements(self, spec, i):
+        fld = Field(*spec)
+        lane, t = fld.subfield(i), fld.tables()
+        fixed = [x.idx for x in fld.fixed_subfield(i)]
+        pos = {k: a for a, k in enumerate(fixed)}
+        assert [x.idx for x in lane.elems] == fixed and lane.order == len(fixed)
+        assert lane._mul == [[pos[t.mul[x][y]] for y in fixed] for x in fixed]
+        assert lane._add == [[pos[t.add[x][y]] for y in fixed] for x in fixed]
+        assert lane._inv == [pos[t.inv[x]] for x in fixed]
+        assert (lane.one, lane.minus_one) == (pos[t.one], pos[t.neg[t.one]])
+
+    def test_build_makes_linearly_many_coefficient_products(self, monkeypatch):
+        # the powers of one generator and Zech's logarithm, not q^2 products
+        fld, calls = Field(*F_729), []
+        mul_coeffs = Field._mul_coeffs
+
+        def counting(self, a, b):
+            calls.append(a)
+            return mul_coeffs(self, a, b)
+
+        monkeypatch.setattr(Field, "_mul_coeffs", counting)
+        fld.tables()
+        assert len(calls) < 3 * fld.q
+
+
 def _divides_modp(g, f, p):
     """True iff the monic g divides f over Z_p (schoolbook long division)."""
     r, d = list(f), len(g) - 1

@@ -634,6 +634,31 @@ class TestHarness:
         # one Bezout construction per distinct census component
         assert len(egcd_on) == 4 and len(set(egcd_on)) == 4
 
+    def test_entry_searches_divisors_and_reduces_gray_rows_once(self, monkeypatch):
+        from skewcyclic import oracle
+
+        searches, reduced = [], []
+        search, gray_basis = oracle.brute_right_divisors, oracle._gray_basis
+
+        def recording_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        def recording_basis(rows, fld):
+            reduced.append(rows)
+            return gray_basis(rows, fld)
+
+        monkeypatch.setattr(oracle, "brute_right_divisors", recording_search)
+        monkeypatch.setattr(oracle, "_gray_basis", recording_basis)
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
+        reports = {r.claim: r for r in verify_entry(entry)}
+        assert all(r.passed for r in reports.values())
+        # census-count and fixed-subfield-divisors share one search, and
+        # principal-generator and distance-law one Gray basis per code
+        assert len(searches) == 1
+        assert len(reduced) == reports["principal-generator"].checked == 64
+        assert reports["distance-law"].checked == 64
+
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))
         for r in reports:
@@ -736,6 +761,41 @@ class TestSplittingCheck:
         v = verify_gray_isometry(entry)
         assert not v.passed and v.mode == "exhaustive"
         assert v.counterexample["law"] == "injective"
+
+    @pytest.mark.parametrize(
+        "table, operands", [("mul", [4, 7]), ("add", [4, 7]), ("frob_table(1)", [5])]
+    )
+    def test_corrupt_table_entry_fails_with_witness(self, table, operands):
+        # the tables do not come from coefficient arithmetic, so the
+        # schoolbook side checks them against it before any law
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+        fld = entry.field()
+        if table == "frob_table(1)":
+            row = fld.frob_table(1)
+        else:
+            row = getattr(fld.tables(), table)[operands[0]]
+        expected = row[operands[-1]]
+        row[operands[-1]] = (expected + 1) % fld.q
+        v = verify_gray_isometry(entry)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample == {
+            "table": table, "operands": operands, "expected": expected,
+            "got": (expected + 1) % fld.q,
+        }
+
+    def test_table_pairs_sampled_past_pairs_bound(self):
+        # q^2 = 625 > 100 pairs: add, sub and mul are checked on pairs
+        # drawn from Random(seed), the first of them first
+        from skewcyclic.oracle import _verify_tables
+
+        fld = Field(5, 2, [2, 0, 1])
+        assert _verify_tables(fld, 1, 625, 0) == (True, None)
+        assert _verify_tables(fld, 1, 100, 0) == (False, None)
+        rng = random.Random(0)
+        x, y = rng.randrange(25), rng.randrange(25)
+        fld.tables().mul[x][y] = (fld.tables().mul[x][y] + 1) % 25
+        exhaustive, witness = _verify_tables(fld, 1, 100, 0)
+        assert not exhaustive and (witness["table"], witness["operands"]) == ("mul", [x, y])
 
     def test_sampled_past_pairs_bound(self):
         # |R x B| = 25^3 * 6 exceeds the default 10^4 pairs
