@@ -80,8 +80,8 @@ def _parse_code(args, fld: Field):
         raise CliConfigError("a code needs --g (over R) or all of --g1 --g2 --g3")
     n = _length(args)
     # a generator that does not parse, or is of degree above n, is a
-    # configuration error; one that parses but does not define a code is a
-    # code error (exit 1)
+    # configuration error; one that parses but does not define a code, or
+    # over a field too large for arithmetic, is a code error (exit 1)
     try:
         if args.g:
             coeffs = ring_coeffs_from_string(args.g, fld, max_degree=n)
@@ -91,6 +91,8 @@ def _parse_code(args, fld: Field):
                 poly_from_string(s, fld, args.aut, max_degree=n)
                 for s in (args.g1, args.g2, args.g3)
             ]
+    except EnumerationTooLarge:
+        raise
     except (ValueError, FieldError) as exc:
         raise CliConfigError(f"bad generator polynomial: {exc}") from exc
     return code_from_components(*(component_code_new(n, g) for g in gs))
@@ -104,6 +106,8 @@ def _combined_text(polys) -> str:
 def _parse_word(args, fld: Field):
     try:
         return ring_vector_from_string(fld, args.word)
+    except EnumerationTooLarge:
+        raise
     except (ValueError, FieldError) as exc:
         raise CliConfigError(f"bad word {args.word!r}: {exc}") from exc
 

@@ -105,7 +105,8 @@ class ComponentCode:
     first request and kept (``_distance``); codes that share a component
     share the enumeration. So are the right remainders x^t mod g for
     deg g <= t < n that ``contains`` reads (``_remainder_cols``, stored
-    column by column: entry [k][t - deg g] is the coefficient of x^k).
+    column by column: entry [k][t - deg g] is the logarithm, in the field's
+    ``LogTable``, of the coefficient of x^k).
     The generator rows (``_rows``), the dual code (``_dual``) and the
     idempotent generator (``_idempotent``) are likewise built on first
     request and kept; a failed construction is not kept.
@@ -184,13 +185,13 @@ class ComponentCode:
         """``_remainder_cols``, filled on first use by one ``right_divide`` per t."""
         cols = self._remainder_cols
         if cols is None:
-            d = self.g.degree
+            d, log = self.g.degree, self.field.log_table().log
             rems = [
                 right_divide(SkewPoly.x_power(self.field, self.aut, t), self.g)
                 .remainder.padded(d)
                 for t in range(d, self.n)
             ]
-            cols = tuple(tuple(rem[k] for rem in rems) for k in range(d))
+            cols = tuple(tuple(log[rem[k].idx] for rem in rems) for k in range(d))
             object.__setattr__(self, "_remainder_cols", cols)
         return cols
 
@@ -199,18 +200,26 @@ class ComponentCode:
 
         The remainder is left F_q-linear in the word: with d = deg g it is
         word[:d] + sum over t >= d of word_t * (x^t mod g). Each coefficient
-        of x^k is summed over the nonzero word_t and tested in turn.
+        of x^k is summed over the nonzero word_t and tested in turn, on
+        indices and logarithms of the field's ``LogTable``: a product is
+        ``exp[log a + log b]`` and a sum a (1 + b/a) reads ``zech``, as in
+        ``FieldElem``.
         """
         coeffs = self._coefficients(word)
         d = self.g.degree
-        cols = self._remainder_columns()
-        high = [(t, c) for t, c in enumerate(coeffs[d:]) if not c.is_zero()]
-        for k in range(d):
-            col = cols[k]
-            s = coeffs[k]
-            for t, c in high:
-                s = s + c * col[t]
-            if not s.is_zero():
+        t = self.field.log_table()
+        exp, log, zech = t.exp, t.log, t.zech
+        high = [(j, log[c.idx]) for j, c in enumerate(coeffs[d:]) if c.idx]
+        for k, col in enumerate(self._remainder_columns()):
+            s = coeffs[k].idx
+            for j, a in high:
+                x = exp[a + col[j]]
+                if s and x:
+                    ls = log[s]
+                    s = exp[ls + zech[log[x] - ls]]
+                else:
+                    s = s or x
+            if s:
                 return False
         return True
 

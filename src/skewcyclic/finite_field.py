@@ -6,22 +6,20 @@ degree m; elements are coefficient vectors in the basis 1, w, ..., w^{m-1}.
 Everything is integer arithmetic mod p, so all results are exact.
 
 Every ``FieldElem`` also carries its canonical index (``Field.index``).
-Coefficient arithmetic mod p defines the operations. For q <= TABLE_LIMIT,
-``Field.tables()`` builds, lazily and once per field, dense index tables
-and one interned element per index; from then on every operation
-(+ - * neg inv frob) is a list lookup that returns an interned element,
-and ``Field.from_index`` returns the interned element too. Interned
-elements are shared by every holder and immutable. Fields past
-TABLE_LIMIT never build tables and keep the coefficient arithmetic. One
-builder makes the tables of F_q and of every subfield lane from the powers
-of a generator and Zech's logarithm: O(q) field operations, then lookups.
+Element arithmetic has one path: every operation (+ - * neg inv frob)
+reads the field's ``LogTable`` of O(q) ints, built on first use from the
+powers of a generator, and returns an interned element. Fields past
+ENUMERATION_LIMIT are constructed, checked and printed, but their
+arithmetic raises ``EnumerationTooLarge``. For q <= TABLE_LIMIT,
+``Field.tables()`` expands the same table into dense q x q index lists for
+the index-level kernels (``linalg``, the oracle, the divisor search).
 
 Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
 have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
 remainder, product, gcd and Rabin's irreducibility test (SIAM J. Comput.
 9, 1980). For i = 1 it is arithmetic mod p and never enumerates F_q; for
-i > 1 it reads tables built from ``fixed_subfield(i)``. Every modulus is
-checked by Rabin's test on the lane over Z_p.
+i > 1 it reads dense tables from strided reads of the field's table.
+Every modulus is checked by Rabin's test on the lane over Z_p.
 
 A ``Field``'s defining data (p, m, modulus) never changes after
 construction; its caches are filled lazily, without locks, and
@@ -33,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Sequence
+
+import numpy as np
 
 ENUMERATION_LIMIT = 2**16
 TABLE_LIMIT = 4096  # largest q, or subfield order p^i, with dense int op tables
@@ -94,23 +94,14 @@ def _is_irreducible_modp(f: Sequence[int], p: int) -> bool:
     return PrimeSubfield(p).is_irreducible([c % p for c in f])
 
 
-def _index_of(coeffs: Sequence[int], p: int) -> int:
-    """The canonical index of reduced coefficients: base-p digits, c_0 first."""
-    idx = 0
-    for c in coeffs:
-        idx = idx * p + c
-    return idx
-
-
 class FieldElem:
     """An element of F_{p^m}: m residues mod p (ascending degree) and its
     canonical index ``idx`` (see ``Field.index``).
 
-    Once the field's tables exist, every operation is a lookup that returns
-    the field's interned element for the result; until then, and always
-    for q > TABLE_LIMIT, it is coefficient arithmetic mod p. The binary
-    operations look up directly when both operands hold the same field
-    object and otherwise let ``_check`` validate the operand first.
+    Every operation reads the field's ``LogTable`` and returns the field's
+    interned element for the result. The binary operations read the table
+    directly when both operands hold the same field object and otherwise
+    let ``_check`` validate the operand first.
     """
 
     __slots__ = ("field", "coeffs", "idx")
@@ -120,11 +111,13 @@ class FieldElem:
             raise DegreeMismatch(
                 f"expected {field.m} coefficients, got {len(coeffs)}"
             )
-        p = field.p
+        p, idx = field.p, 0
         reduced = tuple(c % p for c in coeffs)
-        _set_field(self, field)
-        _set_coeffs(self, reduced)
-        _set_idx(self, _index_of(reduced, p))
+        for c in reduced:  # the canonical index: base-p digits, c_0 first
+            idx = idx * p + c
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "idx", idx)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
@@ -132,64 +125,54 @@ class FieldElem:
     def __delattr__(self, name):
         raise AttributeError("FieldElem is immutable")
 
-    def _check(self, other: FieldElem) -> FieldTables | None:
-        """Validate the operand; return the field's op tables (None until built)."""
+    def _check(self, other: FieldElem) -> LogTable:
+        """Validate the operand; return the field's table."""
         if not isinstance(other, FieldElem):
             raise FieldMismatch("operand is not a field element")
         field = self.field
         if field is not other.field and field != other.field:
             raise FieldMismatch("operands belong to different fields")
-        return field._tables
+        return field.log_table()
 
     def __add__(self, other: FieldElem) -> FieldElem:
-        t = self.field._tables
+        t = self.field._log
         if t is None or other.__class__ is not FieldElem or other.field is not self.field:
             t = self._check(other)
-        if t is not None:
-            return t.elems[t.add[self.idx][other.idx]]
-        p = self.field.p
-        return _raw_elem(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        a, b = self.idx, other.idx
+        if not (a and b):
+            return t.elems[a or b]
+        log = t.log
+        la = log[a]  # a + b = a (1 + b/a)
+        return t.elems[t.exp[la + t.zech[log[b] - la]]]
 
     def __sub__(self, other: FieldElem) -> FieldElem:
-        t = self.field._tables
+        t = self.field._log
         if t is None or other.__class__ is not FieldElem or other.field is not self.field:
             t = self._check(other)
-        if t is not None:
-            return t.elems[t.sub[self.idx][other.idx]]
-        p = self.field.p
-        return _raw_elem(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        a, b = self.idx, t.neg[other.idx]  # a - b = a + (-b)
+        if not (a and b):
+            return t.elems[a or b]
+        log = t.log
+        la = log[a]
+        return t.elems[t.exp[la + t.zech[log[b] - la]]]
 
     def __neg__(self) -> FieldElem:
-        t = self.field._tables
-        if t is not None:
-            return t.elems[t.neg[self.idx]]
-        p = self.field.p
-        return _raw_elem(self.field, tuple((-a) % p for a in self.coeffs))
+        t = self.field._log or self.field.log_table()
+        return t.elems[t.neg[self.idx]]
 
     def __mul__(self, other: FieldElem) -> FieldElem:
-        t = self.field._tables
+        t = self.field._log
         if t is None or other.__class__ is not FieldElem or other.field is not self.field:
             t = self._check(other)
-        if t is not None:
-            return t.elems[t.mul[self.idx][other.idx]]
-        return _raw_elem(
-            self.field, tuple(self.field._mul_coeffs(self.coeffs, other.coeffs))
-        )
+        log = t.log
+        return t.elems[t.exp[log[self.idx] + log[other.idx]]]
 
     def inv(self) -> FieldElem:
-        """Multiplicative inverse: a lookup, or a^{q-2} on the coefficients."""
+        """Multiplicative inverse: g^{-log a}."""
         if self.idx == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        t = self.field._tables
-        if t is not None:
-            return t.elems[t.inv[self.idx]]
-        return self.field._pow(self, self.field.q - 2)
+        t = self.field._log or self.field.log_table()
+        return t.elems[t.exp[self.field.q - 1 - t.log[self.idx]]]
 
     def frob(self, i: int) -> FieldElem:
         """One application of the automorphism a -> a^{p^i} (i need not divide m)."""
@@ -217,81 +200,117 @@ class FieldElem:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-_set_field = FieldElem.field.__set__
-_set_coeffs = FieldElem.coeffs.__set__
-_set_idx = FieldElem.idx.__set__
+def _pow_coeffs(field: Field, c: tuple, e: int) -> tuple:
+    """c^e by square-and-multiply on ``_mul_coeffs``."""
+    out = field.one.coeffs
+    while e:
+        if e & 1:
+            out = tuple(field._mul_coeffs(out, c))
+        c, e = tuple(field._mul_coeffs(c, c)), e >> 1
+    return out
 
 
-def _raw_elem(field, coeffs: tuple, idx: int | None = None) -> FieldElem:
-    """Fast constructor for already-reduced coefficient tuples.
-
-    The slot setters bypass the immutability guard; ``_index_of`` is
-    inlined because this is the hot path of fields without tables.
-    """
-    e = object.__new__(FieldElem)
-    _set_field(e, field)
-    _set_coeffs(e, coeffs)
-    if idx is None:
-        p, idx = field.p, 0
-        for c in coeffs:
-            idx = idx * p + c
-    _set_idx(e, idx)
-    return e
+def _first_generator(field: Field) -> tuple[int, tuple]:
+    """The index and coefficients of the first generator of F_q^* in index
+    order: the first c with c^{(q-1)/r} != 1 for every prime r | q - 1."""
+    n, one = field.q - 1, field.one.coeffs
+    tests = [n // r for r in _prime_divisors(n)]
+    coeffs = itertools.product(range(field.p), repeat=field.m)
+    for idx, c in enumerate(coeffs):
+        if idx and all(_pow_coeffs(field, c, e) != one for e in tests):
+            return idx, c
 
 
-def _cyclic_tables(elems: list[FieldElem]) -> tuple[dict[int, int], list, list, list]:
-    """Dense tables of the subfield F_Q whose elements are ``elems`` (index
-    order, zero first): each element's position by F_q index, and ``mul``,
-    ``add`` and ``inv`` on positions. F_Q^* is cyclic, so a generator's powers
-    and Zech's logarithm pos(1 + g^k) take O(Q) field operations (Lidl and
-    Niederreiter, Finite Fields, 2.1); each entry is then a lookup."""
-    one, order, n = elems[0].field.one, len(elems), len(elems) - 1
-    pos = {x.idx: k for k, x in enumerate(elems)}
-    for g in elems[1:]:
-        exp, x = [pos[one.idx]], g
-        while x != one:
-            exp.append(pos[x.idx])
-            x = x * g
-        if len(exp) == n:
-            break
-    log = [0] * order
+def _power_indices(field: Field, g: tuple) -> list[int]:
+    """The indices of g^0, ..., g^{q-2}, by doubling: the first L powers
+    times g^L are the next L, one (L, m) x (m, m) product mod p whose
+    matrix has the rows w^j g^L."""
+    p, m, n = field.p, field.m, field.q - 1
+    basis = [tuple(int(j == k) for k in range(m)) for j in range(m)]
+    rows = np.zeros((n, m), dtype=np.int64)
+    rows[0, 0] = 1
+    done, step = 1, g
+    while done < n:
+        mat = np.array([field._mul_coeffs(b, step) for b in basis], dtype=np.int64)
+        more = min(done, n - done)
+        rows[done : done + more] = rows[:more] @ mat % p
+        done, step = done + more, tuple(field._mul_coeffs(step, step))
+    return (rows @ p ** np.arange(m - 1, -1, -1)).tolist()
+
+
+def _dense_tables(exp: list[int], zech: list[int]) -> tuple[list, list, list]:
+    """Dense ``mul``, ``add`` and ``inv`` on the positions 0..Q-1 of F_Q
+    (0 is zero), from ``exp[k]``, the position of g^k for a generator g of
+    F_Q^*, and ``zech[k]``, the position of 1 + g^k (0 where g^k = -1):
+    ab = g^(log a + log b) and a + b = a (1 + b/a)."""
+    n = len(exp)
+    log = [0] * (n + 1)
     for k, a in enumerate(exp):
         log[a] = k
-    zech = [pos[(one + elems[a]).idx] for a in exp]
-    exp += exp
-    mul = [[0] * order] + [[0] + [exp[la + lb] for lb in log[1:]] for la in log[1:]]
-    add = [list(range(order))]
-    for a in range(1, order):  # a + b = a (1 + b/a); a negative index wraps mod n
+    exp = exp + exp
+    mul = [[0] * (n + 1)] + [[0] + [exp[la + lb] for lb in log[1:]] for la in log[1:]]
+    add = [list(range(n + 1))]
+    for a in range(1, n + 1):  # a negative index wraps mod n
         row, la = mul[a], log[a]
         add.append([a] + [row[zech[lb - la]] for lb in log[1:]])
     inv = [0] + [exp[n - la] for la in log[1:]]
-    return pos, mul, add, inv
+    return mul, add, inv
+
+
+class LogTable:
+    """The O(q) table of F_q that every element operation reads.
+
+    ``gen`` is the index of g, the first generator of F_q^* in index order.
+    With n = q - 1, ``exp[k]`` is the index of g^k for k < 2n (doubled, so
+    a sum of two logarithms needs no reduction) and 0 from 2n to 4n.
+    ``log`` inverts ``exp`` on F_q^*, and ``log[0]`` is 2n, so a product
+    with zero reads zero. ``zech[k]``, Zech's logarithm log(1 + g^k), is
+    doubled like ``exp`` and 2n where g^k = -1 (Lidl and Niederreiter,
+    Finite Fields, 2.1); the index of 1 + x is x + q/p mod q, since an
+    index's leading base-p digit is the constant coefficient. ``neg`` is
+    negation, ``elems`` the interned elements (``field.zero`` and
+    ``field.one`` among them), and ``frob`` memoizes ``Field.frob_table``.
+    """
+
+    __slots__ = ("gen", "exp", "log", "zech", "neg", "elems", "frob")
+
+    def __init__(self, field: Field):
+        p, q, n = field.p, field.q, field.q - 1
+        self.gen, g = _first_generator(field)
+        powers = _power_indices(field, g)
+        self.log = [2 * n] * q
+        for k, x in enumerate(powers):
+            self.log[x] = k
+        self.exp = powers * 2 + [0] * (2 * n + 1)
+        self.zech = [self.log[(x + q // p) % q] for x in powers] * 2
+        self.neg = [self.exp[k + n // 2] for k in self.log]  # -1 = g^{n/2}
+        self.elems = [FieldElem(field, c) for c in itertools.product(range(p), repeat=field.m)]
+        self.elems[0], self.elems[field.one.idx] = field.zero, field.one
+        self.frob: dict[int, list[int]] = {}
 
 
 class FieldTables:
-    """Dense integer operation tables and interned elements for a small field.
+    """Dense q x q integer operation tables of a small field, expanded from
+    its ``LogTable`` for the index-level kernels.
 
     Elements are indexed by their position in the canonical enumeration
     (lexicographic on ascending-degree coefficient vectors), so index 0 is
-    always the zero element. ``elems[i]`` is the one shared ``FieldElem``
-    with index i (``field.zero`` and ``field.one`` at their indices), which
-    every table-driven operation returns. ``mul``, ``add`` and ``inv`` come
-    from ``_cyclic_tables``, ``neg`` is the ``mul`` row of -1, and ``sub``
-    reads ``add`` and ``neg``. ``inv[0]`` is 0 as a sentinel; callers must
-    not invert zero.
+    always the zero element. ``elems`` and ``neg`` are the ``LogTable``'s
+    lists; ``mul``, ``add`` and ``inv`` come from ``_dense_tables``, and
+    ``sub`` reads ``add`` and ``neg``. ``inv[0]`` is 0 as a sentinel;
+    callers must not invert zero.
     """
 
-    __slots__ = ("one", "elems", "add", "sub", "mul", "neg", "inv", "_frob")
+    __slots__ = ("one", "elems", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, field: Field):
-        coeffs = itertools.product(range(field.p), repeat=field.m)
-        self.one = field.one.idx
-        self.elems = [_raw_elem(field, c, i) for i, c in enumerate(coeffs)]
-        self.elems[0], self.elems[self.one] = field.zero, field.one
-        _, self.mul, self.add, self.inv = _cyclic_tables(self.elems)
-        self.neg = list(self.mul[(-field.one).idx])
+        t, q = field.log_table(), field.q
+        powers = t.exp[: q - 1]
+        self.one, self.elems, self.neg = field.one.idx, t.elems, t.neg
+        self.mul, self.add, self.inv = _dense_tables(
+            powers, [(x + q // field.p) % q for x in powers]
+        )
         self.sub = [[row[b] for b in self.neg] for row in self.add]
-        self._frob: dict[int, list[int]] = {}
 
 
 class Field:
@@ -300,13 +319,13 @@ class Field:
     For m = 1 the canonical modulus [0, 1] is recorded and the
     irreducibility check is skipped; elements are single residues.
 
-    The caches ``_tables``, ``_half``, ``_frob_rows``, ``_subfields`` (the
-    polynomial lanes by i) and ``_idempotents`` (the idempotents of R over
-    this field, filled by ``ring_r.make_idempotents``), and the Frobenius
-    index tables inside ``FieldTables``, are filled lazily, without locks,
-    and idempotently: each entry is a deterministic function of the field,
-    so a concurrent or repeated fill writes an equal value. They live and
-    die with the field.
+    The caches ``_log`` (the ``LogTable``, with the Frobenius index
+    tables), ``_tables``, ``_subfields`` (the polynomial lanes by i) and
+    ``_idempotents`` (the idempotents of R over this field, filled by
+    ``ring_r.make_idempotents``) are filled lazily, without locks, and
+    idempotently: each entry is a deterministic function of the field, so
+    a concurrent or repeated fill writes an equal value. They live and die
+    with the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -336,18 +355,15 @@ class Field:
         self.modulus = tuple(modulus)
         self.zero = FieldElem(self, [0] * m)
         self.one = FieldElem(self, [1] + [0] * (m - 1))
+        self._log: LogTable | None = None
         self._tables: FieldTables | None = None
-        self._half: FieldElem | None = None
-        self._frob_rows: dict[int, list[list[int]]] = {}
         self._subfields: dict[int, Subfield] = {}
         self._idempotents = None
 
     @property
     def half(self) -> FieldElem:
-        """The inverse of 2 (exists since p is odd); memoized."""
-        if self._half is None:
-            self._half = self.elem(2).inv()
-        return self._half
+        """The inverse of 2: the constant (p + 1)/2, since p is odd."""
+        return self.from_index((self.p + 1) // 2 * (self.q // self.p))
 
     # -- construction helpers ------------------------------------------------
 
@@ -395,84 +411,47 @@ class Field:
         return self.m // i
 
     def frob_pow(self, x: FieldElem, e: int) -> FieldElem:
-        """x^{p^e} for any e >= 0 (e is reduced mod m).
-
-        Once the tables exist this is a lookup in ``frob_table(e)``;
-        otherwise ``_frob_coeffs`` applies the map to the coefficients.
-        """
+        """x^{p^e} for any e >= 0 (e is reduced mod m): a lookup in
+        ``frob_table(e)``."""
         if x.field is not self and x.field != self:
             raise FieldMismatch("element belongs to a different field")
         e %= self.m
         if e == 0:
             return x
-        t = self._tables
-        if t is not None:
-            table = t._frob.get(e)
-            if table is None:
-                table = self.frob_table(e)
-            return t.elems[table[x.idx]]
-        return _raw_elem(self, self._frob_coeffs(x.coeffs, e))
-
-    def _frob_coeffs(self, coeffs: tuple, e: int) -> tuple:
-        """The coefficients of x^{p^e} for 0 < e < m.
-
-        The map is F_p-linear, so x = sum x_j w^j goes to sum x_j (w^j)^{p^e}:
-        an m x m matrix mod p whose rows are memoized per e.
-        """
-        p, m = self.p, self.m
-        rows = self._frob_rows.get(e)
-        if rows is None:
-            basis = [[int(j == k) for k in range(m)] for j in range(m)]
-            rows = self._frob_rows[e] = [
-                list(self._pow(FieldElem(self, b), p**e).coeffs) for b in basis
-            ]
-        out = [0] * m
-        for xj, row in zip(coeffs, rows):
-            if xj:
-                for t, r in enumerate(row):
-                    out[t] += xj * r
-        return tuple(c % p for c in out)
-
-    def _pow(self, x: FieldElem, e: int) -> FieldElem:
-        out = self.one
-        base = x
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        t = self._log or self.log_table()
+        table = t.frob.get(e) or self.frob_table(e)
+        return t.elems[table[x.idx]]
 
     # -- enumeration and indexing ----------------------------------------------
 
     def elements(self, bound: int = ENUMERATION_LIMIT) -> list[FieldElem]:
-        """All q elements, in lexicographic order on coefficient vectors."""
+        """All q interned elements, in lexicographic order on coefficient vectors."""
         if self.q > bound:
             raise EnumerationTooLarge(f"q = {self.q} exceeds bound {bound}")
-        return [
-            FieldElem(self, coeffs)
-            for coeffs in itertools.product(range(self.p), repeat=self.m)
-        ]
+        return list(self.log_table().elems)
 
     def index(self, x: FieldElem) -> int:
         """Position of x in the canonical enumeration (0 is the zero element)."""
         return x.idx
 
     def from_index(self, idx: int) -> FieldElem:
-        """The element at position idx: the interned one for q <= TABLE_LIMIT."""
-        t = self._tables
-        if t is None and self.q <= TABLE_LIMIT:
-            t = self.tables()
-        if t is not None:
-            return t.elems[idx]
-        coeffs = [0] * self.m
-        for j in range(self.m - 1, -1, -1):
-            idx, coeffs[j] = divmod(idx, self.p)
-        return FieldElem(self, coeffs)
+        """The interned element at position idx."""
+        return self.log_table().elems[idx]
+
+    def log_table(self) -> LogTable:
+        """The O(q) table that element arithmetic reads (memoized;
+        rebuilding is idempotent). Past ENUMERATION_LIMIT it raises
+        ``EnumerationTooLarge`` before anything is allocated."""
+        if self._log is None:
+            if self.q > ENUMERATION_LIMIT:
+                raise EnumerationTooLarge(
+                    f"q = {self.q} exceeds bound {ENUMERATION_LIMIT} for field arithmetic"
+                )
+            self._log = LogTable(self)
+        return self._log
 
     def tables(self) -> FieldTables:
-        """Dense int operation tables and interned elements (memoized;
-        rebuilding is idempotent)."""
+        """Dense int operation tables (memoized; rebuilding is idempotent)."""
         if self._tables is None:
             if self.q > TABLE_LIMIT:
                 raise EnumerationTooLarge(
@@ -482,22 +461,20 @@ class Field:
         return self._tables
 
     def frob_table(self, i: int) -> list[int]:
-        """Index table of one application of theta_i."""
-        t = self.tables()
-        if i not in t._frob:
-            e = i % self.m
-            t._frob[i] = [
-                _index_of(self._frob_coeffs(x.coeffs, e), self.p) if e else x.idx
-                for x in t.elems
-            ]
-        return t._frob[i]
+        """Index table of one application of theta_i: x^{p^i} = g^{p^i log x}."""
+        t = self.log_table()
+        if i not in t.frob:
+            n, e = self.q - 1, self.p ** (i % self.m)
+            t.frob[i] = [0] + [t.exp[k * e % n] for k in t.log[1:]]
+        return t.frob[i]
 
     def fixed_subfield(self, i: int) -> list[FieldElem]:
-        """The elements fixed by theta_i, i.e. the subfield F_{p^i}."""
+        """The elements fixed by theta_i, i.e. the subfield F_{p^i}, in index
+        order: 0 and the powers of g^{(q-1)/(p^i-1)}, which generates its
+        multiplicative group."""
         self.check_aut_exponent(i)
-        fixed = [x for x in self.elements() if self.frob_pow(x, i) == x]
-        assert len(fixed) == self.p**i
-        return fixed
+        t, n = self.log_table(), self.q - 1
+        return [t.elems[x] for x in sorted(t.exp[: n : n // (self.p**i - 1)] + [0])]
 
     def subfield(self, i: int) -> Subfield:
         """The lane over the theta_i-fixed subfield F_{p^i} (memoized)."""
@@ -540,8 +517,8 @@ class Subfield:
     lane indices increase with the F_q index and 0 is zero. Polynomials are
     lists of lane indices, ascending, no trailing zeros. The helpers rest on
     two kernels, ``inv`` and ``axpy(u, c, v) = u + c*v`` (equal lengths),
-    which read dense tables built from ``fixed_subfield(i)`` here and are
-    arithmetic mod p in ``PrimeSubfield``.
+    which read dense tables from strided reads of the field's ``LogTable``
+    here and are arithmetic mod p in ``PrimeSubfield``.
     """
 
     __slots__ = ("p", "order", "one", "minus_one", "field", "elems", "_lanes",
@@ -552,9 +529,14 @@ class Subfield:
         if order > TABLE_LIMIT:
             raise EnumerationTooLarge(f"subfield order {order} too large for tables")
         self.elems = field.fixed_subfield(i)
-        self._lanes, self._mul, self._add, self._inv = _cyclic_tables(self.elems)
+        lanes = self._lanes = {x.idx: k for k, x in enumerate(self.elems)}
+        q = field.q
+        powers = field.log_table().exp[: q - 1 : (q - 1) // (order - 1)]
+        self._mul, self._add, self._inv = _dense_tables(
+            [lanes[x] for x in powers], [lanes[(x + q // field.p) % q] for x in powers]
+        )
         self.p, self.order, self.field = field.p, order, field
-        self.one, self.minus_one = self._lanes[field.one.idx], self._lanes[(-field.one).idx]
+        self.one, self.minus_one = lanes[field.one.idx], lanes[(-field.one).idx]
 
     def inv(self, a: int) -> int:
         return self._inv[a]

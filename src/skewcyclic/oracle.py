@@ -224,22 +224,66 @@ def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) 
     return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
 
 
+def _verify_log_table(fld: Field, coeffs: list, index: dict) -> dict | None:
+    """Does the field's ``LogTable`` agree with coefficient arithmetic mod p?
+
+    Element arithmetic reads only this table, so it is checked in O(q)
+    against ``_mul_coeffs`` and addition mod p: ``gen`` has order
+    n = q - 1, ``exp[k]`` is the index of g^k (0 from 2n on), ``log``
+    inverts ``exp`` (2n at zero), and ``zech[k]`` is the logarithm of the
+    index of 1 + g^k, which is 2n exactly where g^k = -1. By the exponent
+    law and a + b = a (1 + b/a) that covers every product and every sum.
+    Returns the witness {table, k, expected, got} of the first
+    disagreement, or None.
+    """
+    t, p, n = fld.log_table(), fld.p, fld.q - 1
+    one = (1,) + (0,) * (fld.m - 1)
+    g, x, powers = coeffs[t.gen], one, []  # the coefficients of g^k, k < n
+    for _ in range(n):
+        powers.append(x)
+        x = tuple(fld._mul_coeffs(x, g))
+    cycle = powers[1:] + [x]
+    order = cycle.index(one) + 1 if one in cycle else None
+    if order != n:
+        return {"table": "gen", "k": t.gen, "expected": n, "got": order}
+    exp = [index[c] for c in powers]
+    log = [2 * n] * (n + 1)
+    for k, x in enumerate(exp):
+        log[x] = k
+    expected = {
+        "exp": exp * 2 + [0] * (2 * n + 1),
+        "log": log,
+        "zech": [log[index[((c[0] + 1) % p,) + c[1:]]] for c in powers] * 2,
+    }
+    for table, want in expected.items():
+        for k, (e, got) in enumerate(itertools.zip_longest(want, getattr(t, table))):
+            if e != got:
+                return {"table": table, "k": k, "expected": e, "got": got}
+    return None
+
+
 def _verify_tables(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, dict | None]:
-    """Do the field's dense tables agree with coefficient arithmetic mod p?
+    """Do the field's tables agree with coefficient arithmetic mod p?
 
     The tables come from a generator and Zech's logarithm, not from the
     coefficients, so the schoolbook side of ``_verify_splitting`` checks
-    them first. ``add``, ``sub`` and ``mul`` are compared with addition and
-    subtraction mod p and ``_mul_coeffs`` on every pair when q^2 <=
-    ``pairs``, else on ``pairs`` pairs drawn from ``Random(seed)``. ``neg``,
-    ``inv`` and ``frob_table(i)`` are compared on every element, the last
-    two with a^{q-2} and a^{p^i} by square-and-multiply on ``_mul_coeffs``.
+    them first: the ``LogTable`` that element arithmetic reads in O(q)
+    (``_verify_log_table``), then the dense tables. ``add``, ``sub`` and
+    ``mul`` are compared with addition and subtraction mod p and
+    ``_mul_coeffs`` on every pair when q^2 <= ``pairs``, else on ``pairs``
+    pairs drawn from ``Random(seed)``. ``neg``, ``inv`` and
+    ``frob_table(i)`` are compared on every element, the last two with
+    a^{q-2} and a^{p^i} by square-and-multiply on ``_mul_coeffs``.
     Returns (exhaustive, witness or None).
     """
     t, p, q = fld.tables(), fld.p, fld.q
     frob = fld.frob_table(i)
     coeffs = list(itertools.product(range(p), repeat=fld.m))  # in index order
     index = {c: k for k, c in enumerate(coeffs)}
+    exhaustive = q * q <= pairs
+    witness = _verify_log_table(fld, coeffs, index)
+    if witness is not None:
+        return exhaustive, witness
 
     def power(c: tuple, e: int) -> tuple:
         out = coeffs[t.one]
@@ -249,7 +293,6 @@ def _verify_tables(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, dic
             c, e = tuple(fld._mul_coeffs(c, c)), e >> 1
         return out
 
-    exhaustive = q * q <= pairs
     if exhaustive:
         operands = itertools.product(range(q), repeat=2)
     else:

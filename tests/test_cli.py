@@ -83,6 +83,20 @@ class TestFactorCommand:
         b = run(capsys, "factor", "--field", FIELD, "--n", "5")
         assert a == b
 
+    @pytest.mark.parametrize("cmd", [
+        ("code", "build", "--g1", "x-1", "--g2", "1", "--g3", "x^5-1"),
+        ("code", "contains", "--g1", "1", "--g2", "1", "--g3", "1", "--word", "1|2|0,0,0,0,0"),
+    ])
+    def test_arithmetic_past_the_enumeration_limit_is_a_typed_refusal(self, capsys, cmd):
+        # q = 3^11: the field parses, but its arithmetic raises before any
+        # table is allocated, and the CLI exits 1 naming the error
+        code, out, err = run(
+            capsys, *cmd[:2], "--field", "p=3,m=11,mod=1,0,2,0,0,0,0,0,0,0,0,1",
+            "--aut", "1", "--n", "5", *cmd[2:],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: EnumerationTooLarge: q = 177147 exceeds bound 65536")
+
     def test_large_field_with_prime_subfield(self, capsys):
         # q = 3^11 is past the enumeration bound, but theta_1 fixes F_3 and
         # the factorization never enumerates F_q

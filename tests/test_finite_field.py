@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcyclic.finite_field import (
+    ENUMERATION_LIMIT,
     TABLE_LIMIT,
     DegreeMismatch,
     EnumerationTooLarge,
@@ -54,10 +56,21 @@ class TestConstruction:
         # p = 4099 > TABLE_LIMIT: Rabin's test runs mod p, with no p x p table
         assert 4099 > TABLE_LIMIT
         fld = Field(4099, 2, [1, 0, 1])  # -1 is a non-residue, 4099 = 3 mod 4
-        assert fld.gen * fld.gen == fld.elem(-1) and fld._tables is None
-        assert fld.gen * fld.gen.inv() == fld.one
+        assert fld._log is None and fld._tables is None
         with pytest.raises(ReducibleModulus):
             Field(4099, 2, [-1, 0, 1])
+        # q = 4099^2 > ENUMERATION_LIMIT: arithmetic is refused before the
+        # table is allocated
+        assert fld.q > ENUMERATION_LIMIT
+        tracemalloc.start()
+        try:
+            for op in (lambda: fld.gen * fld.gen, lambda: fld.gen.inv(), lambda: -fld.gen):
+                with pytest.raises(EnumerationTooLarge):
+                    op()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20 and fld._log is None
 
     def test_modulus_degree_checked(self):
         with pytest.raises(DegreeMismatch):
@@ -166,10 +179,10 @@ class TestFrobenius:
     def test_frob_pow_linear_map_matches_repeated_pow(self, spec):
         fld = Field(*spec)
         for x in fld.elements():
-            ref = x
+            ref = x.coeffs
             for e in range(2 * fld.m):
-                assert fld.frob_pow(x, e) == ref
-                ref = fld._pow(ref, fld.p)
+                assert fld.frob_pow(x, e).coeffs == ref
+                ref = _coeff_pow(fld, ref, fld.p)
 
     def test_invalid_exponent(self, f9):
         with pytest.raises(InvalidExponent):
@@ -219,7 +232,7 @@ class TestTables:
             assert ft[a] == f9.index(x.frob(1))
 
     def test_tableless_fallback_field(self):
-        # q = 4489 exceeds the table limit but plain arithmetic still works
+        # q = 4489 exceeds the dense table limit; arithmetic reads the O(q) table
         f = Field(67, 2, [65, 0, 1])  # w^2 - 2 over Z_67, 2 a non-residue
         x = f.elem([12, 53])
         assert x * x.inv() == f.one
@@ -270,14 +283,14 @@ KERNEL_SPECS = [
 class TestInternedKernel:
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
     def test_lookups_agree_with_coefficient_helpers(self, spec):
-        fld, plain = Field(*spec), Field(*spec)
+        fld = Field(*spec)
         p = fld.p
         elems = [fld.from_index(i) for i in range(fld.q)]
-        assert fld._tables is not None
+        assert fld._log is not None
         for x in elems:
             assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
             if not x.is_zero():
-                assert x.inv().coeffs == plain.elem(list(x.coeffs)).inv().coeffs
+                assert x.inv().coeffs == _coeff_pow(fld, x.coeffs, fld.q - 2)
             ref = x.coeffs
             for e in range(2 * fld.m):
                 assert fld.frob_pow(x, e).coeffs == ref
@@ -289,7 +302,7 @@ class TestInternedKernel:
                 assert (x + y).coeffs == add
                 assert (x - y).coeffs == sub
                 assert (x * y).coeffs == tuple(fld._mul_coeffs(x.coeffs, y.coeffs))
-        assert plain._tables is None  # its inverses came from coefficient arithmetic
+        assert fld._tables is None  # the O(q) table alone, no q x q lists
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
     def test_results_are_the_interned_elements(self, spec):
@@ -310,13 +323,13 @@ class TestInternedKernel:
         tabled, plain = Field(3, 2, [1, 0, 1]), Field(3, 2, [1, 0, 1])
         assert tabled is not plain and tabled == plain
         tabled.tables()
+        p = tabled.p
         for x in tabled.elements():
             for y in plain.elements():
                 for a, b in ((x, y), (y, x)):
-                    twin_a, twin_b = tabled.from_index(a.idx), tabled.from_index(b.idx)
-                    assert a + b == twin_a + twin_b
-                    assert a - b == twin_a - twin_b
-                    assert a * b == twin_a * twin_b
+                    assert (a + b).coeffs == tuple((u + v) % p for u, v in zip(a.coeffs, b.coeffs))
+                    assert (a - b).coeffs == tuple((u - v) % p for u, v in zip(a.coeffs, b.coeffs))
+                    assert (a * b).coeffs == tuple(tabled._mul_coeffs(a.coeffs, b.coeffs))
                 assert x == plain.elem(list(x.coeffs))
                 assert hash(x) == hash(plain.elem(list(x.coeffs)))
         assert plain._tables is None
@@ -329,9 +342,9 @@ class TestInternedKernel:
         y = fld.elem([rng.randrange(3) for _ in range(8)])
         z = (x + y) * (x - y) - (-x) * fld.half
         assert x * x.inv() == fld.one
-        assert x.frob(8) == x and fld.frob_pow(z, 3) == fld._pow(z, 27)
+        assert x.frob(8) == x and fld.frob_pow(z, 3).coeffs == _coeff_pow(fld, z.coeffs, 27)
         assert fld.from_index(fld.index(z)) == z
-        assert fld._tables is None
+        assert fld._tables is None  # the O(q) table alone, no q x q lists
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS[1:])
     def test_interned_elements_are_immutable(self, spec):
@@ -380,6 +393,10 @@ class TestCyclicTables:
         fld = Field(*spec)
         lane, t = fld.subfield(i), fld.tables()
         fixed = [x.idx for x in fld.fixed_subfield(i)]
+        # the strided read of the field's table is the Frobenius fixed set
+        assert fixed == [
+            x.idx for x in fld.elements() if _coeff_pow(fld, x.coeffs, fld.p**i) == x.coeffs
+        ]
         pos = {k: a for a, k in enumerate(fixed)}
         assert [x.idx for x in lane.elems] == fixed and lane.order == len(fixed)
         assert lane._mul == [[pos[t.mul[x][y]] for y in fixed] for x in fixed]
@@ -459,13 +476,103 @@ def test_field_laws_on_interned_elements(args):
         assert x * x.inv() is fld.one
     assert (x + y).frob(1) is x.frob(1) + y.frob(1)
     assert (x * y).frob(1) is x.frob(1) * y.frob(1)
-    # the table-less twin computes the same values by coefficient arithmetic
+    # an equal but distinct field computes the same values, and so does
+    # coefficient arithmetic mod p
     twin = LAW_TWINS[q]
     tx, ty = twin.elem(list(x.coeffs)), twin.elem(list(y.coeffs))
     assert (tx * ty, tx + ty, tx - ty, -tx, tx.frob(1)) == (
         x * y, x + y, x - y, -x, x.frob(1)
     )
+    assert (x * y).coeffs == tuple(fld._mul_coeffs(x.coeffs, y.coeffs))
+    assert (x + y).coeffs == tuple((a + b) % fld.p for a, b in zip(x.coeffs, y.coeffs))
+    assert x.frob(1).coeffs == _coeff_pow(fld, x.coeffs, fld.p)
     assert twin._tables is None
+
+
+COEFF_LAW_FIELDS = {
+    3: Field(3, 1, [0, 1]),
+    9: Field(3, 2, [1, 0, 1]),
+    25: Field(5, 2, [2, 0, 1]),
+    3**5: Field(*F_243),
+    67**2: Field(67, 2, [65, 0, 1]),  # an O(q) table but no dense lists
+    3**8: Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(COEFF_LAW_FIELDS)).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(0, q - 1), st.integers(0, q - 1), st.integers(0, 7)
+)))
+def test_every_op_equals_coefficient_arithmetic(args):
+    q, i, j, e = args
+    fld = COEFF_LAW_FIELDS[q]
+    p = fld.p
+    x, y = fld.from_index(i), fld.from_index(j)
+    assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+    assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+    assert (-x).coeffs == tuple(-a % p for a in x.coeffs)
+    assert (x * y).coeffs == tuple(fld._mul_coeffs(x.coeffs, y.coeffs))
+    if j:
+        assert y.inv().coeffs == _coeff_pow(fld, y.coeffs, q - 2)
+    assert x.frob(e).coeffs == _coeff_pow(fld, x.coeffs, p ** (e % fld.m))
+    assert fld.frob_table(e)[i] == fld.frob_pow(x, e).idx
+    assert (fld.half * fld.elem(2)).coeffs == fld.one.coeffs
+    assert q > TABLE_LIMIT or fld._tables is None
+
+
+class TestOneArithmetic:
+    @pytest.mark.parametrize("spec", KERNEL_SPECS + [F_243])
+    def test_results_do_not_depend_on_call_history(self, spec):
+        fld = Field(*spec)
+        rng = random.Random(fld.q)
+        pairs = [(rng.randrange(fld.q), rng.randrange(1, fld.q)) for _ in range(200)]
+
+        def results():
+            out = []
+            for i, j in pairs:
+                x, y = fld.from_index(i), fld.from_index(j)
+                out += [x + y, x - y, x * y, -x, y.inv(), x.frob(1), fld.frob_pow(x, 2)]
+            return out + [fld.half] + fld.fixed_subfield(1)
+
+        before = results()
+        assert fld._tables is None
+        fld.tables()
+        after = results()
+        assert all(a is b for a, b in zip(before, after)) and len(before) == len(after)
+        assert all(r is fld.from_index(r.idx) for r in after)
+
+    def test_arithmetic_past_the_enumeration_limit_is_refused(self):
+        fld = Field(3, 11, [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1])  # q = 177147
+        assert fld.q > ENUMERATION_LIMIT
+        x = elem_from_string(fld, "[1,2]")
+        assert str(x) == "[1,2,0,0,0,0,0,0,0,0,0]" and fld.index(x) == 5 * 3**9
+        for op in (
+            lambda: x + x, lambda: x - x, lambda: x * x, lambda: -x, lambda: x.inv(),
+            lambda: x.frob(1), lambda: fld.from_index(1), lambda: fld.frob_table(1),
+            lambda: fld.fixed_subfield(1), lambda: fld.half,
+        ):
+            with pytest.raises(EnumerationTooLarge):
+                op()
+        assert fld._log is None
+
+    @pytest.mark.parametrize("spec", [(3, 6, [1, 0, 0, 0, 1, 1, 1]), (3, 10, None)])
+    def test_generator_is_the_first_of_full_order(self, spec):
+        from skewcyclic.oracle import default_modulus
+
+        p, m, mod = spec
+        fld = Field(p, m, mod or default_modulus(p, m))
+        t, n = fld.log_table(), fld.q - 1
+        coeffs = itertools.product(range(p), repeat=m)
+        full_order = [
+            k for k, c in zip(range(1, t.gen + 1), itertools.islice(coeffs, 1, None))
+            if all(_coeff_pow(fld, c, n // r) != fld.one.coeffs for r in _prime_factors(n))
+        ]
+        assert full_order == [t.gen]
+        assert len(t.exp) == 4 * n + 1 and len(t.zech) == 2 * n and t.log[0] == 2 * n
+
+
+def _prime_factors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
 
 
 _ODD_PRIMES = (3, 5, 7, 11, 13)

@@ -231,8 +231,8 @@ class TestClosureOracle:
         comp = component_code_new(5, poly_from_string("x-1", f9, 1))
         comp.contains((f9.zero,) * 5)
         assert comp._remainder_cols is not None
-        # a corrupt memo: x^t mod (x - 1) read as 0 instead of 1
-        object.__setattr__(comp, "_remainder_cols", ((f9.zero,) * 4,))
+        # a corrupt memo: x^t mod (x - 1) read as 0 (its logarithm) instead of 1
+        object.__setattr__(comp, "_remainder_cols", ((f9.log_table().log[0],) * 4,))
         assert _remainder_rank(comp) == 1
         # the oracle's own rank still holds, so the generators' rejection shows
         v = verify_shift_closure(comp)
@@ -782,6 +782,31 @@ class TestSplittingCheck:
             "table": table, "operands": operands, "expected": expected,
             "got": (expected + 1) % fld.q,
         }
+
+    @pytest.mark.parametrize("table, k", [("exp", 5), ("zech", 3)])
+    def test_corrupt_log_table_entry_fails_with_witness(self, table, k):
+        # element arithmetic reads only the O(q) table; the oracle checks it
+        # against coefficient arithmetic before the dense tables
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+        fld = entry.field()
+        fld.tables()
+        row = getattr(fld.log_table(), table)
+        expected = row[k]
+        row[k] = (expected + 1) % (fld.q - 1)
+        v = verify_gray_isometry(entry)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample == {
+            "table": table, "k": k, "expected": expected, "got": (expected + 1) % (fld.q - 1),
+        }
+
+    def test_log_table_generator_of_lower_order_fails_with_witness(self):
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+        fld = entry.field()
+        fld.tables()
+        fld.log_table().gen = fld.elem(-1).idx  # -1 has order 2, not 8
+        v = verify_gray_isometry(entry)
+        assert not v.passed
+        assert v.counterexample == {"table": "gen", "k": fld.elem(-1).idx, "expected": 8, "got": 2}
 
     def test_table_pairs_sampled_past_pairs_bound(self):
         # q^2 = 625 > 100 pairs: add, sub and mul are checked on pairs

@@ -256,7 +256,7 @@ class TestLeeWeight:
 LEE_FIELDS = {
     9: Field(3, 2, [1, 0, 1]),
     25: Field(5, 2, [2, 0, 1]),
-    3**8: Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),  # past TABLE_LIMIT: no tables
+    3**8: Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),  # past TABLE_LIMIT: no dense tables
 }
 
 
