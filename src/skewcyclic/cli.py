@@ -31,6 +31,7 @@ from .codes import (
     HypothesisViolated,
 )
 from .finite_field import EnumerationTooLarge, Field, FieldError, field_from_string
+from .linalg import DISTANCE_LIMIT
 from .ring_r import gray_map, lee_weight, ring_vector_from_string, ring_vector_to_string
 from .skew_poly import (
     SkewPolyError,
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--bound",
         type=non_negative_int,
-        default=10**6,
+        default=DISTANCE_LIMIT,
         help="distance: refuse a component when the smaller of it and its "
         "dual exceeds this many words",
     )
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--distance-bound",
         type=non_negative_int,
-        default=10**6,
+        default=DISTANCE_LIMIT,
         help="leave a distance empty when a component's smaller side (the "
         "component or its dual) exceeds this many words",
     )

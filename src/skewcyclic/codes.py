@@ -20,10 +20,11 @@ normalized monic. Idempotent generators exist when n is coprime to both q
 and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
 fixed subfield.
 
-Code objects are immutable after construction. What they derive (dual,
-idempotent generator, component and R-level generator rows, distance,
-remainders) is built on first request and kept on the object, so it is
-freed with the code.
+Polynomials, twists and remainders are F_q indices; ``FieldElem`` values
+appear only in the words ``contains`` takes and in the rows that
+``generator_rows`` and ``gray_generator_rows`` return. Code objects are
+immutable; what they derive (dual, idempotent generator, rows, distance,
+remainders) is built on first request and kept on the object.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldMismatch
+from .linalg import DISTANCE_LIMIT
 from .ring_r import Idempotents, RingElem, make_idempotents
 from .skew_poly import (
+    SEARCH_LIMIT,
     AutMismatch,
     SkewPoly,
     _cyclotomic_cosets,
-    _twist,
     extended_gcd_commutative,
     mod_xn_minus_1,
     monic_right_divisors,
@@ -49,8 +51,6 @@ from .skew_poly import (
     skew_mul,
     xn_minus_1,
 )
-
-DISTANCE_LIMIT = 10**6
 
 
 class CodeError(Exception):
@@ -92,7 +92,7 @@ def skew_shift(word: Sequence, i: int):
     """sigma(c) = (theta_i(c_{n-1}), theta_i(c_0), ..., theta_i(c_{n-2}))."""
     if not word:
         return tuple(word)
-    twisted = [_twist(c, i, 1) for c in word]
+    twisted = [c.frob(i) for c in word]
     return tuple([twisted[-1]] + twisted[:-1])
 
 
@@ -158,10 +158,11 @@ class ComponentCode:
         """
         rows = self._rows
         if rows is None:
-            zero = self.field.zero
-            rows = tuple(
-                (zero,) * j + self.g.twist_coeffs(j).coeffs + (zero,) * (self.dim - j - 1)
-                for j in range(self.dim)
+            fld, elems = self.field, self.field.log_table().elems
+            twists = [fld.frob_table(self.aut * j % fld.m) for j in range(self.dim)]
+            rows = tuple(  # theta^j on the coefficients of g, shifted by j
+                tuple(elems[theta[c]] for c in [0] * j + self.g.padded(self.n - j))
+                for j, theta in enumerate(twists)
             )
             object.__setattr__(self, "_rows", rows)
         return list(rows)
@@ -172,7 +173,8 @@ class ComponentCode:
             if word.degree >= self.n:
                 raise LengthMismatch(f"degree {word.degree} >= n = {self.n}")
             self.g._check_compat(word)
-            return word.padded(self.n)
+            elems = self.field.log_table().elems
+            return [elems[c] for c in word.padded(self.n)]
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
         field = self.field
@@ -191,7 +193,7 @@ class ComponentCode:
                 .remainder.padded(d)
                 for t in range(d, self.n)
             ]
-            cols = tuple(tuple(log[rem[k].idx] for rem in rems) for k in range(d))
+            cols = tuple(tuple(log[rem[k]] for rem in rems) for k in range(d))
             object.__setattr__(self, "_remainder_cols", cols)
         return cols
 
@@ -229,9 +231,9 @@ class ComponentCode:
         Built from the cofactor h with x^n - 1 = h*g; generates the dual
         once normalized monic.
         """
-        nr = self.n - self.g.degree
-        coeffs = [_twist(self.h.coeff(nr - j), self.aut, j) for j in range(nr + 1)]
-        return SkewPoly(self.field, coeffs, self.aut)
+        fld, nr = self.field, self.n - self.g.degree
+        twists = (fld.frob_table(self.aut * j % fld.m) for j in range(nr + 1))
+        return SkewPoly(fld, [t[self.h.coeff(nr - j)] for j, t in enumerate(twists)], self.aut)
 
     def dual(self) -> ComponentCode:
         """The orthogonal code, generated by the monic normalization of h~.
@@ -312,17 +314,15 @@ class ComponentCode:
 
     def _generates(self, e: SkewPoly) -> bool:
         """Does the left module spanned by e equal this code?"""
-        rows = [tuple(mod_xn_minus_1(e, self.n).padded(self.n))]
-        for j in range(1, self.n):
-            rows.append(skew_shift(rows[-1], self.aut))
-        idx = linalg.to_index_rows(rows, self.field)
-        if linalg.rank(idx, self.field) != self.dim:
+        fld, n = self.field, self.n
+        frob = fld.frob_table(self.aut)
+        rows = [mod_xn_minus_1(e, n).padded(n)]
+        for j in range(1, n):  # sigma: theta on every coordinate, shifted by one
+            rows.append([frob[c] for c in rows[-1][-1:] + rows[-1][:-1]])
+        if linalg.rank(rows, fld) != self.dim:
             return False
-        g_row = tuple(mod_xn_minus_1(self.g, self.n).padded(self.n))
-        idx.append([self.field.index(x) for x in g_row])
-        return linalg.rank(idx, self.field) == self.dim and all(
-            self.contains(row) for row in rows
-        )
+        rank = linalg.rank(rows + [mod_xn_minus_1(self.g, n).padded(n)], fld)
+        return rank == self.dim and all(self.contains(SkewPoly(fld, w, self.aut)) for w in rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -534,7 +534,7 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
 
 
 def census_components(
-    n: int, field: Field, i: int, search_bound: int = 10**7, bound: int | None = None
+    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT, bound: int | None = None
 ) -> list[ComponentCode]:
     """The D component codes of length n; their D^3 triples are the codes over R.
 
@@ -548,7 +548,7 @@ def census_components(
 
 
 def census(
-    n: int, field: Field, i: int, search_bound: int = 10**7, bound: int | None = None
+    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT, bound: int | None = None
 ) -> list[SkewCyclicCode]:
     """Every skew cyclic code of length n over R, in deterministic order:
     the triples of ``census_components``, last component fastest."""

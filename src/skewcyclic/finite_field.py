@@ -5,7 +5,8 @@ The field is represented as Z_p[w]/(f(w)) with f monic irreducible of
 degree m; elements are coefficient vectors in the basis 1, w, ..., w^{m-1}.
 Everything is integer arithmetic mod p, so all results are exact.
 
-Every ``FieldElem`` also carries its canonical index (``Field.index``).
+Every ``FieldElem`` carries its canonical index ``idx`` (its base-p
+digits, c_0 first), the form in which the package computes below text I/O.
 Element arithmetic has one path: every operation (+ - * neg inv frob)
 reads the field's ``LogTable`` of O(q) ints, built on first use from the
 powers of a generator, and returns an interned element. Fields past
@@ -96,7 +97,7 @@ def _is_irreducible_modp(f: Sequence[int], p: int) -> bool:
 
 class FieldElem:
     """An element of F_{p^m}: m residues mod p (ascending degree) and its
-    canonical index ``idx`` (see ``Field.index``).
+    canonical index ``idx`` (base-p digits, c_0 first).
 
     Every operation reads the field's ``LogTable`` and returns the field's
     interned element for the result. The binary operations read the table
@@ -138,23 +139,13 @@ class FieldElem:
         t = self.field._log
         if t is None or other.__class__ is not FieldElem or other.field is not self.field:
             t = self._check(other)
-        a, b = self.idx, other.idx
-        if not (a and b):
-            return t.elems[a or b]
-        log = t.log
-        la = log[a]  # a + b = a (1 + b/a)
-        return t.elems[t.exp[la + t.zech[log[b] - la]]]
+        return t.elems[t.add(self.idx, other.idx)]
 
     def __sub__(self, other: FieldElem) -> FieldElem:
         t = self.field._log
         if t is None or other.__class__ is not FieldElem or other.field is not self.field:
             t = self._check(other)
-        a, b = self.idx, t.neg[other.idx]  # a - b = a + (-b)
-        if not (a and b):
-            return t.elems[a or b]
-        log = t.log
-        la = log[a]
-        return t.elems[t.exp[la + t.zech[log[b] - la]]]
+        return t.elems[t.add(self.idx, t.neg[other.idx])]
 
     def __neg__(self) -> FieldElem:
         t = self.field._log or self.field.log_table()
@@ -197,7 +188,7 @@ class FieldElem:
         return f"FieldElem({list(self.coeffs)})"
 
     def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        return self.field.index_text(self.idx)
 
 
 def _pow_coeffs(field: Field, c: tuple, e: int) -> tuple:
@@ -287,6 +278,15 @@ class LogTable:
         self.elems = [FieldElem(field, c) for c in itertools.product(range(p), repeat=field.m)]
         self.elems[0], self.elems[field.one.idx] = field.zero, field.one
         self.frob: dict[int, list[int]] = {}
+
+    def add(self, a: int, b: int) -> int:
+        """The index of a + b, for indices a and b: a (1 + b/a), read from
+        ``zech``; the one index-level sum of the package's F_q arithmetic."""
+        if not (a and b):
+            return a or b
+        log = self.log
+        la = log[a]
+        return self.exp[la + self.zech[log[b] - la]]
 
 
 class FieldTables:
@@ -430,9 +430,11 @@ class Field:
             raise EnumerationTooLarge(f"q = {self.q} exceeds bound {bound}")
         return list(self.log_table().elems)
 
-    def index(self, x: FieldElem) -> int:
-        """Position of x in the canonical enumeration (0 is the zero element)."""
-        return x.idx
+    def index_text(self, k: int) -> str:
+        """The text ``[c0,c1,...]`` of the element at index k, from the
+        base-p digits of k alone: no table is read."""
+        p = self.p
+        return "[" + ",".join(str(k // p**j % p) for j in range(self.m - 1, -1, -1)) + "]"
 
     def from_index(self, idx: int) -> FieldElem:
         """The interned element at position idx."""
@@ -514,8 +516,9 @@ class Subfield:
     """The subfield F_{p^i} fixed by theta_i, on lane indices 0..p^i - 1.
 
     Lane index k is the k-th fixed element in the canonical enumeration, so
-    lane indices increase with the F_q index and 0 is zero. Polynomials are
-    lists of lane indices, ascending, no trailing zeros. The helpers rest on
+    lane indices increase with the F_q index and 0 is zero (``lift`` and
+    ``lane_index`` convert). Polynomials are lists of lane indices,
+    ascending, no trailing zeros. The helpers rest on
     two kernels, ``inv`` and ``axpy(u, c, v) = u + c*v`` (equal lengths),
     which read dense tables from strided reads of the field's ``LogTable``
     here and are arithmetic mod p in ``PrimeSubfield``.
@@ -528,15 +531,15 @@ class Subfield:
         order = field.p**i
         if order > TABLE_LIMIT:
             raise EnumerationTooLarge(f"subfield order {order} too large for tables")
-        self.elems = field.fixed_subfield(i)
-        lanes = self._lanes = {x.idx: k for k, x in enumerate(self.elems)}
-        q = field.q
+        self.elems = [x.idx for x in field.fixed_subfield(i)]
+        lanes = self._lanes = {x: k for k, x in enumerate(self.elems)}
+        q, one = field.q, field.q // field.p  # the index of 1 is q/p
         powers = field.log_table().exp[: q - 1 : (q - 1) // (order - 1)]
         self._mul, self._add, self._inv = _dense_tables(
-            [lanes[x] for x in powers], [lanes[(x + q // field.p) % q] for x in powers]
+            [lanes[x] for x in powers], [lanes[(x + one) % q] for x in powers]
         )
         self.p, self.order, self.field = field.p, order, field
-        self.one, self.minus_one = lanes[field.one.idx], lanes[(-field.one).idx]
+        self.one, self.minus_one = lanes[one], lanes[(field.p - 1) * one]
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -545,13 +548,13 @@ class Subfield:
         add, row = self._add, self._mul[c]
         return [add[a][row[b]] for a, b in zip(u, v)]
 
-    def elem(self, k: int) -> FieldElem:
-        """The element of F_q at lane index k."""
+    def lift(self, k: int) -> int:
+        """The F_q index of lane index k."""
         return self.elems[k]
 
-    def lane_index(self, x: FieldElem) -> int | None:
-        """The lane index of x, or None when x lies outside the subfield."""
-        return self._lanes.get(x.idx)
+    def lane_index(self, x: int) -> int | None:
+        """The lane index of the F_q index x; None outside the subfield."""
+        return self._lanes.get(x)
 
     @staticmethod
     def trim(f: list[int]) -> list[int]:
@@ -647,11 +650,12 @@ class PrimeSubfield(Subfield):
         p = self.p
         return [(a + c * b) % p for a, b in zip(u, v)]
 
-    def elem(self, k: int) -> FieldElem:
-        return self.field.elem(k)
+    def lift(self, k: int) -> int:
+        return k * (self.field.q // self.p)  # the constant k: leading digit k
 
-    def lane_index(self, x: FieldElem) -> int | None:
-        return None if any(x.coeffs[1:]) else x.coeffs[0]
+    def lane_index(self, x: int) -> int | None:
+        k, low = divmod(x, self.field.q // self.p)
+        return None if low else k
 
 
 # ---------------------------------------------------------------------------

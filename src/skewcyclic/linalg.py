@@ -1,6 +1,6 @@
 """Exact linear algebra over F_q on integer-indexed matrices.
 
-Rows are lists of element indices (see Field.index); all elimination is
+Rows are lists of element indices (``FieldElem.idx``); all elimination is
 table-driven and exact. The span enumerators expand F_q-vectors into
 base-p digit vectors so that bulk enumeration can run through numpy in
 chunks while staying exact integer arithmetic mod p. ``macwilliams``
@@ -18,10 +18,11 @@ import numpy as np
 from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldError
 
 _BLOCK_BYTES = 1 << 22  # bytes of words per numpy block in span enumeration
+DISTANCE_LIMIT = 10**6  # default bound on the words of a weight enumeration
 
 
 def to_index_rows(rows: Sequence[Sequence[FieldElem]], field: Field) -> list[list[int]]:
-    return [[field.index(x) for x in row] for row in rows]
+    return [[x.idx for x in row] for row in rows]
 
 
 def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
@@ -160,15 +161,12 @@ def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
     per coordinate, so the Z_p span of the result is the digit image of the
     F_q span.
     """
-    m = field.m
-    out = []
+    t, out = field.tables(), []
+    times_w = t.mul[field.gen.idx]
     for row in basis:
-        elems = [field.from_index(i) for i in row]
-        scale = field.one
-        for _ in range(m):
-            scaled = [scale * e for e in elems]
-            out.append([d for e in scaled for d in e.coeffs])
-            scale = scale * field.gen if m > 1 else scale
+        for _ in range(field.m):
+            out.append([d for e in row for d in t.elems[e].coeffs])
+            row = [times_w[e] for e in row]
     return np.array(out, dtype=np.int64)
 
 
@@ -218,7 +216,7 @@ def _refuse_span(basis: list[list[int]], field: Field, bound: int) -> None:
 
 
 def span_min_weight(
-    rows: Sequence[Sequence[int]], field: Field, bound: int = 10**6
+    rows: Sequence[Sequence[int]], field: Field, bound: int = DISTANCE_LIMIT
 ) -> int | None:
     """Minimum Hamming weight over the nonzero vectors of the row span.
 
@@ -239,7 +237,7 @@ def span_min_weight(
 def span_weight_distribution(
     rows: Sequence[Sequence[int]],
     field: Field,
-    bound: int = 10**6,
+    bound: int = DISTANCE_LIMIT,
     ncols: int | None = None,
 ) -> list[int]:
     """The weight distribution A_0, ..., A_ncols of the row span.

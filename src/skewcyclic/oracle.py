@@ -59,6 +59,7 @@ from .codes import (
     component_code_new,
 )
 from .finite_field import EnumerationTooLarge, Field
+from .linalg import DISTANCE_LIMIT
 from .ring_r import (
     RingElem,
     gray_inverse,
@@ -66,6 +67,7 @@ from .ring_r import (
     lee_distance,
 )
 from .skew_poly import (
+    SEARCH_LIMIT,
     Factorization,
     SearchSpaceTooLarge,
     SkewPoly,
@@ -85,8 +87,8 @@ from .skew_poly import (
 class Bounds:
     enumeration: int = 10**4  # largest code given the shift-closure claim
     pairs: int = 10**4  # isometry pair samples
-    distance: int = 10**6  # span of one Gray block in the distance law
-    search: int = 10**7  # brute-force divisor search space
+    distance: int = DISTANCE_LIMIT  # span of one Gray block in the distance law
+    search: int = SEARCH_LIMIT  # brute-force divisor search space
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def _evaluations(s: tuple, tables) -> tuple:
 
 def _triple_text(fld: Field, s: tuple) -> str:
     """The ``a|b|c`` text of an (a, b, c) index triple, as ``RingElem`` prints it."""
-    return "|".join(str(fld.from_index(k)) for k in s)
+    return "|".join(map(fld.index_text, s))
 
 
 def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) -> dict:
@@ -542,13 +544,13 @@ def verify_fixed_subfield_divisors(
     fld = entry.field()
     for g in divisors:
         for c in g.coeffs:
-            if fld.frob_pow(c, entry.i) != c:
+            if fld.frob_table(entry.i)[c] != c:
                 return VerdictReport(
                     "fixed-subfield-divisors",
                     entry.config(),
                     "exhaustive",
                     False,
-                    {"divisor": poly_to_string(g), "coefficient": str(c)},
+                    {"divisor": poly_to_string(g), "coefficient": fld.index_text(c)},
                 )
     return VerdictReport(
         "fixed-subfield-divisors", entry.config(), "exhaustive", True
@@ -562,12 +564,8 @@ def _remainder_rank(comp: ComponentCode) -> int:
         return 0
     rows = []
     for t in range(comp.n):
-        word = [fld.zero] * comp.n
-        word[t] = fld.one
-        rem = right_divide(
-            SkewPoly(fld, word, comp.aut), comp.g
-        ).remainder
-        rows.append([fld.index(rem.coeff(j)) for j in range(comp.g.degree)])
+        rem = right_divide(SkewPoly.x_power(fld, comp.aut, t), comp.g).remainder
+        rows.append(rem.padded(comp.g.degree))
     return linalg.rank(rows, fld)
 
 
@@ -951,7 +949,7 @@ def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
     for k in range(max(len(f.coeffs) for f in polys)):
         acc = _R_ZERO
         for eta, f in zip(etas, polys):
-            acc = _r_add(acc, _schoolbook_mul(eta, (fld.index(f.coeff(k)), 0, 0), t), t)
+            acc = _r_add(acc, _schoolbook_mul(eta, (f.coeff(k), 0, 0), t), t)
         out.append(acc)
     return _r_trim(out)
 
@@ -1051,7 +1049,7 @@ def verify_principality(
 
 def verify_distance_law(
     code: SkewCyclicCode,
-    bound: int = 10**6,
+    bound: int = DISTANCE_LIMIT,
     combined_rows=None,
     block_minima=None,
     config=None,
@@ -1214,8 +1212,8 @@ def broken_component_code(field: Field, i: int, n: int) -> ComponentCode:
     dimension; n must be at least 2.
     """
     for d in range(1, n):
-        for tail in itertools.product(field.elements(), repeat=d):
-            g = SkewPoly(field, list(tail) + [field.one], i)
+        for tail in itertools.product(range(field.q), repeat=d):
+            g = SkewPoly(field, tail + (field.one.idx,), i)
             if not is_right_divisor_of_xn_minus_1(g, n):
                 return _unchecked_component_code(n, g)
     raise AssertionError(f"no proper-degree non-divisor of x^{n} - 1 exists")
@@ -1291,6 +1289,8 @@ def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> Verdi
 
 
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
+    """One report per claim of ``CLAIMS``; a census that fails a postcondition
+    (broken field tables) fails every claim about its codes, with the error."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
@@ -1299,7 +1299,11 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         verify_census(entry, divisors=divisors),
         verify_fixed_subfield_divisors(entry, divisors),
     ]
-    codes = census(entry.n, fld, entry.i, entry.bounds.search)
+    try:
+        codes = census(entry.n, fld, entry.i, entry.bounds.search)
+    except AssertionError as exc:
+        witness = {"error": f"AssertionError: {exc}"}
+        return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
     generators = [_combined_generator(code) for code in codes]
     configs: dict = {}  # each code's config, built once per entry
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .finite_field import Field, FieldElem, FieldMismatch
+from .finite_field import ENUMERATION_LIMIT, EnumerationTooLarge, Field, FieldElem, FieldMismatch
 
 RING_TABLE_LIMIT = 4096  # largest q^3 for which dense R op tables are built
 
@@ -196,10 +196,8 @@ def ring_elem(field: Field, a, b=0, c=0) -> RingElem:
     return RingElem(field.elem(a), field.elem(b), field.elem(c))
 
 
-def ring_elements(field: Field, bound: int = 2**16) -> list[RingElem]:
+def ring_elements(field: Field, bound: int = ENUMERATION_LIMIT) -> list[RingElem]:
     """All q^3 elements of R, ordered lexicographically on (a, b, c)."""
-    from .finite_field import EnumerationTooLarge
-
     if field.q**3 > bound:
         raise EnumerationTooLarge(f"|R| = {field.q**3} exceeds bound {bound}")
     elems = field.elements()

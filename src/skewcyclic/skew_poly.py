@@ -10,13 +10,13 @@ Coefficients fixed by theta_i commute with x, so the subring
 F_{p^i}[x] is an ordinary commutative polynomial ring. Factoring x^n - 1
 and the extended Euclidean algorithm happen there.
 
-Coefficients lie in F_q only. The splitting R[x, theta_i] = F_q[x, theta_i]^3
-makes a polynomial over R = F_q + vF_q + v^2F_q a triple of these, so
-R-level coefficients appear only at text I/O: ``ring_skew_poly_combine``
-formats a triple, and ``project_components`` splits a parsed one.
-
-Polynomials are normalized eagerly (no trailing zeros), immutable, and
-all operations are pure.
+Coefficients are F_q indices (``FieldElem.idx``), as in ``linalg`` and
+the subfield lanes: products read the field's ``LogTable``, sums its
+``add``, and theta^k the table ``frob_table(i*k mod m)``. The splitting
+R[x, theta_i] = F_q[x, theta_i]^3 makes a polynomial over R a triple of
+these, so element objects appear only at text I/O and in
+``ring_skew_poly_combine`` and ``project_components``, which cross to R.
+Polynomials are normalized eagerly (no trailing zeros) and immutable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .finite_field import Field, FieldElem, elem_from_string
+from .finite_field import Field, elem_from_string
 from .ring_r import (
     RingElem,
     crt_join,
@@ -67,24 +67,19 @@ class BothZero(SkewPolyError):
     pass
 
 
-def _twist(c, i: int, k: int):
-    """theta_i applied k times, i.e. the p^{(i*k mod m)} power map, by ``frob``."""
-    e = (i * k) % c.field.m
-    return c.frob(e) if e else c
-
-
 class SkewPoly:
-    """A polynomial in F_q[x, theta_i], coefficients ascending, no trailing zeros."""
+    """A polynomial in F_q[x, theta_i]: ``coeffs`` holds the F_q indices of
+    its coefficients, ascending, with no trailing zeros."""
 
     __slots__ = ("field", "aut", "coeffs")
 
     # coefficients lie in F_q; bench/spans.py names the mul/divide spans by this
     over_ring = False
 
-    def __init__(self, field: Field, coeffs: Sequence[FieldElem], aut: int):
+    def __init__(self, field: Field, coeffs: Sequence[int], aut: int):
         field.check_aut_exponent(aut)
         cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "aut", aut)
@@ -101,12 +96,12 @@ class SkewPoly:
 
     @classmethod
     def one(cls, field: Field, aut: int) -> SkewPoly:
-        return cls(field, [field.one], aut)
+        return cls(field, [field.one.idx], aut)
 
     @classmethod
-    def x_power(cls, field: Field, aut: int, k: int, coeff=None) -> SkewPoly:
-        c = field.one if coeff is None else coeff
-        return cls(field, [field.zero] * k + [c], aut)
+    def x_power(cls, field: Field, aut: int, k: int, coeff: int | None = None) -> SkewPoly:
+        c = field.one.idx if coeff is None else coeff
+        return cls(field, [0] * k + [c], aut)
 
     # -- structure ------------------------------------------------------------
 
@@ -117,19 +112,19 @@ class SkewPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self):
+    def lc(self) -> int:
         if self.is_zero():
             raise ZeroDivisor("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one.idx
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
+    def coeff(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def padded(self, length: int) -> list:
-        return list(self.coeffs) + [self.field.zero] * (length - len(self.coeffs))
+    def padded(self, length: int) -> list[int]:
+        return list(self.coeffs) + [0] * (length - len(self.coeffs))
 
     def _check_compat(self, other: SkewPoly) -> None:
         if self.field != other.field:
@@ -137,47 +132,35 @@ class SkewPoly:
         if self.aut != other.aut:
             raise AutMismatch(f"automorphism exponents differ: {self.aut} vs {other.aut}")
 
-    # -- arithmetic -------------------------------------------------------------
+    # -- arithmetic: indices, on the field's LogTable ------------------------------
 
     def __add__(self, other: SkewPoly) -> SkewPoly:
         self._check_compat(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            self.field,
-            [a + b for a, b in zip(self.padded(n), other.padded(n))],
-            self.aut,
-        )
+        n, add = max(len(self.coeffs), len(other.coeffs)), self.field.log_table().add
+        return SkewPoly(self.field, list(map(add, self.padded(n), other.padded(n))), self.aut)
 
     def __sub__(self, other: SkewPoly) -> SkewPoly:
-        self._check_compat(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            self.field,
-            [a - b for a, b in zip(self.padded(n), other.padded(n))],
-            self.aut,
-        )
+        return self + -other
 
     def __neg__(self) -> SkewPoly:
-        return SkewPoly(self.field, [-c for c in self.coeffs], self.aut)
+        neg = self.field.log_table().neg
+        return SkewPoly(self.field, [neg[c] for c in self.coeffs], self.aut)
 
     def __mul__(self, other: SkewPoly) -> SkewPoly:
         return skew_mul(self, other)
 
-    def scale(self, c) -> SkewPoly:
-        """Left multiplication by the constant c (no twist on degree zero)."""
-        return SkewPoly(self.field, [c * x for x in self.coeffs], self.aut)
+    def scale(self, c: int) -> SkewPoly:
+        """Left multiplication by the constant of index c (no twist on degree zero)."""
+        t = self.field.log_table()
+        exp, log, lc = t.exp, t.log, t.log[c]
+        return SkewPoly(self.field, [exp[lc + log[x]] for x in self.coeffs], self.aut)
 
     def monic(self) -> SkewPoly:
         """The left scalar multiple with leading coefficient one."""
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.lc().inv())
-
-    def twist_coeffs(self, k: int) -> SkewPoly:
-        """Apply theta^k to every coefficient (degrees unchanged)."""
-        return SkewPoly(
-            self.field, [_twist(c, self.aut, k) for c in self.coeffs], self.aut
-        )
+        t = self.field.log_table()
+        return self.scale(t.exp[self.field.q - 1 - t.log[self.lc()]])
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,43 +186,52 @@ class DivisionResult(NamedTuple):
 
 
 def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """Product under (a x^i)(b x^j) = a theta^i(b) x^{i+j}."""
+    """Product under (a x^i)(b x^j) = a theta^i(b) x^{i+j}, on logarithms:
+    f_i theta^i(g_j) is exp[log f_i + log frob[g_j]], frob = theta^i."""
     f._check_compat(g)
+    field = f.field
     if f.is_zero() or g.is_zero():
-        return SkewPoly.zero(f.field, f.aut)
-    out = [f.field.zero] * (f.degree + g.degree + 1)
-    i_aut = f.aut
-    for i, fi in enumerate(f.coeffs):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(g.coeffs):
-            out[i + j] = out[i + j] + fi * _twist(gj, i_aut, i)
-    return SkewPoly(f.field, out, f.aut)
+        return SkewPoly.zero(field, f.aut)
+    t = field.log_table()
+    exp, log, add = t.exp, t.log, t.add
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            frob, la = field.frob_table(f.aut * i % field.m), log[a]
+            for j, b in enumerate(g.coeffs, i):
+                if b:
+                    out[j] = add(out[j], exp[la + log[frob[b]]])
+    return SkewPoly(field, out, f.aut)
 
 
 def right_divide(f: SkewPoly, g: SkewPoly) -> DivisionResult:
-    """f = q * g + r with deg r < deg g (skew multiplication), for g nonzero."""
+    """f = q * g + r with deg r < deg g (skew multiplication), for g nonzero,
+    in len f - deg g steps from the top (broken tables leave a longer r)."""
     f._check_compat(g)
     if g.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
-    lc = g.lc()
-    d = g.degree
+    field, aut, d = f.field, f.aut, g.degree
     r = list(f.coeffs)
-    q = [f.field.zero] * max(0, len(r) - d)
-    aut = f.aut
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        qk = r[-1] * _twist(lc, aut, k).inv()
-        q[k] = qk
-        for j in range(d + 1):
-            r[k + j] = r[k + j] - qk * _twist(g.coeffs[j], aut, k)
-        while r and r[-1].is_zero():
-            r.pop()
-    return DivisionResult(SkewPoly(f.field, q, aut), SkewPoly(f.field, r, aut))
+    quo = [0] * max(0, len(r) - d)
+    if quo:
+        t = field.log_table()
+        exp, log, add, n = t.exp, t.log, t.add, field.q - 1
+        for k in reversed(range(len(quo))):
+            if r[k + d]:
+                frob = field.frob_table(aut * k % field.m)
+                lq = log[r[k + d]] - log[frob[g.coeffs[-1]]]
+                quo[k] = exp[lq % n]
+                lq = (lq + n // 2) % n  # -q_k = q_k g^{n/2}, since -1 = g^{n/2}
+                for j, b in enumerate(g.coeffs, k):
+                    if b:
+                        r[j] = add(r[j], exp[lq + log[frob[b]]])
+    return DivisionResult(SkewPoly(field, quo, aut), SkewPoly(field, r, aut))
 
 
 def xn_minus_1(field: Field, aut: int, n: int) -> SkewPoly:
-    return SkewPoly(field, [-field.one] + [field.zero] * (n - 1) + [field.one], aut)
+    """x^n - 1, with no table: 1 has the index q/p and -1 the index (p - 1)q/p."""
+    one = field.q // field.p
+    return SkewPoly(field, [(field.p - 1) * one] + [0] * (n - 1) + [one], aut)
 
 
 def is_right_divisor_of_xn_minus_1(g: SkewPoly, n: int) -> bool:
@@ -314,8 +306,7 @@ def brute_right_divisors(
     divisors = [SkewPoly.one(field, i)]
     for d in range(1, n):
         for tail in _brute_divisor_tails(n, field, i, d):
-            coeffs = [field.from_index(c) for c in tail] + [field.one]
-            divisors.append(SkewPoly(field, coeffs, i))
+            divisors.append(SkewPoly(field, tail + (field.one.idx,), i))
     divisors.append(xn_minus_1(field, i, n))
     return divisors
 
@@ -374,11 +365,11 @@ def subfield_irreducibles(field: Field, i: int, max_degree: int) -> list[SkewPol
 
     Exponential in max_degree; kept as an independent reference for tests.
     """
-    sub = field.fixed_subfield(i)
+    sub = [x.idx for x in field.fixed_subfield(i)]
     irr: list[SkewPoly] = []
     for d in range(1, max_degree + 1):
         for tail in itertools.product(sub, repeat=d):
-            g = SkewPoly(field, list(tail) + [field.one], i)
+            g = SkewPoly(field, tail + (field.one.idx,), i)
             if any(
                 right_divide(g, h).remainder.is_zero()
                 for h in irr
@@ -478,7 +469,7 @@ def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
     # lane indices increase with the F_q index, so this is the (degree,
     # coefficient indices) order
     factors.sort(key=lambda f: (len(f), f))
-    lift = [SkewPoly(field, [lane.elem(c) for c in f], i) for f in factors]
+    lift = [SkewPoly(field, list(map(lane.lift, f)), i) for f in factors]
     fac = Factorization(n, field, i, tuple((g, n // n1) for g in lift))
     fac.verify()
     return fac
@@ -492,8 +483,7 @@ def divisors_from_factorization(fac: Factorization) -> list[SkewPoly]:
         for _ in range(s):
             powers.append(skew_mul(powers[-1], g))
         divisors = [skew_mul(d, pw) for d in divisors for pw in powers]
-    field = fac.field
-    divisors.sort(key=lambda f: (f.degree, tuple(field.index(c) for c in f.coeffs)))
+    divisors.sort(key=lambda f: (f.degree, f.coeffs))
     return divisors
 
 
@@ -521,7 +511,8 @@ def extended_gcd_commutative(f: SkewPoly, g: SkewPoly):
             a0 - skew_mul(quo, a1),
             b0 - skew_mul(quo, b1),
         )
-    c = r0.lc().inv()
+    t = field.log_table()
+    c = t.exp[field.q - 1 - t.log[r0.lc()]]
     d, a, b = r0.scale(c), a0.scale(c), b0.scale(c)
     if skew_mul(a, f) + skew_mul(b, g) != d:
         raise AssertionError("Bezout identity failed; inputs must commute")
@@ -540,10 +531,10 @@ def ring_skew_poly_combine(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly) -> tuple[Ri
     """
     f1._check_compat(f2)
     f1._check_compat(f3)
+    elems = f1.field.log_table().elems
     n = max(len(f1.coeffs), len(f2.coeffs), len(f3.coeffs))
-    return tuple(
-        crt_join(f1.field, t) for t in zip(f1.padded(n), f2.padded(n), f3.padded(n))
-    )
+    padded = [f.padded(n) for f in (f1, f2, f3)]
+    return tuple(crt_join(f1.field, [elems[c] for c in t]) for t in zip(*padded))
 
 
 def project_components(
@@ -551,7 +542,7 @@ def project_components(
 ) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
     """The three polynomials over F_q whose combination has these R coefficients."""
     triples = [crt_split(c) for c in coeffs]
-    return tuple(SkewPoly(field, [t[k] for t in triples], aut) for k in range(3))
+    return tuple(SkewPoly(field, [t[k].idx for t in triples], aut) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +551,16 @@ def project_components(
 # constants
 
 
-def poly_to_string(f: SkewPoly | Sequence) -> str:
-    """Text of a polynomial, or of ascending coefficients over F_q or R."""
-    coeffs = f.coeffs if isinstance(f, SkewPoly) else f
+def poly_to_string(f: SkewPoly | Sequence[RingElem]) -> str:
+    """Text of a polynomial over F_q, or of ascending coefficients over R."""
+    if isinstance(f, SkewPoly):
+        texts = [c and f.field.index_text(c) for c in f.coeffs]
+    else:
+        texts = [not c.is_zero() and str(c) for c in f]
     terms = []
-    for k, c in enumerate(coeffs):
-        if c.is_zero():
+    for k, cs in enumerate(texts):
+        if not cs:
             continue
-        cs = str(c)
         if k == 0:
             terms.append(cs)
         elif k == 1:
@@ -652,7 +645,8 @@ def poly_from_string(
             return field.one
         return elem_from_string(field, ctext) if ctext.startswith("[") else field.elem(int(ctext))
 
-    return SkewPoly(field, _parse_coeffs(s, read, field.zero, max_degree), aut)
+    coeffs = _parse_coeffs(s, read, field.zero, max_degree)
+    return SkewPoly(field, [c.idx for c in coeffs], aut)
 
 
 def ring_coeffs_from_string(

@@ -526,6 +526,39 @@ class TestVerifyCommand:
         ]
         assert failing and all(f["counterexample"] for f in failing)
 
+    def test_broken_zech_table_fails_every_entry_without_hanging(self):
+        # a LogTable whose Zech logarithms read 1 + x at x + 1 instead of
+        # x + q/p: every sum is wrong, and the division steps still end
+        script = (
+            "import sys\n"
+            "from skewcyclic import cli\n"
+            "from skewcyclic.finite_field import LogTable\n"
+            "build = LogTable.__init__\n"
+            "def broken(self, field):\n"
+            "    build(self, field)\n"
+            "    q = field.q\n"
+            "    self.zech = [self.log[(x + 1) % q] for x in self.exp[: q - 1]] * 2\n"
+            "LogTable.__init__ = broken\n"
+            "sys.exit(cli.main(['verify', '--seed', '0']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no traceback
+        verdicts = [json.loads(l) for l in proc.stdout.splitlines() if l.startswith("{")]
+        for n in (1, 3, 5):
+            entry = [v for v in verdicts if v["config"]["n"] == n]
+            assert sorted(v["claim"] for v in entry) == sorted(CLAIMS)
+            gray = next(v for v in entry if v["claim"] == "gray-isometry")
+            assert not gray["pass"] and gray["counterexample"]["table"] == "zech"
+            assert all(v["counterexample"] for v in entry if not v["pass"])
+
     def test_failing_verdict_names_the_failing_code(self, capsys, tmp_path, monkeypatch):
         from skewcyclic import oracle
 

@@ -185,7 +185,7 @@ class TestGeneratorRows:
         for j, row in enumerate(c.generator_rows()):
             xj = SkewPoly.x_power(f9, 1, j)
             prod = mod_xn_minus_1(skew_mul(xj, g), 5)
-            assert row == tuple(prod.padded(5))
+            assert [x.idx for x in row] == prod.padded(5)
 
     def test_gray_rank_counts_dimension(self, f9, xw_code):
         code = code_from_components(xw_code, xw_code, xw_code)
@@ -210,9 +210,9 @@ class TestMembership:
         c = component_code_new(5, g)
         for _ in range(100):
             deg = rng.randrange(6)
-            m = SkewPoly(f9, [rng.choice(f9.elements()) for _ in range(deg + 1)], 1)
+            m = SkewPoly(f9, [rng.randrange(f9.q) for _ in range(deg + 1)], 1)
             word = mod_xn_minus_1(skew_mul(m, g), 5)
-            assert c.contains(tuple(word.padded(5)))
+            assert c.contains(tuple(map(f9.from_index, word.padded(5))))
 
     def test_length_mismatch(self, f9, xw_code):
         with pytest.raises(LengthMismatch):
@@ -246,7 +246,8 @@ def _kernel_components(name):
 
 
 def _remainder_is_zero(comp, word) -> bool:
-    return right_divide(SkewPoly(comp.field, word, comp.aut), comp.g).remainder.is_zero()
+    poly = SkewPoly(comp.field, [x.idx for x in word], comp.aut)
+    return right_divide(poly, comp.g).remainder.is_zero()
 
 
 def _draw_word(data, comp):
@@ -276,7 +277,7 @@ class TestLinearMembership:
             word = _draw_word(data, comp)
             expected = _remainder_is_zero(comp, word)
             assert comp.contains(word) is expected
-            poly = SkewPoly(comp.field, word, comp.aut)
+            poly = SkewPoly(comp.field, [x.idx for x in word], comp.aut)
             assert comp.contains(poly) is expected
             assert comp.contains(list(word)) is expected
 
@@ -409,8 +410,8 @@ class TestSkewShift:
         c = component_code_new(5, g)
         rng = random.Random(32)
         for _ in range(50):
-            m = SkewPoly(f9, [rng.choice(f9.elements()) for _ in range(5)], 1)
-            word = tuple(mod_xn_minus_1(skew_mul(m, g), 5).padded(5))
+            m = SkewPoly(f9, [rng.randrange(f9.q) for _ in range(5)], 1)
+            word = tuple(map(f9.from_index, mod_xn_minus_1(skew_mul(m, g), 5).padded(5)))
             assert c.contains(skew_shift(word, 1))
 
     def test_ring_word_shift(self, f9):
@@ -625,7 +626,7 @@ class TestDerivedCodeMemos:
     @pytest.mark.parametrize("g", ["x-1", "1", "1+x+x^2+x^3+x^4", "x^5-1"])
     def test_component_rows_twisted_once(self, f9, monkeypatch, g):
         c = component_code_new(5, poly_from_string(g, f9, 1))
-        calls = _recording(monkeypatch, SkewPoly, "twist_coeffs")
+        calls = _recording(monkeypatch, Field, "frob_table")
         first, second = c.generator_rows(), c.generator_rows()
         assert first == second and first is not second
         first.insert(0, None)
@@ -829,3 +830,29 @@ class TestJsonBlock:
         block = code_to_json(code)
         assert code_from_json(block) == code
         assert block["n"] == 5 and block["aut"] == 1
+
+
+def test_every_limit_default_is_its_named_constant():
+    import inspect
+
+    from skewcyclic import oracle, ring_r
+    from skewcyclic.cli import build_parser
+    from skewcyclic.finite_field import ENUMERATION_LIMIT
+    from skewcyclic.linalg import DISTANCE_LIMIT
+    from skewcyclic.skew_poly import SEARCH_LIMIT
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    for fn in (census, codes.census_components):
+        assert default(fn, "search_bound") is SEARCH_LIMIT
+    for fn in (linalg.span_min_weight, linalg.span_weight_distribution,
+               oracle.verify_distance_law):
+        assert default(fn, "bound") is DISTANCE_LIMIT
+    assert default(ring_r.ring_elements, "bound") is ENUMERATION_LIMIT
+    bounds = oracle.Bounds()
+    assert bounds.search is SEARCH_LIMIT and bounds.distance is DISTANCE_LIMIT
+    parser = build_parser()
+    assert parser.parse_args(["code", "distance"]).bound is DISTANCE_LIMIT
+    assert parser.parse_args(["census"]).distance_bound is DISTANCE_LIMIT
+    assert codes.DISTANCE_LIMIT is DISTANCE_LIMIT

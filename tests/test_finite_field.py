@@ -208,9 +208,15 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLarge):
             f9.elements(bound=8)
 
+    @pytest.mark.parametrize("fixture", ["f3", "f9", "f25", "f27"])
+    def test_index_text_writes_the_coefficients(self, request, fixture):
+        fld = request.getfixturevalue(fixture)
+        for k, x in enumerate(fld.elements()):
+            assert fld.index_text(k) == str(x) == "[" + ",".join(map(str, x.coeffs)) + "]"
+
     def test_index_roundtrip(self, f25):
         for idx, x in enumerate(f25.elements()):
-            assert f25.index(x) == idx
+            assert x.idx == idx
             assert f25.from_index(idx) == x
 
 
@@ -219,17 +225,17 @@ class TestTables:
         t = f9.tables()
         elems = f9.elements()
         for a in range(9):
-            assert t.neg[a] == f9.index(-elems[a])
+            assert t.neg[a] == (-elems[a]).idx
             for b in range(9):
-                assert t.add[a][b] == f9.index(elems[a] + elems[b])
-                assert t.mul[a][b] == f9.index(elems[a] * elems[b])
+                assert t.add[a][b] == (elems[a] + elems[b]).idx
+                assert t.mul[a][b] == (elems[a] * elems[b]).idx
         for a in range(1, 9):
-            assert t.inv[a] == f9.index(elems[a].inv())
+            assert t.inv[a] == elems[a].inv().idx
 
     def test_frob_table(self, f9):
         ft = f9.frob_table(1)
         for a, x in enumerate(f9.elements()):
-            assert ft[a] == f9.index(x.frob(1))
+            assert ft[a] == x.frob(1).idx
 
     def test_tableless_fallback_field(self):
         # q = 4489 exceeds the dense table limit; arithmetic reads the O(q) table
@@ -313,7 +319,7 @@ class TestInternedKernel:
         for _ in range(200):
             i, j = rng.randrange(fld.q), rng.randrange(fld.q)
             x, y = fld.from_index(i), fld.from_index(j)
-            assert x is fld.from_index(i) and fld.index(x) == i
+            assert x is fld.from_index(i) and x.idx == i
             for r in (x + y, x - y, x * y, -x, x.frob(1)):
                 assert r is t.elems[r.idx]
             if j:
@@ -343,7 +349,7 @@ class TestInternedKernel:
         z = (x + y) * (x - y) - (-x) * fld.half
         assert x * x.inv() == fld.one
         assert x.frob(8) == x and fld.frob_pow(z, 3).coeffs == _coeff_pow(fld, z.coeffs, 27)
-        assert fld.from_index(fld.index(z)) == z
+        assert fld.from_index(z.idx) == z
         assert fld._tables is None  # the O(q) table alone, no q x q lists
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS[1:])
@@ -398,7 +404,7 @@ class TestCyclicTables:
             x.idx for x in fld.elements() if _coeff_pow(fld, x.coeffs, fld.p**i) == x.coeffs
         ]
         pos = {k: a for a, k in enumerate(fixed)}
-        assert [x.idx for x in lane.elems] == fixed and lane.order == len(fixed)
+        assert [lane.lift(k) for k in range(lane.order)] == fixed and lane.order == len(fixed)
         assert lane._mul == [[pos[t.mul[x][y]] for y in fixed] for x in fixed]
         assert lane._add == [[pos[t.add[x][y]] for y in fixed] for x in fixed]
         assert lane._inv == [pos[t.inv[x]] for x in fixed]
@@ -545,7 +551,8 @@ class TestOneArithmetic:
         fld = Field(3, 11, [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1])  # q = 177147
         assert fld.q > ENUMERATION_LIMIT
         x = elem_from_string(fld, "[1,2]")
-        assert str(x) == "[1,2,0,0,0,0,0,0,0,0,0]" and fld.index(x) == 5 * 3**9
+        assert str(x) == "[1,2,0,0,0,0,0,0,0,0,0]" and x.idx == 5 * 3**9
+        assert fld.index_text(x.idx) == str(x)
         for op in (
             lambda: x + x, lambda: x - x, lambda: x * x, lambda: -x, lambda: x.inv(),
             lambda: x.frob(1), lambda: fld.from_index(1), lambda: fld.frob_table(1),

@@ -972,8 +972,8 @@ def _non_divisor_codes(f9, n):
 
     zero = component_code_new(n, xn_minus_1(f9, 1, n))
     out = []
-    for c in f9.elements():
-        g = SkewPoly(f9, [c, f9.one], 1)
+    for c in range(f9.q):
+        g = SkewPoly(f9, [c, f9.one.idx], 1)
         if is_right_divisor_of_xn_minus_1(g, n):
             continue
         bad = _unchecked_component_code(n, g)

@@ -47,21 +47,18 @@ from skewcyclic.skew_poly import (
 
 def _random_poly(field, aut, max_deg, rng, monic=False):
     deg = rng.randrange(max_deg + 1)
-    coeffs = [rng.choice(field.elements()) for _ in range(deg + 1)]
-    if monic:
-        coeffs[-1] = field.one
-    elif coeffs[-1].is_zero():
-        coeffs[-1] = field.one
+    coeffs = [rng.randrange(field.q) for _ in range(deg + 1)]
+    if monic or not coeffs[-1]:
+        coeffs[-1] = field.one.idx
     return SkewPoly(field, coeffs, aut)
 
 
 class TestSkewMul:
     def test_x_times_constant_twists(self, f9):
         # x * w = theta(w) * x = 2w x
-        w = f9.gen
         x = SkewPoly.x_power(f9, 1, 1)
-        c = SkewPoly(f9, [w], 1)
-        assert skew_mul(x, c).coeffs == (f9.zero, f9.elem([0, 2]))
+        c = SkewPoly(f9, [f9.gen.idx], 1)
+        assert skew_mul(x, c).coeffs == (0, f9.elem([0, 2]).idx)
 
     def test_identity_both_sides(self, f9):
         rng = random.Random(20)
@@ -73,18 +70,18 @@ class TestSkewMul:
 
     def test_wx_squared(self, f9):
         # (wx)(wx) = w theta(w) x^2 = 2w^2 x^2 = x^2
-        wx = SkewPoly(f9, [f9.zero, f9.gen], 1)
+        wx = SkewPoly(f9, [0, f9.gen.idx], 1)
         assert skew_mul(wx, wx) == SkewPoly.x_power(f9, 1, 2)
 
     def test_noncommutativity_witness(self, f9):
         x = SkewPoly.x_power(f9, 1, 1)
-        w = SkewPoly(f9, [f9.gen], 1)
+        w = SkewPoly(f9, [f9.gen.idx], 1)
         assert skew_mul(x, w) != skew_mul(w, x)
 
     def test_fixed_subfield_commutes_with_x(self, f9):
         x = SkewPoly.x_power(f9, 1, 1)
         for c in f9.fixed_subfield(1):
-            cp = SkewPoly(f9, [c], 1)
+            cp = SkewPoly(f9, [c.idx], 1)
             assert skew_mul(x, cp) == skew_mul(cp, x)
 
     def test_associativity_random(self, f9):
@@ -198,7 +195,7 @@ class TestDivisorCensus:
 
     def test_order_is_degree_then_lex(self, f9):
         divs = monic_right_divisors(2, f9, 1)
-        keys = [(g.degree, tuple(f9.index(c) for c in g.coeffs)) for g in divs]
+        keys = [(g.degree, g.coeffs) for g in divs]
         assert keys == sorted(keys)
 
     def test_factorization_fallback_agrees(self, f9):
@@ -227,18 +224,18 @@ class TestDivisorCensus:
 
     def test_fixed_subfield_membership_when_coprime(self, f9):
         """Divisors lie in F_{p^i}[x] whenever gcd(n, t_i) = 1."""
-        t_i = f9.m // 1
+        t_i, frob = f9.m // 1, f9.frob_table(1)
         for n in (1, 3, 5):
             assert math.gcd(n, t_i) == 1
             for g in monic_right_divisors(n, f9, 1):
                 for c in g.coeffs:
-                    assert c.frob(1) == c
+                    assert frob[c] == c
 
     def test_divisors_outside_subfield_when_not_coprime(self, f9):
         # n = 2: x - w is a divisor although w is moved by theta
-        divs = monic_right_divisors(2, f9, 1)
+        divs, frob = monic_right_divisors(2, f9, 1), f9.frob_table(1)
         assert any(
-            any(c.frob(1) != c for c in g.coeffs) for g in divs
+            any(frob[c] != c for c in g.coeffs) for g in divs
         )
 
 
@@ -297,7 +294,8 @@ class TestFactorization:
                 for f, s in expected
             )
             fac = factor_xn_minus_1(n, fp, 1)
-            got = sorted(([c.coeffs[0] for c in g.coeffs], s) for g, s in fac.factors)
+            # over F_p the index of a coefficient is its residue
+            got = sorted((list(g.coeffs), s) for g, s in fac.factors)
             assert got == want, f"p = {p}, n = {n}"
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -315,6 +313,17 @@ class TestFactorization:
         if rem.degree >= 1:
             expected.append((rem, 1))
         assert factor_xn_minus_1(n, f81, 2).factors == tuple(expected)
+
+    @pytest.mark.parametrize("fixture,n", [("f3", 16), ("f9", 13), ("f25", 11), ("f27", 10)])
+    def test_factor_and_its_text_build_no_log_table(self, request, fixture, n):
+        # a fresh field: the lane over F_p works mod p, x^n - 1 and the lift
+        # of a lane value are index formulas, and the text is base-p digits
+        fld = request.getfixturevalue(fixture)
+        fld = Field(fld.p, fld.m, fld.modulus)
+        for k in range(1, n + 1):
+            fac = factor_xn_minus_1(k, fld, 1)
+            assert all(poly_to_string(g) for g, _ in fac.factors)
+        assert fld._log is None
 
     def test_subfield_irreducibles_have_no_small_factors(self, f9):
         irr = subfield_irreducibles(f9, 1, 3)
@@ -341,13 +350,13 @@ class TestExtendedGcd:
 
     def test_bezout_random(self, f9):
         rng = random.Random(27)
-        sub = f9.fixed_subfield(1)
+        sub = [x.idx for x in f9.fixed_subfield(1)]
 
         def rand_sub_poly():
             deg = rng.randrange(5)
             coeffs = [rng.choice(sub) for _ in range(deg + 1)]
-            if coeffs[-1].is_zero():
-                coeffs[-1] = f9.one
+            if not coeffs[-1]:
+                coeffs[-1] = f9.one.idx
             return SkewPoly(f9, coeffs, 1)
 
         for _ in range(500):
@@ -408,11 +417,11 @@ class TestCombineProject:
 class TestTextFormat:
     def test_human_readable_integers(self, f9):
         f = poly_from_string("x^2+2x+1", f9, 1)
-        assert f.coeffs == (f9.one, f9.elem(2), f9.one)
+        assert f.coeffs == (f9.one.idx, f9.elem(2).idx, f9.one.idx)
 
     def test_bracket_coefficients(self, f9):
         f = poly_from_string("[1,0] + [2,1]*x^2", f9, 1)
-        assert f.coeffs == (f9.one, f9.zero, f9.elem([2, 1]))
+        assert f.coeffs == (f9.one.idx, 0, f9.elem([2, 1]).idx)
 
     def test_leading_minus(self, f9):
         f = poly_from_string("-1+x", f9, 1)
@@ -458,7 +467,7 @@ SKEW_RINGS = {
 
 
 def _coeffs(field, units=False):
-    return st.integers(1 if units else 0, field.q - 1).map(field.from_index)
+    return st.integers(1 if units else 0, field.q - 1)
 
 
 def _polys(field, aut, max_degree=4):
@@ -499,10 +508,11 @@ class TestSkewRingLaws:
     def test_x_times_a_is_theta_a_times_x(self, name, data):
         field, aut = SKEW_RINGS[name]
         a = data.draw(_coeffs(field))
+        theta_a = _theta(field.from_index(a), aut).idx
         x = SkewPoly.x_power(field, aut, 1)
         lhs = skew_mul(x, SkewPoly(field, [a], aut))
-        assert lhs == SkewPoly.x_power(field, aut, 1, _theta(a, aut))
-        assert lhs == skew_mul(SkewPoly(field, [_theta(a, aut)], aut), x)
+        assert lhs == SkewPoly.x_power(field, aut, 1, theta_a)
+        assert lhs == skew_mul(SkewPoly(field, [theta_a], aut), x)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -516,6 +526,53 @@ class TestSkewRingLaws:
         quo, rem = right_divide(f, g)
         assert skew_mul(quo, g) + rem == f
         assert rem.is_zero() or rem.degree < g.degree
+
+
+def _schoolbook_mul(f, g):
+    """The skew product on ``FieldElem`` coefficients, with their operators."""
+    field, aut = f.field, f.aut
+    fs, gs = map(field.from_index, f.coeffs), [field.from_index(b) for b in g.coeffs]
+    out = [field.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(fs):
+        for j, b in enumerate(gs):
+            out[i + j] = out[i + j] + a * b.frob(aut * i)
+    return [c.idx for c in out]
+
+
+def _schoolbook_divide(f, g):
+    """Right division on ``FieldElem`` coefficients: (quotient, remainder) as
+    index lists, trailing zeros kept."""
+    field, aut, d = f.field, f.aut, g.degree
+    r = [field.from_index(c) for c in f.coeffs]
+    gs = [field.from_index(b) for b in g.coeffs]
+    quo = [field.zero] * max(0, len(r) - d)
+    for k in reversed(range(len(quo))):
+        quo[k] = r[k + d] * gs[-1].frob(aut * k).inv()
+        for j, b in enumerate(gs):
+            r[k + j] = r[k + j] - quo[k] * b.frob(aut * k)
+    return [c.idx for c in quo], [c.idx for c in r]
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_RINGS))
+class TestIndexKernelAgainstElementOperators:
+    """``skew_mul`` and ``right_divide`` compute on indices and logarithms;
+    the schoolbook above computes on ``FieldElem`` operators."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mul(self, name, data):
+        field, aut = SKEW_RINGS[name]
+        f, g = (data.draw(_polys(field, aut, max_degree=5)) for _ in range(2))
+        assert skew_mul(f, g) == SkewPoly(field, _schoolbook_mul(f, g), aut)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_right_divide(self, name, data):
+        field, aut = SKEW_RINGS[name]
+        f = data.draw(_polys(field, aut, max_degree=7))
+        g = data.draw(_polys(field, aut, max_degree=4).filter(lambda h: not h.is_zero()))
+        quo, rem = _schoolbook_divide(f, g)
+        assert right_divide(f, g) == (SkewPoly(field, quo, aut), SkewPoly(field, rem, aut))
 
 
 # the same laws on the oracle's R lane over F_9 with theta_1: tuples of
@@ -546,7 +603,7 @@ def _r_add(f, g):
 
 
 def _r_theta(s, i):
-    return tuple(_F9.index(_theta(_F9.from_index(k), i)) for k in s)
+    return tuple(_theta(_F9.from_index(k), i).idx for k in s)
 
 
 class TestOracleRingLaws:
@@ -618,7 +675,7 @@ def _lane_components(f, field):
     t = field.tables()
     values = [_evaluations(s, t) for s in f]
     return tuple(
-        SkewPoly(field, [field.from_index(x[j]) for x in values], 1) for j in range(3)
+        SkewPoly(field, [x[j] for x in values], 1) for j in range(3)
     )
 
 
@@ -695,7 +752,7 @@ def _lane_polys(lane, max_degree=5, min_size=0):
 
 
 def _lift(field, aut, lane, f):
-    return SkewPoly(field, [lane.elem(c) for c in f], aut)
+    return SkewPoly(field, [lane.lift(c) for c in f], aut)
 
 
 @pytest.mark.parametrize("name", sorted(LANES))
@@ -727,11 +784,11 @@ class TestSubfieldLane:
     def test_lane_indices_follow_the_field_index(self, name):
         field, aut = LANES[name]
         lane = field.subfield(aut)
-        idx = [lane.elem(k).idx for k in range(lane.order)]
+        idx = [lane.lift(k) for k in range(lane.order)]
         assert idx == sorted(idx) and idx == [x.idx for x in field.fixed_subfield(aut)]
-        assert all(lane.lane_index(lane.elem(k)) == k for k in range(lane.order))
-        assert lane.elem(lane.one) == field.one and lane.elem(0) == field.zero
-        assert sum(lane.lane_index(x) is None for x in field.elements()) == (
+        assert all(lane.lane_index(lane.lift(k)) == k for k in range(lane.order))
+        assert lane.lift(lane.one) == field.one.idx and lane.lift(0) == 0
+        assert sum(lane.lane_index(x) is None for x in range(field.q)) == (
             field.q - lane.order
         )
 
