@@ -1,10 +1,14 @@
 """Exact linear algebra over F_q on integer-indexed matrices.
 
 Rows are lists of element indices (``FieldElem.idx``); all elimination is
-table-driven and exact. The span enumerators expand F_q-vectors into
-base-p digit vectors so that bulk enumeration can run through numpy in
-chunks while staying exact integer arithmetic mod p. ``macwilliams``
-carries a weight distribution to the dual code in exact integers.
+table-driven and exact, in one forward-elimination loop (``echelon``),
+whose output ``rank``, ``in_row_space`` and the span enumerators take as
+it is. Only ``rref`` fully reduces, for ``canonical_subspace`` and
+``nullspace``: a canonical form is needed only for subspace equality and
+the kernel basis. The span enumerators expand F_q-vectors into base-p
+digit vectors so that bulk enumeration can run through numpy in chunks
+while staying exact integer arithmetic mod p. ``macwilliams`` carries a
+weight distribution to the dual code in exact integers.
 """
 
 from __future__ import annotations
@@ -25,57 +29,78 @@ def to_index_rows(rows: Sequence[Sequence[FieldElem]], field: Field) -> list[lis
     return [[x.idx for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
-    """Reduced row echelon form; returns the nonzero rows (canonical basis)."""
+def _lead(row: Sequence[int]) -> int:
+    """Column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
+def _width(rows: Sequence[Sequence[int]], ncols: int | None) -> int:
+    if rows:
+        return len(rows[0])
+    if ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    return ncols
+
+
+def echelon(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
+    """An echelon basis of the span (nonzero rows, pivots increasing) by
+    forward elimination: each row is reduced by the pivot rows before it
+    until its leading column holds no pivot. Pivots are not normalised and
+    nothing above them is cleared, so rows with distinct leading columns,
+    such as the rows x^j * g of a generator, are only scanned."""
     t = field.tables()
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] != 0:
-                sel = r
+    inv, mul, sub = t.inv, t.mul, t.sub
+    pivots: dict[int, list[int]] = {}
+    for r in rows:
+        c, v = -1, next(filter(None, r), 0)
+        while v:  # the lead moves right at each step, even on broken tables
+            c = r.index(v, c + 1)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = list(r)
                 break
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = t.inv[mat[pivot_row][col]]
-        if inv != t.one:
-            mul_inv = t.mul[inv]
-            mat[pivot_row] = [mul_inv[x] for x in mat[pivot_row]]
-        prow = mat[pivot_row]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mul_f = t.mul[factor]
-                sub = t.sub
-                mat[r] = [sub[x][mul_f[y]] for x, y in zip(mat[r], prow)]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [r for r in mat[:pivot_row]]
+            mul_f = mul[mul[v][inv[p[c]]]]
+            r = [sub[x][mul_f[y]] for x, y in zip(r, p)]
+            v = next(filter(None, r[c + 1 :]), 0)
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
+    """Reduced row echelon form; returns the nonzero rows (canonical basis):
+    ``echelon`` with each pivot scaled to 1 and cleared from the rows above."""
+    t = field.tables()
+    mul, sub = t.mul, t.sub
+    red: list[list[int]] = []
+    for row in echelon(rows, field):
+        c = _lead(row)
+        mul_inv = mul[t.inv[row[c]]]
+        row = [mul_inv[x] for x in row]
+        for k, r in enumerate(red):
+            if r[c]:
+                mul_f = mul[r[c]]
+                red[k] = [sub[x][mul_f[y]] for x, y in zip(r, row)]
+        red.append(row)
+    return red
 
 
 def rank(rows: Sequence[Sequence[int]], field: Field) -> int:
-    return len(rref(rows, field))
+    return len(echelon(rows, field))
 
 
 def in_row_space(basis: Sequence[Sequence[int]], row: Sequence[int], field: Field) -> bool:
-    """Is ``row`` in the span of ``basis``, which must be ``rref`` output?
+    """Is ``row`` in the span of ``basis``, any echelon basis (rref output
+    qualifies)?
 
-    Each basis row has a 1 at its pivot, its first nonzero entry, and
-    every other basis row a 0 there, so one pass that clears each pivot
+    Each basis row is zero before its pivot, its first nonzero entry, and
+    the pivots increase down the basis, so one pass that clears each pivot
     column of ``row`` leaves zero exactly when ``row`` is in the span.
     """
     t = field.tables()
     rest = list(row)
     for b in basis:
-        f = rest[b.index(t.one)]
-        if f:
-            mul_f, sub = t.mul[f], t.sub
+        c = _lead(b)
+        if rest[c]:
+            mul_f, sub = t.mul[t.mul[rest[c]][t.inv[b[c]]]], t.sub
             rest = [sub[x][mul_f[y]] for x, y in zip(rest, b)]
     return not any(rest)
 
@@ -89,23 +114,10 @@ def nullspace(
     the whole space).
     """
     t = field.tables()
-    red = rref(rows, field)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-    else:
-        ncols = len(rows[0])
-    pivots = []
-    for r in red:
-        for c, x in enumerate(r):
-            if x != 0:
-                pivots.append(c)
-                break
-    pivot_set = set(pivots)
+    red, ncols = rref(rows, field), _width(rows, ncols)
+    pivots = [_lead(r) for r in red]
     basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
+    for j in sorted(set(range(ncols)) - set(pivots)):
         y = [0] * ncols
         y[j] = t.one
         for r, pc in zip(red, pivots):
@@ -130,12 +142,9 @@ def span_vectors(
     ``ncols`` is required when there are no rows (the span is then the
     zero word of that length).
     """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols required for an empty matrix")
+    ncols = _width(rows, ncols)
     t = field.tables()
-    basis = rref(rows, field)
+    basis = echelon(rows, field)
     size = field.q ** len(basis)
     if size > bound:
         raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
@@ -171,7 +180,7 @@ def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
 
 
 def _projective_weights(basis: list[list[int]], field: Field):
-    """Hamming weights of the projective words of the span of an RREF basis.
+    """Hamming weights of the projective words of the span of any basis.
 
     The projective words are those whose first nonzero coefficient on the
     basis is 1: (q^k - 1)/(q - 1) of the q^k words, one for each line of
@@ -227,7 +236,7 @@ def span_min_weight(
     Scaling a word does not change its weight, so only the projective
     words are enumerated (``_projective_weights``).
     """
-    basis = rref(rows, field)
+    basis = echelon(rows, field)
     if not basis:
         return None
     _refuse_span(basis, field, bound)
@@ -248,11 +257,8 @@ def span_weight_distribution(
     required when there are no rows (the span is then the zero word of
     that length).
     """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols required for an empty matrix")
-    basis = rref(rows, field)
+    ncols = _width(rows, ncols)
+    basis = echelon(rows, field)
     _refuse_span(basis, field, bound)
     counts = np.zeros(ncols + 1, dtype=np.int64)
     if basis:

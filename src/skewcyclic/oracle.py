@@ -575,19 +575,19 @@ def _twist_shift(w: Sequence[int], frob: list[int]) -> list[int]:
 
 
 def _rank_closure(rows, shift, fld: Field) -> tuple[list[list[int]], bool]:
-    """RREF basis of the smallest shift-closed F_q-space containing ``rows``,
-    and whether the span of ``rows`` was closed already.
+    """Echelon basis of the smallest shift-closed F_q-space containing
+    ``rows``, and whether the span of ``rows`` was closed already.
 
     ``shift`` is additive and theta-semilinear, so span(B) is closed exactly
     when rank(B + shift(B)) = rank(B); B grows to the larger span until
     that holds.
     """
-    basis = linalg.rref(rows, fld)
-    grown = linalg.rref(basis + [shift(b) for b in basis], fld)
+    basis = linalg.echelon(rows, fld)
+    grown = linalg.echelon(basis + [shift(b) for b in basis], fld)
     first_closed = len(grown) == len(basis)
     while len(grown) > len(basis):
         basis = grown
-        grown = linalg.rref(basis + [shift(b) for b in basis], fld)
+        grown = linalg.echelon(basis + [shift(b) for b in basis], fld)
     return basis, first_closed
 
 
@@ -791,7 +791,7 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport
     rank(B + shift(B)) = rank(B).
     """
     fld = code.field
-    basis = linalg.rref(linalg.to_index_rows(_gray_rows(code), fld), fld)
+    basis = linalg.echelon(linalg.to_index_rows(_gray_rows(code), fld), fld)
     frob = fld.frob_table(code.aut)
     n = code.n
 
@@ -974,9 +974,9 @@ def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple]:
 
 
 def _gray_basis(combined_rows: list[tuple], fld: Field) -> list[list[int]]:
-    """The RREF basis of the Gray index rows of ``_combined_generator_rows``."""
+    """An echelon basis of the Gray index rows of ``_combined_generator_rows``."""
     t = fld.tables()
-    return linalg.rref([_gray_index_row(r, t) for r in combined_rows], fld)
+    return linalg.echelon([_gray_index_row(r, t) for r in combined_rows], fld)
 
 
 def verify_principality(

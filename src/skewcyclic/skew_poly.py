@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .finite_field import Field, elem_from_string
+from .finite_field import Field, FieldMismatch, elem_from_string
 from .ring_r import (
     RingElem,
     crt_join,
@@ -78,7 +78,10 @@ class SkewPoly:
 
     def __init__(self, field: Field, coeffs: Sequence[int], aut: int):
         field.check_aut_exponent(aut)
-        cs = list(coeffs)
+        cs, q = list(coeffs), field.q
+        for c in cs:
+            if not (isinstance(c, int) and 0 <= c < q):
+                raise FieldMismatch(f"coefficient {c!r} is not an index of {field!r}")
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "field", field)

@@ -148,7 +148,9 @@ class TestCodeCommand:
     def test_json_output_is_pinned(self, capsys, argv):
         # recorded while codes still combined their generators at
         # construction: build, dual and (n = 5) idempotent over F_9 for
-        # thirteen codes at n = 4 and 5, zero and full components included
+        # thirteen codes at n = 4 and 5, zero and full components included;
+        # gray (gray_rank) and distance for the same codes were recorded
+        # while rank still ran through the Gauss-Jordan rref
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert out == self.CODE_PINS[argv]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,6 +251,144 @@ class TestInRowSpace:
         assert len(basis) == 3
         for _ in range(20):
             assert linalg.in_row_space(basis, _random_matrix(fld, 1, 3, rng)[0], fld)
+
+
+def _reference_rref(rows, field):
+    """The Gauss-Jordan loop that ``linalg.rref`` ran before it was split
+    into ``echelon`` and back-substitution, kept verbatim as the reference."""
+    t = field.tables()
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(pivot_row, len(mat)):
+            if mat[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
+        inv = t.inv[mat[pivot_row][col]]
+        if inv != t.one:
+            mul_inv = t.mul[inv]
+            mat[pivot_row] = [mul_inv[x] for x in mat[pivot_row]]
+        prow = mat[pivot_row]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mul_f = t.mul[factor]
+                sub = t.sub
+                mat[r] = [sub[x][mul_f[y]] for x, y in zip(mat[r], prow)]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return [r for r in mat[:pivot_row]]
+
+
+_ECHELON_FIELDS = {3: Field(3, 1, [0, 1]), 9: _FIELDS[9], 25: _FIELDS[25]}
+# most rows per matrix, so that a span stays a few thousand words
+_MAX_ROWS = {3: 7, 9: 4, 25: 3}
+
+
+@st.composite
+def _matrices(draw):
+    """(field, rows, ncols): no rows, zero rows, repeated rows, tall and wide."""
+    q = draw(st.sampled_from(sorted(_ECHELON_FIELDS)))
+    ncols = draw(st.integers(1, 7))
+    # sparse entries, so that dependent rows are common
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=_MAX_ROWS[q]))
+    extra = draw(st.sampled_from(["none", "zero", "repeat"]))
+    if extra == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    elif extra == "repeat" and rows:
+        rows.append(list(draw(st.sampled_from(rows))))
+    return _ECHELON_FIELDS[q], rows, ncols
+
+
+def _combine(coeffs, rows, field):
+    """The row combination sum_i coeffs[i] * rows[i]."""
+    t = field.tables()
+    out = [0] * len(rows[0])
+    for c, r in zip(coeffs, rows):
+        out = [t.add[a][t.mul[c][b]] for a, b in zip(out, r)]
+    return out
+
+
+class TestEchelon:
+    """``echelon``, ``rank`` and the ``rref`` built on it against the
+    Gauss-Jordan reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices())
+    def test_rank_and_rref_equal_the_reference(self, case):
+        fld, rows, _ = case
+        reference = _reference_rref(rows, fld)
+        assert linalg.rank(rows, fld) == len(reference)
+        assert linalg.rref(rows, fld) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_echelon_is_an_echelon_basis_of_the_span(self, case):
+        fld, rows, _ = case
+        basis = linalg.echelon(rows, fld)
+        leads = [next(c for c, x in enumerate(b) if x) for b in basis]
+        assert leads == sorted(set(leads))
+        assert all(type(b) is list for b in basis)
+        assert linalg.canonical_subspace(basis, fld) == tuple(
+            map(tuple, _reference_rref(rows, fld))
+        )
+
+    def test_subtraction_that_cancels_nothing_still_ends(self, f9):
+        # each reduction step moves a row's lead column right, so broken
+        # tables end elimination after at most ncols steps per row
+        t = f9.tables()
+        broken = SimpleNamespace(
+            one=t.one, inv=t.inv, mul=t.mul, sub=[[x] * f9.q for x in range(f9.q)]
+        )
+        fld = SimpleNamespace(tables=lambda: broken)
+        assert linalg.rank([[1, 1, 1]] * 4, fld) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices(), st.data())
+    def test_in_row_space_on_an_echelon_basis_equals_the_rank_test(self, case, data):
+        fld, rows, ncols = case
+        q = fld.q
+        entries = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+        candidates = [entries, st.just([0] * ncols)]
+        if rows:
+            coeffs = st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows))
+            candidates.append(coeffs.map(lambda c: _combine(c, rows, fld)))
+        row = data.draw(st.one_of(candidates))
+        expected = linalg.rank(rows + [row], fld) == linalg.rank(rows, fld)
+        assert linalg.in_row_space(linalg.echelon(rows, fld), row, fld) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices(), st.data())
+    def test_weights_unchanged_by_an_invertible_recombination(self, case, data):
+        fld, rows, ncols = case
+        k = len(rows)
+        # A = random row operations applied to the identity: scale a row
+        # by a nonzero c, or add c times one row to another
+        mat = [[fld.one.idx if i == j else 0 for j in range(k)] for i in range(k)]
+        t = fld.tables()
+        index = st.integers(0, max(k - 1, 0))
+        ops = st.tuples(index, index, st.integers(1, fld.q - 1))
+        for i, j, c in data.draw(st.lists(ops, max_size=3 * k)):
+            if i == j:
+                mat[i] = [t.mul[c][x] for x in mat[i]]
+            else:
+                mat[i] = [t.add[a][t.mul[c][b]] for a, b in zip(mat[i], mat[j])]
+        mixed = [_combine(a, rows, fld) for a in mat]
+        assert linalg.rank(mat, fld) == k
+        assert linalg.span_min_weight(mixed, fld) == linalg.span_min_weight(rows, fld)
+        assert linalg.span_weight_distribution(
+            mixed, fld, ncols=ncols
+        ) == linalg.span_weight_distribution(rows, fld, ncols=ncols)
 
 
 class TestMacWilliams:

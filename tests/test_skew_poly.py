@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcyclic.finite_field import Field
+from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.oracle import (
     _combine,
     _evaluations,
@@ -51,6 +51,26 @@ def _random_poly(field, aut, max_deg, rng, monic=False):
     if monic or not coeffs[-1]:
         coeffs[-1] = field.one.idx
     return SkewPoly(field, coeffs, aut)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [-1, 9, 10**9, 1.0, 0.0, "1", None])
+    def test_non_index_coefficient_is_refused(self, f9, bad):
+        with pytest.raises(FieldMismatch, match="is not an index of"):
+            SkewPoly(f9, [bad, f9.one.idx], 1)
+        with pytest.raises(FieldMismatch):
+            SkewPoly(f9, [f9.one.idx, bad], 1)
+
+    def test_element_objects_are_refused(self, f9):
+        # FieldElem coefficients used to build and fail only later, inside
+        # right_divide and repr
+        with pytest.raises(FieldMismatch):
+            SkewPoly(f9, [f9.gen, f9.one], 1)
+
+    def test_every_index_is_accepted(self, f9):
+        for c in range(f9.q):
+            assert SkewPoly(f9, [c, f9.one.idx], 1).coeffs == (c, f9.one.idx)
+        assert SkewPoly(f9, [f9.one.idx, 0, 0], 1).coeffs == (f9.one.idx,)
 
 
 class TestSkewMul:
