@@ -56,12 +56,18 @@ def _reject_lone_dashes(args) -> None:
 
 
 def _parse_field(args) -> Field:
+    """The --field of a subcommand; its --aut must divide the degree m."""
     if not args.field:
         raise CliConfigError("--field is required (e.g. p=3,m=2,mod=1,0,1)")
     try:
-        return field_from_string(args.field)
+        fld = field_from_string(args.field)
     except (FieldError, ValueError) as exc:
         raise CliConfigError(f"bad field spec {args.field!r}: {exc}") from exc
+    try:
+        fld.check_aut_exponent(args.aut)
+    except FieldError as exc:
+        raise CliConfigError(f"bad --aut {args.aut}: {exc}") from exc
+    return fld
 
 
 def _length(args) -> int:
@@ -379,22 +385,8 @@ def cmd_verify(args) -> int:
     if args.matrix:
         try:
             with open(args.matrix) as fh:
-                raw = json.load(fh)
-            entries = []
-            for item in raw:
-                bounds = oracle_mod.Bounds(**item.get("bounds", {}))
-                entries.append(
-                    oracle_mod.TestMatrixEntry(
-                        p=item["p"],
-                        m=item["m"],
-                        i=item["i"],
-                        n=item["n"],
-                        modulus=tuple(item["modulus"]) if "modulus" in item else None,
-                        seed=item.get("seed", args.seed),
-                        bounds=bounds,
-                    )
-                )
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+                entries = oracle_mod.matrix_from_json(json.load(fh), args.seed)
+        except (OSError, ValueError) as exc:  # MatrixError and JSON errors included
             raise CliConfigError(f"bad matrix file {args.matrix!r}: {exc}") from exc
     else:
         entries = oracle_mod.default_matrix(args.seed)

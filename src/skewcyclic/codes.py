@@ -473,7 +473,7 @@ class SkewCyclicCode:
 
         Each e_j is a verified idempotent generator of C_j, and the
         splitting carries e_j*e_j = e_j and <e_j> = C_j to e over R
-        (``oracle.verify_idempotent_generators`` re-checks both over R).
+        (``oracle.verify_idempotent_generators`` re-checks each e_j).
         """
         return tuple(c.idempotent_generator() for c in self.components)
 

@@ -5,35 +5,31 @@ Each ``verify_*`` function checks one claim and returns a
 that can be replayed from (claim, configuration, seed). Skipped
 preconditions are reported as verdicts too, never silently dropped.
 
-The per-code claims work on generator rows, never on the list of
-codewords. A code is an F_q-subspace of F_q^n (or, through the Gray map,
-of F_q^{3n}), and every map a claim tests is additive and
-theta_i-semilinear: sigma(lambda w) = theta_i(lambda) sigma(w), and eta_j
-acts on a Gray image as the projection onto coordinates 3i + j. So a
-claim about every codeword holds exactly when it holds on a basis, and
-one rank test replaces an enumeration of q^k words. The oracle builds its own rows, through
-``gray_map`` over the R-level generator rows, and never divides a
-polynomial to do so; agreement with the membership test in ``codes`` is
-itself one of the verified claims. Only the minimum distance is
-enumerated, one coordinate-class block of the Gray image at a time.
+The claims work on generator rows, never on the list of codewords: a
+code is an F_q-subspace, and sigma and the projections eta_j are additive
+and theta_i-semilinear, so a claim holds on every codeword exactly when
+it holds on a basis, and a rank test replaces an enumeration of q^k
+words. Only the minimum distance is enumerated, one coordinate-class
+block of the Gray image at a time. No claim divides a polynomial to
+build its rows.
 
-Production has no polynomial over R. The claims about the combined
-generator eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples
-of (a, b, c) field-index triples, one per coefficient a + bv + cv^2, with
-a skew multiply, a fold mod x^n - 1 and a right division. Products are
-the schoolbook ones (``_schoolbook_mul``), theta_i acts on a, b and c,
-and Gray rows come from the oracle's own evaluation map
-(``_evaluations``), so the lane shares only the field tables with
-production's R arithmetic, and ``_verify_tables`` checks those against
-coefficient arithmetic mod p. Production ``RingElem`` rows enter the lane
-through the oracle's inverse splitting of their stored coordinates
+R[x, theta_i] = F_q[x, theta_i]^3 (checked once per entry by
+``_verify_splitting``) makes shift closure, the dual and the idempotent
+generator facts about the components, so those claims check a
+``ComponentCode``, and a code over R passes when each of its components
+does (``_by_component``). The claims about the combined generator
+eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples of
+(a, b, c) field-index triples with a schoolbook product
+(``_schoolbook_mul``), a skew multiply, a fold mod x^n - 1 and a right
+division, and Gray rows from ``gray_map`` or the oracle's own evaluation
+map (``_evaluations``). The lane shares only the field tables with
+production's R arithmetic, and ``_verify_tables`` checks those. Rows
+over R enter the lane through the oracle's inverse splitting
 (``_read_row``); lane triples become ``RingElem``s only where production
-takes them: ``contains``, ``project_components`` and the
-``ring_skew_poly_combine`` comparison.
+takes them: ``contains``, ``project_components`` and
+``ring_skew_poly_combine``.
 
-``oracle_code_enumerate`` still lists codewords, for tests at desk size:
-it lists the F_q-span of the same shift-closed basis that the
-``shift-closure`` claim builds, through the Gray image for a code over R.
+``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from .codes import (
     code_to_json,
     component_code_new,
 )
-from .finite_field import EnumerationTooLarge, Field
+from .finite_field import EnumerationTooLarge, Field, FieldError, NotPrime, is_prime
 from .linalg import DISTANCE_LIMIT
 from .ring_r import (
     RingElem,
@@ -83,12 +79,22 @@ from .skew_poly import (
 )
 
 
+def _check_at_least(least: int, **values) -> None:
+    """Raise ``ValueError`` unless every value is an int (not a bool) >= least."""
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Bounds:
-    enumeration: int = 10**4  # largest code given the shift-closure claim
+    enumeration: int = 10**4  # larger codes over R: shift-closure verdicts skipped
     pairs: int = 10**4  # isometry pair samples
     distance: int = DISTANCE_LIMIT  # span of one Gray block in the distance law
     search: int = SEARCH_LIMIT  # brute-force divisor search space
+
+    def __post_init__(self):
+        _check_at_least(0, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,13 @@ class TestMatrixEntry:
     seed: int = 0
     bounds: Bounds = dc_field(default_factory=Bounds)
     _field: Field | None = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_at_least(1, p=self.p, m=self.m, i=self.i, n=self.n)
+        if not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", tuple(self.modulus))
 
     def field(self) -> Field:
         """The entry's field, built on first use; every claim shares it."""
@@ -157,6 +170,8 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible of degree m over Z_p."""
     from .finite_field import _is_irreducible_modp
 
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if m == 1:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=m):
@@ -214,14 +229,9 @@ def _evaluations(s: tuple, tables) -> tuple:
     return (a, tables.add[a_c][b], tables.sub[a_c][b])
 
 
-def _triple_text(fld: Field, s: tuple) -> str:
-    """The ``a|b|c`` text of an (a, b, c) index triple, as ``RingElem`` prints it."""
-    return "|".join(map(fld.index_text, s))
-
-
 def _splitting_witness(fld: Field, law: str, x: tuple, y, expected: tuple, got) -> dict:
-    def abc(t):
-        return None if t is None else _triple_text(fld, t)
+    def abc(t):  # an (a, b, c) index triple as ``RingElem`` prints it
+        return None if t is None else "|".join(map(fld.index_text, t))
 
     return {"law": law, "x": abc(x), "y": abc(y), "expected": abc(expected), "got": str(got)}
 
@@ -537,24 +547,16 @@ def verify_fixed_subfield_divisors(
     ``divisors`` is ``_brute_divisors(entry)``, searched here when not given.
     """
     divisors = _brute_divisors(entry) if divisors is None else divisors
+    claim, cfg = "fixed-subfield-divisors", entry.config()
     if isinstance(divisors, str):
-        return VerdictReport(
-            "fixed-subfield-divisors", entry.config(), "skipped", True, {"reason": divisors}
-        )
+        return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
     fld = entry.field()
     for g in divisors:
         for c in g.coeffs:
             if fld.frob_table(entry.i)[c] != c:
-                return VerdictReport(
-                    "fixed-subfield-divisors",
-                    entry.config(),
-                    "exhaustive",
-                    False,
-                    {"divisor": poly_to_string(g), "coefficient": fld.index_text(c)},
-                )
-    return VerdictReport(
-        "fixed-subfield-divisors", entry.config(), "exhaustive", True
-    )
+                witness = {"divisor": poly_to_string(g), "coefficient": fld.index_text(c)}
+                return VerdictReport(claim, cfg, "exhaustive", False, witness)
+    return VerdictReport(claim, cfg, "exhaustive", True)
 
 
 def _remainder_rank(comp: ComponentCode) -> int:
@@ -574,86 +576,92 @@ def _twist_shift(w: Sequence[int], frob: list[int]) -> list[int]:
     return [frob[w[-1]]] + [frob[a] for a in w[:-1]]
 
 
-def _rank_closure(rows, shift, fld: Field) -> tuple[list[list[int]], bool]:
-    """Echelon basis of the smallest shift-closed F_q-space containing
-    ``rows``, and whether the span of ``rows`` was closed already.
+def _shift_closure_basis(comp: ComponentCode) -> tuple[list[list[int]], bool]:
+    """Echelon basis of the smallest sigma-closed F_q-space containing the
+    component's generator rows, and whether their span was closed already.
 
-    ``shift`` is additive and theta-semilinear, so span(B) is closed exactly
-    when rank(B + shift(B)) = rank(B); B grows to the larger span until
+    sigma is additive and theta-semilinear, so span(B) is closed exactly
+    when rank(B + sigma(B)) = rank(B); B grows to the larger span until
     that holds.
     """
-    basis = linalg.echelon(rows, fld)
-    grown = linalg.echelon(basis + [shift(b) for b in basis], fld)
+    fld = comp.field
+    frob = fld.frob_table(comp.aut)
+
+    def grow(basis):
+        return linalg.echelon(basis + [_twist_shift(b, frob) for b in basis], fld)
+
+    basis = linalg.echelon(linalg.to_index_rows(comp.generator_rows(), fld), fld)
+    grown = grow(basis)
     first_closed = len(grown) == len(basis)
     while len(grown) > len(basis):
-        basis = grown
-        grown = linalg.echelon(basis + [shift(b) for b in basis], fld)
+        basis, grown = grown, grow(grown)
     return basis, first_closed
-
-
-def _shift_closure_basis(code) -> tuple[list[list[int]], bool]:
-    """``_rank_closure`` of the oracle's own rows under sigma.
-
-    A component code closes its generator rows. A code over R closes the
-    eta_j projections of the Gray images of its generator rows (their
-    F_q-span is the R-span of the rows), and sigma moves each coordinate
-    class 3i + j one step.
-    """
-    fld = code.field
-    frob = fld.frob_table(code.aut)
-    if isinstance(code, ComponentCode):
-        rows = linalg.to_index_rows(code.generator_rows(), fld)
-        return _rank_closure(rows, lambda w: _twist_shift(w, frob), fld)
-    rows = []
-    for y in linalg.to_index_rows(_gray_rows(code), fld):
-        for j in range(3):
-            proj = [0] * len(y)
-            proj[j::3] = y[j::3]
-            rows.append(proj)
-    n = code.n
-    return _rank_closure(rows, lambda y: _deinterleaved_qc_shift(y, n, frob), fld)
 
 
 def oracle_code_enumerate(code, bound: int = 10**4):
     """All codewords: the span of ``_shift_closure_basis``, refused past
     ``bound``; never calls ``contains`` and never divides.
 
-    A code over R is listed through its Gray image and mapped back with
+    A code over R places each component's basis on the coordinate classes
+    3i + j of the Gray image, lists that span and maps it back with
     ``gray_inverse`` (``gray-isometry`` checks the splitting itself).
     """
     fld = code.field
-    basis, _ = _shift_closure_basis(code)
-    width = code.n if isinstance(code, ComponentCode) else 3 * code.n
+    comps = [code] if isinstance(code, ComponentCode) else code.components
+    width = len(comps) * code.n
+    basis = []
+    for j, comp in enumerate(comps):
+        for row in _shift_closure_basis(comp)[0]:
+            placed = [0] * width
+            placed[j :: len(comps)] = row
+            basis.append(placed)
     words = linalg.span_vectors(basis, fld, bound, ncols=width)
-    elems = [fld.from_index(k) for k in range(fld.q)]
+    elems = fld.tables().elems
     if isinstance(code, ComponentCode):
         return {tuple(elems[a] for a in w) for w in words}
     return {gray_inverse(fld, [elems[a] for a in w]) for w in words}
 
 
+def _by_component(
+    check: Callable, code: SkewCyclicCode, config=None, verdicts=None
+) -> VerdictReport:
+    """The verdict on a code over R from ``check`` on its components: the
+    first failing one's, its witness naming the slot j (1, 2 or 3), else a
+    pass in the mode the three share ("sampled" when they differ).
+    ``verdicts`` keeps each verdict by (check, component), so equal
+    components, a dual equal to a census member included, are checked once.
+    """
+    verdicts = {} if verdicts is None else verdicts
+    cfg = config or _code_config(code)
+    for j, comp in enumerate(code.components, 1):
+        if (check, comp) not in verdicts:
+            verdicts[check, comp] = check(comp)
+        v = verdicts[check, comp]
+        if not v.passed:
+            return VerdictReport(v.claim, cfg, v.mode, False, {**v.counterexample, "slot": j})
+    modes = {verdicts[check, comp].mode for comp in code.components}
+    mode = modes.pop() if len(modes) == 1 else "sampled"
+    return VerdictReport(v.claim, cfg, mode, True, v.counterexample if mode == "skipped" else None)
+
+
 def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
     """Closure under the skew shift, and oracle span == membership set.
 
-    The span of the oracle's rows is closed under sigma by rank tests (no
-    division); the membership set is the kernel of the linear remainder
-    map, whose size is computed by rank. Exact equality follows from
-    span-inside-kernel plus equal cardinality. The production membership
-    test is also spot-checked on up to 64 random words of the span.
+    The span of a component code's rows is closed under sigma by rank
+    tests (no division); the membership set is the kernel of the linear
+    remainder map, whose size is computed by rank. Exact equality follows
+    from span-inside-kernel plus equal cardinality. The production
+    membership test is also spot-checked on up to 64 random words of the
+    span. A code over R is checked by ``_by_component``.
     """
+    if isinstance(code, SkewCyclicCode):
+        return _by_component(lambda c: verify_shift_closure(c, rng), code, config)
     cfg = config or _code_config(code)
     claim = "shift-closure"
     fld = code.field
-    if isinstance(code, ComponentCode):
-        comps, width, to_word = [code], code.n, tuple
-    else:
-        comps, width = code.components, 3 * code.n
-
-        def to_word(elems):
-            return gray_inverse(fld, elems)
-
     basis, shifted_ok = _shift_closure_basis(code)
     closure_size = fld.q ** len(basis)
-    kernel = fld.q ** (width - sum(_remainder_rank(c) for c in comps))
+    kernel = fld.q ** (code.n - _remainder_rank(code))
     expected = code.size
     gens_in = all(code.contains(row) for row in code.generator_rows())
     ok = shifted_ok and closure_size == expected and kernel == expected and gens_in
@@ -669,11 +677,11 @@ def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
     rng = rng or random.Random(0)
     t = fld.tables()
     for _ in range(min(64, closure_size)):
-        acc = [0] * width
+        acc = [0] * code.n
         for b in basis:
             mul_c = t.mul[rng.randrange(fld.q)]
             acc = [t.add[x][mul_c[y]] for x, y in zip(acc, b)]
-        word = to_word([fld.from_index(a) for a in acc])
+        word = [t.elems[a] for a in acc]
         if not code.contains(word):
             return VerdictReport(
                 claim, cfg, "exhaustive", False,
@@ -706,44 +714,39 @@ def verify_cardinality(
     )
 
 
-def verify_duality(code: SkewCyclicCode, config=None) -> VerdictReport:
-    """Generator rows of C and dual(C) are orthogonal over R; sizes multiply
-    to q^{3n}; the double dual is C itself.
+def verify_duality(code, config=None) -> VerdictReport:
+    """Generator rows of C and dual(C) are orthogonal; |C| |dual(C)| = q^n;
+    the double dual is C itself.
 
-    The inner products run on the oracle's R lane, over the rows read
-    through ``_read_row``."""
+    The inner products of a component code's rows run on the dense field
+    tables. Over R, x.y = sum_j eta_j x_j y_j, so a code over R is checked
+    by ``_by_component``.
+    """
+    if isinstance(code, SkewCyclicCode):
+        return _by_component(verify_duality, code, config)
     cfg = config or _code_config(code)
     fld = code.field
+    add, mul = fld.tables().add, fld.tables().mul
     dual = code.dual()
-    drows = [(drow, _read_row(drow, fld)) for drow in dual.generator_rows()]
-    for row in code.generator_rows():
-        x = _read_row(row, fld)
-        for drow, y in drows:
-            ip = _ring_inner_product(x, y, fld)
-            if ip != _R_ZERO:
-                return VerdictReport(
-                    "duality",
-                    cfg,
-                    "exhaustive",
-                    False,
-                    {
-                        "row": [str(x) for x in row],
-                        "dual_row": [str(x) for x in drow],
-                        "inner_product": _triple_text(fld, ip),
-                    },
-                )
-    size_ok = code.size * dual.size == code.field.q ** (3 * code.n)
-    dd = dual.dual()
-    double_ok = dd == code
-    ok = size_ok and double_ok
-    witness = None
-    if not ok:
-        witness = {
-            "size_product_ok": size_ok,
-            "double_dual_ok": double_ok,
-            "dual": _code_config(dual),
-        }
-    return VerdictReport("duality", cfg, "exhaustive", ok, witness)
+    drows = linalg.to_index_rows(dual.generator_rows(), fld)
+    for row in linalg.to_index_rows(code.generator_rows(), fld):
+        for drow in drows:
+            ip = 0
+            for a, b in zip(row, drow, strict=True):
+                ip = add[ip][mul[a][b]]
+            if ip:
+                witness = {
+                    "row": [fld.index_text(a) for a in row],
+                    "dual_row": [fld.index_text(b) for b in drow],
+                    "inner_product": fld.index_text(ip),
+                }
+                return VerdictReport("duality", cfg, "exhaustive", False, witness)
+    size_ok = code.size * dual.size == fld.q**code.n
+    double_ok = dual.dual() == code
+    if size_ok and double_ok:
+        return VerdictReport("duality", cfg, "exhaustive", True)
+    witness = {"size_product_ok": size_ok, "double_dual_ok": double_ok, "dual": _code_config(dual)}
+    return VerdictReport("duality", cfg, "exhaustive", False, witness)
 
 
 def verify_dual_gray_commutation(code: SkewCyclicCode, config=None) -> VerdictReport:
@@ -871,14 +874,6 @@ def _ring_elems(fld: Field) -> Callable[[tuple], RingElem]:
     """triple -> ``RingElem(a, b, c)``, each distinct triple built once."""
     elems = fld.tables().elems
     return functools.cache(lambda s: RingElem(elems[s[0]], elems[s[1]], elems[s[2]]))
-
-
-def _ring_inner_product(x: Sequence[tuple], y: Sequence[tuple], fld: Field) -> tuple:
-    t = fld.tables()
-    acc = _R_ZERO
-    for a, b in zip(x, y, strict=True):
-        acc = _r_add(acc, _schoolbook_mul(a, b, t), t)
-    return acc
 
 
 def _r_trim(coeffs) -> tuple:
@@ -1106,15 +1101,20 @@ def verify_distance_law(
     return VerdictReport("distance-law", cfg, "exhaustive", ok, witness)
 
 
-def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictReport:
-    """The Bezout idempotent e = eta1*e1 + eta2*e2 + eta3*e3 exists,
-    e*e = e mod x^n - 1 over R, and the Gray rows of eta_j * (sigma-orbit
-    of e) span the Gray image of the code."""
+def verify_idempotent_generators(code, config=None) -> VerdictReport:
+    """The idempotent generator e of a component code has e*e = e mod
+    x^n - 1 (on the R lane, with coefficients (c, 0, 0)), and the span of
+    the sigma-orbit of e is the span of the code's rows. Over R,
+    e = eta1*e1 + eta2*e2 + eta3*e3, so a code over R is checked by
+    ``_by_component``.
+    """
+    if isinstance(code, SkewCyclicCode):
+        return _by_component(verify_idempotent_generators, code, config)
     from .codes import HypothesisViolated, NotCoprime
 
     cfg = config or _code_config(code)
     try:
-        parts = code.idempotent_generator()
+        e = code.idempotent_generator()
     except HypothesisViolated as exc:
         return VerdictReport(
             "idempotent-generator", cfg, "skipped", True, {"reason": str(exc)}
@@ -1124,19 +1124,18 @@ def verify_idempotent_generators(code: SkewCyclicCode, config=None) -> VerdictRe
             "idempotent-generator", cfg, "exhaustive", False, {"reason": str(exc)}
         )
     fld, n = code.field, code.n
-    t = fld.tables()
-    e = _combine(parts, fld)
-    idempotent = _r_fold(_r_mul(e, e, code.aut, fld), n, fld) == _r_fold(e, n, fld)
-    rows = [_gray_index_row(row, t) for row in _combined_generator_rows(e, code)]
-    span_e = linalg.canonical_subspace(rows, fld)
-    span_c = linalg.canonical_subspace(linalg.to_index_rows(_gray_rows(code), fld), fld)
-    generates = span_e == span_c
+    lane = _r_trim((c, 0, 0) for c in e.coeffs)
+    folded = _r_fold(lane, n, fld)
+    idempotent = _r_fold(_r_mul(lane, lane, code.aut, fld), n, fld) == folded
+    frob = fld.frob_table(code.aut)
+    orbit = [[s[0] for s in folded] + [0] * (n - len(folded))]
+    for _ in range(1, n):
+        orbit.append(_twist_shift(orbit[-1], frob))
+    rows = linalg.to_index_rows(code.generator_rows(), fld)
+    generates = linalg.canonical_subspace(orbit, fld) == linalg.canonical_subspace(rows, fld)
     ok = idempotent and generates
-    witness = None
-    if not ok:
-        e_text = poly_to_string(tuple(map(_ring_elems(fld), e)))
-        witness = {"e": e_text, "idempotent": idempotent, "generates": generates}
-    return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, witness)
+    witness = {"e": poly_to_string(e), "idempotent": idempotent, "generates": generates}
+    return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, None if ok else witness)
 
 
 def verify_decomposition(
@@ -1175,29 +1174,21 @@ def verify_combined_uniqueness(
     code_config = code_config or _code_config
     if generators is None:
         generators = [_combined_generator(code) for code in codes]
+
+    def fail(witness: dict) -> VerdictReport:
+        return VerdictReport("combined-generator", config, "exhaustive", False, witness)
+
     seen = {}
     for code, g in zip(codes, generators):
         if g in seen:
-            return VerdictReport(
-                "combined-generator",
-                config,
-                "exhaustive",
-                False,
-                {"duplicate": code_config(code), "first": seen[g]},
-            )
+            return fail({"duplicate": code_config(code), "first": seen[g]})
         seen[g] = code_config(code)
         fld = code.field
         one, neg = fld.tables().one, fld.tables().neg
         x_n_minus_1 = ((neg[one], 0, 0),) + (_R_ZERO,) * (code.n - 1) + ((one, 0, 0),)
         h = _combine([c.h for c in code.components], fld)
         if _r_mul(h, g, code.aut, fld) != x_n_minus_1:
-            return VerdictReport(
-                "combined-generator",
-                config,
-                "exhaustive",
-                False,
-                {"not_a_divisor": code_config(code)},
-            )
+            return fail({"not_a_divisor": code_config(code)})
     return VerdictReport("combined-generator", config, "exhaustive", True)
 
 
@@ -1219,15 +1210,12 @@ def broken_component_code(field: Field, i: int, n: int) -> ComponentCode:
     raise AssertionError(f"no proper-degree non-divisor of x^{n} - 1 exists")
 
 
-def broken_code(field: Field, i: int, n: int) -> SkewCyclicCode:
-    """An R-code whose first component generator is not a divisor.
-
-    The other components are zero codes so that the closure oracle stays
-    within its enumeration bound.
-    """
-    bad = broken_component_code(field, i, n)
-    zero = component_code_new(n, xn_minus_1(field, i, n))
-    return code_from_components(bad, zero, zero)
+def broken_code(field: Field, i: int, n: int, slot: int = 1) -> SkewCyclicCode:
+    """A code over R whose component in ``slot`` (1, 2 or 3) is
+    ``broken_component_code``; the other two components are zero codes."""
+    comps = [component_code_new(n, xn_minus_1(field, i, n))] * 3
+    comps[slot - 1] = broken_component_code(field, i, n)
+    return code_from_components(*comps)
 
 
 def mismatched_code(field: Field, i: int, n: int) -> tuple[SkewCyclicCode, tuple]:
@@ -1262,6 +1250,32 @@ CLAIMS = (
 
 def default_matrix(seed: int = 0) -> list[TestMatrixEntry]:
     return [TestMatrixEntry(p=3, m=2, i=1, n=n, seed=seed) for n in (1, 3, 5)]
+
+
+class MatrixError(ValueError):
+    """A ``verify --matrix`` entry that does not describe a configuration."""
+
+
+def matrix_from_json(raw, seed: int) -> list[TestMatrixEntry]:
+    """The entries of a parsed ``verify --matrix`` file, with ``seed`` where
+    an entry has none, each validated before any claim runs: its
+    ``TestMatrixEntry`` and ``Bounds`` are built, and so is its field,
+    whose degree m the exponent i must divide. Raises ``MatrixError``
+    naming the first bad entry."""
+    if not isinstance(raw, list):
+        raise MatrixError(f"expected a list of entries, got {type(raw).__name__}")
+    entries = []
+    for k, item in enumerate(raw):
+        try:
+            if not isinstance(item, dict):
+                raise TypeError(f"expected an object, got {item!r}")
+            bounds = Bounds(**item.get("bounds", {}))
+            entry = TestMatrixEntry(**{**item, "seed": item.get("seed", seed), "bounds": bounds})
+            entry.field().check_aut_exponent(entry.i)
+        except (TypeError, ValueError, FieldError) as exc:
+            raise MatrixError(f"entry {k}: {type(exc).__name__}: {exc}") from exc
+        entries.append(entry)
+    return entries
 
 
 def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> VerdictReport:
@@ -1320,6 +1334,15 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     # claims keep the order of their first checked code
     left_out: dict[str, list[VerdictReport]] = {}
     block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
+    by_component: dict = {}  # the component claims' verdicts, by (check, component)
+
+    def on_component(check: Callable) -> Callable:
+        return lambda comp: check(comp, config=config_of(comp))
+
+    # shift-closure and dual-shift-closure share one check, and so its verdicts
+    closure_check = on_component(functools.partial(verify_shift_closure, rng=rng))
+    duality_check = on_component(verify_duality)
+    idempotent_check = on_component(verify_idempotent_generators)
 
     def record(v: VerdictReport):
         per_code.setdefault(v.claim, []).append(v)
@@ -1331,7 +1354,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
                 VerdictReport(claim, config_of(target), "skipped", True, {"reason": reason})
             )
             return
-        v = verify_shift_closure(target, rng, config=config_of(target))
+        v = _by_component(closure_check, target, config_of(target), by_component)
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
     for code, g in zip(codes, generators):
@@ -1339,10 +1362,10 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         basis = _gray_basis(rows, fld)
         c = config_of(code)
         record(verify_cardinality(code, config=c))
-        record(verify_duality(code, config=c))
+        record(_by_component(duality_check, code, c, by_component))
         record(verify_dual_gray_commutation(code, config=c))
         record(verify_decomposition(code, config=c, combined=g, ring_elems=ring_elems))
-        record(verify_idempotent_generators(code, config=c))
+        record(_by_component(idempotent_check, code, c, by_component))
         record(verify_quasi_cyclic_gray(code, config=c))
         record(
             verify_principality(

@@ -82,13 +82,13 @@ def test_elem_counter_installs_and_uninstalls(spans):
 
 
 def test_verify_matrix_builds_entries():
+    # the parser that `verify --matrix` uses, fields and all
     raw = json.loads((BENCH / "verify_matrix.json").read_text())
-    assert raw
-    for item in raw:
-        bounds = oracle.Bounds(**item.get("bounds", {}))
-        entry = oracle.TestMatrixEntry(
-            p=item["p"], m=item["m"], i=item["i"], n=item["n"],
-            modulus=tuple(item["modulus"]) if "modulus" in item else None,
-            bounds=bounds,
-        )
+    entries = oracle.matrix_from_json(raw, 101)
+    assert entries and len(entries) == len(raw)
+    for item, entry in zip(raw, entries):
+        assert (entry.p, entry.m, entry.i, entry.n) == tuple(item[k] for k in "pmin")
+        assert entry.modulus == tuple(item["modulus"])
+        assert entry.bounds == oracle.Bounds(**item.get("bounds", {}))
+        assert entry.seed == item.get("seed", 101)
         assert entry.field().q == item["p"] ** item["m"]

@@ -595,6 +595,31 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--matrix", str(matrix))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 0}, "ValueError: n must be an integer >= 1, got 0"),
+            ({"n": -2}, "ValueError: n must be an integer >= 1, got -2"),
+            ({"p": 4}, "NotPrime: 4 is not prime"),
+            ({"i": 3}, "InvalidExponent: exponent 3 does not divide m = 2"),
+            ({"modulus": [2, 0, 1]}, "ReducibleModulus: modulus [2, 0, 1] is reducible"),
+            ({"bounds": {"pairs": -5}}, "ValueError: pairs must be an integer >= 0, got -5"),
+        ],
+        ids=["n-zero", "n-negative", "p-composite", "i-not-dividing-m", "reducible-modulus",
+             "negative-bound"],
+    )
+    def test_bad_matrix_entry_exits_2_before_any_verdict(
+        self, capsys, tmp_path, change, message
+    ):
+        # the second entry is bad: the first prints nothing either
+        good = {"p": 3, "m": 2, "i": 1, "n": 1}
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([good, {**good, **change}]))
+        code, out, err = run(capsys, "verify", "--matrix", str(matrix))
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: bad matrix file")
+        assert f"entry 1: {message}" in err
+
     def test_bad_flag_exits_2(self, capsys):
         assert main(["census", "--nope"]) == 2
 
@@ -624,8 +649,12 @@ class TestVerifyCommand:
                 ["verify", "--matrix", str(BENCH_MATRIX), "--seed", "101"],
                 "verify_bench_matrix_seed101.txt",
             ),
+            (
+                ["verify", "--matrix", str(DATA / "verify_matrix_f9_n2.json"), "--seed", "0"],
+                "verify_f9_n2_seed0.txt",
+            ),
         ],
-        ids=["default-seed0", "bench-matrix-seed101"],
+        ids=["default-seed0", "bench-matrix-seed101", "f9-n2-seed0"],
     )
     def test_seeded_output_is_reproduced(self, capsys, argv, golden):
         # the recorded stdout pins every verdict, mode and count byte for byte
@@ -767,6 +796,27 @@ def test_nonpositive_length_exits_2(capsys, command, field, n):
     code, out, err = run(capsys, *command, "--field", field, "--n", n)
     assert code == 2 and out == ""
     assert err == f"configuration error: --n must be positive, got {n}\n"
+
+
+@pytest.mark.parametrize("aut", ["3", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["factor", "--n", "5"],
+        ["census", "--n", "1"],
+        ["code", "build", "--n", "1", "--g1", "1", "--g2", "1", "--g3", "1"],
+        ["code", "build", "--n", "1", "--g", "1"],
+    ],
+    ids=["factor", "census", "code-triple", "code-combined"],
+)
+def test_aut_not_dividing_m_exits_2(capsys, command, aut):
+    # one check next to the field: factor and census used to exit 1, and
+    # code build blamed its generator polynomial
+    code, out, err = run(capsys, *command, "--field", FIELD, "--aut", aut)
+    assert code == 2 and out == ""
+    assert err == (
+        f"configuration error: bad --aut {aut}: exponent {aut} does not divide m = 2\n"
+    )
 
 
 @pytest.mark.parametrize(

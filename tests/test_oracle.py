@@ -272,6 +272,53 @@ class TestClosureOracle:
         assert v.mode == "exhaustive" and v.passed
 
 
+class TestComponentClaims:
+    """shift-closure, duality and idempotent-generator are checked on the
+    components: a code over R fails with its first failing slot, and an
+    entry checks each distinct component once per claim."""
+
+    @pytest.mark.parametrize("slot", [2, 3])
+    def test_broken_component_in_any_slot_fails(self, f9, slot):
+        from skewcyclic.codes import code_to_json
+        from skewcyclic.oracle import _aggregate
+
+        code = broken_code(f9, 1, 5, slot)
+        assert code.components[slot - 1] == broken_component_code(f9, 1, 5)
+        entry_config = TestMatrixEntry(p=3, m=2, i=1, n=5).config()
+        for check in (verify_shift_closure, verify_duality, verify_idempotent_generators):
+            v = check(code)
+            assert not v.passed and v.mode == "exhaustive", check
+            assert v.config == code_to_json(code)
+            assert v.counterexample["slot"] == slot
+            # as verify_entry reports it: the code and the slot
+            reported = _aggregate(v.claim, entry_config, [v])
+            assert reported.counterexample["code"] == code_to_json(code)
+            assert reported.counterexample["slot"] == slot
+
+    def test_entry_checks_each_distinct_component_once_per_claim(self, monkeypatch):
+        from skewcyclic import oracle
+        from skewcyclic.codes import census_components
+
+        calls: dict[str, list] = {}
+        for name in ("verify_shift_closure", "verify_duality", "verify_idempotent_generators"):
+
+            def recording(code, *args, name=name, check=getattr(oracle, name), **kwargs):
+                calls.setdefault(name, []).append(code)
+                return check(code, *args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, recording)
+        # F_9 at n = 2 is genuinely skew: 216 codes over R from 6 components
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
+        reports = {r.claim: r for r in verify_entry(entry)}
+        assert all(r.passed for r in reports.values())
+        assert reports["shift-closure"].checked == reports["dual-shift-closure"].checked == 203
+        assert reports["duality"].checked == 216
+        comps = set(census_components(2, entry.field(), 1))
+        assert len(comps) == 6 and len(calls) == 3
+        for name, got in calls.items():
+            assert len(got) == len(set(got)) == 6 and set(got) == comps, name
+
+
 class TestMatrixAndDualityOracles:
     def test_cardinality(self, mixed_code):
         assert verify_cardinality(mixed_code).passed
@@ -487,24 +534,29 @@ class TestIdempotentOracle:
         assert not v.passed
 
     @pytest.mark.parametrize(
-        "parts, idempotent, generates",
-        [(("e1", "1", "2"), False, True), (("1", "1", "1"), True, False)],
+        "g, e, idempotent, generates",
+        [("1", "2", False, True), ("x-1", "1", True, False)],
     )
-    def test_wrong_combined_idempotent_fails(
-        self, f9, monkeypatch, parts, idempotent, generates
+    def test_wrong_component_idempotent_fails(
+        self, f9, monkeypatch, g, e, idempotent, generates
     ):
-        # every component idempotent is right, so only the checks over R
-        # can see a wrong combination
-        c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
-        full = component_code_new(5, SkewPoly.one(f9, 1))
-        code = code_from_components(c1, full, full)
-        e1 = c1.idempotent_generator()
-        bad = tuple(e1 if s == "e1" else poly_from_string(s, f9, 1) for s in parts)
-        monkeypatch.setattr(SkewCyclicCode, "idempotent_generator", lambda self: bad)
-        v = verify_idempotent_generators(code)
-        assert not v.passed and v.mode == "exhaustive"
-        assert v.counterexample["idempotent"] is idempotent
-        assert v.counterexample["generates"] is generates
+        # production's own postconditions are bypassed for one component,
+        # so only the oracle's square and span can see the wrong e
+        comp = component_code_new(5, poly_from_string(g, f9, 1))
+        other = component_code_new(5, poly_from_string("x-1" if g == "1" else "1", f9, 1))
+        wrong, right = poly_from_string(e, f9, 1), ComponentCode.idempotent_generator
+        monkeypatch.setattr(
+            ComponentCode,
+            "idempotent_generator",
+            lambda self: wrong if self == comp else right(self),
+        )
+        code = code_from_components(other, other, comp)
+        for target, slot in ((comp, None), (code, 3)):
+            v = verify_idempotent_generators(target)
+            assert not v.passed and v.mode == "exhaustive"
+            assert v.counterexample["idempotent"] is idempotent
+            assert v.counterexample["generates"] is generates
+            assert v.counterexample.get("slot") == slot
 
 
 class TestHarness:
@@ -549,8 +601,9 @@ class TestHarness:
         monkeypatch.setattr(oracle, "_schoolbook_mul", v_cubed_is_minus_v)
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         failed = {r.claim: r for r in reports if not r.passed}
-        assert {"duality", "combined-generator"} <= failed.keys()
-        assert failed["duality"].counterexample["inner_product"] != "[0,0]|[0,0]|[0,0]"
+        # duality is checked on the components, with no product over R
+        assert {"gray-isometry", "combined-generator", "principal-generator"} <= failed.keys()
+        assert failed["gray-isometry"].counterexample["law"] == "mul"
         assert "not_a_divisor" in failed["combined-generator"].counterexample
 
     def test_per_code_claims_use_no_ring_arithmetic_of_production(self, monkeypatch):
@@ -590,8 +643,9 @@ class TestHarness:
         monkeypatch.setattr(oracle, "_code_config", recording)
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         assert all(r.passed for r in reports)
-        # the census holds every dual, so its 64 codes are all there is
-        assert len(built) == len(set(built)) == 64
+        # the census holds every dual, so its 64 codes and their 4
+        # components (the component claims' configs) are all there is
+        assert len(built) == len(set(built)) == 64 + 4
 
     def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
         from skewcyclic import codes
@@ -1002,8 +1056,12 @@ class TestRankClaimsAgainstEnumeration:
             if code.size > 10**3:
                 continue
             words, closed = reference(code, 10**4)
-            basis, rank_closed = _shift_closure_basis(code)
-            assert (len(words), closed) == (9 ** len(basis), rank_closed), code
+            # a code over R is closed when each component is, and its
+            # closure is the sum of theirs
+            comps = [code] if isinstance(code, ComponentCode) else code.components
+            bases = [_shift_closure_basis(c) for c in comps]
+            rank = sum(len(basis) for basis, _ in bases)
+            assert (len(words), closed) == (9**rank, all(ok for _, ok in bases)), code
             assert oracle_code_enumerate(code) == words, code
             checked += 1
         assert checked >= 150
@@ -1013,7 +1071,8 @@ class TestRankClaimsAgainstEnumeration:
 
         codes = _non_divisor_codes(f9, 2) + [broken_code(f9, 1, 3)]
         for code in codes:
-            assert _shift_closure_basis(code)[1] is False
+            comps = [code] if isinstance(code, ComponentCode) else code.components
+            assert not all(_shift_closure_basis(c)[1] for c in comps)
             assert not verify_shift_closure(code).passed
 
     def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
