@@ -30,7 +30,13 @@ from .codes import (
     count_skew_cyclic_codes,
     HypothesisViolated,
 )
-from .finite_field import EnumerationTooLarge, Field, FieldError, field_from_string
+from .finite_field import (
+    EnumerationTooLarge,
+    Field,
+    FieldError,
+    field_from_string,
+    field_to_json,
+)
 from .linalg import DISTANCE_LIMIT
 from .ring_r import gray_map, lee_weight, ring_vector_from_string, ring_vector_to_string
 from .skew_poly import (
@@ -136,7 +142,7 @@ def cmd_field(args) -> int:
         raise CliConfigError(f"unknown field action {args.action!r}")
     fld = _parse_field(args)
     payload = {
-        "field": {"p": fld.p, "m": fld.m, "mod": list(fld.modulus)},
+        "field": field_to_json(fld),
         "q": fld.q,
         "valid": True,
     }
@@ -163,7 +169,7 @@ def cmd_factor(args) -> int:
     fac = factor_xn_minus_1(args.n, fld, args.aut)
     over_field, over_ring = fac.census_counts()
     payload = {
-        "field": {"p": fld.p, "m": fld.m, "mod": list(fld.modulus)},
+        "field": field_to_json(fld),
         "aut": args.aut,
         "n": args.n,
         "factors": [
@@ -357,7 +363,7 @@ def cmd_census(args) -> int:
     write = sys.stdout.write
     if args.format == "json":
         payload = {
-            "field": {"p": fld.p, "m": fld.m, "mod": list(fld.modulus)},
+            "field": field_to_json(fld),
             "aut": args.aut,
             "n": args.n,
             "count": count,

@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldMismatch
+from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldMismatch, field_to_json
 from .linalg import DISTANCE_LIMIT
 from .ring_r import Idempotents, RingElem, make_idempotents
 from .skew_poly import (
@@ -562,11 +562,7 @@ def census(
 
 def code_to_json(code: SkewCyclicCode) -> dict:
     return {
-        "field": {
-            "p": code.field.p,
-            "m": code.field.m,
-            "mod": list(code.field.modulus),
-        },
+        "field": field_to_json(code.field),
         "aut": code.aut,
         "n": code.n,
         "g1": poly_to_string(code.c1.g),

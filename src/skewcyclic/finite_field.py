@@ -75,6 +75,10 @@ class EnumerationTooLarge(FieldError):
     pass
 
 
+class NotAnInteger(FieldError):
+    """p, m or a modulus coefficient that is not an integer (bools included)."""
+
+
 def _prime_divisors(d: int) -> list[int]:
     out, r = [], 2
     while r * r <= d:
@@ -84,6 +88,10 @@ def _prime_divisors(d: int) -> list[int]:
                 d //= r
         r += 1
     return out + ([d] if d > 1 else [])
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -329,6 +337,12 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
+        for name, v in (("p", p), ("m", m)):
+            if not _is_int(v):
+                raise NotAnInteger(f"{name} must be an integer, got {v!r}")
+        bad = [c for c in modulus if not _is_int(c)]
+        if bad:
+            raise NotAnInteger(f"modulus coefficients must be integers, got {bad[0]!r}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p == 2:
@@ -660,6 +674,11 @@ class PrimeSubfield(Subfield):
 
 # ---------------------------------------------------------------------------
 # text formats: `p=3,m=2,mod=1,0,1` for fields, `[c0,c1,...]` for elements
+
+
+def field_to_json(field: Field) -> dict:
+    """The field's JSON block, as every payload and config prints it."""
+    return {"p": field.p, "m": field.m, "mod": list(field.modulus)}
 
 
 def field_from_string(s: str) -> Field:

@@ -29,6 +29,12 @@ over R enter the lane through the oracle's inverse splitting
 takes them: ``contains``, ``project_components`` and
 ``ring_skew_poly_combine``.
 
+Each claim has one path and builds nothing another claim reads. A claim
+over R takes a ``Case``: the code's config, its combined generator, that
+generator's rows and their Gray basis, and the Gray index rows of
+production's generator rows, all built once per code by ``_case``. A
+component claim takes a ``ComponentCode`` and builds its own config.
+
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
 
@@ -40,7 +46,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +60,14 @@ from .codes import (
     code_to_json,
     component_code_new,
 )
-from .finite_field import EnumerationTooLarge, Field, FieldError, NotPrime, is_prime
+from .finite_field import (
+    EnumerationTooLarge,
+    Field,
+    FieldError,
+    NotPrime,
+    field_to_json,
+    is_prime,
+)
 from .linalg import DISTANCE_LIMIT
 from .ring_r import (
     RingElem,
@@ -64,7 +77,6 @@ from .ring_r import (
 )
 from .skew_poly import (
     SEARCH_LIMIT,
-    Factorization,
     SearchSpaceTooLarge,
     SkewPoly,
     brute_right_divisors,
@@ -112,7 +124,7 @@ class TestMatrixEntry:
 
     def __post_init__(self):
         _check_at_least(1, p=self.p, m=self.m, i=self.i, n=self.n)
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise TypeError(f"seed must be an integer, got {self.seed!r}")
         if self.modulus is not None:
             object.__setattr__(self, "modulus", tuple(self.modulus))
@@ -166,6 +178,18 @@ class VerdictReport:
         )
 
 
+class Case(NamedTuple):
+    """What the claims over R read about one code, built once by ``_case``."""
+
+    code: SkewCyclicCode
+    config: dict
+    combined: tuple  # the lane's eta1*g1 + eta2*g2 + eta3*g3
+    rows: list[tuple]  # its _combined_generator_rows
+    basis: list[list[int]]  # their _gray_basis
+    gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
+    ring_elems: Callable[[tuple], RingElem]  # the entry's _ring_elems
+
+
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible of degree m over Z_p."""
     from .finite_field import _is_irreducible_modp
@@ -197,11 +221,7 @@ def _has_root_modp(f: Sequence[int], p: int) -> bool:
 def _code_config(code) -> dict:
     if isinstance(code, ComponentCode):
         return {
-            "field": {
-                "p": code.field.p,
-                "m": code.field.m,
-                "mod": list(code.field.modulus),
-            },
+            "field": field_to_json(code.field),
             "aut": code.aut,
             "n": code.n,
             "g": poly_to_string(code.g),
@@ -441,10 +461,7 @@ def _isometry_blocks(entry: TestMatrixEntry, exhaustive: bool):
         yield digits[0::2], digits[1::2]
 
 
-def verify_gray_isometry(
-    entry: TestMatrixEntry,
-    lee_distance_fn: Callable | None = None,
-) -> VerdictReport:
+def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
     """R arithmetic matches the schoolbook a + bv + cv^2 ring (see
     ``_verify_splitting``), and Lee distance on R^n equals Hamming distance
     of the Gray images.
@@ -464,7 +481,6 @@ def verify_gray_isometry(
     if witness is not None:
         mode = "exhaustive" if split_exhaustive else "sampled"
         return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
-    dist = lee_distance_fn if lee_distance_fn is not None else lee_distance
     t = fld.tables()
     q = fld.q
     exhaustive = q ** (6 * n) <= entry.bounds.pairs
@@ -487,7 +503,7 @@ def verify_gray_isometry(
         words = zip(elems[xi].tolist(), elems[yi].tolist(), hamming.tolist())
         for x, y, dh in words:
             x, y = tuple(x), tuple(y)
-            dl = dist(x, y)
+            dl = lee_distance(x, y)
             if dl != dh:
                 witness = {"x": [str(r) for r in x], "y": [str(r) for r in y]}
                 witness |= {"lee": dl, "hamming": dh}
@@ -510,22 +526,17 @@ def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
         return str(exc)
 
 
-def verify_census(
-    entry: TestMatrixEntry,
-    factorization: Factorization | None = None,
-    divisors: list[SkewPoly] | str | None = None,
-) -> VerdictReport:
+def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> VerdictReport:
     """Brute-force divisor count against the factorization formula (and cube).
 
-    ``divisors`` is ``_brute_divisors(entry)``, searched here when not given.
+    ``divisors`` is ``_brute_divisors(entry)``.
     """
-    divisors = _brute_divisors(entry) if divisors is None else divisors
     if isinstance(divisors, str):
         return VerdictReport(
             "census-count", entry.config(), "skipped", True, {"reason": divisors}
         )
     brute = len(divisors)
-    fac = factorization or factor_xn_minus_1(entry.n, entry.field(), entry.i)
+    fac = factor_xn_minus_1(entry.n, entry.field(), entry.i)
     formula_fq, formula_r = fac.census_counts()
     ok = brute == formula_fq and brute**3 == formula_r
     witness = None
@@ -540,13 +551,12 @@ def verify_census(
 
 
 def verify_fixed_subfield_divisors(
-    entry: TestMatrixEntry, divisors: list[SkewPoly] | str | None = None
+    entry: TestMatrixEntry, divisors: list[SkewPoly] | str
 ) -> VerdictReport:
     """When gcd(n, t_i) = 1, every monic right divisor has theta-fixed coefficients.
 
-    ``divisors`` is ``_brute_divisors(entry)``, searched here when not given.
+    ``divisors`` is ``_brute_divisors(entry)``.
     """
-    divisors = _brute_divisors(entry) if divisors is None else divisors
     claim, cfg = "fixed-subfield-divisors", entry.config()
     if isinstance(divisors, str):
         return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
@@ -622,41 +632,38 @@ def oracle_code_enumerate(code, bound: int = 10**4):
     return {gray_inverse(fld, [elems[a] for a in w]) for w in words}
 
 
-def _by_component(
-    check: Callable, code: SkewCyclicCode, config=None, verdicts=None
-) -> VerdictReport:
-    """The verdict on a code over R from ``check`` on its components: the
-    first failing one's, its witness naming the slot j (1, 2 or 3), else a
-    pass in the mode the three share ("sampled" when they differ).
-    ``verdicts`` keeps each verdict by (check, component), so equal
-    components, a dual equal to a census member included, are checked once.
+def _by_component(check: Callable, case: Case, verdicts: dict, *args) -> VerdictReport:
+    """The verdict on the case's code over R from ``check(component, *args)``
+    on its components: the first failing one's, its witness naming the
+    slot j (1, 2 or 3), else a pass in the mode the three share ("sampled"
+    when they differ). ``verdicts`` keeps each verdict by (check,
+    component), so equal components, a dual equal to a census member
+    included, are checked once.
     """
-    verdicts = {} if verdicts is None else verdicts
-    cfg = config or _code_config(code)
-    for j, comp in enumerate(code.components, 1):
+    for j, comp in enumerate(case.code.components, 1):
         if (check, comp) not in verdicts:
-            verdicts[check, comp] = check(comp)
+            verdicts[check, comp] = check(comp, *args)
         v = verdicts[check, comp]
         if not v.passed:
-            return VerdictReport(v.claim, cfg, v.mode, False, {**v.counterexample, "slot": j})
-    modes = {verdicts[check, comp].mode for comp in code.components}
+            witness = {**v.counterexample, "slot": j}
+            return VerdictReport(v.claim, case.config, v.mode, False, witness)
+    modes = {verdicts[check, comp].mode for comp in case.code.components}
     mode = modes.pop() if len(modes) == 1 else "sampled"
-    return VerdictReport(v.claim, cfg, mode, True, v.counterexample if mode == "skipped" else None)
+    witness = v.counterexample if mode == "skipped" else None
+    return VerdictReport(v.claim, case.config, mode, True, witness)
 
 
-def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
+def verify_shift_closure(code: ComponentCode, rng: random.Random) -> VerdictReport:
     """Closure under the skew shift, and oracle span == membership set.
 
     The span of a component code's rows is closed under sigma by rank
     tests (no division); the membership set is the kernel of the linear
     remainder map, whose size is computed by rank. Exact equality follows
     from span-inside-kernel plus equal cardinality. The production
-    membership test is also spot-checked on up to 64 random words of the
-    span. A code over R is checked by ``_by_component``.
+    membership test is also spot-checked on up to 64 words of the span
+    drawn from ``rng``. A code over R is checked by ``_by_component``.
     """
-    if isinstance(code, SkewCyclicCode):
-        return _by_component(lambda c: verify_shift_closure(c, rng), code, config)
-    cfg = config or _code_config(code)
+    cfg = _code_config(code)
     claim = "shift-closure"
     fld = code.field
     basis, shifted_ok = _shift_closure_basis(code)
@@ -674,7 +681,6 @@ def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
             "generators_pass_membership": gens_in,
         }
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
-    rng = rng or random.Random(0)
     t = fld.tables()
     for _ in range(min(64, closure_size)):
         acc = [0] * code.n
@@ -690,31 +696,26 @@ def verify_shift_closure(code, rng=None, config=None) -> VerdictReport:
     return VerdictReport(claim, cfg, "exhaustive", True)
 
 
-def _gray_rows(code: SkewCyclicCode) -> list[tuple]:
-    """Gray images of the R-level generator rows, through ``gray_map``.
+def _gray_rows(code: SkewCyclicCode) -> list[list[int]]:
+    """Gray index rows of the R-level generator rows, through ``gray_map``.
 
     Production places ``gray_generator_rows`` straight from the component
     rows; the claims below keep checking the Gray map on R words instead.
     """
-    return [gray_map(row) for row in code.generator_rows()]
+    return linalg.to_index_rows([gray_map(row) for row in code.generator_rows()], code.field)
 
 
-def verify_cardinality(
-    code: SkewCyclicCode, rows_override=None, config=None
-) -> VerdictReport:
+def verify_cardinality(case: Case) -> VerdictReport:
     """Rank of the Gray generator matrix equals 3n - sum(deg g_i)."""
-    rows = rows_override if rows_override is not None else _gray_rows(code)
-    idx = linalg.to_index_rows(rows, code.field)
-    r = linalg.rank(idx, code.field)
+    code = case.code
+    r = linalg.rank(case.gray_rows, code.field)
     expected = 3 * code.n - sum(c.g.degree for c in code.components)
     ok = r == expected
     witness = None if ok else {"rank": r, "expected": expected}
-    return VerdictReport(
-        "cardinality-rank", config or _code_config(code), "exhaustive", ok, witness
-    )
+    return VerdictReport("cardinality-rank", case.config, "exhaustive", ok, witness)
 
 
-def verify_duality(code, config=None) -> VerdictReport:
+def verify_duality(code: ComponentCode) -> VerdictReport:
     """Generator rows of C and dual(C) are orthogonal; |C| |dual(C)| = q^n;
     the double dual is C itself.
 
@@ -722,9 +723,7 @@ def verify_duality(code, config=None) -> VerdictReport:
     tables. Over R, x.y = sum_j eta_j x_j y_j, so a code over R is checked
     by ``_by_component``.
     """
-    if isinstance(code, SkewCyclicCode):
-        return _by_component(verify_duality, code, config)
-    cfg = config or _code_config(code)
+    cfg = _code_config(code)
     fld = code.field
     add, mul = fld.tables().add, fld.tables().mul
     dual = code.dual()
@@ -749,16 +748,13 @@ def verify_duality(code, config=None) -> VerdictReport:
     return VerdictReport("duality", cfg, "exhaustive", False, witness)
 
 
-def verify_dual_gray_commutation(code: SkewCyclicCode, config=None) -> VerdictReport:
+def verify_dual_gray_commutation(case: Case, dual: Case) -> VerdictReport:
     """Canonical bases of the Gray image's orthogonal space and of the Gray
-    image of the dual coincide."""
-    fld = code.field
-    ncols = 3 * code.n
-    gray_rows = linalg.to_index_rows(_gray_rows(code), fld)
-    kernel = linalg.nullspace(gray_rows, fld, ncols)
+    image of the dual coincide; ``dual`` is the case of ``case.code.dual()``."""
+    fld = case.code.field
+    kernel = linalg.nullspace(case.gray_rows, fld, 3 * case.code.n)
     lhs = tuple(tuple(r) for r in kernel)
-    dual_rows = linalg.to_index_rows(_gray_rows(code.dual()), fld)
-    rhs = linalg.canonical_subspace(dual_rows, fld)
+    rhs = linalg.canonical_subspace(dual.gray_rows, fld)
     ok = lhs == rhs
     witness = None
     if not ok:
@@ -766,9 +762,7 @@ def verify_dual_gray_commutation(code: SkewCyclicCode, config=None) -> VerdictRe
             "gray_kernel_dim": len(lhs),
             "gray_dual_dim": len(rhs),
         }
-    return VerdictReport(
-        "dual-gray-commute", config or _code_config(code), "exhaustive", ok, witness
-    )
+    return VerdictReport("dual-gray-commute", case.config, "exhaustive", ok, witness)
 
 
 def _interleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[int]:
@@ -784,7 +778,7 @@ def _deinterleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[i
     return out
 
 
-def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport:
+def verify_quasi_cyclic_gray(case: Case) -> VerdictReport:
     """The Gray image is closed under an index-3 blockwise skew shift.
 
     Tested first with consecutive blocks of the interleaved coordinates,
@@ -793,8 +787,9 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport
     is semilinear, so the image, with basis B, is closed exactly when
     rank(B + shift(B)) = rank(B).
     """
+    code = case.code
     fld = code.field
-    basis = linalg.echelon(linalg.to_index_rows(_gray_rows(code), fld), fld)
+    basis = linalg.echelon(case.gray_rows, fld)
     frob = fld.frob_table(code.aut)
     n = code.n
 
@@ -810,9 +805,7 @@ def verify_quasi_cyclic_gray(code: SkewCyclicCode, config=None) -> VerdictReport
     }
     if not ok:
         witness["word"] = next(b for b in basis if not closed(_deinterleaved_qc_shift, [b]))
-    return VerdictReport(
-        "quasi-cyclic-gray", config or _code_config(code), "exhaustive", ok, witness
-    )
+    return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", ok, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -974,39 +967,36 @@ def _gray_basis(combined_rows: list[tuple], fld: Field) -> list[list[int]]:
     return linalg.echelon([_gray_index_row(r, t) for r in combined_rows], fld)
 
 
-def verify_principality(
-    code: SkewCyclicCode,
-    samples: int = 100,
-    rng=None,
-    combined=None,
-    combined_rows=None,
-    config=None,
-    ring_elems=None,
-    basis=None,
-) -> VerdictReport:
+def _case(code: SkewCyclicCode, ring_elems: Callable[[tuple], RingElem]) -> Case:
+    """Everything the claims over R share about ``code``; ``ring_elems``
+    (``_ring_elems``) is one per entry."""
+    combined = _combined_generator(code)
+    rows = _combined_generator_rows(combined, code)
+    basis = _gray_basis(rows, code.field)
+    return Case(code, _code_config(code), combined, rows, basis, _gray_rows(code), ring_elems)
+
+
+_PRINCIPALITY_SAMPLES = 20  # random words per principal-generator verdict
+
+
+def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
-    ``combined`` is the combined generator (``_combined_generator(code)``),
-    ``combined_rows`` its ``_combined_generator_rows`` and ``basis`` their
-    ``_gray_basis``; each is built here when not given. ``ring_elems``
-    (``_ring_elems``, one per entry) builds the ``RingElem`` words that
-    ``contains`` gets. Each sampled word is n (a, b, c) digit triples.
+    The combined generator's Gray span (``case.basis``) has the code's
+    dimension and holds every production generator row, ``contains``
+    accepts every row of ``case.rows`` and agrees with the span on
+    ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``, each n (a, b, c)
+    digit triples, and a unit-led combined generator leaves no right
+    remainder on the generator rows.
     """
+    code, basis = case.code, case.basis
     fld = code.field
     t = fld.tables()
-    cfg = config or _code_config(code)
-    ring_elems = ring_elems or _ring_elems(fld)
 
     def fail(mode: str, witness: dict) -> VerdictReport:
-        return VerdictReport("principal-generator", cfg, mode, False, witness)
+        return VerdictReport("principal-generator", case.config, mode, False, witness)
 
-    if combined is None:
-        combined = _combined_generator(code)
-    if combined_rows is None:
-        combined_rows = _combined_generator_rows(combined, code)
-    if basis is None:
-        basis = _gray_basis(combined_rows, fld)
     if len(basis) != code.dim:
         return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
 
@@ -1019,62 +1009,48 @@ def verify_principality(
             return fail(
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
-    for row in combined_rows:
-        word = tuple(map(ring_elems, row))
+    for row in case.rows:
+        word = tuple(map(case.ring_elems, row))
         if not code.contains(word):
             return fail("exhaustive", {"combined_row_rejected": [str(x) for x in word]})
-    rng = rng or random.Random(0)
     q = fld.q
-    for _ in range(samples):
+    for _ in range(_PRINCIPALITY_SAMPLES):
         digits = [rng.randrange(q**3) for _ in range(code.n)]
         triples = tuple((k // (q * q), k // q % q, k % q) for k in digits)
-        word = tuple(map(ring_elems, triples))
+        word = tuple(map(case.ring_elems, triples))
         if code.contains(word) != in_span(triples):
             return fail("sampled", {"word": [str(x) for x in word]})
     # when the combined generator has a unit leading coefficient the
     # literal right-remainder test must agree as well
+    combined = case.combined
     if combined and 0 not in _evaluations(combined[-1], t):
         for row, triples in generator_rows:
             if _r_right_divide(_r_trim(triples), combined, code.aut, fld)[1]:
                 return fail(
                     "exhaustive", {"right_remainder_nonzero_on": [str(x) for x in row]}
                 )
-    return VerdictReport("principal-generator", cfg, "sampled", True)
+    return VerdictReport("principal-generator", case.config, "sampled", True)
 
 
-def verify_distance_law(
-    code: SkewCyclicCode,
-    bound: int = DISTANCE_LIMIT,
-    combined_rows=None,
-    block_minima=None,
-    config=None,
-    basis=None,
-) -> VerdictReport:
+def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictReport:
     """Minimum Lee distance equals the smallest component Hamming distance,
     cross-checked on the Gray image V of the combined generator alone.
 
-    V must be the direct sum of its three coordinate-class blocks P_j V
-    (rank V = sum of rank P_j V); then its minimum weight is the least
-    minimum weight of a nonzero block, and each block is enumerated on
-    its own, refused past ``bound``. ``block_minima`` maps a block's RREF
-    rows to its minimum weight, so codes that share a block enumerate it
-    once; ``combined_rows`` are ``_combined_generator_rows(code)`` and
-    ``basis`` their ``_gray_basis``, each built here when not given. A
-    component distance past ``bound`` skips the claim.
+    V, with echelon basis ``case.basis``, must be the direct sum of its
+    three coordinate-class blocks P_j V (rank V = sum of rank P_j V); then
+    its minimum weight is the least minimum weight of a nonzero block, and
+    each block is enumerated on its own, refused past ``bound``.
+    ``block_minima`` maps a block's RREF rows to its minimum weight, so
+    codes that share a block enumerate it once. A component distance past
+    ``bound`` skips the claim.
     """
+    code, basis, cfg = case.code, case.basis, case.config
     fld = code.field
-    cfg = config or _code_config(code)
     try:
         formula = code.min_lee_distance(bound)
     except EnumerationTooLarge as exc:
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
-    if combined_rows is None:
-        combined_rows = _combined_generator_rows(_combined_generator(code), code)
-    if block_minima is None:
-        block_minima = {}
-    if basis is None:
-        basis = _gray_basis(combined_rows, fld)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     if len(basis) != sum(map(len, blocks)):
         witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}
@@ -1101,18 +1077,16 @@ def verify_distance_law(
     return VerdictReport("distance-law", cfg, "exhaustive", ok, witness)
 
 
-def verify_idempotent_generators(code, config=None) -> VerdictReport:
+def verify_idempotent_generators(code: ComponentCode) -> VerdictReport:
     """The idempotent generator e of a component code has e*e = e mod
     x^n - 1 (on the R lane, with coefficients (c, 0, 0)), and the span of
     the sigma-orbit of e is the span of the code's rows. Over R,
     e = eta1*e1 + eta2*e2 + eta3*e3, so a code over R is checked by
     ``_by_component``.
     """
-    if isinstance(code, SkewCyclicCode):
-        return _by_component(verify_idempotent_generators, code, config)
     from .codes import HypothesisViolated, NotCoprime
 
-    cfg = config or _code_config(code)
+    cfg = _code_config(code)
     try:
         e = code.idempotent_generator()
     except HypothesisViolated as exc:
@@ -1138,57 +1112,42 @@ def verify_idempotent_generators(code, config=None) -> VerdictReport:
     return VerdictReport("idempotent-generator", cfg, "exhaustive", ok, None if ok else witness)
 
 
-def verify_decomposition(
-    code: SkewCyclicCode, config=None, combined=None, ring_elems=None
-) -> VerdictReport:
+def verify_decomposition(case: Case) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly,
     and ``ring_skew_poly_combine`` joins them back to the same generator.
 
-    ``combined`` is ``_combined_generator(code)``, built here when not
-    given; ``ring_elems`` (``_ring_elems``) turns it into the ``RingElem``
+    ``case.ring_elems`` turns ``case.combined`` into the ``RingElem``
     coefficients that production splits and joins.
     """
-    combined = combined if combined is not None else _combined_generator(code)
-    g = tuple(map(ring_elems or _ring_elems(code.field), combined))
+    code = case.code
+    g = tuple(map(case.ring_elems, case.combined))
     parts = project_components(g, code.field, code.aut)
     ok = parts == tuple(c.g for c in code.components) and ring_skew_poly_combine(*parts) == g
     witness = None
     if not ok:
         witness = {"recovered": [poly_to_string(f) for f in parts]}
-    return VerdictReport(
-        "decompose-compose", config or _code_config(code), "exhaustive", ok, witness
-    )
+    return VerdictReport("decompose-compose", case.config, "exhaustive", ok, witness)
 
 
-def verify_combined_uniqueness(
-    codes: Sequence[SkewCyclicCode],
-    config: dict,
-    code_config: Callable | None = None,
-    generators: Sequence[tuple] | None = None,
-) -> VerdictReport:
+def verify_combined_uniqueness(cases: Sequence[Case], config: dict) -> VerdictReport:
     """Distinct censused codes carry distinct combined generators, each a
-    right divisor of x^n - 1 over R (witnessed by its combined cofactor).
-    ``code_config`` builds a code's config (``_code_config`` when not
-    given); ``generators`` are the codes' ``_combined_generator``s, built
-    here when not given."""
-    code_config = code_config or _code_config
-    if generators is None:
-        generators = [_combined_generator(code) for code in codes]
+    right divisor of x^n - 1 over R (witnessed by its combined cofactor)."""
 
     def fail(witness: dict) -> VerdictReport:
         return VerdictReport("combined-generator", config, "exhaustive", False, witness)
 
     seen = {}
-    for code, g in zip(codes, generators):
+    for case in cases:
+        code, g = case.code, case.combined
         if g in seen:
-            return fail({"duplicate": code_config(code), "first": seen[g]})
-        seen[g] = code_config(code)
+            return fail({"duplicate": case.config, "first": seen[g]})
+        seen[g] = case.config
         fld = code.field
         one, neg = fld.tables().one, fld.tables().neg
         x_n_minus_1 = ((neg[one], 0, 0),) + (_R_ZERO,) * (code.n - 1) + ((one, 0, 0),)
         h = _combine([c.h for c in code.components], fld)
         if _r_mul(h, g, code.aut, fld) != x_n_minus_1:
-            return fail({"not_a_divisor": code_config(code)})
+            return fail({"not_a_divisor": case.config})
     return VerdictReport("combined-generator", config, "exhaustive", True)
 
 
@@ -1218,12 +1177,15 @@ def broken_code(field: Field, i: int, n: int, slot: int = 1) -> SkewCyclicCode:
     return code_from_components(*comps)
 
 
-def mismatched_code(field: Field, i: int, n: int) -> tuple[SkewCyclicCode, tuple]:
-    """A code and a combined generator that disagree (for distance control):
-    the full code, and eta1*g + eta2*g + eta3*g for g = x - 1."""
+def mismatched_case(field: Field, i: int, n: int) -> Case:
+    """The case of the full code with the lane read from another combined
+    generator, eta1*g + eta2*g + eta3*g for g = x - 1: its rows and their
+    Gray basis."""
     full = component_code_new(n, SkewPoly.one(field, i))
-    xm1 = poly_from_string("x-1", field, i)
-    return code_from_components(full, full, full), _combine([xm1] * 3, field)
+    case = _case(code_from_components(full, full, full), _ring_elems(field))
+    g = _combine([poly_from_string("x-1", field, i)] * 3, field)
+    rows = _combined_generator_rows(g, case.code)
+    return case._replace(combined=g, rows=rows, basis=_gray_basis(rows, field))
 
 
 # ---------------------------------------------------------------------------
@@ -1310,7 +1272,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
     reports = [
         verify_gray_isometry(entry),
-        verify_census(entry, divisors=divisors),
+        verify_census(entry, divisors),
         verify_fixed_subfield_divisors(entry, divisors),
     ]
     try:
@@ -1318,76 +1280,53 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     except AssertionError as exc:
         witness = {"error": f"AssertionError: {exc}"}
         return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
-    generators = [_combined_generator(code) for code in codes]
-    configs: dict = {}  # each code's config, built once per entry
-
-    def config_of(code) -> dict:
-        if code not in configs:
-            configs[code] = _code_config(code)
-        return configs[code]
-
-    reports.append(verify_combined_uniqueness(codes, cfg, config_of, generators))
     ring_elems = _ring_elems(fld)  # the lane's triples as RingElems, built once per entry
+    cases = [_case(code, ring_elems) for code in codes]
+    by_code = {case.code: case for case in cases}  # the census holds every dual
+    reports.append(verify_combined_uniqueness(cases, cfg))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
     # codes too large for a shift-closure claim; kept apart so that the
     # claims keep the order of their first checked code
     left_out: dict[str, list[VerdictReport]] = {}
     block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
-    by_component: dict = {}  # the component claims' verdicts, by (check, component)
-
-    def on_component(check: Callable) -> Callable:
-        return lambda comp: check(comp, config=config_of(comp))
-
-    # shift-closure and dual-shift-closure share one check, and so its verdicts
-    closure_check = on_component(functools.partial(verify_shift_closure, rng=rng))
-    duality_check = on_component(verify_duality)
-    idempotent_check = on_component(verify_idempotent_generators)
+    # the component claims' verdicts, by (check, component): shift-closure
+    # and dual-shift-closure share theirs
+    by_component: dict = {}
 
     def record(v: VerdictReport):
         per_code.setdefault(v.claim, []).append(v)
 
-    def closure(claim: str, target: SkewCyclicCode) -> None:
-        if target.size > entry.bounds.enumeration:
-            reason = f"code size {target.size} exceeds bound {entry.bounds.enumeration}"
+    def closure(claim: str, case: Case) -> None:
+        if case.code.size > entry.bounds.enumeration:
+            reason = f"code size {case.code.size} exceeds bound {entry.bounds.enumeration}"
             left_out.setdefault(claim, []).append(
-                VerdictReport(claim, config_of(target), "skipped", True, {"reason": reason})
+                VerdictReport(claim, case.config, "skipped", True, {"reason": reason})
             )
             return
-        v = _by_component(closure_check, target, config_of(target), by_component)
+        v = _by_component(verify_shift_closure, case, by_component, rng)
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
-    for code, g in zip(codes, generators):
-        rows = _combined_generator_rows(g, code)
-        basis = _gray_basis(rows, fld)
-        c = config_of(code)
-        record(verify_cardinality(code, config=c))
-        record(_by_component(duality_check, code, c, by_component))
-        record(verify_dual_gray_commutation(code, config=c))
-        record(verify_decomposition(code, config=c, combined=g, ring_elems=ring_elems))
-        record(_by_component(idempotent_check, code, c, by_component))
-        record(verify_quasi_cyclic_gray(code, config=c))
-        record(
-            verify_principality(
-                code, samples=20, rng=rng, combined=g, combined_rows=rows, config=c,
-                ring_elems=ring_elems, basis=basis,
-            )
-        )
-        record(
-            verify_distance_law(
-                code, entry.bounds.distance, rows, block_minima, config=c, basis=basis
-            )
-        )
-        closure("shift-closure", code)
-        closure("dual-shift-closure", code.dual())
+    for case in cases:
+        dual = by_code[case.code.dual()]
+        record(verify_cardinality(case))
+        record(_by_component(verify_duality, case, by_component))
+        record(verify_dual_gray_commutation(case, dual))
+        record(verify_decomposition(case))
+        record(_by_component(verify_idempotent_generators, case, by_component))
+        record(verify_quasi_cyclic_gray(case))
+        record(verify_principality(case, rng))
+        record(verify_distance_law(case, entry.bounds.distance, block_minima))
+        closure("shift-closure", case)
+        closure("dual-shift-closure", dual)
     for claim, verdicts in per_code.items():
         reports.append(_aggregate(claim, cfg, verdicts + left_out.pop(claim, [])))
     for claim, verdicts in left_out.items():
         reports.append(_aggregate(claim, cfg, verdicts))
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2
-        bad = broken_code(fld, entry.i, max(entry.n, 2))
-        v = verify_shift_closure(bad, rng)
+        bad = _case(broken_code(fld, entry.i, max(entry.n, 2)), ring_elems)
+        v = _by_component(verify_shift_closure, bad, {}, rng)
         reports.append(
             VerdictReport(
                 "shift-closure[injected-broken-generator]",

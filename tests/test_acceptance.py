@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from skewcyclic import linalg
+from skewcyclic import linalg, oracle
 from skewcyclic.codes import (
     census,
     code_from_components,
@@ -20,11 +20,16 @@ from skewcyclic.finite_field import Field
 from skewcyclic.oracle import (
     Bounds,
     TestMatrixEntry,
+    _brute_divisors,
+    _by_component,
+    _case,
+    _ring_elems,
     broken_code,
     broken_component_code,
-    mismatched_code,
+    mismatched_case,
     verify_cardinality,
     verify_census,
+    verify_decomposition,
     verify_distance_law,
     verify_dual_gray_commutation,
     verify_duality,
@@ -44,6 +49,15 @@ from skewcyclic.skew_poly import (
 
 ENUM_BOUND = 10**4
 DISTANCE_BOUND = 10**6
+
+
+def case_of(code):
+    return _case(code, _ring_elems(code.field))
+
+
+def over_r(check, code, *args):
+    """A component claim on a code over R, through ``_by_component``."""
+    return _by_component(check, case_of(code), {}, *args)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +109,8 @@ def test_criterion_3_census_counts(f9):
         assert brute == formula[0]
         assert brute**3 == formula[1]
         assert formula == expected[n]
-        assert verify_census(TestMatrixEntry(p=3, m=2, i=1, n=n)).passed
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=n)
+        assert verify_census(entry, _brute_divisors(entry)).passed
     _report(3, "census counts for n in {1, 3, 5, 7}")
 
 
@@ -104,7 +119,7 @@ def test_criterion_4_cardinality_rank(f9, censuses):
     checked = 0
     for n in (1, 2, 3, 5):
         for code in censuses[n]:
-            assert verify_cardinality(code).passed
+            assert verify_cardinality(case_of(code)).passed
             checked += 1
     # n = 4 has 36 component codes; iterate the 46656 codes lazily
     comps4 = [component_code_new(4, g) for g in monic_right_divisors(4, f9, 1)]
@@ -124,7 +139,7 @@ def test_criterion_5_duality(censuses):
     checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            assert verify_duality(code).passed
+            assert over_r(verify_duality, code).passed
             checked += 1
     assert checked == 288
     _report(5, f"duality over {checked} codes at n <= 3")
@@ -135,7 +150,7 @@ def test_criterion_6_dual_gray_commutation(censuses):
     checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            assert verify_dual_gray_commutation(code).passed
+            assert verify_dual_gray_commutation(case_of(code), case_of(code.dual())).passed
             checked += 1
     assert checked >= 20
     _report(6, f"dual/Gray commutation over {checked} codes")
@@ -148,12 +163,12 @@ def test_criterion_7_shift_closure(censuses):
     for n in (1, 2, 3):
         for code in censuses[n]:
             if code.size <= ENUM_BOUND:
-                v = verify_shift_closure(code, rng)
+                v = over_r(verify_shift_closure, code, rng)
                 assert v.passed and v.mode == "exhaustive"
                 checked += 1
             dual = code.dual()
             if dual.size <= ENUM_BOUND:
-                v = verify_shift_closure(dual, rng)
+                v = over_r(verify_shift_closure, dual, rng)
                 assert v.passed and v.mode == "exhaustive"
                 checked += 1
     assert checked > 0
@@ -165,7 +180,7 @@ def test_criterion_8_idempotent_generators(censuses):
     from skewcyclic.skew_poly import mod_xn_minus_1, skew_mul
 
     for code in censuses[5]:
-        v = verify_idempotent_generators(code)
+        v = over_r(verify_idempotent_generators, code)
         assert v.passed and v.mode == "exhaustive"
         for e in code.idempotent_generator():  # each component re-verifies its e_j
             assert mod_xn_minus_1(skew_mul(e, e), 5) == mod_xn_minus_1(e, 5)
@@ -178,7 +193,7 @@ def test_criterion_9_distance_law(censuses):
     direct_checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            v = verify_distance_law(code, DISTANCE_BOUND)
+            v = verify_distance_law(case_of(code), DISTANCE_BOUND, {})
             assert v.passed
             if v.mode != "skipped":
                 direct_checked += 1
@@ -186,46 +201,46 @@ def test_criterion_9_distance_law(censuses):
     _report(9, f"distance law with {direct_checked} direct enumerations")
 
 
-def test_criterion_10_negative_controls(f9):
+def test_criterion_10_negative_controls(f9, monkeypatch):
     """Every verification suite fails, with a witness, on corrupted input."""
     broken3 = broken_code(f9, 1, 3)
     broken5 = broken_code(f9, 1, 5)
-    from skewcyclic.oracle import _combined_generator_rows
-
-    mismatched, g = mismatched_code(f9, 1, 3)
+    mismatched = mismatched_case(f9, 1, 3)
+    rng = random.Random(0)
     verdicts = {
-        "closure-component": verify_shift_closure(broken_component_code(f9, 1, 3)),
-        "closure-ring": verify_shift_closure(broken3),
-        "duality": verify_duality(broken3),
-        "dual-gray": verify_dual_gray_commutation(broken3),
-        "quasi-cyclic": verify_quasi_cyclic_gray(broken3),
-        "distance": verify_distance_law(
-            mismatched, combined_rows=_combined_generator_rows(g, mismatched)
-        ),
-        "principality": verify_principality(mismatched, combined=g),
-        "idempotent": verify_idempotent_generators(broken5),
+        "closure-component": verify_shift_closure(broken_component_code(f9, 1, 3), rng),
+        "closure-ring": over_r(verify_shift_closure, broken3, rng),
+        "duality": over_r(verify_duality, broken3),
+        "dual-gray": verify_dual_gray_commutation(case_of(broken3), case_of(broken3.dual())),
+        "quasi-cyclic": verify_quasi_cyclic_gray(case_of(broken3)),
+        "distance": verify_distance_law(mismatched, DISTANCE_BOUND, {}),
+        "principality": verify_principality(mismatched, rng),
+        "decomposition": verify_decomposition(mismatched),
+        "idempotent": over_r(verify_idempotent_generators, broken5),
     }
     for name, verdict in verdicts.items():
         assert not verdict.passed, f"{name} accepted corrupted input"
         assert verdict.counterexample is not None, f"{name} lacks a witness"
-    # cardinality and census take their corrupted side as an explicit input
-    good = census(1, f9, 1)[1]
-    rows = good.gray_generator_rows()
-    v = verify_cardinality(good, rows_override=rows[1:])
+    # cardinality reads its corrupted side from the case; census and the
+    # isometry read theirs from the names they call
+    good = case_of(census(1, f9, 1)[1])
+    v = verify_cardinality(good._replace(gray_rows=good.gray_rows[1:]))
     assert not v.passed and v.counterexample is not None
     g = poly_from_string("x-1", f9, 1)
-    v = verify_census(
-        TestMatrixEntry(p=3, m=2, i=1, n=1),
-        factorization=Factorization(1, f9, 1, ((g, 2),)),
-    )
+    entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+    with monkeypatch.context() as patch:
+        bad = Factorization(1, f9, 1, ((g, 2),))
+        patch.setattr(oracle, "factor_xn_minus_1", lambda n, fld, i: bad)
+        v = verify_census(entry, _brute_divisors(entry))
     assert not v.passed and v.counterexample is not None
     # the corrupt distance function is caught by the isometry oracle
     def corrupt_distance(x, y):
         return lee_distance(x, y) + (1 if x != y else 0)
 
-    v = verify_gray_isometry(
-        TestMatrixEntry(p=3, m=1, i=1, n=1, bounds=Bounds(pairs=10**5)),
-        lee_distance_fn=corrupt_distance,
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "lee_distance", corrupt_distance)
+        v = verify_gray_isometry(
+            TestMatrixEntry(p=3, m=1, i=1, n=1, bounds=Bounds(pairs=10**5))
+        )
     assert not v.passed and v.counterexample is not None
-    _report(10, "negative controls (11 corrupted inputs, all rejected)")
+    _report(10, "negative controls (12 corrupted inputs, all rejected)")

@@ -566,8 +566,8 @@ class TestVerifyCommand:
 
         real, broken = oracle.verify_cardinality, []
 
-        def fail_fifth_code(code, config=None):
-            v = real(code, config=config)
+        def fail_fifth_code(case):
+            v = real(case)
             broken.append(v.config)
             if len(broken) == 5:
                 return oracle.VerdictReport(
@@ -604,9 +604,14 @@ class TestVerifyCommand:
             ({"i": 3}, "InvalidExponent: exponent 3 does not divide m = 2"),
             ({"modulus": [2, 0, 1]}, "ReducibleModulus: modulus [2, 0, 1] is reducible"),
             ({"bounds": {"pairs": -5}}, "ValueError: pairs must be an integer >= 0, got -5"),
+            (
+                {"modulus": [1.0, 0, 1.0]},
+                "NotAnInteger: modulus coefficients must be integers, got 1.0",
+            ),
+            ({"seed": True}, "TypeError: seed must be an integer, got True"),
         ],
         ids=["n-zero", "n-negative", "p-composite", "i-not-dividing-m", "reducible-modulus",
-             "negative-bound"],
+             "negative-bound", "float-modulus-coefficient", "bool-seed"],
     )
     def test_bad_matrix_entry_exits_2_before_any_verdict(
         self, capsys, tmp_path, change, message
@@ -642,24 +647,32 @@ class TestVerifyCommand:
         assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
-        "argv, golden",
+        "argv, golden, exit_code",
         [
-            (["verify", "--seed", "0"], "verify_seed0.txt"),
+            (["verify", "--seed", "0"], "verify_seed0.txt", 0),
             (
                 ["verify", "--matrix", str(BENCH_MATRIX), "--seed", "101"],
                 "verify_bench_matrix_seed101.txt",
+                0,
             ),
             (
                 ["verify", "--matrix", str(DATA / "verify_matrix_f9_n2.json"), "--seed", "0"],
                 "verify_f9_n2_seed0.txt",
+                0,
+            ),
+            (
+                ["verify", "--seed", "0", "--inject-broken"],
+                "verify_seed0_inject_broken.txt",
+                1,
             ),
         ],
-        ids=["default-seed0", "bench-matrix-seed101", "f9-n2-seed0"],
+        ids=["default-seed0", "bench-matrix-seed101", "f9-n2-seed0", "seed0-inject-broken"],
     )
-    def test_seeded_output_is_reproduced(self, capsys, argv, golden):
-        # the recorded stdout pins every verdict, mode and count byte for byte
+    def test_seeded_output_is_reproduced(self, capsys, argv, golden, exit_code):
+        # the recorded stdout pins every verdict, mode, count, witness and
+        # the FAIL summary byte for byte
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == exit_code
         assert out.encode() == (DATA / golden).read_bytes()
 
     def test_small_distance_bound_skips_only_the_distance_law(self, capsys, tmp_path):

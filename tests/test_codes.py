@@ -846,8 +846,7 @@ def test_every_limit_default_is_its_named_constant():
 
     for fn in (census, codes.census_components):
         assert default(fn, "search_bound") is SEARCH_LIMIT
-    for fn in (linalg.span_min_weight, linalg.span_weight_distribution,
-               oracle.verify_distance_law):
+    for fn in (linalg.span_min_weight, linalg.span_weight_distribution):
         assert default(fn, "bound") is DISTANCE_LIMIT
     assert default(ring_r.ring_elements, "bound") is ENUMERATION_LIMIT
     bounds = oracle.Bounds()

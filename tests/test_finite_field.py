@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from skewcyclic.finite_field import (
     Field,
     FieldMismatch,
     InvalidExponent,
+    NotAnInteger,
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
@@ -77,6 +79,30 @@ class TestConstruction:
             Field(3, 2, [1, 0])
         with pytest.raises(DegreeMismatch):
             Field(3, 2, [1, 0, 2])  # not monic
+
+    @pytest.mark.parametrize(
+        "p, m, modulus, value",
+        [
+            (3, 2.0, (1, 0, 1), "m must be an integer, got 2.0"),
+            (3.0, 2, (1, 0, 1), "p must be an integer, got 3.0"),
+            (3, True, (0, 1), "m must be an integer, got True"),
+            (True, 2, (1, 0, 1), "p must be an integer, got True"),
+            (3, 2, (1.0, 0, 1.0), "modulus coefficients must be integers, got 1.0"),
+            (3, 2, (1, "0", 1), "modulus coefficients must be integers, got '0'"),
+        ],
+        ids=["float-m", "float-p", "bool-m", "bool-p", "float-coefficient", "str-coefficient"],
+    )
+    def test_non_integer_input_is_a_typed_error(self, monkeypatch, p, m, modulus, value):
+        # refused by name before the primality and irreducibility tests run
+        from skewcyclic import finite_field
+
+        def refuse(*args):
+            raise AssertionError("checked past a non-integer input")
+
+        monkeypatch.setattr(finite_field, "is_prime", refuse)
+        monkeypatch.setattr(finite_field, "_is_irreducible_modp", refuse)
+        with pytest.raises(NotAnInteger, match=re.escape(value)):
+            Field(p, m, modulus)
 
     def test_degree_four_trial_division(self):
         Field(3, 4, [2, 1, 0, 0, 1])  # x^4 + x + 2, irreducible

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcyclic import oracle
 from skewcyclic.codes import (
     ComponentCode,
     NotRightDivisor,
@@ -15,15 +16,22 @@ from skewcyclic.codes import (
     component_code_new,
 )
 from skewcyclic.finite_field import Field
+from skewcyclic.linalg import DISTANCE_LIMIT
 from skewcyclic.oracle import (
     Bounds,
     TestMatrixEntry,
     VerdictReport,
+    _brute_divisors,
+    _by_component,
+    _case,
+    _combined_generator_rows,
+    _gray_basis,
+    _ring_elems,
     broken_code,
     broken_component_code,
     default_matrix,
     default_modulus,
-    mismatched_code,
+    mismatched_case,
     oracle_code_enumerate,
     verify_all,
     verify_cardinality,
@@ -49,6 +57,23 @@ from skewcyclic.skew_poly import (
     skew_mul,
     xn_minus_1,
 )
+
+
+def case_of(code):
+    return _case(code, _ring_elems(code.field))
+
+
+def over_r(check, code, *args):
+    """A component claim on a code over R, through ``_by_component``."""
+    return _by_component(check, case_of(code), {}, *args)
+
+
+def closure(code):
+    """verify_shift_closure on a component or, through its components, a code over R."""
+    rng = random.Random(0)
+    if isinstance(code, ComponentCode):
+        return verify_shift_closure(code, rng)
+    return over_r(verify_shift_closure, code, rng)
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +170,15 @@ class TestIsometryOracle:
         v = verify_gray_isometry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         assert v.passed and v.mode == "sampled"
 
-    def test_corrupt_weight_fails_with_witness(self):
+    def test_corrupt_weight_fails_with_witness(self, monkeypatch):
         from skewcyclic.ring_r import lee_distance
 
         def corrupt(x, y):
             return lee_distance(x, y) + 1
 
+        monkeypatch.setattr(oracle, "lee_distance", corrupt)
         entry = TestMatrixEntry(p=3, m=1, i=1, n=1, bounds=Bounds(pairs=10**5))
-        v = verify_gray_isometry(entry, lee_distance_fn=corrupt)
+        v = verify_gray_isometry(entry)
         assert not v.passed
         assert v.counterexample is not None and "x" in v.counterexample
 
@@ -162,20 +188,21 @@ class TestIsometryOracle:
         b = verify_gray_isometry(entry).to_json()
         assert a == b
 
-    def test_sampled_pairs_reject_a_distance_blind_to_x3(self):
+    def test_sampled_pairs_reject_a_distance_blind_to_x3(self, monkeypatch):
         from skewcyclic.ring_r import lee_distance
 
         def blind(x, y):
             # the Lee distance with every third split coordinate ignored
             return sum(lee_distance(a, b) - (a.x3 != b.x3) for a, b in zip(x, y))
 
+        monkeypatch.setattr(oracle, "lee_distance", blind)
         # the bench entry: F_9, n = 5, default pairs, so the pairs are sampled
         entry = TestMatrixEntry(p=3, m=2, i=1, n=5, modulus=(1, 0, 1))
-        v = verify_gray_isometry(entry, lee_distance_fn=blind)
+        v = verify_gray_isometry(entry)
         assert not v.passed and v.mode == "sampled"
         assert {"x", "y", "lee", "hamming"} <= set(v.counterexample)
         assert v.counterexample["lee"] < v.counterexample["hamming"]
-        assert v.to_json() == verify_gray_isometry(entry, lee_distance_fn=blind).to_json()
+        assert v.to_json() == verify_gray_isometry(entry).to_json()
 
 
 class TestBaseDigits:
@@ -193,33 +220,37 @@ class TestBaseDigits:
 class TestCensusOracle:
     @pytest.mark.parametrize("n", [1, 3])
     def test_passes(self, n):
-        v = verify_census(TestMatrixEntry(p=3, m=2, i=1, n=n))
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=n)
+        v = verify_census(entry, _brute_divisors(entry))
         assert v.passed and v.mode == "exhaustive"
 
     def test_skipped_when_not_coprime(self):
-        v = verify_census(TestMatrixEntry(p=3, m=2, i=1, n=2))
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
+        v = verify_census(entry, _brute_divisors(entry))
         assert v.mode == "skipped" and v.passed
 
-    def test_corrupt_factorization_fails(self, f9, entry9):
-        good = verify_census(entry9)
-        assert good.passed
+    def test_corrupt_factorization_fails(self, f9, entry9, monkeypatch):
+        divisors = _brute_divisors(entry9)
+        assert verify_census(entry9, divisors).passed
         g = poly_from_string("x-1", f9, 1)
         bad = Factorization(1, f9, 1, ((g, 2),))  # wrong multiplicity
-        v = verify_census(entry9, factorization=bad)
+        monkeypatch.setattr(oracle, "factor_xn_minus_1", lambda n, fld, i: bad)
+        v = verify_census(entry9, divisors)
         assert not v.passed
         assert v.counterexample["brute_force"] == 2
         assert v.counterexample["formula"] == 3
 
     def test_fixed_subfield_divisors(self, entry9):
-        assert verify_fixed_subfield_divisors(entry9).passed
-        v = verify_fixed_subfield_divisors(TestMatrixEntry(p=3, m=2, i=1, n=2))
+        assert verify_fixed_subfield_divisors(entry9, _brute_divisors(entry9)).passed
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
+        v = verify_fixed_subfield_divisors(entry, _brute_divisors(entry))
         assert v.mode == "skipped"
 
     def test_skipped_past_search_bound(self):
         # the oracle never falls back to the factorization it checks
         entry = TestMatrixEntry(p=3, m=2, i=1, n=5, bounds=Bounds(search=10))
         for verify in (verify_census, verify_fixed_subfield_divisors):
-            v = verify(entry)
+            v = verify(entry, _brute_divisors(entry))
             assert v.mode == "skipped" and v.passed
             assert "exceeds bound" in v.counterexample["reason"]
 
@@ -235,18 +266,18 @@ class TestClosureOracle:
         object.__setattr__(comp, "_remainder_cols", ((f9.log_table().log[0],) * 4,))
         assert _remainder_rank(comp) == 1
         # the oracle's own rank still holds, so the generators' rejection shows
-        v = verify_shift_closure(comp)
+        v = closure(comp)
         assert not v.passed
         assert v.counterexample["membership_kernel_size"] == 9**4
         assert v.counterexample["generators_pass_membership"] is False
 
     def test_passes_on_valid_code(self, mixed_code):
-        v = verify_shift_closure(mixed_code)
+        v = closure(mixed_code)
         assert v.passed and v.mode == "exhaustive"
 
     def test_component_negative_control(self, f9):
         bad = broken_component_code(f9, 1, 3)
-        v = verify_shift_closure(bad)
+        v = closure(bad)
         assert not v.passed
         assert v.counterexample["span_shift_closed"] is False
 
@@ -260,7 +291,7 @@ class TestClosureOracle:
         assert skew_mul(code.c1.h, code.c1.g) != xn_minus_1(f9, 1, 3)
 
     def test_ring_negative_control(self, f9):
-        v = verify_shift_closure(broken_code(f9, 1, 3))
+        v = closure(broken_code(f9, 1, 3))
         assert not v.passed
         assert v.counterexample is not None
 
@@ -268,7 +299,7 @@ class TestClosureOracle:
         # 9^9 words: rank tests close the span, nothing is enumerated
         full = component_code_new(3, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
-        v = verify_shift_closure(code)
+        v = closure(code)
         assert v.mode == "exhaustive" and v.passed
 
 
@@ -285,8 +316,12 @@ class TestComponentClaims:
         code = broken_code(f9, 1, 5, slot)
         assert code.components[slot - 1] == broken_component_code(f9, 1, 5)
         entry_config = TestMatrixEntry(p=3, m=2, i=1, n=5).config()
-        for check in (verify_shift_closure, verify_duality, verify_idempotent_generators):
-            v = check(code)
+        for check, args in (
+            (verify_shift_closure, (random.Random(0),)),
+            (verify_duality, ()),
+            (verify_idempotent_generators, ()),
+        ):
+            v = over_r(check, code, *args)
             assert not v.passed and v.mode == "exhaustive", check
             assert v.config == code_to_json(code)
             assert v.counterexample["slot"] == slot
@@ -296,7 +331,6 @@ class TestComponentClaims:
             assert reported.counterexample["slot"] == slot
 
     def test_entry_checks_each_distinct_component_once_per_claim(self, monkeypatch):
-        from skewcyclic import oracle
         from skewcyclic.codes import census_components
 
         calls: dict[str, list] = {}
@@ -321,7 +355,7 @@ class TestComponentClaims:
 
 class TestMatrixAndDualityOracles:
     def test_cardinality(self, mixed_code):
-        assert verify_cardinality(mixed_code).passed
+        assert verify_cardinality(case_of(mixed_code)).passed
 
     def test_gray_claims_use_gray_map_not_production_rows(
         self, mixed_code, monkeypatch
@@ -330,24 +364,26 @@ class TestMatrixAndDualityOracles:
             raise AssertionError("oracle read the production Gray rows")
 
         monkeypatch.setattr(SkewCyclicCode, "gray_generator_rows", refuse)
-        assert verify_cardinality(mixed_code).passed
-        assert verify_dual_gray_commutation(mixed_code).passed
-        assert verify_quasi_cyclic_gray(mixed_code).passed
-        assert verify_shift_closure(mixed_code).passed
+        case = case_of(mixed_code)
+        assert verify_cardinality(case).passed
+        assert verify_dual_gray_commutation(case, case_of(mixed_code.dual())).passed
+        assert verify_quasi_cyclic_gray(case).passed
+        assert closure(mixed_code).passed
 
     def test_cardinality_negative_control(self, mixed_code):
-        rows = mixed_code.gray_generator_rows()
-        v = verify_cardinality(mixed_code, rows_override=rows + [rows[0]])
+        case = case_of(mixed_code)
+        rows = case.gray_rows
+        v = verify_cardinality(case._replace(gray_rows=rows + [rows[0]]))
         assert v.passed  # duplicate row does not change the rank
-        v = verify_cardinality(mixed_code, rows_override=rows[1:])
+        v = verify_cardinality(case._replace(gray_rows=rows[1:]))
         assert not v.passed
         assert v.counterexample["rank"] == mixed_code.dim - 1
 
     def test_duality(self, mixed_code):
-        assert verify_duality(mixed_code).passed
+        assert over_r(verify_duality, mixed_code).passed
 
     def test_duality_negative_control(self, f9):
-        v = verify_duality(broken_code(f9, 1, 3))
+        v = over_r(verify_duality, broken_code(f9, 1, 3))
         assert not v.passed and v.counterexample is not None
 
     def test_duality_checks_what_the_memo_holds(self, f9):
@@ -355,14 +391,15 @@ class TestMatrixAndDualityOracles:
         full = component_code_new(5, SkewPoly.one(f9, 1))
         zero = component_code_new(5, xn_minus_1(f9, 1, 5))
         code = code_from_components(c1, full, zero)
-        assert verify_duality(code_from_components(c1, full, zero)).passed
+        assert over_r(verify_duality, code_from_components(c1, full, zero)).passed
         # <x - 1> has dimension 4; the full code is not orthogonal to it
         object.__setattr__(c1, "_dual", full)
-        v = verify_duality(code)
+        v = over_r(verify_duality, code)
         assert not v.passed and "inner_product" in v.counterexample
 
     def test_dual_gray_commutation(self, mixed_code):
-        assert verify_dual_gray_commutation(mixed_code).passed
+        case = case_of(mixed_code)
+        assert verify_dual_gray_commutation(case, case_of(mixed_code.dual())).passed
 
     def test_self_dual_code_has_self_dual_gray_image(self, f9):
         from skewcyclic import linalg
@@ -370,48 +407,45 @@ class TestMatrixAndDualityOracles:
         c = component_code_new(2, poly_from_string("x-[0,1]", f9, 1))
         code = code_from_components(c, c, c)
         assert code.is_self_dual()
-        assert verify_dual_gray_commutation(code).passed
+        assert verify_dual_gray_commutation(case_of(code), case_of(code)).passed
         rows = linalg.to_index_rows(code.gray_generator_rows(), f9)
         image = linalg.canonical_subspace(rows, f9)
         kernel = tuple(tuple(r) for r in linalg.nullspace(rows, f9, 6))
         assert image == kernel
 
     def test_dual_gray_negative_control(self, f9):
-        v = verify_dual_gray_commutation(broken_code(f9, 1, 3))
+        code = broken_code(f9, 1, 3)
+        v = verify_dual_gray_commutation(case_of(code), case_of(code.dual()))
         assert not v.passed
 
     def test_decomposition(self, mixed_code):
-        assert verify_decomposition(mixed_code).passed
+        assert verify_decomposition(case_of(mixed_code)).passed
 
     def test_decomposition_checks_the_combined_round_trip(self, mixed_code, monkeypatch):
         # equal components, different combined generator: only the R-level
         # comparison can see it
-        from skewcyclic import oracle
-
         other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
-        ring_elems = oracle._ring_elems(mixed_code.field)
-        assert other != tuple(map(ring_elems, oracle._combined_generator(mixed_code)))
+        case = case_of(mixed_code)
+        assert other != tuple(map(case.ring_elems, case.combined))
         monkeypatch.setattr(oracle, "ring_skew_poly_combine", lambda *fs: other)
-        v = verify_decomposition(mixed_code)
+        v = verify_decomposition(case)
         assert not v.passed and v.mode == "exhaustive"
 
     def test_decomposition_of_a_foreign_generator_fails(self, mixed_code):
-        from skewcyclic import oracle
-
         other = oracle._combine([c.g for c in reversed(mixed_code.components)], mixed_code.field)
-        v = verify_decomposition(mixed_code, combined=other)
+        v = verify_decomposition(case_of(mixed_code)._replace(combined=other))
         assert not v.passed and len(v.counterexample["recovered"]) == 3
 
     def test_uniqueness_over_census(self, f9, entry9):
-        codes = census(1, f9, 1)
-        assert verify_combined_uniqueness(codes, entry9.config()).passed
-        v = verify_combined_uniqueness(codes + [codes[0]], entry9.config())
+        cases = [case_of(code) for code in census(1, f9, 1)]
+        assert verify_combined_uniqueness(cases, entry9.config()).passed
+        v = verify_combined_uniqueness(cases + [cases[0]], entry9.config())
         assert not v.passed and "duplicate" in v.counterexample
 
 
 class TestQuasiCyclicOracle:
     def test_records_which_convention_holds(self, mixed_code):
-        v = verify_quasi_cyclic_gray(mixed_code)
+        v = verify_quasi_cyclic_gray(case_of(mixed_code))
         assert v.passed
         assert v.counterexample["per_component_convention_closed"] is True
         assert v.counterexample["interleaved_convention_closed"] is False
@@ -419,22 +453,21 @@ class TestQuasiCyclicOracle:
     def test_full_code_closed_under_both(self, f9):
         full = component_code_new(1, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
-        v = verify_quasi_cyclic_gray(code)
+        v = verify_quasi_cyclic_gray(case_of(code))
         assert v.passed
         assert v.counterexample["interleaved_convention_closed"] is True
 
     def test_negative_control(self, f9):
-        v = verify_quasi_cyclic_gray(broken_code(f9, 1, 3))
+        v = verify_quasi_cyclic_gray(case_of(broken_code(f9, 1, 3)))
         assert not v.passed and "word" in v.counterexample
 
 
 class TestPrincipalityOracle:
     def test_passes(self, mixed_code):
-        assert verify_principality(mixed_code).passed
+        assert verify_principality(case_of(mixed_code), random.Random(0)).passed
 
     def test_negative_control(self, f9):
-        code, g = mismatched_code(f9, 1, 3)
-        v = verify_principality(code, combined=g)
+        v = verify_principality(mismatched_case(f9, 1, 3), random.Random(0))
         assert not v.passed
         assert v.counterexample["combined_span_dim"] == 6
         assert v.counterexample["code_dim"] == 9
@@ -442,13 +475,10 @@ class TestPrincipalityOracle:
 
 class TestDistanceOracle:
     def test_passes(self, mixed_code):
-        assert verify_distance_law(mixed_code).passed
+        assert verify_distance_law(case_of(mixed_code), DISTANCE_LIMIT, {}).passed
 
     def test_negative_control(self, f9):
-        from skewcyclic.oracle import _combined_generator_rows
-
-        code, g = mismatched_code(f9, 1, 3)
-        v = verify_distance_law(code, combined_rows=_combined_generator_rows(g, code))
+        v = verify_distance_law(mismatched_case(f9, 1, 3), DISTANCE_LIMIT, {})
         assert not v.passed
         assert v.counterexample["component_minimum"] == 1
         assert v.counterexample["direct_enumeration"] == 2
@@ -457,7 +487,8 @@ class TestDistanceOracle:
         # the Gray image of (1, 1) is spanned by one word that meets all
         # three coordinate classes, so its blocks have total rank 3, not 1
         rows = [((f9.tables().one, 0, 0),) * mixed_code.n]
-        v = verify_distance_law(mixed_code, combined_rows=rows)
+        case = case_of(mixed_code)._replace(basis=_gray_basis(rows, f9))
+        v = verify_distance_law(case, DISTANCE_LIMIT, {})
         assert not v.passed and v.mode == "exhaustive"
         assert v.counterexample == {"gray_rank": 1, "block_ranks": [1, 1, 1]}
 
@@ -465,7 +496,7 @@ class TestDistanceOracle:
         codes = census(3, f9, 1)
         block_minima = {}
         for code in codes:
-            assert verify_distance_law(code, block_minima=block_minima).passed
+            assert verify_distance_law(case_of(code), DISTANCE_LIMIT, block_minima).passed
         # every block is a component code; n = 3 has 3 nonzero ones
         nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
         assert len(block_minima) == len(nonzero) == 3
@@ -475,7 +506,7 @@ class TestDistanceOracle:
         # smaller side, and 9 exceeds the bound
         c1 = component_code_new(3, poly_from_string("x-1", f9, 1))
         full = component_code_new(3, SkewPoly.one(f9, 1))
-        v = verify_distance_law(code_from_components(c1, full, full), bound=5)
+        v = verify_distance_law(case_of(code_from_components(c1, full, full)), 5, {})
         assert v.mode == "skipped" and v.passed
         assert v.counterexample == {
             "reason": "component distance: span size 9 exceeds bound 5"
@@ -523,14 +554,14 @@ class TestIdempotentOracle:
         c1 = component_code_new(5, poly_from_string("x-1", f9, 1))
         full = component_code_new(5, SkewPoly.one(f9, 1))
         code = code_from_components(c1, full, full)
-        assert verify_idempotent_generators(code).passed
+        assert over_r(verify_idempotent_generators, code).passed
 
     def test_skipped_when_hypotheses_fail(self, mixed_code):
-        v = verify_idempotent_generators(mixed_code)  # n = 2, gcd(2, t) = 2
+        v = over_r(verify_idempotent_generators, mixed_code)  # n = 2, gcd(2, t) = 2
         assert v.mode == "skipped" and v.passed
 
     def test_negative_control_at_n5(self, f9):
-        v = verify_idempotent_generators(broken_code(f9, 1, 5))
+        v = over_r(verify_idempotent_generators, broken_code(f9, 1, 5))
         assert not v.passed
 
     @pytest.mark.parametrize(
@@ -551,8 +582,10 @@ class TestIdempotentOracle:
             lambda self: wrong if self == comp else right(self),
         )
         code = code_from_components(other, other, comp)
-        for target, slot in ((comp, None), (code, 3)):
-            v = verify_idempotent_generators(target)
+        for v, slot in (
+            (verify_idempotent_generators(comp), None),
+            (over_r(verify_idempotent_generators, code), 3),
+        ):
             assert not v.passed and v.mode == "exhaustive"
             assert v.counterexample["idempotent"] is idempotent
             assert v.counterexample["generates"] is generates
@@ -578,8 +611,6 @@ class TestHarness:
         assert reports and all(r.passed for r in reports)
 
     def test_r_lane_without_the_twist_fails_at_n2(self, monkeypatch):
-        from skewcyclic import oracle
-
         untwisted = oracle._r_mul
         monkeypatch.setattr(oracle, "_r_mul", lambda f, g, aut, fld: untwisted(f, g, 0, fld))
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
@@ -589,8 +620,6 @@ class TestHarness:
     def test_schoolbook_product_with_v_cubed_minus_v_fails(self, monkeypatch):
         # the lane's multiply rests on v^3 = v; with v^3 = -v instead, the
         # eta_j stop being orthogonal idempotents
-        from skewcyclic import oracle
-
         def v_cubed_is_minus_v(s, t, tables):
             add, sub, mul = tables.add, tables.sub, tables.mul
             (a, b, c), (x, y, z) = s, t
@@ -609,7 +638,6 @@ class TestHarness:
     def test_per_code_claims_use_no_ring_arithmetic_of_production(self, monkeypatch):
         # the R lane computes on index triples: with every RingElem operator
         # raising, all claims but the splitting check itself still pass
-        from skewcyclic import oracle
         from skewcyclic.ring_r import RingElem, ring_one
 
         def refuse(*args):
@@ -631,8 +659,6 @@ class TestHarness:
         assert all(r.passed for r in reports), [r.claim for r in reports if not r.passed]
 
     def test_entry_builds_each_code_config_once(self, monkeypatch):
-        from skewcyclic import oracle
-
         built = []
         code_config = oracle._code_config
 
@@ -644,8 +670,13 @@ class TestHarness:
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         assert all(r.passed for r in reports)
         # the census holds every dual, so its 64 codes and their 4
-        # components (the component claims' configs) are all there is
-        assert len(built) == len(set(built)) == 64 + 4
+        # components are all there is: each code's config is built by its
+        # case, and each component claim (shift-closure, duality,
+        # idempotent-generator) builds its component's once
+        codes = [c for c in built if isinstance(c, SkewCyclicCode)]
+        comps = [c for c in built if isinstance(c, ComponentCode)]
+        assert len(codes) == len(set(codes)) == 64
+        assert len(comps) == 3 * len(set(comps)) == 3 * 4
 
     def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
         from skewcyclic import codes
@@ -689,29 +720,32 @@ class TestHarness:
         assert len(egcd_on) == 4 and len(set(egcd_on)) == 4
 
     def test_entry_searches_divisors_and_reduces_gray_rows_once(self, monkeypatch):
-        from skewcyclic import oracle
+        calls: dict[str, list] = {}
+        names = (
+            "brute_right_divisors",
+            "_combined_generator",
+            "_combined_generator_rows",
+            "_gray_basis",
+            "_gray_rows",
+        )
+        for name in names:
 
-        searches, reduced = [], []
-        search, gray_basis = oracle.brute_right_divisors, oracle._gray_basis
+            def recording(*args, name=name, build=getattr(oracle, name)):
+                calls.setdefault(name, []).append(args)
+                return build(*args)
 
-        def recording_search(*args):
-            searches.append(args)
-            return search(*args)
-
-        def recording_basis(rows, fld):
-            reduced.append(rows)
-            return gray_basis(rows, fld)
-
-        monkeypatch.setattr(oracle, "brute_right_divisors", recording_search)
-        monkeypatch.setattr(oracle, "_gray_basis", recording_basis)
+            monkeypatch.setattr(oracle, name, recording)
         entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
         reports = {r.claim: r for r in verify_entry(entry)}
         assert all(r.passed for r in reports.values())
-        # census-count and fixed-subfield-divisors share one search, and
-        # principal-generator and distance-law one Gray basis per code
-        assert len(searches) == 1
-        assert len(reduced) == reports["principal-generator"].checked == 64
-        assert reports["distance-law"].checked == 64
+        # census-count and fixed-subfield-divisors share one search; each
+        # code's combined generator, its rows, their Gray basis and the
+        # Gray rows of production's generator rows are built once, by its
+        # case, for every claim over R (the census holds every dual)
+        assert len(calls.pop("brute_right_divisors")) == 1
+        assert {name: len(got) for name, got in calls.items()} == dict.fromkeys(names[1:], 64)
+        assert reports["principal-generator"].checked == reports["distance-law"].checked == 64
+        assert reports["dual-gray-commute"].checked == reports["cardinality-rank"].checked == 64
 
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))
@@ -725,8 +759,6 @@ class TestHarness:
         assert verify_all([]) == []
 
     def test_codes_past_the_enumeration_bound_count_as_skipped(self, monkeypatch):
-        from skewcyclic import oracle
-
         seen = {}
         aggregate = oracle._aggregate
 
@@ -889,6 +921,11 @@ class TestEntryField:
         assert entry.field() is fld
         assert entry == TestMatrixEntry(p=3, m=2, i=1, n=1)
         assert hash(entry) == hash(TestMatrixEntry(p=3, m=2, i=1, n=1))
+
+    def test_bool_seed_rejected(self):
+        # p, m, i, n and the bounds already refuse bools
+        with pytest.raises(TypeError, match="seed must be an integer, got True"):
+            TestMatrixEntry(p=3, m=2, i=1, n=1, seed=True)
 
     @pytest.mark.parametrize(
         "p, m", [(3, m) for m in range(1, 8)] + [(5, m) for m in range(1, 5)]
@@ -1073,15 +1110,11 @@ class TestRankClaimsAgainstEnumeration:
         for code in codes:
             comps = [code] if isinstance(code, ComponentCode) else code.components
             assert not all(_shift_closure_basis(c)[1] for c in comps)
-            assert not verify_shift_closure(code).passed
+            assert not closure(code).passed
 
     def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
         from skewcyclic import linalg
-        from skewcyclic.oracle import (
-            _deinterleaved_qc_shift,
-            _gray_rows,
-            _interleaved_qc_shift,
-        )
+        from skewcyclic.oracle import _deinterleaved_qc_shift, _interleaved_qc_shift
 
         checked = 0
         codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
@@ -1090,14 +1123,14 @@ class TestRankClaimsAgainstEnumeration:
         for code in codes:
             if code.size > 10**3:
                 continue
-            rows = linalg.to_index_rows(_gray_rows(code), f9)
-            span = linalg.span_vectors(rows, f9, 10**3, ncols=3 * code.n)
+            case = case_of(code)
+            span = linalg.span_vectors(case.gray_rows, f9, 10**3, ncols=3 * code.n)
             frob = f9.frob_table(code.aut)
             flags = [
                 all(tuple(shift(y, code.n, frob)) in span for y in span)
                 for shift in (_interleaved_qc_shift, _deinterleaved_qc_shift)
             ]
-            v = verify_quasi_cyclic_gray(code)
+            v = verify_quasi_cyclic_gray(case)
             got = [
                 v.counterexample["interleaved_convention_closed"],
                 v.counterexample["per_component_convention_closed"],
@@ -1113,26 +1146,21 @@ class TestRankClaimsAgainstEnumeration:
 
     def test_block_distance_equals_full_span_enumeration(self, f9):
         from skewcyclic import linalg
-        from skewcyclic.oracle import _combined_generator_rows
         from skewcyclic.ring_r import gray_map
 
         checked = 0
-        from skewcyclic.oracle import _combined_generator, _ring_elems
-
-        pairs = [(c, _combined_generator(c)) for n in (1, 2, 3) for c in census(n, f9, 1)]
-        pairs.append(mismatched_code(f9, 1, 3))
-        ring_elems = _ring_elems(f9)
-        for code, g in pairs:
-            combined = _combined_generator_rows(g, code)
+        cases = [case_of(c) for n in (1, 2, 3) for c in census(n, f9, 1)]
+        cases.append(mismatched_case(f9, 1, 3))
+        for case in cases:
             # the Gray rows through production's map, not the oracle's
-            rows = [gray_map(tuple(map(ring_elems, r))) for r in combined]
+            rows = [gray_map(tuple(map(case.ring_elems, r))) for r in case.rows]
             idx = linalg.to_index_rows(rows, f9)
             if 9 ** linalg.rank(idx, f9) > 10**5:
                 continue
             full = linalg.span_min_weight(idx, f9, 10**5)
-            v = verify_distance_law(code, combined_rows=combined)
+            v = verify_distance_law(case, DISTANCE_LIMIT, {})
             if v.passed:
-                formula = code.min_lee_distance()
+                formula = case.code.min_lee_distance()
                 assert full == (None if formula.degenerate else formula.value)
             else:
                 assert v.counterexample["direct_enumeration"] == full
