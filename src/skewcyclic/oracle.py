@@ -32,8 +32,10 @@ takes them: ``contains``, ``project_components`` and
 Each claim has one path and builds nothing another claim reads. A claim
 over R takes a ``Case``: the code's config, its combined generator, that
 generator's rows and their Gray basis, and the Gray index rows of
-production's generator rows, all built once per code by ``_case``. A
-component claim takes a ``ComponentCode`` and builds its own config.
+production's generator rows, all built once per code by ``_case`` (the
+rows and the basis on first read). A component claim takes a
+``ComponentCode`` and its config, which ``_by_component`` builds once per
+distinct component.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
@@ -45,8 +47,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,16 +180,34 @@ class VerdictReport:
         )
 
 
-class Case(NamedTuple):
-    """What the claims over R read about one code, built once by ``_case``."""
+@dataclass
+class Case:
+    """What the claims over R read about one code, built by ``_case``.
+
+    ``rows`` (the combined generator's ``_combined_generator_rows``) and
+    ``basis`` (their ``_gray_basis``) are built on first read and kept
+    until ``drop_lane``. Only the code's own claims read them, so an entry
+    holds them for one code at a time.
+    """
 
     code: SkewCyclicCode
     config: dict
     combined: tuple  # the lane's eta1*g1 + eta2*g2 + eta3*g3
-    rows: list[tuple]  # its _combined_generator_rows
-    basis: list[list[int]]  # their _gray_basis
     gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
     ring_elems: Callable[[tuple], RingElem]  # the entry's _ring_elems
+
+    @functools.cached_property
+    def rows(self) -> list[tuple]:
+        return _combined_generator_rows(self.combined, self.code)
+
+    @functools.cached_property
+    def basis(self) -> list[list[int]]:
+        return _gray_basis(self.rows, self.code.field)
+
+    def drop_lane(self) -> None:
+        """Forget ``rows`` and ``basis``."""
+        for name in ("rows", "basis"):
+            self.__dict__.pop(name, None)
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -632,28 +652,33 @@ def oracle_code_enumerate(code, bound: int = 10**4):
     return {gray_inverse(fld, [elems[a] for a in w]) for w in words}
 
 
-def _by_component(check: Callable, case: Case, verdicts: dict, *args) -> VerdictReport:
-    """The verdict on the case's code over R from ``check(component, *args)``
-    on its components: the first failing one's, its witness naming the
-    slot j (1, 2 or 3), else a pass in the mode the three share ("sampled"
-    when they differ). ``verdicts`` keeps each verdict by (check,
+def _by_component(
+    check: Callable, code: SkewCyclicCode, config: dict, memo: dict, *args
+) -> VerdictReport:
+    """The verdict on ``code`` (config ``config``) from ``check(component,
+    its config, *args)`` on its components: the first failing one's, its
+    witness naming the slot j (1, 2 or 3), else a pass in the mode the
+    three share ("sampled" when they differ). ``memo`` keeps each
+    component's config under the component and each verdict under (check,
     component), so equal components, a dual equal to a census member
-    included, are checked once.
+    included, are configured once and checked once per check.
     """
-    for j, comp in enumerate(case.code.components, 1):
-        if (check, comp) not in verdicts:
-            verdicts[check, comp] = check(comp, *args)
-        v = verdicts[check, comp]
+    for j, comp in enumerate(code.components, 1):
+        if (check, comp) not in memo:
+            if comp not in memo:
+                memo[comp] = _code_config(comp)
+            memo[check, comp] = check(comp, memo[comp], *args)
+        v = memo[check, comp]
         if not v.passed:
             witness = {**v.counterexample, "slot": j}
-            return VerdictReport(v.claim, case.config, v.mode, False, witness)
-    modes = {verdicts[check, comp].mode for comp in case.code.components}
+            return VerdictReport(v.claim, config, v.mode, False, witness)
+    modes = {memo[check, comp].mode for comp in code.components}
     mode = modes.pop() if len(modes) == 1 else "sampled"
     witness = v.counterexample if mode == "skipped" else None
-    return VerdictReport(v.claim, case.config, mode, True, witness)
+    return VerdictReport(v.claim, config, mode, True, witness)
 
 
-def verify_shift_closure(code: ComponentCode, rng: random.Random) -> VerdictReport:
+def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> VerdictReport:
     """Closure under the skew shift, and oracle span == membership set.
 
     The span of a component code's rows is closed under sigma by rank
@@ -661,9 +686,9 @@ def verify_shift_closure(code: ComponentCode, rng: random.Random) -> VerdictRepo
     remainder map, whose size is computed by rank. Exact equality follows
     from span-inside-kernel plus equal cardinality. The production
     membership test is also spot-checked on up to 64 words of the span
-    drawn from ``rng``. A code over R is checked by ``_by_component``.
+    drawn from ``rng``. ``cfg`` is the code's ``_code_config``. A code
+    over R is checked by ``_by_component``.
     """
-    cfg = _code_config(code)
     claim = "shift-closure"
     fld = code.field
     basis, shifted_ok = _shift_closure_basis(code)
@@ -715,15 +740,15 @@ def verify_cardinality(case: Case) -> VerdictReport:
     return VerdictReport("cardinality-rank", case.config, "exhaustive", ok, witness)
 
 
-def verify_duality(code: ComponentCode) -> VerdictReport:
+def verify_duality(code: ComponentCode, cfg: dict) -> VerdictReport:
     """Generator rows of C and dual(C) are orthogonal; |C| |dual(C)| = q^n;
     the double dual is C itself.
 
     The inner products of a component code's rows run on the dense field
-    tables. Over R, x.y = sum_j eta_j x_j y_j, so a code over R is checked
-    by ``_by_component``.
+    tables; ``cfg`` is the code's ``_code_config``. Over R,
+    x.y = sum_j eta_j x_j y_j, so a code over R is checked by
+    ``_by_component``.
     """
-    cfg = _code_config(code)
     fld = code.field
     add, mul = fld.tables().add, fld.tables().mul
     dual = code.dual()
@@ -970,10 +995,7 @@ def _gray_basis(combined_rows: list[tuple], fld: Field) -> list[list[int]]:
 def _case(code: SkewCyclicCode, ring_elems: Callable[[tuple], RingElem]) -> Case:
     """Everything the claims over R share about ``code``; ``ring_elems``
     (``_ring_elems``) is one per entry."""
-    combined = _combined_generator(code)
-    rows = _combined_generator_rows(combined, code)
-    basis = _gray_basis(rows, code.field)
-    return Case(code, _code_config(code), combined, rows, basis, _gray_rows(code), ring_elems)
+    return Case(code, _code_config(code), _combined_generator(code), _gray_rows(code), ring_elems)
 
 
 _PRINCIPALITY_SAMPLES = 20  # random words per principal-generator verdict
@@ -1077,16 +1099,15 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     return VerdictReport("distance-law", cfg, "exhaustive", ok, witness)
 
 
-def verify_idempotent_generators(code: ComponentCode) -> VerdictReport:
+def verify_idempotent_generators(code: ComponentCode, cfg: dict) -> VerdictReport:
     """The idempotent generator e of a component code has e*e = e mod
     x^n - 1 (on the R lane, with coefficients (c, 0, 0)), and the span of
     the sigma-orbit of e is the span of the code's rows. Over R,
     e = eta1*e1 + eta2*e2 + eta3*e3, so a code over R is checked by
-    ``_by_component``.
+    ``_by_component``. ``cfg`` is the code's ``_code_config``.
     """
     from .codes import HypothesisViolated, NotCoprime
 
-    cfg = _code_config(code)
     try:
         e = code.idempotent_generator()
     except HypothesisViolated as exc:
@@ -1179,13 +1200,10 @@ def broken_code(field: Field, i: int, n: int, slot: int = 1) -> SkewCyclicCode:
 
 def mismatched_case(field: Field, i: int, n: int) -> Case:
     """The case of the full code with the lane read from another combined
-    generator, eta1*g + eta2*g + eta3*g for g = x - 1: its rows and their
-    Gray basis."""
+    generator, eta1*g + eta2*g + eta3*g for g = x - 1."""
     full = component_code_new(n, SkewPoly.one(field, i))
     case = _case(code_from_components(full, full, full), _ring_elems(field))
-    g = _combine([poly_from_string("x-1", field, i)] * 3, field)
-    rows = _combined_generator_rows(g, case.code)
-    return case._replace(combined=g, rows=rows, basis=_gray_basis(rows, field))
+    return replace(case, combined=_combine([poly_from_string("x-1", field, i)] * 3, field))
 
 
 # ---------------------------------------------------------------------------
@@ -1282,51 +1300,63 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
     ring_elems = _ring_elems(fld)  # the lane's triples as RingElems, built once per entry
     cases = [_case(code, ring_elems) for code in codes]
-    by_code = {case.code: case for case in cases}  # the census holds every dual
+    by_code = {case.code: case for case in cases}  # the census should hold every dual
     reports.append(verify_combined_uniqueness(cases, cfg))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {}
-    # codes too large for a shift-closure claim; kept apart so that the
-    # claims keep the order of their first checked code
+    # skipped shift-closure verdicts (codes too large, duals outside the
+    # census); kept apart so that the claims keep the order of their first
+    # checked code
     left_out: dict[str, list[VerdictReport]] = {}
     block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
-    # the component claims' verdicts, by (check, component): shift-closure
+    # each component's config and component-claim verdicts: shift-closure
     # and dual-shift-closure share theirs
     by_component: dict = {}
 
     def record(v: VerdictReport):
         per_code.setdefault(v.claim, []).append(v)
 
+    def skip(claim: str, config: dict, reason: str) -> None:
+        v = VerdictReport(claim, config, "skipped", True, {"reason": reason})
+        left_out.setdefault(claim, []).append(v)
+
     def closure(claim: str, case: Case) -> None:
         if case.code.size > entry.bounds.enumeration:
             reason = f"code size {case.code.size} exceeds bound {entry.bounds.enumeration}"
-            left_out.setdefault(claim, []).append(
-                VerdictReport(claim, case.config, "skipped", True, {"reason": reason})
-            )
-            return
-        v = _by_component(verify_shift_closure, case, by_component, rng)
+            return skip(claim, case.config, reason)
+        v = _by_component(verify_shift_closure, case.code, case.config, by_component, rng)
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
     for case in cases:
-        dual = by_code[case.code.dual()]
+        dual = by_code.get(case.code.dual())
         record(verify_cardinality(case))
-        record(_by_component(verify_duality, case, by_component))
-        record(verify_dual_gray_commutation(case, dual))
+        record(_by_component(verify_duality, case.code, case.config, by_component))
+        if dual is None:
+            witness = {"dual_outside_census": _code_config(case.code.dual())}
+            record(VerdictReport("dual-gray-commute", case.config, "exhaustive", False, witness))
+        else:
+            record(verify_dual_gray_commutation(case, dual))
         record(verify_decomposition(case))
-        record(_by_component(verify_idempotent_generators, case, by_component))
+        record(
+            _by_component(verify_idempotent_generators, case.code, case.config, by_component)
+        )
         record(verify_quasi_cyclic_gray(case))
         record(verify_principality(case, rng))
         record(verify_distance_law(case, entry.bounds.distance, block_minima))
+        case.drop_lane()
         closure("shift-closure", case)
-        closure("dual-shift-closure", dual)
+        if dual is None:
+            skip("dual-shift-closure", case.config, "dual outside the census")
+        else:
+            closure("dual-shift-closure", dual)
     for claim, verdicts in per_code.items():
         reports.append(_aggregate(claim, cfg, verdicts + left_out.pop(claim, [])))
     for claim, verdicts in left_out.items():
         reports.append(_aggregate(claim, cfg, verdicts))
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2
-        bad = _case(broken_code(fld, entry.i, max(entry.n, 2)), ring_elems)
-        v = _by_component(verify_shift_closure, bad, {}, rng)
+        bad = broken_code(fld, entry.i, max(entry.n, 2))
+        v = _by_component(verify_shift_closure, bad, cfg, {}, rng)
         reports.append(
             VerdictReport(
                 "shift-closure[injected-broken-generator]",

@@ -1,6 +1,17 @@
 import pytest
 
 from skewcyclic.finite_field import Field
+from skewcyclic.oracle import _by_component, _case, _code_config, _ring_elems
+
+
+def case_of(code):
+    """The oracle's ``Case`` of a code over R, with its own ``_ring_elems``."""
+    return _case(code, _ring_elems(code.field))
+
+
+def over_r(check, code, *args):
+    """A component claim on a code over R, through ``_by_component``."""
+    return _by_component(check, code, _code_config(code), {}, *args)
 
 
 @pytest.fixture(scope="session")

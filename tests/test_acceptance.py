@@ -6,8 +6,10 @@ One PASS line per criterion is printed for the run log.
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from conftest import case_of, over_r
 
 from skewcyclic import linalg, oracle
 from skewcyclic.codes import (
@@ -21,9 +23,7 @@ from skewcyclic.oracle import (
     Bounds,
     TestMatrixEntry,
     _brute_divisors,
-    _by_component,
-    _case,
-    _ring_elems,
+    _code_config,
     broken_code,
     broken_component_code,
     mismatched_case,
@@ -49,15 +49,6 @@ from skewcyclic.skew_poly import (
 
 ENUM_BOUND = 10**4
 DISTANCE_BOUND = 10**6
-
-
-def case_of(code):
-    return _case(code, _ring_elems(code.field))
-
-
-def over_r(check, code, *args):
-    """A component claim on a code over R, through ``_by_component``."""
-    return _by_component(check, case_of(code), {}, *args)
 
 
 @pytest.fixture(scope="module")
@@ -203,12 +194,13 @@ def test_criterion_9_distance_law(censuses):
 
 def test_criterion_10_negative_controls(f9, monkeypatch):
     """Every verification suite fails, with a witness, on corrupted input."""
+    bad = broken_component_code(f9, 1, 3)
     broken3 = broken_code(f9, 1, 3)
     broken5 = broken_code(f9, 1, 5)
     mismatched = mismatched_case(f9, 1, 3)
     rng = random.Random(0)
     verdicts = {
-        "closure-component": verify_shift_closure(broken_component_code(f9, 1, 3), rng),
+        "closure-component": verify_shift_closure(bad, _code_config(bad), rng),
         "closure-ring": over_r(verify_shift_closure, broken3, rng),
         "duality": over_r(verify_duality, broken3),
         "dual-gray": verify_dual_gray_commutation(case_of(broken3), case_of(broken3.dual())),
@@ -224,7 +216,7 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
     # cardinality reads its corrupted side from the case; census and the
     # isometry read theirs from the names they call
     good = case_of(census(1, f9, 1)[1])
-    v = verify_cardinality(good._replace(gray_rows=good.gray_rows[1:]))
+    v = verify_cardinality(replace(good, gray_rows=good.gray_rows[1:]))
     assert not v.passed and v.counterexample is not None
     g = poly_from_string("x-1", f9, 1)
     entry = TestMatrixEntry(p=3, m=2, i=1, n=1)

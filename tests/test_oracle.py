@@ -1,8 +1,10 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from conftest import case_of, over_r
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +24,7 @@ from skewcyclic.oracle import (
     TestMatrixEntry,
     VerdictReport,
     _brute_divisors,
-    _by_component,
-    _case,
-    _combined_generator_rows,
-    _gray_basis,
-    _ring_elems,
+    _code_config,
     broken_code,
     broken_component_code,
     default_matrix,
@@ -57,23 +55,6 @@ from skewcyclic.skew_poly import (
     skew_mul,
     xn_minus_1,
 )
-
-
-def case_of(code):
-    return _case(code, _ring_elems(code.field))
-
-
-def over_r(check, code, *args):
-    """A component claim on a code over R, through ``_by_component``."""
-    return _by_component(check, case_of(code), {}, *args)
-
-
-def closure(code):
-    """verify_shift_closure on a component or, through its components, a code over R."""
-    rng = random.Random(0)
-    if isinstance(code, ComponentCode):
-        return verify_shift_closure(code, rng)
-    return over_r(verify_shift_closure, code, rng)
 
 
 @pytest.fixture(scope="module")
@@ -266,18 +247,18 @@ class TestClosureOracle:
         object.__setattr__(comp, "_remainder_cols", ((f9.log_table().log[0],) * 4,))
         assert _remainder_rank(comp) == 1
         # the oracle's own rank still holds, so the generators' rejection shows
-        v = closure(comp)
+        v = verify_shift_closure(comp, _code_config(comp), random.Random(0))
         assert not v.passed
         assert v.counterexample["membership_kernel_size"] == 9**4
         assert v.counterexample["generators_pass_membership"] is False
 
     def test_passes_on_valid_code(self, mixed_code):
-        v = closure(mixed_code)
+        v = over_r(verify_shift_closure, mixed_code, random.Random(0))
         assert v.passed and v.mode == "exhaustive"
 
     def test_component_negative_control(self, f9):
         bad = broken_component_code(f9, 1, 3)
-        v = closure(bad)
+        v = verify_shift_closure(bad, _code_config(bad), random.Random(0))
         assert not v.passed
         assert v.counterexample["span_shift_closed"] is False
 
@@ -291,7 +272,7 @@ class TestClosureOracle:
         assert skew_mul(code.c1.h, code.c1.g) != xn_minus_1(f9, 1, 3)
 
     def test_ring_negative_control(self, f9):
-        v = closure(broken_code(f9, 1, 3))
+        v = over_r(verify_shift_closure, broken_code(f9, 1, 3), random.Random(0))
         assert not v.passed
         assert v.counterexample is not None
 
@@ -299,7 +280,7 @@ class TestClosureOracle:
         # 9^9 words: rank tests close the span, nothing is enumerated
         full = component_code_new(3, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
-        v = closure(code)
+        v = over_r(verify_shift_closure, code, random.Random(0))
         assert v.mode == "exhaustive" and v.passed
 
 
@@ -368,14 +349,14 @@ class TestMatrixAndDualityOracles:
         assert verify_cardinality(case).passed
         assert verify_dual_gray_commutation(case, case_of(mixed_code.dual())).passed
         assert verify_quasi_cyclic_gray(case).passed
-        assert closure(mixed_code).passed
+        assert over_r(verify_shift_closure, mixed_code, random.Random(0)).passed
 
     def test_cardinality_negative_control(self, mixed_code):
         case = case_of(mixed_code)
         rows = case.gray_rows
-        v = verify_cardinality(case._replace(gray_rows=rows + [rows[0]]))
+        v = verify_cardinality(replace(case, gray_rows=rows + [rows[0]]))
         assert v.passed  # duplicate row does not change the rank
-        v = verify_cardinality(case._replace(gray_rows=rows[1:]))
+        v = verify_cardinality(replace(case, gray_rows=rows[1:]))
         assert not v.passed
         assert v.counterexample["rank"] == mixed_code.dim - 1
 
@@ -433,7 +414,7 @@ class TestMatrixAndDualityOracles:
 
     def test_decomposition_of_a_foreign_generator_fails(self, mixed_code):
         other = oracle._combine([c.g for c in reversed(mixed_code.components)], mixed_code.field)
-        v = verify_decomposition(case_of(mixed_code)._replace(combined=other))
+        v = verify_decomposition(replace(case_of(mixed_code), combined=other))
         assert not v.passed and len(v.counterexample["recovered"]) == 3
 
     def test_uniqueness_over_census(self, f9, entry9):
@@ -487,7 +468,8 @@ class TestDistanceOracle:
         # the Gray image of (1, 1) is spanned by one word that meets all
         # three coordinate classes, so its blocks have total rank 3, not 1
         rows = [((f9.tables().one, 0, 0),) * mixed_code.n]
-        case = case_of(mixed_code)._replace(basis=_gray_basis(rows, f9))
+        case = case_of(mixed_code)
+        case.rows = rows  # its basis is read from these rows
         v = verify_distance_law(case, DISTANCE_LIMIT, {})
         assert not v.passed and v.mode == "exhaustive"
         assert v.counterexample == {"gray_rank": 1, "block_ranks": [1, 1, 1]}
@@ -583,7 +565,7 @@ class TestIdempotentOracle:
         )
         code = code_from_components(other, other, comp)
         for v, slot in (
-            (verify_idempotent_generators(comp), None),
+            (verify_idempotent_generators(comp, _code_config(comp)), None),
             (over_r(verify_idempotent_generators, code), 3),
         ):
             assert not v.passed and v.mode == "exhaustive"
@@ -670,13 +652,8 @@ class TestHarness:
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         assert all(r.passed for r in reports)
         # the census holds every dual, so its 64 codes and their 4
-        # components are all there is: each code's config is built by its
-        # case, and each component claim (shift-closure, duality,
-        # idempotent-generator) builds its component's once
-        codes = [c for c in built if isinstance(c, SkewCyclicCode)]
-        comps = [c for c in built if isinstance(c, ComponentCode)]
-        assert len(codes) == len(set(codes)) == 64
-        assert len(comps) == 3 * len(set(comps)) == 3 * 4
+        # components (the component claims' configs) are all there is
+        assert len(built) == len(set(built)) == 64 + 4
 
     def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
         from skewcyclic import codes
@@ -746,6 +723,31 @@ class TestHarness:
         assert {name: len(got) for name, got in calls.items()} == dict.fromkeys(names[1:], 64)
         assert reports["principal-generator"].checked == reports["distance-law"].checked == 64
         assert reports["dual-gray-commute"].checked == reports["cardinality-rank"].checked == 64
+
+    def test_dual_outside_the_census_fails_dual_gray_commute(self, monkeypatch):
+        from skewcyclic.codes import code_to_json
+
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
+        fld = entry.field()
+        base = {r.claim: r for r in verify_entry(entry)}
+        # a production dual() that leaves the census: a failing verdict
+        # naming the code and its dual, and no dual-shift-closure check
+        target, outside = census(3, fld, 1)[1], broken_code(fld, 1, 3)
+        dual = SkewCyclicCode.dual
+        monkeypatch.setattr(
+            SkewCyclicCode, "dual", lambda self: outside if self == target else dual(self)
+        )
+        reports = {r.claim: r for r in verify_entry(entry)}
+        assert [c for c, r in reports.items() if not r.passed] == ["dual-gray-commute"]
+        r = reports["dual-gray-commute"]
+        assert r.mode == "exhaustive"
+        assert r.counterexample == {
+            "dual_outside_census": code_to_json(outside),
+            "code": code_to_json(target),
+        }
+        r, before = reports["dual-shift-closure"], base["dual-shift-closure"]
+        assert (r.checked, r.skipped) == (before.checked - 1, before.skipped + 1)
+        assert list(reports) == list(base)
 
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))
@@ -1106,11 +1108,15 @@ class TestRankClaimsAgainstEnumeration:
     def test_non_closed_spans_are_detected(self, f9):
         from skewcyclic.oracle import _shift_closure_basis
 
-        codes = _non_divisor_codes(f9, 2) + [broken_code(f9, 1, 3)]
-        for code in codes:
-            comps = [code] if isinstance(code, ComponentCode) else code.components
-            assert not all(_shift_closure_basis(c)[1] for c in comps)
-            assert not closure(code).passed
+        rng = random.Random(0)
+        for code in _non_divisor_codes(f9, 2) + [broken_code(f9, 1, 3)]:
+            if isinstance(code, ComponentCode):
+                assert not _shift_closure_basis(code)[1]
+                v = verify_shift_closure(code, _code_config(code), rng)
+            else:
+                assert not all(_shift_closure_basis(c)[1] for c in code.components)
+                v = over_r(verify_shift_closure, code, rng)
+            assert not v.passed
 
     def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
         from skewcyclic import linalg
