@@ -23,8 +23,8 @@ fixed subfield.
 Polynomials, twists and remainders are F_q indices; ``FieldElem`` values
 appear only in the words ``contains`` takes and in the rows that
 ``generator_rows`` and ``gray_generator_rows`` return. Code objects are
-immutable; what they derive (dual, idempotent generator, rows, distance,
-remainders) is built on first request and kept on the object.
+immutable; what they derive is built on first request and kept. A code
+over R keeps no rows; it joins those its components keep per slot.
 """
 
 from __future__ import annotations
@@ -109,12 +109,13 @@ class ComponentCode:
     ``LogTable``, of the coefficient of x^k).
     The generator rows (``_rows``), the dual code (``_dual``) and the
     idempotent generator (``_idempotent``) are likewise built on first
-    request and kept; a failed construction is not kept.
+    request and kept; a failed construction is not kept. So are the rows of
+    eta_j * C that codes over R with C in slot j share (``_slot_rows``).
     """
 
     __slots__ = (
         "n", "g", "h", "field", "aut",
-        "_distance", "_remainder_cols", "_dual", "_idempotent", "_rows",
+        "_distance", "_remainder_cols", "_dual", "_idempotent", "_rows", "_slot_rows",
     )
 
     def __init__(self, n: int, g: SkewPoly):
@@ -136,6 +137,7 @@ class ComponentCode:
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_idempotent", None)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_slot_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -166,6 +168,25 @@ class ComponentCode:
             )
             object.__setattr__(self, "_rows", rows)
         return list(rows)
+
+    def _slot(self, j: int, gray: bool) -> tuple:
+        """The rows of eta_j * C over R (each row c as eta_j times c) or as
+        Gray rows (c on coordinates 3i + j, zero elsewhere). Each of the six
+        is built on its first request and kept in ``_slot_rows``."""
+        if self._slot_rows is None:
+            object.__setattr__(self, "_slot_rows", [None] * 6)
+        rows = self._slot_rows[3 * gray + j]
+        if rows is None:
+            crows, eta = self.generator_rows(), make_idempotents(self.field)[j]
+            if gray:
+                placed = [[self.field.zero] * (3 * self.n) for _ in crows]
+                for row, crow in zip(placed, crows):
+                    row[j::3] = crow
+                rows = tuple(map(tuple, placed))
+            else:
+                rows = tuple(tuple(eta.scale_field(x) for x in crow) for crow in crows)
+            self._slot_rows[3 * gray + j] = rows
+        return rows
 
     def _coefficients(self, word) -> Sequence[FieldElem]:
         """The n coefficients of a word (a sequence or a ``SkewPoly``), validated."""
@@ -363,21 +384,20 @@ class SkewCyclicCode:
     """A skew cyclic code over R, as eta1*C1 + eta2*C2 + eta3*C3.
 
     The code is its component triple (c1, c2, c3); equality and hash come
-    from the three generators. The dual code (``_dual``) and the R-level
-    generator rows (``_rows``, a tuple) are built on first request and kept.
+    from the three generators. The dual (``_dual``) is built on first request
+    and kept; the rows join those its components keep per slot (``_slot``).
     """
 
-    __slots__ = ("n", "c1", "c2", "c3", "field", "aut", "_dual", "_rows")
+    __slots__ = ("n", "c1", "c2", "c3", "field", "aut", "_dual")
 
     def __init__(self, c1: ComponentCode, c2: ComponentCode, c3: ComponentCode):
-        object.__setattr__(self, "n", c1.n)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "field", c1.field)
-        object.__setattr__(self, "aut", c1.aut)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_rows", None)
+        _set_n(self, c1.n)
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_c3(self, c3)
+        _set_field(self, c1.field)
+        _set_aut(self, c1.aut)
+        _set_dual(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewCyclicCode is immutable")
@@ -401,34 +421,12 @@ class SkewCyclicCode:
         return make_idempotents(self.field)
 
     def generator_rows(self) -> list[tuple[RingElem, ...]]:
-        """The stacked rows eta_j * (rows of C_j), as vectors over R.
-
-        Built once into ``_rows``; each call returns a new list.
-        """
-        rows = self._rows
-        if rows is None:
-            rows = tuple(
-                tuple(eta.scale_field(x) for x in row)
-                for eta, comp in zip(self.idempotents(), self.components)
-                for row in comp.generator_rows()
-            )
-            object.__setattr__(self, "_rows", rows)
-        return list(rows)
+        """The stacked rows eta_j * (rows of C_j) over R, as a new list."""
+        return [*self.c1._slot(0, False), *self.c2._slot(1, False), *self.c3._slot(2, False)]
 
     def gray_generator_rows(self) -> list[tuple[FieldElem, ...]]:
-        """The Gray images of ``generator_rows()``, in the same order.
-
-        The Gray image of eta_j * c is c on coordinates 3i + j and zero
-        elsewhere, so no R element is built.
-        """
-        zero = self.field.zero
-        rows = []
-        for j, comp in enumerate(self.components):
-            for crow in comp.generator_rows():
-                row = [zero] * (3 * self.n)
-                row[j::3] = crow
-                rows.append(tuple(row))
-        return rows
+        """The Gray images of ``generator_rows()``, in order, as a new list."""
+        return [*self.c1._slot(0, True), *self.c2._slot(1, True), *self.c3._slot(2, True)]
 
     def contains(self, word) -> bool:
         """Membership of a sequence of ``RingElem`` via the splitting: the
@@ -448,7 +446,7 @@ class SkewCyclicCode:
         dual = self._dual
         if dual is None:
             dual = code_from_components(self.c1.dual(), self.c2.dual(), self.c3.dual())
-            object.__setattr__(self, "_dual", dual)
+            _set_dual(self, dual)
         return dual
 
     def is_self_dual(self) -> bool:
@@ -492,6 +490,11 @@ class SkewCyclicCode:
         return f"SkewCyclicCode(n={self.n}, g=({gs}), aut={self.aut})"
 
 
+_set_n, _set_c1, _set_c2, _set_c3, _set_field, _set_aut, _set_dual = (
+    getattr(SkewCyclicCode, name).__set__ for name in SkewCyclicCode.__slots__
+)
+
+
 def code_from_components(
     c1: ComponentCode, c2: ComponentCode, c3: ComponentCode
 ) -> SkewCyclicCode:
@@ -506,7 +509,7 @@ def code_from_components(
         raise LengthMismatch("component lengths differ")
     if not (c1.aut == c2.aut == c3.aut):
         raise AutMismatch("component automorphisms differ")
-    if not (c1.field == c2.field == c3.field):
+    if not (c1.field is c2.field is c3.field or c1.field == c2.field == c3.field):
         raise FieldMismatch("component fields differ")
     return SkewCyclicCode(c1, c2, c3)
 

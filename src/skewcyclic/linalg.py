@@ -1,14 +1,14 @@
 """Exact linear algebra over F_q on integer-indexed matrices.
 
 Rows are lists of element indices (``FieldElem.idx``); all elimination is
-table-driven and exact, in one forward-elimination loop (``echelon``),
-whose output ``rank``, ``in_row_space`` and the span enumerators take as
-it is. Only ``rref`` fully reduces, for ``canonical_subspace`` and
-``nullspace``: a canonical form is needed only for subspace equality and
-the kernel basis. The span enumerators expand F_q-vectors into base-p
-digit vectors so that bulk enumeration can run through numpy in chunks
-while staying exact integer arithmetic mod p. ``macwilliams`` carries a
-weight distribution to the dual code in exact integers.
+table-driven and exact, in one forward-elimination loop (``_pivots``):
+``rank`` counts its pivots, and ``echelon`` copies them out for ``rref``,
+``in_row_space`` and the span enumerators. Only ``rref`` fully reduces,
+for ``canonical_subspace`` and ``nullspace``, which need a canonical form.
+The span enumerators expand F_q-vectors into base-p digit vectors so that
+bulk enumeration runs through numpy in chunks, in exact integer arithmetic
+mod p. ``macwilliams`` carries a weight distribution to the dual code in
+exact integers.
 """
 
 from __future__ import annotations
@@ -42,27 +42,31 @@ def _width(rows: Sequence[Sequence[int]], ncols: int | None) -> int:
     return ncols
 
 
-def echelon(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
-    """An echelon basis of the span (nonzero rows, pivots increasing) by
-    forward elimination: each row is reduced by the pivot rows before it
-    until its leading column holds no pivot. Pivots are not normalised and
-    nothing above them is cleared, so rows with distinct leading columns,
-    such as the rows x^j * g of a generator, are only scanned."""
+def _pivots(rows: Sequence[Sequence[int]], field: Field) -> dict[int, Sequence[int]]:
+    """Pivot column -> pivot row, by forward elimination: each row is reduced
+    by the pivot rows before it until its leading column holds no pivot.
+    Nothing is normalised or cleared above a pivot; a row that needs no
+    reduction (a row x^j * g of a generator) is kept as given, uncopied."""
     t = field.tables()
     inv, mul, sub = t.inv, t.mul, t.sub
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, Sequence[int]] = {}
     for r in rows:
         c, v = -1, next(filter(None, r), 0)
         while v:  # the lead moves right at each step, even on broken tables
             c = r.index(v, c + 1)
             p = pivots.get(c)
             if p is None:
-                pivots[c] = list(r)
+                pivots[c] = r
                 break
             mul_f = mul[mul[v][inv[p[c]]]]
             r = [sub[x][mul_f[y]] for x, y in zip(r, p)]
             v = next(filter(None, r[c + 1 :]), 0)
-    return [pivots[c] for c in sorted(pivots)]
+    return pivots
+
+
+def echelon(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
+    """An echelon basis of the span: ``_pivots``' rows, copied in pivot order."""
+    return [list(row) for _, row in sorted(_pivots(rows, field).items())]
 
 
 def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
@@ -84,7 +88,7 @@ def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
 
 
 def rank(rows: Sequence[Sequence[int]], field: Field) -> int:
-    return len(echelon(rows, field))
+    return len(_pivots(rows, field))
 
 
 def in_row_space(basis: Sequence[Sequence[int]], row: Sequence[int], field: Field) -> bool:

@@ -1064,7 +1064,7 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     each block is enumerated on its own, refused past ``bound``.
     ``block_minima`` maps a block's RREF rows to its minimum weight, so
     codes that share a block enumerate it once. A component distance past
-    ``bound`` skips the claim.
+    ``bound`` skips the claim; a ``MacWilliamsError`` from it fails it.
     """
     code, basis, cfg = case.code, case.basis, case.config
     fld = code.field
@@ -1073,6 +1073,9 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     except EnumerationTooLarge as exc:
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
+    except linalg.MacWilliamsError as exc:
+        witness = {"error": f"MacWilliamsError: {exc}"}
+        return VerdictReport("distance-law", cfg, "exhaustive", False, witness)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     if len(basis) != sum(map(len, blocks)):
         witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}

@@ -150,7 +150,8 @@ class TestCodeCommand:
         # construction: build, dual and (n = 5) idempotent over F_9 for
         # thirteen codes at n = 4 and 5, zero and full components included;
         # gray (gray_rank) and distance for the same codes were recorded
-        # while rank still ran through the Gauss-Jordan rref
+        # while rank still ran through the Gauss-Jordan rref; matrix (the
+        # generator rows over R) while each code still built its own rows
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert out == self.CODE_PINS[argv]

@@ -27,7 +27,7 @@ from skewcyclic.codes import (
 from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.oracle import broken_component_code, default_modulus
 from skewcyclic.oracle import _r_fold, _r_mul, _read_row
-from skewcyclic.ring_r import RingElem, gray_map, ring_elem, ring_one
+from skewcyclic.ring_r import RingElem, gray_map, make_idempotents, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
     DomainMismatch,
@@ -186,6 +186,19 @@ class TestGeneratorRows:
             xj = SkewPoly.x_power(f9, 1, j)
             prod = mod_xn_minus_1(skew_mul(xj, g), 5)
             assert [x.idx for x in row] == prod.padded(5)
+
+    @pytest.mark.parametrize("fixture, n", [("f9", 1), ("f9", 2), ("f9", 3), ("f25", 1), ("f25", 2)])
+    def test_rows_over_r_equal_the_scale_field_reference(self, request, fixture, n):
+        fld = request.getfixturevalue(fixture)
+        etas = make_idempotents(fld)
+        for code in census(n, fld, 1):
+            rows = code.generator_rows()
+            assert all(type(r) is tuple for r in rows)
+            assert rows == [
+                tuple(eta.scale_field(x) for x in row)
+                for eta, comp in zip(etas, code.components)
+                for row in comp.generator_rows()
+            ]
 
     def test_gray_rank_counts_dimension(self, f9, xw_code):
         code = code_from_components(xw_code, xw_code, xw_code)
@@ -622,6 +635,22 @@ class TestDerivedCodeMemos:
         first[0] = None
         assert code.generator_rows() == second
         assert len(second) == code.dim
+
+    def test_codes_sharing_a_slot_share_its_rows_but_not_their_lists(self, f9):
+        comps = [component_code_new(4, g) for g in monic_right_divisors(4, f9, 1)]
+        nonzero = [c for c in comps if c.dim]
+        shared = next(c for c in nonzero if c.dim < 4)
+        a = code_from_components(nonzero[0], shared, nonzero[1])
+        b = code_from_components(nonzero[2], shared, nonzero[3])
+        ka, kb = a.c1.dim, b.c1.dim
+        for name in ("generator_rows", "gray_generator_rows"):
+            ra, rb = getattr(a, name)(), getattr(b, name)()
+            assert ra[ka : ka + shared.dim] == rb[kb : kb + shared.dim]
+            kept_a, kept_b = list(ra), list(rb)
+            ra[ka] = None
+            ra.append(None)
+            assert getattr(b, name)() == kept_b
+            assert getattr(a, name)() == kept_a
 
     @pytest.mark.parametrize("g", ["x-1", "1", "1+x+x^2+x^3+x^4", "x^5-1"])
     def test_component_rows_twisted_once(self, f9, monkeypatch, g):

@@ -320,8 +320,8 @@ def _combine(coeffs, rows, field):
 
 
 class TestEchelon:
-    """``echelon``, ``rank`` and the ``rref`` built on it against the
-    Gauss-Jordan reference."""
+    """``echelon``, ``rank`` and ``rref``, all built on ``_pivots``, against
+    the Gauss-Jordan reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(_matrices())
@@ -342,6 +342,28 @@ class TestEchelon:
         assert linalg.canonical_subspace(basis, fld) == tuple(
             map(tuple, _reference_rref(rows, fld))
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_rank_counts_the_echelon_rows(self, case):
+        fld, rows, _ = case
+        assert linalg.rank(rows, fld) == len(linalg.echelon(rows, fld))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices())
+    def test_inputs_are_not_mutated_and_echelon_rows_are_fresh(self, case):
+        # rank and echelon keep rows that need no reduction as given
+        fld, rows, _ = case
+        before = [list(r) for r in rows]
+        linalg.rank(rows, fld)
+        basis = linalg.echelon(rows, fld)
+        assert rows == before
+        second = [list(b) for b in basis]
+        for b in basis:
+            b[0] = -1
+            b.append(-1)
+        assert rows == before
+        assert linalg.echelon(rows, fld) == second
 
     def test_subtraction_that_cancels_nothing_still_ends(self, f9):
         # each reduction step moves a row's lead column right, so broken

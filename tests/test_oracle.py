@@ -749,6 +749,38 @@ class TestHarness:
         assert (r.checked, r.skipped) == (before.checked - 1, before.skipped + 1)
         assert list(reports) == list(base)
 
+    def test_component_dual_outside_the_census_fails_duality_and_distance_law(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from skewcyclic.cli import main
+        from skewcyclic.codes import census_components
+
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
+        fld = entry.field()
+        # a production ComponentCode.dual() that returns a non-divisor for
+        # the degree-1 component: the MacWilliams transform of its weights
+        # cannot carry back to the component's q^2 words
+        target = next(c for c in census_components(3, fld, 1) if c.g.degree == 1)
+        outside = broken_component_code(fld, 1, 3)
+        dual = ComponentCode.dual
+        monkeypatch.setattr(
+            ComponentCode, "dual", lambda self: outside if self == target else dual(self)
+        )
+        reports = {r.claim: r for r in verify_entry(entry)}
+        for claim in ("duality", "distance-law"):
+            assert not reports[claim].passed and reports[claim].counterexample
+        assert reports["distance-law"].mode == "exhaustive"
+        assert reports["distance-law"].counterexample["error"] == (
+            "MacWilliamsError: the dual's weights carry to 9 words, not 81"
+        )
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps([{"p": 3, "m": 2, "i": 1, "n": 3}]))
+        assert main(["verify", "--matrix", str(matrix), "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "Traceback" not in out
+        fails = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL ")]
+        assert {"duality", "distance-law"} <= set(fails)
+
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))
         for r in reports:
