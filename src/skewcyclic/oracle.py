@@ -20,12 +20,12 @@ generator facts about the components, so those claims check a
 does (``_by_component``). The claims about the combined generator
 eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples of
 (a, b, c) field-index triples with a schoolbook product
-(``_schoolbook_mul``), a skew multiply, a fold mod x^n - 1 and a right
-division, and Gray rows from ``gray_map`` or the oracle's own evaluation
-map (``_evaluations``). The lane shares only the field tables with
-production's R arithmetic, and ``_verify_tables`` checks those. Rows
-over R enter the lane through the oracle's inverse splitting
-(``_read_row``); lane triples become ``RingElem``s only where production
+(``_schoolbook_mul``), a skew multiply and a fold mod x^n - 1, and Gray
+rows from ``gray_map`` or the oracle's own evaluation map
+(``_evaluations``). The lane shares only the field tables with
+production's R arithmetic, and ``_verify_tables`` checks those.
+Production's rows over R meet the lane only as Gray index rows through
+``gray_map``; lane triples become ``RingElem``s only where production
 takes them: ``contains``, ``project_components`` and
 ``ring_skew_poly_combine``.
 
@@ -87,7 +87,6 @@ from .skew_poly import (
     poly_from_string,
     poly_to_string,
     project_components,
-    right_divide,
     ring_skew_poly_combine,
     xn_minus_1,
 )
@@ -184,10 +183,13 @@ class VerdictReport:
 class Case:
     """What the claims over R read about one code, built by ``_case``.
 
-    ``rows`` (the combined generator's ``_combined_generator_rows``) and
-    ``basis`` (their ``_gray_basis``) are built on first read and kept
-    until ``drop_lane``. Only the code's own claims read them, so an entry
-    holds them for one code at a time.
+    ``gray_rows`` are production's generator rows as Gray index rows
+    (``_gray_rows``), the one form in which ``cardinality-rank``,
+    ``dual-gray-commute``, ``quasi-cyclic-gray`` and
+    ``principal-generator`` read them. ``rows`` (the combined generator's
+    ``_combined_generator_rows``) and ``basis`` (their ``_gray_basis``)
+    are built on first read and kept until ``drop_lane``. Only the code's
+    own claims read them, so an entry holds them for one code at a time.
     """
 
     code: SkewCyclicCode
@@ -589,18 +591,6 @@ def verify_fixed_subfield_divisors(
     return VerdictReport(claim, cfg, "exhaustive", True)
 
 
-def _remainder_rank(comp: ComponentCode) -> int:
-    """Rank of the linear map word -> right remainder mod g on F_q^n."""
-    fld = comp.field
-    if comp.g.degree == 0:
-        return 0
-    rows = []
-    for t in range(comp.n):
-        rem = right_divide(SkewPoly.x_power(fld, comp.aut, t), comp.g).remainder
-        rows.append(rem.padded(comp.g.degree))
-    return linalg.rank(rows, fld)
-
-
 def _twist_shift(w: Sequence[int], frob: list[int]) -> list[int]:
     """sigma on an index vector: (theta(w_{n-1}), theta(w_0), ..., theta(w_{n-2}))."""
     return [frob[w[-1]]] + [frob[a] for a in w[:-1]]
@@ -679,30 +669,28 @@ def _by_component(
 
 
 def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> VerdictReport:
-    """Closure under the skew shift, and oracle span == membership set.
+    """Closure under the skew shift, and production membership on the span.
 
-    The span of a component code's rows is closed under sigma by rank
-    tests (no division); the membership set is the kernel of the linear
-    remainder map, whose size is computed by rank. Exact equality follows
-    from span-inside-kernel plus equal cardinality. The production
-    membership test is also spot-checked on up to 64 words of the span
-    drawn from ``rng``. ``cfg`` is the code's ``_code_config``. A code
-    over R is checked by ``_by_component``.
+    The span of a component code's rows must be closed under sigma, by
+    rank tests (no division), and hold exactly the code's size. The
+    production membership test must accept every generator row and up to
+    64 words of the span drawn from ``rng``; that it rejects the words
+    outside the span is the sampled part of ``principal-generator``.
+    ``cfg`` is the code's ``_code_config``. A code over R is checked by
+    ``_by_component``.
     """
     claim = "shift-closure"
     fld = code.field
     basis, shifted_ok = _shift_closure_basis(code)
     closure_size = fld.q ** len(basis)
-    kernel = fld.q ** (code.n - _remainder_rank(code))
     expected = code.size
     gens_in = all(code.contains(row) for row in code.generator_rows())
-    ok = shifted_ok and closure_size == expected and kernel == expected and gens_in
+    ok = shifted_ok and closure_size == expected and gens_in
     if not ok:
         witness = {
             "span_shift_closed": shifted_ok,
             "closure_size": closure_size,
             "expected_size": expected,
-            "membership_kernel_size": kernel,
             "generators_pass_membership": gens_in,
         }
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
@@ -845,11 +833,6 @@ def _r_add(s: tuple, t: tuple, tables) -> tuple:
     return add[s[0]][t[0]], add[s[1]][t[1]], add[s[2]][t[2]]
 
 
-def _r_sub(s: tuple, t: tuple, tables) -> tuple:
-    sub = tables.sub
-    return sub[s[0]][t[0]], sub[s[1]][t[1]], sub[s[2]][t[2]]
-
-
 def _half(tables) -> int:
     """The index of 1/2, from the tables alone."""
     return tables.inv[tables.add[tables.one][tables.one]]
@@ -858,29 +841,6 @@ def _half(tables) -> int:
 def _r_theta(s: tuple, frob: list[int]) -> tuple:
     """theta on a + bv + cv^2: it fixes v, so it acts on a, b and c."""
     return frob[s[0]], frob[s[1]], frob[s[2]]
-
-
-def _abc(x: tuple, tables) -> tuple:
-    """The oracle's inverse splitting: the (a, b, c) triple with evaluations
-    x = (x1, x2, x3), namely a = x1, b = (x2 - x3)/2, c = (x2 + x3)/2 - x1."""
-    add, sub, half = tables.add, tables.sub, tables.mul[_half(tables)]
-    x1, x2, x3 = x
-    return x1, half[sub[x2][x3]], sub[half[add[x2][x3]]][x1]
-
-
-def _r_inv(s: tuple, tables) -> tuple:
-    """The inverse of a unit: every evaluation is nonzero, and inverts."""
-    x = _evaluations(s, tables)
-    if 0 in x:
-        raise ZeroDivisionError(f"{s} is not a unit of R")
-    return _abc(tuple(tables.inv[k] for k in x), tables)
-
-
-def _read_row(row: Sequence[RingElem], fld: Field) -> tuple:
-    """A production row over R as lane triples, from the splitting
-    coordinates each ``RingElem`` stores."""
-    t = fld.tables()
-    return tuple(_abc((r.x1.idx, r.x2.idx, r.x3.idx), t) for r in row)
 
 
 def _gray_index_row(row: Sequence[tuple], tables) -> list[int]:
@@ -924,25 +884,6 @@ def _r_fold(f: tuple, n: int, fld: Field) -> tuple:
     for k in range(n, len(f)):
         out[k % n] = _r_add(out[k % n], f[k], t)
     return _r_trim(out)
-
-
-def _r_right_divide(f: tuple, g: tuple, aut: int, fld: Field) -> tuple[tuple, tuple]:
-    """(quotient, remainder) with f = quotient*g + remainder and
-    deg remainder < deg g; g's leading coefficient must be a unit of R.
-
-    Each step clears one coefficient from the top; a coefficient that
-    stays nonzero (broken arithmetic) is kept in the remainder."""
-    t = fld.tables()
-    d = len(g) - 1
-    r = list(f)
-    quo = [_R_ZERO] * max(0, len(r) - d)
-    for k in reversed(range(len(quo))):
-        frob = fld.frob_table(aut * k % fld.m)
-        qk = _schoolbook_mul(r[k + d], _r_inv(_r_theta(g[-1], frob), t), t)
-        quo[k] = qk
-        for j, b in enumerate(g):
-            r[k + j] = _r_sub(r[k + j], _schoolbook_mul(qk, _r_theta(b, frob), t), t)
-    return _r_trim(quo), _r_trim(r)
 
 
 def _etas(fld: Field) -> tuple[tuple, tuple, tuple]:
@@ -1006,11 +947,13 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
     componentwise membership test.
 
     The combined generator's Gray span (``case.basis``) has the code's
-    dimension and holds every production generator row, ``contains``
-    accepts every row of ``case.rows`` and agrees with the span on
-    ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``, each n (a, b, c)
-    digit triples, and a unit-led combined generator leaves no right
-    remainder on the generator rows.
+    dimension and holds the Gray image of every production generator row
+    (``case.gray_rows``), and ``contains`` accepts every row of
+    ``case.rows`` and agrees with the span on ``_PRINCIPALITY_SAMPLES``
+    words drawn from ``rng``, each n (a, b, c) digit triples.
+    The rows are not divided by the combined generator: once
+    ``combined-generator`` shows that it divides x^n - 1, their remainder
+    is zero by the lane's own arithmetic alone.
     """
     code, basis = case.code, case.basis
     fld = code.field
@@ -1022,12 +965,8 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
     if len(basis) != code.dim:
         return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
 
-    def in_span(row) -> bool:
-        return linalg.in_row_space(basis, _gray_index_row(row, t), fld)
-
-    generator_rows = [(row, _read_row(row, fld)) for row in code.generator_rows()]
-    for row, triples in generator_rows:
-        if not in_span(triples):
+    for row, gray_row in zip(code.generator_rows(), case.gray_rows):
+        if not linalg.in_row_space(basis, gray_row, fld):
             return fail(
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
@@ -1040,17 +979,8 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
         digits = [rng.randrange(q**3) for _ in range(code.n)]
         triples = tuple((k // (q * q), k // q % q, k % q) for k in digits)
         word = tuple(map(case.ring_elems, triples))
-        if code.contains(word) != in_span(triples):
+        if code.contains(word) != linalg.in_row_space(basis, _gray_index_row(triples, t), fld):
             return fail("sampled", {"word": [str(x) for x in word]})
-    # when the combined generator has a unit leading coefficient the
-    # literal right-remainder test must agree as well
-    combined = case.combined
-    if combined and 0 not in _evaluations(combined[-1], t):
-        for row, triples in generator_rows:
-            if _r_right_divide(_r_trim(triples), combined, code.aut, fld)[1]:
-                return fail(
-                    "exhaustive", {"right_remainder_nonzero_on": [str(x) for x in row]}
-                )
     return VerdictReport("principal-generator", case.config, "sampled", True)
 
 

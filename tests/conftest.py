@@ -1,7 +1,7 @@
 import pytest
 
 from skewcyclic.finite_field import Field
-from skewcyclic.oracle import _by_component, _case, _code_config, _ring_elems
+from skewcyclic.oracle import _by_component, _case, _code_config, _evaluations, _ring_elems
 
 
 def case_of(code):
@@ -12,6 +12,17 @@ def case_of(code):
 def over_r(check, code, *args):
     """A component claim on a code over R, through ``_by_component``."""
     return _by_component(check, code, _code_config(code), {}, *args)
+
+
+def evaluated(lane, field):
+    """Oracle lane triples in its evaluation coordinates (a, a+b+c, a-b+c)."""
+    t = field.tables()
+    return tuple(_evaluations(s, t) for s in lane)
+
+
+def stored(coeffs):
+    """Production's coefficients over R as the (x1, x2, x3) indices they store."""
+    return tuple((r.x1.idx, r.x2.idx, r.x3.idx) for r in coeffs)
 
 
 @pytest.fixture(scope="session")

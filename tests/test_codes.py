@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from conftest import evaluated, stored
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from skewcyclic.codes import (
 )
 from skewcyclic.finite_field import Field, FieldMismatch
 from skewcyclic.oracle import broken_component_code, default_modulus
-from skewcyclic.oracle import _r_fold, _r_mul, _read_row
+from skewcyclic.oracle import _combine, _r_fold, _r_mul
 from skewcyclic.ring_r import RingElem, gray_map, make_idempotents, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
@@ -116,12 +117,16 @@ class TestSplitNativeConstruction:
     def test_combined_cofactor_over_r(self, f9):
         codes = census(5, f9, 1)
         assert len(codes) == 64
-        # the combined polynomials enter the oracle's lane as (a, b, c) triples
-        xn1 = _read_row(ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3), f9)
+        # the lane's combined cofactor times combined generator, in the
+        # oracle's evaluation coordinates, is production's x^5 - 1 over R
+        xn1 = stored(ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3))
         for code in codes:
-            h = _read_row(ring_skew_poly_combine(code.c1.h, code.c2.h, code.c3.h), f9)
-            g = _read_row(_combined(code), f9)
-            assert _r_mul(h, g, 1, f9) == xn1
+            h = _combine([c.h for c in code.components], f9)
+            g = _combine([c.g for c in code.components], f9)
+            combined_h = ring_skew_poly_combine(*(c.h for c in code.components))
+            assert evaluated(h, f9) == stored(combined_h)
+            assert evaluated(g, f9) == stored(_combined(code))
+            assert evaluated(_r_mul(h, g, 1, f9), f9) == xn1
 
 
 def _recording(monkeypatch, owner, name):
@@ -596,7 +601,8 @@ class TestIdempotents:
         ]
         code = code_from_components(*comps)
         e1, e2, e3 = code.idempotent_generator()
-        e = _read_row(ring_skew_poly_combine(e1, e2, e3), f9)
+        e = _combine([e1, e2, e3], f9)
+        assert evaluated(e, f9) == stored(ring_skew_poly_combine(e1, e2, e3))
         assert _r_fold(_r_mul(e, e, 1, f9), 5, f9) == _r_fold(e, 5, f9)
         assert e1 == comps[0].idempotent_generator()
         assert e2 == SkewPoly.one(f9, 1)

@@ -8,7 +8,7 @@ from conftest import case_of, over_r
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcyclic import oracle
+from skewcyclic import linalg, oracle
 from skewcyclic.codes import (
     ComponentCode,
     NotRightDivisor,
@@ -47,6 +47,7 @@ from skewcyclic.oracle import (
     verify_quasi_cyclic_gray,
     verify_shift_closure,
 )
+from skewcyclic.ring_r import ring_elements
 from skewcyclic.skew_poly import (
     Factorization,
     SkewPoly,
@@ -237,19 +238,17 @@ class TestCensusOracle:
 
 
 class TestClosureOracle:
-    def test_remainder_rank_ignores_the_membership_memo(self, f9):
-        from skewcyclic.oracle import _remainder_rank
-
+    def test_corrupt_membership_memo_rejects_the_generators(self, f9):
         comp = component_code_new(5, poly_from_string("x-1", f9, 1))
         comp.contains((f9.zero,) * 5)
         assert comp._remainder_cols is not None
         # a corrupt memo: x^t mod (x - 1) read as 0 (its logarithm) instead of 1
         object.__setattr__(comp, "_remainder_cols", ((f9.log_table().log[0],) * 4,))
-        assert _remainder_rank(comp) == 1
-        # the oracle's own rank still holds, so the generators' rejection shows
         v = verify_shift_closure(comp, _code_config(comp), random.Random(0))
         assert not v.passed
-        assert v.counterexample["membership_kernel_size"] == 9**4
+        # the span is right, and only production's membership is wrong
+        assert v.counterexample["span_shift_closed"] is True
+        assert v.counterexample["closure_size"] == v.counterexample["expected_size"] == 9**4
         assert v.counterexample["generators_pass_membership"] is False
 
     def test_passes_on_valid_code(self, mixed_code):
@@ -452,6 +451,36 @@ class TestPrincipalityOracle:
         assert not v.passed
         assert v.counterexample["combined_span_dim"] == 6
         assert v.counterexample["code_dim"] == 9
+
+    def test_generator_row_outside_the_combined_span_fails(self, mixed_code):
+        case = case_of(mixed_code)
+        width = 3 * mixed_code.n
+        units = ([int(k == j) for k in range(width)] for j in range(width))
+        outside = next(
+            u for u in units if not linalg.in_row_space(case.basis, u, mixed_code.field)
+        )
+        v = verify_principality(replace(case, gray_rows=[outside]), random.Random(0))
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample["generator_row_outside_combined_span"] == [
+            str(x) for x in mixed_code.generator_rows()[0]
+        ]
+
+    def test_membership_rejecting_every_word_fails(self, mixed_code, monkeypatch):
+        monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: False)
+        v = verify_principality(case_of(mixed_code), random.Random(0))
+        assert not v.passed and v.mode == "exhaustive"
+        assert len(v.counterexample["combined_row_rejected"]) == mixed_code.n
+
+    def test_membership_accepting_every_word_fails(self, mixed_code, monkeypatch):
+        monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: True)
+        v = verify_principality(case_of(mixed_code), random.Random(0))
+        assert not v.passed and v.mode == "sampled"
+        word = v.counterexample["word"]
+        assert len(word) == mixed_code.n
+        # the witness is a word outside the code
+        monkeypatch.undo()
+        elems = {str(r): r for r in ring_elements(mixed_code.field)}
+        assert not mixed_code.contains(tuple(elems[x] for x in word))
 
 
 class TestDistanceOracle:

@@ -5,6 +5,7 @@ import random
 import warnings
 
 import pytest
+from conftest import evaluated, stored
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,7 @@ from skewcyclic.oracle import (
     _evaluations,
     _r_fold,
     _r_mul,
-    _r_right_divide,
     _r_trim,
-    _read_row,
 )
 from skewcyclic.ring_r import RingElem, ring_elem
 from skewcyclic.skew_poly import (
@@ -603,12 +602,9 @@ _R_ZERO = (0, 0, 0)
 _R_ONE = (_F9.tables().one, 0, 0)
 
 
-def _r_coeffs(units=False):
+def _r_coeffs():
     idx = st.integers(0, _F9.q - 1)
-    triples = st.tuples(idx, idx, idx)
-    if units:
-        return triples.filter(lambda s: RingElem(*map(_F9.from_index, s)).is_unit())
-    return triples
+    return st.tuples(idx, idx, idx)
 
 
 def _r_polys(max_degree=4):
@@ -652,39 +648,20 @@ class TestOracleRingLaws:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_right_division(self, data):
-        f = data.draw(_r_polys(max_degree=6))
-        tail = data.draw(_r_polys(max_degree=3))
-        lc = data.draw(_r_coeffs(units=True))
-        k = data.draw(st.integers(0, 3))
-        g = tail + (_R_ZERO,) * (k + 4 - len(tail)) + (lc,)
-        quo, rem = _r_right_divide(f, g, _R_AUT, _F9)
-        assert _r_add(_r_mul(quo, g, _R_AUT, _F9), rem) == f
-        assert len(rem) < len(g)
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 5), f=_r_polys(max_degree=12))
-    def test_fold_is_the_right_remainder_by_xn_minus_1(self, n, f):
-        minus_one = (_F9.tables().neg[_R_ONE[0]], 0, 0)
-        xn_minus_1 = (minus_one,) + (_R_ZERO,) * (n - 1) + (_R_ONE,)
-        assert _r_fold(f, n, _F9) == _r_right_divide(f, xn_minus_1, _R_AUT, _F9)[1]
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
     def test_product_of_combinations_is_the_combined_product(self, data):
         # R[x, theta] = F_q[x, theta]^3: multiplying combined generators on
         # the lane is multiplying each component with skew_mul
         fs, gs = ([data.draw(_polys(_F9, _R_AUT)) for _ in range(3)] for _ in range(2))
         products = [skew_mul(f, g) for f, g in zip(fs, gs)]
         for polys in (fs, gs, products):
-            assert _combine(polys, _F9) == _read_row(ring_skew_poly_combine(*polys), _F9)
+            assert evaluated(_combine(polys, _F9), _F9) == stored(ring_skew_poly_combine(*polys))
         lane = _r_mul(_combine(fs, _F9), _combine(gs, _F9), _R_AUT, _F9)
-        assert lane == _read_row(ring_skew_poly_combine(*products), _F9)
+        assert evaluated(lane, _F9) == stored(ring_skew_poly_combine(*products))
 
 
 # the lane against production on each component: under the oracle's
-# evaluation map (a, a+b+c, a-b+c), a combined product, fold or division
-# is the F_q[x, theta_1] one on every component
+# evaluation map (a, a+b+c, a-b+c), a combined product or fold is the
+# F_q[x, theta_1] one on every component
 
 _F25 = Field(5, 2, [2, 0, 1])
 _LANE_FIELDS = {"F9": _F9, "F25": _F25}
@@ -697,13 +674,6 @@ def _lane_components(f, field):
     return tuple(
         SkewPoly(field, [x[j] for x in values], 1) for j in range(3)
     )
-
-
-def _monic_free(field, degree):
-    """Polynomials of exactly this degree with a nonzero leading coefficient."""
-    return st.tuples(
-        st.lists(_coeffs(field), min_size=degree, max_size=degree), _coeffs(field, units=True)
-    ).map(lambda parts: SkewPoly(field, parts[0] + [parts[1]], 1))
 
 
 @pytest.mark.parametrize("name", sorted(_LANE_FIELDS))
@@ -724,21 +694,6 @@ class TestOracleLaneAgainstComponents:
         fs = [data.draw(_polys(field, 1, max_degree=12)) for _ in range(3)]
         lane = _r_fold(_combine(fs, field), n, field)
         assert _lane_components(lane, field) == tuple(mod_xn_minus_1(f, n) for f in fs)
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_right_divide(self, name, data):
-        # equal degrees and nonzero leading coefficients: the combined
-        # divisor's leading coefficient is a unit of R
-        field = _LANE_FIELDS[name]
-        d = data.draw(st.integers(0, 3))
-        fs = [data.draw(_polys(field, 1, max_degree=7)) for _ in range(3)]
-        gs = [data.draw(_monic_free(field, d)) for _ in range(3)]
-        quo, rem = _r_right_divide(_combine(fs, field), _combine(gs, field), 1, field)
-        expected = [right_divide(f, g) for f, g in zip(fs, gs)]
-        assert _lane_components(quo, field) == tuple(r.quotient for r in expected)
-        assert _lane_components(rem, field) == tuple(r.remainder for r in expected)
-
 
 # ---------------------------------------------------------------------------
 # text round-trips: what poly_to_string prints, the parsers read back
