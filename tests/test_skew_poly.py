@@ -647,6 +647,17 @@ class TestOracleRingLaws:
         assert lhs == _r_mul(_r_trim([_r_theta(a, _R_AUT)]), x, _R_AUT, _F9)
 
     @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_fold_is_the_right_remainder_by_xn_minus_1(self, n, data):
+        # f = q (x^n - 1) + r with deg r < n: the right remainder is r
+        quo = data.draw(_r_polys(max_degree=7))
+        rem = data.draw(_r_polys(max_degree=n - 1))
+        minus_one = (_F9.tables().neg[_R_ONE[0]], 0, 0)
+        xn_minus_1 = (minus_one,) + (_R_ZERO,) * (n - 1) + (_R_ONE,)
+        f = _r_add(_r_mul(quo, xn_minus_1, _R_AUT, _F9), rem)
+        assert _r_fold(f, n, _F9) == rem
+
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_product_of_combinations_is_the_combined_product(self, data):
         # R[x, theta] = F_q[x, theta]^3: multiplying combined generators on
