@@ -9,7 +9,8 @@ Every ``FieldElem`` carries its canonical index ``idx`` (its base-p
 digits, c_0 first), the form in which the package computes below text I/O.
 Element arithmetic has one path: every operation (+ - * neg inv frob)
 reads the field's ``LogTable`` of O(q) ints, built on first use from the
-powers of a generator, and returns an interned element. Fields past
+powers of a generator, and returns an interned element. The powers are
+computed in pure Python, so the field layer never loads numpy. Fields past
 ENUMERATION_LIMIT are constructed, checked and printed, but their
 arithmetic raises ``EnumerationTooLarge``. For q <= TABLE_LIMIT,
 ``Field.tables()`` expands the same table into dense q x q index lists for
@@ -31,9 +32,8 @@ data and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence
-
-import numpy as np
 
 ENUMERATION_LIMIT = 2**16
 TABLE_LIMIT = 4096  # largest q, or subfield order p^i, with dense int op tables
@@ -221,20 +221,26 @@ def _first_generator(field: Field) -> tuple[int, tuple]:
 
 
 def _power_indices(field: Field, g: tuple) -> list[int]:
-    """The indices of g^0, ..., g^{q-2}, by doubling: the first L powers
-    times g^L are the next L, one (L, m) x (m, m) product mod p whose
-    matrix has the rows w^j g^L."""
+    """The indices of g^0, ..., g^{q-2}: each power is the previous one
+    times the m x m matrix over F_p of multiplication by g, whose column j
+    holds the coefficients of w^j g.
+
+    Each column is packed into one int, s bits per coefficient, wide enough
+    that the product's unreduced coefficients (at most m (p-1)^2) do not
+    carry; so the product is one integer dot product, then m reductions.
+    """
     p, m, n = field.p, field.m, field.q - 1
     basis = [tuple(int(j == k) for k in range(m)) for j in range(m)]
-    rows = np.zeros((n, m), dtype=np.int64)
-    rows[0, 0] = 1
-    done, step = 1, g
-    while done < n:
-        mat = np.array([field._mul_coeffs(b, step) for b in basis], dtype=np.int64)
-        more = min(done, n - done)
-        rows[done : done + more] = rows[:more] @ mat % p
-        done, step = done + more, tuple(field._mul_coeffs(step, step))
-    return (rows @ p ** np.arange(m - 1, -1, -1)).tolist()
+    s = (m * (p - 1) ** 2).bit_length()
+    cols = [sum(d << s * k for k, d in enumerate(field._mul_coeffs(b, g))) for b in basis]
+    mask, shifts = (1 << s) - 1, range(0, s * m, s)
+    places = [p ** (m - 1 - k) for k in range(m)]  # c_0 is the leading digit
+    c, out = basis[0], []
+    for _ in range(n):
+        out.append(sum(map(operator.mul, places, c)))
+        v = sum(map(operator.mul, c, cols))
+        c = [(v >> k & mask) % p for k in shifts]
+    return out
 
 
 def _dense_tables(exp: list[int], zech: list[int]) -> tuple[list, list, list]:

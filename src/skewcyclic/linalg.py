@@ -7,19 +7,21 @@ table-driven and exact, in one forward-elimination loop (``_pivots``):
 for ``canonical_subspace`` and ``nullspace``, which need a canonical form.
 The span enumerators expand F_q-vectors into base-p digit vectors so that
 bulk enumeration runs through numpy in chunks, in exact integer arithmetic
-mod p. ``macwilliams`` carries a weight distribution to the dual code in
-exact integers.
+mod p. They import numpy on their first call, so a process that enumerates
+no span never loads it. ``macwilliams`` carries a weight distribution to
+the dual code in exact integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK_BYTES = 1 << 22  # bytes of words per numpy block in span enumeration
 DISTANCE_LIMIT = 10**6  # default bound on the words of a weight enumeration
@@ -174,6 +176,8 @@ def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
     per coordinate, so the Z_p span of the result is the digit image of the
     F_q span.
     """
+    import numpy as np
+
     t, out = field.tables(), []
     times_w = t.mul[field.gen.idx]
     for row in basis:
@@ -190,6 +194,8 @@ def _projective_weights(basis: list[list[int]], field: Field):
     basis is 1: (q^k - 1)/(q - 1) of the q^k words, one for each line of
     the span. They are yielded as numpy arrays of weights, one per block.
     """
+    import numpy as np
+
     p, m = field.p, field.m
     ncoords = len(basis[0])
     width = ncoords * m
@@ -261,6 +267,8 @@ def span_weight_distribution(
     required when there are no rows (the span is then the zero word of
     that length).
     """
+    import numpy as np
+
     ncols = _width(rows, ncols)
     basis = echelon(rows, field)
     _refuse_span(basis, field, bound)
@@ -318,6 +326,8 @@ def macwilliams(weights: Sequence[int], n: int, q: int) -> list[int]:
 
 def _digit_dtype(p: int):
     """The narrowest unsigned dtype that holds c*d + e exactly for digits < p."""
+    import numpy as np
+
     for dtype in (np.uint8, np.uint16, np.uint32):
         if p * (p - 1) <= np.iinfo(dtype).max:
             return dtype

@@ -48,9 +48,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import linalg
 from .codes import (
@@ -90,6 +88,9 @@ from .skew_poly import (
     ring_skew_poly_combine,
     xn_minus_1,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_at_least(least: int, **values) -> None:
@@ -447,6 +448,8 @@ def _base_digits(values: list[int], base: int, n: int) -> np.ndarray:
     Each value is cut into int64 limbs of ``per`` digits with exact integer
     arithmetic, and the limbs into digits by numpy.
     """
+    import numpy as np
+
     per = 1
     while per < n and base ** (per + 1) < 2**63:
         per += 1
@@ -495,6 +498,8 @@ def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
     under test gets the ``RingElem`` words, one pair at a time, and the
     first pair that disagrees is the witness.
     """
+    import numpy as np
+
     fld = entry.field()
     n = entry.n
     split_exhaustive, witness = _verify_splitting(

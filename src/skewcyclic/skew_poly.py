@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .finite_field import Field, FieldMismatch, elem_from_string
 from .ring_r import (
     RingElem,
@@ -260,6 +258,8 @@ def _brute_divisor_tails(n: int, field: Field, i: int, d: int) -> list[tuple[int
     s = x*r followed by cancellation of the top coefficient against monic
     g; g right-divides x^n - 1 iff x^n reduces to 1.
     """
+    import numpy as np
+
     t = field.tables()
     q = field.q
     mul = np.array(t.mul, dtype=np.int16)

@@ -879,6 +879,57 @@ def test_one_parser_serves_every_call(capsys):
     assert build_parser() is build_parser()
 
 
+N5_CODE = ["--field", FIELD, "--aut", "1", "--n", "5", "--g1", "x-1", "--g2", "1", "--g3", "x^5-1"]
+NUMPY_FREE = [
+    ["field", "check", "--field", FIELD],
+    ["factor", "--field", FIELD, "--aut", "1", "--n", "13"],
+    ["factor", "--field", FIELD, "--aut", "2", "--n", "4"],
+    *(["code", command, *N5_CODE] for command in ("build", "dual", "gray", "matrix", "idempotent")),
+    ["code", "contains", *N5_CODE, "--word", ";".join(["[1,0]|[1,0]|[0,0]"] * 5)],
+]
+
+
+def _fresh_run(argvs, block_numpy):
+    """Run each argv through ``cli.main`` in one fresh process; return its
+    [exit code, stdout] pairs and whether numpy was loaded before and after."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"if {block_numpy!r}:\n"
+        "    sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "import skewcyclic\n"
+        "from skewcyclic import cli\n"
+        "before, runs = 'numpy' in sys.modules, []\n"
+        f"for argv in {argvs!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        runs.append([cli.main(argv), buf.getvalue()])\n"
+        "print(json.dumps([runs, before, 'numpy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_span_enumeration_loads_numpy(capsys):
+    # with numpy unimportable, every command that enumerates no span runs
+    # and prints what an in-process run prints
+    runs, _, _ = _fresh_run(NUMPY_FREE, block_numpy=True)
+    assert len(runs) == len(NUMPY_FREE)
+    for argv, (rc, out) in zip(NUMPY_FREE, runs):
+        assert rc == 0, argv
+        assert run(capsys, *argv)[:2] == (0, out), argv
+    # a minimum distance enumerates a span, and that first loads numpy
+    (((rc, _),), before, after) = _fresh_run([["code", "distance", *N5_CODE]], block_numpy=False)
+    assert (rc, before, after) == (0, False, True)
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     """`verify | head`: a reader that leaves early gets no traceback."""
     matrix = tmp_path / "matrix.json"

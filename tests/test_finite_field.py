@@ -20,10 +20,13 @@ from skewcyclic.finite_field import (
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
+    _first_generator,
     _is_irreducible_modp,
+    _power_indices,
     elem_from_string,
     field_from_string,
 )
+from skewcyclic.oracle import _verify_log_table
 
 
 class TestConstruction:
@@ -448,6 +451,32 @@ class TestCyclicTables:
         monkeypatch.setattr(Field, "_mul_coeffs", counting)
         fld.tables()
         assert len(calls) < 3 * fld.q
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            (3, 2, [1, 0, 1]),  # w^2 = -1: w has order 4 and is not primitive
+            (3, 2, [2, 1, 1]),  # w is primitive
+            (5, 2, [2, 0, 1]),
+            (3, 3, [1, 2, 0, 1]),
+            (5, 3, [1, 0, 1, 1]),
+            (7, 2, [1, 0, 1]),
+            F_729,
+            (3, 7, [1, 0, 0, 0, 0, 1, 2, 1]),
+            (3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),
+        ],
+    )
+    def test_power_table_is_the_iterated_coefficient_product(self, spec):
+        fld = Field(*spec)
+        coeffs = list(itertools.product(range(fld.p), repeat=fld.m))  # index order
+        index = {c: k for k, c in enumerate(coeffs)}
+        _, g = _first_generator(fld)
+        x, powers = (1,) + (0,) * (fld.m - 1), []
+        for _ in range(fld.q - 1):
+            powers.append(index[x])
+            x = tuple(fld._mul_coeffs(x, g))
+        assert _power_indices(fld, g) == powers
+        assert _verify_log_table(fld, coeffs, index) is None
 
 
 def _divides_modp(g, f, p):
