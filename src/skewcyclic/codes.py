@@ -20,9 +20,13 @@ normalized monic. Idempotent generators exist when n is coprime to both q
 and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
 fixed subfield.
 
-Polynomials, twists and remainders are F_q indices; ``FieldElem`` values
-appear only in the words ``contains`` takes and in the rows that
-``generator_rows`` and ``gray_generator_rows`` return. Code objects are
+Polynomials, twists and remainders are F_q indices; ``FieldElem`` and
+``RingElem`` values appear only in the words ``contains`` takes and in
+the rows that ``generator_rows`` and ``gray_generator_rows`` return.
+``contains`` checks a word once, where it enters, and hands its index
+vectors (one per splitting coordinate over R) to one kernel,
+``ComponentCode._contains_indices``, which reads remainders x^t mod g
+filled by a twisted-shift recurrence, with no division. Code objects are
 immutable; what they derive is built on first request and kept. A code
 over R keeps no rows; it joins those its components keep per slot.
 """
@@ -104,9 +108,12 @@ class ComponentCode:
     instance satisfies h*g = x^n - 1. The minimum distance is computed on
     first request and kept (``_distance``); codes that share a component
     share the enumeration. So are the right remainders x^t mod g for
-    deg g <= t < n that ``contains`` reads (``_remainder_cols``, stored
-    column by column: entry [k][t - deg g] is the logarithm, in the field's
-    ``LogTable``, of the coefficient of x^k).
+    deg g <= t < n that ``_contains_indices`` reads (``_remainder_cols``,
+    filled by ``_remainder_columns`` without division and stored column
+    by column: entry [k][t - deg g] is the logarithm, in the field's
+    ``LogTable``, of the coefficient of x^k). Membership has one kernel,
+    ``_contains_indices`` on a checked index vector; ``contains`` here and
+    ``SkewCyclicCode.contains`` check words and feed it.
     The generator rows (``_rows``), the dual code (``_dual``) and the
     idempotent generator (``_idempotent``) are likewise built on first
     request and kept; a failed construction is not kept. So are the rows of
@@ -188,53 +195,45 @@ class ComponentCode:
             self._slot_rows[3 * gray + j] = rows
         return rows
 
-    def _coefficients(self, word) -> Sequence[FieldElem]:
-        """The n coefficients of a word (a sequence or a ``SkewPoly``), validated."""
-        if isinstance(word, SkewPoly):
-            if word.degree >= self.n:
-                raise LengthMismatch(f"degree {word.degree} >= n = {self.n}")
-            self.g._check_compat(word)
-            elems = self.field.log_table().elems
-            return [elems[c] for c in word.padded(self.n)]
-        if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
-        field = self.field
-        for x in word:
-            if not isinstance(x, FieldElem) or (x.field is not field and x.field != field):
-                raise FieldMismatch(f"word coordinate {x!r} is not in {field!r}")
-        return word
-
     def _remainder_columns(self) -> tuple:
-        """``_remainder_cols``, filled on first use by one ``right_divide`` per t."""
+        """``_remainder_cols``, filled on first use from x^d mod g = -(g - x^d)
+        by x^{t+1} mod g = x (x^t mod g) - c g, c = theta(r_{d-1}) for
+        r = x^t mod g: one twisted shift and at most one axpy per column."""
         cols = self._remainder_cols
         if cols is None:
-            d, log = self.g.degree, self.field.log_table().log
-            rems = [
-                right_divide(SkewPoly.x_power(self.field, self.aut, t), self.g)
-                .remainder.padded(d)
-                for t in range(d, self.n)
-            ]
+            d, t = self.g.degree, self.field.log_table()
+            exp, log, neg, add = t.exp, t.log, t.neg, t.add
+            frob = self.field.frob_table(self.aut)
+            glog = [log[c] for c in self.g.coeffs[:d]]
+            rem, rems = [neg[c] for c in self.g.coeffs[:d]], []  # x^d mod g
+            for step in range(self.n - d if d else 0):  # g = 1 has no remainder rows
+                if step:
+                    c = frob[rem[-1]]
+                    rem = [0] + [frob[r] for r in rem[:-1]]
+                    if c:
+                        lc = log[neg[c]]
+                        rem = [add(r, exp[lc + lg]) for r, lg in zip(rem, glog)]
+                rems.append(rem)
             cols = tuple(tuple(log[rem[k]] for rem in rems) for k in range(d))
             object.__setattr__(self, "_remainder_cols", cols)
         return cols
 
-    def contains(self, word) -> bool:
-        """Membership: zero right remainder on division by g.
-
-        The remainder is left F_q-linear in the word: with d = deg g it is
-        word[:d] + sum over t >= d of word_t * (x^t mod g). Each coefficient
-        of x^k is summed over the nonzero word_t and tested in turn, on
-        indices and logarithms of the field's ``LogTable``: a product is
-        ``exp[log a + log b]`` and a sum a (1 + b/a) reads ``zech``, as in
-        ``FieldElem``.
+    def _contains_indices(self, word: Sequence[int]) -> bool:
+        """Membership of the word with coefficient indices ``word`` (length
+        n, in this field; the callers check both): its right remainder by g,
+        word[:d] + sum over t >= d of word_t * (x^t mod g) with d = deg g, is
+        zero. Each coefficient of x^k is summed over the nonzero word_t and
+        tested in turn, on indices and logarithms of the field's
+        ``LogTable``: a product is ``exp[log a + log b]`` and a sum
+        a (1 + b/a) reads ``zech``, as in ``FieldElem``.
         """
-        coeffs = self._coefficients(word)
-        d = self.g.degree
-        t = self.field.log_table()
+        cols = self._remainder_cols or self._remainder_columns()
+        d = len(cols)  # one entry per coefficient of x^k, k < deg g
+        t = self.field._log or self.field.log_table()
         exp, log, zech = t.exp, t.log, t.zech
-        high = [(j, log[c.idx]) for j, c in enumerate(coeffs[d:]) if c.idx]
-        for k, col in enumerate(self._remainder_columns()):
-            s = coeffs[k].idx
+        high = [(j, log[c]) for j, c in enumerate(word[d:]) if c]
+        for k, col in enumerate(cols):
+            s = word[k]
             for j, a in high:
                 x = exp[a + col[j]]
                 if s and x:
@@ -245,6 +244,25 @@ class ComponentCode:
             if s:
                 return False
         return True
+
+    def contains(self, word) -> bool:
+        """Membership of a word: a ``SkewPoly`` of degree below n, or n
+        ``FieldElem`` of this field, checked here and read once into the
+        indices ``_contains_indices`` tests."""
+        n = self.n
+        if isinstance(word, SkewPoly):
+            if word.degree >= n:
+                raise LengthMismatch(f"degree {word.degree} >= n = {n}")
+            self.g._check_compat(word)
+            return self._contains_indices(word.padded(n))
+        if len(word) != n:
+            raise LengthMismatch(f"word length {len(word)} != n = {n}")
+        field, idx = self.field, []
+        for x in word:
+            if not isinstance(x, FieldElem) or (x.field is not field and x.field != field):
+                raise FieldMismatch(f"word coordinate {x!r} is not in {field!r}")
+            idx.append(x.idx)
+        return self._contains_indices(idx)
 
     def reciprocal_cofactor(self) -> SkewPoly:
         """h~ = h_{n-r} + theta(h_{n-r-1}) x + ... + theta^{n-r}(h_0) x^{n-r}.
@@ -430,15 +448,24 @@ class SkewCyclicCode:
 
     def contains(self, word) -> bool:
         """Membership of a sequence of ``RingElem`` via the splitting: the
-        coordinate words (x1), (x2), (x3) it stores lie in C1, C2 and C3."""
+        coordinate words (x1), (x2), (x3) it stores lie in C1, C2 and C3.
+
+        Every coordinate is checked once, here, before any component is
+        tested; the index words go to ``_contains_indices`` in turn, so a
+        word C1 rejects never reads its x2 or x3.
+        """
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
-        if not all(isinstance(r, RingElem) for r in word):
-            raise FieldMismatch("word coordinates must be elements of R")
+        field = self.field
+        for r in word:
+            if not isinstance(r, RingElem):
+                raise FieldMismatch("word coordinates must be elements of R")
+            if r.x1.field is not field and r.x1.field != field:
+                raise FieldMismatch(f"word coordinate {r!r} is not in R over {field!r}")
         return (
-            self.c1.contains([r.x1 for r in word])
-            and self.c2.contains([r.x2 for r in word])
-            and self.c3.contains([r.x3 for r in word])
+            self.c1._contains_indices([r.x1.idx for r in word])
+            and self.c2._contains_indices([r.x2.idx for r in word])
+            and self.c3._contains_indices([r.x3.idx for r in word])
         )
 
     def dual(self) -> SkewCyclicCode:

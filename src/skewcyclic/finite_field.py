@@ -199,6 +199,21 @@ class FieldElem:
         return self.field.index_text(self.idx)
 
 
+_set_field = FieldElem.field.__set__
+_set_coeffs = FieldElem.coeffs.__set__
+_set_idx = FieldElem.idx.__set__
+
+
+def _interned(field: Field, coeffs: tuple, idx: int) -> FieldElem:
+    """The element with reduced coefficients ``coeffs`` and their canonical
+    index ``idx``; nothing is checked or derived, callers guarantee both."""
+    x = object.__new__(FieldElem)
+    _set_field(x, field)
+    _set_coeffs(x, coeffs)
+    _set_idx(x, idx)
+    return x
+
+
 def _pow_coeffs(field: Field, c: tuple, e: int) -> tuple:
     """c^e by square-and-multiply on ``_mul_coeffs``."""
     out = field.one.coeffs
@@ -289,7 +304,9 @@ class LogTable:
         self.exp = powers * 2 + [0] * (2 * n + 1)
         self.zech = [self.log[(x + q // p) % q] for x in powers] * 2
         self.neg = [self.exp[k + n // 2] for k in self.log]  # -1 = g^{n/2}
-        self.elems = [FieldElem(field, c) for c in itertools.product(range(p), repeat=field.m)]
+        # the k-th coefficient tuple in lexicographic order has index k
+        digits = itertools.product(range(p), repeat=field.m)
+        self.elems = [_interned(field, c, k) for k, c in enumerate(digits)]
         self.elems[0], self.elems[field.one.idx] = field.zero, field.one
         self.frob: dict[int, list[int]] = {}
 

@@ -999,7 +999,8 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     each block is enumerated on its own, refused past ``bound``.
     ``block_minima`` maps a block's RREF rows to its minimum weight, so
     codes that share a block enumerate it once. A component distance past
-    ``bound`` skips the claim; a ``MacWilliamsError`` from it fails it.
+    ``bound`` skips the claim; any other error from it (a
+    ``MacWilliamsError``, say) is left to ``verify_entry``.
     """
     code, basis, cfg = case.code, case.basis, case.config
     fld = code.field
@@ -1008,9 +1009,6 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     except EnumerationTooLarge as exc:
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
-    except linalg.MacWilliamsError as exc:
-        witness = {"error": f"MacWilliamsError: {exc}"}
-        return VerdictReport("distance-law", cfg, "exhaustive", False, witness)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     if len(basis) != sum(map(len, blocks)):
         witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}
@@ -1220,9 +1218,21 @@ def _aggregate(claim: str, config: dict, verdicts: list[VerdictReport]) -> Verdi
     return VerdictReport(claim, config, mode, True, **counts)
 
 
+def _guarded(claim: str, config: dict, check: Callable, *args) -> VerdictReport:
+    """``check(*args)``; an exception that production raises inside it
+    fails ``claim`` on ``config``, with the error as the witness."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        witness = {"error": f"{type(exc).__name__}: {exc}"}
+        return VerdictReport(claim, config, "exhaustive", False, witness)
+
+
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
     """One report per claim of ``CLAIMS``; a census that fails a postcondition
-    (broken field tables) fails every claim about its codes, with the error."""
+    (broken field tables) fails every claim about its codes, with the error.
+    So does an exception inside a claim on one code (``_guarded``): it
+    fails that claim, and the run goes on to a verdict."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
@@ -1258,29 +1268,33 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         v = VerdictReport(claim, config, "skipped", True, {"reason": reason})
         left_out.setdefault(claim, []).append(v)
 
+    def per_component(claim: str, check: Callable, case: Case, *args) -> VerdictReport:
+        code, config = case.code, case.config
+        return _guarded(claim, config, _by_component, check, code, config, by_component, *args)
+
     def closure(claim: str, case: Case) -> None:
         if case.code.size > entry.bounds.enumeration:
             reason = f"code size {case.code.size} exceeds bound {entry.bounds.enumeration}"
             return skip(claim, case.config, reason)
-        v = _by_component(verify_shift_closure, case.code, case.config, by_component, rng)
+        v = per_component(claim, verify_shift_closure, case, rng)
         record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
 
     for case in cases:
+        config = case.config
         dual = by_code.get(case.code.dual())
-        record(verify_cardinality(case))
-        record(_by_component(verify_duality, case.code, case.config, by_component))
+        record(_guarded("cardinality-rank", config, verify_cardinality, case))
+        record(per_component("duality", verify_duality, case))
         if dual is None:
             witness = {"dual_outside_census": _code_config(case.code.dual())}
-            record(VerdictReport("dual-gray-commute", case.config, "exhaustive", False, witness))
+            record(VerdictReport("dual-gray-commute", config, "exhaustive", False, witness))
         else:
-            record(verify_dual_gray_commutation(case, dual))
-        record(verify_decomposition(case))
-        record(
-            _by_component(verify_idempotent_generators, case.code, case.config, by_component)
-        )
-        record(verify_quasi_cyclic_gray(case))
-        record(verify_principality(case, rng))
-        record(verify_distance_law(case, entry.bounds.distance, block_minima))
+            record(_guarded("dual-gray-commute", config, verify_dual_gray_commutation, case, dual))
+        record(_guarded("decompose-compose", config, verify_decomposition, case))
+        record(per_component("idempotent-generator", verify_idempotent_generators, case))
+        record(_guarded("quasi-cyclic-gray", config, verify_quasi_cyclic_gray, case))
+        record(_guarded("principal-generator", config, verify_principality, case, rng))
+        distance = entry.bounds.distance
+        record(_guarded("distance-law", config, verify_distance_law, case, distance, block_minima))
         case.drop_lane()
         closure("shift-closure", case)
         if dual is None:
@@ -1294,7 +1308,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2
         bad = broken_code(fld, entry.i, max(entry.n, 2))
-        v = _by_component(verify_shift_closure, bad, cfg, {}, rng)
+        v = _guarded("shift-closure", cfg, _by_component, verify_shift_closure, bad, cfg, {}, rng)
         reports.append(
             VerdictReport(
                 "shift-closure[injected-broken-generator]",

@@ -288,6 +288,16 @@ class TestLinearMembership:
         gs = [c.g for c in _kernel_components(name)]
         assert SkewPoly.one(fld, i) in gs and xn_minus_1(fld, i, n) in gs
 
+    def test_remainder_columns_are_the_divided_remainders(self, name):
+        for comp in _kernel_components(name):
+            d, log = comp.g.degree, comp.field.log_table().log
+            rems = [
+                right_divide(SkewPoly.x_power(comp.field, comp.aut, t), comp.g).remainder
+                for t in range(d, comp.n)
+            ]
+            expected = tuple(tuple(log[r.coeff(k)] for r in rems) for k in range(d))
+            assert comp._remainder_columns() == expected
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_contains_is_zero_remainder(self, name, data):
@@ -301,6 +311,13 @@ class TestLinearMembership:
 
 
 class TestLinearMembershipKernel:
+    def test_a_family_has_generators_that_theta_moves(self):
+        # gcd(n, t_i) = 2: a remainder recurrence without the twist differs
+        fld, i, _ = KERNEL_FAMILIES["F9-i1-n4"]
+        frob = fld.frob_table(i)
+        moved = [c for c in _kernel_components("F9-i1-n4") if any(frob[x] != x for x in c.g.coeffs)]
+        assert moved
+
     def test_field_past_table_limit(self):
         fld = Field(3, 8, default_modulus(3, 8))
         assert fld.q == 6561
@@ -370,40 +387,80 @@ class TestLinearMembershipKernel:
                 expected = linalg.rank(rows + image, f9) == rank
                 assert code.contains(word) is expected
 
-    def test_remainders_divided_once_on_first_use(self, f9, monkeypatch):
-        calls = []
-        divide = codes.right_divide
-
-        def counting(f, g):
-            calls.append(g)
-            return divide(f, g)
-
-        monkeypatch.setattr(codes, "right_divide", counting)
+    def test_remainders_filled_on_first_use_without_division(self, f9, monkeypatch):
+        divisions = _recording(monkeypatch, codes, "right_divide")
+        twists = _recording(monkeypatch, Field, "frob_table")
         divisors = monic_right_divisors(5, f9, 1)
         comps = [component_code_new(5, g) for g in divisors]
         all_codes = census(5, f9, 1)
         # construction divides only for the cofactors, never for remainders
-        assert len(calls) == 2 * len(divisors)
+        assert len(divisions) == 2 * len(divisors)
         assert all(c._remainder_cols is None for c in comps)
         zero = (f9.zero,) * 5
         for comp in comps:
-            calls.clear()
+            rows = comp.generator_rows()
+            divisions.clear()
             comp.contains(zero)
-            assert len(calls) == comp.n - comp.g.degree
-            assert all(g is comp.g for g in calls)
-            calls.clear()
-            for row in comp.generator_rows():
+            cols = comp._remainder_cols
+            assert cols is not None and divisions == []
+            twists.clear()
+            for row in rows:
                 comp.contains(row)
             comp.contains(SkewPoly.x_power(f9, 1, 4))
-            assert calls == []
-        calls.clear()
+            assert comp._remainder_cols is cols
+            assert divisions == [] and twists == []
         code = all_codes[-1]
         ring_zero = (RingElem(f9.zero, f9.zero, f9.zero),) * 5
-        assert code.contains(ring_zero)
-        distinct = {id(c): c for c in code.components}.values()
-        assert len(calls) == sum(5 - c.g.degree for c in distinct)
-        calls.clear()
-        assert code.contains(ring_zero) and calls == []
+        assert all(c._remainder_cols is None for c in code.components)
+        assert code.contains(ring_zero) and divisions == []
+        filled = [c._remainder_cols for c in code.components]
+        assert None not in filled
+        twists.clear()
+        assert code.contains(ring_zero) and divisions == [] and twists == []
+        assert all(c._remainder_cols is memo for c, memo in zip(code.components, filled))
+
+    def test_foreign_last_coordinate_raises_before_any_component(self, f9, f25, monkeypatch):
+        calls = _recording(monkeypatch, ComponentCode, "_contains_indices")
+        one9, zero9 = (RingElem(x, f9.zero, f9.zero) for x in (f9.one, f9.zero))
+        # C1 = <x - 1> rejects the head of ones; the check must come first
+        code = code_from_components(*_kernel_components("F9-i1-n5")[1:4])
+        for last in (RingElem(f25.zero, f25.zero, f25.zero), f9.zero, 0):
+            for head in (one9, zero9):
+                with pytest.raises(FieldMismatch):
+                    code.contains((head,) * 4 + (last,))
+        for comp in code.components:
+            for last in (f25.zero, RingElem(f9.zero, f9.zero, f9.zero), 0):
+                with pytest.raises(FieldMismatch):
+                    comp.contains((f9.one,) * 4 + (last,))
+        assert calls == []
+
+
+_R_FAMILIES = ("F9-i1-n5", "F25-i1-n4", "F27-i1-n4", "F81-i2-n5")
+
+
+@pytest.mark.parametrize("name", _R_FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ring_code_contains_is_gray_span_membership(name, data):
+    """contains over R is membership of the Gray image in the span of the
+    Gray rows, for uniform words and for F_q-combinations of the rows over R."""
+    comps = _kernel_components(name)
+    code = code_from_components(*(data.draw(st.sampled_from(comps)) for _ in range(3)))
+    fld, n = code.field, code.n
+    coord = st.integers(0, fld.q - 1).map(fld.from_index)
+    elem = st.tuples(coord, coord, coord).map(lambda abc: RingElem(*abc))
+    if data.draw(st.booleans()):
+        word = tuple(data.draw(st.lists(elem, min_size=n, max_size=n)))
+    else:
+        word = [RingElem(fld.zero, fld.zero, fld.zero)] * n
+        for row in code.generator_rows():
+            c = data.draw(elem)
+            word = [w + c * x for w, x in zip(word, row)]
+        word = tuple(word)
+    rows = linalg.to_index_rows(_gray_mapped_rows(code), fld)
+    image = linalg.to_index_rows([gray_map(word)], fld)
+    expected = linalg.rank(rows + image, fld) == linalg.rank(rows, fld)
+    assert code.contains(word) is expected
 
 
 class TestSkewShift:

@@ -14,6 +14,7 @@ from skewcyclic.finite_field import (
     EnumerationTooLarge,
     EvenCharacteristic,
     Field,
+    FieldElem,
     FieldMismatch,
     InvalidExponent,
     NotAnInteger,
@@ -476,6 +477,20 @@ class TestCyclicTables:
             powers.append(index[x])
             x = tuple(fld._mul_coeffs(x, g))
         assert _power_indices(fld, g) == powers
+        assert _verify_log_table(fld, coeffs, index) is None
+
+    @pytest.mark.parametrize("spec", [(3, 2, [1, 0, 1]), (3, 3, [1, 2, 0, 1]), F_729])
+    def test_interned_elements_are_the_constructed_ones(self, spec):
+        fld = Field(*spec)
+        elems = fld.log_table().elems
+        coeffs = list(itertools.product(range(fld.p), repeat=fld.m))  # index order
+        assert len(elems) == fld.q
+        for k, c in enumerate(coeffs):
+            x = FieldElem(fld, c)
+            assert elems[k] == x and elems[k].idx == x.idx == k
+            assert elems[k].coeffs == x.coeffs and elems[k].field is fld
+        assert elems[0] is fld.zero and elems[fld.one.idx] is fld.one
+        index = {c: k for k, c in enumerate(coeffs)}
         assert _verify_log_table(fld, coeffs, index) is None
 
 

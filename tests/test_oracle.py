@@ -810,6 +810,31 @@ class TestHarness:
         fails = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL ")]
         assert {"duality", "distance-law"} <= set(fails)
 
+    def test_exception_inside_a_claim_is_a_failing_verdict(self, f9, monkeypatch, capsys):
+        from skewcyclic.cli import main
+
+        # every enumerated weight one too high: the dual-side distance of a
+        # component past half the length then overflows np.bincount's
+        # n + 1 bins with a ValueError inside distance-law
+        weights = linalg._projective_weights
+        monkeypatch.setattr(
+            linalg, "_projective_weights", lambda basis, fld: (w + 1 for w in weights(basis, fld))
+        )
+        comp = component_code_new(3, poly_from_string("x-1", f9, 1))
+        code = code_from_components(comp, comp, comp)
+        with pytest.raises(ValueError):
+            verify_distance_law(case_of(code), DISTANCE_LIMIT, {})
+        v = oracle._guarded(
+            "distance-law", {}, verify_distance_law, case_of(code), DISTANCE_LIMIT, {}
+        )
+        assert (v.claim, v.mode, v.passed) == ("distance-law", "exhaustive", False)
+        assert v.counterexample["error"].startswith("ValueError: ")
+        assert main(["verify", "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "Traceback" not in out
+        fails = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL ")]
+        assert fails == ["distance-law"] * 3
+
     def test_reports_are_json_lines(self):
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=1))
         for r in reports:
