@@ -45,6 +45,7 @@ from .skew_poly import (
     SEARCH_LIMIT,
     AutMismatch,
     SkewPoly,
+    _coprime_part,
     _cyclotomic_cosets,
     extended_gcd_commutative,
     mod_xn_minus_1,
@@ -548,18 +549,16 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     factor over F_{p^i} per p^i-cyclotomic coset mod n', each of
     multiplicity p^e, so there are (p^e + 1)^{#cosets} monic divisors.
     No polynomial is factored. Only valid when n is coprime to the
-    automorphism order t_i.
+    automorphism order t_i. Past ``skew_poly.FACTOR_LIMIT`` for n' it raises
+    ``EnumerationTooLarge`` before the coset table is built, as factoring does.
     """
     t_i = field.check_aut_exponent(i)
     if math.gcd(n, t_i) != 1:
         raise HypothesisViolated(
             f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i})"
         )
-    p = field.p
-    n1 = n
-    while n1 % p == 0:
-        n1 //= p
-    over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(p**i, n1))
+    n1 = _coprime_part(n, field.p)
+    over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(field.p**i, n1))
     return over_field, over_field**3
 
 

@@ -18,9 +18,10 @@ the index-level kernels (``linalg``, the oracle, the divisor search).
 
 Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
 have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
-remainder, product, gcd and Rabin's irreducibility test (SIAM J. Comput.
-9, 1980). For i = 1 it is arithmetic mod p and never enumerates F_q; for
-i > 1 it reads dense tables from strided reads of the field's table.
+quotient and remainder, product, gcd and Rabin's irreducibility test
+(SIAM J. Comput. 9, 1980). For i = 1 it is arithmetic mod p and never
+enumerates F_q; for i > 1 it reads dense tables from strided reads of the
+field's table.
 Every modulus is checked by Rabin's test on the lane over Z_p.
 
 A ``Field``'s defining data (p, m, modulus) never changes after
@@ -607,18 +608,27 @@ class Subfield:
         pad = [0] * n
         return self.trim(self.axpy((f + pad)[:n], self.minus_one, (g + pad)[:n]))
 
-    def rem(self, f: list[int], g: list[int]) -> list[int]:
-        """The remainder of f on division by the nonzero g."""
-        if g[-1] != self.one:
+    def quo_rem(self, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+        """The quotient and remainder of f on division by the nonzero g."""
+        lc = g[-1]
+        if lc != self.one:
             g = self.monic(g)
         d = len(g) - 1
         low = self.axpy([0] * d, self.minus_one, g[:-1])
-        r = list(f)
+        r, quo = list(f), []
         while len(r) > d:
             c = r.pop()
+            quo.append(c)
             if c:
                 r[len(r) - d :] = self.axpy(r[len(r) - d :], c, low)
-        return self.trim(r)
+        quo.reverse()  # the quotient by g/lc; scale it to the quotient by g
+        if lc != self.one:
+            quo = self.axpy([0] * len(quo), self.inv(lc), quo)
+        return quo, self.trim(r)
+
+    def rem(self, f: list[int], g: list[int]) -> list[int]:
+        """The remainder of f on division by the nonzero g."""
+        return self.quo_rem(f, g)[1]
 
     def mul(self, f: list[int], g: list[int]) -> list[int]:
         n, out = len(g), [0] * (len(f) + len(g) - 1)
@@ -650,7 +660,9 @@ class Subfield:
 
         f is irreducible iff x^{Q^d} = x mod f and gcd(f, x^{Q^{d/r}} - x)
         = 1 for every prime r dividing d. v -> v^Q mod f is F_Q-linear; it
-        is applied as the matrix whose row j is x^{Qj} mod f.
+        is applied as the matrix whose row j is x^{Qj} mod f. Field moduli
+        are checked with it; the factors of x^n - 1 are certified by
+        counting cosets instead (``Factorization.verify``).
         """
         d = len(f) - 1
         if d <= 1:

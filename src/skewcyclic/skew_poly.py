@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .finite_field import Field, FieldMismatch, elem_from_string
+from .finite_field import (
+    EnumerationTooLarge,
+    Field,
+    FieldMismatch,
+    _prime_divisors,
+    elem_from_string,
+)
 from .ring_r import (
     RingElem,
     crt_join,
@@ -301,11 +307,14 @@ def brute_right_divisors(
     coefficient vector. Raises when the search space exceeds the bound.
     """
     field.check_aut_exponent(i)
-    space = sum(field.q**d for d in range(n))
-    if space > search_bound:
-        raise SearchSpaceTooLarge(
-            f"search space {space} exceeds bound {search_bound}"
-        )
+    space = 0
+    for d in range(n):  # stops at the first degree past the bound, whatever n
+        space += field.q**d
+        if space > search_bound:
+            raise SearchSpaceTooLarge(
+                f"search space exceeds bound {search_bound}: {space} "
+                f"polynomials of degree < {d + 1} (n = {n})"
+            )
     divisors = [SkewPoly.one(field, i)]
     for d in range(1, n):
         for tail in _brute_divisor_tails(n, field, i, d):
@@ -343,8 +352,32 @@ def monic_right_divisors(
 # theta_i fixes every coefficient of F_{p^i}[x], so there the skew product
 # is the ordinary one. ``Field.subfield(i)`` gives the one lane for it:
 # polynomials as lists of lane indices (ascending, no trailing zeros) with
-# remainder, product, gcd and Rabin's test. Factoring and its verification
+# quotient and remainder, product and gcd. Factoring and its verification
 # run on the lane; factors are lifted to ``SkewPoly`` once, at the end.
+
+# Factoring x^n - 1 (and counting its factors) allocates, for n = p^e * n',
+# a cyclotomic coset table mod n' (about 95 bytes an entry at its peak: a
+# set slot, an int and a tuple slot) and dense lane lists of x^{n'} - 1 and
+# its pieces (8 bytes a coefficient). At 128 bytes per unit of n', the
+# 64 MiB budget admits n' <= 2^19.
+FACTOR_BYTES = 1 << 26
+FACTOR_LIMIT = FACTOR_BYTES // 128
+
+
+def _coprime_part(n: int, p: int) -> int:
+    """n' = n / p^e with p not dividing n', refused past ``FACTOR_LIMIT``
+    before anything of size n' is allocated."""
+    if n < 1:  # x^0 - 1 = 0 has no factorization, and n = 0 never leaves the loop
+        raise SkewPolyError(f"x^n - 1 needs n >= 1, got {n}")
+    n1 = n
+    while n1 % p == 0:
+        n1 //= p
+    if n1 > FACTOR_LIMIT:
+        raise EnumerationTooLarge(
+            f"n' = {n1} (n = {n} without its factors p = {p}) exceeds the bound "
+            f"{FACTOR_LIMIT} for factoring x^n - 1 in {FACTOR_BYTES} bytes"
+        )
+    return n1
 
 
 def _cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
@@ -361,6 +394,22 @@ def _cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
         if coset:
             cosets.append(tuple(coset))
     return cosets
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, from its prime factorization."""
+    divs = [1]
+    for r in _prime_divisors(n):
+        e = 0
+        while n % r == 0:
+            n //= r
+            e += 1
+        divs = [d * r**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _lane_xn_minus_1(lane, n: int) -> list[int]:
+    return [lane.minus_one] + [0] * (n - 1) + [lane.one]
 
 
 def subfield_irreducibles(field: Field, i: int, max_degree: int) -> list[SkewPoly]:
@@ -393,32 +442,48 @@ class Factorization:
     factors: tuple[tuple[SkewPoly, int], ...]
 
     def verify(self) -> None:
-        """Re-check the subfield, the product and irreducibility of every factor.
+        """Certify the factorization by a product and a count.
 
         Each factor is read onto the lane of F_{p^i} first, which fails for a
-        coefficient outside the subfield. The factors must be monic and
-        pairwise distinct with positive multiplicities, so that
-        ``census_counts`` counts distinct irreducibles; irreducibility is
-        Rabin's test over F_{p^i}.
+        coefficient outside the subfield; the factors must be monic, of
+        degree >= 1 and pairwise distinct, each with multiplicity n/n' = p^e
+        (n = p^e * n', p not dividing n'). Their product, each taken once, must
+        be x^{n'} - 1, and there must be as many as there are Q-cyclotomic
+        cosets mod n', Q = p^i. That proves every factor irreducible: the
+        square-free x^{n'} - 1 has exactly one irreducible factor per coset
+        (Lidl and Niederreiter, Finite Fields, Thm 2.47), so N non-constant
+        factors whose product it is cannot include a reducible one.
         """
         lane = self.field.subfield(self.aut)
-        polys, prod = [], [lane.one]
+        n1 = _coprime_part(self.n, self.field.p)
+        polys = []
         for g, s in self.factors:
             f = [lane.lane_index(c) for c in g.coeffs]
             if None in f:
                 raise AssertionError(f"factor {g} leaves the fixed subfield")
             if s < 1 or not f or f[-1] != lane.one:
                 raise AssertionError(f"factor ({g})^{s} is not a monic power")
+            if len(f) < 2:
+                raise AssertionError(f"factor {g} is a constant")
             polys.append(f)
-            for _ in range(s):
-                prod = lane.mul(prod, f)
         if len(set(map(tuple, polys))) != len(polys):
             raise AssertionError("an irreducible factor is listed more than once")
-        if prod != [lane.minus_one] + [0] * (self.n - 1) + [lane.one]:
-            raise AssertionError("factor product does not reproduce x^n - 1")
-        for f, (g, _) in zip(polys, self.factors):
-            if not lane.is_irreducible(f):
-                raise AssertionError(f"factor {g} is reducible over F_{lane.order}")
+        for g, s in self.factors:
+            if s != self.n // n1:
+                raise AssertionError(
+                    f"factor ({g})^{s} has multiplicity {s}, not n/n' = {self.n // n1}"
+                )
+        prod = [lane.one]
+        for f in sorted(polys, key=len):
+            prod = lane.mul(f, prod)
+        if prod != _lane_xn_minus_1(lane, n1):
+            raise AssertionError(f"factor product does not reproduce x^{n1} - 1")
+        cosets = len(_cyclotomic_cosets(lane.order, n1))
+        if len(polys) != cosets:
+            raise AssertionError(
+                f"{len(polys)} factors for {cosets} cyclotomic cosets mod {n1}: "
+                f"a factor is reducible over F_{lane.order}"
+            )
 
     def census_counts(self) -> tuple[int, int]:
         """(number of skew cyclic codes over F_q, number over R)."""
@@ -428,47 +493,72 @@ class Factorization:
         return over_field, over_field**3
 
 
-def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
-    """Complete factorization of x^n - 1 into monic irreducibles over F_{p^i}.
+def _split_cyclotomic(lane, f: list[int], d: int) -> list[list[int]]:
+    """The monic irreducible factors of f = Phi_d over F_Q, Q = lane order.
 
-    With n = p^e * n' and p not dividing n', x^n - 1 = (x^{n'} - 1)^{p^e}
-    and x^{n'} - 1 is square-free. Over F_Q[x]/(x^{n'} - 1), Q = p^i, the
-    map v -> v^Q sends x^j to x^{Qj mod n'}, so Berlekamp's subalgebra
-    {v : v^Q = v} is spanned by the coset sums e_C = sum_{j in C} x^j over
-    the Q-cyclotomic cosets C mod n'. Splitting by gcd(f, e_C - s), s in
-    F_Q, therefore ends with one irreducible per coset (Berlekamp, Bell
-    Syst. Tech. J. 46, 1967). Factors are sorted by degree, then by
-    coefficient indices.
+    Every factor has degree k = ord_d(Q), so there are deg(f)/k of them. Over
+    F_Q[x]/(x^d - 1) the map v -> v^Q sends x^j to x^{Qj mod d}, so the coset
+    sums e_C = sum_{j in C} x^j over the Q-cyclotomic cosets C mod d span
+    Berlekamp's subalgebra {v : v^Q = v}, and their residues mod f span that
+    of f. Splitting by gcd(g, e_C - s), s in F_Q, therefore separates every
+    two factors (Berlekamp, Bell Syst. Tech. J. 46, 1967).
     """
-    if n < 1:  # x^0 - 1 = 0 has no factorization, and n = 0 never leaves the loop
-        raise SkewPolyError(f"x^n - 1 needs n >= 1, got {n}")
-    lane = field.subfield(i)
-    n1 = n
-    while n1 % field.p == 0:
-        n1 //= field.p
-    cosets = _cyclotomic_cosets(lane.order, n1)
-    factors = [[lane.minus_one] + [0] * (n1 - 1) + [lane.one]]
+    cosets = _cyclotomic_cosets(lane.order, d)
+    k = len(cosets[1]) if d > 1 else 1  # the coset of 1 is {Q^j mod d}
+    count = (len(f) - 1) // k
+    pieces = [f]
+    if count == 1:
+        return pieces
     for coset in cosets:
-        if len(factors) == len(cosets):
-            break
-        e_c = [0] * n1
+        e_c = [0] * d
         for j in coset:
             e_c[j] = lane.one
         split = []
-        for f in factors:
-            r = lane.rem(e_c, f)
-            if len(r) <= 1:
-                split.append(f)
-                continue
-            left = len(f) - 1
-            for c in range(lane.order):  # gcd(f, r - s) as s runs over F_Q
-                h = lane.gcd(f, [c] + r[1:])
+        for g in pieces:
+            r = lane.rem(e_c, g) if len(g) - 1 > k else []
+            # gcd(g, r - s) as s runs over F_Q; each piece found is divided
+            # out of g, and what is left once e_C is constant mod g is a piece
+            for s in range(lane.order):
+                if len(r) <= 1:
+                    split.append(g)
+                    break
+                h = lane.gcd(g, lane.sub(r, [s]))
                 if len(h) > 1:
                     split.append(h)
-                    left -= len(h) - 1
-                    if not left:
-                        break
-        factors = split
+                    g = lane.quo_rem(g, h)[0]
+                    r = lane.rem(r, g)
+        pieces = split
+        if len(pieces) == count:
+            break
+    return pieces
+
+
+def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
+    """Complete factorization of x^n - 1 into monic irreducibles over F_{p^i}.
+
+    With n = p^e * n' and p not dividing n', x^n - 1 = (x^{n'} - 1)^{p^e},
+    and x^{n'} - 1 is the product of the cyclotomic polynomials Phi_d over
+    the divisors d of n'. Each Phi_d is the exact quotient of x^d - 1 by the
+    Phi_e of the smaller divisors e of d, and splits over F_Q, Q = p^i, into
+    phi(d)/ord_d(Q) irreducibles of degree ord_d(Q) (Lidl and Niederreiter,
+    Finite Fields, Thms 2.45-2.47): when phi(d) = ord_d(Q) it is irreducible
+    as it stands, and otherwise ``_split_cyclotomic`` splits it by the coset
+    sums mod d. Factors are sorted by degree, then by coefficient indices,
+    and certified by ``Factorization.verify`` before they are returned.
+    Past ``FACTOR_LIMIT`` for n' this raises ``EnumerationTooLarge`` first.
+    """
+    n1 = _coprime_part(n, field.p)
+    lane = field.subfield(i)
+    divs = _divisors(n1)
+    cyclo: dict[int, list[int]] = {}
+    factors = []
+    for d in divs:
+        below = [lane.one]  # prod of Phi_e over the divisors e < d of d
+        for e in divs:
+            if e < d and d % e == 0:
+                below = lane.mul(cyclo[e], below)
+        cyclo[d] = lane.quo_rem(_lane_xn_minus_1(lane, d), below)[0]
+        factors += _split_cyclotomic(lane, cyclo[d], d)
     # lane indices increase with the F_q index, so this is the (degree,
     # coefficient indices) order
     factors.sort(key=lambda f: (len(f), f))

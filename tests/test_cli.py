@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcyclic import linalg
+from skewcyclic import codes, linalg, skew_poly
 from skewcyclic.cli import main
 from skewcyclic.codes import census
 from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
@@ -97,6 +97,35 @@ class TestFactorCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: EnumerationTooLarge: q = 177147 exceeds bound 65536")
 
+    @pytest.mark.parametrize("command", ["factor", "census"])
+    @pytest.mark.parametrize("aut,n", [("1", "99999999999"), ("2", "100000000000")])
+    def test_huge_length_is_refused_before_any_allocation(
+        self, capsys, monkeypatch, command, aut, n
+    ):
+        # n' = n / 3^e is past skew_poly.FACTOR_LIMIT: the refusal comes
+        # before any coset table or lane list of x^{n'} - 1 is built
+        def refuse(*args):
+            pytest.fail("an object of size n' was built")
+
+        for module in (skew_poly, codes):
+            monkeypatch.setattr(module, "_cyclotomic_cosets", refuse)
+        monkeypatch.setattr(skew_poly, "_lane_xn_minus_1", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--field", FIELD, "--aut", aut, "--n", n)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: EnumerationTooLarge: n' = ") and "factoring" in err
+
+    def test_huge_length_outside_the_subfield_is_refused_by_the_search_bound(self, capsys):
+        # gcd(n, t_1) = 2: census searches divisors by brute force, and the
+        # search space passes its bound at degree 8, whatever n is
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "census", "--field", FIELD, "--aut", "1", "--n", "100000000000"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and "SearchSpaceTooLarge" in err
+
     def test_large_field_with_prime_subfield(self, capsys):
         # q = 3^11 is past the enumeration bound, but theta_1 fixes F_3 and
         # the factorization never enumerates F_q
@@ -123,7 +152,9 @@ class TestFactorCommand:
     @pytest.mark.parametrize("argv", sorted(PINNED))
     def test_json_output_is_pinned(self, capsys, argv):
         # recorded before the factorization moved to the index lane: the
-        # cli-ladder rungs and F_9 (i = 1) at n = 97 and 241
+        # cli-ladder rungs and F_9 (i = 1) at n = 97 and 241; and before it
+        # split one cyclotomic polynomial at a time: F_9 (i = 1) at
+        # n = 485, 1001, 1999 and 2001
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert out == self.PINNED[argv]

@@ -25,7 +25,7 @@ from skewcyclic.codes import (
     count_skew_cyclic_codes,
     skew_shift,
 )
-from skewcyclic.finite_field import Field, FieldMismatch
+from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch
 from skewcyclic.oracle import broken_component_code, default_modulus
 from skewcyclic.oracle import _combine, _r_fold, _r_mul
 from skewcyclic.ring_r import RingElem, gray_map, make_idempotents, ring_elem, ring_one
@@ -33,6 +33,7 @@ from skewcyclic.skew_poly import (
     AutMismatch,
     DomainMismatch,
     SkewPoly,
+    SkewPolyError,
     brute_right_divisors,
     mod_xn_minus_1,
     monic_right_divisors,
@@ -766,6 +767,16 @@ class TestCensus:
         fld = request.getfixturevalue(fld)
         brute = len(brute_right_divisors(n, fld, i))
         assert count_skew_cyclic_codes(n, fld, i) == (brute, brute**3)
+
+    def test_count_refuses_a_huge_length_before_any_coset(self, f9, monkeypatch):
+        def refuse(*args):
+            pytest.fail("a coset table was built")
+
+        monkeypatch.setattr(codes, "_cyclotomic_cosets", refuse)
+        with pytest.raises(EnumerationTooLarge, match="n' = 100000000000"):
+            count_skew_cyclic_codes(10**11, f9, 2)
+        with pytest.raises(SkewPolyError, match="n >= 1"):
+            count_skew_cyclic_codes(0, Field(3, 1, [0, 1]), 1)
 
     def test_count_hypothesis_gate(self, f9):
         with pytest.raises(HypothesisViolated):

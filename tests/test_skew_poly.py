@@ -9,7 +9,8 @@ from conftest import evaluated, stored
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcyclic.finite_field import Field, FieldMismatch
+from skewcyclic.codes import count_skew_cyclic_codes
+from skewcyclic.finite_field import Field, FieldMismatch, Subfield
 from skewcyclic.oracle import (
     _combine,
     _evaluations,
@@ -294,10 +295,51 @@ class TestFactorization:
             bad.verify()
         assert factor_xn_minus_1(3, f9, 1).census_counts() == (4, 64)
 
-    def test_verify_rabin_rejects_reducible_factor(self, f9):
+    def test_verify_count_rejects_reducible_factor(self, f9):
         bad = Factorization(5, f9, 1, ((xn_minus_1(f9, 1, 5), 1),))
         with pytest.raises(AssertionError, match="reducible"):
             bad.verify()
+
+    # negative controls for the certificate: product, count and multiplicities
+
+    def test_verify_rejects_a_cube_listed_once(self, f9):
+        # x^3 - 1 = (x - 1)^3 is one non-constant factor for the one coset mod 1
+        cube = xn_minus_1(f9, 1, 3)
+        with pytest.raises(AssertionError, match="multiplicity 1, not n/n' = 3"):
+            Factorization(3, f9, 1, ((cube, 1),)).verify()
+        # the product x - 1 = x^{n'} - 1 and the count both hold for this one
+        linear = poly_from_string("x-1", f9, 1)
+        with pytest.raises(AssertionError, match="multiplicity 1, not n/n' = 3"):
+            Factorization(3, f9, 1, ((linear, 1),)).verify()
+
+    def test_verify_rejects_two_cubics_merged_into_a_sextic(self, f3):
+        good = factor_xn_minus_1(13, f3, 1)
+        assert [g.degree for g, _ in good.factors] == [1, 3, 3, 3, 3]
+        (a, _), (b, _), (c, _) = good.factors[1:4]
+        merged = (good.factors[0], (skew_mul(b, c), 1), (a, 1), good.factors[4])
+        with pytest.raises(AssertionError, match="4 factors for 5 .* a factor is reducible"):
+            Factorization(13, f3, 1, merged).verify()
+
+    def test_verify_rejects_a_wrong_multiplicity(self, f3):
+        good = factor_xn_minus_1(15, f3, 1)
+        assert [s for _, s in good.factors] == [3, 3]
+        bad = ((good.factors[0][0], 1), good.factors[1])
+        with pytest.raises(AssertionError, match="multiplicity 1, not n/n' = 3"):
+            Factorization(15, f3, 1, bad).verify()
+
+    def test_verify_rejects_a_constant_factor(self, f9):
+        good = factor_xn_minus_1(5, f9, 1)
+        bad = good.factors + ((SkewPoly.one(f9, 1), 1),)
+        with pytest.raises(AssertionError, match="is a constant"):
+            Factorization(5, f9, 1, bad).verify()
+
+    def test_verify_rejects_a_wrong_product(self, f3):
+        # five monic non-constant factors, but not those of x^13 - 1
+        good = factor_xn_minus_1(13, f3, 1)
+        x_plus_1 = poly_from_string("x+1", f3, 1)
+        bad = ((x_plus_1, 1),) + good.factors[1:]
+        with pytest.raises(AssertionError, match="does not reproduce x\\^13 - 1"):
+            Factorization(13, f3, 1, bad).verify()
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_sympy(self, p):
@@ -752,7 +794,9 @@ class TestSubfieldLane:
         g = data.draw(_lane_polys(lane).filter(bool))
         lift = lambda h: _lift(field, aut, lane, h)  # noqa: E731
         assert lift(lane.mul(f, g)) == skew_mul(lift(f), lift(g))
-        assert lift(lane.rem(f, g)) == right_divide(lift(f), lift(g)).remainder
+        quo, rem = lane.quo_rem(f, g)
+        assert (lift(quo), lift(rem)) == right_divide(lift(f), lift(g))
+        assert lane.rem(f, g) == rem
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -797,3 +841,65 @@ def test_rabin_matches_the_sieve(field, aut):
         {1: lane.order, 2: (lane.order**2 - lane.order) // 2,
          3: (lane.order**3 - lane.order) // 3}.values()
     )
+
+
+# ---------------------------------------------------------------------------
+# the factorization against references it does not use: Rabin's test, the
+# degrees that cyclotomic theory predicts and the coset-count formula
+
+FACTOR_LANES = {
+    "F3": (Field(3, 1, [0, 1]), 1),
+    "F9-i1": (_F9, 1),
+    "F25-i1": (_F25, 1),
+    "F81-i2": (_F81, 2),
+}
+
+
+def _cyclotomic_degrees(n1, order):
+    """ord_d(Q), phi(d)/ord_d(Q) times, over every d | n1, sorted."""
+    degrees = []
+    for d in range(1, n1 + 1):
+        if n1 % d == 0:
+            phi = sum(math.gcd(j, d) == 1 for j in range(1, d + 1))
+            k = next(k for k in range(1, d + 1) if pow(order, k, d) == 1 % d)
+            degrees += [k] * (phi // k)
+    return sorted(degrees)
+
+
+def _rabin_irreducible(lane, fac):
+    return all(
+        lane.is_irreducible([lane.lane_index(c) for c in g.coeffs]) for g, _ in fac.factors
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_LANES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factors_are_irreducible_of_the_cyclotomic_degrees(name, data):
+    field, aut = FACTOR_LANES[name]
+    t_i = field.check_aut_exponent(aut)
+    n = data.draw(st.integers(1, 400).filter(lambda n: math.gcd(n, t_i) == 1), label="n")
+    lane = field.subfield(aut)
+    fac = factor_xn_minus_1(n, field, aut)
+    n1 = n
+    while n1 % field.p == 0:
+        n1 //= field.p
+    assert _rabin_irreducible(lane, fac)
+    assert sorted(g.degree for g, _ in fac.factors) == _cyclotomic_degrees(n1, lane.order)
+    assert fac.census_counts() == count_skew_cyclic_codes(n, field, aut)
+
+
+def test_factors_at_n1001_over_f9_pass_rabin():
+    lane = _F9.subfield(1)
+    fac = factor_xn_minus_1(1001, _F9, 1)
+    assert max(g.degree for g, _ in fac.factors) == 30
+    assert _rabin_irreducible(lane, fac)
+
+
+def test_factoring_runs_no_rabin_test(monkeypatch):
+    def refuse(self, f):
+        raise AssertionError("Rabin's test on the factor path")
+
+    monkeypatch.setattr(Subfield, "is_irreducible", refuse)
+    fac = factor_xn_minus_1(1001, _F9, 1)
+    assert fac.census_counts()[0] == 2 ** len(fac.factors)
