@@ -18,7 +18,7 @@ deg g = r, the dual of <g> is generated by
 
 normalized monic. Idempotent generators exist when n is coprime to both q
 and the automorphism order, via the Bezout identity a*g + b*h = 1 in the
-fixed subfield.
+fixed subfield; they are built and checked on its commutative lane.
 
 Polynomials, twists and remainders are F_q indices; ``FieldElem`` and
 ``RingElem`` values appear only in the words ``contains`` takes and in
@@ -40,20 +40,21 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldMismatch, field_to_json
 from .linalg import DISTANCE_LIMIT
-from .ring_r import Idempotents, RingElem, make_idempotents
+from .ring_r import RingElem, make_idempotents
 from .skew_poly import (
     SEARCH_LIMIT,
     AutMismatch,
     SkewPoly,
     _coprime_part,
     _cyclotomic_cosets,
+    _lane_xn_minus_1,
     extended_gcd_commutative,
-    mod_xn_minus_1,
+    lane_lift,
+    lane_read,
     monic_right_divisors,
     poly_from_string,
     poly_to_string,
     right_divide,
-    skew_mul,
     xn_minus_1,
 )
 
@@ -247,15 +248,9 @@ class ComponentCode:
         return True
 
     def contains(self, word) -> bool:
-        """Membership of a word: a ``SkewPoly`` of degree below n, or n
-        ``FieldElem`` of this field, checked here and read once into the
-        indices ``_contains_indices`` tests."""
+        """Membership of a word of n ``FieldElem`` of this field, checked
+        here and read once into the indices ``_contains_indices`` tests."""
         n = self.n
-        if isinstance(word, SkewPoly):
-            if word.degree >= n:
-                raise LengthMismatch(f"degree {word.degree} >= n = {n}")
-            self.g._check_compat(word)
-            return self._contains_indices(word.padded(n))
         if len(word) != n:
             raise LengthMismatch(f"word length {len(word)} != n = {n}")
         field, idx = self.field, []
@@ -328,10 +323,11 @@ class ComponentCode:
     def idempotent_generator(self) -> SkewPoly:
         """e with e*e = e mod x^n - 1 and <e> = <g>, via the Bezout identity.
 
-        Requires n coprime to q and to the automorphism order. Both
-        postconditions are re-verified before e is kept in ``_idempotent``;
-        ``_generates`` runs every orbit row through ``contains``. A failure
-        raises on every call.
+        Requires n coprime to q and to the automorphism order, so that g and
+        h lie in F_{p^i}[x]. e = a*g for a*g + b*h = 1 is built on the
+        subfield lane and kept in ``_idempotent`` once both postconditions
+        hold there: e*e = e, and gcd(e, x^n - 1) = g, which is <e> = <g>.
+        A failure raises on every call.
         """
         if self._idempotent is not None:
             return self._idempotent
@@ -344,25 +340,16 @@ class ComponentCode:
         d, a, _ = extended_gcd_commutative(self.g, self.h)
         if d.degree != 0:
             raise NotCoprime(f"g and h share the factor {d}")
-        e = mod_xn_minus_1(skew_mul(a, self.g), self.n)
-        if mod_xn_minus_1(skew_mul(e, e), self.n) != e:
+        lane = self.field.subfield(self.aut)
+        g, xn1 = lane_read(lane, self.g), _lane_xn_minus_1(lane, self.n)
+        e = lane.rem(lane.mul(lane_read(lane, a), g), xn1)
+        if lane.rem(lane.mul(e, e), xn1) != e:
             raise AssertionError("constructed generator is not idempotent")
-        if not self._generates(e):
+        if lane.gcd(e, xn1) != g:
             raise AssertionError("idempotent does not generate the code")
+        e = lane_lift(lane, e, self.aut)
         object.__setattr__(self, "_idempotent", e)
         return e
-
-    def _generates(self, e: SkewPoly) -> bool:
-        """Does the left module spanned by e equal this code?"""
-        fld, n = self.field, self.n
-        frob = fld.frob_table(self.aut)
-        rows = [mod_xn_minus_1(e, n).padded(n)]
-        for j in range(1, n):  # sigma: theta on every coordinate, shifted by one
-            rows.append([frob[c] for c in rows[-1][-1:] + rows[-1][:-1]])
-        if linalg.rank(rows, fld) != self.dim:
-            return False
-        rank = linalg.rank(rows + [mod_xn_minus_1(self.g, n).padded(n)], fld)
-        return rank == self.dim and all(self.contains(SkewPoly(fld, w, self.aut)) for w in rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -435,9 +422,6 @@ class SkewCyclicCode:
 
     def is_zero_code(self) -> bool:
         return self.dim == 0
-
-    def idempotents(self) -> Idempotents:
-        return make_idempotents(self.field)
 
     def generator_rows(self) -> list[tuple[RingElem, ...]]:
         """The stacked rows eta_j * (rows of C_j) over R, as a new list."""

@@ -18,11 +18,12 @@ the index-level kernels (``linalg``, the oracle, the divisor search).
 
 Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
 have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
-quotient and remainder, product, gcd and Rabin's irreducibility test
-(SIAM J. Comput. 9, 1980). For i = 1 it is arithmetic mod p and never
-enumerates F_q; for i > 1 it reads dense tables from strided reads of the
-field's table.
-Every modulus is checked by Rabin's test on the lane over Z_p.
+quotient and remainder, product, gcd, the extended Euclidean algorithm
+and Rabin's irreducibility test (SIAM J. Comput. 9, 1980). For i = 1 it
+is arithmetic mod p and never enumerates F_q; for i > 1 it reads dense
+tables from strided reads of the field's table.
+Every modulus is checked by Rabin's test on the lane over Z_p, once per
+process.
 
 A ``Field``'s defining data (p, m, modulus) never changes after
 construction; its caches are filled lazily, without locks, and
@@ -32,6 +33,7 @@ data and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Sequence
@@ -100,8 +102,14 @@ def is_prime(n: int) -> bool:
 
 
 def _is_irreducible_modp(f: Sequence[int], p: int) -> bool:
-    """Rabin's test over Z_p for the monic f (ascending degree)."""
-    return PrimeSubfield(p).is_irreducible([c % p for c in f])
+    """Rabin's test over Z_p for the monic f (ascending degree), run once
+    per (f mod p, p) in a process."""
+    return _rabin_verdict(tuple(c % p for c in f), p)
+
+
+@functools.lru_cache(maxsize=1024)
+def _rabin_verdict(f: tuple[int, ...], p: int) -> bool:
+    return PrimeSubfield(p).is_irreducible(list(f))
 
 
 class FieldElem:
@@ -654,6 +662,16 @@ class Subfield:
         while g:
             f, g = g, self.rem(f, g)
         return self.monic(f)
+
+    def xgcd(self, f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+        """(d, a, b) with a*f + b*g = d, the monic gcd of f and g, not both
+        zero. ``gcd`` stays apart: it carries no cofactors."""
+        u, v = (f, [self.one], []), (g, [], [self.one])  # each (r, a, b) has a*f + b*g = r
+        while v[0]:
+            quo = self.quo_rem(u[0], v[0])[0]
+            u, v = v, tuple(self.sub(x, self.mul(quo, y)) for x, y in zip(u, v))
+        c = self.inv(u[0][-1])
+        return tuple(self.axpy([0] * len(h), c, h) for h in u)
 
     def is_irreducible(self, f: list[int]) -> bool:
         """Rabin's test for a monic f of degree d over F_Q, Q = p^i.

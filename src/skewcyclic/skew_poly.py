@@ -7,8 +7,9 @@ a nonzero divisor is total, and membership in left ideals reduces to
 right remainders.
 
 Coefficients fixed by theta_i commute with x, so the subring
-F_{p^i}[x] is an ordinary commutative polynomial ring. Factoring x^n - 1
-and the extended Euclidean algorithm happen there.
+F_{p^i}[x] is an ordinary commutative polynomial ring. Factoring x^n - 1,
+its divisors and the extended Euclidean algorithm happen there, on the
+field's subfield lane; ``lane_read`` and ``lane_lift`` cross to it.
 
 Coefficients are F_q indices (``FieldElem.idx``), as in ``linalg`` and
 the subfield lanes: products read the field's ``LogTable``, sums its
@@ -352,8 +353,9 @@ def monic_right_divisors(
 # theta_i fixes every coefficient of F_{p^i}[x], so there the skew product
 # is the ordinary one. ``Field.subfield(i)`` gives the one lane for it:
 # polynomials as lists of lane indices (ascending, no trailing zeros) with
-# quotient and remainder, product and gcd. Factoring and its verification
-# run on the lane; factors are lifted to ``SkewPoly`` once, at the end.
+# quotient and remainder, product, gcd and extended gcd. Factoring, its
+# verification, the divisors and Bezout's identity run on the lane;
+# ``lane_read`` and ``lane_lift`` cross to it and back, once each way.
 
 # Factoring x^n - 1 (and counting its factors) allocates, for n = p^e * n',
 # a cyclotomic coset table mod n' (about 95 bytes an entry at its peak: a
@@ -412,6 +414,19 @@ def _lane_xn_minus_1(lane, n: int) -> list[int]:
     return [lane.minus_one] + [0] * (n - 1) + [lane.one]
 
 
+def lane_read(lane, g: SkewPoly) -> list[int]:
+    """g on the lane; ``AssertionError`` for a coefficient outside it."""
+    f = [lane.lane_index(c) for c in g.coeffs]
+    if None in f:
+        raise AssertionError(f"{g} leaves the fixed subfield F_{lane.order}")
+    return f
+
+
+def lane_lift(lane, f: list[int], aut: int) -> SkewPoly:
+    """The lane polynomial f in F_q[x, theta_aut]."""
+    return SkewPoly(lane.field, list(map(lane.lift, f)), aut)
+
+
 def subfield_irreducibles(field: Field, i: int, max_degree: int) -> list[SkewPoly]:
     """Monic irreducibles over F_{p^i} up to max_degree, by incremental sieve.
 
@@ -458,9 +473,7 @@ class Factorization:
         n1 = _coprime_part(self.n, self.field.p)
         polys = []
         for g, s in self.factors:
-            f = [lane.lane_index(c) for c in g.coeffs]
-            if None in f:
-                raise AssertionError(f"factor {g} leaves the fixed subfield")
+            f = lane_read(lane, g)
             if s < 1 or not f or f[-1] != lane.one:
                 raise AssertionError(f"factor ({g})^{s} is not a monic power")
             if len(f) < 2:
@@ -562,54 +575,36 @@ def factor_xn_minus_1(n: int, field: Field, i: int) -> Factorization:
     # lane indices increase with the F_q index, so this is the (degree,
     # coefficient indices) order
     factors.sort(key=lambda f: (len(f), f))
-    lift = [SkewPoly(field, list(map(lane.lift, f)), i) for f in factors]
-    fac = Factorization(n, field, i, tuple((g, n // n1) for g in lift))
+    fac = Factorization(n, field, i, tuple((lane_lift(lane, f, i), n // n1) for f in factors))
     fac.verify()
     return fac
 
 
 def divisors_from_factorization(fac: Factorization) -> list[SkewPoly]:
-    """All products prod p_k^{e_k} with 0 <= e_k <= s_k, sorted (degree, lex)."""
-    divisors = [SkewPoly.one(fac.field, fac.aut)]
+    """All products prod p_k^{e_k} with 0 <= e_k <= s_k, sorted (degree,
+    lex) on the lane, whose indices increase with the F_q index."""
+    lane = fac.field.subfield(fac.aut)
+    divisors = [[lane.one]]
     for g, s in fac.factors:
-        powers = [SkewPoly.one(fac.field, fac.aut)]
+        f, powers = lane_read(lane, g), [[lane.one]]
         for _ in range(s):
-            powers.append(skew_mul(powers[-1], g))
-        divisors = [skew_mul(d, pw) for d in divisors for pw in powers]
-    divisors.sort(key=lambda f: (f.degree, f.coeffs))
-    return divisors
+            powers.append(lane.mul(powers[-1], f))
+        divisors = [lane.mul(d, pw) for d in divisors for pw in powers]
+    divisors.sort(key=lambda f: (len(f), f))
+    return [lane_lift(lane, f, fac.aut) for f in divisors]
 
 
 def extended_gcd_commutative(f: SkewPoly, g: SkewPoly):
-    """(d, a, b) with a*f + b*g = d, d the monic gcd, in F_{p^i}[x].
-
-    Requires coefficients fixed by the automorphism; the identity is
-    recomputed with skew multiplication before returning, which catches
-    misuse on noncommuting inputs.
-    """
+    """(d, a, b) with a*f + b*g = d, d the monic gcd, in F_{p^i}[x], by
+    ``Subfield.xgcd``; a coefficient outside F_{p^i}, which need not
+    commute with x, raises ``AssertionError`` as f and g are read."""
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     f._check_compat(g)
-    field, aut = f.field, f.aut
-    one, zero = SkewPoly.one(field, aut), SkewPoly.zero(field, aut)
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while not r1.is_zero():
-        quo, rem = right_divide(r0, r1)
-        r0, a0, b0, r1, a1, b1 = (
-            r1,
-            a1,
-            b1,
-            rem,
-            a0 - skew_mul(quo, a1),
-            b0 - skew_mul(quo, b1),
-        )
-    t = field.log_table()
-    c = t.exp[field.q - 1 - t.log[r0.lc()]]
-    d, a, b = r0.scale(c), a0.scale(c), b0.scale(c)
-    if skew_mul(a, f) + skew_mul(b, g) != d:
-        raise AssertionError("Bezout identity failed; inputs must commute")
-    return d, a, b
+    lane = f.field.subfield(f.aut)
+    return tuple(
+        lane_lift(lane, h, f.aut) for h in lane.xgcd(lane_read(lane, f), lane_read(lane, g))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from skewcyclic.codes import (
     count_skew_cyclic_codes,
     skew_shift,
 )
-from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch
+from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch, Subfield
 from skewcyclic.oracle import broken_component_code, default_modulus
 from skewcyclic.oracle import _combine, _r_fold, _r_mul
 from skewcyclic.ring_r import RingElem, gray_map, make_idempotents, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
-    DomainMismatch,
     SkewPoly,
     SkewPolyError,
     brute_right_divisors,
@@ -306,8 +305,6 @@ class TestLinearMembership:
             word = _draw_word(data, comp)
             expected = _remainder_is_zero(comp, word)
             assert comp.contains(word) is expected
-            poly = SkewPoly(comp.field, [x.idx for x in word], comp.aut)
-            assert comp.contains(poly) is expected
             assert comp.contains(list(word)) is expected
 
 
@@ -340,18 +337,8 @@ class TestLinearMembershipKernel:
 
     def test_length_mismatch(self, f9):
         for comp in _kernel_components("F9-i1-n5"):
-            with pytest.raises(LengthMismatch):
-                comp.contains((f9.zero,) * 4)
-            with pytest.raises(LengthMismatch):
-                comp.contains(SkewPoly.x_power(f9, 1, 5))
-
-    def test_polynomial_word_of_another_ring(self, f9, f25):
-        for comp in _kernel_components("F81-i1-n3"):
-            with pytest.raises(AutMismatch):
-                comp.contains(SkewPoly.x_power(_F81, 2, 1))
-        for comp in _kernel_components("F9-i1-n5"):
-            for word in (SkewPoly.zero(f25, 1), SkewPoly.x_power(f25, 1, 2)):
-                with pytest.raises(DomainMismatch):
+            for word in ((f9.zero,) * 4, (f9.zero,) * 6):
+                with pytest.raises(LengthMismatch):
                     comp.contains(word)
 
     def test_word_over_another_field(self, f25):
@@ -407,7 +394,7 @@ class TestLinearMembershipKernel:
             twists.clear()
             for row in rows:
                 comp.contains(row)
-            comp.contains(SkewPoly.x_power(f9, 1, 4))
+            comp.contains((f9.zero,) * 4 + (f9.one,))
             assert comp._remainder_cols is cols
             assert divisions == [] and twists == []
         code = all_codes[-1]
@@ -608,7 +595,7 @@ class TestRingCodeConstruction:
             assert code.contains(row)
         # eta1 * (w, 1): first splitting coordinate is (w, 1), not a multiple
         # of (-w, 1)
-        eta1 = code.idempotents().eta1
+        eta1 = make_idempotents(code.field).eta1
         bad = tuple(eta1 * x for x in (RingElem(f9.gen, f9.zero, f9.zero),
                                        RingElem(f9.one, f9.zero, f9.zero)))
         assert not code.contains(bad)
@@ -651,6 +638,37 @@ class TestIdempotents:
         c = component_code_new(3, poly_from_string("x-1", f9, 1))
         with pytest.raises(HypothesisViolated):
             c.idempotent_generator()  # gcd(3, 9) = 3
+
+    @staticmethod
+    def _certify(comp, e):
+        """<e> = <g> with e idempotent, by the skew kernels: e*e = e and
+        e*g = g mod x^n - 1, and g right-divides e."""
+        n, g = comp.n, comp.g
+        assert mod_xn_minus_1(skew_mul(e, e), n) == e
+        assert right_divide(e, g).remainder.is_zero()
+        assert mod_xn_minus_1(skew_mul(e, g), n) == mod_xn_minus_1(g, n)
+
+    @pytest.mark.parametrize(
+        "fld,n", [(_F9, 5), (_F9, 7), (_F25, 7)], ids=["F9-n5", "F9-n7", "F25-n7"]
+    )
+    def test_census_idempotents_read_no_dense_table(self, monkeypatch, fld, n):
+        def refuse(self):
+            raise AssertionError("dense tables on the idempotent path")
+
+        monkeypatch.setattr(Field, "tables", refuse)
+        comps = [component_code_new(n, g) for g in monic_right_divisors(n, fld, 1)]
+        assert len(comps) == count_skew_cyclic_codes(n, fld, 1)[0]
+        for comp in comps:
+            self._certify(comp, comp.idempotent_generator())
+
+    @pytest.mark.parametrize("aut", [1, 4])
+    def test_idempotent_past_the_table_limit(self, aut):
+        fld = Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1])
+        comp = component_code_new(5, poly_from_string("x-1", fld, aut))
+        e = comp.idempotent_generator()
+        assert e == poly_from_string("2+x+x^2+x^3+x^4", fld, aut)
+        self._certify(comp, e)
+        assert fld._tables is None
 
     def test_combined_idempotent(self, f9):
         comps = [
@@ -741,8 +759,8 @@ class TestDerivedCodeMemos:
                 broken.idempotent_generator()
         assert gated._idempotent is None and broken._idempotent is None
         c = component_code_new(5, poly_from_string("x-1", f9, 1))
-        with monkeypatch.context() as m:
-            m.setattr(ComponentCode, "_generates", lambda self, e: False)
+        with monkeypatch.context() as m:  # the lane's gcd(e, x^n - 1) is no longer g
+            m.setattr(Subfield, "gcd", lambda self, f, g: [self.one])
             for _ in range(2):
                 with pytest.raises(AssertionError, match="generate"):
                     c.idempotent_generator()

@@ -19,6 +19,7 @@ from skewcyclic.finite_field import (
     InvalidExponent,
     NotAnInteger,
     NotPrime,
+    PrimeSubfield,
     ReducibleModulus,
     ZeroInverse,
     _first_generator,
@@ -112,6 +113,25 @@ class TestConstruction:
         Field(3, 4, [2, 1, 0, 0, 1])  # x^4 + x + 2, irreducible
         with pytest.raises(ReducibleModulus):
             Field(3, 4, [1, 0, 2, 0, 1])  # (x^2 + 1)^2
+
+    def test_rabin_runs_once_per_modulus(self, monkeypatch):
+        from skewcyclic import finite_field
+
+        calls, rabin = [], PrimeSubfield.is_irreducible
+
+        def recording(self, f):
+            calls.append(tuple(f))
+            return rabin(self, f)
+
+        finite_field._rabin_verdict.cache_clear()
+        monkeypatch.setattr(PrimeSubfield, "is_irreducible", recording)
+        for _ in range(3):
+            assert Field(3, 4, [2, 1, 0, 0, 1]).modulus == (2, 1, 0, 0, 1)
+            with pytest.raises(ReducibleModulus):
+                Field(3, 4, [1, 0, 2, 0, 1])
+        # a list with coefficients outside 0..p-1 reads the same verdict
+        assert _is_irreducible_modp([5, -2, 3, 0, 4], 3)
+        assert calls == [(2, 1, 0, 0, 1), (1, 0, 2, 0, 1)]
 
     def test_element_needs_m_coefficients(self, f9):
         with pytest.raises(DegreeMismatch):

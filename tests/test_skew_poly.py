@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 from conftest import evaluated, stored
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewcyclic.codes import count_skew_cyclic_codes
@@ -433,6 +433,13 @@ class TestExtendedGcd:
         with pytest.raises(BothZero):
             extended_gcd_commutative(SkewPoly.zero(f9, 1), SkewPoly.zero(f9, 1))
 
+    def test_coefficient_outside_the_fixed_subfield_is_refused(self, f9):
+        # w is not fixed by theta_1, so x - w does not commute with x
+        f, g = poly_from_string("x-[0,1]", f9, 1), poly_from_string("x-1", f9, 1)
+        for pair in ((f, g), (g, f), (f, SkewPoly.zero(f9, 1))):
+            with pytest.raises(AssertionError, match="leaves the fixed subfield F_3"):
+                extended_gcd_commutative(*pair)
+
 
 class TestCombineProject:
     def test_combine_equal_components_is_lift(self, f9):
@@ -770,7 +777,12 @@ def test_ring_poly_text_roundtrip(f):
 # ---------------------------------------------------------------------------
 # the commutative lane over F_{p^i} against the skew ring operations
 
-LANES = {"F9-i1": (_F9, 1), "F81-i2": (_F81, 2)}
+LANES = {
+    "F3": (Field(3, 1, [0, 1]), 1),
+    "F9-i1": (_F9, 1),
+    "F25-i1": (_F25, 1),
+    "F81-i2": (_F81, 2),
+}
 
 
 def _lane_polys(lane, max_degree=5, min_size=0):
@@ -800,16 +812,19 @@ class TestSubfieldLane:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_gcd_matches_extended_euclid(self, name, data):
+    def test_xgcd_is_a_bezout_identity_for_the_gcd(self, name, data):
         field, aut = LANES[name]
         lane = field.subfield(aut)
         f = data.draw(_lane_polys(lane))
         g = data.draw(_lane_polys(lane))
-        if f or g:
-            d, _, _ = extended_gcd_commutative(
-                _lift(field, aut, lane, f), _lift(field, aut, lane, g)
-            )
-            assert _lift(field, aut, lane, lane.gcd(f, g)) == d
+        assume(f or g)
+        d, a, b = lane.xgcd(f, g)
+        assert d == lane.gcd(f, g)
+        lift = lambda h: _lift(field, aut, lane, h)  # noqa: E731
+        big_f, big_g, big_d = lift(f), lift(g), lift(d)
+        assert skew_mul(lift(a), big_f) + skew_mul(lift(b), big_g) == big_d
+        assert right_divide(big_f, big_d).remainder.is_zero()
+        assert right_divide(big_g, big_d).remainder.is_zero()
 
     def test_lane_indices_follow_the_field_index(self, name):
         field, aut = LANES[name]
@@ -847,13 +862,6 @@ def test_rabin_matches_the_sieve(field, aut):
 # the factorization against references it does not use: Rabin's test, the
 # degrees that cyclotomic theory predicts and the coset-count formula
 
-FACTOR_LANES = {
-    "F3": (Field(3, 1, [0, 1]), 1),
-    "F9-i1": (_F9, 1),
-    "F25-i1": (_F25, 1),
-    "F81-i2": (_F81, 2),
-}
-
 
 def _cyclotomic_degrees(n1, order):
     """ord_d(Q), phi(d)/ord_d(Q) times, over every d | n1, sorted."""
@@ -872,11 +880,11 @@ def _rabin_irreducible(lane, fac):
     )
 
 
-@pytest.mark.parametrize("name", sorted(FACTOR_LANES))
+@pytest.mark.parametrize("name", sorted(LANES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_factors_are_irreducible_of_the_cyclotomic_degrees(name, data):
-    field, aut = FACTOR_LANES[name]
+    field, aut = LANES[name]
     t_i = field.check_aut_exponent(aut)
     n = data.draw(st.integers(1, 400).filter(lambda n: math.gcd(n, t_i) == 1), label="n")
     lane = field.subfield(aut)
