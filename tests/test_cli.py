@@ -693,12 +693,23 @@ class TestVerifyCommand:
                 0,
             ),
             (
+                ["verify", "--matrix", str(DATA / "verify_matrix_f25_n3.json"), "--seed", "0"],
+                "verify_f25_n3_seed0.txt",
+                0,
+            ),
+            (
                 ["verify", "--seed", "0", "--inject-broken"],
                 "verify_seed0_inject_broken.txt",
                 1,
             ),
         ],
-        ids=["default-seed0", "bench-matrix-seed101", "f9-n2-seed0", "seed0-inject-broken"],
+        ids=[
+            "default-seed0",
+            "bench-matrix-seed101",
+            "f9-n2-seed0",
+            "f25-n3-seed0",
+            "seed0-inject-broken",
+        ],
     )
     def test_seeded_output_is_reproduced(self, capsys, argv, golden, exit_code):
         # the recorded stdout pins every verdict, mode, count, witness and
