@@ -47,6 +47,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -82,6 +83,7 @@ from .skew_poly import (
     brute_right_divisors,
     factor_xn_minus_1,
     is_right_divisor_of_xn_minus_1,
+    monic_right_divisors,
     poly_from_string,
     poly_to_string,
     project_components,
@@ -554,17 +556,27 @@ def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
 
 
 def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> VerdictReport:
-    """Brute-force divisor count against the factorization formula (and cube).
+    """The brute-force divisors are the ones ``census`` builds its codes
+    from (``monic_right_divisors``), and their count is the factorization
+    formula (and its cube over R).
 
-    ``divisors`` is ``_brute_divisors(entry)``.
+    ``divisors`` is ``_brute_divisors(entry)``. Differing lists fail with
+    the divisors production misses and those it adds.
     """
+    claim, cfg = "census-count", entry.config()
     if isinstance(divisors, str):
-        return VerdictReport(
-            "census-count", entry.config(), "skipped", True, {"reason": divisors}
-        )
+        return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
+    fld = entry.field()
+    brute = Counter(divisors)
+    found = Counter(monic_right_divisors(entry.n, fld, entry.i, entry.bounds.search))
+    if found != brute:
+        witness = {
+            "missing": [poly_to_string(g) for g in (brute - found).elements()],
+            "extra": [poly_to_string(g) for g in (found - brute).elements()],
+        }
+        return VerdictReport(claim, cfg, "exhaustive", False, witness)
     brute = len(divisors)
-    fac = factor_xn_minus_1(entry.n, entry.field(), entry.i)
-    formula_fq, formula_r = fac.census_counts()
+    formula_fq, formula_r = factor_xn_minus_1(entry.n, fld, entry.i).census_counts()
     ok = brute == formula_fq and brute**3 == formula_r
     witness = None
     if not ok:
@@ -574,7 +586,7 @@ def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> Ver
             "brute_force_cubed": brute**3,
             "formula_over_R": formula_r,
         }
-    return VerdictReport("census-count", entry.config(), "exhaustive", ok, witness)
+    return VerdictReport(claim, cfg, "exhaustive", ok, witness)
 
 
 def verify_fixed_subfield_divisors(
@@ -1229,22 +1241,23 @@ def _guarded(claim: str, config: dict, check: Callable, *args) -> VerdictReport:
 
 
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
-    """One report per claim of ``CLAIMS``; a census that fails a postcondition
-    (broken field tables) fails every claim about its codes, with the error.
-    So does an exception inside a claim on one code (``_guarded``): it
-    fails that claim, and the run goes on to a verdict."""
+    """One report per claim of ``CLAIMS``; a census that raises (a broken
+    postcondition, say) fails every claim about its codes, with the error.
+    So does an exception inside a claim on one code, or inside
+    ``census-count`` (``_guarded``): it fails that claim, and the run goes
+    on to a verdict."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
     reports = [
         verify_gray_isometry(entry),
-        verify_census(entry, divisors),
+        _guarded("census-count", cfg, verify_census, entry, divisors),
         verify_fixed_subfield_divisors(entry, divisors),
     ]
     try:
         codes = census(entry.n, fld, entry.i, entry.bounds.search)
-    except AssertionError as exc:
-        witness = {"error": f"AssertionError: {exc}"}
+    except Exception as exc:
+        witness = {"error": f"{type(exc).__name__}: {exc}"}
         return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
     ring_elems = _ring_elems(fld)  # the lane's triples as RingElems, built once per entry
     cases = [_case(code, ring_elems) for code in codes]
