@@ -278,12 +278,7 @@ class ComponentCode:
         """
         dual = self._dual
         if dual is None:
-            if self.g.degree == self.n:
-                # zero code: h = 1 and the index formula degenerates, dual is everything
-                g = SkewPoly.one(self.field, self.aut)
-            else:
-                g = self.reciprocal_cofactor().monic()
-            dual = component_code_new(self.n, g)
+            dual = component_code_new(self.n, self.reciprocal_cofactor().monic())
             object.__setattr__(self, "_dual", dual)
         return dual
 

@@ -14,24 +14,26 @@ block of the Gray image at a time. No claim divides a polynomial to
 build its rows.
 
 R[x, theta_i] = F_q[x, theta_i]^3 (checked once per entry by
-``_verify_splitting``) makes shift closure, the dual and the idempotent
-generator facts about the components, so those claims check a
-``ComponentCode``, and a code over R passes when each of its components
-does (``_by_component``). The claims about the combined generator
-eta1*g1 + eta2*g2 + eta3*g3 use the oracle's own R lane: tuples of
-(a, b, c) field-index triples with a schoolbook product
-(``_schoolbook_mul``), a skew multiply and a fold mod x^n - 1, and Gray
-rows from ``gray_map`` or the oracle's own evaluation map
-(``_evaluations``). The lane shares only the field tables with
-production's R arithmetic, and ``_verify_tables`` checks those.
-Production's rows over R meet the lane only as Gray index rows through
-``gray_map``; lane triples become ``RingElem``s only where production
-takes them: ``contains``, ``project_components`` and
-``ring_skew_poly_combine``.
+``_verify_splitting``) makes every claim about a code over R a claim
+about its components. Shift closure, the dual and the idempotent
+generator are checked on each ``ComponentCode``, and a code over R passes
+when each of its components does (``_by_component``). The claims about
+the combined generator eta1*g1 + eta2*g2 + eta3*g3 read it in split
+coordinates, as the triple (g1, g2, g3): its rows, its cofactor and the
+idempotent are products on index vectors with the dense field tables,
+through the skew shift sigma (``_twist_orbit``). The a + bv + cv^2 form
+with its schoolbook product (``_schoolbook_mul``) stays in three places:
+``_verify_splitting``, the evaluation map of ``gray-isometry``
+(``_evaluations``), and the eta-combination (``_combine``) that
+``decompose-compose`` hands to production's ``project_components`` and
+``ring_skew_poly_combine``. Production's rows over R reach the claims
+as Gray index rows through ``gray_map``, and the claims' rows reach
+``contains`` as words through ``gray_inverse``. The claims share only the
+field tables with production's arithmetic; ``_verify_tables`` checks them.
 
 Each claim has one path and builds nothing another claim reads. A claim
-over R takes a ``Case``: the code's config, its combined generator, that
-generator's rows and their Gray basis, and the Gray index rows of
+over R takes a ``Case``: the code's config, its component generators,
+their rows and the rows' echelon basis, and the Gray index rows of
 production's generator rows, all built once per code by ``_case`` (the
 rows and the basis on first read). A component claim takes a
 ``ComponentCode`` and its config, which ``_by_component`` builds once per
@@ -186,28 +188,30 @@ class VerdictReport:
 class Case:
     """What the claims over R read about one code, built by ``_case``.
 
-    ``gray_rows`` are production's generator rows as Gray index rows
-    (``_gray_rows``), the one form in which ``cardinality-rank``,
-    ``dual-gray-commute``, ``quasi-cyclic-gray`` and
-    ``principal-generator`` read them. ``rows`` (the combined generator's
-    ``_combined_generator_rows``) and ``basis`` (their ``_gray_basis``)
-    are built on first read and kept until ``drop_lane``. Only the code's
-    own claims read them, so an entry holds them for one code at a time.
+    ``combined`` is the combined generator eta1*g1 + eta2*g2 + eta3*g3 in
+    split coordinates: the triple (g1, g2, g3). ``gray_rows`` are
+    production's generator rows as Gray index rows (``_gray_rows``), the
+    one form in which ``cardinality-rank``, ``dual-gray-commute``,
+    ``quasi-cyclic-gray`` and ``principal-generator`` read them. ``rows``
+    (the combined generator's ``_combined_rows``) and ``basis`` (their
+    echelon basis) are built on first read and kept until ``drop_lane``.
+    Only the code's own claims read them, so an entry holds them for one
+    code at a time.
     """
 
     code: SkewCyclicCode
     config: dict
-    combined: tuple  # the lane's eta1*g1 + eta2*g2 + eta3*g3
+    combined: tuple[SkewPoly, SkewPoly, SkewPoly]  # (g1, g2, g3)
     gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
     ring_elems: Callable[[tuple], RingElem]  # the entry's _ring_elems
 
     @functools.cached_property
-    def rows(self) -> list[tuple]:
-        return _combined_generator_rows(self.combined, self.code)
+    def rows(self) -> list[list[int]]:
+        return _combined_rows(self.combined, self.code.n)
 
     @functools.cached_property
     def basis(self) -> list[list[int]]:
-        return _gray_basis(self.rows, self.code.field)
+        return linalg.echelon(self.rows, self.code.field)
 
     def drop_lane(self) -> None:
         """Forget ``rows`` and ``basis``."""
@@ -613,6 +617,49 @@ def _twist_shift(w: Sequence[int], frob: list[int]) -> list[int]:
     return [frob[w[-1]]] + [frob[a] for a in w[:-1]]
 
 
+# The claims' skew arithmetic, on index vectors with the dense field tables:
+# for w of length n, sigma^j(w) is x^j * w mod x^n - 1, so a product f * w
+# mod x^n - 1 is sum_j f_j sigma^j(w), and a product of degree at most n is
+# the same sum on n + 1 coefficients. Over R it runs on each component.
+
+
+def _twist_orbit(w: Sequence[int], count: int, frob: list[int]) -> list[list[int]]:
+    """[w, sigma(w), ..., sigma^{count-1}(w)]."""
+    orbit = [list(w)]
+    for _ in range(count - 1):
+        orbit.append(_twist_shift(orbit[-1], frob))
+    return orbit
+
+
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], tables) -> list[int]:
+    """sum_k coeffs[k] * rows[k] for a nonempty list of rows."""
+    add, mul = tables.add, tables.mul
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        mul_c = mul[c]
+        acc = [add[x][mul_c[y]] for x, y in zip(acc, row)]
+    return acc
+
+
+def _fold(f: SkewPoly, n: int, tables) -> list[int]:
+    """The right remainder of f by x^n - 1 as n indices, with no division:
+    a x^{n+k} = (a x^k)(x^n - 1) + a x^k moves each coefficient to degree k mod n."""
+    out = [0] * n
+    for k, c in enumerate(f.coeffs):
+        out[k % n] = tables.add[out[k % n]][c]
+    return out
+
+
+def _is_cofactor(h: SkewPoly, g: SkewPoly, n: int) -> bool:
+    """h * g = x^n - 1, as sum_j h_j (x^j * g) with x^j * g = sigma^j(g) on
+    the n + 1 coefficients of g once deg h + deg g = n."""
+    if min(h.degree, g.degree) < 0 or h.degree + g.degree != n:
+        return False
+    t = g.field.tables()
+    orbit = _twist_orbit(g.padded(n + 1), h.degree + 1, g.field.frob_table(g.aut))
+    return _combination(h.coeffs, orbit, t) == [t.neg[t.one]] + [0] * (n - 1) + [t.one]
+
+
 def _shift_closure_basis(comp: ComponentCode) -> tuple[list[list[int]], bool]:
     """Echelon basis of the smallest sigma-closed F_q-space containing the
     component's generator rows, and whether their span was closed already.
@@ -839,30 +886,37 @@ def verify_quasi_cyclic_gray(case: Case) -> VerdictReport:
 
 
 # ---------------------------------------------------------------------------
-# the oracle's R lane: polynomials in R[x, theta_i] as tuples of (a, b, c)
-# index triples, ascending, without trailing zeros
-
-_R_ZERO = (0, 0, 0)
+# claims over R: the combined generator in split coordinates
 
 
-def _r_add(s: tuple, t: tuple, tables) -> tuple:
-    add = tables.add
-    return add[s[0]][t[0]], add[s[1]][t[1]], add[s[2]][t[2]]
+def _combined_rows(combined: tuple, n: int) -> list[list[int]]:
+    """Gray index rows spanning <g> over R for g = eta1*g1 + eta2*g2 +
+    eta3*g3, ``combined`` = (g1, g2, g3): eta_t * (x^j * g mod x^n - 1) for
+    j < n and t < 3. eta_t splits to the t-th unit vector, so that row is
+    sigma^j(g_t mod x^n - 1) on the coordinates 3k + t and zero elsewhere."""
+    fld = combined[0].field
+    t = fld.tables()
+    frob = fld.frob_table(combined[0].aut)
+    orbits = [_twist_orbit(_fold(g, n, t), n, frob) for g in combined]
+    rows = []
+    for j in range(n):
+        for slot, orbit in enumerate(orbits):
+            row = [0] * (3 * n)
+            row[slot::3] = orbit[j]
+            rows.append(row)
+    return rows
 
 
-def _half(tables) -> int:
-    """The index of 1/2, from the tables alone."""
-    return tables.inv[tables.add[tables.one][tables.one]]
+def _case(code: SkewCyclicCode, ring_elems: Callable[[tuple], RingElem]) -> Case:
+    """Everything the claims over R share about ``code``; ``ring_elems``
+    (``_ring_elems``) is one per entry."""
+    combined = tuple(c.g for c in code.components)
+    return Case(code, _code_config(code), combined, _gray_rows(code), ring_elems)
 
 
-def _r_theta(s: tuple, frob: list[int]) -> tuple:
-    """theta on a + bv + cv^2: it fixes v, so it acts on a, b and c."""
-    return frob[s[0]], frob[s[1]], frob[s[2]]
-
-
-def _gray_index_row(row: Sequence[tuple], tables) -> list[int]:
-    """The Gray image of a row of triples, from ``_evaluations``."""
-    return [k for s in row for k in _evaluations(s, tables)]
+# ---------------------------------------------------------------------------
+# the a + bv + cv^2 side of decompose-compose: elements of R as (a, b, c)
+# index triples
 
 
 def _ring_elems(fld: Field) -> Callable[[tuple], RingElem]:
@@ -871,89 +925,23 @@ def _ring_elems(fld: Field) -> Callable[[tuple], RingElem]:
     return functools.cache(lambda s: RingElem(elems[s[0]], elems[s[1]], elems[s[2]]))
 
 
-def _r_trim(coeffs) -> tuple:
-    cs = list(coeffs)
-    while cs and cs[-1] == _R_ZERO:
-        cs.pop()
-    return tuple(cs)
-
-
-def _r_mul(f: tuple, g: tuple, aut: int, fld: Field) -> tuple:
-    """The skew product: (a x^i)(b x^j) = a theta^i(b) x^{i+j}."""
-    if not f or not g:
-        return ()
-    t = fld.tables()
-    out = [_R_ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == _R_ZERO:
-            continue
-        frob = fld.frob_table(aut * i % fld.m)
-        for j, b in enumerate(g):
-            out[i + j] = _r_add(out[i + j], _schoolbook_mul(a, _r_theta(b, frob), t), t)
-    return _r_trim(out)
-
-
-def _r_fold(f: tuple, n: int, fld: Field) -> tuple:
-    """The right remainder of f by x^n - 1, with no division:
-    a x^{n+k} = (a x^k)(x^n - 1) + a x^k moves each coefficient to degree k mod n."""
-    t = fld.tables()
-    out = list(f[:n])
-    for k in range(n, len(f)):
-        out[k % n] = _r_add(out[k % n], f[k], t)
-    return _r_trim(out)
-
-
-def _etas(fld: Field) -> tuple[tuple, tuple, tuple]:
-    """eta1 = 1 - v^2, eta2 = (v + v^2)/2, eta3 = (-v + v^2)/2, as triples."""
-    t = fld.tables()
-    one, neg, half = t.one, t.neg, _half(t)
-    return (one, 0, neg[one]), (0, half, half), (0, neg[half], half)
-
-
 def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
-    """eta1*f1 + eta2*f2 + eta3*f3 over R, by schoolbook products with the
-    constants c + 0v + 0v^2 (``crt_join`` is what the claims check, not
-    what they use)."""
+    """eta1*f1 + eta2*f2 + eta3*f3 over R as (a, b, c) triples, ascending
+    without trailing zeros, by schoolbook products with the constants
+    c + 0v + 0v^2: the form that ``project_components`` must split and
+    ``ring_skew_poly_combine`` must join."""
     t = fld.tables()
-    etas = _etas(fld)
+    add, one, neg = t.add, t.one, t.neg
+    half = t.inv[add[one][one]]
+    # eta1 = 1 - v^2, eta2 = (v + v^2)/2, eta3 = (-v + v^2)/2
+    etas = (one, 0, neg[one]), (0, half, half), (0, neg[half], half)
     out = []
     for k in range(max(len(f.coeffs) for f in polys)):
-        acc = _R_ZERO
-        for eta, f in zip(etas, polys):
-            acc = _r_add(acc, _schoolbook_mul(eta, (f.coeff(k), 0, 0), t), t)
-        out.append(acc)
-    return _r_trim(out)
-
-
-def _combined_generator(code: SkewCyclicCode) -> tuple:
-    return _combine([c.g for c in code.components], code.field)
-
-
-def _combined_generator_rows(g: tuple, code: SkewCyclicCode) -> list[tuple]:
-    """Rows spanning <g> over R: eta_t * (x^j * g mod x^n - 1) for j < n."""
-    fld, n = code.field, code.n
-    t = fld.tables()
-    etas = _etas(fld)
-    rows = []
-    for j in range(n):
-        x_j = (_R_ZERO,) * j + ((t.one, 0, 0),)
-        shifted = _r_fold(_r_mul(x_j, g, code.aut, fld), n, fld)
-        base = shifted + (_R_ZERO,) * (n - len(shifted))
-        for eta in etas:
-            rows.append(tuple(_schoolbook_mul(eta, c, t) for c in base))
-    return rows
-
-
-def _gray_basis(combined_rows: list[tuple], fld: Field) -> list[list[int]]:
-    """An echelon basis of the Gray index rows of ``_combined_generator_rows``."""
-    t = fld.tables()
-    return linalg.echelon([_gray_index_row(r, t) for r in combined_rows], fld)
-
-
-def _case(code: SkewCyclicCode, ring_elems: Callable[[tuple], RingElem]) -> Case:
-    """Everything the claims over R share about ``code``; ``ring_elems``
-    (``_ring_elems``) is one per entry."""
-    return Case(code, _code_config(code), _combined_generator(code), _gray_rows(code), ring_elems)
+        terms = [_schoolbook_mul(eta, (f.coeff(k), 0, 0), t) for eta, f in zip(etas, polys)]
+        out.append(tuple(add[add[x][y]][z] for x, y, z in zip(*terms)))
+    while out and out[-1] == (0, 0, 0):
+        out.pop()
+    return tuple(out)
 
 
 _PRINCIPALITY_SAMPLES = 20  # random words per principal-generator verdict
@@ -967,14 +955,18 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
     dimension and holds the Gray image of every production generator row
     (``case.gray_rows``), and ``contains`` accepts every row of
     ``case.rows`` and agrees with the span on ``_PRINCIPALITY_SAMPLES``
-    words drawn from ``rng``, each n (a, b, c) digit triples.
-    The rows are not divided by the combined generator: once
-    ``combined-generator`` shows that it divides x^n - 1, their remainder
-    is zero by the lane's own arithmetic alone.
+    words drawn from ``rng``, each n split-coordinate digit triples. A
+    Gray index row reaches ``contains`` as the ``RingElem`` word
+    ``gray_inverse`` reads from it. The rows are not divided by the
+    combined generator: once ``combined-generator`` shows that each g_t
+    divides x^n - 1, their remainder is zero by sigma's own arithmetic.
     """
     code, basis = case.code, case.basis
     fld = code.field
-    t = fld.tables()
+    elems = fld.tables().elems
+
+    def word_of(row: list[int]) -> tuple[RingElem, ...]:
+        return gray_inverse(fld, [elems[k] for k in row])
 
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", case.config, mode, False, witness)
@@ -988,15 +980,15 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
     for row in case.rows:
-        word = tuple(map(case.ring_elems, row))
+        word = word_of(row)
         if not code.contains(word):
             return fail("exhaustive", {"combined_row_rejected": [str(x) for x in word]})
     q = fld.q
     for _ in range(_PRINCIPALITY_SAMPLES):
         digits = [rng.randrange(q**3) for _ in range(code.n)]
-        triples = tuple((k // (q * q), k // q % q, k % q) for k in digits)
-        word = tuple(map(case.ring_elems, triples))
-        if code.contains(word) != linalg.in_row_space(basis, _gray_index_row(triples, t), fld):
+        row = [x for k in digits for x in (k // (q * q), k // q % q, k % q)]
+        word = word_of(row)
+        if code.contains(word) != linalg.in_row_space(basis, row, fld):
             return fail("sampled", {"word": [str(x) for x in word]})
     return VerdictReport("principal-generator", case.config, "sampled", True)
 
@@ -1049,8 +1041,8 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
 
 def verify_idempotent_generators(code: ComponentCode, cfg: dict) -> VerdictReport:
     """The idempotent generator e of a component code has e*e = e mod
-    x^n - 1 (on the R lane, with coefficients (c, 0, 0)), and the span of
-    the sigma-orbit of e is the span of the code's rows. Over R,
+    x^n - 1, that is sum_j e_j sigma^j(e) = e on the sigma-orbit of e, and
+    the span of that orbit is the span of the code's rows. Over R,
     e = eta1*e1 + eta2*e2 + eta3*e3, so a code over R is checked by
     ``_by_component``. ``cfg`` is the code's ``_code_config``.
     """
@@ -1066,14 +1058,9 @@ def verify_idempotent_generators(code: ComponentCode, cfg: dict) -> VerdictRepor
         return VerdictReport(
             "idempotent-generator", cfg, "exhaustive", False, {"reason": str(exc)}
         )
-    fld, n = code.field, code.n
-    lane = _r_trim((c, 0, 0) for c in e.coeffs)
-    folded = _r_fold(lane, n, fld)
-    idempotent = _r_fold(_r_mul(lane, lane, code.aut, fld), n, fld) == folded
-    frob = fld.frob_table(code.aut)
-    orbit = [[s[0] for s in folded] + [0] * (n - len(folded))]
-    for _ in range(1, n):
-        orbit.append(_twist_shift(orbit[-1], frob))
+    fld, t = code.field, code.field.tables()
+    orbit = _twist_orbit(_fold(e, code.n, t), code.n, fld.frob_table(code.aut))
+    idempotent = _combination(orbit[0], orbit, t) == orbit[0]
     rows = linalg.to_index_rows(code.generator_rows(), fld)
     generates = linalg.canonical_subspace(orbit, fld) == linalg.canonical_subspace(rows, fld)
     ok = idempotent and generates
@@ -1085,11 +1072,12 @@ def verify_decomposition(case: Case) -> VerdictReport:
     """Splitting the combined generator recovers the components exactly,
     and ``ring_skew_poly_combine`` joins them back to the same generator.
 
-    ``case.ring_elems`` turns ``case.combined`` into the ``RingElem``
-    coefficients that production splits and joins.
+    The combined generator is the oracle's own eta-combination of
+    ``case.combined`` in a + bv + cv^2 (``_combine``), made ``RingElem``
+    coefficients by ``case.ring_elems`` for production to split and join.
     """
     code = case.code
-    g = tuple(map(case.ring_elems, case.combined))
+    g = tuple(map(case.ring_elems, _combine(case.combined, code.field)))
     parts = project_components(g, code.field, code.aut)
     ok = parts == tuple(c.g for c in code.components) and ring_skew_poly_combine(*parts) == g
     witness = None
@@ -1100,7 +1088,9 @@ def verify_decomposition(case: Case) -> VerdictReport:
 
 def verify_combined_uniqueness(cases: Sequence[Case], config: dict) -> VerdictReport:
     """Distinct censused codes carry distinct combined generators, each a
-    right divisor of x^n - 1 over R (witnessed by its combined cofactor)."""
+    right divisor of x^n - 1 over R: in split coordinates, each g_t has
+    h_t * g_t = x^n - 1 for the cofactor h_t of its component
+    (``_is_cofactor``)."""
 
     def fail(witness: dict) -> VerdictReport:
         return VerdictReport("combined-generator", config, "exhaustive", False, witness)
@@ -1111,11 +1101,7 @@ def verify_combined_uniqueness(cases: Sequence[Case], config: dict) -> VerdictRe
         if g in seen:
             return fail({"duplicate": case.config, "first": seen[g]})
         seen[g] = case.config
-        fld = code.field
-        one, neg = fld.tables().one, fld.tables().neg
-        x_n_minus_1 = ((neg[one], 0, 0),) + (_R_ZERO,) * (code.n - 1) + ((one, 0, 0),)
-        h = _combine([c.h for c in code.components], fld)
-        if _r_mul(h, g, code.aut, fld) != x_n_minus_1:
+        if not all(_is_cofactor(c.h, g_t, code.n) for c, g_t in zip(code.components, g)):
             return fail({"not_a_divisor": case.config})
     return VerdictReport("combined-generator", config, "exhaustive", True)
 
@@ -1147,11 +1133,11 @@ def broken_code(field: Field, i: int, n: int, slot: int = 1) -> SkewCyclicCode:
 
 
 def mismatched_case(field: Field, i: int, n: int) -> Case:
-    """The case of the full code with the lane read from another combined
+    """The case of the full code with the rows read from another combined
     generator, eta1*g + eta2*g + eta3*g for g = x - 1."""
     full = component_code_new(n, SkewPoly.one(field, i))
     case = _case(code_from_components(full, full, full), _ring_elems(field))
-    return replace(case, combined=_combine([poly_from_string("x-1", field, i)] * 3, field))
+    return replace(case, combined=(poly_from_string("x-1", field, i),) * 3)
 
 
 # ---------------------------------------------------------------------------

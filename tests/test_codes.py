@@ -27,7 +27,7 @@ from skewcyclic.codes import (
 )
 from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch, Subfield
 from skewcyclic.oracle import broken_component_code, default_modulus
-from skewcyclic.oracle import _combine, _r_fold, _r_mul
+from skewcyclic.oracle import _combine
 from skewcyclic.ring_r import RingElem, gray_map, make_idempotents, ring_elem, ring_one
 from skewcyclic.skew_poly import (
     AutMismatch,
@@ -117,16 +117,17 @@ class TestSplitNativeConstruction:
     def test_combined_cofactor_over_r(self, f9):
         codes = census(5, f9, 1)
         assert len(codes) == 64
-        # the lane's combined cofactor times combined generator, in the
-        # oracle's evaluation coordinates, is production's x^5 - 1 over R
-        xn1 = stored(ring_skew_poly_combine(*(xn_minus_1(f9, 1, 5),) * 3))
+        # the oracle's eta-combinations of the cofactors and the generators,
+        # in its evaluation coordinates, are production's; those coordinates
+        # multiply slot by slot, where h_t * g_t = x^5 - 1
         for code in codes:
             h = _combine([c.h for c in code.components], f9)
             g = _combine([c.g for c in code.components], f9)
             combined_h = ring_skew_poly_combine(*(c.h for c in code.components))
             assert evaluated(h, f9) == stored(combined_h)
             assert evaluated(g, f9) == stored(_combined(code))
-            assert evaluated(_r_mul(h, g, 1, f9), f9) == xn1
+            for c in code.components:
+                assert skew_mul(c.h, c.g) == xn_minus_1(f9, 1, 5)
 
 
 def _recording(monkeypatch, owner, name):
@@ -490,9 +491,18 @@ class TestDual:
         c = component_code_new(3, SkewPoly.one(f9, 1))
         assert c.dual().is_zero_code()
 
-    def test_dual_of_zero_is_full(self, f9):
-        c = component_code_new(3, xn_minus_1(f9, 1, 3))
-        assert c.dual().dim == 3
+    @pytest.mark.parametrize(
+        "fld, aut, n",
+        [((3, 2, [1, 0, 1]), 1, n) for n in range(1, 6)]
+        + [((3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]), 4, 5)],
+        ids=[f"F9-n{n}" for n in range(1, 6)] + ["F3^8-aut4-n5"],
+    )
+    def test_dual_of_zero_is_full(self, fld, aut, n):
+        # g = x^n - 1 has cofactor h = 1, whose reciprocal is 1 (n - deg g = 0)
+        fld = Field(*fld)
+        c = component_code_new(n, xn_minus_1(fld, aut, n))
+        assert c.reciprocal_cofactor() == SkewPoly.one(fld, aut)
+        assert c.dual() == component_code_new(n, SkewPoly.one(fld, aut))
 
     def test_reciprocal_cofactor_example(self, f9, xw_code):
         # h = x + 2w gives h~ = 1 + wx, monic normalization x + 2w = x - w
@@ -679,7 +689,8 @@ class TestIdempotents:
         e1, e2, e3 = code.idempotent_generator()
         e = _combine([e1, e2, e3], f9)
         assert evaluated(e, f9) == stored(ring_skew_poly_combine(e1, e2, e3))
-        assert _r_fold(_r_mul(e, e, 1, f9), 5, f9) == _r_fold(e, 5, f9)
+        for e_t in (e1, e2, e3):
+            assert mod_xn_minus_1(skew_mul(e_t, e_t), 5) == mod_xn_minus_1(e_t, 5)
         assert e1 == comps[0].idempotent_generator()
         assert e2 == SkewPoly.one(f9, 1)
         assert e3 == SkewPoly.one(f9, 1)

@@ -46,8 +46,9 @@ def _reciprocal_cofactor_without_theta(mp):
 
 
 def _oracle_lane_without_theta(mp):
-    untwisted = oracle._r_mul
-    mp.setattr(oracle, "_r_mul", lambda f, g, aut, fld: untwisted(f, g, 0, fld))
+    # the skew shift of the claims over R, with theta the identity
+    orbit = oracle._twist_orbit
+    mp.setattr(oracle, "_twist_orbit", lambda w, count, frob: orbit(w, count, range(len(frob))))
 
 
 def _membership_accepts_everything(mp):

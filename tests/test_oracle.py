@@ -446,13 +446,13 @@ class TestMatrixAndDualityOracles:
         # comparison can see it
         other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
         case = case_of(mixed_code)
-        assert other != tuple(map(case.ring_elems, case.combined))
+        assert other != tuple(map(case.ring_elems, oracle._combine(case.combined, case.code.field)))
         monkeypatch.setattr(oracle, "ring_skew_poly_combine", lambda *fs: other)
         v = verify_decomposition(case)
         assert not v.passed and v.mode == "exhaustive"
 
     def test_decomposition_of_a_foreign_generator_fails(self, mixed_code):
-        other = oracle._combine([c.g for c in reversed(mixed_code.components)], mixed_code.field)
+        other = tuple(c.g for c in reversed(mixed_code.components))
         v = verify_decomposition(replace(case_of(mixed_code), combined=other))
         assert not v.passed and len(v.counterexample["recovered"]) == 3
 
@@ -536,7 +536,7 @@ class TestDistanceOracle:
     def test_gray_image_not_a_direct_sum_of_blocks(self, f9, mixed_code):
         # the Gray image of (1, 1) is spanned by one word that meets all
         # three coordinate classes, so its blocks have total rank 3, not 1
-        rows = [((f9.tables().one, 0, 0),) * mixed_code.n]
+        rows = [[f9.tables().one] * (3 * mixed_code.n)]  # 1 splits to (1, 1, 1)
         case = case_of(mixed_code)
         case.rows = rows  # its basis is read from these rows
         v = verify_distance_law(case, DISTANCE_LIMIT, {})
@@ -661,15 +661,17 @@ class TestHarness:
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
         assert reports and all(r.passed for r in reports)
 
-    def test_r_lane_without_the_twist_fails_at_n2(self, monkeypatch):
-        untwisted = oracle._r_mul
-        monkeypatch.setattr(oracle, "_r_mul", lambda f, g, aut, fld: untwisted(f, g, 0, fld))
+    def test_split_lane_without_the_twist_fails_at_n2(self, monkeypatch):
+        orbit = oracle._twist_orbit
+        monkeypatch.setattr(
+            oracle, "_twist_orbit", lambda w, count, frob: orbit(w, count, range(len(frob)))
+        )
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2))
         failed = {r.claim for r in reports if not r.passed}
         assert {"combined-generator", "principal-generator", "distance-law"} <= failed
 
     def test_schoolbook_product_with_v_cubed_minus_v_fails(self, monkeypatch):
-        # the lane's multiply rests on v^3 = v; with v^3 = -v instead, the
+        # the splitting check rests on v^3 = v; with v^3 = -v instead, the
         # eta_j stop being orthogonal idempotents
         def v_cubed_is_minus_v(s, t, tables):
             add, sub, mul = tables.add, tables.sub, tables.mul
@@ -681,10 +683,10 @@ class TestHarness:
         monkeypatch.setattr(oracle, "_schoolbook_mul", v_cubed_is_minus_v)
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         failed = {r.claim: r for r in reports if not r.passed}
-        # duality is checked on the components, with no product over R
-        assert {"gray-isometry", "combined-generator", "principal-generator"} <= failed.keys()
+        # the other claims multiply in split coordinates, and the
+        # eta-combination of decompose-compose only by constants c + 0v + 0v^2
+        assert failed.keys() == {"gray-isometry"}
         assert failed["gray-isometry"].counterexample["law"] == "mul"
-        assert "not_a_divisor" in failed["combined-generator"].counterexample
 
     def test_per_code_claims_use_no_ring_arithmetic_of_production(self, monkeypatch):
         # the R lane computes on index triples: with every RingElem operator
@@ -767,13 +769,7 @@ class TestHarness:
 
     def test_entry_searches_divisors_and_reduces_gray_rows_once(self, monkeypatch):
         calls: dict[str, list] = {}
-        names = (
-            "brute_right_divisors",
-            "_combined_generator",
-            "_combined_generator_rows",
-            "_gray_basis",
-            "_gray_rows",
-        )
+        names = ("brute_right_divisors", "_combined_rows", "_gray_rows")
         for name in names:
 
             def recording(*args, name=name, build=getattr(oracle, name)):
@@ -785,9 +781,9 @@ class TestHarness:
         reports = {r.claim: r for r in verify_entry(entry)}
         assert all(r.passed for r in reports.values())
         # census-count and fixed-subfield-divisors share one search; each
-        # code's combined generator, its rows, their Gray basis and the
-        # Gray rows of production's generator rows are built once, by its
-        # case, for every claim over R (the census holds every dual)
+        # code's combined-generator rows and the Gray rows of production's
+        # generator rows are built once, by its case, for every claim over R
+        # (the census holds every dual)
         assert len(calls.pop("brute_right_divisors")) == 1
         assert {name: len(got) for name, got in calls.items()} == dict.fromkeys(names[1:], 64)
         assert reports["principal-generator"].checked == reports["distance-law"].checked == 64
@@ -1277,19 +1273,14 @@ class TestRankClaimsAgainstEnumeration:
         assert checked >= 100
 
     def test_block_distance_equals_full_span_enumeration(self, f9):
-        from skewcyclic import linalg
-        from skewcyclic.ring_r import gray_map
-
         checked = 0
         cases = [case_of(c) for n in (1, 2, 3) for c in census(n, f9, 1)]
         cases.append(mismatched_case(f9, 1, 3))
         for case in cases:
-            # the Gray rows through production's map, not the oracle's
-            rows = [gray_map(tuple(map(case.ring_elems, r))) for r in case.rows]
-            idx = linalg.to_index_rows(rows, f9)
-            if 9 ** linalg.rank(idx, f9) > 10**5:
+            # the whole Gray span, not block by block
+            if 9 ** linalg.rank(case.rows, f9) > 10**5:
                 continue
-            full = linalg.span_min_weight(idx, f9, 10**5)
+            full = linalg.span_min_weight(case.rows, f9, 10**5)
             v = verify_distance_law(case, DISTANCE_LIMIT, {})
             if v.passed:
                 formula = case.code.min_lee_distance()

@@ -9,15 +9,10 @@ from conftest import evaluated, stored
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewcyclic.codes import count_skew_cyclic_codes
+from skewcyclic.codes import ComponentCode, component_code_new, count_skew_cyclic_codes
 from skewcyclic.finite_field import Field, FieldMismatch, Subfield
-from skewcyclic.oracle import (
-    _combine,
-    _evaluations,
-    _r_fold,
-    _r_mul,
-    _r_trim,
-)
+from skewcyclic import oracle
+from skewcyclic.oracle import _combine
 from skewcyclic.ring_r import RingElem, ring_elem
 from skewcyclic.skew_poly import (
     AutMismatch,
@@ -545,9 +540,7 @@ def _polys(field, aut, max_degree=4):
 
 
 def _theta(c, i):
-    """c -> c^(p^i) by repeated multiplication, on a, b, c for elements of R."""
-    if isinstance(c, RingElem):
-        return RingElem(*(_theta(t, i) for t in (c.a, c.b, c.c)))
+    """c -> c^(p^i) by repeated multiplication."""
     out = c.field.one
     for _ in range(c.field.p**i):
         out = out * c
@@ -643,117 +636,79 @@ class TestIndexKernelAgainstElementOperators:
         assert right_divide(f, g) == (SkewPoly(field, quo, aut), SkewPoly(field, rem, aut))
 
 
-# the same laws on the oracle's R lane over F_9 with theta_1: tuples of
-# (a, b, c) index triples, the only polynomials over R that get multiplied
-
-_R_AUT = 1
-_R_ZERO = (0, 0, 0)
-_R_ONE = (_F9.tables().one, 0, 0)
+# the oracle's eta-combination: the one product over R that its claims
+# keep, for decompose-compose, against production's crossing
 
 
-def _r_coeffs():
-    idx = st.integers(0, _F9.q - 1)
-    return st.tuples(idx, idx, idx)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_oracle_combination_is_production_combination(data):
+    polys = [data.draw(_polys(_F9, 1)) for _ in range(3)]
+    assert evaluated(_combine(polys, _F9), _F9) == stored(ring_skew_poly_combine(*polys))
 
 
-def _r_polys(max_degree=4):
-    return st.lists(_r_coeffs(), max_size=max_degree + 1).map(_r_trim)
-
-
-def _r_add(f, g):
-    n = max(len(f), len(g))
-    f, g = (tuple(h) + (_R_ZERO,) * (n - len(h)) for h in (f, g))
-    add = _F9.tables().add
-    return _r_trim(tuple(add[x][y] for x, y in zip(a, b)) for a, b in zip(f, g))
-
-
-def _r_theta(s, i):
-    return tuple(_theta(_F9.from_index(k), i).idx for k in s)
-
-
-class TestOracleRingLaws:
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_associative(self, data):
-        f, g, h = (data.draw(_r_polys()) for _ in range(3))
-        mul = functools.partial(_r_mul, aut=_R_AUT, fld=_F9)
-        assert mul(mul(f, g), h) == mul(f, mul(g, h))
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_distributive(self, data):
-        f, g, h = (data.draw(_r_polys()) for _ in range(3))
-        mul = functools.partial(_r_mul, aut=_R_AUT, fld=_F9)
-        assert mul(f, _r_add(g, h)) == _r_add(mul(f, g), mul(f, h))
-        assert mul(_r_add(f, g), h) == _r_add(mul(f, h), mul(g, h))
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=_r_coeffs())
-    def test_x_times_a_is_theta_a_times_x(self, a):
-        x = (_R_ZERO, _R_ONE)
-        lhs = _r_mul(x, _r_trim([a]), _R_AUT, _F9)
-        assert lhs == _r_trim([_R_ZERO, _r_theta(a, _R_AUT)])
-        assert lhs == _r_mul(_r_trim([_r_theta(a, _R_AUT)]), x, _R_AUT, _F9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 5), data=st.data())
-    def test_fold_is_the_right_remainder_by_xn_minus_1(self, n, data):
-        # f = q (x^n - 1) + r with deg r < n: the right remainder is r
-        quo = data.draw(_r_polys(max_degree=7))
-        rem = data.draw(_r_polys(max_degree=n - 1))
-        minus_one = (_F9.tables().neg[_R_ONE[0]], 0, 0)
-        xn_minus_1 = (minus_one,) + (_R_ZERO,) * (n - 1) + (_R_ONE,)
-        f = _r_add(_r_mul(quo, xn_minus_1, _R_AUT, _F9), rem)
-        assert _r_fold(f, n, _F9) == rem
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_product_of_combinations_is_the_combined_product(self, data):
-        # R[x, theta] = F_q[x, theta]^3: multiplying combined generators on
-        # the lane is multiplying each component with skew_mul
-        fs, gs = ([data.draw(_polys(_F9, _R_AUT)) for _ in range(3)] for _ in range(2))
-        products = [skew_mul(f, g) for f, g in zip(fs, gs)]
-        for polys in (fs, gs, products):
-            assert evaluated(_combine(polys, _F9), _F9) == stored(ring_skew_poly_combine(*polys))
-        lane = _r_mul(_combine(fs, _F9), _combine(gs, _F9), _R_AUT, _F9)
-        assert evaluated(lane, _F9) == stored(ring_skew_poly_combine(*products))
-
-
-# the lane against production on each component: under the oracle's
-# evaluation map (a, a+b+c, a-b+c), a combined product or fold is the
-# F_q[x, theta_1] one on every component
+# the split lane of the oracle's claims over R against production's
+# skew_mul: slot rows, the per-slot cofactor check and the idempotent check
 
 _F25 = Field(5, 2, [2, 0, 1])
 _LANE_FIELDS = {"F9": _F9, "F25": _F25}
 
 
-def _lane_components(f, field):
-    """The three polynomials over F_q that the oracle's evaluations of f give."""
-    t = field.tables()
-    values = [_evaluations(s, t) for s in f]
-    return tuple(
-        SkewPoly(field, [x[j] for x in values], 1) for j in range(3)
-    )
+@functools.cache
+def _lane_divisors(name, n):
+    return monic_right_divisors(n, _LANE_FIELDS[name], 1)
 
 
 @pytest.mark.parametrize("name", sorted(_LANE_FIELDS))
-class TestOracleLaneAgainstComponents:
+class TestOracleSplitLane:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_mul(self, name, data):
+    def test_slot_rows_are_shifted_generators(self, name, data):
+        # row 3j + t is x^j * g_t mod x^n - 1 on the coordinates 3k + t
         field = _LANE_FIELDS[name]
-        fs, gs = ([data.draw(_polys(field, 1)) for _ in range(3)] for _ in range(2))
-        lane = _r_mul(_combine(fs, field), _combine(gs, field), 1, field)
-        assert _lane_components(lane, field) == tuple(map(skew_mul, fs, gs))
+        n = data.draw(st.integers(1, 5))
+        gs = [data.draw(_polys(field, 1, max_degree=2 * n)) for _ in range(3)]
+        rows = oracle._combined_rows(gs, n)
+        assert len(rows) == 3 * n
+        for j in range(n):
+            x_j = SkewPoly(field, [0] * j + [field.one.idx], 1)
+            for t, g in enumerate(gs):
+                row = rows[3 * j + t]
+                assert row[t::3] == mod_xn_minus_1(skew_mul(x_j, g), n).padded(n)
+                assert not any(row[s] for s in range(3 * n) if s % 3 != t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_cofactor_check_rejects_a_changed_coefficient(self, name, n, data):
+        field = _LANE_FIELDS[name]
+        g = data.draw(st.sampled_from(_lane_divisors(name, n)))
+        h, rem = right_divide(xn_minus_1(field, 1, n), g)
+        assert rem.is_zero() and oracle._is_cofactor(h, g, n)
+        k = data.draw(st.integers(0, h.degree))
+        c = data.draw(st.integers(0, field.q - 1).filter(lambda c: c != h.coeffs[k]))
+        changed = SkewPoly(field, h.coeffs[:k] + (c,) + h.coeffs[k + 1 :], 1)
+        assert not oracle._is_cofactor(changed, g, n)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_fold(self, name, data):
+    def test_idempotent_check_is_e_times_e_equals_e(self, name, data):
+        # gcd(n, q t_1) = 1, so every component code has an idempotent; a
+        # drawn e in its place is accepted exactly when e * e = e mod x^n - 1
         field = _LANE_FIELDS[name]
-        n = data.draw(st.integers(1, 5))
-        fs = [data.draw(_polys(field, 1, max_degree=12)) for _ in range(3)]
-        lane = _r_fold(_combine(fs, field), n, field)
-        assert _lane_components(lane, field) == tuple(mod_xn_minus_1(f, n) for f in fs)
+        n = {"F9": 5, "F25": 3}[name]
+        comp = component_code_new(n, data.draw(st.sampled_from(_lane_divisors(name, n))))
+        e = data.draw(st.one_of(
+            st.just(comp.idempotent_generator()), _polys(field, 1, max_degree=n - 1)
+        ))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ComponentCode, "idempotent_generator", lambda self: e)
+            v = oracle.verify_idempotent_generators(comp, {})
+        idempotent = mod_xn_minus_1(skew_mul(e, e), n) == mod_xn_minus_1(e, n)
+        if v.passed:
+            assert idempotent
+        else:
+            assert v.counterexample["idempotent"] is idempotent
+
 
 # ---------------------------------------------------------------------------
 # text round-trips: what poly_to_string prints, the parsers read back
@@ -768,9 +723,11 @@ def test_field_poly_text_roundtrip(field, aut, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=_r_polys(max_degree=6))
+@given(f=st.lists(st.tuples(*[st.integers(0, _F9.q - 1)] * 3), max_size=7))
 def test_ring_poly_text_roundtrip(f):
     coeffs = tuple(RingElem(*map(_F9.from_index, s)) for s in f)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
     assert ring_coeffs_from_string(poly_to_string(coeffs), _F9) == coeffs
 
 
