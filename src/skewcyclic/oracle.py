@@ -188,15 +188,14 @@ class VerdictReport:
 class Case:
     """What the claims over R read about one code, built by ``_case``.
 
-    ``combined`` is the combined generator eta1*g1 + eta2*g2 + eta3*g3 in
-    split coordinates: the triple (g1, g2, g3). ``gray_rows`` are
-    production's generator rows as Gray index rows (``_gray_rows``), the
-    one form in which ``cardinality-rank``, ``dual-gray-commute``,
-    ``quasi-cyclic-gray`` and ``principal-generator`` read them. ``rows``
-    (the combined generator's ``_combined_rows``) and ``basis`` (their
-    echelon basis) are built on first read and kept until ``drop_lane``.
-    Only the code's own claims read them, so an entry holds them for one
-    code at a time.
+    ``combined`` is eta1*g1 + eta2*g2 + eta3*g3 in split coordinates.
+    ``gray_rows`` are production's generator rows as Gray index rows
+    (``_gray_rows``), the one form in which ``cardinality-rank``,
+    ``dual-gray-commute``, ``quasi-cyclic-gray`` and
+    ``principal-generator`` read them. ``rows`` (``_combined_rows``) and
+    ``basis`` (their echelon basis) are built on first read and kept until
+    ``drop_lane``. Only the code's own claims read them, so an entry holds
+    them for one code at a time.
     """
 
     code: SkewCyclicCode
@@ -571,12 +570,12 @@ def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> Ver
     if isinstance(divisors, str):
         return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
     fld = entry.field()
-    brute = Counter(divisors)
+    wanted = Counter(divisors)
     found = Counter(monic_right_divisors(entry.n, fld, entry.i, entry.bounds.search))
-    if found != brute:
+    if found != wanted:
         witness = {
-            "missing": [poly_to_string(g) for g in (brute - found).elements()],
-            "extra": [poly_to_string(g) for g in (found - brute).elements()],
+            "missing": [poly_to_string(g) for g in (wanted - found).elements()],
+            "extra": [poly_to_string(g) for g in (found - wanted).elements()],
         }
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
     brute = len(divisors)
@@ -631,10 +630,12 @@ def _twist_orbit(w: Sequence[int], count: int, frob: list[int]) -> list[list[int
     return orbit
 
 
-def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], tables) -> list[int]:
-    """sum_k coeffs[k] * rows[k] for a nonempty list of rows."""
+def _combination(
+    coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int, tables
+) -> list[int]:
+    """sum_k coeffs[k] * rows[k], for rows of length ``width``."""
     add, mul = tables.add, tables.mul
-    acc = [0] * len(rows[0])
+    acc = [0] * width
     for c, row in zip(coeffs, rows):
         mul_c = mul[c]
         acc = [add[x][mul_c[y]] for x, y in zip(acc, row)]
@@ -653,11 +654,11 @@ def _fold(f: SkewPoly, n: int, tables) -> list[int]:
 def _is_cofactor(h: SkewPoly, g: SkewPoly, n: int) -> bool:
     """h * g = x^n - 1, as sum_j h_j (x^j * g) with x^j * g = sigma^j(g) on
     the n + 1 coefficients of g once deg h + deg g = n."""
-    if min(h.degree, g.degree) < 0 or h.degree + g.degree != n:
+    if h.degree + g.degree != n:
         return False
     t = g.field.tables()
     orbit = _twist_orbit(g.padded(n + 1), h.degree + 1, g.field.frob_table(g.aut))
-    return _combination(h.coeffs, orbit, t) == [t.neg[t.one]] + [0] * (n - 1) + [t.one]
+    return _combination(h.coeffs, orbit, n + 1, t) == [t.neg[t.one]] + [0] * (n - 1) + [t.one]
 
 
 def _shift_closure_basis(comp: ComponentCode) -> tuple[list[list[int]], bool]:
@@ -760,10 +761,7 @@ def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> 
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
     t = fld.tables()
     for _ in range(min(64, closure_size)):
-        acc = [0] * code.n
-        for b in basis:
-            mul_c = t.mul[rng.randrange(fld.q)]
-            acc = [t.add[x][mul_c[y]] for x, y in zip(acc, b)]
+        acc = _combination([rng.randrange(fld.q) for _ in basis], basis, code.n, t)
         word = [t.elems[a] for a in acc]
         if not code.contains(word):
             return VerdictReport(
@@ -1060,7 +1058,7 @@ def verify_idempotent_generators(code: ComponentCode, cfg: dict) -> VerdictRepor
         )
     fld, t = code.field, code.field.tables()
     orbit = _twist_orbit(_fold(e, code.n, t), code.n, fld.frob_table(code.aut))
-    idempotent = _combination(orbit[0], orbit, t) == orbit[0]
+    idempotent = _combination(orbit[0], orbit, code.n, t) == orbit[0]
     rows = linalg.to_index_rows(code.generator_rows(), fld)
     generates = linalg.canonical_subspace(orbit, fld) == linalg.canonical_subspace(rows, fld)
     ok = idempotent and generates

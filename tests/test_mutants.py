@@ -14,9 +14,15 @@ from pathlib import Path
 import pytest
 
 from skewcyclic import linalg, oracle, ring_r, skew_poly
-from skewcyclic.codes import ComponentCode, component_code_new
-from skewcyclic.oracle import TestMatrixEntry, default_matrix, matrix_from_json, verify_all
-from skewcyclic.skew_poly import SkewPoly
+from skewcyclic.codes import ComponentCode, census, component_code_new
+from skewcyclic.oracle import (
+    TestMatrixEntry,
+    default_matrix,
+    matrix_from_json,
+    verify_all,
+    verify_entry,
+)
+from skewcyclic.skew_poly import SkewPoly, poly_from_string, poly_to_string
 
 DATA = Path(__file__).parent / "data"
 TABLE = json.loads((DATA / "mutant_kills.json").read_text())
@@ -171,3 +177,19 @@ def test_table_names_every_mutant_once():
 def test_mutant_kills_are_pinned(monkeypatch, name):
     MUTANTS[name](monkeypatch)
     assert kills() == TABLE[name]["kills"]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_census_mutant_names_the_lost_divisors(monkeypatch, n):
+    # the census loses <x - 1> and its dual; it stays closed under duals,
+    # so only census-count's comparison with the brute force sees it
+    _census_drops_a_divisor_and_its_dual(monkeypatch)
+    entry = TestMatrixEntry(p=3, m=2, i=1, n=n)
+    assert len(census(n, entry.field(), 1)) == 2**3
+    failed = [r for r in verify_entry(entry) if not r.passed]
+    assert [r.claim for r in failed] == ["census-count"]
+    lost = ["x-1", "+".join(["1"] + [f"x^{k}" for k in range(1, n)])]
+    assert failed[0].counterexample == {
+        "missing": [poly_to_string(poly_from_string(g, entry.field(), 1)) for g in lost],
+        "extra": [],
+    }
