@@ -167,7 +167,7 @@ def cmd_factor(args) -> int:
             f"(n = {args.n}, t_i = {t_i}); the census formula does not apply"
         )
     fac = factor_xn_minus_1(args.n, fld, args.aut)
-    over_field, over_ring = fac.census_counts()
+    over_field, over_ring = count_skew_cyclic_codes(args.n, fld, args.aut)
     payload = {
         "field": field_to_json(fld),
         "aut": args.aut,

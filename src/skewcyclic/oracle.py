@@ -37,7 +37,8 @@ their rows and the rows' echelon basis, and the Gray index rows of
 production's generator rows, all built once per code by ``_case`` (the
 rows and the basis on first read). A component claim takes a
 ``ComponentCode`` and its config, which ``_by_component`` builds once per
-distinct component.
+distinct component. ``verify_entry`` reports the claims in ``CLAIMS``
+order, whatever the data.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
@@ -62,6 +63,7 @@ from .codes import (
     code_from_components,
     code_to_json,
     component_code_new,
+    count_skew_cyclic_codes,
 )
 from .finite_field import (
     EnumerationTooLarge,
@@ -83,7 +85,6 @@ from .skew_poly import (
     SearchSpaceTooLarge,
     SkewPoly,
     brute_right_divisors,
-    factor_xn_minus_1,
     is_right_divisor_of_xn_minus_1,
     monic_right_divisors,
     poly_from_string,
@@ -166,8 +167,8 @@ class VerdictReport:
 
     def __post_init__(self):
         if self.checked is None:
-            left_out = self.mode == "skipped"
-            self.checked, self.skipped = int(not left_out), int(left_out)
+            skipped = self.mode == "skipped"
+            self.checked, self.skipped = int(not skipped), int(skipped)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -195,14 +196,14 @@ class Case:
     ``principal-generator`` read them. ``rows`` (``_combined_rows``) and
     ``basis`` (their echelon basis) are built on first read and kept until
     ``drop_lane``. Only the code's own claims read them, so an entry holds
-    them for one code at a time.
+    them for one code at a time. No field of a case is an R element:
+    ``decompose-compose`` builds its few ``RingElem`` coefficients itself.
     """
 
     code: SkewCyclicCode
     config: dict
     combined: tuple[SkewPoly, SkewPoly, SkewPoly]  # (g1, g2, g3)
     gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
-    ring_elems: Callable[[tuple], RingElem]  # the entry's _ring_elems
 
     @functools.cached_property
     def rows(self) -> list[list[int]]:
@@ -560,8 +561,8 @@ def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
 
 def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> VerdictReport:
     """The brute-force divisors are the ones ``census`` builds its codes
-    from (``monic_right_divisors``), and their count is the factorization
-    formula (and its cube over R).
+    from (``monic_right_divisors``), and their count is the number-theory
+    formula ``count_skew_cyclic_codes`` (and its cube over R).
 
     ``divisors`` is ``_brute_divisors(entry)``. Differing lists fail with
     the divisors production misses and those it adds.
@@ -579,7 +580,7 @@ def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> Ver
         }
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
     brute = len(divisors)
-    formula_fq, formula_r = factor_xn_minus_1(entry.n, fld, entry.i).census_counts()
+    formula_fq, formula_r = count_skew_cyclic_codes(entry.n, fld, entry.i)
     ok = brute == formula_fq and brute**3 == formula_r
     witness = None
     if not ok:
@@ -738,11 +739,11 @@ def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> 
 
     The span of a component code's rows must be closed under sigma, by
     rank tests (no division), and hold exactly the code's size. The
-    production membership test must accept every generator row and up to
-    64 words of the span drawn from ``rng``; that it rejects the words
-    outside the span is the sampled part of ``principal-generator``.
-    ``cfg`` is the code's ``_code_config``. A code over R is checked by
-    ``_by_component``.
+    production membership test must reject the unit vector e_j of every
+    column j that is no pivot of the closure basis (a span word that is
+    zero on every pivot is zero), and accept every generator row and up to
+    64 words of the span drawn from ``rng``. ``cfg`` is the code's
+    ``_code_config``. A code over R is checked by ``_by_component``.
     """
     claim = "shift-closure"
     fld = code.field
@@ -760,6 +761,12 @@ def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> 
         }
         return VerdictReport(claim, cfg, "exhaustive", False, witness)
     t = fld.tables()
+    pivots = {b.index(next(filter(None, b))) for b in basis}
+    for j in sorted(set(range(code.n)) - pivots):
+        word = [t.elems[t.one if k == j else 0] for k in range(code.n)]
+        if code.contains(word):
+            witness = {"nonmember_accepted": [str(x) for x in word]}
+            return VerdictReport(claim, cfg, "exhaustive", False, witness)
     for _ in range(min(64, closure_size)):
         acc = _combination([rng.randrange(fld.q) for _ in basis], basis, code.n, t)
         word = [t.elems[a] for a in acc]
@@ -840,12 +847,7 @@ def verify_dual_gray_commutation(case: Case, dual: Case) -> VerdictReport:
     return VerdictReport("dual-gray-commute", case.config, "exhaustive", ok, witness)
 
 
-def _interleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[int]:
-    """sigma on each of the three consecutive length-n blocks of y."""
-    return [a for b in range(3) for a in _twist_shift(y[b * n : (b + 1) * n], frob)]
-
-
-def _deinterleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[int]:
+def _qc_shift(y: Sequence[int], frob: list[int]) -> list[int]:
     """sigma on each coordinate class 3i + t of y: the Gray image of sigma."""
     out = list(y)
     for t in range(3):
@@ -854,33 +856,22 @@ def _deinterleaved_qc_shift(y: Sequence[int], n: int, frob: list[int]) -> list[i
 
 
 def verify_quasi_cyclic_gray(case: Case) -> VerdictReport:
-    """The Gray image is closed under an index-3 blockwise skew shift.
+    """The Gray image is closed under sigma on each coordinate class 3i + t
+    (``_qc_shift``), the image of sigma on R^n.
 
-    Tested first with consecutive blocks of the interleaved coordinates,
-    then with the de-interleaved (per-component) blocks; the verdict
-    records which convention holds rather than asserting one. Each shift
-    is semilinear, so the image, with basis B, is closed exactly when
-    rank(B + shift(B)) = rank(B).
+    The shift is semilinear, so the image, with echelon basis B, is closed
+    exactly when rank(B + shift(B)) = rank(B). A failure names the first
+    basis row whose shift leaves the image.
     """
     code = case.code
     fld = code.field
     basis = linalg.echelon(case.gray_rows, fld)
     frob = fld.frob_table(code.aut)
-    n = code.n
-
-    def closed(shift, rows):
-        return linalg.rank(basis + [shift(b, n, frob) for b in rows], fld) == len(basis)
-
-    interleaved = closed(_interleaved_qc_shift, basis)
-    block = closed(_deinterleaved_qc_shift, basis)
-    ok = interleaved or block
-    witness = {
-        "interleaved_convention_closed": interleaved,
-        "per_component_convention_closed": block,
-    }
-    if not ok:
-        witness["word"] = next(b for b in basis if not closed(_deinterleaved_qc_shift, [b]))
-    return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", ok, witness)
+    shifted = [_qc_shift(b, frob) for b in basis]
+    if linalg.rank(basis + shifted, fld) == len(basis):
+        return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", True)
+    word = next((b for b, s in zip(basis, shifted) if not linalg.in_row_space(basis, s, fld)), None)
+    return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", False, {"word": word})
 
 
 # ---------------------------------------------------------------------------
@@ -905,22 +896,15 @@ def _combined_rows(combined: tuple, n: int) -> list[list[int]]:
     return rows
 
 
-def _case(code: SkewCyclicCode, ring_elems: Callable[[tuple], RingElem]) -> Case:
-    """Everything the claims over R share about ``code``; ``ring_elems``
-    (``_ring_elems``) is one per entry."""
+def _case(code: SkewCyclicCode) -> Case:
+    """Everything the claims over R share about ``code``."""
     combined = tuple(c.g for c in code.components)
-    return Case(code, _code_config(code), combined, _gray_rows(code), ring_elems)
+    return Case(code, _code_config(code), combined, _gray_rows(code))
 
 
 # ---------------------------------------------------------------------------
 # the a + bv + cv^2 side of decompose-compose: elements of R as (a, b, c)
 # index triples
-
-
-def _ring_elems(fld: Field) -> Callable[[tuple], RingElem]:
-    """triple -> ``RingElem(a, b, c)``, each distinct triple built once."""
-    elems = fld.tables().elems
-    return functools.cache(lambda s: RingElem(elems[s[0]], elems[s[1]], elems[s[2]]))
 
 
 def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
@@ -1072,10 +1056,12 @@ def verify_decomposition(case: Case) -> VerdictReport:
 
     The combined generator is the oracle's own eta-combination of
     ``case.combined`` in a + bv + cv^2 (``_combine``), made ``RingElem``
-    coefficients by ``case.ring_elems`` for production to split and join.
+    coefficients from the field's interned elements, for production to
+    split and join.
     """
     code = case.code
-    g = tuple(map(case.ring_elems, _combine(case.combined, code.field)))
+    elems = code.field.tables().elems
+    g = tuple(RingElem(*(elems[k] for k in s)) for s in _combine(case.combined, code.field))
     parts = project_components(g, code.field, code.aut)
     ok = parts == tuple(c.g for c in code.components) and ring_skew_poly_combine(*parts) == g
     witness = None
@@ -1134,7 +1120,7 @@ def mismatched_case(field: Field, i: int, n: int) -> Case:
     """The case of the full code with the rows read from another combined
     generator, eta1*g + eta2*g + eta3*g for g = x - 1."""
     full = component_code_new(n, SkewPoly.one(field, i))
-    case = _case(code_from_components(full, full, full), _ring_elems(field))
+    case = _case(code_from_components(full, full, full))
     return replace(case, combined=(poly_from_string("x-1", field, i),) * 3)
 
 
@@ -1142,21 +1128,24 @@ def mismatched_case(field: Field, i: int, n: int) -> Case:
 # the harness
 
 
+# the claims in the order that ``verify_entry`` reports them: the three
+# about the whole entry, combined-generator about the whole census, then
+# one aggregate of per-code verdicts each
 CLAIMS = (
     "gray-isometry",
     "census-count",
     "fixed-subfield-divisors",
+    "combined-generator",
     "cardinality-rank",
     "duality",
     "dual-gray-commute",
-    "distance-law",
-    "shift-closure",
-    "dual-shift-closure",
+    "decompose-compose",
+    "idempotent-generator",
     "quasi-cyclic-gray",
     "principal-generator",
-    "idempotent-generator",
-    "decompose-compose",
-    "combined-generator",
+    "distance-law",
+    "dual-shift-closure",
+    "shift-closure",
 )
 
 
@@ -1225,11 +1214,13 @@ def _guarded(claim: str, config: dict, check: Callable, *args) -> VerdictReport:
 
 
 def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
-    """One report per claim of ``CLAIMS``; a census that raises (a broken
-    postcondition, say) fails every claim about its codes, with the error.
-    So does an exception inside a claim on one code, or inside
-    ``census-count`` (``_guarded``): it fails that claim, and the run goes
-    on to a verdict."""
+    """One report per claim of ``CLAIMS``, in that order, whatever the data;
+    a census that raises (a broken postcondition, say) fails every claim
+    about its codes, with the error. So does an exception inside a claim on
+    one code, or inside ``census-count`` (``_guarded``): it fails that
+    claim, and the run goes on to a verdict. A skipped verdict (a code past
+    ``bounds.enumeration``, a dual outside the census) is recorded like
+    any other, and ``_aggregate`` counts it as skipped."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
@@ -1243,27 +1234,21 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     except Exception as exc:
         witness = {"error": f"{type(exc).__name__}: {exc}"}
         return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
-    ring_elems = _ring_elems(fld)  # the lane's triples as RingElems, built once per entry
-    cases = [_case(code, ring_elems) for code in codes]
+    cases = [_case(code) for code in codes]
     by_code = {case.code: case for case in cases}  # the census should hold every dual
     reports.append(verify_combined_uniqueness(cases, cfg))
     rng = random.Random(entry.seed)
-    per_code: dict[str, list[VerdictReport]] = {}
-    # skipped shift-closure verdicts (codes too large, duals outside the
-    # census); kept apart so that the claims keep the order of their first
-    # checked code
-    left_out: dict[str, list[VerdictReport]] = {}
+    per_code: dict[str, list[VerdictReport]] = {claim: [] for claim in CLAIMS[4:]}
     block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
     # each component's config and component-claim verdicts: shift-closure
     # and dual-shift-closure share theirs
     by_component: dict = {}
 
     def record(v: VerdictReport):
-        per_code.setdefault(v.claim, []).append(v)
+        per_code[v.claim].append(v)
 
     def skip(claim: str, config: dict, reason: str) -> None:
-        v = VerdictReport(claim, config, "skipped", True, {"reason": reason})
-        left_out.setdefault(claim, []).append(v)
+        record(VerdictReport(claim, config, "skipped", True, {"reason": reason}))
 
     def per_component(claim: str, check: Callable, case: Case, *args) -> VerdictReport:
         code, config = case.code, case.config
@@ -1298,10 +1283,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
             skip("dual-shift-closure", case.config, "dual outside the census")
         else:
             closure("dual-shift-closure", dual)
-    for claim, verdicts in per_code.items():
-        reports.append(_aggregate(claim, cfg, verdicts + left_out.pop(claim, [])))
-    for claim, verdicts in left_out.items():
-        reports.append(_aggregate(claim, cfg, verdicts))
+    reports += [_aggregate(claim, cfg, verdicts) for claim, verdicts in per_code.items()]
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2
         bad = broken_code(fld, entry.i, max(entry.n, 2))

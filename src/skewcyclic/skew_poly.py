@@ -498,13 +498,6 @@ class Factorization:
                 f"a factor is reducible over F_{lane.order}"
             )
 
-    def census_counts(self) -> tuple[int, int]:
-        """(number of skew cyclic codes over F_q, number over R)."""
-        over_field = 1
-        for _, s in self.factors:
-            over_field *= s + 1
-        return over_field, over_field**3
-
 
 def _split_cyclotomic(lane, f: list[int], d: int) -> list[list[int]]:
     """The monic irreducible factors of f = Phi_d over F_Q, Q = lane order.

@@ -1,12 +1,7 @@
 import pytest
 
 from skewcyclic.finite_field import Field
-from skewcyclic.oracle import _by_component, _case, _code_config, _evaluations, _ring_elems
-
-
-def case_of(code):
-    """The oracle's ``Case`` of a code over R, with its own ``_ring_elems``."""
-    return _case(code, _ring_elems(code.field))
+from skewcyclic.oracle import _by_component, _code_config, _evaluations
 
 
 def over_r(check, code, *args):

@@ -9,7 +9,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import case_of, over_r
+from conftest import over_r
 
 from skewcyclic import linalg, oracle
 from skewcyclic.codes import (
@@ -23,6 +23,7 @@ from skewcyclic.oracle import (
     Bounds,
     TestMatrixEntry,
     _brute_divisors,
+    _case,
     _code_config,
     broken_code,
     broken_component_code,
@@ -41,10 +42,8 @@ from skewcyclic.oracle import (
 )
 from skewcyclic.ring_r import lee_distance, make_idempotents, ring_elem
 from skewcyclic.skew_poly import (
-    Factorization,
     factor_xn_minus_1,
     monic_right_divisors,
-    poly_from_string,
 )
 
 ENUM_BOUND = 10**4
@@ -110,7 +109,7 @@ def test_criterion_4_cardinality_rank(f9, censuses):
     checked = 0
     for n in (1, 2, 3, 5):
         for code in censuses[n]:
-            assert verify_cardinality(case_of(code)).passed
+            assert verify_cardinality(_case(code)).passed
             checked += 1
     # n = 4 has 36 component codes; iterate the 46656 codes lazily
     comps4 = [component_code_new(4, g) for g in monic_right_divisors(4, f9, 1)]
@@ -141,7 +140,7 @@ def test_criterion_6_dual_gray_commutation(censuses):
     checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            assert verify_dual_gray_commutation(case_of(code), case_of(code.dual())).passed
+            assert verify_dual_gray_commutation(_case(code), _case(code.dual())).passed
             checked += 1
     assert checked >= 20
     _report(6, f"dual/Gray commutation over {checked} codes")
@@ -184,7 +183,7 @@ def test_criterion_9_distance_law(censuses):
     direct_checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            v = verify_distance_law(case_of(code), DISTANCE_BOUND, {})
+            v = verify_distance_law(_case(code), DISTANCE_BOUND, {})
             assert v.passed
             if v.mode != "skipped":
                 direct_checked += 1
@@ -203,8 +202,8 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
         "closure-component": verify_shift_closure(bad, _code_config(bad), rng),
         "closure-ring": over_r(verify_shift_closure, broken3, rng),
         "duality": over_r(verify_duality, broken3),
-        "dual-gray": verify_dual_gray_commutation(case_of(broken3), case_of(broken3.dual())),
-        "quasi-cyclic": verify_quasi_cyclic_gray(case_of(broken3)),
+        "dual-gray": verify_dual_gray_commutation(_case(broken3), _case(broken3.dual())),
+        "quasi-cyclic": verify_quasi_cyclic_gray(_case(broken3)),
         "distance": verify_distance_law(mismatched, DISTANCE_BOUND, {}),
         "principality": verify_principality(mismatched, rng),
         "decomposition": verify_decomposition(mismatched),
@@ -215,14 +214,12 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
         assert verdict.counterexample is not None, f"{name} lacks a witness"
     # cardinality reads its corrupted side from the case; census and the
     # isometry read theirs from the names they call
-    good = case_of(census(1, f9, 1)[1])
+    good = _case(census(1, f9, 1)[1])
     v = verify_cardinality(replace(good, gray_rows=good.gray_rows[1:]))
     assert not v.passed and v.counterexample is not None
-    g = poly_from_string("x-1", f9, 1)
     entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
     with monkeypatch.context() as patch:
-        bad = Factorization(1, f9, 1, ((g, 2),))
-        patch.setattr(oracle, "factor_xn_minus_1", lambda n, fld, i: bad)
+        patch.setattr(oracle, "count_skew_cyclic_codes", lambda n, fld, i: (3, 27))
         v = verify_census(entry, _brute_divisors(entry))
     assert not v.passed and v.counterexample is not None
     # the corrupt distance function is caught by the isometry oracle

@@ -588,7 +588,7 @@ class TestVerifyCommand:
         verdicts = [json.loads(l) for l in proc.stdout.splitlines() if l.startswith("{")]
         for n in (1, 3, 5):
             entry = [v for v in verdicts if v["config"]["n"] == n]
-            assert sorted(v["claim"] for v in entry) == sorted(CLAIMS)
+            assert [v["claim"] for v in entry] == list(CLAIMS)
             gray = next(v for v in entry if v["claim"] == "gray-isometry")
             assert not gray["pass"] and gray["counterexample"]["table"] == "zech"
             assert all(v["counterexample"] for v in entry if not v["pass"])
@@ -728,7 +728,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--matrix", str(matrix))
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
-        assert sorted(l["claim"] for l in lines) == sorted(CLAIMS)
+        assert [l["claim"] for l in lines] == list(CLAIMS)
         assert all(l["pass"] for l in lines)
         law = next(l for l in lines if l["claim"] == "distance-law")
         assert law["skipped"] > 0 and law["checked"] + law["skipped"] == 64

@@ -61,6 +61,11 @@ def _membership_accepts_everything(mp):
     mp.setattr(ComponentCode, "_contains_indices", lambda self, word: True)
 
 
+def _component_contains_accepts_everything(mp):
+    # only ComponentCode.contains: SkewCyclicCode.contains still rejects
+    mp.setattr(ComponentCode, "contains", lambda self, word: True)
+
+
 def _gray_map_swaps_x2_x3(mp):
     def swapped(vec):
         return tuple(x for r in vec for x in (r.x1, r.x3, r.x2))
@@ -138,6 +143,7 @@ MUTANTS = {
     "reciprocal_cofactor without theta": _reciprocal_cofactor_without_theta,
     "oracle lane without theta": _oracle_lane_without_theta,
     "component membership accepts every word": _membership_accepts_everything,
+    "ComponentCode.contains accepts every word": _component_contains_accepts_everything,
     "gray_map emits (x1, x3, x2)": _gray_map_swaps_x2_x3,
     "min_hamming_distance + 1": _distance_plus_one,
     "idempotent_generator returns g": _idempotent_is_the_generator,

@@ -2,9 +2,10 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from conftest import case_of, over_r
+from conftest import over_r
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +25,13 @@ from skewcyclic.oracle import (
     TestMatrixEntry,
     VerdictReport,
     _brute_divisors,
+    _case,
     _code_config,
     broken_code,
     broken_component_code,
     default_matrix,
     default_modulus,
+    matrix_from_json,
     mismatched_case,
     oracle_code_enumerate,
     verify_all,
@@ -49,13 +52,15 @@ from skewcyclic.oracle import (
 )
 from skewcyclic.ring_r import ring_elements
 from skewcyclic.skew_poly import (
-    Factorization,
     SkewPoly,
     poly_from_string,
     ring_skew_poly_combine,
     skew_mul,
     xn_minus_1,
 )
+
+
+BENCH_MATRIX = Path(__file__).parents[1] / "bench" / "verify_matrix.json"
 
 
 @pytest.fixture(scope="module")
@@ -211,12 +216,10 @@ class TestCensusOracle:
         v = verify_census(entry, _brute_divisors(entry))
         assert v.mode == "skipped" and v.passed
 
-    def test_corrupt_factorization_fails(self, f9, entry9, monkeypatch):
+    def test_corrupt_count_formula_fails(self, entry9, monkeypatch):
         divisors = _brute_divisors(entry9)
         assert verify_census(entry9, divisors).passed
-        g = poly_from_string("x-1", f9, 1)
-        bad = Factorization(1, f9, 1, ((g, 2),))  # wrong multiplicity
-        monkeypatch.setattr(oracle, "factor_xn_minus_1", lambda n, fld, i: bad)
+        monkeypatch.setattr(oracle, "count_skew_cyclic_codes", lambda n, fld, i: (3, 27))
         v = verify_census(entry9, divisors)
         assert not v.passed
         assert v.counterexample["brute_force"] == 2
@@ -230,7 +233,7 @@ class TestCensusOracle:
 
         monkeypatch.setattr(skew_poly, "divisors_from_factorization", refuse)
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
-        assert len(reports) == len(oracle.CLAIMS)
+        assert [r.claim for r in reports] == list(oracle.CLAIMS)
         # census-count, and every claim about the census's codes
         error = {"error": "ValueError: no divisors"}
         assert [r.claim for r in reports if r.counterexample == error] == [
@@ -265,6 +268,17 @@ class TestClosureOracle:
         assert v.counterexample["span_shift_closed"] is True
         assert v.counterexample["closure_size"] == v.counterexample["expected_size"] == 9**4
         assert v.counterexample["generators_pass_membership"] is False
+
+    def test_membership_that_accepts_everything_fails(self, f9, monkeypatch):
+        # the zero component's closure has no pivot: e_1 must be rejected
+        zero = component_code_new(3, xn_minus_1(f9, 1, 3))
+        monkeypatch.setattr(ComponentCode, "contains", lambda self, word: True)
+        rng = random.Random(0)
+        state = rng.getstate()
+        v = verify_shift_closure(zero, _code_config(zero), rng)
+        assert not v.passed and v.mode == "exhaustive"
+        assert v.counterexample == {"nonmember_accepted": ["[1,0]", "[0,0]", "[0,0]"]}
+        assert rng.getstate() == state  # the rejection check draws nothing
 
     def test_passes_on_valid_code(self, mixed_code):
         v = over_r(verify_shift_closure, mixed_code, random.Random(0))
@@ -350,7 +364,7 @@ class TestComponentClaims:
 
 class TestMatrixAndDualityOracles:
     def test_cardinality(self, mixed_code):
-        assert verify_cardinality(case_of(mixed_code)).passed
+        assert verify_cardinality(_case(mixed_code)).passed
 
     def test_gray_claims_use_gray_map_not_production_rows(
         self, mixed_code, monkeypatch
@@ -359,14 +373,14 @@ class TestMatrixAndDualityOracles:
             raise AssertionError("oracle read the production Gray rows")
 
         monkeypatch.setattr(SkewCyclicCode, "gray_generator_rows", refuse)
-        case = case_of(mixed_code)
+        case = _case(mixed_code)
         assert verify_cardinality(case).passed
-        assert verify_dual_gray_commutation(case, case_of(mixed_code.dual())).passed
+        assert verify_dual_gray_commutation(case, _case(mixed_code.dual())).passed
         assert verify_quasi_cyclic_gray(case).passed
         assert over_r(verify_shift_closure, mixed_code, random.Random(0)).passed
 
     def test_cardinality_negative_control(self, mixed_code):
-        case = case_of(mixed_code)
+        case = _case(mixed_code)
         rows = case.gray_rows
         v = verify_cardinality(replace(case, gray_rows=rows + [rows[0]]))
         assert v.passed  # duplicate row does not change the rank
@@ -393,8 +407,8 @@ class TestMatrixAndDualityOracles:
         assert not v.passed and "inner_product" in v.counterexample
 
     def test_dual_gray_commutation(self, mixed_code):
-        case = case_of(mixed_code)
-        assert verify_dual_gray_commutation(case, case_of(mixed_code.dual())).passed
+        case = _case(mixed_code)
+        assert verify_dual_gray_commutation(case, _case(mixed_code.dual())).passed
 
     def test_self_dual_code_has_self_dual_gray_image(self, f9):
         from skewcyclic import linalg
@@ -402,7 +416,7 @@ class TestMatrixAndDualityOracles:
         c = component_code_new(2, poly_from_string("x-[0,1]", f9, 1))
         code = code_from_components(c, c, c)
         assert code.is_self_dual()
-        assert verify_dual_gray_commutation(case_of(code), case_of(code)).passed
+        assert verify_dual_gray_commutation(_case(code), _case(code)).passed
         rows = linalg.to_index_rows(code.gray_generator_rows(), f9)
         image = linalg.canonical_subspace(rows, f9)
         kernel = tuple(tuple(r) for r in linalg.nullspace(rows, f9, 6))
@@ -410,56 +424,42 @@ class TestMatrixAndDualityOracles:
 
     def test_dual_gray_negative_control(self, f9):
         code = broken_code(f9, 1, 3)
-        v = verify_dual_gray_commutation(case_of(code), case_of(code.dual()))
+        v = verify_dual_gray_commutation(_case(code), _case(code.dual()))
         assert not v.passed
 
     def test_decomposition(self, mixed_code):
-        assert verify_decomposition(case_of(mixed_code)).passed
+        assert verify_decomposition(_case(mixed_code)).passed
 
     def test_decomposition_checks_the_combined_round_trip(self, mixed_code, monkeypatch):
         # equal components, different combined generator: only the R-level
         # comparison can see it
         other = ring_skew_poly_combine(*(c.g for c in reversed(mixed_code.components)))
-        case = case_of(mixed_code)
-        assert other != tuple(map(case.ring_elems, oracle._combine(case.combined, case.code.field)))
+        assert other != ring_skew_poly_combine(*(c.g for c in mixed_code.components))
         monkeypatch.setattr(oracle, "ring_skew_poly_combine", lambda *fs: other)
-        v = verify_decomposition(case)
+        v = verify_decomposition(_case(mixed_code))
         assert not v.passed and v.mode == "exhaustive"
 
     def test_decomposition_of_a_foreign_generator_fails(self, mixed_code):
         other = tuple(c.g for c in reversed(mixed_code.components))
-        v = verify_decomposition(replace(case_of(mixed_code), combined=other))
+        v = verify_decomposition(replace(_case(mixed_code), combined=other))
         assert not v.passed and len(v.counterexample["recovered"]) == 3
 
     def test_uniqueness_over_census(self, f9, entry9):
-        cases = [case_of(code) for code in census(1, f9, 1)]
+        cases = [_case(code) for code in census(1, f9, 1)]
         assert verify_combined_uniqueness(cases, entry9.config()).passed
         v = verify_combined_uniqueness(cases + [cases[0]], entry9.config())
         assert not v.passed and "duplicate" in v.counterexample
 
 
 class TestQuasiCyclicOracle:
-    def test_records_which_convention_holds(self, mixed_code):
-        v = verify_quasi_cyclic_gray(case_of(mixed_code))
-        assert v.passed
-        assert v.counterexample["per_component_convention_closed"] is True
-        assert v.counterexample["interleaved_convention_closed"] is False
-
-    def test_full_code_closed_under_both(self, f9):
-        full = component_code_new(1, SkewPoly.one(f9, 1))
-        code = code_from_components(full, full, full)
-        v = verify_quasi_cyclic_gray(case_of(code))
-        assert v.passed
-        assert v.counterexample["interleaved_convention_closed"] is True
-
     def test_negative_control(self, f9):
-        v = verify_quasi_cyclic_gray(case_of(broken_code(f9, 1, 3)))
-        assert not v.passed and "word" in v.counterexample
+        v = verify_quasi_cyclic_gray(_case(broken_code(f9, 1, 3)))
+        assert not v.passed and list(v.counterexample) == ["word"]
 
 
 class TestPrincipalityOracle:
     def test_passes(self, mixed_code):
-        assert verify_principality(case_of(mixed_code), random.Random(0)).passed
+        assert verify_principality(_case(mixed_code), random.Random(0)).passed
 
     def test_negative_control(self, f9):
         v = verify_principality(mismatched_case(f9, 1, 3), random.Random(0))
@@ -468,7 +468,7 @@ class TestPrincipalityOracle:
         assert v.counterexample["code_dim"] == 9
 
     def test_generator_row_outside_the_combined_span_fails(self, mixed_code):
-        case = case_of(mixed_code)
+        case = _case(mixed_code)
         width = 3 * mixed_code.n
         units = ([int(k == j) for k in range(width)] for j in range(width))
         outside = next(
@@ -482,13 +482,13 @@ class TestPrincipalityOracle:
 
     def test_membership_rejecting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: False)
-        v = verify_principality(case_of(mixed_code), random.Random(0))
+        v = verify_principality(_case(mixed_code), random.Random(0))
         assert not v.passed and v.mode == "exhaustive"
         assert len(v.counterexample["combined_row_rejected"]) == mixed_code.n
 
     def test_membership_accepting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: True)
-        v = verify_principality(case_of(mixed_code), random.Random(0))
+        v = verify_principality(_case(mixed_code), random.Random(0))
         assert not v.passed and v.mode == "sampled"
         word = v.counterexample["word"]
         assert len(word) == mixed_code.n
@@ -500,7 +500,7 @@ class TestPrincipalityOracle:
 
 class TestDistanceOracle:
     def test_passes(self, mixed_code):
-        assert verify_distance_law(case_of(mixed_code), DISTANCE_LIMIT, {}).passed
+        assert verify_distance_law(_case(mixed_code), DISTANCE_LIMIT, {}).passed
 
     def test_negative_control(self, f9):
         v = verify_distance_law(mismatched_case(f9, 1, 3), DISTANCE_LIMIT, {})
@@ -512,7 +512,7 @@ class TestDistanceOracle:
         # the Gray image of (1, 1) is spanned by one word that meets all
         # three coordinate classes, so its blocks have total rank 3, not 1
         rows = [[f9.tables().one] * (3 * mixed_code.n)]  # 1 splits to (1, 1, 1)
-        case = case_of(mixed_code)
+        case = _case(mixed_code)
         case.rows = rows  # its basis is read from these rows
         v = verify_distance_law(case, DISTANCE_LIMIT, {})
         assert not v.passed and v.mode == "exhaustive"
@@ -522,7 +522,7 @@ class TestDistanceOracle:
         codes = census(3, f9, 1)
         block_minima = {}
         for code in codes:
-            assert verify_distance_law(case_of(code), DISTANCE_LIMIT, block_minima).passed
+            assert verify_distance_law(_case(code), DISTANCE_LIMIT, block_minima).passed
         # every block is a component code; n = 3 has 3 nonzero ones
         nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
         assert len(block_minima) == len(nonzero) == 3
@@ -532,7 +532,7 @@ class TestDistanceOracle:
         # smaller side, and 9 exceeds the bound
         c1 = component_code_new(3, poly_from_string("x-1", f9, 1))
         full = component_code_new(3, SkewPoly.one(f9, 1))
-        v = verify_distance_law(case_of(code_from_components(c1, full, full)), 5, {})
+        v = verify_distance_law(_case(code_from_components(c1, full, full)), 5, {})
         assert v.mode == "skipped" and v.passed
         assert v.counterexample == {
             "reason": "component distance: span size 9 exceeds bound 5"
@@ -629,6 +629,25 @@ class TestHarness:
         assert reports and all(r.passed for r in reports)
         claims = {r.claim for r in reports}
         assert "gray-isometry" in claims and "census-count" in claims
+
+    @pytest.mark.parametrize(
+        "entry, closure_skipped",
+        [
+            # n = 1: every code and dual is checked
+            (TestMatrixEntry(p=3, m=2, i=1, n=1), 0),
+            # the bench entry: the first code's shift-closure is skipped
+            (matrix_from_json(json.loads(BENCH_MATRIX.read_text()), 101)[0], 53),
+            # every closure verdict skipped
+            (TestMatrixEntry(p=3, m=2, i=1, n=3, bounds=Bounds(enumeration=0)), 64),
+        ],
+        ids=["n1", "bench", "enumeration0"],
+    )
+    def test_claims_come_in_claims_order(self, entry, closure_skipped):
+        reports = verify_entry(entry)
+        assert [r.claim for r in reports] == list(oracle.CLAIMS)
+        assert all(r.passed for r in reports)
+        closures = [r for r in reports if r.claim.endswith("shift-closure")]
+        assert [r.skipped for r in closures] == [closure_skipped] * 2
 
     def test_verify_entry_with_twisted_divisors_all_pass(self):
         # gcd(2, t_1) = 2 over F_9: some divisors of x^2 - 1 have
@@ -834,9 +853,9 @@ class TestHarness:
         comp = component_code_new(3, poly_from_string("x-1", f9, 1))
         code = code_from_components(comp, comp, comp)
         with pytest.raises(ValueError):
-            verify_distance_law(case_of(code), DISTANCE_LIMIT, {})
+            verify_distance_law(_case(code), DISTANCE_LIMIT, {})
         v = oracle._guarded(
-            "distance-law", {}, verify_distance_law, case_of(code), DISTANCE_LIMIT, {}
+            "distance-law", {}, verify_distance_law, _case(code), DISTANCE_LIMIT, {}
         )
         assert (v.claim, v.mode, v.passed) == ("distance-law", "exhaustive", False)
         assert v.counterexample["error"].startswith("ValueError: ")
@@ -872,8 +891,8 @@ class TestHarness:
         for claim in ("shift-closure", "dual-shift-closure"):
             r = reports[claim]
             assert (r.mode, r.passed, r.checked, r.skipped) == ("exhaustive", True, 7, 1)
-            left_out = [v for v in seen[claim] if v.mode == "skipped"]
-            assert [v.counterexample for v in left_out] == [
+            skipped = [v for v in seen[claim] if v.mode == "skipped"]
+            assert [v.counterexample for v in skipped] == [
                 {"reason": "code size 729 exceeds bound 100"}
             ]
             parsed = json.loads(r.to_json())
@@ -1217,7 +1236,7 @@ class TestRankClaimsAgainstEnumeration:
 
     def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
         from skewcyclic import linalg
-        from skewcyclic.oracle import _deinterleaved_qc_shift, _interleaved_qc_shift
+        from skewcyclic.oracle import _qc_shift
 
         checked = 0
         codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
@@ -1226,30 +1245,22 @@ class TestRankClaimsAgainstEnumeration:
         for code in codes:
             if code.size > 10**3:
                 continue
-            case = case_of(code)
+            case = _case(code)
             span = linalg.span_vectors(case.gray_rows, f9, 10**3, ncols=3 * code.n)
             frob = f9.frob_table(code.aut)
-            flags = [
-                all(tuple(shift(y, code.n, frob)) in span for y in span)
-                for shift in (_interleaved_qc_shift, _deinterleaved_qc_shift)
-            ]
+            closed = all(tuple(_qc_shift(y, frob)) in span for y in span)
             v = verify_quasi_cyclic_gray(case)
-            got = [
-                v.counterexample["interleaved_convention_closed"],
-                v.counterexample["per_component_convention_closed"],
-            ]
-            assert got == flags, code
-            assert v.passed == any(flags)
+            assert v.passed == closed, code
             if not v.passed:
                 word = tuple(v.counterexample["word"])
                 assert word in span
-                assert tuple(_deinterleaved_qc_shift(word, code.n, frob)) not in span
+                assert tuple(_qc_shift(word, frob)) not in span
             checked += 1
         assert checked >= 100
 
     def test_block_distance_equals_full_span_enumeration(self, f9):
         checked = 0
-        cases = [case_of(c) for n in (1, 2, 3) for c in census(n, f9, 1)]
+        cases = [_case(c) for n in (1, 2, 3) for c in census(n, f9, 1)]
         cases.append(mismatched_case(f9, 1, 3))
         for case in cases:
             # the whole Gray span, not block by block
