@@ -52,7 +52,6 @@ from .skew_poly import (
     lane_lift,
     lane_read,
     monic_right_divisors,
-    poly_from_string,
     poly_to_string,
     right_divide,
     xn_minus_1,
@@ -577,14 +576,3 @@ def code_to_json(code: SkewCyclicCode) -> dict:
         "g2": poly_to_string(code.c2.g),
         "g3": poly_to_string(code.c3.g),
     }
-
-
-def code_from_json(block: dict) -> SkewCyclicCode:
-    field = Field(block["field"]["p"], block["field"]["m"], block["field"]["mod"])
-    aut = block["aut"]
-    n = block["n"]
-    comps = [
-        component_code_new(n, poly_from_string(block[key], field, aut))
-        for key in ("g1", "g2", "g3")
-    ]
-    return code_from_components(*comps)

@@ -549,10 +549,6 @@ class Field:
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
-    def spec_string(self) -> str:
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"p={self.p},m={self.m},mod={mod}"
-
 
 # ---------------------------------------------------------------------------
 # the commutative lane: polynomials over F_{p^i} as lists of lane indices

@@ -27,15 +27,15 @@ with its schoolbook product (``_schoolbook_mul``) stays in three places:
 (``_evaluations``), and the eta-combination (``_combine``) that
 ``decompose-compose`` hands to production's ``project_components`` and
 ``ring_skew_poly_combine``. Production's rows over R reach the claims
-as Gray index rows through ``gray_map``, and the claims' rows reach
-``contains`` as words through ``gray_inverse``. The claims share only the
-field tables with production's arithmetic; ``_verify_tables`` checks them.
+as Gray index rows through ``gray_map``, and the sampled words reach
+``contains`` through ``gray_inverse``. The claims share only the field
+tables with production's arithmetic; ``_verify_tables`` checks them.
 
 Each claim has one path and builds nothing another claim reads. A claim
 over R takes a ``Case``: the code's config, its component generators,
-their rows and the rows' echelon basis, and the Gray index rows of
+the echelon basis of their Gray rows, and the Gray index rows of
 production's generator rows, all built once per code by ``_case`` (the
-rows and the basis on first read). A component claim takes a
+basis on first read). A component claim takes a
 ``ComponentCode`` and its config, which ``_by_component`` builds once per
 distinct component. ``verify_entry`` reports the claims in ``CLAIMS``
 order, whatever the data.
@@ -193,11 +193,12 @@ class Case:
     ``gray_rows`` are production's generator rows as Gray index rows
     (``_gray_rows``), the one form in which ``cardinality-rank``,
     ``dual-gray-commute``, ``quasi-cyclic-gray`` and
-    ``principal-generator`` read them. ``rows`` (``_combined_rows``) and
-    ``basis`` (their echelon basis) are built on first read and kept until
-    ``drop_lane``. Only the code's own claims read them, so an entry holds
-    them for one code at a time. No field of a case is an R element:
-    ``decompose-compose`` builds its few ``RingElem`` coefficients itself.
+    ``principal-generator`` read them. ``basis``, the echelon basis of
+    the combined generator's Gray rows (``_combined_rows``), is built on
+    first read and kept until ``drop_lane``. Only the code's own claims
+    read it, so an entry holds it for one code at a time. No field of a
+    case is an R element: ``decompose-compose`` builds its few
+    ``RingElem`` coefficients itself.
     """
 
     code: SkewCyclicCode
@@ -206,17 +207,12 @@ class Case:
     gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
 
     @functools.cached_property
-    def rows(self) -> list[list[int]]:
-        return _combined_rows(self.combined, self.code.n)
-
-    @functools.cached_property
     def basis(self) -> list[list[int]]:
-        return linalg.echelon(self.rows, self.code.field)
+        return linalg.echelon(_combined_rows(self.combined, self.code.n), self.code.field)
 
     def drop_lane(self) -> None:
-        """Forget ``rows`` and ``basis``."""
-        for name in ("rows", "basis"):
-            self.__dict__.pop(name, None)
+        """Forget ``basis``."""
+        self.__dict__.pop("basis", None)
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -502,10 +498,13 @@ def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
     oracle's own (a, a+b+c, a-b+c) on the field tables. The Hamming side
     of a whole block is one numpy comparison of Gray triples; the distance
     under test gets the ``RingElem`` words, one pair at a time, and the
-    first pair that disagrees is the witness.
+    first pair that disagrees is the witness. A zero ``pairs`` bound skips.
     """
     import numpy as np
 
+    if not entry.bounds.pairs:
+        reason = {"reason": "pair bound 0: no pair to compare"}
+        return VerdictReport("gray-isometry", entry.config(), "skipped", True, reason)
     fld = entry.field()
     n = entry.n
     split_exhaustive, witness = _verify_splitting(
@@ -935,20 +934,18 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
 
     The combined generator's Gray span (``case.basis``) has the code's
     dimension and holds the Gray image of every production generator row
-    (``case.gray_rows``), and ``contains`` accepts every row of
-    ``case.rows`` and agrees with the span on ``_PRINCIPALITY_SAMPLES``
-    words drawn from ``rng``, each n split-coordinate digit triples. A
-    Gray index row reaches ``contains`` as the ``RingElem`` word
-    ``gray_inverse`` reads from it. The rows are not divided by the
-    combined generator: once ``combined-generator`` shows that each g_t
-    divides x^n - 1, their remainder is zero by sigma's own arithmetic.
+    (``case.gray_rows``). ``contains`` accepts each of those rows once the
+    span has certified it a member, and agrees with the span on
+    ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``, each n
+    split-coordinate digit triples; a sampled Gray index row reaches
+    ``contains`` as the ``RingElem`` word ``gray_inverse`` reads from it.
+    The rows are not divided by the combined generator: once
+    ``combined-generator`` shows that each g_t divides x^n - 1, their
+    remainder is zero by sigma's own arithmetic.
     """
     code, basis = case.code, case.basis
     fld = code.field
     elems = fld.tables().elems
-
-    def word_of(row: list[int]) -> tuple[RingElem, ...]:
-        return gray_inverse(fld, [elems[k] for k in row])
 
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", case.config, mode, False, witness)
@@ -961,15 +958,13 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
             return fail(
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
-    for row in case.rows:
-        word = word_of(row)
-        if not code.contains(word):
-            return fail("exhaustive", {"combined_row_rejected": [str(x) for x in word]})
+        if not code.contains(row):
+            return fail("exhaustive", {"generator_row_rejected": [str(x) for x in row]})
     q = fld.q
     for _ in range(_PRINCIPALITY_SAMPLES):
         digits = [rng.randrange(q**3) for _ in range(code.n)]
         row = [x for k in digits for x in (k // (q * q), k // q % q, k % q)]
-        word = word_of(row)
+        word = gray_inverse(fld, [elems[k] for k in row])
         if code.contains(word) != linalg.in_row_space(basis, row, fld):
             return fail("sampled", {"word": [str(x) for x in word]})
     return VerdictReport("principal-generator", case.config, "sampled", True)
@@ -979,10 +974,11 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
     """Minimum Lee distance equals the smallest component Hamming distance,
     cross-checked on the Gray image V of the combined generator alone.
 
-    V, with echelon basis ``case.basis``, must be the direct sum of its
-    three coordinate-class blocks P_j V (rank V = sum of rank P_j V); then
-    its minimum weight is the least minimum weight of a nonzero block, and
-    each block is enumerated on its own, refused past ``bound``.
+    ``_combined_rows`` puts each slot's rows on its own coordinate class,
+    so V (echelon basis ``case.basis``) is the direct sum of its three
+    coordinate-class blocks P_j V. Its minimum weight is the least minimum
+    weight of a nonzero block, and each block is enumerated on its own,
+    refused past ``bound``.
     ``block_minima`` maps a block's RREF rows to its minimum weight, so
     codes that share a block enumerate it once. A component distance past
     ``bound`` skips the claim; any other error from it (a
@@ -996,9 +992,6 @@ def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictRe
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
     blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
-    if len(basis) != sum(map(len, blocks)):
-        witness = {"gray_rank": len(basis), "block_ranks": [len(b) for b in blocks]}
-        return VerdictReport("distance-law", cfg, "exhaustive", False, witness)
     minima = []
     for block in filter(None, blocks):
         size = fld.q ** len(block)

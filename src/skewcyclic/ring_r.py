@@ -97,9 +97,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.x1.is_zero() and self.x2.is_zero() and self.x3.is_zero()
 
-    def is_unit(self) -> bool:
-        return not (self.x1.is_zero() or self.x2.is_zero() or self.x3.is_zero())
-
     def inv(self) -> RingElem:
         return _split_elem(self.x1.inv(), self.x2.inv(), self.x3.inv())
 

@@ -19,7 +19,6 @@ from skewcyclic.codes import (
     NotRightDivisor,
     census,
     code_from_components,
-    code_from_json,
     code_to_json,
     component_code_new,
     count_skew_cyclic_codes,
@@ -950,18 +949,6 @@ def test_component_distance_matches_direct_minimum(p, m, i, n):
         assert d == _min_dependent_columns(rows, fld, n), comp
         if comp.size <= 10**6:
             assert d == linalg.span_min_weight(rows, fld, 10**6), comp
-
-
-class TestJsonBlock:
-    def test_roundtrip(self, f9):
-        comps = [
-            component_code_new(5, poly_from_string(s, f9, 1))
-            for s in ("x-1", "1", "1+x+x^2+x^3+x^4")
-        ]
-        code = code_from_components(*comps)
-        block = code_to_json(code)
-        assert code_from_json(block) == code
-        assert block["n"] == 5 and block["aut"] == 1
 
 
 def test_every_limit_default_is_its_named_constant():

@@ -6,15 +6,22 @@ Each mutant is one monkeypatch on production or on the oracle. It runs
 fail must equal its row in ``tests/data/mutant_kills.json``. A mutant that
 no claim catches is pinned too, with its one-line ``reason``. A change to
 the oracle, the matrix or a claim rewrites the table on purpose.
+
+Every claim of ``oracle.CLAIMS`` earns its place: some row fails that
+claim and no other (its "own" row), or ``tests/data/claim_reasons.json``
+says which paper statement it checks on oracle data alone, or which
+ROADMAP item decides it.
 """
 
 import json
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from skewcyclic import linalg, oracle, ring_r, skew_poly
-from skewcyclic.codes import ComponentCode, census, component_code_new
+from skewcyclic.codes import ComponentCode, SkewCyclicCode, census, component_code_new
 from skewcyclic.oracle import (
     TestMatrixEntry,
     default_matrix,
@@ -22,10 +29,12 @@ from skewcyclic.oracle import (
     verify_all,
     verify_entry,
 )
+from skewcyclic.ring_r import RingElem
 from skewcyclic.skew_poly import SkewPoly, poly_from_string, poly_to_string
 
 DATA = Path(__file__).parent / "data"
 TABLE = json.loads((DATA / "mutant_kills.json").read_text())
+REASONS = json.loads((DATA / "claim_reasons.json").read_text())
 
 
 def _skew_mul_without_theta(mp):
@@ -59,11 +68,6 @@ def _oracle_lane_without_theta(mp):
 
 def _membership_accepts_everything(mp):
     mp.setattr(ComponentCode, "_contains_indices", lambda self, word: True)
-
-
-def _component_contains_accepts_everything(mp):
-    # only ComponentCode.contains: SkewCyclicCode.contains still rejects
-    mp.setattr(ComponentCode, "contains", lambda self, word: True)
 
 
 def _gray_map_swaps_x2_x3(mp):
@@ -138,12 +142,124 @@ def _census_drops_a_divisor_and_its_dual(mp):
     mp.setattr(skew_poly, "divisors_from_factorization", dropped)
 
 
+def _lee_distance_plus_one(mp):
+    distance = oracle.lee_distance
+    mp.setattr(oracle, "lee_distance", lambda x, y: distance(x, y) + (x != y))
+
+
+def _b_flips_its_sign(mp):
+    mp.setattr(RingElem, "b", property(lambda self: self.field.half * (self.x3 - self.x2)))
+
+
+def _mul_swaps_x2_x3(mp):
+    mp.setattr(RingElem, "__mul__", lambda self, other: ring_r._split_elem(
+        self.x1 * other.x1, self.x3 * other.x3, self.x2 * other.x2
+    ))
+
+
+def _equality_ignores_x3(mp):
+    mp.setattr(RingElem, "__eq__", lambda self, other: (
+        isinstance(other, RingElem) and self.x1 == other.x1 and self.x2 == other.x2
+    ))
+    mp.setattr(RingElem, "__hash__", lambda self: hash((self.x1, self.x2)))
+
+
+def _crt_join_swaps_x2_x3(mp):
+    join = ring_r.crt_join
+
+    def swapped(field, t):
+        return join(field, (t[0], t[2], t[1]))
+
+    for module in (ring_r, skew_poly):
+        mp.setattr(module, "crt_join", swapped)
+
+
+def _combine_swaps_slots(mp):
+    combine = oracle.ring_skew_poly_combine
+    mp.setattr(oracle, "ring_skew_poly_combine", lambda f1, f2, f3: combine(f1, f3, f2))
+
+
+def _project_swaps_slots(mp):
+    project = oracle.project_components
+
+    def swapped(coeffs, field, aut):
+        f1, f2, f3 = project(coeffs, field, aut)
+        return f1, f3, f2
+
+    mp.setattr(oracle, "project_components", swapped)
+
+
+def _brute_force_drops_the_last(mp):
+    brute = oracle.brute_right_divisors
+    mp.setattr(oracle, "brute_right_divisors", lambda *args: brute(*args)[:-1])
+
+
+def _contains_swaps_x2_x3(mp):
+    def swapped(self, word):
+        return (
+            self.c1._contains_indices([r.x1.idx for r in word])
+            and self.c2._contains_indices([r.x3.idx for r in word])
+            and self.c3._contains_indices([r.x2.idx for r in word])
+        )
+
+    mp.setattr(SkewCyclicCode, "contains", swapped)
+
+
+def _contains_answers(owner: type, answer: bool):
+    return lambda mp: mp.setattr(owner, "contains", lambda self, word: answer)
+
+
+def _contains_rejects_a_last_coordinate(mp):
+    contains = SkewCyclicCode.contains
+    mp.setattr(SkewCyclicCode, "contains", lambda self, word: (
+        contains(self, word) and word[-1].is_zero()
+    ))
+
+
+def _contains_rejects_small_codes(mp):
+    contains = SkewCyclicCode.contains
+    mp.setattr(SkewCyclicCode, "contains", lambda self, word: contains(self, word) and (
+        self.dim > 2 or all(r.is_zero() for r in word)
+    ))
+
+
+def _membership_rejects_a_last_coordinate(mp):
+    indices = ComponentCode._contains_indices
+    mp.setattr(ComponentCode, "_contains_indices", lambda self, word: (
+        indices(self, word) and not word[-1]
+    ))
+
+
+def _census_repeats_a_divisor(mp):
+    divisors = skew_poly.divisors_from_factorization
+
+    def repeated(fac):
+        found = divisors(fac)
+        return found if len(found) <= 2 else found[:2] + found[1:]
+
+    mp.setattr(skew_poly, "divisors_from_factorization", repeated)
+
+
+def _remainder_columns_without_theta(mp):
+    columns = ComponentCode._remainder_columns
+
+    def untwisted(self):
+        if self._remainder_cols is None:
+            # the same recurrence read with theta_0, the identity
+            plain = SimpleNamespace(_remainder_cols=None, g=self.g, field=self.field, aut=0, n=self.n)
+            object.__setattr__(self, "_remainder_cols", columns(plain))
+        return self._remainder_cols
+
+    mp.setattr(ComponentCode, "_remainder_columns", untwisted)
+
+
 MUTANTS = {
     "skew_mul without theta": _skew_mul_without_theta,
     "reciprocal_cofactor without theta": _reciprocal_cofactor_without_theta,
     "oracle lane without theta": _oracle_lane_without_theta,
     "component membership accepts every word": _membership_accepts_everything,
-    "ComponentCode.contains accepts every word": _component_contains_accepts_everything,
+    # only ComponentCode.contains: SkewCyclicCode.contains still rejects
+    "ComponentCode.contains accepts every word": _contains_answers(ComponentCode, True),
     "gray_map emits (x1, x3, x2)": _gray_map_swaps_x2_x3,
     "min_hamming_distance + 1": _distance_plus_one,
     "idempotent_generator returns g": _idempotent_is_the_generator,
@@ -154,6 +270,31 @@ MUTANTS = {
     "census drops its second divisor and that divisor's dual": (
         _census_drops_a_divisor_and_its_dual
     ),
+    "lee_distance + 1 on unequal words, as the oracle calls it": _lee_distance_plus_one,
+    "RingElem.b flips the sign of x2 - x3": _b_flips_its_sign,
+    "RingElem.__mul__ swaps x2 and x3 of the product": _mul_swaps_x2_x3,
+    "RingElem.__eq__ and __hash__ ignore x3": _equality_ignores_x3,
+    "crt_join swaps x2 and x3": _crt_join_swaps_x2_x3,
+    "ring_skew_poly_combine swaps slots 2 and 3, as the oracle calls it": _combine_swaps_slots,
+    "project_components swaps slots 2 and 3, as the oracle calls it": _project_swaps_slots,
+    "brute_right_divisors drops its last divisor, as the oracle calls it": (
+        _brute_force_drops_the_last
+    ),
+    "SkewCyclicCode.contains reads x3 for C2 and x2 for C3": _contains_swaps_x2_x3,
+    "SkewCyclicCode.contains accepts every word": _contains_answers(SkewCyclicCode, True),
+    "SkewCyclicCode.contains rejects every word": _contains_answers(SkewCyclicCode, False),
+    "SkewCyclicCode.contains rejects a nonzero last coordinate": (
+        _contains_rejects_a_last_coordinate
+    ),
+    "SkewCyclicCode.contains rejects the nonzero members of codes of dimension <= 2": (
+        _contains_rejects_small_codes
+    ),
+    "component membership rejects a nonzero last coordinate": (
+        _membership_rejects_a_last_coordinate
+    ),
+    "ComponentCode.contains rejects every word": _contains_answers(ComponentCode, False),
+    "divisors_from_factorization repeats its second divisor": _census_repeats_a_divisor,
+    "_remainder_columns without theta": _remainder_columns_without_theta,
 }
 
 
@@ -177,6 +318,19 @@ def test_table_names_every_mutant_once():
     for name, row in TABLE.items():
         # a survivor says why; a killed mutant needs no reason
         assert bool(row["kills"]) != bool(row.get("reason")), name
+
+
+def test_every_claim_has_an_own_row_or_a_reason():
+    own = set()
+    for row in TABLE.values():
+        claims = {claim for _, claim in row["kills"]}
+        if len(claims) == 1:
+            own |= claims
+    assert own <= set(oracle.CLAIMS)
+    # both ways: a claim that gains an own row loses its reason
+    assert sorted(set(oracle.CLAIMS) - own) == sorted(REASONS)
+    for claim, reason in REASONS.items():
+        assert re.search(r"the paper's|ROADMAP item \d", reason), claim
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

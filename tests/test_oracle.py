@@ -169,6 +169,19 @@ class TestIsometryOracle:
         assert not v.passed
         assert v.counterexample is not None and "x" in v.counterexample
 
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])  # F_9 and F_25
+    def test_zero_pair_bound_skips(self, monkeypatch, p, n):
+        # no word pair and no table pair is compared, so nothing may run
+        def boom(*args):
+            raise AssertionError("a zero pair bound compared a pair")
+
+        monkeypatch.setattr(oracle, "_verify_splitting", boom)
+        monkeypatch.setattr(oracle, "lee_distance", boom)
+        entry = TestMatrixEntry(p=p, m=2, i=1, n=n, bounds=Bounds(pairs=0))
+        v = verify_gray_isometry(entry)
+        assert (v.mode, v.passed, v.checked, v.skipped) == ("skipped", True, 0, 1)
+        assert v.counterexample == {"reason": "pair bound 0: no pair to compare"}
+
     def test_reproducible(self):
         entry = TestMatrixEntry(p=3, m=2, i=1, n=2, seed=7)
         a = verify_gray_isometry(entry).to_json()
@@ -484,7 +497,10 @@ class TestPrincipalityOracle:
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: False)
         v = verify_principality(_case(mixed_code), random.Random(0))
         assert not v.passed and v.mode == "exhaustive"
-        assert len(v.counterexample["combined_row_rejected"]) == mixed_code.n
+        # the first production row, once the combined span has certified it
+        assert v.counterexample["generator_row_rejected"] == [
+            str(x) for x in mixed_code.generator_rows()[0]
+        ]
 
     def test_membership_accepting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: True)
@@ -507,16 +523,6 @@ class TestDistanceOracle:
         assert not v.passed
         assert v.counterexample["component_minimum"] == 1
         assert v.counterexample["direct_enumeration"] == 2
-
-    def test_gray_image_not_a_direct_sum_of_blocks(self, f9, mixed_code):
-        # the Gray image of (1, 1) is spanned by one word that meets all
-        # three coordinate classes, so its blocks have total rank 3, not 1
-        rows = [[f9.tables().one] * (3 * mixed_code.n)]  # 1 splits to (1, 1, 1)
-        case = _case(mixed_code)
-        case.rows = rows  # its basis is read from these rows
-        v = verify_distance_law(case, DISTANCE_LIMIT, {})
-        assert not v.passed and v.mode == "exhaustive"
-        assert v.counterexample == {"gray_rank": 1, "block_ranks": [1, 1, 1]}
 
     def test_blocks_shared_within_an_entry(self, f9):
         codes = census(3, f9, 1)
@@ -1264,9 +1270,9 @@ class TestRankClaimsAgainstEnumeration:
         cases.append(mismatched_case(f9, 1, 3))
         for case in cases:
             # the whole Gray span, not block by block
-            if 9 ** linalg.rank(case.rows, f9) > 10**5:
+            if 9 ** len(case.basis) > 10**5:
                 continue
-            full = linalg.span_min_weight(case.rows, f9, 10**5)
+            full = linalg.span_min_weight(case.basis, f9, 10**5)
             v = verify_distance_law(case, DISTANCE_LIMIT, {})
             if v.passed:
                 formula = case.code.min_lee_distance()

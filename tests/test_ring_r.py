@@ -72,7 +72,7 @@ class TestRingArithmetic:
             assert x * (y + z) == x * y + x * z
 
     def test_units_and_inverses(self, f3):
-        units = [x for x in ring_elements(f3) if x.is_unit()]
+        units = [x for x in ring_elements(f3) if not any(c.is_zero() for c in crt_split(x))]
         one = ring_elem(f3, 1)
         # |R*| = (q - 1)^3 under the splitting
         assert len(units) == 8
@@ -407,7 +407,7 @@ class TestSplitNative:
         assert r * u == RingElem(*_schoolbook_mul(s, t))
         assert r.frob(1) == RingElem(*(x.frob(1) for x in s))
         assert r.scale_field(t[0]) == RingElem(*(x * t[0] for x in s))
-        if r.is_unit():
+        if not any(c.is_zero() for c in crt_split(r)):
             inv = r.inv()
             assert _schoolbook_mul(s, (inv.a, inv.b, inv.c)) == (
                 fld.one, fld.zero, fld.zero
