@@ -32,20 +32,23 @@ as Gray index rows through ``gray_map``, and the sampled words reach
 tables with production's arithmetic; ``_verify_tables`` checks them.
 
 Each claim has one path and builds nothing another claim reads. A claim
-over R takes a ``Case``: the code's config, its component generators,
-the echelon basis of their Gray rows, and the Gray index rows of
-production's generator rows, all built once per code by ``_case`` (the
-basis on first read). A component claim takes a
-``ComponentCode`` and its config, which ``_by_component`` builds once per
-distinct component. ``verify_entry`` reports the claims in ``CLAIMS``
-order, whatever the data.
+over R takes a ``Case``: the code's config, its component generators and
+the Gray index rows of production's generator rows, built once per code
+by ``_case``. The combined generator's Gray span is the direct sum of its
+components' sigma-orbit spans, one on each coordinate class 3k + t, so
+``principal-generator`` and ``distance-law`` read it as three
+``SlotSpan``s, built once per distinct component generator of an entry
+(``_slot_spans``). A component claim takes a ``ComponentCode`` and its
+config, which ``_by_component`` builds once per distinct component.
+``verify_entry`` reports the claims in ``CLAIMS`` order, whatever the
+data, and ``verify_all`` runs ``_verify_splitting`` once per distinct
+(field, i, pairs, seed) of its entries.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -193,11 +196,10 @@ class Case:
     ``gray_rows`` are production's generator rows as Gray index rows
     (``_gray_rows``), the one form in which ``cardinality-rank``,
     ``dual-gray-commute``, ``quasi-cyclic-gray`` and
-    ``principal-generator`` read them. ``basis``, the echelon basis of
-    the combined generator's Gray rows (``_combined_rows``), is built on
-    first read and kept until ``drop_lane``. Only the code's own claims
-    read it, so an entry holds it for one code at a time. No field of a
-    case is an R element: ``decompose-compose`` builds its few
+    ``principal-generator`` read them. The combined generator's span is
+    not part of a case: it is the direct sum of the ``SlotSpan`` of each
+    g_t, which ``_slot_spans`` keeps once per distinct g_t of an entry. No
+    field of a case is an R element: ``decompose-compose`` builds its few
     ``RingElem`` coefficients itself.
     """
 
@@ -205,14 +207,6 @@ class Case:
     config: dict
     combined: tuple[SkewPoly, SkewPoly, SkewPoly]  # (g1, g2, g3)
     gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
-
-    @functools.cached_property
-    def basis(self) -> list[list[int]]:
-        return linalg.echelon(_combined_rows(self.combined, self.code.n), self.code.field)
-
-    def drop_lane(self) -> None:
-        """Forget ``basis``."""
-        self.__dict__.pop("basis", None)
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -443,61 +437,69 @@ def _verify_splitting(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, 
 _ISOMETRY_BLOCK = 2**14  # word coordinates per numpy block of isometry pairs
 
 
-def _base_digits(values: list[int], base: int, n: int) -> np.ndarray:
-    """The n base-``base`` digits of each value, least significant first,
-    one int64 row per value.
+def _draw_digits(rng: random.Random, count: int, size: int) -> np.ndarray:
+    """``count`` uniform digits below ``size``, as int64, from ``rng.randbytes``.
 
-    Each value is cut into int64 limbs of ``per`` digits with exact integer
-    arithmetic, and the limbs into digits by numpy.
+    Each digit is a little-endian unsigned word masked to the bit length of
+    size - 1; a value >= ``size`` is rejected, which keeps more than half
+    of the draws, and the shortfall is drawn again until ``count`` are kept.
     """
     import numpy as np
 
-    per = 1
-    while per < n and base ** (per + 1) < 2**63:
-        per += 1
-    limb = base**per
-    big = np.array(values, dtype=object)
-    powers = base ** np.arange(per, dtype=np.int64)
-    digits = [
-        (big // limb**j % limb).astype(np.int64)[:, None] // powers % base
-        for j in range(-(-n // per))
-    ]
-    return np.concatenate(digits, axis=1)[:, :n]
+    bits = (size - 1).bit_length()
+    dtype = np.dtype(next(f"<u{k}" for k in (1, 2, 4, 8) if 8 * k >= bits))
+    mask = dtype.type((1 << bits) - 1)
+    kept, have = [], 0
+    while have < count:
+        raw = np.frombuffer(rng.randbytes(dtype.itemsize * (count - have)), dtype) & mask
+        raw = raw[raw < size]
+        kept.append(raw)
+        have += len(raw)
+    return np.concatenate(kept).astype(np.int64)
 
 
 def _isometry_blocks(entry: TestMatrixEntry, exhaustive: bool):
     """The word pairs of the isometry claim as (X, Y) digit arrays, in order.
 
     A word is n base-q^3 digits, each the (a, b, c) index triple of one
-    element. Exhaustive: every pair, x before y, each in the lexicographic
-    order of ``ring_elements``. Sampled: ``pairs`` pairs whose words are
-    one ``randrange(q^(3n))`` each from ``Random(entry.seed)``, x then y.
-    Each block holds at most about ``_ISOMETRY_BLOCK`` coordinates.
+    element, and a pair is the n digits of x then the n digits of y.
+    Exhaustive: every pair, x before y, each in the lexicographic order of
+    ``ring_elements``, as ``itertools.product`` lists the 2n digits.
+    Sampled: ``pairs`` pairs whose digits ``_draw_digits`` draws from
+    ``Random(entry.seed)``, one block at a time. Each block holds at most
+    about ``_ISOMETRY_BLOCK`` coordinates.
     """
+    import numpy as np
+
     n, rsize = entry.n, entry.field().q ** 3
-    wsize = rsize**n
+    per = max(1, _ISOMETRY_BLOCK // (2 * n))  # pairs per block
+
+    def split(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        block = digits.reshape(-1, 2, n)
+        return block[:, 0], block[:, 1]
+
     if exhaustive:
-        values = (w for p in range(wsize * wsize) for w in divmod(p, wsize))
+        pairs = itertools.product(range(rsize), repeat=2 * n)
+        while block := list(itertools.islice(pairs, per)):
+            yield split(np.array(block, dtype=np.int64))
     else:
-        rng = random.Random(entry.seed)
-        values = (rng.randrange(wsize) for _ in range(2 * entry.bounds.pairs))
-    while drawn := list(itertools.islice(values, 2 * max(1, _ISOMETRY_BLOCK // (2 * n)))):
-        digits = _base_digits(drawn, rsize, n)
-        if exhaustive:  # lexicographic order: the first coordinate is the top digit
-            digits = digits[:, ::-1]
-        yield digits[0::2], digits[1::2]
+        rng, total = random.Random(entry.seed), entry.bounds.pairs
+        for k in range(0, total, per):
+            yield split(_draw_digits(rng, 2 * n * min(per, total - k), rsize))
 
 
-def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
+def verify_gray_isometry(entry: TestMatrixEntry, splitting: dict | None = None) -> VerdictReport:
     """R arithmetic matches the schoolbook a + bv + cv^2 ring (see
     ``_verify_splitting``), and Lee distance on R^n equals Hamming distance
     of the Gray images.
 
-    The pairs come from ``_isometry_blocks``. Each distinct element is
-    built once as ``RingElem(a, b, c)``, next to its Gray triple: the
-    oracle's own (a, a+b+c, a-b+c) on the field tables. The Hamming side
-    of a whole block is one numpy comparison of Gray triples; the distance
-    under test gets the ``RingElem`` words, one pair at a time, and the
+    ``splitting`` keeps ``_verify_splitting``'s result under (field, i,
+    pairs, seed), so entries that share them check the splitting once. The
+    pairs come from ``_isometry_blocks``. Each distinct element is built
+    once as ``RingElem(a, b, c)``, next to its Gray triple: the oracle's
+    own (a, a+b+c, a-b+c) on the field tables. The Hamming side of a whole
+    block is one numpy comparison of Gray triples; the distance under test
+    gets the ``RingElem`` words as lists, one pair at a time, and the
     first pair that disagrees is the witness. A zero ``pairs`` bound skips.
     """
     import numpy as np
@@ -507,9 +509,11 @@ def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
         return VerdictReport("gray-isometry", entry.config(), "skipped", True, reason)
     fld = entry.field()
     n = entry.n
-    split_exhaustive, witness = _verify_splitting(
-        fld, entry.i, entry.bounds.pairs, entry.seed
-    )
+    splitting = {} if splitting is None else splitting
+    key = (fld, entry.i, entry.bounds.pairs, entry.seed)
+    if key not in splitting:
+        splitting[key] = _verify_splitting(*key)
+    split_exhaustive, witness = splitting[key]
     if witness is not None:
         mode = "exhaustive" if split_exhaustive else "sampled"
         return VerdictReport("gray-isometry", entry.config(), mode, False, witness)
@@ -532,9 +536,7 @@ def verify_gray_isometry(entry: TestMatrixEntry) -> VerdictReport:
         images = np.array([gray[k] for k in digits], dtype=np.int32)
         xi, yi = inverse.reshape(2, len(xd), n)
         hamming = np.count_nonzero(images[xi] != images[yi], axis=(1, 2))
-        words = zip(elems[xi].tolist(), elems[yi].tolist(), hamming.tolist())
-        for x, y, dh in words:
-            x, y = tuple(x), tuple(y)
+        for x, y, dh in zip(elems[xi].tolist(), elems[yi].tolist(), hamming.tolist()):
             dl = lee_distance(x, y)
             if dl != dh:
                 witness = {"x": [str(r) for r in x], "y": [str(r) for r in y]}
@@ -877,22 +879,70 @@ def verify_quasi_cyclic_gray(case: Case) -> VerdictReport:
 # claims over R: the combined generator in split coordinates
 
 
-def _combined_rows(combined: tuple, n: int) -> list[list[int]]:
-    """Gray index rows spanning <g> over R for g = eta1*g1 + eta2*g2 +
-    eta3*g3, ``combined`` = (g1, g2, g3): eta_t * (x^j * g mod x^n - 1) for
-    j < n and t < 3. eta_t splits to the t-th unit vector, so that row is
-    sigma^j(g_t mod x^n - 1) on the coordinates 3k + t and zero elsewhere."""
-    fld = combined[0].field
+@dataclass
+class SlotSpan:
+    """The span of the sigma-orbit of one component generator g on n
+    columns: the block that eta_t * g puts on each Gray coordinate class
+    3k + t of the combined generator's span.
+
+    ``rows`` is ``linalg.echelon`` of sigma^j(g mod x^n - 1), j < n, from
+    the oracle's own ``_fold`` and ``_twist_orbit``, each row scaled by
+    the inverse of its lead so that ``holds`` clears a lead column with
+    one table lookup. ``leads`` are the lead columns. The minimum weight
+    is enumerated once, on first read (``min_weight``).
+    """
+
+    field: Field
+    rows: list[list[int]]
+    leads: list[int]
+    _min_weight: int | None = dc_field(default=None, init=False, repr=False)
+
+    def holds(self, vec: Sequence[int]) -> bool:
+        """Is ``vec`` (n indices) in the span?"""
+        t = self.field.tables()
+        mul, sub = t.mul, t.sub
+        rest = list(vec)
+        for c, row in zip(self.leads, self.rows):
+            if rest[c]:
+                mul_f = mul[rest[c]]
+                rest = [sub[x][mul_f[y]] for x, y in zip(rest, row)]
+        return not any(rest)
+
+    def min_weight(self, bound: int) -> int | None:
+        """The least weight of a nonzero word, refused past ``bound`` words."""
+        if self._min_weight is None:
+            self._min_weight = linalg.span_min_weight(self.rows, self.field, bound)
+        return self._min_weight
+
+
+def _slot_span(g: SkewPoly, n: int) -> SlotSpan:
+    """The ``SlotSpan`` of g at length n."""
+    fld = g.field
     t = fld.tables()
-    frob = fld.frob_table(combined[0].aut)
-    orbits = [_twist_orbit(_fold(g, n, t), n, frob) for g in combined]
-    rows = []
-    for j in range(n):
-        for slot, orbit in enumerate(orbits):
-            row = [0] * (3 * n)
-            row[slot::3] = orbit[j]
-            rows.append(row)
-    return rows
+    orbit = _twist_orbit(_fold(g, n, t), n, fld.frob_table(g.aut))
+    rows, leads = [], []
+    for row in linalg.echelon(orbit, fld):
+        c = row.index(next(filter(None, row)))
+        mul_inv = t.mul[t.inv[row[c]]]
+        rows.append([mul_inv[x] for x in row])
+        leads.append(c)
+    return SlotSpan(fld, rows, leads)
+
+
+def _slot_spans(case: Case, memo: dict) -> tuple[SlotSpan, SlotSpan, SlotSpan]:
+    """The ``SlotSpan`` of each of the case's g1, g2, g3; ``memo`` keeps them
+    under (g, n), so an entry builds one per distinct component generator."""
+    n = case.code.n
+    for g in case.combined:
+        if (g, n) not in memo:
+            memo[g, n] = _slot_span(g, n)
+    return tuple(memo[g, n] for g in case.combined)
+
+
+def _in_slot_spans(spans: Sequence[SlotSpan], row: Sequence[int]) -> bool:
+    """Is the Gray index row in the combined span: is each coordinate class
+    3k + t of it in the span of slot t?"""
+    return all(span.holds(row[t::3]) for t, span in enumerate(spans))
 
 
 def _case(code: SkewCyclicCode) -> Case:
@@ -928,33 +978,37 @@ def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
 _PRINCIPALITY_SAMPLES = 20  # random words per principal-generator verdict
 
 
-def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
+def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictReport:
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
-    The combined generator's Gray span (``case.basis``) has the code's
-    dimension and holds the Gray image of every production generator row
-    (``case.gray_rows``). ``contains`` accepts each of those rows once the
-    span has certified it a member, and agrees with the span on
-    ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``, each n
-    split-coordinate digit triples; a sampled Gray index row reaches
+    The combined generator's Gray span is the direct sum of the slot spans
+    of g1, g2, g3 (``_slot_spans``, with the entry's memo ``slots``). Its
+    dimension, the sum of their ranks, is the code's, and it holds the
+    Gray image of every production generator row (``case.gray_rows``),
+    tested class by class (``_in_slot_spans``). ``contains`` accepts each
+    of those rows once the span has certified it a member, and agrees
+    with the span on ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``,
+    each n split-coordinate digit triples; a sampled Gray index row reaches
     ``contains`` as the ``RingElem`` word ``gray_inverse`` reads from it.
     The rows are not divided by the combined generator: once
     ``combined-generator`` shows that each g_t divides x^n - 1, their
     remainder is zero by sigma's own arithmetic.
     """
-    code, basis = case.code, case.basis
+    code = case.code
     fld = code.field
     elems = fld.tables().elems
+    spans = _slot_spans(case, slots)
 
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", case.config, mode, False, witness)
 
-    if len(basis) != code.dim:
-        return fail("exhaustive", {"combined_span_dim": len(basis), "code_dim": code.dim})
+    dim = sum(len(span.rows) for span in spans)
+    if dim != code.dim:
+        return fail("exhaustive", {"combined_span_dim": dim, "code_dim": code.dim})
 
     for row, gray_row in zip(code.generator_rows(), case.gray_rows):
-        if not linalg.in_row_space(basis, gray_row, fld):
+        if not _in_slot_spans(spans, gray_row):
             return fail(
                 "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
             )
@@ -965,43 +1019,39 @@ def verify_principality(case: Case, rng: random.Random) -> VerdictReport:
         digits = [rng.randrange(q**3) for _ in range(code.n)]
         row = [x for k in digits for x in (k // (q * q), k // q % q, k % q)]
         word = gray_inverse(fld, [elems[k] for k in row])
-        if code.contains(word) != linalg.in_row_space(basis, row, fld):
+        if code.contains(word) != _in_slot_spans(spans, row):
             return fail("sampled", {"word": [str(x) for x in word]})
     return VerdictReport("principal-generator", case.config, "sampled", True)
 
 
-def verify_distance_law(case: Case, bound: int, block_minima: dict) -> VerdictReport:
+def verify_distance_law(case: Case, bound: int, slots: dict) -> VerdictReport:
     """Minimum Lee distance equals the smallest component Hamming distance,
     cross-checked on the Gray image V of the combined generator alone.
 
-    ``_combined_rows`` puts each slot's rows on its own coordinate class,
-    so V (echelon basis ``case.basis``) is the direct sum of its three
-    coordinate-class blocks P_j V. Its minimum weight is the least minimum
-    weight of a nonzero block, and each block is enumerated on its own,
-    refused past ``bound``.
-    ``block_minima`` maps a block's RREF rows to its minimum weight, so
-    codes that share a block enumerate it once. A component distance past
-    ``bound`` skips the claim; any other error from it (a
-    ``MacWilliamsError``, say) is left to ``verify_entry``.
+    V is the direct sum of its three coordinate-class blocks, the slot
+    spans of g1, g2, g3 (``_slot_spans``, with the entry's memo
+    ``slots``), so its minimum weight is the least minimum weight of a
+    nonzero slot span. Each is enumerated once per entry, on its first
+    read, and refused past ``bound``. A component distance past ``bound``
+    skips the claim; any other error from it (a ``MacWilliamsError``,
+    say) is left to ``verify_entry``.
     """
-    code, basis, cfg = case.code, case.basis, case.config
+    code, cfg = case.code, case.config
     fld = code.field
     try:
         formula = code.min_lee_distance(bound)
     except EnumerationTooLarge as exc:
         reason = {"reason": f"component distance: {exc}"}
         return VerdictReport("distance-law", cfg, "skipped", True, reason)
-    blocks = [linalg.rref([b[j::3] for b in basis], fld) for j in range(3)]
     minima = []
-    for block in filter(None, blocks):
-        size = fld.q ** len(block)
+    for span in _slot_spans(case, slots):
+        if not span.rows:
+            continue
+        size = fld.q ** len(span.rows)
         if size > bound:
             reason = {"reason": f"block span {size} exceeds bound {bound}"}
             return VerdictReport("distance-law", cfg, "skipped", True, reason)
-        key = tuple(map(tuple, block))
-        if key not in block_minima:
-            block_minima[key] = linalg.span_min_weight(block, fld, bound)
-        minima.append(block_minima[key])
+        minima.append(span.min_weight(bound))
     direct = min(minima, default=None)
     ok = direct is None if formula.degenerate else direct == formula.value
     witness = None
@@ -1206,19 +1256,22 @@ def _guarded(claim: str, config: dict, check: Callable, *args) -> VerdictReport:
         return VerdictReport(claim, config, "exhaustive", False, witness)
 
 
-def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[VerdictReport]:
+def verify_entry(
+    entry: TestMatrixEntry, inject_broken: bool = False, splitting: dict | None = None
+) -> list[VerdictReport]:
     """One report per claim of ``CLAIMS``, in that order, whatever the data;
     a census that raises (a broken postcondition, say) fails every claim
     about its codes, with the error. So does an exception inside a claim on
     one code, or inside ``census-count`` (``_guarded``): it fails that
     claim, and the run goes on to a verdict. A skipped verdict (a code past
     ``bounds.enumeration``, a dual outside the census) is recorded like
-    any other, and ``_aggregate`` counts it as skipped."""
+    any other, and ``_aggregate`` counts it as skipped. ``splitting`` is
+    ``verify_gray_isometry``'s memo of splitting checks."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
     reports = [
-        verify_gray_isometry(entry),
+        verify_gray_isometry(entry, splitting),
         _guarded("census-count", cfg, verify_census, entry, divisors),
         verify_fixed_subfield_divisors(entry, divisors),
     ]
@@ -1232,7 +1285,7 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
     reports.append(verify_combined_uniqueness(cases, cfg))
     rng = random.Random(entry.seed)
     per_code: dict[str, list[VerdictReport]] = {claim: [] for claim in CLAIMS[4:]}
-    block_minima: dict = {}  # this entry's distance-law blocks, by RREF rows
+    slots: dict = {}  # this entry's slot spans, by (component generator, n)
     # each component's config and component-claim verdicts: shift-closure
     # and dual-shift-closure share theirs
     by_component: dict = {}
@@ -1267,10 +1320,9 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
         record(_guarded("decompose-compose", config, verify_decomposition, case))
         record(per_component("idempotent-generator", verify_idempotent_generators, case))
         record(_guarded("quasi-cyclic-gray", config, verify_quasi_cyclic_gray, case))
-        record(_guarded("principal-generator", config, verify_principality, case, rng))
+        record(_guarded("principal-generator", config, verify_principality, case, rng, slots))
         distance = entry.bounds.distance
-        record(_guarded("distance-law", config, verify_distance_law, case, distance, block_minima))
-        case.drop_lane()
+        record(_guarded("distance-law", config, verify_distance_law, case, distance, slots))
         closure("shift-closure", case)
         if dual is None:
             skip("dual-shift-closure", case.config, "dual outside the census")
@@ -1296,9 +1348,11 @@ def verify_entry(entry: TestMatrixEntry, inject_broken: bool = False) -> list[Ve
 def verify_all(
     matrix: Sequence[TestMatrixEntry] | None = None, inject_broken: bool = False
 ) -> list[VerdictReport]:
-    """One report per (claim, entry); failures carry replayable witnesses."""
+    """One report per (claim, entry); failures carry replayable witnesses.
+    Entries that share (field, i, pairs, seed) share one splitting check."""
     entries = default_matrix() if matrix is None else list(matrix)
     reports: list[VerdictReport] = []
+    splitting: dict = {}
     for entry in entries:
-        reports.extend(verify_entry(entry, inject_broken=inject_broken))
+        reports.extend(verify_entry(entry, inject_broken, splitting))
     return reports

@@ -205,7 +205,7 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
         "dual-gray": verify_dual_gray_commutation(_case(broken3), _case(broken3.dual())),
         "quasi-cyclic": verify_quasi_cyclic_gray(_case(broken3)),
         "distance": verify_distance_law(mismatched, DISTANCE_BOUND, {}),
-        "principality": verify_principality(mismatched, rng),
+        "principality": verify_principality(mismatched, rng, {}),
         "decomposition": verify_decomposition(mismatched),
         "idempotent": over_r(verify_idempotent_generators, broken5),
     }

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -53,6 +54,7 @@ from skewcyclic.oracle import (
 from skewcyclic.ring_r import ring_elements
 from skewcyclic.skew_poly import (
     SkewPoly,
+    mod_xn_minus_1,
     poly_from_string,
     ring_skew_poly_combine,
     skew_mul,
@@ -205,16 +207,43 @@ class TestIsometryOracle:
         assert v.to_json() == verify_gray_isometry(entry).to_json()
 
 
-class TestBaseDigits:
-    @settings(max_examples=100, deadline=None)
-    @given(base=st.integers(2, 10**11), n=st.integers(1, 12), data=st.data())
-    def test_digits_match_integer_division(self, base, n, data):
-        # past 2^63 a value is cut into int64 limbs; the digits stay exact
-        from skewcyclic.oracle import _base_digits
+class TestIsometryDraw:
+    @pytest.mark.parametrize("p, m, n, pairs", [(3, 2, 5, 10**4), (3, 2, 3, 12345), (5, 2, 1, 7)])
+    def test_exactly_pairs_pairs_of_digits_below_q3(self, p, m, n, pairs):
+        entry = TestMatrixEntry(p=p, m=m, i=1, n=n, bounds=Bounds(pairs=pairs))
+        rsize = entry.field().q ** 3
+        blocks = list(oracle._isometry_blocks(entry, exhaustive=False))
+        assert sum(len(x) for x, _ in blocks) == pairs
+        for x, y in blocks:
+            assert x.shape == y.shape == (len(x), n)
+            for d in (x, y):
+                assert d.min() >= 0 and d.max() < rsize
 
-        values = data.draw(st.lists(st.integers(0, base**n - 1), min_size=1, max_size=6))
-        expected = [[v // base**j % base for j in range(n)] for v in values]
-        assert _base_digits(values, base, n).tolist() == expected
+    @pytest.mark.parametrize("size", [8, 27, 729, 256, 257, 15625, 2**40 + 3])
+    def test_draw_is_exact_in_count_and_range(self, size):
+        digits = oracle._draw_digits(random.Random(-3), 5000, size)
+        assert len(digits) == 5000 and digits.dtype.kind == "i"
+        assert 0 <= digits.min() and digits.max() < size
+        if size <= 257:  # every value is drawn: none is masked away
+            assert len(set(digits.tolist())) == size
+
+    def test_negative_seed_verdict_is_reproducible(self):
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=3, seed=-7)
+        first = verify_gray_isometry(entry).to_json()
+        assert json.loads(first)["mode"] == "sampled"
+        assert verify_gray_isometry(entry).to_json() == first
+
+    def test_exhaustive_order_is_lexicographic(self):
+        # F_3, n = 1: q^6 = 729 pairs, so pairs >= 3^6 compares every pair
+        entry = TestMatrixEntry(p=3, m=1, i=1, n=1, bounds=Bounds(pairs=3**6))
+        got = [
+            (x, y)
+            for xd, yd in oracle._isometry_blocks(entry, exhaustive=True)
+            for x, y in zip(xd.tolist(), yd.tolist())
+        ]
+        want = [([x], [y]) for x, y in itertools.product(range(27), repeat=2)]
+        assert got == want
+        assert verify_gray_isometry(entry).mode == "exhaustive"
 
 
 class TestCensusOracle:
@@ -472,22 +501,21 @@ class TestQuasiCyclicOracle:
 
 class TestPrincipalityOracle:
     def test_passes(self, mixed_code):
-        assert verify_principality(_case(mixed_code), random.Random(0)).passed
+        assert verify_principality(_case(mixed_code), random.Random(0), {}).passed
 
     def test_negative_control(self, f9):
-        v = verify_principality(mismatched_case(f9, 1, 3), random.Random(0))
+        v = verify_principality(mismatched_case(f9, 1, 3), random.Random(0), {})
         assert not v.passed
         assert v.counterexample["combined_span_dim"] == 6
         assert v.counterexample["code_dim"] == 9
 
     def test_generator_row_outside_the_combined_span_fails(self, mixed_code):
         case = _case(mixed_code)
+        spans = oracle._slot_spans(case, {})
         width = 3 * mixed_code.n
         units = ([int(k == j) for k in range(width)] for j in range(width))
-        outside = next(
-            u for u in units if not linalg.in_row_space(case.basis, u, mixed_code.field)
-        )
-        v = verify_principality(replace(case, gray_rows=[outside]), random.Random(0))
+        outside = next(u for u in units if not oracle._in_slot_spans(spans, u))
+        v = verify_principality(replace(case, gray_rows=[outside]), random.Random(0), {})
         assert not v.passed and v.mode == "exhaustive"
         assert v.counterexample["generator_row_outside_combined_span"] == [
             str(x) for x in mixed_code.generator_rows()[0]
@@ -495,7 +523,7 @@ class TestPrincipalityOracle:
 
     def test_membership_rejecting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: False)
-        v = verify_principality(_case(mixed_code), random.Random(0))
+        v = verify_principality(_case(mixed_code), random.Random(0), {})
         assert not v.passed and v.mode == "exhaustive"
         # the first production row, once the combined span has certified it
         assert v.counterexample["generator_row_rejected"] == [
@@ -504,7 +532,7 @@ class TestPrincipalityOracle:
 
     def test_membership_accepting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: True)
-        v = verify_principality(_case(mixed_code), random.Random(0))
+        v = verify_principality(_case(mixed_code), random.Random(0), {})
         assert not v.passed and v.mode == "sampled"
         word = v.counterexample["word"]
         assert len(word) == mixed_code.n
@@ -524,14 +552,24 @@ class TestDistanceOracle:
         assert v.counterexample["component_minimum"] == 1
         assert v.counterexample["direct_enumeration"] == 2
 
-    def test_blocks_shared_within_an_entry(self, f9):
+    def test_slot_minima_shared_within_an_entry(self, f9, monkeypatch):
         codes = census(3, f9, 1)
-        block_minima = {}
+        slots, enumerated = {}, []
+        span_min_weight = linalg.span_min_weight
+
+        def recording(rows, *args):
+            enumerated.append(rows)
+            return span_min_weight(rows, *args)
+
+        monkeypatch.setattr(linalg, "span_min_weight", recording)
         for code in codes:
-            assert verify_distance_law(_case(code), DISTANCE_LIMIT, block_minima).passed
-        # every block is a component code; n = 3 has 3 nonzero ones
-        nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
-        assert len(block_minima) == len(nonzero) == 3
+            assert verify_distance_law(_case(code), DISTANCE_LIMIT, slots).passed
+        # one slot span per component generator, 4 at n = 3; the 3 nonzero
+        # ones are each enumerated once, against 64 codes
+        comps = {c for code in codes for c in code.components}
+        assert set(slots) == {(c.g, 3) for c in comps} and len(slots) == 4
+        ours = [rows for rows in enumerated if any(rows is s.rows for s in slots.values())]
+        assert len(ours) == len({id(rows) for rows in ours}) == 3
 
     def test_component_past_the_bound_is_skipped(self, f9):
         # C1 = <x - 1> at n = 3 has dimension 2; its 9-word dual is the
@@ -705,7 +743,9 @@ class TestHarness:
         monkeypatch.setattr(
             oracle,
             "verify_gray_isometry",
-            lambda entry: VerdictReport("gray-isometry", entry.config(), "skipped", True),
+            lambda entry, splitting: VerdictReport(
+                "gray-isometry", entry.config(), "skipped", True
+            ),
         )
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
         assert len(reports) == len(oracle.CLAIMS)
@@ -767,9 +807,9 @@ class TestHarness:
         # one Bezout construction per distinct census component
         assert len(egcd_on) == 4 and len(set(egcd_on)) == 4
 
-    def test_entry_searches_divisors_and_reduces_gray_rows_once(self, monkeypatch):
+    def test_entry_searches_divisors_and_builds_slot_spans_once(self, monkeypatch):
         calls: dict[str, list] = {}
-        names = ("brute_right_divisors", "_combined_rows", "_gray_rows")
+        names = ("brute_right_divisors", "_slot_span", "_gray_rows")
         for name in names:
 
             def recording(*args, name=name, build=getattr(oracle, name)):
@@ -780,14 +820,39 @@ class TestHarness:
         entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
         reports = {r.claim: r for r in verify_entry(entry)}
         assert all(r.passed for r in reports.values())
-        # census-count and fixed-subfield-divisors share one search; each
-        # code's combined-generator rows and the Gray rows of production's
-        # generator rows are built once, by its case, for every claim over R
-        # (the census holds every dual)
-        assert len(calls.pop("brute_right_divisors")) == 1
-        assert {name: len(got) for name, got in calls.items()} == dict.fromkeys(names[1:], 64)
+        # census-count and fixed-subfield-divisors share one search; the
+        # slot span of each of the 4 distinct component generators is built
+        # once for the entry, and the Gray rows of production's generator
+        # rows once per code, by its case (the census holds every dual)
+        assert len(calls["brute_right_divisors"]) == 1
+        assert len(calls["_slot_span"]) == len({args for args in calls["_slot_span"]}) == 4
+        assert len(calls["_gray_rows"]) == 64
         assert reports["principal-generator"].checked == reports["distance-law"].checked == 64
         assert reports["dual-gray-commute"].checked == reports["cardinality-rank"].checked == 64
+
+    def test_default_matrix_checks_the_splitting_once(self, monkeypatch):
+        from skewcyclic.ring_r import RingElem
+
+        calls = []
+        split = oracle._verify_splitting
+
+        def recording(*key):
+            calls.append(key)
+            return split(*key)
+
+        monkeypatch.setattr(oracle, "_verify_splitting", recording)
+        reports = verify_all(default_matrix(0))
+        assert all(r.passed for r in reports) and len(calls) == 1
+        # another seed is another check, and each run checks afresh
+        verify_all([TestMatrixEntry(p=3, m=2, i=1, n=1, seed=s) for s in (0, 1)])
+        assert len(calls) == 3
+        # a shared failing check fails gray-isometry at every entry
+        monkeypatch.setattr(RingElem, "__neg__", lambda r: r)
+        entries = [TestMatrixEntry(p=3, m=2, i=1, n=n) for n in (1, 2)]
+        isometry = [r for r in verify_all(entries) if r.claim == "gray-isometry"]
+        assert len(calls) == 4 and len(isometry) == 2
+        assert not any(r.passed for r in isometry)
+        assert isometry[0].counterexample == isometry[1].counterexample
 
     def test_dual_outside_the_census_fails_dual_gray_commute(self, monkeypatch):
         from skewcyclic.codes import code_to_json
@@ -1270,9 +1335,10 @@ class TestRankClaimsAgainstEnumeration:
         cases.append(mismatched_case(f9, 1, 3))
         for case in cases:
             # the whole Gray span, not block by block
-            if 9 ** len(case.basis) > 10**5:
+            basis = linalg.echelon(_combined_gray_rows(case.combined, case.code.n), f9)
+            if 9 ** len(basis) > 10**5:
                 continue
-            full = linalg.span_min_weight(case.basis, f9, 10**5)
+            full = linalg.span_min_weight(basis, f9, 10**5)
             v = verify_distance_law(case, DISTANCE_LIMIT, {})
             if v.passed:
                 formula = case.code.min_lee_distance()
@@ -1281,3 +1347,57 @@ class TestRankClaimsAgainstEnumeration:
                 assert v.counterexample["direct_enumeration"] == full
             checked += 1
         assert checked >= 150
+
+
+def _combined_gray_rows(combined, n):
+    """Gray index rows spanning <eta1*g1 + eta2*g2 + eta3*g3> over R, for
+    ``combined`` = (g1, g2, g3): x^j * g_t mod x^n - 1 by production's
+    ``skew_mul``, on the coordinates 3k + t, for j < n and t < 3."""
+    fld, aut = combined[0].field, combined[0].aut
+    rows = []
+    for j in range(n):
+        x_j = SkewPoly(fld, [0] * j + [fld.one.idx], aut)
+        for t, g in enumerate(combined):
+            row = [0] * (3 * n)
+            row[t::3] = mod_xn_minus_1(skew_mul(x_j, g), n).padded(n)
+            rows.append(row)
+    return rows
+
+
+_SLOT_CENSUSES = {
+    "F9 n=3": (Field(3, 2, (1, 0, 1)), 3),
+    "F9 n=2, gcd 2": (Field(3, 2, (1, 0, 1)), 2),
+    "F25 n=3": (Field(5, 2, (2, 0, 1)), 3),
+}
+
+
+@functools.cache
+def _slot_census(name):
+    """(slot spans, echelon of the full 3n-column combined rows) per code."""
+    fld, n = _SLOT_CENSUSES[name]
+    slots, out = {}, []
+    for case in map(_case, census(n, fld, 1)):
+        full = linalg.echelon(_combined_gray_rows(case.combined, n), fld)
+        out.append((oracle._slot_spans(case, slots), full))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_SLOT_CENSUSES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers())
+def test_slot_span_test_equals_the_full_row_space_test(name, seed):
+    # uniform words, span members, and span members with one coordinate moved
+    fld, n = _SLOT_CENSUSES[name]
+    rng, t = random.Random(seed), fld.tables()
+    for spans, full in _slot_census(name):
+        member = [0] * (3 * n)
+        for row in full:
+            c = rng.randrange(fld.q)
+            member = [t.add[x][t.mul[c][y]] for x, y in zip(member, row)]
+        moved = list(member)
+        k = rng.randrange(3 * n)
+        moved[k] = t.add[moved[k]][rng.randrange(1, fld.q)]
+        uniform = [rng.randrange(fld.q) for _ in range(3 * n)]
+        for word in (member, moved, uniform):
+            assert oracle._in_slot_spans(spans, word) == linalg.in_row_space(full, word, fld)
+        assert oracle._in_slot_spans(spans, member)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skewcyclic.codes import ComponentCode, component_code_new, count_skew_cyclic_codes
 from skewcyclic.finite_field import Field, FieldMismatch, Subfield
+from skewcyclic.linalg import canonical_subspace
 from skewcyclic import oracle
 from skewcyclic.oracle import _combine
 from skewcyclic.ring_r import RingElem, ring_elem
@@ -669,18 +670,23 @@ class TestOracleSplitLane:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_slot_rows_are_shifted_generators(self, name, data):
-        # row 3j + t is x^j * g_t mod x^n - 1 on the coordinates 3k + t
+        # the orbit row j is x^j * g mod x^n - 1, and the slot span is its
+        # span in echelon form, each row with 1 at its lead column
         field = _LANE_FIELDS[name]
         n = data.draw(st.integers(1, 5))
-        gs = [data.draw(_polys(field, 1, max_degree=2 * n)) for _ in range(3)]
-        rows = oracle._combined_rows(gs, n)
-        assert len(rows) == 3 * n
+        g = data.draw(_polys(field, 1, max_degree=2 * n))
+        t = field.tables()
+        orbit = oracle._twist_orbit(oracle._fold(g, n, t), n, field.frob_table(1))
+        rows = []
         for j in range(n):
             x_j = SkewPoly(field, [0] * j + [field.one.idx], 1)
-            for t, g in enumerate(gs):
-                row = rows[3 * j + t]
-                assert row[t::3] == mod_xn_minus_1(skew_mul(x_j, g), n).padded(n)
-                assert not any(row[s] for s in range(3 * n) if s % 3 != t)
+            rows.append(list(mod_xn_minus_1(skew_mul(x_j, g), n).padded(n)))
+        assert orbit == rows
+        span = oracle._slot_span(g, n)
+        assert canonical_subspace(span.rows, field) == canonical_subspace(rows, field)
+        assert span.leads == sorted(set(span.leads))
+        for c, row in zip(span.leads, span.rows):
+            assert not any(row[:c]) and row[c] == t.one
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 3), data=st.data())
