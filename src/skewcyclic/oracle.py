@@ -40,15 +40,21 @@ components' sigma-orbit spans, one on each coordinate class 3k + t, so
 ``SlotSpan``s, built once per distinct component generator of an entry
 (``_slot_spans``). A component claim takes a ``ComponentCode`` and its
 config, which ``_by_component`` builds once per distinct component.
-``verify_entry`` reports the claims in ``CLAIMS`` order, whatever the
-data, and ``verify_all`` runs ``_verify_splitting`` once per distinct
-(field, i, pairs, seed) of its entries.
+``verify_entry`` runs the claims one at a time in ``CLAIMS`` order,
+whatever the data: a per-code claim maps every code to its verdict and
+folds them into one report before the next claim starts. Each sampled
+claim draws from its own ``Random(entry.seed)``: ``gray-isometry``,
+``principal-generator`` and the shift-closure pair (which share their
+component verdicts) one stream each, so no claim's samples depend on
+another claim's bounds. ``verify_all`` runs ``_verify_splitting`` once
+per distinct (field, i, pairs, seed) of its entries.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -831,9 +837,13 @@ def verify_duality(code: ComponentCode, cfg: dict) -> VerdictReport:
     return VerdictReport("duality", cfg, "exhaustive", False, witness)
 
 
-def verify_dual_gray_commutation(case: Case, dual: Case) -> VerdictReport:
+def verify_dual_gray_commutation(case: Case, dual: Case | None) -> VerdictReport:
     """Canonical bases of the Gray image's orthogonal space and of the Gray
-    image of the dual coincide; ``dual`` is the case of ``case.code.dual()``."""
+    image of the dual coincide; ``dual`` is the case of ``case.code.dual()``,
+    None when the census does not hold that code, which fails the claim."""
+    if dual is None:
+        witness = {"dual_outside_census": _code_config(case.code.dual())}
+        return VerdictReport("dual-gray-commute", case.config, "exhaustive", False, witness)
     fld = case.code.field
     kernel = linalg.nullspace(case.gray_rows, fld, 3 * case.code.n)
     lhs = tuple(tuple(r) for r in kernel)
@@ -988,8 +998,9 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
     Gray image of every production generator row (``case.gray_rows``),
     tested class by class (``_in_slot_spans``). ``contains`` accepts each
     of those rows once the span has certified it a member, and agrees
-    with the span on ``_PRINCIPALITY_SAMPLES`` words drawn from ``rng``,
-    each n split-coordinate digit triples; a sampled Gray index row reaches
+    with the span on ``_PRINCIPALITY_SAMPLES`` words, each n
+    split-coordinate digit triples, whose digits ``_draw_digits`` draws
+    from ``rng`` in one bulk call; a sampled Gray index row reaches
     ``contains`` as the ``RingElem`` word ``gray_inverse`` reads from it.
     The rows are not divided by the combined generator: once
     ``combined-generator`` shows that each g_t divides x^n - 1, their
@@ -1014,9 +1025,8 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
             )
         if not code.contains(row):
             return fail("exhaustive", {"generator_row_rejected": [str(x) for x in row]})
-    q = fld.q
-    for _ in range(_PRINCIPALITY_SAMPLES):
-        digits = [rng.randrange(q**3) for _ in range(code.n)]
+    q, n = fld.q, code.n
+    for digits in _draw_digits(rng, _PRINCIPALITY_SAMPLES * n, q**3).reshape(-1, n).tolist():
         row = [x for k in digits for x in (k // (q * q), k // q % q, k % q)]
         word = gray_inverse(fld, [elems[k] for k in row])
         if code.contains(word) != _in_slot_spans(spans, row):
@@ -1123,12 +1133,13 @@ def verify_combined_uniqueness(cases: Sequence[Case], config: dict) -> VerdictRe
         return VerdictReport("combined-generator", config, "exhaustive", False, witness)
 
     seen = {}
+    divides = functools.cache(_is_cofactor)  # each distinct (h_t, g_t, n) once
     for case in cases:
         code, g = case.code, case.combined
         if g in seen:
             return fail({"duplicate": case.config, "first": seen[g]})
         seen[g] = case.config
-        if not all(_is_cofactor(c.h, g_t, code.n) for c, g_t in zip(code.components, g)):
+        if not all(divides(c.h, g_t, code.n) for c, g_t in zip(code.components, g)):
             return fail({"not_a_divisor": case.config})
     return VerdictReport("combined-generator", config, "exhaustive", True)
 
@@ -1259,14 +1270,19 @@ def _guarded(claim: str, config: dict, check: Callable, *args) -> VerdictReport:
 def verify_entry(
     entry: TestMatrixEntry, inject_broken: bool = False, splitting: dict | None = None
 ) -> list[VerdictReport]:
-    """One report per claim of ``CLAIMS``, in that order, whatever the data;
-    a census that raises (a broken postcondition, say) fails every claim
-    about its codes, with the error. So does an exception inside a claim on
-    one code, or inside ``census-count`` (``_guarded``): it fails that
-    claim, and the run goes on to a verdict. A skipped verdict (a code past
-    ``bounds.enumeration``, a dual outside the census) is recorded like
-    any other, and ``_aggregate`` counts it as skipped. ``splitting`` is
-    ``verify_gray_isometry``'s memo of splitting checks."""
+    """One report per claim of ``CLAIMS``, run one claim at a time in that
+    order, whatever the data. A per-code claim maps every code of the census
+    to its verdict, and ``_aggregate`` folds them before the next claim
+    starts. A census that raises (a broken postcondition, say) fails every
+    claim about its codes, with the error. So does an exception inside a
+    claim on one code, or inside ``census-count`` (``_guarded``): it fails
+    that claim, and the run goes on to a verdict. A skipped verdict (a code
+    past ``bounds.enumeration``, a dual outside the census) is recorded like
+    any other, and ``_aggregate`` counts it as skipped. Each sampled claim
+    draws from its own ``Random(entry.seed)``: ``principal-generator`` from
+    one, the shift-closure pair, which shares its component verdicts, from
+    another, so no claim's samples depend on another claim's bounds.
+    ``splitting`` is ``verify_gray_isometry``'s memo of splitting checks."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
@@ -1282,66 +1298,47 @@ def verify_entry(
         return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
     cases = [_case(code) for code in codes]
     by_code = {case.code: case for case in cases}  # the census should hold every dual
+    dual = {code: by_code.get(code.dual()) for code in by_code}  # its case, or None
     reports.append(verify_combined_uniqueness(cases, cfg))
-    rng = random.Random(entry.seed)
-    per_code: dict[str, list[VerdictReport]] = {claim: [] for claim in CLAIMS[4:]}
+    principal_rng, closure_rng = random.Random(entry.seed), random.Random(entry.seed)
     slots: dict = {}  # this entry's slot spans, by (component generator, n)
     # each component's config and component-claim verdicts: shift-closure
     # and dual-shift-closure share theirs
     by_component: dict = {}
 
-    def record(v: VerdictReport):
-        per_code[v.claim].append(v)
-
-    def skip(claim: str, config: dict, reason: str) -> None:
-        record(VerdictReport(claim, config, "skipped", True, {"reason": reason}))
-
-    def per_component(claim: str, check: Callable, case: Case, *args) -> VerdictReport:
-        code, config = case.code, case.config
-        return _guarded(claim, config, _by_component, check, code, config, by_component, *args)
-
-    def closure(claim: str, case: Case) -> None:
+    def closure(case: Case | None, config: dict) -> VerdictReport:
+        if case is None:  # a dual outside the census, on the code's ``config``
+            reason = "dual outside the census"
+            return VerdictReport("shift-closure", config, "skipped", True, {"reason": reason})
         if case.code.size > entry.bounds.enumeration:
             reason = f"code size {case.code.size} exceeds bound {entry.bounds.enumeration}"
-            return skip(claim, case.config, reason)
-        v = per_component(claim, verify_shift_closure, case, rng)
-        record(VerdictReport(claim, v.config, v.mode, v.passed, v.counterexample))
+            return VerdictReport("shift-closure", case.config, "skipped", True, {"reason": reason})
+        args = (verify_shift_closure, case.code, case.config, by_component, closure_rng)
+        return _guarded("shift-closure", case.config, _by_component, *args)
 
-    for case in cases:
-        config = case.config
-        dual = by_code.get(case.code.dual())
-        record(_guarded("cardinality-rank", config, verify_cardinality, case))
-        record(per_component("duality", verify_duality, case))
-        if dual is None:
-            witness = {"dual_outside_census": _code_config(case.code.dual())}
-            record(VerdictReport("dual-gray-commute", config, "exhaustive", False, witness))
-        else:
-            record(_guarded("dual-gray-commute", config, verify_dual_gray_commutation, case, dual))
-        record(_guarded("decompose-compose", config, verify_decomposition, case))
-        record(per_component("idempotent-generator", verify_idempotent_generators, case))
-        record(_guarded("quasi-cyclic-gray", config, verify_quasi_cyclic_gray, case))
-        record(_guarded("principal-generator", config, verify_principality, case, rng, slots))
-        distance = entry.bounds.distance
-        record(_guarded("distance-law", config, verify_distance_law, case, distance, slots))
-        closure("shift-closure", case)
-        if dual is None:
-            skip("dual-shift-closure", case.config, "dual outside the census")
-        else:
-            closure("dual-shift-closure", dual)
-    reports += [_aggregate(claim, cfg, verdicts) for claim, verdicts in per_code.items()]
+    checks = {  # each per-code claim's verdict on one code's case
+        "cardinality-rank": verify_cardinality,
+        "duality": lambda case: _by_component(verify_duality, case.code, case.config, by_component),
+        "dual-gray-commute": lambda case: verify_dual_gray_commutation(case, dual[case.code]),
+        "decompose-compose": verify_decomposition,
+        "idempotent-generator": lambda case: _by_component(
+            verify_idempotent_generators, case.code, case.config, by_component
+        ),
+        "quasi-cyclic-gray": verify_quasi_cyclic_gray,
+        "principal-generator": lambda case: verify_principality(case, principal_rng, slots),
+        "distance-law": lambda case: verify_distance_law(case, entry.bounds.distance, slots),
+        "dual-shift-closure": lambda case: closure(dual[case.code], case.config),
+        "shift-closure": lambda case: closure(case, case.config),
+    }
+    for claim in CLAIMS[4:]:
+        check = checks[claim]
+        reports.append(_aggregate(claim, cfg, [_guarded(claim, c.config, check, c) for c in cases]))
     if inject_broken:
         # a proper-degree non-divisor needs length at least 2
         bad = broken_code(fld, entry.i, max(entry.n, 2))
-        v = _guarded("shift-closure", cfg, _by_component, verify_shift_closure, bad, cfg, {}, rng)
-        reports.append(
-            VerdictReport(
-                "shift-closure[injected-broken-generator]",
-                cfg,
-                v.mode,
-                v.passed,
-                v.counterexample,
-            )
-        )
+        args = (verify_shift_closure, bad, cfg, {}, closure_rng)
+        v = _guarded("shift-closure", cfg, _by_component, *args)
+        reports.append(replace(v, claim="shift-closure[injected-broken-generator]"))
     return reports
 
 

@@ -106,11 +106,6 @@ class SkewPoly:
     def one(cls, field: Field, aut: int) -> SkewPoly:
         return cls(field, [field.one.idx], aut)
 
-    @classmethod
-    def x_power(cls, field: Field, aut: int, k: int, coeff: int | None = None) -> SkewPoly:
-        c = field.one.idx if coeff is None else coeff
-        return cls(field, [0] * k + [c], aut)
-
     # -- structure ------------------------------------------------------------
 
     @property

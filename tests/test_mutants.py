@@ -22,6 +22,7 @@ import pytest
 
 from skewcyclic import linalg, oracle, ring_r, skew_poly
 from skewcyclic.codes import ComponentCode, SkewCyclicCode, census, component_code_new
+from skewcyclic.finite_field import FieldTables, LogTable
 from skewcyclic.oracle import (
     TestMatrixEntry,
     default_matrix,
@@ -253,6 +254,28 @@ def _remainder_columns_without_theta(mp):
     mp.setattr(ComponentCode, "_remainder_columns", untwisted)
 
 
+def _zech_swaps_two_entries(mp):
+    init = LogTable.__init__
+
+    def swapped(self, field):
+        init(self, field)
+        zech, n = self.zech, field.q - 1
+        for k in (1, n + 1):  # entries 1 and 2 and their doubled copies
+            zech[k], zech[k + 1] = zech[k + 1], zech[k]
+
+    mp.setattr(LogTable, "__init__", swapped)
+
+
+def _add_table_moves_one_entry(mp):
+    init = FieldTables.__init__
+
+    def moved(self, field):
+        init(self, field)
+        self.add[1][1] = (self.add[1][1] + 1) % field.q
+
+    mp.setattr(FieldTables, "__init__", moved)
+
+
 MUTANTS = {
     "skew_mul without theta": _skew_mul_without_theta,
     "reciprocal_cofactor without theta": _reciprocal_cofactor_without_theta,
@@ -295,6 +318,8 @@ MUTANTS = {
     "ComponentCode.contains rejects every word": _contains_answers(ComponentCode, False),
     "divisors_from_factorization repeats its second divisor": _census_repeats_a_divisor,
     "_remainder_columns without theta": _remainder_columns_without_theta,
+    "LogTable.zech swaps entries 1 and 2 (and their doubled copies)": _zech_swaps_two_entries,
+    "FieldTables.add moves add[1][1] to the next index": _add_table_moves_one_entry,
 }
 
 

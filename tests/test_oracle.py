@@ -492,6 +492,34 @@ class TestMatrixAndDualityOracles:
         v = verify_combined_uniqueness(cases + [cases[0]], entry9.config())
         assert not v.passed and "duplicate" in v.counterexample
 
+    def test_uniqueness_checks_each_distinct_cofactor_once(self, f9, monkeypatch):
+        calls = []
+        is_cofactor = oracle._is_cofactor
+
+        def counting(h, g, n):
+            calls.append((h, g))
+            return is_cofactor(h, g, n)
+
+        monkeypatch.setattr(oracle, "_is_cofactor", counting)
+        codes = census(3, f9, 1)
+        cases = [_case(code) for code in codes]
+        assert verify_combined_uniqueness(cases, {}).passed
+        pairs = {(c.h, c.g) for code in codes for c in code.components}
+        assert len(calls) == len(set(calls)) == len(pairs) == 4
+
+    def test_uniqueness_names_the_first_code_of_a_failing_cofactor(self, f9, monkeypatch):
+        codes = census(3, f9, 1)
+        cases = [_case(code) for code in codes]
+        bad = codes[5].c2.g  # every code with this generator in some slot fails
+        is_cofactor = oracle._is_cofactor
+        monkeypatch.setattr(
+            oracle, "_is_cofactor", lambda h, g, n: g != bad and is_cofactor(h, g, n)
+        )
+        v = verify_combined_uniqueness(cases, {})
+        first = next(case for case in cases if bad in case.combined)
+        assert first.code != codes[0]
+        assert not v.passed and v.counterexample == {"not_a_divisor": first.config}
+
 
 class TestQuasiCyclicOracle:
     def test_negative_control(self, f9):
@@ -692,6 +720,38 @@ class TestHarness:
         assert all(r.passed for r in reports)
         closures = [r for r in reports if r.claim.endswith("shift-closure")]
         assert [r.skipped for r in closures] == [closure_skipped] * 2
+
+    def test_principal_generator_samples_ignore_the_closure_bound(self, monkeypatch):
+        # principal-generator draws from its own stream: the shift-closure
+        # checks that the enumeration bound admits change none of its words
+        contains, principality = SkewCyclicCode.contains, oracle.verify_principality
+        words: list | None = None  # set while principal-generator runs
+
+        def recording(code, word):
+            if words is not None:
+                words.append([str(r) for r in word])
+            return contains(code, word)
+
+        def watched(*args):
+            nonlocal words
+            words = runs[-1]
+            try:
+                return principality(*args)
+            finally:
+                words = None
+
+        monkeypatch.setattr(SkewCyclicCode, "contains", recording)
+        monkeypatch.setattr(oracle, "verify_principality", watched)
+        runs, closures = [], []
+        for bound in (10**4, 0):
+            runs.append([])
+            entry = TestMatrixEntry(p=3, m=2, i=1, n=3, seed=5, bounds=Bounds(enumeration=bound))
+            reports = {r.claim: r for r in verify_entry(entry)}
+            assert reports["principal-generator"].passed
+            closures.append(reports["shift-closure"].skipped)
+        assert closures == [32, 64]
+        # 64 codes: each generator row and 20 sampled words
+        assert len(runs[0]) == 1568 and runs[0] == runs[1]
 
     def test_verify_entry_with_twisted_divisors_all_pass(self):
         # gcd(2, t_1) = 2 over F_9: some divisors of x^2 - 1 have
