@@ -48,7 +48,6 @@ from .skew_poly import (
     _coprime_part,
     _cyclotomic_cosets,
     _lane_xn_minus_1,
-    extended_gcd_commutative,
     lane_lift,
     lane_read,
     monic_right_divisors,
@@ -319,9 +318,10 @@ class ComponentCode:
 
         Requires n coprime to q and to the automorphism order, so that g and
         h lie in F_{p^i}[x]. e = a*g for a*g + b*h = 1 is built on the
-        subfield lane and kept in ``_idempotent`` once both postconditions
-        hold there: e*e = e, and gcd(e, x^n - 1) = g, which is <e> = <g>.
-        A failure raises on every call.
+        subfield lane, a from ``xgcd`` on the lane reads of g and h, and
+        kept in ``_idempotent`` once both postconditions hold there:
+        e*e = e, and gcd(e, x^n - 1) = g, which is <e> = <g>. A failure
+        raises on every call.
         """
         if self._idempotent is not None:
             return self._idempotent
@@ -331,12 +331,12 @@ class ComponentCode:
                 f"requires gcd(n, q) = gcd(n, t_i) = 1; "
                 f"got n = {self.n}, q = {self.field.q}, t_i = {t_i}"
             )
-        d, a, _ = extended_gcd_commutative(self.g, self.h)
-        if d.degree != 0:
-            raise NotCoprime(f"g and h share the factor {d}")
         lane = self.field.subfield(self.aut)
         g, xn1 = lane_read(lane, self.g), _lane_xn_minus_1(lane, self.n)
-        e = lane.rem(lane.mul(lane_read(lane, a), g), xn1)
+        d, a, _ = lane.xgcd(g, lane_read(lane, self.h))
+        if len(d) != 1:
+            raise NotCoprime(f"g and h share the factor {lane_lift(lane, d, self.aut)}")
+        e = lane.rem(lane.mul(a, g), xn1)
         if lane.rem(lane.mul(e, e), xn1) != e:
             raise AssertionError("constructed generator is not idempotent")
         if lane.gcd(e, xn1) != g:

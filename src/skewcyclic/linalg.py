@@ -2,9 +2,9 @@
 
 Rows are lists of element indices (``FieldElem.idx``); all elimination is
 table-driven and exact, in one forward-elimination loop (``_pivots``):
-``rank`` counts its pivots, and ``echelon`` copies them out for ``rref``,
-``in_row_space`` and the span enumerators. Only ``rref`` fully reduces,
-for ``canonical_subspace`` and ``nullspace``, which need a canonical form.
+``rank`` counts its pivots, and ``echelon`` copies them out for ``rref``
+and the span enumerators. Only ``rref`` fully reduces, for
+``canonical_subspace`` and ``nullspace``, which need a canonical form.
 The span enumerators expand F_q-vectors into base-p digit vectors so that
 bulk enumeration runs through numpy in chunks, in exact integer arithmetic
 mod p. They import numpy on their first call, so a process that enumerates
@@ -91,24 +91,6 @@ def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
 
 def rank(rows: Sequence[Sequence[int]], field: Field) -> int:
     return len(_pivots(rows, field))
-
-
-def in_row_space(basis: Sequence[Sequence[int]], row: Sequence[int], field: Field) -> bool:
-    """Is ``row`` in the span of ``basis``, any echelon basis (rref output
-    qualifies)?
-
-    Each basis row is zero before its pivot, its first nonzero entry, and
-    the pivots increase down the basis, so one pass that clears each pivot
-    column of ``row`` leaves zero exactly when ``row`` is in the span.
-    """
-    t = field.tables()
-    rest = list(row)
-    for b in basis:
-        c = _lead(b)
-        if rest[c]:
-            mul_f, sub = t.mul[t.mul[rest[c]][t.inv[b[c]]]], t.sub
-            rest = [sub[x][mul_f[y]] for x, y in zip(rest, b)]
-    return not any(rest)
 
 
 def nullspace(

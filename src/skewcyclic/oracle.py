@@ -15,27 +15,28 @@ build its rows.
 
 R[x, theta_i] = F_q[x, theta_i]^3 (checked once per entry by
 ``_verify_splitting``) makes every claim about a code over R a claim
-about its components. Shift closure, the dual and the idempotent
-generator are checked on each ``ComponentCode``, and a code over R passes
-when each of its components does (``_by_component``). The claims about
-the combined generator eta1*g1 + eta2*g2 + eta3*g3 read it in split
-coordinates, as the triple (g1, g2, g3): its rows, its cofactor and the
-idempotent are products on index vectors with the dense field tables,
-through the skew shift sigma (``_twist_orbit``). The a + bv + cv^2 form
+about its components, checked on each ``ComponentCode``: a code over R
+passes when each of its components does (``_by_component``). The one
+per-code check of production's rows over R is ``_placement``; the Gray
+claims report its witness. The claims about the combined generator
+eta1*g1 + eta2*g2 + eta3*g3 read it in split coordinates, as the triple
+(g1, g2, g3): its rows, its cofactor and the idempotent are products on
+index vectors with the dense field tables, through the skew shift sigma
+(``_twist_orbit``). The a + bv + cv^2 form
 with its schoolbook product (``_schoolbook_mul``) stays in three places:
 ``_verify_splitting``, the evaluation map of ``gray-isometry``
 (``_evaluations``), and the eta-combination (``_combine``) that
 ``decompose-compose`` hands to production's ``project_components`` and
-``ring_skew_poly_combine``. Production's rows over R reach the claims
-as Gray index rows through ``gray_map``, and the sampled words reach
+``ring_skew_poly_combine``. Production's rows over R reach ``_placement``
+through ``gray_map``, and the sampled words reach
 ``contains`` through ``gray_inverse``. The claims share only the field
 tables with production's arithmetic; ``_verify_tables`` checks them.
 
 Each claim has one path and builds nothing another claim reads. A claim
 over R takes a ``Case``: the code's config, its component generators and
-the Gray index rows of production's generator rows, built once per code
-by ``_case``. The combined generator's Gray span is the direct sum of its
-components' sigma-orbit spans, one on each coordinate class 3k + t, so
+its placement witness, built once per code by ``_case``. The combined
+generator's Gray span is the direct sum of its components' sigma-orbit
+spans, one on each coordinate class 3k + t, so
 ``principal-generator`` and ``distance-law`` read it as three
 ``SlotSpan``s, built once per distinct component generator of an entry
 (``_slot_spans``). A component claim takes a ``ComponentCode`` and its
@@ -60,7 +61,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import linalg
@@ -153,13 +154,15 @@ class TestMatrixEntry:
         return self._field
 
     def config(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "i": self.i,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        """The entry as ``matrix_from_json`` reads it back: p, m, i, n and
+        seed, with the modulus when it is not ``default_modulus(p, m)`` and
+        the bounds when they are not ``Bounds()``."""
+        cfg = {"p": self.p, "m": self.m, "i": self.i, "n": self.n, "seed": self.seed}
+        if self.modulus is not None and self.modulus != default_modulus(self.p, self.m):
+            cfg["modulus"] = list(self.modulus)
+        if self.bounds != Bounds():
+            cfg["bounds"] = asdict(self.bounds)
+        return cfg
 
 
 @dataclass
@@ -199,20 +202,18 @@ class Case:
     """What the claims over R read about one code, built by ``_case``.
 
     ``combined`` is eta1*g1 + eta2*g2 + eta3*g3 in split coordinates.
-    ``gray_rows`` are production's generator rows as Gray index rows
-    (``_gray_rows``), the one form in which ``cardinality-rank``,
-    ``dual-gray-commute``, ``quasi-cyclic-gray`` and
-    ``principal-generator`` read them. The combined generator's span is
-    not part of a case: it is the direct sum of the ``SlotSpan`` of each
-    g_t, which ``_slot_spans`` keeps once per distinct g_t of an entry. No
-    field of a case is an R element: ``decompose-compose`` builds its few
-    ``RingElem`` coefficients itself.
+    ``placement`` is ``_placement``'s witness, which the Gray claims and
+    ``principal-generator`` report as their failure. A case holds no Gray
+    rows and no span: the combined generator's span is the direct sum of
+    the ``SlotSpan`` of each g_t, which ``_slot_spans`` keeps once per
+    distinct g_t of an entry. No field of a case is an R element:
+    ``decompose-compose`` builds its few ``RingElem`` coefficients itself.
     """
 
     code: SkewCyclicCode
     config: dict
     combined: tuple[SkewPoly, SkewPoly, SkewPoly]  # (g1, g2, g3)
-    gray_rows: list[list[int]]  # production's generator rows, through _gray_rows
+    placement: dict | None  # None when production's rows are placed
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -785,23 +786,14 @@ def verify_shift_closure(code: ComponentCode, cfg: dict, rng: random.Random) -> 
     return VerdictReport(claim, cfg, "exhaustive", True)
 
 
-def _gray_rows(code: SkewCyclicCode) -> list[list[int]]:
-    """Gray index rows of the R-level generator rows, through ``gray_map``.
-
-    Production places ``gray_generator_rows`` straight from the component
-    rows; the claims below keep checking the Gray map on R words instead.
-    """
-    return linalg.to_index_rows([gray_map(row) for row in code.generator_rows()], code.field)
-
-
-def verify_cardinality(case: Case) -> VerdictReport:
-    """Rank of the Gray generator matrix equals 3n - sum(deg g_i)."""
-    code = case.code
-    r = linalg.rank(case.gray_rows, code.field)
-    expected = 3 * code.n - sum(c.g.degree for c in code.components)
+def verify_cardinality(code: ComponentCode, cfg: dict) -> VerdictReport:
+    """The rank of a component code's rows is n - deg g: over R, with
+    ``_placement``, the Gray rank is 3n - sum(deg g_t)."""
+    r = linalg.rank(linalg.to_index_rows(code.generator_rows(), code.field), code.field)
+    expected = code.n - code.g.degree
     ok = r == expected
     witness = None if ok else {"rank": r, "expected": expected}
-    return VerdictReport("cardinality-rank", case.config, "exhaustive", ok, witness)
+    return VerdictReport("cardinality-rank", cfg, "exhaustive", ok, witness)
 
 
 def verify_duality(code: ComponentCode, cfg: dict) -> VerdictReport:
@@ -837,52 +829,25 @@ def verify_duality(code: ComponentCode, cfg: dict) -> VerdictReport:
     return VerdictReport("duality", cfg, "exhaustive", False, witness)
 
 
-def verify_dual_gray_commutation(case: Case, dual: Case | None) -> VerdictReport:
-    """Canonical bases of the Gray image's orthogonal space and of the Gray
-    image of the dual coincide; ``dual`` is the case of ``case.code.dual()``,
-    None when the census does not hold that code, which fails the claim."""
-    if dual is None:
-        witness = {"dual_outside_census": _code_config(case.code.dual())}
-        return VerdictReport("dual-gray-commute", case.config, "exhaustive", False, witness)
-    fld = case.code.field
-    kernel = linalg.nullspace(case.gray_rows, fld, 3 * case.code.n)
-    lhs = tuple(tuple(r) for r in kernel)
-    rhs = linalg.canonical_subspace(dual.gray_rows, fld)
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        witness = {
-            "gray_kernel_dim": len(lhs),
-            "gray_dual_dim": len(rhs),
-        }
-    return VerdictReport("dual-gray-commute", case.config, "exhaustive", ok, witness)
-
-
-def _qc_shift(y: Sequence[int], frob: list[int]) -> list[int]:
-    """sigma on each coordinate class 3i + t of y: the Gray image of sigma."""
-    out = list(y)
-    for t in range(3):
-        out[t::3] = _twist_shift(y[t::3], frob)
-    return out
-
-
-def verify_quasi_cyclic_gray(case: Case) -> VerdictReport:
-    """The Gray image is closed under sigma on each coordinate class 3i + t
-    (``_qc_shift``), the image of sigma on R^n.
-
-    The shift is semilinear, so the image, with echelon basis B, is closed
-    exactly when rank(B + shift(B)) = rank(B). A failure names the first
-    basis row whose shift leaves the image.
-    """
-    code = case.code
+def verify_dual_gray_commutation(code: ComponentCode, cfg: dict) -> VerdictReport:
+    """The ``nullspace`` of a component code's rows is the span of its
+    dual's rows: over R, with ``_placement``, the Gray image of the dual is
+    the dual of the Gray image (``_dual_gray_commute``)."""
     fld = code.field
-    basis = linalg.echelon(case.gray_rows, fld)
-    frob = fld.frob_table(code.aut)
-    shifted = [_qc_shift(b, frob) for b in basis]
-    if linalg.rank(basis + shifted, fld) == len(basis):
-        return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", True)
-    word = next((b for b, s in zip(basis, shifted) if not linalg.in_row_space(basis, s, fld)), None)
-    return VerdictReport("quasi-cyclic-gray", case.config, "exhaustive", False, {"word": word})
+    kernel = linalg.nullspace(linalg.to_index_rows(code.generator_rows(), fld), fld, code.n)
+    dual = linalg.canonical_subspace(linalg.to_index_rows(code.dual().generator_rows(), fld), fld)
+    ok = tuple(map(tuple, kernel)) == dual
+    witness = None if ok else {"kernel_dim": len(kernel), "dual_dim": len(dual)}
+    return VerdictReport("dual-gray-commute", cfg, "exhaustive", ok, witness)
+
+
+def verify_quasi_cyclic_gray(code: ComponentCode, cfg: dict) -> VerdictReport:
+    """The span of a component code's rows is sigma-closed
+    (``_shift_closure_basis``): over R, with ``_placement``, the Gray image
+    is closed under sigma on each coordinate class 3k + t."""
+    basis, closed = _shift_closure_basis(code)
+    witness = None if closed else {"shift_closure_dim": len(basis), "dim": code.dim}
+    return VerdictReport("quasi-cyclic-gray", cfg, "exhaustive", closed, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +864,15 @@ class SlotSpan:
     the oracle's own ``_fold`` and ``_twist_orbit``, each row scaled by
     the inverse of its lead so that ``holds`` clears a lead column with
     one table lookup. ``leads`` are the lead columns. The minimum weight
-    is enumerated once, on first read (``min_weight``).
+    is enumerated once, on first read (``min_weight``), and each
+    component's rows are tested once (``outside``).
     """
 
     field: Field
     rows: list[list[int]]
     leads: list[int]
     _min_weight: int | None = dc_field(default=None, init=False, repr=False)
+    _outside: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def holds(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` (n indices) in the span?"""
@@ -917,6 +884,13 @@ class SlotSpan:
                 mul_f = mul[rest[c]]
                 rest = [sub[x][mul_f[y]] for x, y in zip(rest, row)]
         return not any(rest)
+
+    def outside(self, comp: ComponentCode) -> int | None:
+        """The index of the component's first row outside the span, or None."""
+        if comp not in self._outside:
+            rows = linalg.to_index_rows(comp.generator_rows(), self.field)
+            self._outside[comp] = next((k for k, r in enumerate(rows) if not self.holds(r)), None)
+        return self._outside[comp]
 
     def min_weight(self, bound: int) -> int | None:
         """The least weight of a nonzero word, refused past ``bound`` words."""
@@ -955,10 +929,45 @@ def _in_slot_spans(spans: Sequence[SlotSpan], row: Sequence[int]) -> bool:
     return all(span.holds(row[t::3]) for t, span in enumerate(spans))
 
 
+def _placement(code: SkewCyclicCode) -> dict | None:
+    """None when production's rows over R, through ``gray_map``, are the
+    rows of C1, C2, C3 in turn, each row of C_t on the coordinates 3k + t
+    and zero elsewhere; else the witness naming the slot and the row of
+    the first that is not, or the row counts when they differ."""
+    comps, zeros = code.components, (code.field.zero,) * code.n
+    want = [(t, k, r) for t, c in enumerate(comps) for k, r in enumerate(c.generator_rows())]
+    rows = code.generator_rows()
+    if len(rows) != len(want):
+        return {"rows": len(rows), "component_rows": len(want)}
+    for (t, k, crow), row in zip(want, rows):
+        gray = gray_map(row)
+        if any(gray[s::3] != (crow if s == t else zeros) for s in range(3)):
+            return {"slot": t + 1, "row": k, "gray_row": [str(x) for x in gray]}
+    return None
+
+
 def _case(code: SkewCyclicCode) -> Case:
     """Everything the claims over R share about ``code``."""
     combined = tuple(c.g for c in code.components)
-    return Case(code, _code_config(code), combined, _gray_rows(code))
+    return Case(code, _code_config(code), combined, _placement(code))
+
+
+def _placed(claim: str, check: Callable, case: Case, memo: dict) -> VerdictReport:
+    """``claim`` on the case: its placement witness, else ``_by_component``."""
+    if case.placement is not None:
+        return VerdictReport(claim, case.config, "exhaustive", False, case.placement)
+    return _by_component(check, case.code, case.config, memo)
+
+
+def _dual_gray_commute(case: Case, dual: Case | None, memo: dict) -> VerdictReport:
+    """``dual-gray-commute`` on the case: ``dual``, the case of production's
+    ``code.dual()`` (None outside the census), must hold the components'
+    duals, C^perp = eta1*C1^perp + eta2*C2^perp + eta3*C3^perp; then ``_placed``."""
+    if dual is None or dual.code.components != tuple(c.dual() for c in case.code.components):
+        key = "dual_outside_census" if dual is None else "dual_not_componentwise"
+        witness = {key: _code_config(case.code.dual())}
+        return VerdictReport("dual-gray-commute", case.config, "exhaustive", False, witness)
+    return _placed("dual-gray-commute", verify_dual_gray_commutation, case, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -992,13 +1001,13 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
     """Membership from the single combined generator agrees with the
     componentwise membership test.
 
-    The combined generator's Gray span is the direct sum of the slot spans
-    of g1, g2, g3 (``_slot_spans``, with the entry's memo ``slots``). Its
-    dimension, the sum of their ranks, is the code's, and it holds the
-    Gray image of every production generator row (``case.gray_rows``),
-    tested class by class (``_in_slot_spans``). ``contains`` accepts each
-    of those rows once the span has certified it a member, and agrees
-    with the span on ``_PRINCIPALITY_SAMPLES`` words, each n
+    The case's placement witness fails the claim. The combined generator's
+    Gray span is the direct sum of the slot spans of g1, g2, g3
+    (``_slot_spans``, with the entry's memo ``slots``). Its dimension, the
+    sum of their ranks, is the code's, and the span of g_t holds the rows
+    of C_t, tested once per (C_t, g_t) (``SlotSpan.outside``).
+    ``contains`` accepts each production row over R, and agrees with the
+    span on ``_PRINCIPALITY_SAMPLES`` words, each n
     split-coordinate digit triples, whose digits ``_draw_digits`` draws
     from ``rng`` in one bulk call; a sampled Gray index row reaches
     ``contains`` as the ``RingElem`` word ``gray_inverse`` reads from it.
@@ -1014,15 +1023,17 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
     def fail(mode: str, witness: dict) -> VerdictReport:
         return VerdictReport("principal-generator", case.config, mode, False, witness)
 
+    if case.placement is not None:
+        return fail("exhaustive", case.placement)
     dim = sum(len(span.rows) for span in spans)
     if dim != code.dim:
         return fail("exhaustive", {"combined_span_dim": dim, "code_dim": code.dim})
-
-    for row, gray_row in zip(code.generator_rows(), case.gray_rows):
-        if not _in_slot_spans(spans, gray_row):
-            return fail(
-                "exhaustive", {"generator_row_outside_combined_span": [str(x) for x in row]}
-            )
+    for t, (comp, span) in enumerate(zip(code.components, spans), 1):
+        k = span.outside(comp)
+        if k is not None:
+            row = [str(x) for x in comp.generator_rows()[k]]
+            return fail("exhaustive", {"slot": t, "generator_row_outside_combined_span": row})
+    for row in code.generator_rows():
         if not code.contains(row):
             return fail("exhaustive", {"generator_row_rejected": [str(x) for x in row]})
     q, n = fld.q, code.n
@@ -1317,14 +1328,18 @@ def verify_entry(
         return _guarded("shift-closure", case.config, _by_component, *args)
 
     checks = {  # each per-code claim's verdict on one code's case
-        "cardinality-rank": verify_cardinality,
+        "cardinality-rank": lambda case: _placed(
+            "cardinality-rank", verify_cardinality, case, by_component
+        ),
         "duality": lambda case: _by_component(verify_duality, case.code, case.config, by_component),
-        "dual-gray-commute": lambda case: verify_dual_gray_commutation(case, dual[case.code]),
+        "dual-gray-commute": lambda case: _dual_gray_commute(case, dual[case.code], by_component),
         "decompose-compose": verify_decomposition,
         "idempotent-generator": lambda case: _by_component(
             verify_idempotent_generators, case.code, case.config, by_component
         ),
-        "quasi-cyclic-gray": verify_quasi_cyclic_gray,
+        "quasi-cyclic-gray": lambda case: _placed(
+            "quasi-cyclic-gray", verify_quasi_cyclic_gray, case, by_component
+        ),
         "principal-generator": lambda case: verify_principality(case, principal_rng, slots),
         "distance-law": lambda case: verify_distance_law(case, entry.bounds.distance, slots),
         "dual-shift-closure": lambda case: closure(dual[case.code], case.config),

@@ -1,12 +1,31 @@
 import pytest
 
 from skewcyclic.finite_field import Field
-from skewcyclic.oracle import _by_component, _code_config, _evaluations
+from skewcyclic.oracle import (
+    _by_component,
+    _case,
+    _code_config,
+    _dual_gray_commute,
+    _evaluations,
+    _placed,
+)
 
 
 def over_r(check, code, *args):
     """A component claim on a code over R, through ``_by_component``."""
     return _by_component(check, code, _code_config(code), {}, *args)
+
+
+def placed(claim, check, code):
+    """A Gray claim on a code over R: its placement witness, else the
+    component claim ``check`` through ``_by_component``."""
+    return _placed(claim, check, _case(code), {})
+
+
+def dual_gray(code, dual=None):
+    """``dual-gray-commute`` on a code over R, with the case of ``dual``
+    (by default the code's dual) as the census case of its dual."""
+    return _dual_gray_commute(_case(code), _case(code.dual() if dual is None else dual), {})
 
 
 def evaluated(lane, field):

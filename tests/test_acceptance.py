@@ -6,10 +6,9 @@ One PASS line per criterion is printed for the run log.
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
-from conftest import over_r
+from conftest import dual_gray, over_r, placed
 
 from skewcyclic import linalg, oracle
 from skewcyclic.codes import (
@@ -32,7 +31,6 @@ from skewcyclic.oracle import (
     verify_census,
     verify_decomposition,
     verify_distance_law,
-    verify_dual_gray_commutation,
     verify_duality,
     verify_gray_isometry,
     verify_idempotent_generators,
@@ -42,6 +40,7 @@ from skewcyclic.oracle import (
 )
 from skewcyclic.ring_r import lee_distance, make_idempotents, ring_elem
 from skewcyclic.skew_poly import (
+    SkewPoly,
     factor_xn_minus_1,
     monic_right_divisors,
 )
@@ -109,7 +108,7 @@ def test_criterion_4_cardinality_rank(f9, censuses):
     checked = 0
     for n in (1, 2, 3, 5):
         for code in censuses[n]:
-            assert verify_cardinality(_case(code)).passed
+            assert placed("cardinality-rank", verify_cardinality, code).passed
             checked += 1
     # n = 4 has 36 component codes; iterate the 46656 codes lazily
     comps4 = [component_code_new(4, g) for g in monic_right_divisors(4, f9, 1)]
@@ -140,7 +139,7 @@ def test_criterion_6_dual_gray_commutation(censuses):
     checked = 0
     for n in (1, 2, 3):
         for code in censuses[n]:
-            assert verify_dual_gray_commutation(_case(code), _case(code.dual())).passed
+            assert dual_gray(code).passed
             checked += 1
     assert checked >= 20
     _report(6, f"dual/Gray commutation over {checked} codes")
@@ -202,8 +201,8 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
         "closure-component": verify_shift_closure(bad, _code_config(bad), rng),
         "closure-ring": over_r(verify_shift_closure, broken3, rng),
         "duality": over_r(verify_duality, broken3),
-        "dual-gray": verify_dual_gray_commutation(_case(broken3), _case(broken3.dual())),
-        "quasi-cyclic": verify_quasi_cyclic_gray(_case(broken3)),
+        "dual-gray": dual_gray(broken3),
+        "quasi-cyclic": placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, broken3),
         "distance": verify_distance_law(mismatched, DISTANCE_BOUND, {}),
         "principality": verify_principality(mismatched, rng, {}),
         "decomposition": verify_decomposition(mismatched),
@@ -212,10 +211,11 @@ def test_criterion_10_negative_controls(f9, monkeypatch):
     for name, verdict in verdicts.items():
         assert not verdict.passed, f"{name} accepted corrupted input"
         assert verdict.counterexample is not None, f"{name} lacks a witness"
-    # cardinality reads its corrupted side from the case; census and the
-    # isometry read theirs from the names they call
-    good = _case(census(1, f9, 1)[1])
-    v = verify_cardinality(replace(good, gray_rows=good.gray_rows[1:]))
+    # cardinality reads its corrupted side from the component's rows;
+    # census and the isometry read theirs from the names they call
+    short = component_code_new(1, SkewPoly.one(f9, 1))
+    object.__setattr__(short, "_rows", short.generator_rows()[1:])
+    v = verify_cardinality(short, _code_config(short))
     assert not v.passed and v.counterexample is not None
     entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
     with monkeypatch.context() as patch:

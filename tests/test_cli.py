@@ -596,18 +596,20 @@ class TestVerifyCommand:
     def test_failing_verdict_names_the_failing_code(self, capsys, tmp_path, monkeypatch):
         from skewcyclic import oracle
 
-        real, broken = oracle.verify_cardinality, []
+        from skewcyclic.codes import census, code_to_json
 
-        def fail_fifth_code(case):
-            v = real(case)
-            broken.append(v.config)
-            if len(broken) == 5:
+        real, checked = oracle.verify_cardinality, []
+
+        def fail_second_component(comp, cfg):
+            v = real(comp, cfg)
+            checked.append(cfg)
+            if len(checked) == 2:
                 return oracle.VerdictReport(
                     v.claim, v.config, v.mode, False, {"rank": 0, "expected": 1}
                 )
             return v
 
-        monkeypatch.setattr(oracle, "verify_cardinality", fail_fifth_code)
+        monkeypatch.setattr(oracle, "verify_cardinality", fail_second_component)
         matrix = tmp_path / "matrix.json"
         matrix.write_text(json.dumps([{"p": 3, "m": 2, "i": 1, "n": 3}]))
         code, out, _ = run(capsys, "verify", "--matrix", str(matrix))
@@ -616,10 +618,13 @@ class TestVerifyCommand:
         failing = [v for v in verdicts if not v["pass"]]
         assert [v["claim"] for v in failing] == ["cardinality-rank"]
         assert failing[0]["config"]["n"] == 3 and "g1" not in failing[0]["config"]
+        # the census runs its last slot fastest: the second distinct
+        # component first appears in slot 3 of the second code
+        first = code_to_json(census(3, oracle.TestMatrixEntry(p=3, m=2, i=1, n=3).field(), 1)[1])
         assert failing[0]["counterexample"] == {
-            "rank": 0, "expected": 1, "code": broken[4],
+            "rank": 0, "expected": 1, "slot": 3, "code": first,
         }
-        assert broken[4]["g1"] and broken[4] != broken[0]
+        assert first["g3"] == checked[1]["g"] and len(checked) == 4
 
     def test_malformed_matrix_exits_2(self, capsys, tmp_path):
         matrix = tmp_path / "matrix.json"

@@ -218,41 +218,6 @@ class TestWeightDistribution:
 _FIELDS = {9: Field(3, 2, [1, 0, 1]), 25: Field(5, 2, [2, 0, 1]), 27: Field(3, 3, [1, 2, 0, 1])}
 
 
-class TestInRowSpace:
-    """``in_row_space`` on an ``rref`` basis agrees with the rank test."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(q=st.sampled_from([9, 25]), n=st.integers(1, 5), data=st.data())
-    def test_equals_the_rank_test(self, q, n, data):
-        fld = _FIELDS[q]
-        t = fld.tables()
-        entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-        rows = data.draw(st.lists(entries, max_size=n + 1))
-        # a combination of the rows, which a random row seldom is
-        coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows)))
-        combo = [0] * n
-        for c, r in zip(coeffs, rows):
-            combo = [t.add[a][t.mul[c][b]] for a, b in zip(combo, r)]
-        row = data.draw(st.one_of(st.just(combo), st.just([0] * n), entries))
-        expected = linalg.rank(rows + [row], fld) == linalg.rank(rows, fld)
-        assert linalg.in_row_space(linalg.rref(rows, fld), row, fld) == expected
-
-    @pytest.mark.parametrize("q", [9, 25])
-    def test_empty_basis_holds_only_zero(self, q):
-        fld = _FIELDS[q]
-        assert linalg.in_row_space([], [0, 0, 0], fld)
-        assert not linalg.in_row_space([], [0, 1, 0], fld)
-
-    @pytest.mark.parametrize("q", [9, 25])
-    def test_full_rank_holds_every_row(self, q):
-        fld = _FIELDS[q]
-        rng = random.Random(q)
-        basis = linalg.rref(_random_matrix(fld, 4, 3, rng), fld)
-        assert len(basis) == 3
-        for _ in range(20):
-            assert linalg.in_row_space(basis, _random_matrix(fld, 1, 3, rng)[0], fld)
-
-
 def _reference_rref(rows, field):
     """The Gauss-Jordan loop that ``linalg.rref`` ran before it was split
     into ``echelon`` and back-substitution, kept verbatim as the reference."""
@@ -374,20 +339,6 @@ class TestEchelon:
         )
         fld = SimpleNamespace(tables=lambda: broken)
         assert linalg.rank([[1, 1, 1]] * 4, fld) == 3
-
-    @settings(max_examples=200, deadline=None)
-    @given(_matrices(), st.data())
-    def test_in_row_space_on_an_echelon_basis_equals_the_rank_test(self, case, data):
-        fld, rows, ncols = case
-        q = fld.q
-        entries = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
-        candidates = [entries, st.just([0] * ncols)]
-        if rows:
-            coeffs = st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows))
-            candidates.append(coeffs.map(lambda c: _combine(c, rows, fld)))
-        row = data.draw(st.one_of(candidates))
-        expected = linalg.rank(rows + [row], fld) == linalg.rank(rows, fld)
-        assert linalg.in_row_space(linalg.echelon(rows, fld), row, fld) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(_matrices(), st.data())

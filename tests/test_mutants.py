@@ -67,6 +67,16 @@ def _oracle_lane_without_theta(mp):
     mp.setattr(oracle, "_twist_orbit", lambda w, count, frob: orbit(w, count, range(len(frob))))
 
 
+def _idempotents_swap_eta2_eta3(mp):
+    from skewcyclic import codes
+
+    def swapped(field):
+        eta1, eta2, eta3 = ring_r.make_idempotents(field)
+        return ring_r.Idempotents(eta1, eta3, eta2)
+
+    mp.setattr(codes, "make_idempotents", swapped)
+
+
 def _membership_accepts_everything(mp):
     mp.setattr(ComponentCode, "_contains_indices", lambda self, word: True)
 
@@ -284,6 +294,7 @@ MUTANTS = {
     # only ComponentCode.contains: SkewCyclicCode.contains still rejects
     "ComponentCode.contains accepts every word": _contains_answers(ComponentCode, True),
     "gray_map emits (x1, x3, x2)": _gray_map_swaps_x2_x3,
+    "make_idempotents swaps eta2 and eta3, as codes calls it": _idempotents_swap_eta2_eta3,
     "min_hamming_distance + 1": _distance_plus_one,
     "idempotent_generator returns g": _idempotent_is_the_generator,
     "ComponentCode.dual returns the code": _dual_is_the_code,

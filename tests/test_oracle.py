@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import over_r
+from conftest import dual_gray, over_r, placed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +51,7 @@ from skewcyclic.oracle import (
     verify_quasi_cyclic_gray,
     verify_shift_closure,
 )
-from skewcyclic.ring_r import ring_elements
+from skewcyclic.ring_r import gray_map, ring_elements
 from skewcyclic.skew_poly import (
     SkewPoly,
     mod_xn_minus_1,
@@ -63,6 +63,7 @@ from skewcyclic.skew_poly import (
 
 
 BENCH_MATRIX = Path(__file__).parents[1] / "bench" / "verify_matrix.json"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +407,7 @@ class TestComponentClaims:
 
 class TestMatrixAndDualityOracles:
     def test_cardinality(self, mixed_code):
-        assert verify_cardinality(_case(mixed_code)).passed
+        assert placed("cardinality-rank", verify_cardinality, mixed_code).passed
 
     def test_gray_claims_use_gray_map_not_production_rows(
         self, mixed_code, monkeypatch
@@ -415,20 +416,21 @@ class TestMatrixAndDualityOracles:
             raise AssertionError("oracle read the production Gray rows")
 
         monkeypatch.setattr(SkewCyclicCode, "gray_generator_rows", refuse)
-        case = _case(mixed_code)
-        assert verify_cardinality(case).passed
-        assert verify_dual_gray_commutation(case, _case(mixed_code.dual())).passed
-        assert verify_quasi_cyclic_gray(case).passed
+        assert placed("cardinality-rank", verify_cardinality, mixed_code).passed
+        assert dual_gray(mixed_code).passed
+        assert placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, mixed_code).passed
         assert over_r(verify_shift_closure, mixed_code, random.Random(0)).passed
 
-    def test_cardinality_negative_control(self, mixed_code):
-        case = _case(mixed_code)
-        rows = case.gray_rows
-        v = verify_cardinality(replace(case, gray_rows=rows + [rows[0]]))
+    def test_cardinality_negative_control(self, f9):
+        comp = component_code_new(2, poly_from_string("x-[0,1]", f9, 1))
+        rows = comp.generator_rows()
+        object.__setattr__(comp, "_rows", tuple(rows + rows[:1]))
+        v = verify_cardinality(comp, _code_config(comp))
         assert v.passed  # duplicate row does not change the rank
-        v = verify_cardinality(replace(case, gray_rows=rows[1:]))
+        object.__setattr__(comp, "_rows", tuple(rows[1:]))
+        v = verify_cardinality(comp, _code_config(comp))
         assert not v.passed
-        assert v.counterexample["rank"] == mixed_code.dim - 1
+        assert v.counterexample == {"rank": comp.dim - 1, "expected": comp.dim}
 
     def test_duality(self, mixed_code):
         assert over_r(verify_duality, mixed_code).passed
@@ -449,8 +451,18 @@ class TestMatrixAndDualityOracles:
         assert not v.passed and "inner_product" in v.counterexample
 
     def test_dual_gray_commutation(self, mixed_code):
-        case = _case(mixed_code)
-        assert verify_dual_gray_commutation(case, _case(mixed_code.dual())).passed
+        assert dual_gray(mixed_code).passed
+        for comp in mixed_code.components:
+            assert verify_dual_gray_commutation(comp, _code_config(comp)).passed
+
+    def test_dual_gray_checks_the_dual_components(self, mixed_code):
+        # a census case of a code whose components are not the
+        # components' duals fails, naming production's dual
+        other = code_from_components(*reversed(mixed_code.dual().components))
+        v = dual_gray(mixed_code, other)
+        assert not v.passed and v.counterexample == {
+            "dual_not_componentwise": _code_config(mixed_code.dual())
+        }
 
     def test_self_dual_code_has_self_dual_gray_image(self, f9):
         from skewcyclic import linalg
@@ -458,7 +470,7 @@ class TestMatrixAndDualityOracles:
         c = component_code_new(2, poly_from_string("x-[0,1]", f9, 1))
         code = code_from_components(c, c, c)
         assert code.is_self_dual()
-        assert verify_dual_gray_commutation(_case(code), _case(code)).passed
+        assert dual_gray(code, code).passed
         rows = linalg.to_index_rows(code.gray_generator_rows(), f9)
         image = linalg.canonical_subspace(rows, f9)
         kernel = tuple(tuple(r) for r in linalg.nullspace(rows, f9, 6))
@@ -466,8 +478,8 @@ class TestMatrixAndDualityOracles:
 
     def test_dual_gray_negative_control(self, f9):
         code = broken_code(f9, 1, 3)
-        v = verify_dual_gray_commutation(_case(code), _case(code.dual()))
-        assert not v.passed
+        v = dual_gray(code)
+        assert not v.passed and v.counterexample["slot"] == 1
 
     def test_decomposition(self, mixed_code):
         assert verify_decomposition(_case(mixed_code)).passed
@@ -523,8 +535,10 @@ class TestMatrixAndDualityOracles:
 
 class TestQuasiCyclicOracle:
     def test_negative_control(self, f9):
-        v = verify_quasi_cyclic_gray(_case(broken_code(f9, 1, 3)))
-        assert not v.passed and list(v.counterexample) == ["word"]
+        for slot in (1, 2, 3):
+            v = placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, broken_code(f9, 1, 3, slot))
+            assert not v.passed and v.counterexample["slot"] == slot
+            assert v.counterexample["shift_closure_dim"] > v.counterexample["dim"]
 
 
 class TestPrincipalityOracle:
@@ -537,17 +551,27 @@ class TestPrincipalityOracle:
         assert v.counterexample["combined_span_dim"] == 6
         assert v.counterexample["code_dim"] == 9
 
-    def test_generator_row_outside_the_combined_span_fails(self, mixed_code):
+    def test_generator_row_outside_the_combined_span_fails(self, mixed_code, f9):
+        from skewcyclic.codes import census_components
+
+        # another degree-1 generator in slot 1: the dimensions agree, and
+        # its span misses the first row of C1
         case = _case(mixed_code)
-        spans = oracle._slot_spans(case, {})
-        width = 3 * mixed_code.n
-        units = ([int(k == j) for k in range(width)] for j in range(width))
-        outside = next(u for u in units if not oracle._in_slot_spans(spans, u))
-        v = verify_principality(replace(case, gray_rows=[outside]), random.Random(0), {})
+        c1 = mixed_code.c1
+        other = next(
+            c.g for c in census_components(2, f9, 1) if c.g.degree == 1 and c.g != c1.g
+        )
+        slots: dict = {}
+        foreign = replace(case, combined=(other,) + case.combined[1:])
+        v = verify_principality(foreign, random.Random(0), slots)
         assert not v.passed and v.mode == "exhaustive"
-        assert v.counterexample["generator_row_outside_combined_span"] == [
-            str(x) for x in mixed_code.generator_rows()[0]
-        ]
+        assert v.counterexample == {
+            "slot": 1,
+            "generator_row_outside_combined_span": [str(x) for x in c1.generator_rows()[0]],
+        }
+        # the same component against its own generator's span is tested
+        # apart, so the memo does not carry the failure over
+        assert verify_principality(case, random.Random(0), slots).passed
 
     def test_membership_rejecting_every_word_fails(self, mixed_code, monkeypatch):
         monkeypatch.setattr(SkewCyclicCode, "contains", lambda self, word: False)
@@ -690,6 +714,33 @@ class TestIdempotentOracle:
             assert v.counterexample.get("slot") == slot
 
 
+class TestEntryConfig:
+    def test_default_entry_prints_no_modulus_or_bounds(self):
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=2, modulus=(1, 0, 1))
+        assert entry.config() == {"p": 3, "m": 2, "i": 1, "n": 2, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            TestMatrixEntry(p=3, m=2, i=1, n=2, modulus=(2, 2, 1)),
+            TestMatrixEntry(p=3, m=2, i=1, n=2, bounds=Bounds(pairs=0)),
+            TestMatrixEntry(p=3, m=2, i=1, n=2, bounds=Bounds(search=5, distance=7)),
+        ],
+    )
+    def test_config_tells_entries_apart_and_replays_to_them(self, other):
+        base = TestMatrixEntry(p=3, m=2, i=1, n=2)
+        assert other.config() != base.config()
+        for entry in (base, other):
+            (replayed,) = matrix_from_json([json.loads(json.dumps(entry.config()))], 99)
+            assert replayed == entry and replayed.field() == entry.field()
+
+    def test_f25_pin_replays_to_its_field(self):
+        (entry,) = matrix_from_json(json.loads((DATA / "verify_matrix_f25_n3.json").read_text()), 0)
+        assert entry.config()["modulus"] == [2, 0, 1] != list(default_modulus(5, 2))
+        (replayed,) = matrix_from_json([entry.config()], 1)
+        assert replayed.field() == entry.field() and replayed.seed == 0
+
+
 class TestHarness:
     def test_default_matrix_shape(self):
         entries = default_matrix()
@@ -829,11 +880,11 @@ class TestHarness:
     def test_entry_builds_each_component_dual_and_idempotent_once(self, monkeypatch):
         from skewcyclic import codes
 
+        from skewcyclic.finite_field import Subfield
+
         duals: dict[int, list] = {}  # id(component) -> [component, each dual() result]
-        built_by_dual, in_dual, egcd_on = [], [], []
-        new, dual, egcd = (
-            codes.component_code_new, ComponentCode.dual, codes.extended_gcd_commutative
-        )
+        built_by_dual, in_dual, xgcd_on = [], [], []
+        new, dual, xgcd = codes.component_code_new, ComponentCode.dual, Subfield.xgcd
 
         def recording_new(n, g):
             code = new(n, g)
@@ -850,13 +901,13 @@ class TestHarness:
             duals.setdefault(id(self), [self]).append(result)
             return result
 
-        def recording_egcd(g, h):
-            egcd_on.append(g)
-            return egcd(g, h)
+        def recording_xgcd(lane, g, h):
+            xgcd_on.append(tuple(g))
+            return xgcd(lane, g, h)
 
         monkeypatch.setattr(codes, "component_code_new", recording_new)
         monkeypatch.setattr(ComponentCode, "dual", recording_dual)
-        monkeypatch.setattr(codes, "extended_gcd_commutative", recording_egcd)
+        monkeypatch.setattr(Subfield, "xgcd", recording_xgcd)
         reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=5))
         assert all(r.passed for r in reports)
         # the 4 census components and their 4 duals (whose duals are the
@@ -864,12 +915,12 @@ class TestHarness:
         assert len(duals) == 8 and len(built_by_dual) == 8
         assert all(all(d is got[1] for d in got[1:]) for got in duals.values())
         assert {id(got[1]) for got in duals.values()} == {id(c) for c in built_by_dual}
-        # one Bezout construction per distinct census component
-        assert len(egcd_on) == 4 and len(set(egcd_on)) == 4
+        # one Bezout construction on the lane per distinct census component
+        assert len(xgcd_on) == 4 and len(set(xgcd_on)) == 4
 
     def test_entry_searches_divisors_and_builds_slot_spans_once(self, monkeypatch):
         calls: dict[str, list] = {}
-        names = ("brute_right_divisors", "_slot_span", "_gray_rows")
+        names = ("brute_right_divisors", "_slot_span", "_placement")
         for name in names:
 
             def recording(*args, name=name, build=getattr(oracle, name)):
@@ -882,11 +933,11 @@ class TestHarness:
         assert all(r.passed for r in reports.values())
         # census-count and fixed-subfield-divisors share one search; the
         # slot span of each of the 4 distinct component generators is built
-        # once for the entry, and the Gray rows of production's generator
+        # once for the entry, and the placement of production's generator
         # rows once per code, by its case (the census holds every dual)
         assert len(calls["brute_right_divisors"]) == 1
         assert len(calls["_slot_span"]) == len({args for args in calls["_slot_span"]}) == 4
-        assert len(calls["_gray_rows"]) == 64
+        assert len(calls["_placement"]) == 64
         assert reports["principal-generator"].checked == reports["distance-law"].checked == 64
         assert reports["dual-gray-commute"].checked == reports["cardinality-rank"].checked == 64
 
@@ -1366,8 +1417,7 @@ class TestRankClaimsAgainstEnumeration:
             assert not v.passed
 
     def test_quasi_cyclic_flags_equal_span_enumeration(self, f9):
-        from skewcyclic import linalg
-        from skewcyclic.oracle import _qc_shift
+        from skewcyclic.oracle import _shift_closure_basis
 
         checked = 0
         codes = [c for n in (1, 2, 3) for c in census(n, f9, 1)]
@@ -1376,16 +1426,14 @@ class TestRankClaimsAgainstEnumeration:
         for code in codes:
             if code.size > 10**3:
                 continue
-            case = _case(code)
-            span = linalg.span_vectors(case.gray_rows, f9, 10**3, ncols=3 * code.n)
+            rows = _reference_gray_rows(code)
+            span = linalg.span_vectors(rows, f9, 10**3, ncols=3 * code.n)
             frob = f9.frob_table(code.aut)
             closed = all(tuple(_qc_shift(y, frob)) in span for y in span)
-            v = verify_quasi_cyclic_gray(case)
+            v = placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, code)
             assert v.passed == closed, code
             if not v.passed:
-                word = tuple(v.counterexample["word"])
-                assert word in span
-                assert tuple(_qc_shift(word, frob)) not in span
+                assert not _shift_closure_basis(code.components[v.counterexample["slot"] - 1])[1]
             checked += 1
         assert checked >= 100
 
@@ -1424,6 +1472,44 @@ def _combined_gray_rows(combined, n):
     return rows
 
 
+# The 3n-column forms of the three Gray claims that the component forms
+# replaced, kept as their reference: production's rows over R through
+# ``gray_map``, reduced as one matrix per code.
+
+
+def _reference_gray_rows(code):
+    return linalg.to_index_rows([gray_map(row) for row in code.generator_rows()], code.field)
+
+
+def _reference_cardinality(code) -> bool:
+    """The rank of the Gray rows is 3n - sum(deg g_t)."""
+    expected = 3 * code.n - sum(c.g.degree for c in code.components)
+    return linalg.rank(_reference_gray_rows(code), code.field) == expected
+
+
+def _reference_dual_gray_commute(code, dual) -> bool:
+    """The nullspace of the Gray rows is the span of the dual's Gray rows."""
+    fld = code.field
+    kernel = linalg.nullspace(_reference_gray_rows(code), fld, 3 * code.n)
+    return tuple(map(tuple, kernel)) == linalg.canonical_subspace(_reference_gray_rows(dual), fld)
+
+
+def _qc_shift(y, frob):
+    """sigma on each coordinate class 3k + t of y: the Gray image of sigma."""
+    out = list(y)
+    for t in range(3):
+        out[t::3] = oracle._twist_shift(y[t::3], frob)
+    return out
+
+
+def _reference_quasi_cyclic(code) -> bool:
+    """The echelon basis B of the Gray rows has rank(B + shift(B)) = rank(B)."""
+    fld = code.field
+    basis = linalg.echelon(_reference_gray_rows(code), fld)
+    frob = fld.frob_table(code.aut)
+    return linalg.rank(basis + [_qc_shift(b, frob) for b in basis], fld) == len(basis)
+
+
 _SLOT_CENSUSES = {
     "F9 n=3": (Field(3, 2, (1, 0, 1)), 3),
     "F9 n=2, gcd 2": (Field(3, 2, (1, 0, 1)), 2),
@@ -1459,5 +1545,108 @@ def test_slot_span_test_equals_the_full_row_space_test(name, seed):
         moved[k] = t.add[moved[k]][rng.randrange(1, fld.q)]
         uniform = [rng.randrange(fld.q) for _ in range(3 * n)]
         for word in (member, moved, uniform):
-            assert oracle._in_slot_spans(spans, word) == linalg.in_row_space(full, word, fld)
+            in_span = linalg.rank(full + [word], fld) == len(full)
+            assert oracle._in_slot_spans(spans, word) == in_span
         assert oracle._in_slot_spans(spans, member)
+
+
+@pytest.mark.parametrize("name", sorted(_SLOT_CENSUSES))
+def test_component_gray_claims_agree_with_the_3n_column_reference(name):
+    # every census code, and the broken code in each slot, whose dual is
+    # outside the census and gets its own case
+    fld, n = _SLOT_CENSUSES[name]
+    broken = [broken_code(fld, 1, n, slot) for slot in (1, 2, 3)]
+    cases = {code: _case(code) for code in census(n, fld, 1) + broken}
+    memo: dict = {}
+    for code, case in cases.items():
+        dual = code.dual()
+        got = (
+            oracle._placed("cardinality-rank", verify_cardinality, case, memo).passed,
+            oracle._dual_gray_commute(case, cases.get(dual) or _case(dual), memo).passed,
+            oracle._placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, case, memo).passed,
+        )
+        want = (
+            _reference_cardinality(code),
+            _reference_dual_gray_commute(code, dual),
+            _reference_quasi_cyclic(code),
+        )
+        assert got == want, code
+        assert all(want) == (code not in broken), code
+
+
+def _swap_eta2_eta3(monkeypatch):
+    """Production's rows over R built with eta2 and eta3 swapped, as
+    ``codes`` reads them."""
+    from skewcyclic import codes
+    from skewcyclic.ring_r import Idempotents, make_idempotents
+
+    def swapped(field):
+        eta1, eta2, eta3 = make_idempotents(field)
+        return Idempotents(eta1, eta3, eta2)
+
+    monkeypatch.setattr(codes, "make_idempotents", swapped)
+
+
+class TestPlacement:
+    def test_swapped_idempotents_fail_every_gray_claim_in_the_slot(self, f9, monkeypatch):
+        _swap_eta2_eta3(monkeypatch)
+        full = component_code_new(3, SkewPoly.one(f9, 1))
+        zero = component_code_new(3, xn_minus_1(f9, 1, 3))
+        code = code_from_components(zero, full, zero)
+        case = _case(code)
+        witness = {
+            "slot": 2, "row": 0, "gray_row": [str(x) for x in gray_map(code.generator_rows()[0])]
+        }
+        assert case.placement == witness and witness["gray_row"][2] != "0"
+        memo: dict = {}
+        verdicts = [
+            oracle._placed("cardinality-rank", verify_cardinality, case, memo),
+            oracle._dual_gray_commute(case, _case(code.dual()), memo),
+            oracle._placed("quasi-cyclic-gray", verify_quasi_cyclic_gray, case, memo),
+            verify_principality(case, random.Random(0), {}),
+        ]
+        assert [v.claim for v in verdicts] == [
+            "cardinality-rank", "dual-gray-commute", "quasi-cyclic-gray", "principal-generator"
+        ]
+        for v in verdicts:
+            assert (v.passed, v.mode, v.counterexample) == (False, "exhaustive", witness)
+        # the component forms never saw the misplaced rows
+        assert memo == {}
+
+    def test_swapped_idempotents_fail_only_the_gray_claims_of_an_entry(self, monkeypatch):
+        _swap_eta2_eta3(monkeypatch)
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
+        failed = {r.claim: r.counterexample for r in reports if not r.passed}
+        assert sorted(failed) == sorted(
+            ["cardinality-rank", "dual-gray-commute", "quasi-cyclic-gray", "principal-generator"]
+        )
+        assert all(w["slot"] in (2, 3) and "code" in w for w in failed.values())
+
+    def test_a_missing_extra_or_moved_row_is_named(self, mixed_code, monkeypatch):
+        rows = mixed_code.generator_rows()
+        for got in (rows[:-1], rows + rows[:1]):
+            monkeypatch.setattr(SkewCyclicCode, "generator_rows", lambda self, got=got: got)
+            assert _case(mixed_code).placement == {"rows": len(got), "component_rows": 3}
+        # C1's row put after C2's: the first row is C2's, in slot 1
+        moved = rows[1:2] + rows[:1] + rows[2:]
+        monkeypatch.setattr(SkewCyclicCode, "generator_rows", lambda self: moved)
+        assert _case(mixed_code).placement == {
+            "slot": 1, "row": 0, "gray_row": [str(x) for x in gray_map(moved[0])]
+        }
+
+    def test_bench_entry_runs_each_gray_claim_once_per_component(self, monkeypatch):
+        calls: dict[str, int] = {}
+        names = ("verify_cardinality", "verify_dual_gray_commutation", "verify_quasi_cyclic_gray")
+        for name in names:
+
+            def counting(*args, name=name, check=getattr(oracle, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return check(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        (entry,) = matrix_from_json(json.loads(BENCH_MATRIX.read_text()), 0)
+        reports = {r.claim: r for r in verify_entry(entry)}
+        assert all(r.passed for r in reports.values())
+        # 64 codes from D = 4 components: one component verdict each
+        assert reports["cardinality-rank"].checked == 64
+        assert calls == {name: 4 for name in names}
