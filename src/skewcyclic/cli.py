@@ -24,11 +24,9 @@ from . import codes as codes_mod
 from . import oracle as oracle_mod
 from .codes import (
     CodeError,
-    census_components,
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,
-    HypothesisViolated,
 )
 from .finite_field import (
     EnumerationTooLarge,
@@ -42,6 +40,7 @@ from .ring_r import gray_map, lee_weight, ring_vector_from_string, ring_vector_t
 from .skew_poly import (
     SkewPolyError,
     factor_xn_minus_1,
+    monic_right_divisors,
     poly_from_string,
     poly_to_string,
     project_components,
@@ -160,14 +159,10 @@ def cmd_field(args) -> int:
 def cmd_factor(args) -> int:
     fld = _parse_field(args)
     _length(args)
-    t_i = fld.check_aut_exponent(args.aut)
-    if math.gcd(args.n, t_i) != 1:
-        raise HypothesisViolated(
-            f"gcd(n, t_i) = {math.gcd(args.n, t_i)} != 1 "
-            f"(n = {args.n}, t_i = {t_i}); the census formula does not apply"
-        )
-    fac = factor_xn_minus_1(args.n, fld, args.aut)
+    # the count refuses gcd(n, t_i) != 1 and n' past FACTOR_LIMIT before
+    # anything is factored
     over_field, over_ring = count_skew_cyclic_codes(args.n, fld, args.aut)
+    fac = factor_xn_minus_1(args.n, fld, args.aut)
     payload = {
         "field": field_to_json(fld),
         "aut": args.aut,
@@ -338,12 +333,18 @@ _JSON_ROW = (
 def cmd_census(args) -> int:
     fld = _parse_field(args)
     _length(args)
-    comps = census_components(args.n, fld, args.aut, bound=args.bound)
-    count = len(comps) ** 3
     t_i = fld.check_aut_exponent(args.aut)
     formula = None
     if math.gcd(args.n, t_i) == 1:
         formula = count_skew_cyclic_codes(args.n, fld, args.aut)
+    # --bound is checked on the coset count before anything is factored, or
+    # else on the bounded search's divisors before any component is built
+    divisors = None if formula else monic_right_divisors(args.n, fld, args.aut)
+    count = formula[1] if formula else len(divisors) ** 3
+    if count > args.bound:
+        raise EnumerationTooLarge(f"census size {count} exceeds table bound {args.bound}")
+    divisors = divisors or monic_right_divisors(args.n, fld, args.aut)
+    comps = [component_code_new(args.n, g) for g in divisors]
     # all that can fail runs here, once per component, before the first
     # byte, so a refusal or an error leaves stdout empty. Distance law:
     # d_L(C) is the least Hamming distance of the nonzero components, each

@@ -81,10 +81,6 @@ class NotCoprime(CodeError):
     pass
 
 
-class TableTooLarge(CodeError):
-    pass
-
-
 class MinDistance(NamedTuple):
     """Minimum nonzero weight; degenerate flags the zero code (reported as 0)."""
 
@@ -540,26 +536,15 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     return over_field, over_field**3
 
 
-def census_components(
-    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT, bound: int | None = None
-) -> list[ComponentCode]:
-    """The D component codes of length n; their D^3 triples are the codes over R.
-
-    Past ``bound`` codes over R, this raises before any component is built.
-    """
-    divisors = monic_right_divisors(n, field, i, search_bound)
-    count = len(divisors) ** 3
-    if bound is not None and count > bound:
-        raise TableTooLarge(f"census size {count} exceeds table bound {bound}")
-    return [component_code_new(n, g) for g in divisors]
-
-
 def census(
-    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT, bound: int | None = None
+    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT
 ) -> list[SkewCyclicCode]:
     """Every skew cyclic code of length n over R, in deterministic order:
-    the triples of ``census_components``, last component fastest."""
-    comps = census_components(n, field, i, search_bound, bound)
+    the D^3 triples of the D components on ``monic_right_divisors``, last
+    component fastest. Each divisor is divided once, when its component is
+    built. Nothing bounds D^3 here: the CLI's ``census`` checks its
+    ``--bound`` before it builds any component."""
+    comps = [component_code_new(n, g) for g in monic_right_divisors(n, field, i, search_bound)]
     return [code_from_components(*triple) for triple in itertools.product(comps, repeat=3)]
 
 

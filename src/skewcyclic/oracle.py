@@ -92,7 +92,6 @@ from .ring_r import (
 )
 from .skew_poly import (
     SEARCH_LIMIT,
-    SearchSpaceTooLarge,
     SkewPoly,
     brute_right_divisors,
     is_right_divisor_of_xn_minus_1,
@@ -563,7 +562,7 @@ def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
         return f"gcd(n, t_i) = {g} != 1"
     try:
         return brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search)
-    except SearchSpaceTooLarge as exc:
+    except EnumerationTooLarge as exc:
         return str(exc)
 
 
@@ -1226,8 +1225,9 @@ def matrix_from_json(raw, seed: int) -> list[TestMatrixEntry]:
     """The entries of a parsed ``verify --matrix`` file, with ``seed`` where
     an entry has none, each validated before any claim runs: its
     ``TestMatrixEntry`` and ``Bounds`` are built, and so is its field,
-    whose degree m the exponent i must divide. Raises ``MatrixError``
-    naming the first bad entry."""
+    whose degree m the exponent i must divide and whose operation tables,
+    which the claims read, must be within ``TABLE_LIMIT``. Raises
+    ``MatrixError`` naming the first bad entry."""
     if not isinstance(raw, list):
         raise MatrixError(f"expected a list of entries, got {type(raw).__name__}")
     entries = []
@@ -1238,6 +1238,7 @@ def matrix_from_json(raw, seed: int) -> list[TestMatrixEntry]:
             bounds = Bounds(**item.get("bounds", {}))
             entry = TestMatrixEntry(**{**item, "seed": item.get("seed", seed), "bounds": bounds})
             entry.field().check_aut_exponent(entry.i)
+            entry.field().tables()
         except (TypeError, ValueError, FieldError) as exc:
             raise MatrixError(f"entry {k}: {type(exc).__name__}: {exc}") from exc
         entries.append(entry)

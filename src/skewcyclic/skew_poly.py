@@ -64,10 +64,6 @@ class ZeroDivisor(SkewPolyError):
     pass
 
 
-class SearchSpaceTooLarge(SkewPolyError):
-    pass
-
-
 class BothZero(SkewPolyError):
     pass
 
@@ -307,7 +303,7 @@ def brute_right_divisors(
     for d in range(n):  # stops at the first degree past the bound, whatever n
         space += field.q**d
         if space > search_bound:
-            raise SearchSpaceTooLarge(
+            raise EnumerationTooLarge(
                 f"search space exceeds bound {search_bound}: {space} "
                 f"polynomials of degree < {d + 1} (n = {n})"
             )
@@ -328,18 +324,14 @@ def monic_right_divisors(
     When gcd(n, t_i) = 1 every divisor lies in F_{p^i}[x], so the divisors
     are the products of the fixed-subfield factorization and
     ``search_bound`` does not apply. Otherwise they come from
-    ``brute_right_divisors`` within the bound. Every returned polynomial is
-    re-verified by division either way.
+    ``brute_right_divisors`` within the bound. Nothing is divided here:
+    ``ComponentCode`` divides x^n - 1 by each divisor once, for its
+    cofactor, and raises ``NotRightDivisor`` on a remainder.
     """
     t_i = field.check_aut_exponent(i)
     if math.gcd(n, t_i) == 1:
-        divisors = divisors_from_factorization(factor_xn_minus_1(n, field, i))
-    else:
-        divisors = brute_right_divisors(n, field, i, search_bound)
-    for g in divisors:
-        if not is_right_divisor_of_xn_minus_1(g, n):
-            raise AssertionError(f"search produced a non-divisor: {g}")
-    return divisors
+        return divisors_from_factorization(factor_xn_minus_1(n, field, i))
+    return brute_right_divisors(n, field, i, search_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,17 @@ class TestFactorCommand:
         assert payload["codes_over_field"] == 2
         assert payload["codes_over_ring"] == 8
 
-    def test_gcd_gate_exits_1(self, capsys):
-        code, _, err = run(capsys, "factor", "--field", FIELD, "--n", "4")
-        assert code == 1 and "gcd" in err
+    def test_gcd_gate_exits_1(self, capsys, monkeypatch):
+        from skewcyclic import cli
+
+        def refuse(*args):
+            pytest.fail("x^n - 1 was factored")
+
+        for module in (cli, skew_poly):
+            monkeypatch.setattr(module, "factor_xn_minus_1", refuse)
+        code, out, err = run(capsys, "factor", "--field", FIELD, "--n", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: HypothesisViolated: gcd(n, t_i) = 2 != 1")
 
     def test_deterministic_output(self, capsys):
         a = run(capsys, "factor", "--field", FIELD, "--n", "5")
@@ -124,7 +132,7 @@ class TestFactorCommand:
             capsys, "census", "--field", FIELD, "--aut", "1", "--n", "100000000000"
         )
         assert time.perf_counter() - start < 1
-        assert (code, out) == (1, "") and "SearchSpaceTooLarge" in err
+        assert (code, out) == (1, "") and "EnumerationTooLarge" in err
 
     def test_large_field_with_prime_subfield(self, capsys):
         # q = 3^11 is past the enumeration bound, but theta_1 fixes F_3 and
@@ -348,13 +356,35 @@ class TestCensusCommand:
         zero = next(r for r in payload["rows"] if r["cardinality"] == 1)
         assert zero["degenerate"] and zero["min_lee_distance"] == 0
 
-    def test_table_bound_exceeded(self, capsys):
+    def test_table_bound_exceeded(self, capsys, monkeypatch):
+        # gcd(2, t_1) = 2: the 6 divisors come from the bounded search, and
+        # the 216 codes are refused before any component is built
+        from skewcyclic import cli
+
+        def refuse(*args):
+            pytest.fail("a component was built")
+
+        for module in (cli, codes):
+            monkeypatch.setattr(module, "component_code_new", refuse)
         code, out, err = run(
             capsys, "census", "--field", FIELD, "--n", "2", "--bound", "10"
         )
-        assert code == 1
-        assert out == ""
-        assert "216" in err  # the count is reported on stderr
+        assert (code, out) == (1, "")
+        assert err == "error: EnumerationTooLarge: census size 216 exceeds table bound 10\n"
+
+    def test_coprime_refusal_builds_no_divisor(self, capsys, monkeypatch):
+        # gcd(91, t_1) = 1: the coset count, 2^54 codes, is refused before
+        # x^91 - 1 is factored or any of its 2^18 divisors is built
+        def refuse(*args):
+            pytest.fail("x^n - 1 was factored or a divisor was built")
+
+        for name in ("factor_xn_minus_1", "divisors_from_factorization"):
+            monkeypatch.setattr(skew_poly, name, refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "--field", FIELD, "--aut", "1", "--n", "91")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"error: EnumerationTooLarge: census size {2**54} exceeds table bound 10000\n"
 
     def test_refusal_is_fast(self, capsys):
         # the F_25 census at n = 4 is refused before any code is built
@@ -363,7 +393,7 @@ class TestCensusCommand:
             capsys, "census", "--field", "p=5,m=2,mod=2,0,1", "--n", "4",
             "--bound", "10",
         )
-        assert code == 1 and out == "" and "TableTooLarge" in err
+        assert code == 1 and out == "" and "EnumerationTooLarge" in err
         assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize(
@@ -484,13 +514,13 @@ class TestCensusCommand:
 
         counting(codes.SkewCyclicCode, "code")
         counting(codes.ComponentCode, "component")
-        listed = cli.census_components
+        build = cli.component_code_new
 
-        def listing(*args, **kwargs):
-            comps.extend(listed(*args, **kwargs))
-            return comps
+        def listing(n, g):
+            comps.append(build(n, g))
+            return comps[-1]
 
-        monkeypatch.setattr(cli, "census_components", listing)
+        monkeypatch.setattr(cli, "component_code_new", listing)
         code, out, _ = run(capsys, "census", "--field", FIELD, "--n", "11")
         assert code == 0 and len(out.splitlines()) == 1 + 512
         assert built["code"] == 0
@@ -646,9 +676,13 @@ class TestVerifyCommand:
                 "NotAnInteger: modulus coefficients must be integers, got 1.0",
             ),
             ({"seed": True}, "TypeError: seed must be an integer, got True"),
+            (
+                {"m": 8, "i": 8, "n": 2},
+                "EnumerationTooLarge: q = 6561 too large for operation tables",
+            ),
         ],
         ids=["n-zero", "n-negative", "p-composite", "i-not-dividing-m", "reducible-modulus",
-             "negative-bound", "float-modulus-coefficient", "bool-seed"],
+             "negative-bound", "float-modulus-coefficient", "bool-seed", "past-table-limit"],
     )
     def test_bad_matrix_entry_exits_2_before_any_verdict(
         self, capsys, tmp_path, change, message
@@ -897,7 +931,7 @@ def test_negative_bound_exits_2(capsys, argv):
 
 def test_zero_bound_is_a_refusal_not_a_configuration_error(capsys):
     code, out, err = run(capsys, "census", "--field", FIELD, "--n", "1", "--bound", "0")
-    assert code == 1 and out == "" and "TableTooLarge" in err
+    assert code == 1 and out == "" and "EnumerationTooLarge" in err
 
 
 def test_one_parser_serves_every_call(capsys):

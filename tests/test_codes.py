@@ -825,6 +825,23 @@ class TestCensus:
         b = [code_to_json(c) for c in census(1, f9, 1)]
         assert a == b
 
+    def test_census_divides_each_divisor_once(self, f9, monkeypatch):
+        from skewcyclic import skew_poly
+
+        divided = []
+
+        def counting(f, g):
+            divided.append((f, g))
+            return right_divide(f, g)
+
+        # the binding the divisor list would use and the one ComponentCode uses
+        for module in (skew_poly, codes):
+            monkeypatch.setattr(module, "right_divide", counting)
+        expected = set(monic_right_divisors(5, f9, 1))
+        assert len(census(5, f9, 1)) == 4**3
+        divisors = [g for f, g in divided if f == xn_minus_1(f9, 1, 5)]
+        assert len(divisors) == len(set(divisors)) == 4 and set(divisors) == expected
+
 
 class TestDistances:
     def test_zero_code_degenerate(self, f9):
@@ -963,7 +980,7 @@ def test_every_limit_default_is_its_named_constant():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    for fn in (census, codes.census_components):
+    for fn in (census, monic_right_divisors):
         assert default(fn, "search_bound") is SEARCH_LIMIT
     for fn in (linalg.span_min_weight, linalg.span_weight_distribution):
         assert default(fn, "bound") is DISTANCE_LIMIT

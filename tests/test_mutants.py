@@ -251,6 +251,14 @@ def _census_repeats_a_divisor(mp):
     mp.setattr(skew_poly, "divisors_from_factorization", repeated)
 
 
+def _census_adds_xn_plus_1(mp):
+    # x^n + 1 is monic and does not right-divide x^n - 1 (p is odd)
+    divisors = skew_poly.divisors_from_factorization
+    mp.setattr(skew_poly, "divisors_from_factorization", lambda fac: divisors(fac) + [
+        poly_from_string(f"x^{fac.n}+1", fac.field, fac.aut)
+    ])
+
+
 def _remainder_columns_without_theta(mp):
     columns = ComponentCode._remainder_columns
 
@@ -328,6 +336,7 @@ MUTANTS = {
     ),
     "ComponentCode.contains rejects every word": _contains_answers(ComponentCode, False),
     "divisors_from_factorization repeats its second divisor": _census_repeats_a_divisor,
+    "divisors_from_factorization also returns x^n + 1": _census_adds_xn_plus_1,
     "_remainder_columns without theta": _remainder_columns_without_theta,
     "LogTable.zech swaps entries 1 and 2 (and their doubled copies)": _zech_swaps_two_entries,
     "FieldTables.add moves add[1][1] to the next index": _add_table_moves_one_entry,

@@ -383,8 +383,6 @@ class TestComponentClaims:
             assert reported.counterexample["slot"] == slot
 
     def test_entry_checks_each_distinct_component_once_per_claim(self, monkeypatch):
-        from skewcyclic.codes import census_components
-
         calls: dict[str, list] = {}
         for name in ("verify_shift_closure", "verify_duality", "verify_idempotent_generators"):
 
@@ -399,7 +397,7 @@ class TestComponentClaims:
         assert all(r.passed for r in reports.values())
         assert reports["shift-closure"].checked == reports["dual-shift-closure"].checked == 203
         assert reports["duality"].checked == 216
-        comps = set(census_components(2, entry.field(), 1))
+        comps = {c for code in census(2, entry.field(), 1) for c in code.components}
         assert len(comps) == 6 and len(calls) == 3
         for name, got in calls.items():
             assert len(got) == len(set(got)) == 6 and set(got) == comps, name
@@ -552,14 +550,14 @@ class TestPrincipalityOracle:
         assert v.counterexample["code_dim"] == 9
 
     def test_generator_row_outside_the_combined_span_fails(self, mixed_code, f9):
-        from skewcyclic.codes import census_components
+        from skewcyclic.skew_poly import monic_right_divisors
 
         # another degree-1 generator in slot 1: the dimensions agree, and
         # its span misses the first row of C1
         case = _case(mixed_code)
         c1 = mixed_code.c1
         other = next(
-            c.g for c in census_components(2, f9, 1) if c.g.degree == 1 and c.g != c1.g
+            g for g in monic_right_divisors(2, f9, 1) if g.degree == 1 and g != c1.g
         )
         slots: dict = {}
         foreign = replace(case, combined=(other,) + case.combined[1:])
@@ -994,14 +992,13 @@ class TestHarness:
         self, monkeypatch, capsys, tmp_path
     ):
         from skewcyclic.cli import main
-        from skewcyclic.codes import census_components
 
         entry = TestMatrixEntry(p=3, m=2, i=1, n=3)
         fld = entry.field()
         # a production ComponentCode.dual() that returns a non-divisor for
         # the degree-1 component: the MacWilliams transform of its weights
         # cannot carry back to the component's q^2 words
-        target = next(c for c in census_components(3, fld, 1) if c.g.degree == 1)
+        target = next(c for code in census(3, fld, 1) for c in code.components if c.g.degree == 1)
         outside = broken_component_code(fld, 1, 3)
         dual = ComponentCode.dual
         monkeypatch.setattr(

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewcyclic.codes import ComponentCode, component_code_new, count_skew_cyclic_codes
-from skewcyclic.finite_field import Field, FieldMismatch, Subfield
+from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch, Subfield
 from skewcyclic.linalg import canonical_subspace
 from skewcyclic import oracle
 from skewcyclic.oracle import _combine
@@ -20,7 +20,6 @@ from skewcyclic.skew_poly import (
     BothZero,
     DomainMismatch,
     Factorization,
-    SearchSpaceTooLarge,
     SkewPoly,
     ZeroDivisor,
     brute_right_divisors,
@@ -235,12 +234,12 @@ class TestDivisorCensus:
         assert monic_right_divisors(n, field, 1) == brute_right_divisors(n, field, 1)
 
     def test_brute_search_refuses_past_bound(self, f9):
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             brute_right_divisors(5, f9, 1, search_bound=10)
 
     def test_search_too_large_when_no_fallback(self, f9):
         # gcd(2, 2) = 2: no factorization route, small bound must fail
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             monic_right_divisors(2, f9, 1, search_bound=3)
 
     def test_fixed_subfield_membership_when_coprime(self, f9):
