@@ -16,7 +16,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -40,7 +39,6 @@ from .ring_r import gray_map, lee_weight, ring_vector_from_string, ring_vector_t
 from .skew_poly import (
     SkewPolyError,
     factor_xn_minus_1,
-    monic_right_divisors,
     poly_from_string,
     poly_to_string,
     project_components,
@@ -332,18 +330,7 @@ _JSON_ROW = (
 
 def cmd_census(args) -> int:
     fld = _parse_field(args)
-    _length(args)
-    t_i = fld.check_aut_exponent(args.aut)
-    formula = None
-    if math.gcd(args.n, t_i) == 1:
-        formula = count_skew_cyclic_codes(args.n, fld, args.aut)
-    # --bound is checked on the coset count before anything is factored, or
-    # else on the bounded search's divisors before any component is built
-    divisors = None if formula else monic_right_divisors(args.n, fld, args.aut)
-    count = formula[1] if formula else len(divisors) ** 3
-    if count > args.bound:
-        raise EnumerationTooLarge(f"census size {count} exceeds table bound {args.bound}")
-    divisors = divisors or monic_right_divisors(args.n, fld, args.aut)
+    divisors, count, formula = codes_mod.census_divisors(_length(args), fld, args.aut, args.bound)
     comps = [component_code_new(args.n, g) for g in divisors]
     # all that can fail runs here, once per component, before the first
     # byte, so a refusal or an error leaves stdout empty. Distance law:
@@ -368,7 +355,7 @@ def cmd_census(args) -> int:
             "aut": args.aut,
             "n": args.n,
             "count": count,
-            "count_formula": formula[1] if formula else None,
+            "count_formula": formula,
             "rows": [],
         }
         # "rows" sorts last: the header ends in "[]\n}", and the rows go in between

@@ -536,14 +536,29 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     return over_field, over_field**3
 
 
+def census_divisors(
+    n: int, field: Field, i: int, bound: int, search_bound: int = SEARCH_LIMIT
+) -> tuple[list[SkewPoly], int, int | None]:
+    """(divisors, D^3, formula): the D monic right divisors of x^n - 1 the
+    census over R is built from, its size, and ``count_skew_cyclic_codes``
+    over R (None unless gcd(n, t_i) = 1). A size past ``bound`` raises
+    ``EnumerationTooLarge`` before anything is factored or built."""
+    t_i = field.check_aut_exponent(i)
+    formula = count_skew_cyclic_codes(n, field, i)[1] if math.gcd(n, t_i) == 1 else None
+    divisors = None if formula else monic_right_divisors(n, field, i, search_bound)
+    size = formula or len(divisors) ** 3
+    if size > bound:
+        raise EnumerationTooLarge(f"census size {size} exceeds table bound {bound}")
+    return divisors or monic_right_divisors(n, field, i, search_bound), size, formula
+
+
 def census(
     n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT
 ) -> list[SkewCyclicCode]:
     """Every skew cyclic code of length n over R, in deterministic order:
     the D^3 triples of the D components on ``monic_right_divisors``, last
     component fastest. Each divisor is divided once, when its component is
-    built. Nothing bounds D^3 here: the CLI's ``census`` checks its
-    ``--bound`` before it builds any component."""
+    built. ``census_divisors`` sizes a census that must be bounded."""
     comps = [component_code_new(n, g) for g in monic_right_divisors(n, field, i, search_bound)]
     return [code_from_components(*triple) for triple in itertools.product(comps, repeat=3)]
 

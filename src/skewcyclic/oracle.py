@@ -47,7 +47,7 @@ folds them into one report before the next claim starts. Each sampled
 claim draws from its own ``Random(entry.seed)``: ``gray-isometry``,
 ``principal-generator`` and the shift-closure pair (which share their
 component verdicts) one stream each, so no claim's samples depend on
-another claim's bounds. ``verify_all`` runs ``_verify_splitting`` once
+another claim's draws. ``verify_all`` runs ``_verify_splitting`` once
 per distinct (field, i, pairs, seed) of its entries.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
@@ -70,6 +70,7 @@ from .codes import (
     SkewCyclicCode,
     _unchecked_component_code,
     census,
+    census_divisors,
     code_from_components,
     code_to_json,
     component_code_new,
@@ -116,7 +117,7 @@ def _check_at_least(least: int, **values) -> None:
 
 @dataclass(frozen=True)
 class Bounds:
-    enumeration: int = 10**4  # larger codes over R: shift-closure verdicts skipped
+    enumeration: int = 10**4  # codes over R in the census: larger ones are refused
     pairs: int = 10**4  # isometry pair samples
     distance: int = DISTANCE_LIMIT  # span of one Gray block in the distance law
     search: int = SEARCH_LIMIT  # brute-force divisor search space
@@ -1285,15 +1286,14 @@ def verify_entry(
     """One report per claim of ``CLAIMS``, run one claim at a time in that
     order, whatever the data. A per-code claim maps every code of the census
     to its verdict, and ``_aggregate`` folds them before the next claim
-    starts. A census that raises (a broken postcondition, say) fails every
-    claim about its codes, with the error. So does an exception inside a
-    claim on one code, or inside ``census-count`` (``_guarded``): it fails
-    that claim, and the run goes on to a verdict. A skipped verdict (a code
-    past ``bounds.enumeration``, a dual outside the census) is recorded like
-    any other, and ``_aggregate`` counts it as skipped. Each sampled claim
-    draws from its own ``Random(entry.seed)``: ``principal-generator`` from
-    one, the shift-closure pair, which shares its component verdicts, from
-    another, so no claim's samples depend on another claim's bounds.
+    starts. A census that raises (past ``bounds.enumeration`` codes, or on a
+    broken postcondition) fails every claim about its codes, with the error.
+    So does an exception inside a claim on one code, or inside
+    ``census-count`` (``_guarded``): it fails that claim, and the run goes
+    on to a verdict. A skipped verdict (a dual outside the census) is
+    recorded like any other, and ``_aggregate`` counts it as skipped.
+    ``principal-generator`` and the shift-closure pair, which shares its
+    component verdicts, each draw from their own ``Random(entry.seed)``.
     ``splitting`` is ``verify_gray_isometry``'s memo of splitting checks."""
     fld = entry.field()
     cfg = entry.config()
@@ -1304,6 +1304,7 @@ def verify_entry(
         verify_fixed_subfield_divisors(entry, divisors),
     ]
     try:
+        census_divisors(entry.n, fld, entry.i, entry.bounds.enumeration, entry.bounds.search)
         codes = census(entry.n, fld, entry.i, entry.bounds.search)
     except Exception as exc:
         witness = {"error": f"{type(exc).__name__}: {exc}"}
@@ -1322,9 +1323,6 @@ def verify_entry(
         if case is None:  # a dual outside the census, on the code's ``config``
             reason = "dual outside the census"
             return VerdictReport("shift-closure", config, "skipped", True, {"reason": reason})
-        if case.code.size > entry.bounds.enumeration:
-            reason = f"code size {case.code.size} exceeds bound {entry.bounds.enumeration}"
-            return VerdictReport("shift-closure", case.config, "skipped", True, {"reason": reason})
         args = (verify_shift_closure, case.code, case.config, by_component, closure_rng)
         return _guarded("shift-closure", case.config, _by_component, *args)
 

@@ -482,6 +482,24 @@ class TestCensusCommand:
         assert json.loads(out)["count_formula"] == 64
         assert len(calls) == 1
 
+    def test_census_and_verify_share_one_sizing(self, capsys, monkeypatch):
+        from skewcyclic import oracle
+
+        sizing, lengths = codes.census_divisors, []
+        assert oracle.census_divisors is sizing
+
+        def counting(*args):
+            lengths.append(args[0])
+            return sizing(*args)
+
+        for module in (codes, oracle):
+            monkeypatch.setattr(module, "census_divisors", counting)
+        code, _, _ = run(capsys, "census", "--field", FIELD, "--n", "5")
+        assert code == 0 and lengths == [5]
+        entry = oracle.TestMatrixEntry(p=3, m=2, i=1, n=1)
+        assert all(r.passed for r in oracle.verify_entry(entry))
+        assert lengths == [5, 1]
+
     CENSUS_PINS = json.loads((DATA / "census_pins.json").read_text())
 
     @pytest.mark.parametrize("argv", sorted(CENSUS_PINS))

@@ -395,7 +395,7 @@ class TestComponentClaims:
         entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
         reports = {r.claim: r for r in verify_entry(entry)}
         assert all(r.passed for r in reports.values())
-        assert reports["shift-closure"].checked == reports["dual-shift-closure"].checked == 203
+        assert reports["shift-closure"].checked == reports["dual-shift-closure"].checked == 216
         assert reports["duality"].checked == 216
         comps = {c for code in census(2, entry.field(), 1) for c in code.components}
         assert len(comps) == 6 and len(calls) == 3
@@ -752,28 +752,57 @@ class TestHarness:
         assert "gray-isometry" in claims and "census-count" in claims
 
     @pytest.mark.parametrize(
-        "entry, closure_skipped",
+        "entry, closure",
         [
-            # n = 1: every code and dual is checked
-            (TestMatrixEntry(p=3, m=2, i=1, n=1), 0),
-            # the bench entry: the first code's shift-closure is skipped
-            (matrix_from_json(json.loads(BENCH_MATRIX.read_text()), 101)[0], 53),
-            # every closure verdict skipped
-            (TestMatrixEntry(p=3, m=2, i=1, n=3, bounds=Bounds(enumeration=0)), 64),
+            # n = 1: 8 codes, every code and dual is checked
+            (TestMatrixEntry(p=3, m=2, i=1, n=1), 8),
+            # the bench entry: 64 codes, the full component's closure included
+            (matrix_from_json(json.loads(BENCH_MATRIX.read_text()), 101)[0], 64),
+            # a zero bound refuses the census: every claim about its codes fails
+            (TestMatrixEntry(p=3, m=2, i=1, n=3, bounds=Bounds(enumeration=0)), None),
         ],
         ids=["n1", "bench", "enumeration0"],
     )
-    def test_claims_come_in_claims_order(self, entry, closure_skipped):
+    def test_claims_come_in_claims_order(self, entry, closure):
         reports = verify_entry(entry)
         assert [r.claim for r in reports] == list(oracle.CLAIMS)
-        assert all(r.passed for r in reports)
-        closures = [r for r in reports if r.claim.endswith("shift-closure")]
-        assert [r.skipped for r in closures] == [closure_skipped] * 2
+        assert [r.passed for r in reports] == [True] * 3 + [closure is not None] * 11
+        if closure is not None:
+            closures = [r for r in reports if r.claim.endswith("shift-closure")]
+            assert [(r.mode, r.checked, r.skipped) for r in closures] == [
+                ("exhaustive", closure, 0)
+            ] * 2
 
-    def test_principal_generator_samples_ignore_the_closure_bound(self, monkeypatch):
-        # principal-generator draws from its own stream: the shift-closure
-        # checks that the enumeration bound admits change none of its words
+    def test_census_past_the_bound_is_refused_before_any_component(self, monkeypatch):
+        # F_9 at n = 65: gcd(65, t_1) = 1, and the coset count gives 1024
+        # divisors, 2^30 codes, refused before x^65 - 1 is factored
+        def refuse(*args):
+            raise AssertionError("x^65 - 1 was factored or a component was built")
+
+        for module in ("codes", "oracle"):
+            monkeypatch.setattr(f"skewcyclic.{module}.component_code_new", refuse)
+        monkeypatch.setattr("skewcyclic.skew_poly.factor_xn_minus_1", refuse)
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=65))
+        assert [r.claim for r in reports] == list(oracle.CLAIMS)
+        failed = [r for r in reports if not r.passed]
+        assert [r.claim for r in failed] == list(oracle.CLAIMS[3:])
+        error = f"EnumerationTooLarge: census size {2**30} exceeds table bound 10000"
+        assert all(r.counterexample == {"error": error} for r in failed)
+
+    @pytest.mark.parametrize("bound, passed", [(215, False), (216, True)])
+    def test_searched_census_is_sized_by_its_divisors(self, bound, passed):
+        # gcd(2, t_1) = 2 over F_9: the bounded search finds 6 divisors, 216 codes
+        reports = verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=2, bounds=Bounds(enumeration=bound)))
+        assert [r.passed for r in reports] == [True] * 3 + [passed] * 11
+        assert passed or reports[3].counterexample == {
+            "error": f"EnumerationTooLarge: census size 216 exceeds table bound {bound}"
+        }
+
+    def test_principal_generator_samples_ignore_the_closure_draws(self, monkeypatch):
+        # principal-generator draws from its own stream: extra draws by the
+        # shift-closure checks change none of its words
         contains, principality = SkewCyclicCode.contains, oracle.verify_principality
+        closure = oracle.verify_shift_closure
         words: list | None = None  # set while principal-generator runs
 
         def recording(code, word):
@@ -791,14 +820,18 @@ class TestHarness:
 
         monkeypatch.setattr(SkewCyclicCode, "contains", recording)
         monkeypatch.setattr(oracle, "verify_principality", watched)
-        runs, closures = [], []
-        for bound in (10**4, 0):
+        runs = []
+        for extra in (0, 100):
+
+            def drawing(code, cfg, rng, extra=extra):
+                for _ in range(extra):
+                    rng.random()
+                return closure(code, cfg, rng)
+
+            monkeypatch.setattr(oracle, "verify_shift_closure", drawing)
             runs.append([])
-            entry = TestMatrixEntry(p=3, m=2, i=1, n=3, seed=5, bounds=Bounds(enumeration=bound))
-            reports = {r.claim: r for r in verify_entry(entry)}
-            assert reports["principal-generator"].passed
-            closures.append(reports["shift-closure"].skipped)
-        assert closures == [32, 64]
+            reports = {r.claim: r for r in verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3, seed=5))}
+            assert reports["principal-generator"].passed and reports["shift-closure"].passed
         # 64 codes: each generator row and 20 sampled words
         assert len(runs[0]) == 1568 and runs[0] == runs[1]
 
@@ -1055,7 +1088,7 @@ class TestHarness:
     def test_empty_matrix(self):
         assert verify_all([]) == []
 
-    def test_codes_past_the_enumeration_bound_count_as_skipped(self, monkeypatch):
+    def test_duals_outside_the_census_count_as_skipped(self, monkeypatch):
         seen = {}
         aggregate = oracle._aggregate
 
@@ -1064,19 +1097,19 @@ class TestHarness:
             return aggregate(claim, config, verdicts)
 
         monkeypatch.setattr(oracle, "_aggregate", capturing)
-        # n = 1 over F_9: code sizes 9^dim for dim 0..3, one code of size 729
-        entry = TestMatrixEntry(p=3, m=2, i=1, n=1, bounds=Bounds(enumeration=100))
+        # n = 1 over F_9: 8 codes; with the full code dropped from the
+        # census, the zero code's dual is outside it
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+        full = code_from_components(*[component_code_new(1, SkewPoly.one(entry.field(), 1))] * 3)
+        monkeypatch.setattr(oracle, "census", lambda *args: [c for c in census(*args) if c != full])
         reports = {r.claim: r for r in verify_entry(entry)}
-        for claim in ("shift-closure", "dual-shift-closure"):
-            r = reports[claim]
-            assert (r.mode, r.passed, r.checked, r.skipped) == ("exhaustive", True, 7, 1)
-            skipped = [v for v in seen[claim] if v.mode == "skipped"]
-            assert [v.counterexample for v in skipped] == [
-                {"reason": "code size 729 exceeds bound 100"}
-            ]
-            parsed = json.loads(r.to_json())
-            assert (parsed["checked"], parsed["skipped"]) == (7, 1)
-        for claim, codes_checked in (("cardinality-rank", 8), ("gray-isometry", 1)):
+        r = reports["dual-shift-closure"]
+        assert (r.mode, r.passed, r.checked, r.skipped) == ("exhaustive", True, 6, 1)
+        skipped = [v for v in seen["dual-shift-closure"] if v.mode == "skipped"]
+        assert [v.counterexample for v in skipped] == [{"reason": "dual outside the census"}]
+        parsed = json.loads(r.to_json())
+        assert (parsed["checked"], parsed["skipped"]) == (6, 1)
+        for claim, codes_checked in (("shift-closure", 7), ("gray-isometry", 1)):
             r = reports[claim]
             assert (r.checked, r.skipped) == (codes_checked, 0)
 
