@@ -22,6 +22,7 @@ import sys
 from . import codes as codes_mod
 from . import oracle as oracle_mod
 from .codes import (
+    CENSUS_LIMIT,
     CodeError,
     code_from_components,
     component_code_new,
@@ -330,8 +331,7 @@ _JSON_ROW = (
 
 def cmd_census(args) -> int:
     fld = _parse_field(args)
-    divisors, count, formula = codes_mod.census_divisors(_length(args), fld, args.aut, args.bound)
-    comps = [component_code_new(args.n, g) for g in divisors]
+    comps, count, formula = codes_mod.census_components(_length(args), fld, args.aut, args.bound)
     # all that can fail runs here, once per component, before the first
     # byte, so a refusal or an error leaves stdout empty. Distance law:
     # d_L(C) is the least Hamming distance of the nonzero components, each
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="list every skew cyclic code of length n")
     _add_common(sp)
-    sp.add_argument("--bound", type=non_negative_int, default=10**4, help="max table rows")
+    sp.add_argument("--bound", type=non_negative_int, default=CENSUS_LIMIT, help="max codes over R")
     sp.add_argument(
         "--distance-bound",
         type=non_negative_int,

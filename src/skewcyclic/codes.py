@@ -56,6 +56,8 @@ from .skew_poly import (
     xn_minus_1,
 )
 
+CENSUS_LIMIT = 10**4  # codes over R a census may hold unless a caller's bound says otherwise
+
 
 class CodeError(Exception):
     pass
@@ -451,9 +453,6 @@ class SkewCyclicCode:
             _set_dual(self, dual)
         return dual
 
-    def is_self_dual(self) -> bool:
-        return all(c == c.dual() for c in self.components)
-
     def min_lee_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
         """Minimum over the nonzero components of their Hamming distances."""
         best = None
@@ -536,30 +535,31 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     return over_field, over_field**3
 
 
-def census_divisors(
-    n: int, field: Field, i: int, bound: int, search_bound: int = SEARCH_LIMIT
-) -> tuple[list[SkewPoly], int, int | None]:
-    """(divisors, D^3, formula): the D monic right divisors of x^n - 1 the
-    census over R is built from, its size, and ``count_skew_cyclic_codes``
-    over R (None unless gcd(n, t_i) = 1). A size past ``bound`` raises
-    ``EnumerationTooLarge`` before anything is factored or built."""
+def census_components(
+    n: int, field: Field, i: int, bound: int = CENSUS_LIMIT, search_bound: int = SEARCH_LIMIT
+) -> tuple[list[ComponentCode], int, int | None]:
+    """(components, D^3, formula): a ``ComponentCode`` per monic right
+    divisor of x^n - 1, each derived and built once, and the coset count
+    over R (``count_skew_cyclic_codes``) if gcd(n, t_i) = 1, else None.
+    Past ``bound`` codes it raises ``EnumerationTooLarge``: from that count
+    before anything is factored, else from the divisors before any build."""
     t_i = field.check_aut_exponent(i)
     formula = count_skew_cyclic_codes(n, field, i)[1] if math.gcd(n, t_i) == 1 else None
-    divisors = None if formula else monic_right_divisors(n, field, i, search_bound)
-    size = formula or len(divisors) ** 3
+    early = formula is not None and formula > bound
+    divisors = [] if early else monic_right_divisors(n, field, i, search_bound)
+    size = formula if early else len(divisors) ** 3
     if size > bound:
         raise EnumerationTooLarge(f"census size {size} exceeds table bound {bound}")
-    return divisors or monic_right_divisors(n, field, i, search_bound), size, formula
+    return [component_code_new(n, g) for g in divisors], size, formula
 
 
 def census(
-    n: int, field: Field, i: int, search_bound: int = SEARCH_LIMIT
+    n: int, field: Field, i: int, bound: int = CENSUS_LIMIT, search_bound: int = SEARCH_LIMIT
 ) -> list[SkewCyclicCode]:
     """Every skew cyclic code of length n over R, in deterministic order:
-    the D^3 triples of the D components on ``monic_right_divisors``, last
-    component fastest. Each divisor is divided once, when its component is
-    built. ``census_divisors`` sizes a census that must be bounded."""
-    comps = [component_code_new(n, g) for g in monic_right_divisors(n, field, i, search_bound)]
+    the D^3 triples of the ``census_components`` list, last component
+    fastest. Past ``bound`` codes it raises, as that does."""
+    comps = census_components(n, field, i, bound, search_bound)[0]
     return [code_from_components(*triple) for triple in itertools.product(comps, repeat=3)]
 
 

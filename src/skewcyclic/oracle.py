@@ -41,14 +41,14 @@ spans, one on each coordinate class 3k + t, so
 ``SlotSpan``s, built once per distinct component generator of an entry
 (``_slot_spans``). A component claim takes a ``ComponentCode`` and its
 config, which ``_by_component`` builds once per distinct component.
-``verify_entry`` runs the claims one at a time in ``CLAIMS`` order,
-whatever the data: a per-code claim maps every code to its verdict and
-folds them into one report before the next claim starts. Each sampled
-claim draws from its own ``Random(entry.seed)``: ``gray-isometry``,
-``principal-generator`` and the shift-closure pair (which share their
-component verdicts) one stream each, so no claim's samples depend on
-another claim's draws. ``verify_all`` runs ``_verify_splitting`` once
-per distinct (field, i, pairs, seed) of its entries.
+``verify_entry`` takes its codes from one bounded ``census`` call and runs
+the claims one at a time in ``CLAIMS`` order, whatever the data: a per-code
+claim maps every code to its verdict and folds them into one report before
+the next claim starts. Each sampled claim draws from its own
+``Random(entry.seed)``: ``gray-isometry``, ``principal-generator`` and the
+shift-closure pair (which share their component verdicts) one stream each,
+so no claim's samples depend on another claim's draws. ``verify_all`` runs
+``_verify_splitting`` once per distinct (field, i, pairs, seed) of its entries.
 
 ``oracle_code_enumerate`` lists codewords, for tests at desk size.
 """
@@ -66,11 +66,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import linalg
 from .codes import (
+    CENSUS_LIMIT,
     ComponentCode,
     SkewCyclicCode,
     _unchecked_component_code,
     census,
-    census_divisors,
     code_from_components,
     code_to_json,
     component_code_new,
@@ -117,7 +117,7 @@ def _check_at_least(least: int, **values) -> None:
 
 @dataclass(frozen=True)
 class Bounds:
-    enumeration: int = 10**4  # codes over R in the census: larger ones are refused
+    enumeration: int = CENSUS_LIMIT  # codes over R in the census: larger ones are refused
     pairs: int = 10**4  # isometry pair samples
     distance: int = DISTANCE_LIMIT  # span of one Gray block in the distance law
     search: int = SEARCH_LIMIT  # brute-force divisor search space
@@ -1287,14 +1287,13 @@ def verify_entry(
     order, whatever the data. A per-code claim maps every code of the census
     to its verdict, and ``_aggregate`` folds them before the next claim
     starts. A census that raises (past ``bounds.enumeration`` codes, or on a
-    broken postcondition) fails every claim about its codes, with the error.
-    So does an exception inside a claim on one code, or inside
-    ``census-count`` (``_guarded``): it fails that claim, and the run goes
-    on to a verdict. A skipped verdict (a dual outside the census) is
-    recorded like any other, and ``_aggregate`` counts it as skipped.
-    ``principal-generator`` and the shift-closure pair, which shares its
-    component verdicts, each draw from their own ``Random(entry.seed)``.
-    ``splitting`` is ``verify_gray_isometry``'s memo of splitting checks."""
+    broken postcondition) fails every claim about its codes, with the error
+    and no code checked; ``census-count`` reads the divisors on its own. An
+    exception inside a claim on one code, or inside ``census-count``
+    (``_guarded``), fails that claim, and the run goes on to a verdict. A
+    skipped verdict (a dual outside the census) is recorded like any other,
+    and ``_aggregate`` counts it as skipped. ``splitting`` is
+    ``verify_gray_isometry``'s memo of splitting checks."""
     fld = entry.field()
     cfg = entry.config()
     divisors = _brute_divisors(entry)  # one exhaustive search for both census claims
@@ -1304,11 +1303,11 @@ def verify_entry(
         verify_fixed_subfield_divisors(entry, divisors),
     ]
     try:
-        census_divisors(entry.n, fld, entry.i, entry.bounds.enumeration, entry.bounds.search)
-        codes = census(entry.n, fld, entry.i, entry.bounds.search)
-    except Exception as exc:
+        codes = census(entry.n, fld, entry.i, entry.bounds.enumeration, entry.bounds.search)
+    except Exception as exc:  # no code was built, so none is checked
         witness = {"error": f"{type(exc).__name__}: {exc}"}
-        return reports + [VerdictReport(c, cfg, "exhaustive", False, witness) for c in CLAIMS[3:]]
+        refused = VerdictReport("", cfg, "exhaustive", False, witness, checked=0, skipped=0)
+        return reports + [replace(refused, claim=c) for c in CLAIMS[3:]]
     cases = [_case(code) for code in codes]
     by_code = {case.code: case for case in cases}  # the census should hold every dual
     dual = {code: by_code.get(code.dual()) for code in by_code}  # its case, or None

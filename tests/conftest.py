@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from skewcyclic.finite_field import Field
@@ -9,6 +12,27 @@ from skewcyclic.oracle import (
     _evaluations,
     _placed,
 )
+
+
+def count_calls(monkeypatch, module, *names) -> Counter:
+    """Count the calls of the functions ``names`` of ``module``, rebound on
+    every package module that imported them by name."""
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        original = getattr(module, name)
+        counted = counting(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("skewcyclic") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def over_r(check, code, *args):

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -458,47 +459,29 @@ class TestCensusCommand:
         assert time.perf_counter() - start < 10
 
     def test_census_factors_once(self, capsys, monkeypatch):
-        import sys
-
-        from skewcyclic import skew_poly
-
-        original = skew_poly.factor_xn_minus_1
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        # rebind every package module that imported the function by name
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("skewcyclic") and getattr(
-                mod, "factor_xn_minus_1", None
-            ) is original:
-                monkeypatch.setattr(mod, "factor_xn_minus_1", counting)
+        calls = count_calls(monkeypatch, skew_poly, "monic_right_divisors", "factor_xn_minus_1")
         code, out, _ = run(
-            capsys, "census", "--field", FIELD, "--n", "5", "--format", "json"
+            capsys, "census", "--field", FIELD, "--n", "7", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out)["count_formula"] == 64
-        assert len(calls) == 1
+        assert json.loads(out)["count_formula"] == 4**3
+        assert calls == {"monic_right_divisors": 1, "factor_xn_minus_1": 1}
 
     def test_census_and_verify_share_one_sizing(self, capsys, monkeypatch):
         from skewcyclic import oracle
 
-        sizing, lengths = codes.census_divisors, []
-        assert oracle.census_divisors is sizing
+        sizing, calls = codes.census_components, []
 
-        def counting(*args):
-            lengths.append(args[0])
+        def counting(*args):  # (n, field, i, bound, ...), from the CLI and from census
+            calls.append((args[0], args[3]))
             return sizing(*args)
 
-        for module in (codes, oracle):
-            monkeypatch.setattr(module, "census_divisors", counting)
+        monkeypatch.setattr(codes, "census_components", counting)
         code, _, _ = run(capsys, "census", "--field", FIELD, "--n", "5")
-        assert code == 0 and lengths == [5]
-        entry = oracle.TestMatrixEntry(p=3, m=2, i=1, n=1)
+        assert code == 0 and calls == [(5, codes.CENSUS_LIMIT)]
+        entry = oracle.TestMatrixEntry(p=3, m=2, i=1, n=1, bounds=oracle.Bounds(enumeration=8))
         assert all(r.passed for r in oracle.verify_entry(entry))
-        assert lengths == [5, 1]
+        assert calls == [(5, codes.CENSUS_LIMIT), (1, 8)]
 
     CENSUS_PINS = json.loads((DATA / "census_pins.json").read_text())
 
@@ -516,8 +499,6 @@ class TestCensusCommand:
         assert hashlib.sha256(data).hexdigest() == self.CENSUS_PINS[argv]["sha256"]
 
     def test_rows_come_from_the_components_alone(self, capsys, monkeypatch):
-        from skewcyclic import cli, codes
-
         built = {"code": 0, "component": 0}
         comps = []
 
@@ -532,13 +513,14 @@ class TestCensusCommand:
 
         counting(codes.SkewCyclicCode, "code")
         counting(codes.ComponentCode, "component")
-        build = cli.component_code_new
+        census_components = codes.census_components
 
-        def listing(n, g):
-            comps.append(build(n, g))
-            return comps[-1]
+        def listing(*args):
+            found = census_components(*args)
+            comps.extend(found[0])
+            return found
 
-        monkeypatch.setattr(cli, "component_code_new", listing)
+        monkeypatch.setattr(codes, "census_components", listing)
         code, out, _ = run(capsys, "census", "--field", FIELD, "--n", "11")
         assert code == 0 and len(out.splitlines()) == 1 + 512
         assert built["code"] == 0

@@ -614,17 +614,18 @@ class TestSelfDual:
     def test_full_code_not_self_dual(self, f9):
         full = component_code_new(2, SkewPoly.one(f9, 1))
         code = code_from_components(full, full, full)
-        assert not code.is_self_dual()
+        assert not all(c == c.dual() for c in code.components)
 
     def test_dimension_obstruction(self, f9):
         c1 = component_code_new(2, poly_from_string("x-1", f9, 1))
         full = component_code_new(2, SkewPoly.one(f9, 1))
         code = code_from_components(c1, c1, full)
-        assert 2 * code.dim != 3 * 2 * 3 and not code.is_self_dual()
+        assert 2 * code.dim != 3 * 2 * 3
+        assert not all(c == c.dual() for c in code.components)
 
     def test_self_dual_witness(self, f9, xw_code):
         code = code_from_components(xw_code, xw_code, xw_code)
-        assert code.is_self_dual()
+        assert all(c == c.dual() for c in code.components)
         assert code.dual() == code
 
 
@@ -824,6 +825,18 @@ class TestCensus:
         a = [code_to_json(c) for c in census(1, f9, 1)]
         b = [code_to_json(c) for c in census(1, f9, 1)]
         assert a == b
+
+    def test_census_past_its_bound_is_refused_before_anything_is_factored(self, f9, monkeypatch):
+        # gcd(65, t_1) = 1: the coset count gives 1024 divisors, 2^30 codes
+        from skewcyclic import skew_poly
+
+        def refuse(*args):
+            pytest.fail("x^65 - 1 was factored or a component was built")
+
+        monkeypatch.setattr(skew_poly, "factor_xn_minus_1", refuse)
+        monkeypatch.setattr(codes, "component_code_new", refuse)
+        with pytest.raises(EnumerationTooLarge, match=f"census size {2**30} exceeds"):
+            census(65, f9, 1)
 
     def test_census_divides_each_divisor_once(self, f9, monkeypatch):
         from skewcyclic import skew_poly

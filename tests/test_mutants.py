@@ -398,3 +398,13 @@ def test_census_mutant_names_the_lost_divisors(monkeypatch, n):
         "missing": [poly_to_string(poly_from_string(g, entry.field(), 1)) for g in lost],
         "extra": [],
     }
+
+
+def test_census_count_reads_the_list_its_rows_come_from(monkeypatch, capsys):
+    # the repeated divisor makes 5 components: 125 rows, against 64 from the cosets
+    from skewcyclic.cli import main
+
+    _census_repeats_a_divisor(monkeypatch)
+    assert main("census --field p=3,m=2,mod=1,0,1 --aut 1 --n 5 --format json".split()) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["count"], out["count_formula"], len(out["rows"])) == (125, 64, 125)

@@ -6,11 +6,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import dual_gray, over_r, placed
+from conftest import count_calls, dual_gray, over_r, placed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcyclic import linalg, oracle
+from skewcyclic import linalg, oracle, skew_poly
 from skewcyclic.codes import (
     ComponentCode,
     NotRightDivisor,
@@ -467,7 +467,7 @@ class TestMatrixAndDualityOracles:
 
         c = component_code_new(2, poly_from_string("x-[0,1]", f9, 1))
         code = code_from_components(c, c, c)
-        assert code.is_self_dual()
+        assert code.dual() == code
         assert dual_gray(code, code).passed
         rows = linalg.to_index_rows(code.gray_generator_rows(), f9)
         image = linalg.canonical_subspace(rows, f9)
@@ -788,6 +788,26 @@ class TestHarness:
         assert [r.claim for r in failed] == list(oracle.CLAIMS[3:])
         error = f"EnumerationTooLarge: census size {2**30} exceeds table bound 10000"
         assert all(r.counterexample == {"error": error} for r in failed)
+        # no code was built, so none is counted checked
+        assert all((r.checked, r.skipped) == (0, 0) for r in failed)
+
+    @pytest.mark.parametrize(
+        "matrix, seed, calls",
+        [
+            # gcd(5, t_1) = 1: census-count's own read and the one census
+            (BENCH_MATRIX, 101, {"monic_right_divisors": 2, "factor_xn_minus_1": 2}),
+            # gcd(2, t_1) = 2: census-count skips, the census searches once
+            (DATA / "verify_matrix_f9_n2.json", 0, {"monic_right_divisors": 1}),
+        ],
+        ids=["bench", "f9-n2"],
+    )
+    def test_entry_derives_its_census_divisors_once(self, monkeypatch, matrix, seed, calls):
+        names = ("monic_right_divisors", "factor_xn_minus_1", "brute_right_divisors")
+        counted = count_calls(monkeypatch, skew_poly, *names)
+        verify_entry(matrix_from_json(json.loads(matrix.read_text()), seed)[0])
+        # one exhaustive search, for census-count and fixed-subfield-divisors, or
+        # the census's own search past gcd(n, t_i) = 1
+        assert counted == {**calls, "brute_right_divisors": 1}
 
     @pytest.mark.parametrize("bound, passed", [(215, False), (216, True)])
     def test_searched_census_is_sized_by_its_divisors(self, bound, passed):
