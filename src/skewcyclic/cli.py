@@ -234,14 +234,13 @@ def cmd_code(args) -> int:
     if action == "gray":
         if args.word:
             word = _parse_word(args, fld)
-            if len(word) != code.n:
-                raise CodeError(f"word length {len(word)} != n = {code.n}")
+            member = code.contains(word)  # checks the word before it is mapped
             img = gray_map(word)
             payload = _code_payload(code)
             payload["word"] = ring_vector_to_string(word)
             payload["gray_image"] = [str(x) for x in img]
             payload["lee_weight"] = lee_weight(word)
-            payload["member"] = code.contains(word)
+            payload["member"] = member
             _emit(
                 payload,
                 [

@@ -12,9 +12,10 @@ reads the field's ``LogTable`` of O(q) ints, built on first use from the
 powers of a generator, and returns an interned element. The powers are
 computed in pure Python, so the field layer never loads numpy. Fields past
 ENUMERATION_LIMIT are constructed, checked and printed, but their
-arithmetic raises ``EnumerationTooLarge``. For q <= TABLE_LIMIT,
-``Field.tables()`` expands the same table into dense q x q index lists for
-the index-level kernels (``linalg``, the oracle, the divisor search).
+arithmetic raises ``EnumerationTooLarge``; ``linalg`` eliminates on the
+same table. For q <= TABLE_LIMIT, ``Field.tables()`` expands it into dense
+q x q index lists for two readers only: the oracle, as its own reference
+arithmetic, and the numpy divisor search, which gathers from them.
 
 Commutative polynomials (moduli, and F_{p^i}[x] inside F_q[x, theta_i])
 have one lane: ``Field.subfield(i)``, index lists over F_{p^i} with
@@ -39,7 +40,7 @@ import operator
 from typing import Sequence
 
 ENUMERATION_LIMIT = 2**16
-TABLE_LIMIT = 4096  # largest q, or subfield order p^i, with dense int op tables
+TABLE_LIMIT = 4096  # largest q with dense tables (oracle, divisor search), or subfield order p^i
 
 
 class FieldError(Exception):
@@ -331,7 +332,7 @@ class LogTable:
 
 class FieldTables:
     """Dense q x q integer operation tables of a small field, expanded from
-    its ``LogTable`` for the index-level kernels.
+    its ``LogTable`` for the oracle and the numpy divisor search.
 
     Elements are indexed by their position in the canonical enumeration
     (lexicographic on ascending-degree coefficient vectors), so index 0 is
@@ -499,7 +500,8 @@ class Field:
         return self._log
 
     def tables(self) -> FieldTables:
-        """Dense int operation tables (memoized; rebuilding is idempotent)."""
+        """Dense int operation tables (memoized; rebuilding is idempotent),
+        read by the oracle and ``skew_poly._brute_divisor_tails`` only."""
         if self._tables is None:
             if self.q > TABLE_LIMIT:
                 raise EnumerationTooLarge(

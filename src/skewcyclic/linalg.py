@@ -1,7 +1,9 @@
 """Exact linear algebra over F_q on integer-indexed matrices.
 
-Rows are lists of element indices (``FieldElem.idx``); all elimination is
-table-driven and exact, in one forward-elimination loop (``_pivots``):
+Rows are lists of element indices (``FieldElem.idx``). Elimination is
+exact on the field's O(q) ``LogTable``, as in ``FieldElem`` (products on
+logarithms, sums by ``LogTable.add``), so it runs past ``TABLE_LIMIT``,
+in one forward-elimination loop (``_pivots``):
 ``rank`` counts its pivots, and ``echelon`` copies them out for ``rref``
 and the span enumerators. Only ``rref`` fully reduces, for
 ``canonical_subspace`` and ``nullspace``, which need a canonical form.
@@ -18,7 +20,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldError
+from .finite_field import EnumerationTooLarge, Field, FieldElem, FieldError, LogTable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,13 +46,21 @@ def _width(rows: Sequence[Sequence[int]], ncols: int | None) -> int:
     return ncols
 
 
+def _axpy(t: LogTable, u: Sequence[int], lc: int, v: Sequence[int]) -> list[int]:
+    """u + g^lc * v entrywise on indices, for 0 <= lc < q - 1: the product
+    is ``exp[lc + log b]`` (``log[0]`` makes a zero b read zero) and the sum
+    ``LogTable.add``, the one row operation of elimination."""
+    exp, log, add = t.exp, t.log, t.add
+    return [add(a, exp[lc + log[b]]) for a, b in zip(u, v)]
+
+
 def _pivots(rows: Sequence[Sequence[int]], field: Field) -> dict[int, Sequence[int]]:
     """Pivot column -> pivot row, by forward elimination: each row is reduced
     by the pivot rows before it until its leading column holds no pivot.
     Nothing is normalised or cleared above a pivot; a row that needs no
     reduction (a row x^j * g of a generator) is kept as given, uncopied."""
-    t = field.tables()
-    inv, mul, sub = t.inv, t.mul, t.sub
+    t, n = field.log_table(), field.q - 1
+    log = t.log
     pivots: dict[int, Sequence[int]] = {}
     for r in rows:
         c, v = -1, next(filter(None, r), 0)
@@ -60,8 +70,8 @@ def _pivots(rows: Sequence[Sequence[int]], field: Field) -> dict[int, Sequence[i
             if p is None:
                 pivots[c] = r
                 break
-            mul_f = mul[mul[v][inv[p[c]]]]
-            r = [sub[x][mul_f[y]] for x, y in zip(r, p)]
+            # r - (v / p_c) p, with -1 = g^{n/2}
+            r = _axpy(t, r, (log[v] - log[p[c]] + n // 2) % n, p)
             v = next(filter(None, r[c + 1 :]), 0)
     return pivots
 
@@ -74,17 +84,16 @@ def echelon(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
 def rref(rows: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
     """Reduced row echelon form; returns the nonzero rows (canonical basis):
     ``echelon`` with each pivot scaled to 1 and cleared from the rows above."""
-    t = field.tables()
-    mul, sub = t.mul, t.sub
+    t, n = field.log_table(), field.q - 1
+    exp, log = t.exp, t.log
     red: list[list[int]] = []
     for row in echelon(rows, field):
         c = _lead(row)
-        mul_inv = mul[t.inv[row[c]]]
-        row = [mul_inv[x] for x in row]
+        l_inv = n - log[row[c]]
+        row = [exp[l_inv + log[x]] for x in row]
         for k, r in enumerate(red):
             if r[c]:
-                mul_f = mul[r[c]]
-                red[k] = [sub[x][mul_f[y]] for x, y in zip(r, row)]
+                red[k] = _axpy(t, r, (log[r[c]] + n // 2) % n, row)
         red.append(row)
     return red
 
@@ -101,15 +110,15 @@ def nullspace(
     ``ncols`` is required when the matrix has no rows (the kernel is then
     the whole space).
     """
-    t = field.tables()
+    neg = field.log_table().neg
     red, ncols = rref(rows, field), _width(rows, ncols)
     pivots = [_lead(r) for r in red]
     basis = []
     for j in sorted(set(range(ncols)) - set(pivots)):
         y = [0] * ncols
-        y[j] = t.one
+        y[j] = field.one.idx
         for r, pc in zip(red, pivots):
-            y[pc] = t.neg[r[j]]
+            y[pc] = neg[r[j]]
         basis.append(y)
     return rref(basis, field)
 
@@ -131,24 +140,16 @@ def span_vectors(
     zero word of that length).
     """
     ncols = _width(rows, ncols)
-    t = field.tables()
     basis = echelon(rows, field)
-    size = field.q ** len(basis)
-    if size > bound:
-        raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
-    scaled = [[[t.mul[c][x] for x in row] for c in range(field.q)] for row in basis]
-    out = {tuple([0] * ncols)}
+    _refuse_span(basis, field, bound)
+    t = field.log_table()
+    exp, log, add = t.exp, t.log, t.add
     words = [tuple([0] * ncols)]
-    add = t.add
-    for srow in scaled:
-        new_words = []
-        for w in words:
-            for sc in srow[1:]:
-                nw = tuple(add[a][b] for a, b in zip(w, sc))
-                new_words.append(nw)
-        words.extend(new_words)
-        out.update(new_words)
-    return out
+    for row in basis:
+        logs = [log[x] for x in row]
+        multiples = [[exp[lc + lx] for lx in logs] for lc in range(field.q - 1)]
+        words += [tuple(map(add, w, sc)) for w in words for sc in multiples]
+    return set(words)
 
 
 def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
@@ -160,12 +161,13 @@ def _digit_rows(basis: list[list[int]], field: Field) -> np.ndarray:
     """
     import numpy as np
 
-    t, out = field.tables(), []
-    times_w = t.mul[field.gen.idx]
+    t, out = field.log_table(), []
+    exp, log, elems = t.exp, t.log, t.elems
+    lw = log[field.gen.idx]
     for row in basis:
         for _ in range(field.m):
-            out.append([d for e in row for d in t.elems[e].coeffs])
-            row = [times_w[e] for e in row]
+            out.append([d for e in row for d in elems[e].coeffs])
+            row = [exp[lw + log[e]] for e in row]
     return np.array(out, dtype=np.int64)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from skewcyclic import codes, linalg, skew_poly
 from skewcyclic.cli import main
 from skewcyclic.codes import census
-from skewcyclic.finite_field import EnumerationTooLarge, FieldError, field_from_string
+from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldError, field_from_string
 from skewcyclic.oracle import CLAIMS
 from skewcyclic.ring_r import ring_vector_from_string
 from skewcyclic.skew_poly import poly_from_string, project_components, ring_coeffs_from_string
@@ -562,6 +563,33 @@ class TestCensusCommand:
         assert b"Traceback" not in err
 
 
+def _coprime_census(argv: str) -> bool:
+    """gcd(n, t_i) = 1: the census factors x^n - 1 instead of searching."""
+    words = argv.split()
+    opts = dict(zip(words[3::2], words[4::2]))
+    m = field_from_string(words[2]).m
+    return math.gcd(int(opts["--n"]), m // int(opts["--aut"])) == 1
+
+
+class TestWithoutDenseTables:
+    """Gray ranks, distances and the factored census read no dense q x q
+    table: their pins hold with ``Field.tables`` refusing."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_tables(self, monkeypatch):
+        monkeypatch.setattr(Field, "tables", lambda self: pytest.fail("dense tables were read"))
+
+    @pytest.mark.parametrize("argv", sorted(
+        k for k in TestCodeCommand.CODE_PINS if k.split()[1] in ("gray", "distance")
+    ))
+    def test_code_pins(self, capsys, argv):
+        TestCodeCommand().test_json_output_is_pinned(capsys, argv)
+
+    @pytest.mark.parametrize("argv", sorted(filter(_coprime_census, TestCensusCommand.CENSUS_PINS)))
+    def test_census_pins(self, argv):
+        TestCensusCommand().test_stdout_is_pinned(argv)
+
+
 class TestVerifyCommand:
     def test_matrix_file(self, capsys, tmp_path):
         matrix = tmp_path / "matrix.json"
@@ -795,6 +823,16 @@ class TestWordParsing:
         code, out, err = run(capsys, "code", action, *CODE_N1, f"--word={word}")
         assert code == 2 and out == ""
         assert err.startswith("configuration error: bad word")
+
+    @pytest.mark.parametrize("action", ["gray", "contains"])
+    def test_wrong_length_word_is_a_length_mismatch(self, capsys, action):
+        # both actions reach the typed check of SkewCyclicCode.contains
+        code, out, err = run(
+            capsys, "code", action, "--field", FIELD, "--n", "3",
+            "--g1", "1", "--g2", "1", "--g3", "1", "--word", "[1,0]|[0,0]|[0,0]",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: LengthMismatch: word length 1 != n = 3\n"
 
     @pytest.mark.parametrize(
         "argv,option",

@@ -331,13 +331,11 @@ class TestEchelon:
         assert linalg.echelon(rows, fld) == second
 
     def test_subtraction_that_cancels_nothing_still_ends(self, f9):
-        # each reduction step moves a row's lead column right, so broken
-        # tables end elimination after at most ncols steps per row
-        t = f9.tables()
-        broken = SimpleNamespace(
-            one=t.one, inv=t.inv, mul=t.mul, sub=[[x] * f9.q for x in range(f9.q)]
-        )
-        fld = SimpleNamespace(tables=lambda: broken)
+        # each reduction step moves a row's lead column right, so a broken
+        # table ends elimination after at most ncols steps per row
+        t = f9.log_table()
+        broken = SimpleNamespace(exp=t.exp, log=t.log, add=lambda a, b: a)
+        fld = SimpleNamespace(q=f9.q, log_table=lambda: broken)
         assert linalg.rank([[1, 1, 1]] * 4, fld) == 3
 
     @settings(max_examples=100, deadline=None)
@@ -362,6 +360,52 @@ class TestEchelon:
         assert linalg.span_weight_distribution(
             mixed, fld, ncols=ncols
         ) == linalg.span_weight_distribution(rows, fld, ncols=ncols)
+
+
+F_3_8 = Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1])  # q = 6561 > TABLE_LIMIT
+
+
+@st.composite
+def _matrices_past_the_table_limit(draw):
+    """(rows, ncols) over F_{3^8}: sparse rows, and c * a + b appended for
+    two of them, so that the kernel is often larger than ncols - #rows."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, F_3_8.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    if len(rows) >= 2:
+        a, b = draw(st.permutations(rows))[:2]
+        c = F_3_8.from_index(draw(st.integers(1, F_3_8.q - 1)))
+        elems = F_3_8.log_table().elems
+        rows.append([(c * elems[x] + elems[y]).idx for x, y in zip(a, b)])
+    return rows, ncols
+
+
+class TestPastTheTableLimit:
+    """Elimination over F_{3^8} reads the O(q) LogTable alone; every check
+    is made in ``FieldElem`` arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices_past_the_table_limit())
+    def test_nullspace_and_rref_without_dense_tables(self, case):
+        rows, ncols = case
+        elems = F_3_8.log_table().elems
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Field, "tables", lambda self: pytest.fail("dense tables were read"))
+            kernel = linalg.nullspace(rows, F_3_8, ncols)
+            red = linalg.rref(rows, F_3_8)
+            r = linalg.rank(rows, F_3_8)
+        for y in kernel:
+            for row in rows:
+                dot = F_3_8.zero
+                for a, b in zip(row, y):
+                    dot = dot + elems[a] * elems[b]
+                assert dot == F_3_8.zero
+        assert r + len(kernel) == ncols
+        assert len(red) == r
+        for k, row in enumerate(red):
+            c = linalg._lead(row)
+            assert elems[row[c]] == F_3_8.one
+            assert all(other[c] == 0 for j, other in enumerate(red) if j != k)
 
 
 class TestMacWilliams:
