@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -24,6 +25,7 @@ from . import oracle as oracle_mod
 from .codes import (
     CENSUS_LIMIT,
     CodeError,
+    HypothesisViolated,
     code_from_components,
     component_code_new,
     count_skew_cyclic_codes,
@@ -157,11 +159,12 @@ def cmd_field(args) -> int:
 
 def cmd_factor(args) -> int:
     fld = _parse_field(args)
-    _length(args)
-    # the count refuses gcd(n, t_i) != 1 and n' past FACTOR_LIMIT before
-    # anything is factored
-    over_field, over_ring = count_skew_cyclic_codes(args.n, fld, args.aut)
-    fac = factor_xn_minus_1(args.n, fld, args.aut)
+    n, t_i = _length(args), fld.check_aut_exponent(args.aut)
+    if math.gcd(n, t_i) != 1:  # then x^n - 1 has right factors outside F_{p^i}[x]
+        raise HypothesisViolated(f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i})")
+    # the count refuses n' past FACTOR_LIMIT before anything is factored
+    over_field, over_ring = count_skew_cyclic_codes(n, fld, args.aut)
+    fac = factor_xn_minus_1(n, fld, args.aut)
     payload = {
         "field": field_to_json(fld),
         "aut": args.aut,

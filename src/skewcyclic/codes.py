@@ -48,6 +48,7 @@ from .skew_poly import (
     _coprime_part,
     _cyclotomic_cosets,
     _lane_xn_minus_1,
+    is_semisimple,
     lane_lift,
     lane_read,
     monic_right_divisors,
@@ -520,18 +521,33 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
 
     With n = p^e * n' and p not dividing n', x^n - 1 has one irreducible
     factor over F_{p^i} per p^i-cyclotomic coset mod n', each of
-    multiplicity p^e, so there are (p^e + 1)^{#cosets} monic divisors.
-    No polynomial is factored. Only valid when n is coprime to the
-    automorphism order t_i. Past ``skew_poly.FACTOR_LIMIT`` for n' it raises
-    ``EnumerationTooLarge`` before the coset table is built, as factoring does.
+    multiplicity p^e, so when gcd(n, t_i) = 1 there are
+    (p^e + 1)^{#cosets} monic divisors. When t_i | n and p does not divide
+    N = n/t_i, x^{t_i} is central and each coset C mod N gives a factor
+    M_{t_i}(F_Q), Q = p^{i|C|}, of F_q[x, theta_i]/(x^n - 1), whose left
+    ideals are the subspaces of F_Q^{t_i}: the count is the product over
+    the cosets of sum_k [t_i choose k]_Q. No polynomial is factored. Any
+    other n raises ``HypothesisViolated``. Past ``skew_poly.FACTOR_LIMIT``
+    for n' (or N) it raises ``EnumerationTooLarge`` before the coset table
+    is built, as factoring does.
     """
     t_i = field.check_aut_exponent(i)
-    if math.gcd(n, t_i) != 1:
+    if math.gcd(n, t_i) == 1:
+        n1 = _coprime_part(n, field.p)
+        over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(field.p**i, n1))
+    elif is_semisimple(n, field, i):
+        over_field = 1
+        for coset in _cyclotomic_cosets(field.p**i, _coprime_part(n // t_i, field.p)):
+            big_q, subspaces, binom = field.p ** (i * len(coset)), 0, 1
+            for k in range(t_i + 1):  # binom = [t_i choose k]_Q
+                subspaces += binom
+                binom = binom * (big_q ** (t_i - k) - 1) // (big_q ** (k + 1) - 1)
+            over_field *= subspaces
+    else:
         raise HypothesisViolated(
-            f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i})"
+            f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i}), and t_i does "
+            f"not divide n or p = {field.p} divides n/t_i"
         )
-    n1 = _coprime_part(n, field.p)
-    over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(field.p**i, n1))
     return over_field, over_field**3
 
 
@@ -539,12 +555,14 @@ def census_components(
     n: int, field: Field, i: int, bound: int = CENSUS_LIMIT, search_bound: int = SEARCH_LIMIT
 ) -> tuple[list[ComponentCode], int, int | None]:
     """(components, D^3, formula): a ``ComponentCode`` per monic right
-    divisor of x^n - 1, each derived and built once, and the coset count
-    over R (``count_skew_cyclic_codes``) if gcd(n, t_i) = 1, else None.
+    divisor of x^n - 1, each derived and built once, and the count over R
+    (``count_skew_cyclic_codes``), or None where it has none.
     Past ``bound`` codes it raises ``EnumerationTooLarge``: from that count
     before anything is factored, else from the divisors before any build."""
-    t_i = field.check_aut_exponent(i)
-    formula = count_skew_cyclic_codes(n, field, i)[1] if math.gcd(n, t_i) == 1 else None
+    try:
+        formula = count_skew_cyclic_codes(n, field, i)[1]
+    except HypothesisViolated:  # the divisors come from a search
+        formula = None
     early = formula is not None and formula > bound
     divisors = [] if early else monic_right_divisors(n, field, i, search_bound)
     size = formula if early else len(divisors) ** 3

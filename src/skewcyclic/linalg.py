@@ -48,10 +48,20 @@ def _width(rows: Sequence[Sequence[int]], ncols: int | None) -> int:
 
 def _axpy(t: LogTable, u: Sequence[int], lc: int, v: Sequence[int]) -> list[int]:
     """u + g^lc * v entrywise on indices, for 0 <= lc < q - 1: the product
-    is ``exp[lc + log b]`` (``log[0]`` makes a zero b read zero) and the sum
-    ``LogTable.add``, the one row operation of elimination."""
-    exp, log, add = t.exp, t.log, t.add
-    return [add(a, exp[lc + log[b]]) for a, b in zip(u, v)]
+    is g^{lc + log b}, and the sum, where a and b are nonzero, is
+    a (1 + g^{lc + log b - log a}), read from ``zech`` inline as in
+    ``LogTable.add``: the one row operation of elimination."""
+    exp, log, zech = t.exp, t.log, t.zech
+    out = []
+    for a, b in zip(u, v):
+        if not b:
+            out.append(a)
+        elif not a:
+            out.append(exp[lc + log[b]])
+        else:
+            la = log[a]
+            out.append(exp[la + zech[lc + log[b] - la]])
+    return out
 
 
 def _pivots(rows: Sequence[Sequence[int]], field: Field) -> dict[int, Sequence[int]]:

@@ -96,6 +96,7 @@ from .skew_poly import (
     SkewPoly,
     brute_right_divisors,
     is_right_divisor_of_xn_minus_1,
+    is_semisimple,
     monic_right_divisors,
     poly_from_string,
     poly_to_string,
@@ -555,12 +556,13 @@ def verify_gray_isometry(entry: TestMatrixEntry, splitting: dict | None = None) 
 
 def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
     """The entry's monic right divisors of x^n - 1 by exhaustive search, or
-    why the census claims skip it: gcd(n, t_i) != 1 or a search space past
+    why the census claims skip it: production searches too (gcd(n, t_i) != 1
+    where t_i does not divide n or p divides n/t_i), or a search space past
     ``bounds.search``."""
     fld = entry.field()
     g = math.gcd(entry.n, fld.check_aut_exponent(entry.i))
-    if g != 1:
-        return f"gcd(n, t_i) = {g} != 1"
+    if g != 1 and not is_semisimple(entry.n, fld, entry.i):
+        return f"gcd(n, t_i) = {g} != 1 and t_i does not divide n or p divides n/t_i"
     try:
         return brute_right_divisors(entry.n, fld, entry.i, entry.bounds.search)
     except EnumerationTooLarge as exc:
@@ -606,12 +608,15 @@ def verify_fixed_subfield_divisors(
 ) -> VerdictReport:
     """When gcd(n, t_i) = 1, every monic right divisor has theta-fixed coefficients.
 
-    ``divisors`` is ``_brute_divisors(entry)``.
+    ``divisors`` is ``_brute_divisors(entry)``; other entries skip.
     """
     claim, cfg = "fixed-subfield-divisors", entry.config()
+    fld = entry.field()
+    g = math.gcd(entry.n, fld.check_aut_exponent(entry.i))
+    if g != 1:
+        divisors = f"gcd(n, t_i) = {g} != 1"
     if isinstance(divisors, str):
         return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
-    fld = entry.field()
     for g in divisors:
         for c in g.coeffs:
             if fld.frob_table(entry.i)[c] != c:

@@ -323,15 +323,134 @@ def monic_right_divisors(
     Ordered by degree, then lexicographically on the coefficient vector.
     When gcd(n, t_i) = 1 every divisor lies in F_{p^i}[x], so the divisors
     are the products of the fixed-subfield factorization and
-    ``search_bound`` does not apply. Otherwise they come from
-    ``brute_right_divisors`` within the bound. Nothing is divided here:
-    ``ComponentCode`` divides x^n - 1 by each divisor once, for its
-    cofactor, and raises ``NotRightDivisor`` on a remainder.
+    ``search_bound`` does not apply. When t_i | n and p does not divide
+    n/t_i, ``_central_right_divisors`` builds them as lclms of irreducible
+    right divisors of the central factors, within the bound. Otherwise they
+    come from ``brute_right_divisors`` within the bound. Nothing is divided
+    by x^n - 1 here: ``ComponentCode`` divides x^n - 1 by each divisor
+    once, for its cofactor, and raises ``NotRightDivisor`` on a remainder.
     """
     t_i = field.check_aut_exponent(i)
     if math.gcd(n, t_i) == 1:
         return divisors_from_factorization(factor_xn_minus_1(n, field, i))
+    if is_semisimple(n, field, i):
+        return _central_right_divisors(n, field, i, search_bound)
     return brute_right_divisors(n, field, i, search_bound)
+
+
+# ---------------------------------------------------------------------------
+# the central route: x^{t_i} is central, and for t_i | n with p not dividing
+# n/t_i the quotient F_q[x, theta_i]/(x^n - 1) is semisimple
+
+
+class RightEuclid(NamedTuple):
+    gcrd: SkewPoly
+    lclm: SkewPoly
+
+
+def gcrd_lclm(f: SkewPoly, g: SkewPoly) -> RightEuclid:
+    """The monic greatest common right divisor and least common left
+    multiple of nonzero f and g, by the right Euclidean algorithm with left
+    cofactors: each remainder is r_k = u_k f + v_k g, and the u f with
+    r = 0 is -v g, their least common left multiple (Ore, Ann. of Math. 34,
+    1933)."""
+    f._check_compat(g)
+    if f.is_zero() or g.is_zero():
+        raise ZeroDivisor("gcrd and lclm need nonzero polynomials")
+    r0, r1 = f, g
+    u0, u1 = SkewPoly.one(f.field, f.aut), SkewPoly.zero(f.field, f.aut)
+    while not r1.is_zero():
+        quo, rem = right_divide(r0, r1)
+        r0, r1, u0, u1 = r1, rem, u1, u0 - skew_mul(quo, u1)
+    return RightEuclid(r0.monic(), skew_mul(u1, f).monic())
+
+
+def is_semisimple(n: int, field: Field, i: int) -> bool:
+    """True when t_i | n and p does not divide n/t_i: then y = x^{t_i} is
+    central, y^{n/t_i} - 1 is square-free over F_{p^i}, and
+    F_q[x, theta_i]/(x^n - 1) is semisimple."""
+    t_i = field.check_aut_exponent(i)
+    return n % t_i == 0 and (n // t_i) % field.p != 0
+
+
+def _lclm_closure(one: SkewPoly, irreducible: list[SkewPoly], t: int) -> list[SkewPoly]:
+    """1 and every lclm of a set of the irreducibles (the irreducible right
+    divisors of one central factor, of degree s), level by level in degree:
+    s, 2s, ..., ts, the degree of the factor.
+
+    Each divisor h one level above g is lclm(g, d) for every irreducible d
+    that right-divides h and not g, so lclm(g, d) is computed once per such
+    h: the irreducibles that right-divide h (found once per h) are then done
+    for g."""
+    level = {d: {k} for k, d in enumerate(irreducible)}
+    found = [one]
+    for _ in range(t):
+        found += level
+        above: dict[SkewPoly, set[int]] = {}
+        for g, below in level.items():
+            done = set(below)
+            for k, d in enumerate(irreducible):
+                if k in done:
+                    continue
+                h = gcrd_lclm(g, d).lclm
+                if h not in above:
+                    above[h] = {
+                        j for j, e in enumerate(irreducible)
+                        if right_divide(h, e).remainder.is_zero()
+                    }
+                done |= above[h]
+        level = above
+    return found
+
+
+def _central_right_divisors(n: int, field: Field, i: int, search_bound: int) -> list[SkewPoly]:
+    """All monic right divisors of x^n - 1 when t_i | n and p does not
+    divide N = n/t_i, sorted as ``brute_right_divisors`` sorts them.
+
+    y^N - 1 is the product of the distinct irreducibles f_j(y) over
+    F_{p^i}, of degrees s_j (the cyclotomic coset sizes of p^i mod N), so
+    x^n - 1 is the product of the central, pairwise coprime F_j =
+    f_j(x^{t_i}), and F_q[x, theta_i]/(F_j) is M_{t_i}(F_Q), Q = p^{i s_j}.
+    The irreducible right divisors of F_j are its monic right divisors of
+    degree s_j, found among the q^{s_j} candidates; there must be
+    (Q^{t_i} - 1)/(Q - 1) of them, one per line of F_Q^{t_i}. The quotient
+    is semisimple, so every right divisor of F_j is the lclm of the
+    irreducibles it has (``_lclm_closure``), and every divisor of x^n - 1
+    the lclm of one divisor of each F_j (Boucher and Ulmer, J. Symbolic
+    Comput. 44, 2009). ``search_bound`` bounds the sum of the q^{s_j}
+    candidates, and is checked before anything is factored.
+    """
+    t_i = field.check_aut_exponent(i)
+    big_n, q = n // t_i, field.q
+    space = 0
+    for coset in _cyclotomic_cosets(field.p**i, _coprime_part(big_n, field.p)):
+        space += q ** len(coset)
+        if space > search_bound:
+            raise EnumerationTooLarge(
+                f"search space exceeds bound {search_bound}: {space} candidate "
+                f"irreducible right divisors of the central factors of x^{n} - 1"
+            )
+    one = SkewPoly.one(field, i)
+    divisors = [one]
+    for f, _ in factor_xn_minus_1(big_n, field, i).factors:
+        s, coeffs = f.degree, [0] * (t_i * f.degree + 1)
+        coeffs[::t_i] = f.coeffs
+        central = SkewPoly(field, coeffs, i)
+        candidates = (
+            SkewPoly(field, tail + (field.one.idx,), i)
+            for tail in itertools.product(range(q), repeat=s)
+        )
+        irreducible = [g for g in candidates if right_divide(central, g).remainder.is_zero()]
+        big_q = field.p ** (i * s)
+        if len(irreducible) != (big_q**t_i - 1) // (big_q - 1):
+            raise AssertionError(
+                f"{len(irreducible)} irreducible right divisors of {central}, not "
+                f"(Q^t - 1)/(Q - 1) for Q = {big_q}, t = {t_i}"
+            )
+        closure = _lclm_closure(one, irreducible, t_i)
+        divisors = [gcrd_lclm(a, b).lclm for a in divisors for b in closure]
+    divisors.sort(key=lambda g: (g.degree, g.coeffs))
+    return divisors
 
 
 # ---------------------------------------------------------------------------

@@ -790,7 +790,9 @@ class TestCensus:
         "fld,i,n",
         [("f9", 1, n) for n in (1, 3, 5, 7)]
         + [("f9", 2, n) for n in (2, 3, 4, 6)]
-        + [("f3", 1, n) for n in (3, 6, 9)],
+        + [("f3", 1, n) for n in (3, 6, 9)]
+        # t_i | n and p does not divide n/t_i: the Gaussian-binomial count
+        + [("f9", 1, 2), ("f9", 1, 4), ("f25", 1, 4), ("f27", 1, 3)],
     )
     def test_count_formula_matches_brute_divisors(self, request, fld, i, n):
         fld = request.getfixturevalue(fld)
@@ -808,8 +810,12 @@ class TestCensus:
             count_skew_cyclic_codes(0, Field(3, 1, [0, 1]), 1)
 
     def test_count_hypothesis_gate(self, f9):
+        # gcd(6, t_1) = 2 with p = 3 dividing n/t_1 = 3: no count
         with pytest.raises(HypothesisViolated):
-            count_skew_cyclic_codes(4, f9, 1)
+            count_skew_cyclic_codes(6, f9, 1)
+        # gcd(2, t_1) = 2 with t_1 = 4 not dividing n = 2: no count
+        with pytest.raises(HypothesisViolated):
+            count_skew_cyclic_codes(2, Field(3, 4, (1, 0, 1, 1, 1)), 1)
 
     def test_census_n1(self, f9):
         codes = census(1, f9, 1)

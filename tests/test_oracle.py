@@ -255,9 +255,25 @@ class TestCensusOracle:
         assert v.passed and v.mode == "exhaustive"
 
     def test_skipped_when_not_coprime(self):
-        entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
+        # gcd(6, t_1) = 2 and p = 3 divides 6/t_1: production searches too
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=6)
         v = verify_census(entry, _brute_divisors(entry))
         assert v.mode == "skipped" and v.passed
+        assert v.counterexample["reason"].startswith("gcd(n, t_i) = 2 != 1")
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_checks_the_central_route(self, n, monkeypatch):
+        # t_1 | n and p does not divide n/t_1: production's lclms against the
+        # oracle's search and the count, and a dropped divisor is missing
+        entry = TestMatrixEntry(p=3, m=2, i=1, n=n)
+        divisors = _brute_divisors(entry)
+        assert len(divisors) == {2: 6, 4: 36}[n]
+        v = verify_census(entry, divisors)
+        assert v.passed and v.mode == "exhaustive"
+        central = skew_poly._central_right_divisors
+        monkeypatch.setattr(skew_poly, "_central_right_divisors", lambda *a: central(*a)[:-1])
+        v = verify_census(entry, divisors)
+        assert not v.passed and v.counterexample == {"missing": [f"[2,0] + [1,0]*x^{n}"], "extra": []}
 
     def test_corrupt_count_formula_fails(self, entry9, monkeypatch):
         divisors = _brute_divisors(entry9)
@@ -796,8 +812,9 @@ class TestHarness:
         [
             # gcd(5, t_1) = 1: census-count's own read and the one census
             (BENCH_MATRIX, 101, {"monic_right_divisors": 2, "factor_xn_minus_1": 2}),
-            # gcd(2, t_1) = 2: census-count skips, the census searches once
-            (DATA / "verify_matrix_f9_n2.json", 0, {"monic_right_divisors": 1}),
+            # gcd(2, t_1) = 2 with t_1 | 2: census-count's own read and the
+            # one census, each from the central factor y - 1
+            (DATA / "verify_matrix_f9_n2.json", 0, {"monic_right_divisors": 2, "factor_xn_minus_1": 2}),
         ],
         ids=["bench", "f9-n2"],
     )
@@ -805,8 +822,8 @@ class TestHarness:
         names = ("monic_right_divisors", "factor_xn_minus_1", "brute_right_divisors")
         counted = count_calls(monkeypatch, skew_poly, *names)
         verify_entry(matrix_from_json(json.loads(matrix.read_text()), seed)[0])
-        # one exhaustive search, for census-count and fixed-subfield-divisors, or
-        # the census's own search past gcd(n, t_i) = 1
+        # one exhaustive search, the oracle's, for census-count and
+        # fixed-subfield-divisors
         assert counted == {**calls, "brute_right_divisors": 1}
 
     @pytest.mark.parametrize("bound, passed", [(215, False), (216, True)])

@@ -1,8 +1,12 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from conftest import evaluated, stored
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from skewcyclic.codes import ComponentCode, component_code_new, count_skew_cyclic_codes
 from skewcyclic.finite_field import EnumerationTooLarge, Field, FieldMismatch, Subfield
 from skewcyclic.linalg import canonical_subspace
-from skewcyclic import oracle
+from skewcyclic import oracle, skew_poly
 from skewcyclic.oracle import _combine
 from skewcyclic.ring_r import RingElem, ring_elem
 from skewcyclic.skew_poly import (
@@ -25,6 +29,7 @@ from skewcyclic.skew_poly import (
     brute_right_divisors,
     extended_gcd_commutative,
     factor_xn_minus_1,
+    gcrd_lclm,
     is_right_divisor_of_xn_minus_1,
     mod_xn_minus_1,
     monic_right_divisors,
@@ -257,6 +262,96 @@ class TestDivisorCensus:
         assert any(
             any(frob[c] != c for c in g.coeffs) for g in divs
         )
+
+
+_F81 = (3, 4, (1, 0, 1, 1, 1))
+_CENTRAL_CASES = [  # (p, m, modulus), i, n with t_i | n and p not dividing n/t_i
+    ((3, 2, (1, 0, 1)), 1, 2),
+    ((3, 2, (1, 0, 1)), 1, 4),
+    ((3, 2, (1, 0, 1)), 1, 8),
+    ((5, 2, (2, 0, 1)), 1, 2),
+    ((5, 2, (2, 0, 1)), 1, 4),
+    ((3, 3, (1, 2, 0, 1)), 1, 3),
+    (_F81, 1, 4),
+    (_F81, 2, 2),
+    (_F81, 2, 4),
+]
+
+
+class TestCentralRoute:
+    """t_i | n and p does not divide n/t_i: divisors as lclms of the
+    irreducible right divisors of the central factors f(x^{t_i})."""
+
+    @pytest.mark.parametrize(
+        "spec,i,n", _CENTRAL_CASES, ids=[f"q{p**m}-i{i}-n{n}" for (p, m, _), i, n in _CENTRAL_CASES]
+    )
+    def test_equals_the_brute_search_in_order(self, spec, i, n):
+        field = Field(*spec)
+        assert math.gcd(n, field.m // i) != 1
+        assert monic_right_divisors(n, field, i) == brute_right_divisors(n, field, i)
+
+    @pytest.mark.parametrize("spec,n,count", [((3, 3, (1, 2, 0, 1)), 6, 784), ((5, 2, (2, 0, 1)), 6, 224)])
+    def test_past_the_brute_search_bound_the_list_is_the_count(self, spec, n, count):
+        field = Field(*spec)
+        with pytest.raises(EnumerationTooLarge):
+            brute_right_divisors(n, field, 1)
+        divs = monic_right_divisors(n, field, 1)
+        assert len(divs) == len(set(divs)) == count_skew_cyclic_codes(n, field, 1)[0] == count
+        assert all(g.is_monic() and is_right_divisor_of_xn_minus_1(g, n) for g in divs)
+        keys = [(g.degree, g.coeffs) for g in divs]
+        assert keys == sorted(keys)
+
+    def test_a_wrong_irreducible_count_raises(self, f9, monkeypatch):
+        # x^2 - 1 over F_9 has (3^2 - 1)/(3 - 1) = 4 irreducible right
+        # divisors; hiding x - 1 leaves 3
+        divide, hidden = skew_poly.right_divide, poly_from_string("x-1", f9, 1)
+
+        def hiding(f, g):
+            found = divide(f, g)
+            if g == hidden and f == xn_minus_1(f9, 1, 2):
+                return found._replace(remainder=SkewPoly.one(f9, 1))
+            return found
+
+        monkeypatch.setattr(skew_poly, "right_divide", hiding)
+        with pytest.raises(AssertionError, match="3 irreducible right divisors"):
+            monic_right_divisors(2, f9, 1)
+
+    def test_search_bound_counts_the_candidates(self, f9):
+        # F_9, n = 8: the central factors y - 1, y + 1, y^2 + 1 give
+        # 9 + 9 + 81 candidates
+        assert len(monic_right_divisors(8, f9, 1, search_bound=99)) == 432
+        with pytest.raises(EnumerationTooLarge, match="99"):
+            monic_right_divisors(8, f9, 1, search_bound=98)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_gcrd_and_lclm_of_divisors(self, f9, n):
+        divs = monic_right_divisors(n, f9, 1)
+        for f, g in itertools.product(divs[1:8], repeat=2):
+            d, m = gcrd_lclm(f, g)
+            assert d.is_monic() and m.is_monic()
+            for h in (f, g):
+                assert right_divide(h, d).remainder.is_zero()
+                assert right_divide(m, h).remainder.is_zero()
+            assert m.degree + d.degree == f.degree + g.degree
+            assert m in divs and d in divs
+
+    def test_list_reads_no_dense_table_and_imports_no_numpy(self):
+        script = """
+import sys
+from skewcyclic import skew_poly
+from skewcyclic.finite_field import Field
+
+def refuse(*args):
+    raise AssertionError("the divisor search or a dense table was read")
+
+skew_poly._brute_divisor_tails = refuse
+Field.tables = refuse
+divs = skew_poly.monic_right_divisors(4, Field(3, 2, (1, 0, 1)), 1)
+assert len(divs) == 36, len(divs)
+assert "numpy" not in sys.modules
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(skew_poly.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
 
 class TestFactorization:
