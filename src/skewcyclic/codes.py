@@ -48,6 +48,7 @@ from .skew_poly import (
     _coprime_part,
     _cyclotomic_cosets,
     _lane_xn_minus_1,
+    central_factors,
     is_semisimple,
     lane_lift,
     lane_read,
@@ -526,7 +527,9 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
     N = n/t_i, x^{t_i} is central and each coset C mod N gives a factor
     M_{t_i}(F_Q), Q = p^{i|C|}, of F_q[x, theta_i]/(x^n - 1), whose left
     ideals are the subspaces of F_Q^{t_i}: the count is the product over
-    the cosets of sum_k [t_i choose k]_Q. No polynomial is factored. Any
+    the cosets of sum_k [t_i choose k]_Q (``skew_poly.central_factors``,
+    which the divisor route reads for its bound too). No polynomial is
+    factored. Any
     other n raises ``HypothesisViolated``. Past ``skew_poly.FACTOR_LIMIT``
     for n' (or N) it raises ``EnumerationTooLarge`` before the coset table
     is built, as factoring does.
@@ -536,13 +539,7 @@ def count_skew_cyclic_codes(n: int, field: Field, i: int) -> tuple[int, int]:
         n1 = _coprime_part(n, field.p)
         over_field = (n // n1 + 1) ** len(_cyclotomic_cosets(field.p**i, n1))
     elif is_semisimple(n, field, i):
-        over_field = 1
-        for coset in _cyclotomic_cosets(field.p**i, _coprime_part(n // t_i, field.p)):
-            big_q, subspaces, binom = field.p ** (i * len(coset)), 0, 1
-            for k in range(t_i + 1):  # binom = [t_i choose k]_Q
-                subspaces += binom
-                binom = binom * (big_q ** (t_i - k) - 1) // (big_q ** (k + 1) - 1)
-            over_field *= subspaces
+        over_field = math.prod(c.subspaces for c in central_factors(n, field, i))
     else:
         raise HypothesisViolated(
             f"gcd(n, t_i) = {math.gcd(n, t_i)} != 1 (n = {n}, t_i = {t_i}), and t_i does "

@@ -569,6 +569,16 @@ def _brute_divisors(entry: TestMatrixEntry) -> list[SkewPoly] | str:
         return str(exc)
 
 
+def _coprime_divisors(
+    entry: TestMatrixEntry, divisors: list[SkewPoly] | str
+) -> list[SkewPoly] | str:
+    """``divisors`` (``_brute_divisors(entry)``) as ``fixed-subfield-divisors``
+    reads them: that claim is about gcd(n, t_i) = 1 only, so any other
+    entry skips it, semisimple or not."""
+    gcd = math.gcd(entry.n, entry.field().check_aut_exponent(entry.i))
+    return divisors if gcd == 1 else f"gcd(n, t_i) = {gcd} != 1"
+
+
 def verify_census(entry: TestMatrixEntry, divisors: list[SkewPoly] | str) -> VerdictReport:
     """The brute-force divisors are the ones ``census`` builds its codes
     from (``monic_right_divisors``), and their count is the number-theory
@@ -608,13 +618,11 @@ def verify_fixed_subfield_divisors(
 ) -> VerdictReport:
     """When gcd(n, t_i) = 1, every monic right divisor has theta-fixed coefficients.
 
-    ``divisors`` is ``_brute_divisors(entry)``; other entries skip.
+    ``divisors`` is ``_coprime_divisors(entry, _brute_divisors(entry))``:
+    the list, or why the claim skips the entry.
     """
     claim, cfg = "fixed-subfield-divisors", entry.config()
     fld = entry.field()
-    g = math.gcd(entry.n, fld.check_aut_exponent(entry.i))
-    if g != 1:
-        divisors = f"gcd(n, t_i) = {g} != 1"
     if isinstance(divisors, str):
         return VerdictReport(claim, cfg, "skipped", True, {"reason": divisors})
     for g in divisors:
@@ -1305,7 +1313,7 @@ def verify_entry(
     reports = [
         verify_gray_isometry(entry, splitting),
         _guarded("census-count", cfg, verify_census, entry, divisors),
-        verify_fixed_subfield_divisors(entry, divisors),
+        verify_fixed_subfield_divisors(entry, _coprime_divisors(entry, divisors)),
     ]
     try:
         codes = census(entry.n, fld, entry.i, entry.bounds.enumeration, entry.bounds.search)

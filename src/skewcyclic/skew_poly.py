@@ -325,7 +325,8 @@ def monic_right_divisors(
     are the products of the fixed-subfield factorization and
     ``search_bound`` does not apply. When t_i | n and p does not divide
     n/t_i, ``_central_right_divisors`` builds them as lclms of irreducible
-    right divisors of the central factors, within the bound. Otherwise they
+    right divisors of the central factors, within the bound on its
+    polynomial operations (counted from ``central_factors``). Otherwise they
     come from ``brute_right_divisors`` within the bound. Nothing is divided
     by x^n - 1 here: ``ComponentCode`` divides x^n - 1 by each divisor
     once, for its cofactor, and raises ``NotRightDivisor`` on a remainder.
@@ -373,6 +374,34 @@ def is_semisimple(n: int, field: Field, i: int) -> bool:
     return n % t_i == 0 and (n // t_i) % field.p != 0
 
 
+class CentralFactor(NamedTuple):
+    """One central factor f(x^{t_i}) of x^n - 1, read off its cyclotomic
+    coset C alone: f has degree s = |C|, and with Q = p^{i s} the factor
+    has ``lines`` = (Q^{t_i} - 1)/(Q - 1) irreducible right divisors and
+    ``subspaces`` = sum_k [t_i choose k]_Q monic right divisors."""
+
+    degree: int
+    lines: int
+    subspaces: int
+
+
+def central_factors(n: int, field: Field, i: int) -> list[CentralFactor]:
+    """One ``CentralFactor`` per p^i-cyclotomic coset mod N = n/t_i, for
+    ``is_semisimple(n, field, i)``: there F_q[x, theta_i]/(x^n - 1) is the
+    product of the M_{t_i}(F_Q), whose left ideals are the subspaces of
+    F_Q^{t_i}. Nothing is factored; past ``FACTOR_LIMIT`` for N it raises
+    ``EnumerationTooLarge`` before the coset table is built."""
+    t_i = field.check_aut_exponent(i)
+    found = []
+    for coset in _cyclotomic_cosets(field.p**i, _coprime_part(n // t_i, field.p)):
+        big_q, subspaces, binom = field.p ** (i * len(coset)), 0, 1
+        for k in range(t_i + 1):  # binom = [t_i choose k]_Q
+            subspaces += binom
+            binom = binom * (big_q ** (t_i - k) - 1) // (big_q ** (k + 1) - 1)
+        found.append(CentralFactor(len(coset), (big_q**t_i - 1) // (big_q - 1), subspaces))
+    return found
+
+
 def _lclm_closure(one: SkewPoly, irreducible: list[SkewPoly], t: int) -> list[SkewPoly]:
     """1 and every lclm of a set of the irreducibles (the irreducible right
     divisors of one central factor, of degree s), level by level in degree:
@@ -417,18 +446,26 @@ def _central_right_divisors(n: int, field: Field, i: int, search_bound: int) -> 
     is semisimple, so every right divisor of F_j is the lclm of the
     irreducibles it has (``_lclm_closure``), and every divisor of x^n - 1
     the lclm of one divisor of each F_j (Boucher and Ulmer, J. Symbolic
-    Comput. 44, 2009). ``search_bound`` bounds the sum of the q^{s_j}
-    candidates, and is checked before anything is factored.
+    Comput. 44, 2009).
+
+    ``search_bound`` bounds the polynomial operations, counted from
+    ``central_factors`` before anything is factored: per factor, its
+    q^{s_j} candidate divisions and a lines x subspaces term for the
+    closure (at most one lclm and one division per pair), then one per
+    divisor listed, D = prod_j subspaces_j, for the join (under 2D lclms).
+    The list holds D polynomials, so this bounds its size too.
     """
     t_i = field.check_aut_exponent(i)
     big_n, q = n // t_i, field.q
-    space = 0
-    for coset in _cyclotomic_cosets(field.p**i, _coprime_part(big_n, field.p)):
-        space += q ** len(coset)
-        if space > search_bound:
+    work, count = 0, 1
+    for k, c in enumerate(central_factors(n, field, i), 1):
+        work += q**c.degree + c.lines * c.subspaces
+        count *= c.subspaces
+        if work + count > search_bound:
             raise EnumerationTooLarge(
-                f"search space exceeds bound {search_bound}: {space} candidate "
-                f"irreducible right divisors of the central factors of x^{n} - 1"
+                f"search space exceeds bound {search_bound}: {work + count} polynomial "
+                f"operations for {k} central factor(s) of x^{n} - 1 (candidate divisions, "
+                f"lclm closure, {count} divisors)"
             )
     one = SkewPoly.one(field, i)
     divisors = [one]

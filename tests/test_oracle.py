@@ -300,10 +300,17 @@ class TestCensusOracle:
         ]
 
     def test_fixed_subfield_divisors(self, entry9):
-        assert verify_fixed_subfield_divisors(entry9, _brute_divisors(entry9)).passed
+        divisors = oracle._coprime_divisors(entry9, _brute_divisors(entry9))
+        assert verify_fixed_subfield_divisors(entry9, divisors).passed
+        # n = 2: the oracle searches (production's route is semisimple), and
+        # the claim, about gcd(n, t_i) = 1 only, skips
         entry = TestMatrixEntry(p=3, m=2, i=1, n=2)
-        v = verify_fixed_subfield_divisors(entry, _brute_divisors(entry))
-        assert v.mode == "skipped"
+        divisors = _brute_divisors(entry)
+        assert len(divisors) == 6
+        v = verify_fixed_subfield_divisors(entry, oracle._coprime_divisors(entry, divisors))
+        assert v.mode == "skipped" and v.counterexample == {"reason": "gcd(n, t_i) = 2 != 1"}
+        # handed the list itself, the claim finds x - w outside F_3[x]
+        assert not verify_fixed_subfield_divisors(entry, divisors).passed
 
     def test_skipped_past_search_bound(self):
         # the oracle never falls back to the factorization it checks

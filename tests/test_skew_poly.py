@@ -316,12 +316,29 @@ class TestCentralRoute:
         with pytest.raises(AssertionError, match="3 irreducible right divisors"):
             monic_right_divisors(2, f9, 1)
 
-    def test_search_bound_counts_the_candidates(self, f9):
-        # F_9, n = 8: the central factors y - 1, y + 1, y^2 + 1 give
-        # 9 + 9 + 81 candidates
-        assert len(monic_right_divisors(8, f9, 1, search_bound=99)) == 432
-        with pytest.raises(EnumerationTooLarge, match="99"):
-            monic_right_divisors(8, f9, 1, search_bound=98)
+    def test_search_bound_counts_the_polynomial_operations(self, f9):
+        # F_9, n = 8: the central factors y - 1, y + 1 (Q = 3: 4 lines, 6
+        # subspaces) and y^2 + 1 (Q = 9: 10 lines, 12 subspaces) give
+        # 2 * (9 + 4 * 6) + 81 + 10 * 12 operations and 432 divisors
+        assert [tuple(c) for c in skew_poly.central_factors(8, f9, 1)] == [
+            (1, 4, 6), (2, 10, 12), (1, 4, 6)
+        ]
+        assert len(monic_right_divisors(8, f9, 1, search_bound=699)) == 432
+        with pytest.raises(EnumerationTooLarge, match="699"):
+            monic_right_divisors(8, f9, 1, search_bound=698)
+
+    def test_few_candidates_and_many_divisors_are_refused_before_factoring(self, monkeypatch):
+        # F_{3^8}, n = 8 = t_1: one central factor x^8 - 1 with only 3^8
+        # candidates, but its (3^8 - 1)/2 = 3280 irreducible right divisors
+        # close to the 127902864 subspaces of F_3^8
+        field = Field(3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1])
+
+        def refuse(*args):
+            raise AssertionError("factored past the bound")
+
+        monkeypatch.setattr(skew_poly, "factor_xn_minus_1", refuse)
+        with pytest.raises(EnumerationTooLarge, match="127902864 divisors"):
+            monic_right_divisors(8, field, 1)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_gcrd_and_lclm_of_divisors(self, f9, n):
