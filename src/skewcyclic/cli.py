@@ -337,7 +337,8 @@ def cmd_census(args) -> int:
     # all that can fail runs here, once per component, before the first
     # byte, so a refusal or an error leaves stdout empty. Distance law:
     # d_L(C) is the least Hamming distance of the nonzero components, each
-    # enumerated once, on the smaller of itself and its dual
+    # read on the smaller of itself and its dual, a census member whose
+    # weights are enumerated once for both
     texts = [poly_to_string(c.g) for c in comps]
     sizes = [c.size for c in comps]
     zero = [c.is_zero_code() for c in comps]

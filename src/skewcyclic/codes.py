@@ -118,11 +118,17 @@ class ComponentCode:
     idempotent generator (``_idempotent``) are likewise built on first
     request and kept; a failed construction is not kept. So are the rows of
     eta_j * C that codes over R with C in slot j share (``_slot_rows``).
+    The hash of (n, aut, g) is computed once, at construction (``_hash``),
+    since codes are dict keys wherever a census shares work per component.
+    A code that ``census_components`` built keeps that census's members,
+    each mapped to itself (``_census``), so that a distance read on the
+    dual reads the member's weights.
     """
 
     __slots__ = (
         "n", "g", "h", "field", "aut",
-        "_distance", "_remainder_cols", "_dual", "_idempotent", "_rows", "_slot_rows",
+        "_distance", "_weights", "_remainder_cols", "_dual", "_idempotent", "_rows",
+        "_slot_rows", "_hash", "_census",
     )
 
     def __init__(self, n: int, g: SkewPoly):
@@ -140,11 +146,14 @@ class ComponentCode:
         object.__setattr__(self, "field", g.field)
         object.__setattr__(self, "aut", g.aut)
         object.__setattr__(self, "_distance", None)
+        object.__setattr__(self, "_weights", None)
         object.__setattr__(self, "_remainder_cols", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_idempotent", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_slot_rows", None)
+        object.__setattr__(self, "_hash", hash((n, g.aut, g)))
+        object.__setattr__(self, "_census", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComponentCode is immutable")
@@ -280,16 +289,35 @@ class ComponentCode:
             object.__setattr__(self, "_dual", dual)
         return dual
 
-    def min_hamming_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
-        """Minimum nonzero weight, enumerated on the smaller of C and C^perp.
+    def weight_distribution(self, bound: int = DISTANCE_LIMIT) -> list[int]:
+        """A_0, ..., A_n: the number of codewords of each Hamming weight.
 
-        With k = dim: if k <= n - k, the q^k codewords are enumerated
-        (``span_min_weight``). Otherwise the weight distribution of the
-        q^(n-k)-word ``dual()`` is enumerated and carried back by
-        ``linalg.macwilliams``; its postconditions, and a result of other
-        than q^k words, raise ``MacWilliamsError`` and keep nothing.
-        Raises ``EnumerationTooLarge`` whenever q^min(k, n - k) exceeds
-        ``bound``, also when the value is already known.
+        Enumerated (``span_weight_distribution``) on the first call and kept
+        in ``_weights``; raises ``EnumerationTooLarge`` whenever q^dim
+        exceeds ``bound``, also when the distribution is already known.
+        """
+        if self.size > bound:
+            raise EnumerationTooLarge(f"span size {self.size} exceeds bound {bound}")
+        if self._weights is None:
+            rows = linalg.to_index_rows(self.generator_rows(), self.field)
+            weights = linalg.span_weight_distribution(rows, self.field, bound, self.n)
+            object.__setattr__(self, "_weights", weights)
+        return self._weights
+
+    def min_hamming_distance(self, bound: int = DISTANCE_LIMIT) -> MinDistance:
+        """Minimum nonzero weight, read on the smaller of C and C^perp.
+
+        With k = dim: if k <= n - k, it is the least nonzero weight of the
+        ``weight_distribution``. Otherwise that of the q^(n-k)-word
+        ``dual()`` is carried back by ``linalg.macwilliams``; its
+        postconditions, and a result of other than q^k words, raise
+        ``MacWilliamsError`` and keep nothing. In a census the dual is read
+        from the census members (``_census``) when it is one, so each dual
+        pair is enumerated once, on its smaller side. The dual itself is
+        ``dual()``'s fresh build, never replaced by the member, so the
+        oracle's duality claim still rebuilds it. Raises
+        ``EnumerationTooLarge`` whenever q^min(k, n - k) exceeds ``bound``,
+        also when the value is already known.
         """
         if self.is_zero_code():
             return MinDistance(0, True)
@@ -299,17 +327,16 @@ class ComponentCode:
             raise EnumerationTooLarge(f"span size {size} exceeds bound {bound}")
         if self._distance is None:
             if k <= n - k:
-                rows = linalg.to_index_rows(self.generator_rows(), fld)
-                w = linalg.span_min_weight(rows, fld, bound)
+                weights = self.weight_distribution(bound)
             else:
-                rows = linalg.to_index_rows(self.dual().generator_rows(), fld)
-                dual_weights = linalg.span_weight_distribution(rows, fld, bound, n)
-                weights = linalg.macwilliams(dual_weights, n, fld.q)
+                dual = self.dual()
+                dual = dual if self._census is None else self._census.get(dual, dual)
+                weights = linalg.macwilliams(dual.weight_distribution(bound), n, fld.q)
                 if sum(weights) != self.size:
                     raise linalg.MacWilliamsError(
                         f"the dual's weights carry to {sum(weights)} words, not {self.size}"
                     )
-                w = next(j for j in range(1, n + 1) if weights[j])
+            w = next(j for j in range(1, n + 1) if weights[j])
             object.__setattr__(self, "_distance", w)
         return MinDistance(self._distance, False)
 
@@ -354,7 +381,7 @@ class ComponentCode:
         )
 
     def __hash__(self):
-        return hash((self.n, self.aut, self.g))
+        return self._hash
 
     def __repr__(self):
         return f"ComponentCode(n={self.n}, g={poly_to_string(self.g)}, aut={self.aut})"
@@ -553,8 +580,10 @@ def census_components(
 ) -> tuple[list[ComponentCode], int, int | None]:
     """(components, D^3, formula): a ``ComponentCode`` per monic right
     divisor of x^n - 1, each derived and built once, and the count over R
-    (``count_skew_cyclic_codes``), or None where it has none.
-    Past ``bound`` codes it raises ``EnumerationTooLarge``: from that count
+    (``count_skew_cyclic_codes``), or None where it has none. Each
+    component keeps the list's members (``_census``): a distance read on a
+    dual that is a member reads the member's weights, so each dual pair is
+    enumerated once. Past ``bound`` codes it raises ``EnumerationTooLarge``: from that count
     before anything is factored, else from the divisors before any build."""
     try:
         formula = count_skew_cyclic_codes(n, field, i)[1]
@@ -565,7 +594,11 @@ def census_components(
     size = formula if early else len(divisors) ** 3
     if size > bound:
         raise EnumerationTooLarge(f"census size {size} exceeds table bound {bound}")
-    return [component_code_new(n, g) for g in divisors], size, formula
+    comps = [component_code_new(n, g) for g in divisors]
+    members = {c: c for c in comps}
+    for c in comps:
+        object.__setattr__(c, "_census", members)
+    return comps, size, formula
 
 
 def census(

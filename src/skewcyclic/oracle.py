@@ -28,8 +28,9 @@ with its schoolbook product (``_schoolbook_mul``) stays in three places:
 (``_evaluations``), and the eta-combination (``_combine``) that
 ``decompose-compose`` hands to production's ``project_components`` and
 ``ring_skew_poly_combine``. Production's rows over R reach ``_placement``
-through ``gray_map``, and the sampled words reach
-``contains`` through ``gray_inverse``. The claims share only the field
+through ``gray_map``, and ``principal-generator``'s words over R reach
+``contains`` through ``gray_inverse``; its uniform words are drawn per
+distinct component of an entry, not per code. The claims share only the field
 tables with production's arithmetic; ``_verify_tables`` checks them.
 
 Each claim has one path and builds nothing another claim reads. A claim
@@ -387,12 +388,14 @@ def _verify_splitting(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, 
     compared on every pair in R x B, B = {w^j, w^j v, w^j v^2 : j < m} an
     F_p-basis of R; the product is F_p-bilinear, so agreement on R x B is
     agreement on R x R. theta_i and negation are compared on every
-    element. The schoolbook side runs on (a, b, c) index triples with the
-    field tables, and each production result must equal the oracle's own
-    evaluation map (a, a+b+c, a-b+c) of it. Before any law, the tables
-    must pass ``_verify_tables``, the map is checked injective, and ``a``,
-    ``b``, ``c`` must read every triple back. Past ``pairs`` products, a
-    sample of R drawn from ``Random(seed)`` replaces R.
+    element, theta and negation first, then the three laws with each basis
+    element in turn. The schoolbook side runs on (a, b, c) index triples
+    with the field tables, and each production result must equal the
+    oracle's own evaluation map (a, a+b+c, a-b+c) of it, read from the
+    table rows. Before any law, the tables must pass ``_verify_tables``,
+    the map is checked injective, and ``a``, ``b``, ``c`` must read every
+    triple back. Past ``pairs`` products, a sample of R drawn from
+    ``Random(seed)`` replaces R.
     Returns (exhaustive, witness or None).
     """
     tables_exhaustive, witness = _verify_tables(fld, i, pairs, seed)
@@ -416,29 +419,41 @@ def _verify_splitting(fld: Field, i: int, pairs: int, seed: int) -> tuple[bool, 
             tuple(rng.randrange(fld.q) for _ in range(3))
             for _ in range(max(1, pairs // len(basis)))
         ]
-    made = [RingElem(*(t.elems[k] for k in s)) for s in space]
+
+    def fail(law: str, x: tuple, y: tuple | None, expected: tuple, got: RingElem):
+        return exhaustive, _splitting_witness(fld, law, x, y, expected, got)
+
+    def wrong(expected: tuple, got: RingElem) -> bool:
+        """Does ``got`` store other than the evaluations of ``expected``?"""
+        x, y, z = expected
+        xz = add[x][z]
+        return got.x1.idx != x or got.x2.idx != add[xz][y] or got.x3.idx != sub[xz][y]
+
+    elems = t.elems
+    made = [RingElem(elems[a], elems[b], elems[c]) for a, b, c in space]
     seen: dict[RingElem, tuple] = {}
     for s, r in zip(space, made):
         first = seen.setdefault(r, s)
         if first != s:
-            return exhaustive, _splitting_witness(fld, "injective", first, s, s, r)
+            return fail("injective", first, s, s, r)
         if (r.a.idx, r.b.idx, r.c.idx) != s:
-            return exhaustive, _splitting_witness(fld, "abc", s, None, s, r)
-    basis_elems = [RingElem(*(t.elems[k] for k in u)) for u in basis]
+            return fail("abc", s, None, s, r)
+    basis_elems = [RingElem(*(elems[k] for k in u)) for u in basis]
     for s, r in zip(space, made):
         a, b, c = s
-        laws = [
-            ("theta", None, (frob[a], frob[b], frob[c]), r.frob(i)),
-            ("neg", None, (neg[a], neg[b], neg[c]), -r),
-        ]
+        if wrong(expected := (frob[a], frob[b], frob[c]), got := r.frob(i)):
+            return fail("theta", s, None, expected, got)
+        if wrong(expected := (neg[a], neg[b], neg[c]), got := -r):
+            return fail("neg", s, None, expected, got)
+        add_a, add_b, add_c, sub_a, sub_b, sub_c = add[a], add[b], add[c], sub[a], sub[b], sub[c]
         for u, ru in zip(basis, basis_elems):
             x, y, z = u
-            laws.append(("mul", u, _schoolbook_mul(s, u, t), r * ru))
-            laws.append(("add", u, (add[a][x], add[b][y], add[c][z]), r + ru))
-            laws.append(("sub", u, (sub[a][x], sub[b][y], sub[c][z]), r - ru))
-        for law, u, expected, got in laws:
-            if _evaluations(expected, t) != (got.x1.idx, got.x2.idx, got.x3.idx):
-                return exhaustive, _splitting_witness(fld, law, s, u, expected, got)
+            if wrong(expected := _schoolbook_mul(s, u, t), got := r * ru):
+                return fail("mul", s, u, expected, got)
+            if wrong(expected := (add_a[x], add_b[y], add_c[z]), got := r + ru):
+                return fail("add", s, u, expected, got)
+            if wrong(expected := (sub_a[x], sub_b[y], sub_c[z]), got := r - ru):
+                return fail("sub", s, u, expected, got)
     return exhaustive, None
 
 
@@ -876,16 +891,22 @@ class SlotSpan:
     ``rows`` is ``linalg.echelon`` of sigma^j(g mod x^n - 1), j < n, from
     the oracle's own ``_fold`` and ``_twist_orbit``, each row scaled by
     the inverse of its lead so that ``holds`` clears a lead column with
-    one table lookup. ``leads`` are the lead columns. The minimum weight
-    is enumerated once, on first read (``min_weight``), and each
-    component's rows are tested once (``outside``).
+    one table lookup. ``leads`` are the lead columns, and ``free`` is the
+    first column that is none (None when the span is all of F_q^n): a span
+    word is fixed by its lead entries, so a span word plus e_free is not in
+    the span. The minimum weight is enumerated once, on first read
+    (``min_weight``), and each component's rows are tested once
+    (``outside``). ``sampled`` keeps ``principal-generator``'s verdict on
+    each component's uniform words checked against the span.
     """
 
     field: Field
     rows: list[list[int]]
     leads: list[int]
+    free: int | None
     _min_weight: int | None = dc_field(default=None, init=False, repr=False)
     _outside: dict = dc_field(default_factory=dict, init=False, repr=False)
+    sampled: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def holds(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` (n indices) in the span?"""
@@ -923,7 +944,8 @@ def _slot_span(g: SkewPoly, n: int) -> SlotSpan:
         mul_inv = t.mul[t.inv[row[c]]]
         rows.append([mul_inv[x] for x in row])
         leads.append(c)
-    return SlotSpan(fld, rows, leads)
+    free = next((j for j in range(n) if j not in leads), None)
+    return SlotSpan(fld, rows, leads, free)
 
 
 def _slot_spans(case: Case, memo: dict) -> tuple[SlotSpan, SlotSpan, SlotSpan]:
@@ -934,12 +956,6 @@ def _slot_spans(case: Case, memo: dict) -> tuple[SlotSpan, SlotSpan, SlotSpan]:
         if (g, n) not in memo:
             memo[g, n] = _slot_span(g, n)
     return tuple(memo[g, n] for g in case.combined)
-
-
-def _in_slot_spans(spans: Sequence[SlotSpan], row: Sequence[int]) -> bool:
-    """Is the Gray index row in the combined span: is each coordinate class
-    3k + t of it in the span of slot t?"""
-    return all(span.holds(row[t::3]) for t, span in enumerate(spans))
 
 
 def _placement(code: SkewCyclicCode) -> dict | None:
@@ -1007,7 +1023,22 @@ def _combine(polys: Sequence[SkewPoly], fld: Field) -> tuple:
     return tuple(out)
 
 
-_PRINCIPALITY_SAMPLES = 20  # random words per principal-generator verdict
+_PRINCIPALITY_SAMPLES = 20  # uniform words per distinct component of an entry
+
+
+def _component_samples(
+    comp: ComponentCode, span: SlotSpan, rng: random.Random
+) -> list[str] | None:
+    """The first of ``_PRINCIPALITY_SAMPLES`` uniform words of F_q^n, drawn
+    from ``rng`` in one bulk call, on which the component's ``contains``
+    and the span disagree, as text; None when they agree on all."""
+    fld, n = comp.field, comp.n
+    elems = fld.tables().elems
+    for digits in _draw_digits(rng, _PRINCIPALITY_SAMPLES * n, fld.q).reshape(-1, n).tolist():
+        word = [elems[k] for k in digits]
+        if comp.contains(word) != span.holds(digits):
+            return [str(x) for x in word]
+    return None
 
 
 def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictReport:
@@ -1019,18 +1050,23 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
     (``_slot_spans``, with the entry's memo ``slots``). Its dimension, the
     sum of their ranks, is the code's, and the span of g_t holds the rows
     of C_t, tested once per (C_t, g_t) (``SlotSpan.outside``).
-    ``contains`` accepts each production row over R, and agrees with the
-    span on ``_PRINCIPALITY_SAMPLES`` words, each n
-    split-coordinate digit triples, whose digits ``_draw_digits`` draws
-    from ``rng`` in one bulk call; a sampled Gray index row reaches
-    ``contains`` as the ``RingElem`` word ``gray_inverse`` reads from it.
+    ``contains`` accepts each production row over R, and a member whose
+    coordinate class 3k + t is a word of slot t's span, its coefficients
+    on the span's rows drawn from ``rng``. It rejects that member plus
+    e_j on the class of slot t, j the span's ``free`` column, for each
+    slot whose span is not all of F_q^n. These words reach ``contains`` as
+    the ``RingElem`` words ``gray_inverse`` reads from their Gray index
+    rows. Each component agrees with its slot's span on the uniform words
+    of ``_component_samples``, drawn from ``rng`` once per distinct
+    component and span of the entry, whatever its slot, and kept in the
+    span's ``sampled``.
     The rows are not divided by the combined generator: once
     ``combined-generator`` shows that each g_t divides x^n - 1, their
     remainder is zero by sigma's own arithmetic.
     """
     code = case.code
     fld = code.field
-    elems = fld.tables().elems
+    tables = fld.tables()
     spans = _slot_spans(case, slots)
 
     def fail(mode: str, witness: dict) -> VerdictReport:
@@ -1049,12 +1085,25 @@ def verify_principality(case: Case, rng: random.Random, slots: dict) -> VerdictR
     for row in code.generator_rows():
         if not code.contains(row):
             return fail("exhaustive", {"generator_row_rejected": [str(x) for x in row]})
-    q, n = fld.q, code.n
-    for digits in _draw_digits(rng, _PRINCIPALITY_SAMPLES * n, q**3).reshape(-1, n).tolist():
-        row = [x for k in digits for x in (k // (q * q), k // q % q, k % q)]
-        word = gray_inverse(fld, [elems[k] for k in row])
-        if code.contains(word) != _in_slot_spans(spans, row):
+    members = [
+        _combination([rng.randrange(fld.q) for _ in span.rows], span.rows, code.n, tables)
+        for span in spans
+    ]
+    words = [(members, True)]
+    for t, span in enumerate(spans):
+        if span.free is not None:
+            pushed = list(members[t])
+            pushed[span.free] = tables.add[pushed[span.free]][tables.one]
+            words.append((members[:t] + [pushed] + members[t + 1 :], False))
+    for classes, member in words:
+        word = gray_inverse(fld, [tables.elems[k] for k in itertools.chain(*zip(*classes))])
+        if code.contains(word) != member:
             return fail("sampled", {"word": [str(x) for x in word]})
+    for t, (comp, span) in enumerate(zip(code.components, spans), 1):
+        if comp not in span.sampled:
+            span.sampled[comp] = _component_samples(comp, span, rng)
+        if span.sampled[comp] is not None:
+            return fail("sampled", {"slot": t, "word": span.sampled[comp]})
     return VerdictReport("principal-generator", case.config, "sampled", True)
 
 

@@ -468,6 +468,17 @@ class TestCensusCommand:
         assert json.loads(out)["count_formula"] == 4**3
         assert calls == {"monic_right_divisors": 1, "factor_xn_minus_1": 1}
 
+    def test_census_enumerates_each_dual_pair_once(self, capsys, monkeypatch):
+        # F_9, n = 13: 32 components in 16 dual pairs; the 15 spans of
+        # dimension <= 6 and the zero code's are each enumerated once, and
+        # the other side of each pair reads them through macwilliams
+        calls = count_calls(monkeypatch, linalg, "span_min_weight", "span_weight_distribution")
+        code, _, _ = run(
+            capsys, "census", "--field", FIELD, "--n", "13", "--bound", "100000"
+        )
+        assert code == 0
+        assert calls == {"span_weight_distribution": 16}
+
     def test_census_and_verify_share_one_sizing(self, capsys, monkeypatch):
         from skewcyclic import oracle
 

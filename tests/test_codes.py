@@ -909,12 +909,18 @@ class TestDistances:
         codes = census(5, f9, 1)
         distances = [code.min_lee_distance() for code in codes]
         nonzero = {c for code in codes for c in code.components if not c.is_zero_code()}
-        assert len(calls) == len(nonzero) == 3
+        assert len(nonzero) == 3
         assert distances == [code.min_lee_distance() for code in codes]
-        # dims 1 | 4, 5: the last two are read from their duals of dims 1, 0
+        # dims 1 | 4, 5: the last two read the weights of the census members
+        # that are their duals, of dims 1 and 0: one enumeration per dual pair
+        assert sorted(calls) == [("span_weight_distribution", 0), ("span_weight_distribution", 1)]
+        # outside a census each code enumerates its own dual
+        calls.clear()
+        fresh = {component_code_new(5, c.g): c.min_hamming_distance() for c in nonzero}
+        assert {c: c.min_hamming_distance() for c in fresh} == fresh
         assert sorted(calls) == [
-            ("span_min_weight", 1),
             ("span_weight_distribution", 0),
+            ("span_weight_distribution", 1),
             ("span_weight_distribution", 1),
         ]
 

@@ -384,6 +384,18 @@ def test_mutant_kills_are_pinned(monkeypatch, name):
     assert kills() == TABLE[name]["kills"]
 
 
+WITNESSES = json.loads((DATA / "gray_isometry_witnesses.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_gray_isometry_witness_is_pinned(monkeypatch, name):
+    # F_9, n = 1: the splitting check is exhaustive and the pairs are
+    # sampled; each mutant's first witness, byte for byte
+    MUTANTS[name](monkeypatch)
+    entry = TestMatrixEntry(p=3, m=2, i=1, n=1)
+    assert oracle.verify_gray_isometry(entry).to_json() == WITNESSES[name]
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_census_mutant_names_the_lost_divisors(monkeypatch, n):
     # the census loses <x - 1> and its dual; it stays closed under duals,

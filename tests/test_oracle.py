@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -687,8 +688,9 @@ class TestDistanceOracle:
             verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3))
             counts.append(sorted(calls))
         # 3 production component distances (dims 1, 2, 3: the last two
-        # from their duals' weights) and 3 distinct oracle blocks
-        expected = ["span_min_weight"] * 4 + ["span_weight_distribution"] * 2
+        # read the weights of their duals, the census members of dims 1
+        # and 0, so 2 enumerations) and 3 distinct oracle blocks
+        expected = ["span_min_weight"] * 3 + ["span_weight_distribution"] * 2
         assert counts == [expected, expected]
 
 
@@ -845,14 +847,19 @@ class TestHarness:
     def test_principal_generator_samples_ignore_the_closure_draws(self, monkeypatch):
         # principal-generator draws from its own stream: extra draws by the
         # shift-closure checks change none of its words
-        contains, principality = SkewCyclicCode.contains, oracle.verify_principality
+        principality = oracle.verify_principality
         closure = oracle.verify_shift_closure
         words: list | None = None  # set while principal-generator runs
 
-        def recording(code, word):
-            if words is not None:
-                words.append([str(r) for r in word])
-            return contains(code, word)
+        def recording(owner):
+            contains = owner.contains
+
+            def recorded(code, word):
+                if words is not None:
+                    words.append((owner.__name__, [str(r) for r in word]))
+                return contains(code, word)
+
+            return recorded
 
         def watched(*args):
             nonlocal words
@@ -862,7 +869,8 @@ class TestHarness:
             finally:
                 words = None
 
-        monkeypatch.setattr(SkewCyclicCode, "contains", recording)
+        for owner in (SkewCyclicCode, ComponentCode):
+            monkeypatch.setattr(owner, "contains", recording(owner))
         monkeypatch.setattr(oracle, "verify_principality", watched)
         runs = []
         for extra in (0, 100):
@@ -876,8 +884,13 @@ class TestHarness:
             runs.append([])
             reports = {r.claim: r for r in verify_entry(TestMatrixEntry(p=3, m=2, i=1, n=3, seed=5))}
             assert reports["principal-generator"].passed and reports["shift-closure"].passed
-        # 64 codes: each generator row and 20 sampled words
-        assert len(runs[0]) == 1568 and runs[0] == runs[1]
+        # over R, each of the 64 codes: its 288 generator rows in all, one
+        # member, and one word pushed outside each of its 144 slots whose
+        # span is not F_9^3 (3 of the 4 components); over F_9, 20 uniform
+        # words for each of the 4 components, whatever its slot
+        owners = Counter(owner for owner, _ in runs[0])
+        assert owners == {"SkewCyclicCode": 288 + 64 + 144, "ComponentCode": 4 * 20}
+        assert runs[0] == runs[1]
 
     def test_verify_entry_with_twisted_divisors_all_pass(self):
         # gcd(2, t_1) = 2 over F_9: some divisors of x^2 - 1 have
@@ -1602,6 +1615,12 @@ def _slot_census(name):
     return out
 
 
+def _in_slot_spans(spans, row) -> bool:
+    """Is the Gray index row in the combined span: is each coordinate class
+    3k + t of it in the span of slot t?"""
+    return all(span.holds(row[t::3]) for t, span in enumerate(spans))
+
+
 @pytest.mark.parametrize("name", sorted(_SLOT_CENSUSES))
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers())
@@ -1620,8 +1639,8 @@ def test_slot_span_test_equals_the_full_row_space_test(name, seed):
         uniform = [rng.randrange(fld.q) for _ in range(3 * n)]
         for word in (member, moved, uniform):
             in_span = linalg.rank(full + [word], fld) == len(full)
-            assert oracle._in_slot_spans(spans, word) == in_span
-        assert oracle._in_slot_spans(spans, member)
+            assert _in_slot_spans(spans, word) == in_span
+        assert _in_slot_spans(spans, member)
 
 
 @pytest.mark.parametrize("name", sorted(_SLOT_CENSUSES))
